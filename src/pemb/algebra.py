@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .graded import (CochainComplex, DegreeWindow, GradedError, GradedLinearMap,
-                     GradedVectorSpace, CohomologyData, cohomology,
-                     induced_on_cohomology)
-from .linalg import (Matrix, add_vec, is_zero_vec, scale_vec, span_complement_coords,
-                     unit_vec, zero_vec)
+from .checks import (check_cdga, check_cdga_morphism, escape_degree,
+                     left_multiples)
+from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
+                     cohomology, direct_sum, quasi_isomorphism_failure,
+                     truncation_spans)
+from .linalg import Matrix, add_vec, is_zero_vec, scale_vec, unit_vec, zero_vec
 
 
 class AlgebraError(ValueError):
@@ -89,75 +90,9 @@ class Cdga:
     # -- validation ------------------------------------------------------
 
     def validate(self):
-        sp = self.space
-        if sp.window.lo < 0:
-            raise AlgebraError("algebra must be nonnegatively graded")
-        if len(self.unit) != sp.dim(0) or is_zero_vec(self.unit):
-            raise AlgebraError("unit must be a nonzero degree-0 vector")
-        if not is_zero_vec(self.d_vec(0, self.unit)):
-            raise AlgebraError("unit must be a cocycle")
-        degs = sp.degrees()
-        # unit law
-        for d in degs:
-            for i in range(sp.dim(d)):
-                e = self.basis_vec(d, i)
-                if self.mul_vec(0, self.unit, d, e) != e:
-                    raise AlgebraError("unit law fails on %s" % sp.label(d, i))
-                if self.mul_vec(d, e, 0, self.unit) != e:
-                    raise AlgebraError("unit law (right) fails on %s" % sp.label(d, i))
-        # graded commutativity
-        for d1 in degs:
-            for d2 in degs:
-                if d1 + d2 > sp.window.hi:
-                    continue
-                sign = self.field.sign(d1 * d2)
-                for i1 in range(sp.dim(d1)):
-                    for i2 in range(sp.dim(d2)):
-                        ab = self.mul_basis(d1, i1, d2, i2)
-                        ba = self.mul_basis(d2, i2, d1, i1)
-                        if ab != scale_vec(sign, ba):
-                            raise AlgebraError(
-                                "commutativity fails on (%s, %s)"
-                                % (sp.label(d1, i1), sp.label(d2, i2)))
-        # associativity
-        for d1 in degs:
-            for d2 in degs:
-                for d3 in degs:
-                    if d1 + d2 + d3 > sp.window.hi:
-                        continue
-                    for i1 in range(sp.dim(d1)):
-                        a = self.basis_vec(d1, i1)
-                        for i2 in range(sp.dim(d2)):
-                            b = self.basis_vec(d2, i2)
-                            ab = self.mul_vec(d1, a, d2, b)
-                            for i3 in range(sp.dim(d3)):
-                                c = self.basis_vec(d3, i3)
-                                lhs = self.mul_vec(d1 + d2, ab, d3, c)
-                                rhs = self.mul_vec(d1, a, d2 + d3,
-                                                   self.mul_vec(d2, b, d3, c))
-                                if lhs != rhs:
-                                    raise AlgebraError(
-                                        "associativity fails on (%s, %s, %s)"
-                                        % (sp.label(d1, i1), sp.label(d2, i2),
-                                           sp.label(d3, i3)))
-        # Leibniz
-        for d1 in degs:
-            for d2 in degs:
-                if d1 + d2 + 1 > sp.window.hi:
-                    continue
-                sgn = self.field.sign(d1)
-                for i1 in range(sp.dim(d1)):
-                    a = self.basis_vec(d1, i1)
-                    da = self.d_vec(d1, a)
-                    for i2 in range(sp.dim(d2)):
-                        b = self.basis_vec(d2, i2)
-                        db = self.d_vec(d2, b)
-                        lhs = self.d_vec(d1 + d2, self.mul_vec(d1, a, d2, b))
-                        rhs = add_vec(self.mul_vec(d1 + 1, da, d2, b),
-                                      scale_vec(sgn, self.mul_vec(d1, a, d2 + 1, db)))
-                        if lhs != rhs:
-                            raise AlgebraError("Leibniz fails on (%s, %s)"
-                                               % (sp.label(d1, i1), sp.label(d2, i2)))
+        witness = check_cdga(self)
+        if witness is not None:
+            raise AlgebraError(str(witness))
 
     def __repr__(self):
         return "Cdga(dims=%s)" % (self.space.dims,)
@@ -177,30 +112,9 @@ class CdgaMorphism:
         return self.map.apply(d, v)
 
     def validate(self):
-        from .graded import is_chain_map
-        if self.map.shift != 0:
-            raise AlgebraError("morphism must preserve degree")
-        if not is_chain_map(self.map, self.source.complex, self.target.complex):
-            raise AlgebraError("morphism is not a chain map")
-        if self.apply(0, self.source.unit) != self.target.unit:
-            raise AlgebraError("morphism does not preserve the unit")
-        sp = self.source.space
-        hi = min(sp.window.hi, self.target.space.window.hi)
-        for d1 in sp.degrees():
-            for d2 in sp.degrees():
-                if d1 + d2 > hi:
-                    continue
-                for i1 in range(sp.dim(d1)):
-                    a = self.source.basis_vec(d1, i1)
-                    fa = self.apply(d1, a)
-                    for i2 in range(sp.dim(d2)):
-                        b = self.source.basis_vec(d2, i2)
-                        lhs = self.apply(d1 + d2, self.source.mul_vec(d1, a, d2, b))
-                        rhs = self.target.mul_vec(d1, fa, d2, self.apply(d2, b))
-                        if lhs != rhs:
-                            raise AlgebraError(
-                                "morphism not multiplicative on (%s, %s)"
-                                % (sp.label(d1, i1), sp.label(d2, i2)))
+        witness = check_cdga_morphism(self)
+        if witness is not None:
+            raise AlgebraError(str(witness))
 
     def compose(self, other):
         """self after other."""
@@ -418,23 +332,17 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
 
     reducers = {d: _Quotienter(field, spans.get(d, []), n) for d, n in dims.items()}
 
-    # d must preserve the ideal
-    for d, vs in spans.items():
-        if d + 1 > window.hi:
-            continue
-        for v in vs:
-            dv = [field.zero] * dims.get(d + 1, 0)
-            for i, c in enumerate(v):
-                if c == 0:
-                    continue
-                dv = list(add_vec(tuple(dv), scale_vec(c, d_mono(monos_by_degree[d][i]))))
-            red = reducers.get(d + 1)
-            if red is None:
-                if not is_zero_vec(tuple(dv)):
-                    raise AlgebraError("differential does not preserve the relation ideal")
-            elif not red.contains(tuple(dv)):
-                raise AlgebraError("differential does not preserve the relation ideal "
-                                   "in degree %d" % (d + 1))
+    def d_vec(d, v):
+        out = (field.zero,) * dims.get(d + 1, 0)
+        for i, c in enumerate(v):
+            if c != 0:
+                out = add_vec(out, scale_vec(c, d_mono(monos_by_degree[d][i])))
+        return out
+
+    bad = escape_degree(spans, reducers, lambda d, v: [(d + 1, d_vec(d, v))])
+    if bad is not None:
+        raise AlgebraError("differential does not preserve the relation ideal "
+                           "in degree %d" % bad)
 
     # quotient basis, labels, differential, product
     qdims, qlabels = {}, {}
@@ -587,16 +495,10 @@ def quotient_complex(complex_, spans):
     field = space.field
     reducers = {d: _Quotienter(field, spans.get(d, []), space.dim(d))
                 for d in space.degrees()}
-    # d-closure check
-    for d, vs in spans.items():
-        red1 = reducers.get(d + 1)
-        for v in vs:
-            dv = complex_.d.apply(d, v)
-            if red1 is None:
-                if not is_zero_vec(dv):
-                    raise AlgebraError("subspace not closed under d at degree %d" % d)
-            elif not red1.contains(dv):
-                raise AlgebraError("subspace not closed under d at degree %d" % d)
+    bad = escape_degree(spans, reducers,
+                        lambda d, v: [(d + 1, complex_.d.apply(d, v))])
+    if bad is not None:
+        raise AlgebraError("subspace not closed under d at degree %d" % (bad - 1))
     qdims, qlabels = {}, {}
     for d, red in reducers.items():
         if red.keep:
@@ -618,6 +520,23 @@ def quotient_complex(complex_, spans):
     return qcx, proj, reducers
 
 
+def projected_table(lefts, reducers, mul, hi):
+    """Structure constants on a quotient: for each left factor (d1, i1, v1)
+    and each quotient basis element i2 of degree d2 <= hi - d1, the
+    nonzero projection of mul(d1, v1, d2, its lift)."""
+    table = {}
+    for d1, i1, v1 in lefts:
+        for d2, r2 in reducers.items():
+            rd = reducers.get(d1 + d2)
+            if d1 + d2 > hi or rd is None or not rd.keep:
+                continue
+            for i2 in range(len(r2.keep)):
+                w = rd.project(mul(d1, v1, d2, r2.lift(unit_vec(r2.field, len(r2.keep), i2))))
+                if not is_zero_vec(w):
+                    table[(d1, i1, d2, i2)] = w
+    return table
+
+
 def quotient_cdga(a, spans):
     """Quotient of a CDGA by a d-closed ideal given by degreewise spans.
 
@@ -625,36 +544,12 @@ def quotient_cdga(a, spans):
     (quotient, projection morphism, reducers)."""
     qcx, proj, reducers = quotient_complex(a.complex, spans)
     sp = a.space
-    # ideal check: basis * span stays in the span
-    for d, vs in spans.items():
-        for v in vs:
-            for e in sp.degrees():
-                t = d + e
-                if t > sp.window.hi:
-                    continue
-                red = reducers.get(t)
-                for i in range(sp.dim(e)):
-                    w = a.mul_vec(e, a.basis_vec(e, i), d, v)
-                    if red is None:
-                        if not is_zero_vec(w):
-                            raise AlgebraError("subspace is not an ideal")
-                    elif not red.contains(w):
-                        raise AlgebraError("subspace is not an ideal (degree %d)" % t)
-    product = {}
-    for d1 in qcx.space.degrees():
-        r1 = reducers[d1]
-        for d2 in qcx.space.degrees():
-            d = d1 + d2
-            if d > sp.window.hi or d not in reducers or not reducers[d].keep:
-                continue
-            r2, rd = reducers[d2], reducers[d]
-            for i1 in range(len(r1.keep)):
-                v1 = r1.lift(unit_vec(a.field, len(r1.keep), i1))
-                for i2 in range(len(r2.keep)):
-                    v2 = r2.lift(unit_vec(a.field, len(r2.keep), i2))
-                    w = rd.project(a.mul_vec(d1, v1, d2, v2))
-                    if not is_zero_vec(w):
-                        product[(d1, i1, d2, i2)] = w
+    bad = escape_degree(spans, reducers, left_multiples(a, a.mul_vec, sp.window.hi))
+    if bad is not None:
+        raise AlgebraError("subspace is not an ideal (degree %d)" % bad)
+    lifts = [(d, i, r.lift(unit_vec(a.field, len(r.keep), i)))
+             for d, r in reducers.items() for i in range(len(r.keep))]
+    product = projected_table(lifts, reducers, a.mul_vec, sp.window.hi)
     unit = reducers[0].project(a.unit)
     q = Cdga(a.field, qcx, product, unit)
     morphism = CdgaMorphism(a, q, proj)
@@ -675,29 +570,11 @@ def quotient_by_acyclic_ideal(a, above):
         if d >= above + 2:
             raise AlgebraError("H^%d != 0: cannot build an acyclic ideal above "
                                "degree %d" % (d, above))
-    sp = a.space
-    field = a.field
-    spans = {}
-    t = above + 1
-    if sp.dim(t):
-        z = coh.cocycles[t]
-        comp = span_complement_coords(field, [list(v) for v in z], sp.dim(t))
-        vs = [unit_vec(field, sp.dim(t), i) for i in comp]
-        if vs:
-            spans[t] = vs
-    for d in sp.degrees():
-        if d >= above + 2:
-            spans[d] = [unit_vec(field, sp.dim(d), i) for i in range(sp.dim(d))]
-    q, proj, _ = quotient_cdga(a, spans)
-    # the projection must be a quasi-isomorphism
-    hq = cohomology(q.complex)
-    if hq.dims != coh.dims:
-        raise AlgebraError("acyclic-ideal quotient changed cohomology (internal)")
-    blocks = induced_on_cohomology(proj.map, coh, hq)
-    for d, m in blocks.items():
-        if m.rank() != coh.dim(d):
-            raise AlgebraError("acyclic-ideal projection not a quasi-isomorphism "
-                               "(internal, degree %d)" % d)
+    q, proj, _ = quotient_cdga(a, truncation_spans(a.complex, above + 1))
+    bad = quasi_isomorphism_failure(proj.map, coh, cohomology(q.complex))
+    if bad is not None:
+        raise AlgebraError("acyclic-ideal projection not a quasi-isomorphism "
+                           "(internal, degree %d)" % bad)
     return q, proj
 
 
@@ -708,43 +585,13 @@ def direct_sum_cdga(parts):
     of the component units."""
     if not parts:
         raise AlgebraError("empty direct sum")
-    field = parts[0].field
-    window = DegreeWindow(0, max(p.space.window.hi for p in parts))
-    dims, labels = {}, {}
-    offset = {}
-    for pi, p in enumerate(parts):
-        for d in p.space.degrees():
-            offset[(pi, d)] = dims.get(d, 0)
-            dims[d] = dims.get(d, 0) + p.space.dim(d)
-            labels.setdefault(d, []).extend(
-                "c%d.%s" % (pi, p.space.label(d, i)) for i in range(p.space.dim(d)))
-    space = GradedVectorSpace(field, window, dims, labels)
-
-    def embed(pi, d, v):
-        out = [field.zero] * space.dim(d)
-        off = offset.get((pi, d), 0)
-        for i, c in enumerate(v):
-            out[off + i] = c
-        return tuple(out)
-
-    dblocks = {}
-    for d in space.degrees():
-        cols = []
-        for pi, p in enumerate(parts):
-            for i in range(p.space.dim(d)):
-                cols.append(embed(pi, d + 1, p.complex.d.apply(d, p.basis_vec(d, i))))
-        dblocks[d] = Matrix.from_cols(field, cols, space.dim(d + 1))
-    cx = CochainComplex(space, GradedLinearMap(space, space, 1, dblocks))
-
+    cx, offset, embed = direct_sum([p.complex for p in parts])
     product = {}
     for pi, p in enumerate(parts):
         for (d1, i1, d2, i2), v in p.product.items():
-            product[(d1, offset.get((pi, d1), 0) + i1,
-                     d2, offset.get((pi, d2), 0) + i2)] = embed(pi, d1 + d2, v)
-    unit = [field.zero] * space.dim(0)
+            product[(d1, offset[(pi, d1)] + i1,
+                     d2, offset[(pi, d2)] + i2)] = embed(pi, d1 + d2, v)
+    unit = cx.space.zero(0)
     for pi, p in enumerate(parts):
-        for i, c in enumerate(p.unit):
-            unit[offset.get((pi, 0), 0) + i] = c
-    alg = Cdga(field, cx, product, tuple(unit))
-    alg.summand_offsets = offset
-    return alg
+        unit = add_vec(unit, embed(pi, 0, p.unit))
+    return Cdga(parts[0].field, cx, product, unit)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, is_zero_vec, zero_vec
+from .linalg import Matrix, is_zero_vec, span_complement_coords, unit_vec, zero_vec
 
 
 class GradedError(ValueError):
@@ -209,10 +209,9 @@ class CohomologyData:
                 _, pivots = m.rref()
                 reps = [z[p - len(b)] for p in pivots if p >= len(b)]
             else:
-                m = None
-                reps = []
+                m, pivots, reps = None, [], []
             self.reps[deg] = reps
-            self._decomp[deg] = (m, len(b), [p for p in (m.rref()[1] if m else [])])
+            self._decomp[deg] = (m, len(b), pivots)
             if reps:
                 self.dims[deg] = len(reps)
 
@@ -269,6 +268,32 @@ def induced_on_cohomology(f, coh_source, coh_target):
         blocks[deg] = Matrix.from_cols(f.source.field, cols,
                                        coh_target.dim(deg + f.shift))
     return blocks
+
+
+def quasi_isomorphism_failure(f, coh_source, coh_target):
+    """First degree where the degree-0 map f does not induce an
+    isomorphism on cohomology, or None when f is a quasi-isomorphism."""
+    blocks = induced_on_cohomology(f, coh_source, coh_target)
+    for deg in sorted(set(coh_source.dims) | set(coh_target.dims)):
+        n = coh_target.dim(deg)
+        if coh_source.dim(deg) != n or blocks[deg].rank() != n:
+            return deg
+    return None
+
+
+def truncation_spans(complex_, t):
+    """Spans of the subcomplex above degree t: every basis vector above t,
+    and in degree t the standard vectors completing the cocycles."""
+    sp, field = complex_.space, complex_.field
+    spans = {}
+    comp = span_complement_coords(
+        field, [list(z) for z in complex_.d.block(t).kernel_basis()], sp.dim(t))
+    if comp:
+        spans[t] = [unit_vec(field, sp.dim(t), i) for i in comp]
+    for d in sp.degrees():
+        if d > t:
+            spans[d] = [unit_vec(field, sp.dim(d), i) for i in range(sp.dim(d))]
+    return spans
 
 
 def suspend_label(k, lab):
@@ -374,6 +399,39 @@ def mapping_cone(f, source, target):
     incl = GradedLinearMap(y_sp, cone_sp, 0, incl_blocks)
     proj = GradedLinearMap(cone_sp, sx.space, 0, proj_blocks)
     return ConeSplit(cone, incl, proj, y_sp, sx)
+
+
+def direct_sum(complexes):
+    """Direct sum of complexes, summands stacked in order in each degree,
+    on the smallest window holding them all.
+
+    Returns (sum, offsets, embed): offsets[(k, d)] is where summand k
+    starts in degree d, and embed(k, d, v) includes its vector v.
+    """
+    field = complexes[0].field
+    window = DegreeWindow(min(c.space.window.lo for c in complexes),
+                          max(c.space.window.hi for c in complexes))
+    dims, labels, offsets = {}, {}, {}
+    for k, c in enumerate(complexes):
+        for d in c.space.degrees():
+            offsets[(k, d)] = dims.get(d, 0)
+            dims[d] = dims.get(d, 0) + c.space.dim(d)
+            labels.setdefault(d, []).extend(
+                "c%d.%s" % (k, lab) for lab in c.space.labels[d])
+    space = GradedVectorSpace(field, window, dims, labels)
+
+    def embed(k, d, v):
+        out = [field.zero] * space.dim(d)
+        off = offsets.get((k, d), 0)
+        out[off:off + len(v)] = v
+        return tuple(out)
+
+    blocks = {d: Matrix.from_cols(field, [embed(k, d + 1, col)
+                                          for k, c in enumerate(complexes)
+                                          for col in c.d.block(d).cols()],
+                                  space.dim(d + 1))
+              for d in space.degrees()}
+    return CochainComplex(space, GradedLinearMap(space, space, 1, blocks)), offsets, embed
 
 
 def rewindow(complex_, lo, hi):

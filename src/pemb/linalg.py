@@ -179,10 +179,6 @@ class Matrix:
             x[pc] = red.entries[r][self.ncols]
         return tuple(x)
 
-    def column_space_coords(self, v):
-        """Coordinates of v in the column span, or None if v is outside it."""
-        return self.solve(v)
-
 
 def _is_scalar(x, field):
     return type(x) is type(field.zero)

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import projected_table, quotient_complex
+from .checks import (check_module, check_module_morphism, escape_degree,
+                     left_multiples)
 from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
-                     GradedVectorSpace, cohomology, dualize,
-                     induced_on_cohomology, is_chain_map, mapping_cone, suspend)
-from .linalg import (Matrix, add_vec, is_zero_vec, scale_vec,
-                     span_complement_coords, unit_vec, zero_vec)
+                     GradedVectorSpace, cohomology, direct_sum, dualize,
+                     mapping_cone, quasi_isomorphism_failure, suspend,
+                     truncation_spans)
+from .linalg import Matrix, add_vec, is_zero_vec, scale_vec, unit_vec, zero_vec
 
 
 class ModuleError(ValueError):
@@ -68,72 +71,21 @@ class DgModule:
         return self.complex.d.apply(d, v)
 
     def validate(self):
-        a = self.algebra
-        sp = self.space
-        for dm in sp.degrees():
-            for jm in range(sp.dim(dm)):
-                m = self.basis_vec(dm, jm)
-                if self.act_vec(0, a.unit, dm, m) != m:
-                    raise ModuleError("unit does not act as identity on %s"
-                                      % sp.label(dm, jm))
-        degs_a = a.space.degrees()
-        for da in degs_a:
-            for db in degs_a:
-                for dm in sp.degrees():
-                    if da + db + dm > sp.window.hi:
-                        continue
-                    for ia in range(a.space.dim(da)):
-                        av = a.basis_vec(da, ia)
-                        for ib in range(a.space.dim(db)):
-                            bv = a.basis_vec(db, ib)
-                            ab = a.mul_vec(da, av, db, bv)
-                            for jm in range(sp.dim(dm)):
-                                m = self.basis_vec(dm, jm)
-                                lhs = self.act_vec(da, av, db + dm,
-                                                   self.act_vec(db, bv, dm, m))
-                                rhs = self.act_vec(da + db, ab, dm, m)
-                                if lhs != rhs:
-                                    raise ModuleError(
-                                        "action not associative on (%s, %s, %s)"
-                                        % (a.space.label(da, ia),
-                                           a.space.label(db, ib), sp.label(dm, jm)))
-        for da in degs_a:
-            sgn = self.field.sign(da)
-            for dm in sp.degrees():
-                if da + dm + 1 > sp.window.hi:
-                    continue
-                for ia in range(a.space.dim(da)):
-                    av = a.basis_vec(da, ia)
-                    dav = a.d_vec(da, av)
-                    for jm in range(sp.dim(dm)):
-                        m = self.basis_vec(dm, jm)
-                        lhs = self.d_vec(da + dm, self.act_vec(da, av, dm, m))
-                        rhs = add_vec(self.act_vec(da + 1, dav, dm, m),
-                                      scale_vec(sgn, self.act_vec(da, av, dm + 1,
-                                                                  self.d_vec(dm, m))))
-                        if lhs != rhs:
-                            raise ModuleError("action Leibniz fails on (%s, %s)"
-                                              % (a.space.label(da, ia),
-                                                 sp.label(dm, jm)))
+        witness = check_module(self)
+        if witness is not None:
+            raise ModuleError(str(witness))
 
     def __repr__(self):
         return "DgModule(dims=%s)" % (self.space.dims,)
 
 
 def algebra_as_module(a):
-    action = {k: v for k, v in a.product.items()}
-    # make the action total on both orders (module actions are one-sided)
-    full = {}
-    for d1 in a.space.degrees():
-        for d2 in a.space.degrees():
-            if d1 + d2 > a.space.window.hi:
-                continue
-            for i1 in range(a.space.dim(d1)):
-                for i2 in range(a.space.dim(d2)):
-                    v = a.mul_basis(d1, i1, d2, i2)
-                    if v and not is_zero_vec(v):
-                        full[(d1, i1, d2, i2)] = v
-    return DgModule(a, a.complex, full, validate=False)
+    """`a` acting on itself from the left; the action lists both orders
+    of every product, since module actions are one-sided."""
+    action = dict(a.product)
+    for (d1, i1, d2, i2), v in a.product.items():
+        action.setdefault((d2, i2, d1, i1), scale_vec(a.field.sign(d1 * d2), v))
+    return DgModule(a, a.complex, action, validate=False)
 
 
 class DgModuleMorphism:
@@ -150,24 +102,9 @@ class DgModuleMorphism:
         return self.map.apply(d, v)
 
     def validate(self):
-        if self.map.shift != 0:
-            raise ModuleError("module morphisms must have degree 0")
-        if not is_chain_map(self.map, self.source.complex, self.target.complex):
-            raise ModuleError("module morphism is not a chain map")
-        a = self.source.algebra
-        sp = self.source.space
-        for da in a.space.degrees():
-            for ia in range(a.space.dim(da)):
-                av = a.basis_vec(da, ia)
-                for dm in sp.degrees():
-                    for jm in range(sp.dim(dm)):
-                        m = self.source.basis_vec(dm, jm)
-                        lhs = self.apply(da + dm, self.source.act_vec(da, av, dm, m))
-                        rhs = self.target.act_vec(da, av, dm, self.apply(dm, m))
-                        if lhs != rhs:
-                            raise ModuleError("morphism not linear over (%s) at %s"
-                                              % (a.space.label(da, ia),
-                                                 sp.label(dm, jm)))
+        witness = check_module_morphism(self)
+        if witness is not None:
+            raise ModuleError(str(witness))
 
     def compose(self, other):
         return DgModuleMorphism(other.source, self.target,
@@ -588,6 +525,7 @@ def free_module(algebra, gens, dvals=None, window=None):
     if window is None:
         window = a.space.window
     index = {}      # (g, da, ia) -> (deg, pos)
+    slots = {}      # (deg, pos) -> (g, da, ia)
     dims, labels = {}, {}
     for d in range(window.lo, window.hi + 1):
         pos = 0
@@ -596,6 +534,7 @@ def free_module(algebra, gens, dvals=None, window=None):
             e = d - g.degree
             for ia in range(a.space.dim(e)):
                 index[(gi, e, ia)] = (d, pos)
+                slots[(d, pos)] = (gi, e, ia)
                 lab = g.label if e == 0 and a.space.label(e, ia) == "1" \
                     else "%s*%s" % (a.space.label(e, ia), g.label)
                 labs.append(lab)
@@ -606,9 +545,8 @@ def free_module(algebra, gens, dvals=None, window=None):
     space = GradedVectorSpace(field, window, dims, labels)
 
     def act_on_basis(da, ia, dm, jm):
-        # find which (g, e, ib) sits at position jm of degree dm
         out = [field.zero] * space.dim(da + dm)
-        gi, e, ib = _slot_of(index, dm, jm)
+        gi, e, ib = slots[(dm, jm)]
         prod = a.mul_vec(da, a.basis_vec(da, ia), e, a.basis_vec(e, ib))
         for ic, c in enumerate(prod):
             if c != 0:
@@ -634,7 +572,7 @@ def free_module(algebra, gens, dvals=None, window=None):
 
     # d(a x g) = d(a) x g + (-1)^|a| a . d(g); compute columns directly
     def d_col(dm, jm):
-        gi, e, ib = _slot_of(index, dm, jm)
+        gi, e, ib = slots[(dm, jm)]
         out = [field.zero] * space.dim(dm + 1)
         dav = a.d_vec(e, a.basis_vec(e, ib))
         for ic, c in enumerate(dav):
@@ -670,13 +608,6 @@ def free_module(algebra, gens, dvals=None, window=None):
     return module, index
 
 
-def _slot_of(index, dm, jm):
-    for (gi, e, ib), (d, p) in index.items():
-        if d == dm and p == jm:
-            return gi, e, ib
-    raise ModuleError("basis slot (%d, %d) not found" % (dm, jm))
-
-
 @dataclass
 class SemifreeModule:
     module: DgModule
@@ -706,22 +637,23 @@ def semifree_resolution(m, minimal=True, max_rounds=30, window=None):
 
     def build():
         P, index = free_module(a, gens, dvals, window)
+        slots = {v: k for k, v in index.items()}
         blocks = {}
         for d in P.space.degrees():
             cols = []
             for jm in range(P.space.dim(d)):
-                gi, e, ib = _slot_of(index, d, jm)
+                gi, e, ib = slots[(d, jm)]
                 g = gens[gi]
                 cols.append(m.act_vec(e, a.basis_vec(e, ib), g.degree,
                                       rho_vals[gi]))
             blocks[d] = Matrix.from_cols(field, cols, m.space.dim(d))
         rho = GradedLinearMap(P.space, m.space, 0, blocks)
-        return P, index, rho
+        return P, index, slots, rho
 
     coh_m = cohomology(m.complex)
     for j in range(window.lo, window.hi + 1):
         for round_ in range(max_rounds):
-            P, index, rho = build()
+            P, _, _, rho = build()
             coh_P = cohomology(P.complex)
             # induced map on H^j
             img_cols = [coh_m.reduce(j, rho.apply(j, z)) for z in coh_P.reps.get(j, [])]
@@ -743,7 +675,6 @@ def semifree_resolution(m, minimal=True, max_rounds=30, window=None):
                     rho_vals[gi] = coh_m.reps[j][t]
                 continue
             kern = hmat.kernel_basis() if coh_P.dim(j) else []
-            kern = [v for v in kern]
             if not kern:
                 break
             for v in kern:
@@ -760,23 +691,16 @@ def semifree_resolution(m, minimal=True, max_rounds=30, window=None):
         else:
             raise ModuleError("semifree resolution did not stabilize in degree %d" % j)
 
-    P, index, rho_glm = build()
+    P, index, slots, rho_glm = build()
     rho = DgModuleMorphism(P, m, rho_glm)
-    coh_P = cohomology(P.complex)
-    blocks = induced_on_cohomology(rho_glm, coh_P, coh_m)
-    for dtest in set(coh_P.dims) | set(coh_m.dims):
-        bm = blocks.get(dtest, Matrix.zero(field, coh_m.dim(dtest), coh_P.dim(dtest)))
-        if coh_P.dim(dtest) != coh_m.dim(dtest) or bm.rank() != coh_m.dim(dtest):
-            raise ModuleError("resolution is not a quasi-isomorphism (degree %d)"
-                              % dtest)
+    bad = quasi_isomorphism_failure(rho_glm, cohomology(P.complex), coh_m)
+    if bad is not None:
+        raise ModuleError("resolution is not a quasi-isomorphism (degree %d)" % bad)
     is_minimal = True
     for gi, z in dvals.items():
         deg = gens[gi].degree + 1
         for jm, c in enumerate(z):
-            if c == 0:
-                continue
-            _, e, _ib = _slot_of(index, deg, jm)
-            if e == 0:
+            if c != 0 and slots[(deg, jm)][1] == 0:
                 is_minimal = False
     if minimal and not is_minimal:
         raise ModuleError("resolution recipe produced a non-minimal differential")
@@ -822,108 +746,16 @@ class ModuleTruncation:
 
 def quotient_module(m, spans):
     """Quotient by a graded subspace after checking it is a subDGmodule."""
-    from .algebra import _Quotienter
-    field = m.field
-    sp = m.space
-    reducers = {d: _Quotienter(field, spans.get(d, []), sp.dim(d))
-                for d in sp.degrees()}
     a = m.algebra
-    for d, vs in spans.items():
-        red1 = reducers.get(d + 1)
-        for v in vs:
-            dv = m.d_vec(d, v)
-            if red1 is None:
-                if not is_zero_vec(dv):
-                    raise ModuleError("subspace not d-closed at degree %d" % d)
-            elif not red1.contains(dv):
-                raise ModuleError("subspace not d-closed at degree %d" % d)
-            for e in a.space.degrees():
-                t = d + e
-                if t > sp.window.hi:
-                    continue
-                red_t = reducers.get(t)
-                for i in range(a.space.dim(e)):
-                    w = m.act_vec(e, a.basis_vec(e, i), d, v)
-                    if red_t is None:
-                        if not is_zero_vec(w):
-                            raise ModuleError("subspace not action-closed")
-                    elif not red_t.contains(w):
-                        raise ModuleError("subspace not action-closed (degree %d)" % t)
-    qdims, qlabels = {}, {}
-    for d, red in reducers.items():
-        if red.keep:
-            qdims[d] = len(red.keep)
-            qlabels[d] = [sp.label(d, i) for i in red.keep]
-    qspace = GradedVectorSpace(field, sp.window, qdims, qlabels)
-    dblocks = {}
-    for d in qspace.degrees():
-        red, red1 = reducers[d], reducers.get(d + 1)
-        cols = [red1.project(m.d_vec(d, red.lift(unit_vec(field, len(red.keep), i))))
-                if red1 and red1.keep else ()
-                for i in range(len(red.keep))]
-        dblocks[d] = Matrix.from_cols(field, cols, qspace.dim(d + 1))
-    qcx = CochainComplex(qspace, GradedLinearMap(qspace, qspace, 1, dblocks))
-    action = {}
-    for da in a.space.degrees():
-        for ia in range(a.space.dim(da)):
-            av = a.basis_vec(da, ia)
-            for dm in qspace.degrees():
-                t = da + dm
-                if t > sp.window.hi or t not in reducers or not reducers[t].keep:
-                    continue
-                red, red_t = reducers[dm], reducers[t]
-                for jm in range(len(red.keep)):
-                    v = red.lift(unit_vec(field, len(red.keep), jm))
-                    w = red_t.project(m.act_vec(da, av, dm, v))
-                    if not is_zero_vec(w):
-                        action[(da, ia, dm, jm)] = w
-    q = DgModule(a, qcx, action)
-    pblocks = {d: Matrix.from_cols(field,
-                                   [reducers[d].project(unit_vec(field, sp.dim(d), i))
-                                    for i in range(sp.dim(d))], qspace.dim(d))
-               for d in sp.degrees()}
-    proj = DgModuleMorphism(m, q, GradedLinearMap(sp, qspace, 0, pblocks))
-    return q, proj, reducers
-
-
-def sub_complex_dims_and_acyclicity(m, spans):
-    """Cohomology dimensions of the subspace viewed as a complex."""
-    field = m.field
-    degrees = sorted(spans)
-    bases = {d: [v for v in spans[d]] for d in degrees}
-    dims = {d: len(vs) for d, vs in bases.items() if vs}
-    h = {}
-    for d in degrees:
-        vs = bases.get(d, [])
-        if not vs:
-            continue
-        nxt = bases.get(d + 1, [])
-        if nxt:
-            mat_next = Matrix.from_cols(field, nxt, m.space.dim(d + 1))
-            img_cols = []
-            for v in vs:
-                x = mat_next.solve(m.d_vec(d, v))
-                if x is None:
-                    raise ModuleError("subspace not d-closed (internal)")
-                img_cols.append(x)
-            dmat = Matrix.from_cols(field, img_cols, len(nxt))
-        else:
-            for v in vs:
-                if not is_zero_vec(m.d_vec(d, v)):
-                    raise ModuleError("subspace not d-closed (internal)")
-            dmat = Matrix.zero(field, 0, len(vs))
-        prev = bases.get(d - 1, [])
-        if prev:
-            mat_here = Matrix.from_cols(field, vs, m.space.dim(d))
-            prev_img = [mat_here.solve(m.d_vec(d - 1, v)) for v in prev]
-            bmat = Matrix.from_cols(field, prev_img, len(vs))
-            brank = bmat.rank()
-        else:
-            brank = 0
-        zdim = len(dmat.kernel_basis())
-        if zdim - brank:
-            h[d] = zdim - brank
-    return dims, h
+    qcx, proj, reducers = quotient_complex(m.complex, spans)
+    hi = m.space.window.hi
+    bad = escape_degree(spans, reducers, left_multiples(a, m.act_vec, hi))
+    if bad is not None:
+        raise ModuleError("subspace not action-closed (degree %d)" % bad)
+    basis = [(d, i, a.basis_vec(d, i)) for d in a.space.degrees()
+             for i in range(a.space.dim(d))]
+    q = DgModule(a, qcx, projected_table(basis, reducers, m.act_vec, hi))
+    return q, DgModuleMorphism(m, q, proj), reducers
 
 
 def truncate_module(m, t):
@@ -931,60 +763,22 @@ def truncate_module(m, t):
     complement of the cocycles in degree t; the quotient keeps H^(<=t)."""
     if not m.algebra.is_connected():
         raise ModuleError("truncation needs a connected algebra")
-    field = m.field
-    sp = m.space
-    spans = {}
-    if sp.dim(t):
-        z = m.complex.d.block(t).kernel_basis()
-        comp = span_complement_coords(field, [list(v) for v in z], sp.dim(t))
-        vs = [unit_vec(field, sp.dim(t), i) for i in comp]
-        if vs:
-            spans[t] = vs
-    for d in sp.degrees():
-        if d > t:
-            spans[d] = [unit_vec(field, sp.dim(d), i) for i in range(sp.dim(d))]
+    spans = truncation_spans(m.complex, t)
     q, proj, _ = quotient_module(m, spans)
-    sub_dims, sub_h = sub_complex_dims_and_acyclicity(m, spans) if spans else ({}, {})
-    return ModuleTruncation(spans, q, proj, sub_dims, not sub_h)
+    # the subcomplex is acyclic exactly when the projection is a quasi-isomorphism
+    acyclic = quasi_isomorphism_failure(proj.map, cohomology(m.complex),
+                                        cohomology(q.complex)) is None
+    return ModuleTruncation(spans, q, proj,
+                            {d: len(vs) for d, vs in spans.items() if vs}, acyclic)
 
 
 def direct_sum_modules(parts):
     """Direct sum of modules over one algebra."""
     if not parts:
         raise ModuleError("empty direct sum")
-    a = parts[0].algebra
-    field = parts[0].field
-    lo = min(p.space.window.lo for p in parts)
-    hi = max(p.space.window.hi for p in parts)
-    window = DegreeWindow(lo, hi)
-    dims, labels, offset = {}, {}, {}
-    for pi, p in enumerate(parts):
-        for d in p.space.degrees():
-            offset[(pi, d)] = dims.get(d, 0)
-            dims[d] = dims.get(d, 0) + p.space.dim(d)
-            labels.setdefault(d, []).extend(
-                "c%d.%s" % (pi, p.space.label(d, i)) for i in range(p.space.dim(d)))
-    space = GradedVectorSpace(field, window, dims, labels)
-
-    def embed(pi, d, v):
-        out = [field.zero] * space.dim(d)
-        off = offset.get((pi, d), 0)
-        for i, c in enumerate(v):
-            out[off + i] = c
-        return tuple(out)
-
-    dblocks = {}
-    for d in space.degrees():
-        cols = []
-        for pi, p in enumerate(parts):
-            for i in range(p.space.dim(d)):
-                cols.append(embed(pi, d + 1, p.d_vec(d, p.basis_vec(d, i))))
-        dblocks[d] = Matrix.from_cols(field, cols, space.dim(d + 1))
-    cx = CochainComplex(space, GradedLinearMap(space, space, 1, dblocks))
+    cx, offset, embed = direct_sum([p.complex for p in parts])
     action = {}
     for pi, p in enumerate(parts):
         for (da, ia, dm, jm), v in p.action.items():
-            action[(da, ia, dm, offset.get((pi, dm), 0) + jm)] = embed(pi, da + dm, v)
-    mod = DgModule(a, cx, action)
-    mod.summand_offsets = offset
-    return mod, offset
+            action[(da, ia, dm, offset[(pi, dm)] + jm)] = embed(pi, da + dm, v)
+    return DgModule(parts[0].algebra, cx, action), offset

@@ -20,7 +20,8 @@ from .cones import (ConeError, build_acyclic_truncation, check_shift_bounds,
 from .duality import (DualityError, construct_top_degree, gysin_map,
                       shifted_dual_morphism)
 from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
-                     GradedVectorSpace, cohomology, induced_on_cohomology)
+                     GradedVectorSpace, cohomology, induced_on_cohomology,
+                     quasi_isomorphism_failure)
 from .linalg import Matrix, is_zero_vec, unit_vec, zero_vec
 from .modules import (DgModule, DgModuleMorphism, algebra_as_module,
                       direct_sum_modules, module_mapping_cone,
@@ -58,18 +59,11 @@ class EmbeddingProblem:
             self.phi = branches[0]
         else:
             self.target = direct_sum_cdga([b.target for b in branches])
-            offsets = self.target.summand_offsets
-            blocks = {}
-            for d in src.space.degrees():
-                rows = [[self.field.zero] * src.space.dim(d)
-                        for _ in range(self.target.space.dim(d))]
-                for bi, b in enumerate(self.branches):
-                    blk = b.map.block(d)
-                    off = offsets.get((bi, d), 0)
-                    for i in range(blk.nrows):
-                        for j in range(blk.ncols):
-                            rows[off + i][j] = blk[i, j]
-                blocks[d] = Matrix(self.field, rows, ncols=src.space.dim(d))
+            # the summands are stacked in order, so the branch blocks are too
+            blocks = {d: Matrix(self.field, [row for b in self.branches
+                                             for row in b.map.block(d).entries],
+                                ncols=src.space.dim(d))
+                      for d in src.space.degrees()}
             glm = GradedLinearMap(src.space, self.target.space, 0, blocks)
             self.phi = CdgaMorphism(src, self.target, glm)
 
@@ -266,7 +260,8 @@ class SquareResult:
 
 
 def _induced_quotient_morphism(phi, proj_r, proj_q):
-    """The map on quotients making the square with phi commute."""
+    """The map on quotients making the square with phi commute; phi is a
+    CDGA morphism or a graded linear map."""
     field = phi.source.field
     src, tgt = proj_r.target, proj_q.target
     blocks = {}
@@ -403,13 +398,11 @@ def dgmodule_square(problem):
         psis.append(psi_k)
     d_mod, offsets = direct_sum_modules(parts)
     field = problem.field
-    blocks = {}
-    for d in d_mod.space.degrees():
-        cols = []
-        for pi, p in enumerate(parts):
-            for i in range(p.space.dim(d)):
-                cols.append(psis[pi].map.apply(d, p.basis_vec(d, i)))
-        blocks[d] = Matrix.from_cols(field, cols, r_mod.space.dim(d))
+    # the summands are stacked in order, so the columns of the psi_k are too
+    blocks = {d: Matrix.from_cols(field, [col for psi_k in psis
+                                          for col in psi_k.map.map.block(d).cols()],
+                                  r_mod.space.dim(d))
+              for d in d_mod.space.degrees()}
     psi = DgModuleMorphism(d_mod, r_mod,
                            GradedLinearMap(d_mod.space, r_mod.space, 0, blocks))
     q_mod = restrict_scalars(algebra_as_module(problem.target), problem.phi)
@@ -596,29 +589,13 @@ def punctured_square(problem, attest_boundary_simply_connected=False):
     # bar map between the quotients
     raw_bottom = _cone_map_blocks(problem.field, cone_l.space, cone_l.split,
                                   cone_r.space, cone_r.split, problem.phi.map)
-    field = problem.field
-    blocks = {}
-    for d in ql.space.degrees():
-        cols = []
-        pl = proj_l.map.block(d)
-        for i in range(ql.space.dim(d)):
-            lift = pl.solve(unit_vec(field, ql.space.dim(d), i))
-            if lift is None:
-                raise PipelineError("internal: projection not onto")
-            cols.append(proj_r.apply(d, raw_bottom.apply(d, lift)))
-        blocks[d] = Matrix.from_cols(field, cols, qr.space.dim(d))
-    bottom = CdgaMorphism(ql, qr, GradedLinearMap(ql.space, qr.space, 0, blocks))
+    bottom = _induced_quotient_morphism(raw_bottom, proj_l, proj_r)
     commutes = (bottom.map.compose(left_base.map)
                 == right_base.map.compose(problem.phi.map))
     # certificates: left projection quasi-iso; right kills one class at n-1
-    coh_cl = cohomology(cone_l.complex)
     coh_ql = cohomology(ql.complex)
-    blocks_l = induced_on_cohomology(proj_l.map, coh_cl, coh_ql)
-    left_qiso = True
-    for d in set(coh_cl.dims) | set(coh_ql.dims):
-        b = blocks_l.get(d, Matrix.zero(field, coh_ql.dim(d), coh_cl.dim(d)))
-        if coh_cl.dim(d) != coh_ql.dim(d) or b.rank() != coh_ql.dim(d):
-            left_qiso = False
+    left_qiso = quasi_isomorphism_failure(
+        proj_l.map, cohomology(cone_l.complex), coh_ql) is None
     coh_cr = cohomology(cone_r.complex)
     coh_qr = cohomology(qr.complex)
     killed = {d: coh_cr.dim(d) - coh_qr.dim(d)
