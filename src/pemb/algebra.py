@@ -307,7 +307,6 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
 
     # ideal spans per degree
     spans = {d: [] for d in dims}
-    rel_vecs = []
     for rn, poly in enumerate(relations):
         if not poly:
             continue
@@ -317,7 +316,6 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
         (e,) = rel_deg
         if e > window.hi:
             continue
-        rel_vecs.append((e, dict(poly)))
         for d in range(0, window.hi - e + 1):
             for mono in monos_by_degree.get(d, ()):
                 v = [field.zero] * dims.get(d + e, 0)
@@ -391,7 +389,6 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
     alg = Cdga(field, complex_, product, unit)
     alg.presentation = FreePresentation(gen_names, gen_degs, monos_by_degree,
                                         mono_index, reducers)
-    alg.relation_polys = rel_vecs
     return alg
 
 

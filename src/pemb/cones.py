@@ -22,7 +22,7 @@ from .algebra import (AlgebraError, Cdga, CdgaMorphism, quotient_cdga,
 from .checks import check_cdga
 from .graded import (GradedLinearMap, cohomology, quasi_isomorphism_failure,
                      rewindow)
-from .linalg import is_zero_vec, unit_vec
+from .linalg import Matrix, scale_vec, unit_vec
 from .modules import DgModule, module_mapping_cone
 
 
@@ -102,49 +102,21 @@ class MappingConeAlgebra:
         self.leibniz = leibniz_report(self.algebra)
 
     def _build_product(self):
-        R, X, split = self.base, self.module, self.split
-        field = self.field
-        sp = self.space
+        """R's products in both orders; r.sx' as the cone module's action
+        on the sX columns, and sx.r' = (-1)^(|sx||r'|) r'.sx by graded
+        commutativity; sx.sx' = 0."""
+        R, field, sp = self.base, self.field, self.space
         product = {}
-
-        def put(d1, i1, d2, i2, vec):
-            if not is_zero_vec(vec):
-                product[(d1, i1, d2, i2)] = tuple(vec)
-
-        for d1 in sp.degrees():
-            ny1 = split.y_dim(d1)
-            for d2 in sp.degrees():
-                d = d1 + d2
-                if d > sp.window.hi or sp.dim(d) == 0:
-                    continue
-                ny2 = split.y_dim(d2)
-                ny_out = split.y_dim(d)
-                for i1 in range(sp.dim(d1)):
-                    for i2 in range(sp.dim(d2)):
-                        out = [field.zero] * sp.dim(d)
-                        if i1 < ny1 and i2 < ny2:
-                            w = R.mul_basis(d1, i1, d2, i2)
-                            for c, val in enumerate(w):
-                                out[c] = val
-                        elif i1 < ny1:
-                            # r . sx' = (-1)^|r| s(r . x')
-                            sgn = field.sign(d1)
-                            w = X.act_vec(d1, R.basis_vec(d1, i1), d2 + 1,
-                                          X.basis_vec(d2 + 1, i2 - ny2))
-                            for c, val in enumerate(w):
-                                out[ny_out + c] = sgn * val
-                        elif i2 < ny2:
-                            # sx . r' = (-1)^(|x||r'|) s(r' . x)
-                            sgn = field.sign((d1 + 1) * d2)
-                            w = X.act_vec(d2, R.basis_vec(d2, i2), d1 + 1,
-                                          X.basis_vec(d1 + 1, i1 - ny1))
-                            for c, val in enumerate(w):
-                                out[ny_out + c] = sgn * val
-                        put(d1, i1, d2, i2, out)
-        unit = [field.zero] * sp.dim(0)
-        for c, val in enumerate(R.unit):
-            unit[c] = val
-        return product, tuple(unit)
+        for (d1, i1, d2, i2) in R.product:
+            for key in ((d1, i1, d2, i2), (d2, i2, d1, i1)):
+                w = R.mul_basis(*key)
+                product[key] = w + (field.zero,) * (sp.dim(d1 + d2) - len(w))
+        for (da, ia, dm, jm), v in self.cone_module.action.items():
+            if jm >= self.split.y_dim(dm):
+                product[(da, ia, dm, jm)] = v
+                product[(dm, jm, da, ia)] = scale_vec(field.sign(da * dm), v)
+        unit = R.unit + (field.zero,) * (sp.dim(0) - len(R.unit))
+        return product, unit
 
     def sx_degrees(self):
         return [d for d in self.space.degrees()
@@ -201,7 +173,6 @@ class TruncationIdeal:
         return min(degs) if degs else None
 
     def is_full_in(self, cone, d):
-        from .linalg import Matrix
         vs = self.spans.get(d, [])
         n = cone.space.dim(d)
         if n == 0:

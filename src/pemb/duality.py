@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graded import cohomology, induced_on_cohomology
-from .linalg import Matrix, is_zero_vec
+from .graded import GradedLinearMap, cohomology, induced_on_cohomology
+from .linalg import Matrix
 from .modules import (DgModuleMorphism, ModuleError, algebra_as_module,
                       homotopy_between, restrict_scalars, semifree_resolution,
                       shifted_dual, solve_chain_maps, suspend_module)
@@ -135,6 +135,11 @@ def gysin_map(hf, cert_w, cert_v, k):
         out_dim = hw.space.dim(j)
         comp_deg = nw - j
         pair_dim = hw.space.dim(comp_deg)
+        # rows over the unknown x = f^!(v): <x . w_t, [W]> = rhs_t
+        pairing = Matrix(field, [[_top_coefficient(hw.space, nw, cert_w.fundamental_rep,
+                                                   hw.mul_basis(j, c, comp_deg, t))
+                                  for c in range(out_dim)] for t in range(pair_dim)],
+                         ncols=out_dim)
         cols = []
         for s in range(src_dim):
             v = hv.basis_vec(j - k, s)
@@ -144,17 +149,7 @@ def gysin_map(hf, cert_w, cert_v, k):
                 prod = hv.mul_vec(j - k, v, comp_deg, hf.apply(comp_deg, w))
                 rhs.append(_top_coefficient(hv.space, nv, cert_v.fundamental_rep,
                                             prod))
-            # rows over the unknown x = f^!(v): <x . w_t, [W]> = rhs_t
-            rows = []
-            for t in range(pair_dim):
-                w = hw.basis_vec(comp_deg, t)
-                row = []
-                for c in range(out_dim):
-                    prod = hw.mul_vec(j, hw.basis_vec(j, c), comp_deg, w)
-                    row.append(_top_coefficient(hw.space, nw,
-                                                cert_w.fundamental_rep, prod))
-                rows.append(row)
-            x = Matrix(field, rows, ncols=out_dim).solve(tuple(rhs))
+            x = pairing.solve(tuple(rhs))
             if x is None:
                 raise DualityError("pairing system inconsistent in degree %d" % j)
             cols.append(x)
@@ -165,7 +160,6 @@ def gysin_map(hf, cert_w, cert_v, k):
     for j, mtx in blocks.items():
         if mtx.nrows and mtx.ncols:
             glm_blocks[j] = mtx
-    from .graded import GradedLinearMap
     glm = GradedLinearMap(source.space, target.space, 0, glm_blocks)
     try:
         morphism = DgModuleMorphism(source, target, glm)
@@ -191,7 +185,6 @@ def shifted_dual_morphism(phi, n):
         b = phi.map.block(n - j)
         if b.nrows and b.ncols:
             blocks[j] = b.transpose()
-    from .graded import GradedLinearMap
     glm = GradedLinearMap(source.space, target.space, 0, blocks)
     return DgModuleMorphism(source, target, glm)
 

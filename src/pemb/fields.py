@@ -100,14 +100,10 @@ class RationalField:
 
     name = "Q"
     characteristic = 0
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    # shared: Fraction and FpElement scalars are never mutated
+    zero = Fraction(0)
+    one = Fraction(1)
+    minus_one = Fraction(-1)
 
     def of(self, x):
         """Coerce an int, Fraction, or 'a/b' string to a scalar."""
@@ -121,7 +117,7 @@ class RationalField:
 
     def sign(self, k):
         """(-1)^k as a scalar."""
-        return Fraction(1) if k % 2 == 0 else Fraction(-1)
+        return self.minus_one if k % 2 else self.one
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -142,14 +138,9 @@ class PrimeField:
         self.p = p
         self.name = "F_%d" % p
         self.characteristic = p
-
-    @property
-    def zero(self):
-        return FpElement(0, self.p)
-
-    @property
-    def one(self):
-        return FpElement(1, self.p)
+        self.zero = FpElement(0, p)
+        self.one = FpElement(1, p)
+        self.minus_one = FpElement(-1, p)
 
     def of(self, x):
         if isinstance(x, FpElement):
@@ -166,8 +157,7 @@ class PrimeField:
             return self.of(Fraction(x))
         raise FieldError("cannot coerce %r into F_%d" % (x, self.p))
 
-    def sign(self, k):
-        return self.one if k % 2 == 0 else -self.one
+    sign = RationalField.sign
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -235,12 +235,6 @@ class CohomologyData:
             raise GradedError("cocycle outside the cocycle span (internal)")
         return tuple(x[p] for p in pivots if p >= nb)
 
-    def is_coboundary(self, deg, v):
-        return all(c == 0 for c in self.reduce(deg, v))
-
-    def rep(self, deg, i):
-        return self.reps[deg][i]
-
     def write_coboundary(self, deg, v):
         """Find w with d(w) = v, or None."""
         return self.complex.d.block(deg - 1).solve(v)

@@ -116,23 +116,40 @@ class DgModuleMorphism:
 
 
 def restrict_scalars(m, phi):
-    """View a module over the target of phi as a module over its source."""
-    a = phi.source
+    """View a module over the target of phi as a module over its source:
+    a.x = phi(a).x, combining the action entries along the columns of phi."""
+    by_element = {}
+    for (db, ib, dm, jm), v in m.action.items():
+        by_element.setdefault((db, ib), []).append((dm, jm, v))
     action = {}
-    sp = m.space
-    for da in a.space.degrees():
-        for ia in range(a.space.dim(da)):
-            img = phi.apply(da, a.basis_vec(da, ia))
-            if is_zero_vec(img):
-                continue
-            for dm in sp.degrees():
-                if da + dm > sp.window.hi or sp.dim(da + dm) == 0:
+    for da, block in phi.map.blocks.items():
+        for ib, row in enumerate(block.entries):
+            for ia, c in enumerate(row):
+                if c == 0:
                     continue
-                for jm in range(sp.dim(dm)):
-                    v = m.act_vec(da, img, dm, m.basis_vec(dm, jm))
-                    if not is_zero_vec(v):
-                        action[(da, ia, dm, jm)] = v
-    return DgModule(a, m.complex, action)
+                for dm, jm, v in by_element.get((da, ib), ()):
+                    key = (da, ia, dm, jm)
+                    w = scale_vec(c, v)
+                    action[key] = add_vec(action[key], w) if key in action else w
+    return DgModule(phi.source, m.complex, action)
+
+
+def _stacked_action(space, parts, offsets=None):
+    """Action table of modules stacked degreewise in `space`.  Part p is
+    (module, k), the k-fold suspension of the module, with
+    r.(s^k x) = (-1)^(|r| k) s^k(r.x), starting in degree d at
+    offsets[(p, d)] (default 0)."""
+    offsets = offsets or {}
+    field = space.field
+    action = {}
+    for p, (m, k) in enumerate(parts):
+        for (da, ia, dm, jm), v in m.action.items():
+            d = dm - k
+            out = [field.zero] * space.dim(d + da)
+            off = offsets.get((p, d + da), 0)
+            out[off:off + len(v)] = scale_vec(field.sign(da * k), v)
+            action[(da, ia, d, offsets.get((p, d), 0) + jm)] = out
+    return action
 
 
 def suspend_module(m, k):
@@ -140,39 +157,27 @@ def suspend_module(m, k):
     if k == 0:
         return m
     cx = suspend(m.complex, k)
-    action = {}
-    for (da, ia, dm, jm), v in m.action.items():
-        sgn = m.field.sign(da * k)
-        action[(da, ia, dm - k, jm)] = scale_vec(sgn, v)
-    return DgModule(m.algebra, cx, action)
+    return DgModule(m.algebra, cx, _stacked_action(cx.space, [(m, k)]))
 
 
 def dual_module(m):
     """Linear dual with the left action <x, a.f> = +-<x.a, f> converted
-    through graded commutativity: (a.f)(x) = (-1)^(|a|(|a|+|f|)) f(a.x)."""
+    through graded commutativity: (a.f)(x) = (-1)^(|a|(|a|+|f|)) f(a.x).
+    The table is m's transposed: each entry a.m_c = sum_b w_b m_b of m
+    gives a.(dual of m_b) the coordinate +-w_b at the dual of m_c."""
     cx = dualize(m.complex)
-    sp = m.space
     field = m.field
-    a = m.algebra
     action = {}
-    for da in a.space.degrees():
-        for ia in range(a.space.dim(da)):
-            av = a.basis_vec(da, ia)
-            for j in cx.space.degrees():
-                # a . (dual of M^(-j)) lands in duals of M^(-j-da)
-                src_deg = -j
-                out_deg = -j - da
-                if cx.space.dim(j + da) == 0 or sp.dim(src_deg) == 0:
-                    continue
-                sgn = field.sign(da * (da + j))
-                for b in range(sp.dim(src_deg)):
-                    out = [field.zero] * sp.dim(out_deg)
-                    for c in range(sp.dim(out_deg)):
-                        w = m.act_vec(da, av, out_deg, m.basis_vec(out_deg, c))
-                        out[c] = sgn * w[b]
-                    if not is_zero_vec(tuple(out)):
-                        action[(da, ia, j, b)] = tuple(out)
-    return DgModule(a, cx, action)
+    for (da, ia, dm, c), w in m.action.items():
+        j = -(dm + da)
+        sgn = field.sign(da * (da + j))
+        for b, x in enumerate(w):
+            if x != 0:
+                key = (da, ia, j, b)
+                if key not in action:
+                    action[key] = [field.zero] * m.space.dim(dm)
+                action[key][c] = sgn * x
+    return DgModule(m.algebra, cx, action)
 
 
 def shifted_dual(m, n):
@@ -181,38 +186,13 @@ def shifted_dual(m, n):
 
 
 def module_mapping_cone(f):
-    """Cone of a module morphism as a module: a.(y, sx) = (a.y, (-1)^|a| s(a.x))."""
+    """Cone of a module morphism as a module, Y stacked over sX in each
+    degree: a.(y, sx) = (a.y, (-1)^|a| s(a.x))."""
     cone = mapping_cone(f.map, f.source.complex, f.target.complex)
-    X, Y = f.source, f.target
-    a = Y.algebra
-    field = Y.field
     csp = cone.complex.space
-    action = {}
-    for da in a.space.degrees():
-        sgn = field.sign(da)
-        for ia in range(a.space.dim(da)):
-            av = a.basis_vec(da, ia)
-            for dm in csp.degrees():
-                t = da + dm
-                if csp.dim(t) == 0:
-                    continue
-                ny, ny_t = cone.y_dim(dm), cone.y_dim(t)
-                nx = csp.dim(dm) - ny
-                for jm in range(csp.dim(dm)):
-                    out = [field.zero] * csp.dim(t)
-                    if jm < ny:
-                        w = Y.act_vec(da, av, dm, Y.basis_vec(dm, jm))
-                        for c, val in enumerate(w):
-                            out[c] = val
-                    else:
-                        w = X.act_vec(da, av, dm + 1,
-                                      X.basis_vec(dm + 1, jm - ny))
-                        for c, val in enumerate(w):
-                            out[ny_t + c] = sgn * val
-                    if not is_zero_vec(tuple(out)):
-                        action[(da, ia, dm, jm)] = tuple(out)
-    module = DgModule(a, cone.complex, action)
-    return module, cone
+    action = _stacked_action(csp, [(f.target, 0), (f.source, 1)],
+                             {(1, d): cone.y_dim(d) for d in csp.degrees()})
+    return DgModule(f.target.algebra, cone.complex, action), cone
 
 
 # -- hom complexes and solvers ------------------------------------------
@@ -236,27 +216,51 @@ def _linearity_rows(P, N, i, slots):
     for da in a.space.degrees():
         sgn = field.sign(i * da)
         for ia in range(a.space.dim(da)):
-            av = a.basis_vec(da, ia)
             for dm in P.space.degrees():
                 am_deg = da + dm
                 out_deg = am_deg + i
                 if N.space.dim(out_deg) == 0 and N.space.dim(dm + i) == 0:
                     continue
+                us = [N.act_basis(da, ia, dm + i, l)
+                      for l in range(N.space.dim(dm + i))]
                 for jm in range(P.space.dim(dm)):
-                    w = P.act_vec(da, av, dm, P.basis_vec(dm, jm))
+                    w = P.act_basis(da, ia, dm, jm)
                     for t in range(N.space.dim(out_deg)):
                         row = [field.zero] * len(slots)
                         for j, c in enumerate(w):
                             if c != 0 and (am_deg, t, j) in idx:
                                 row[idx[(am_deg, t, j)]] = row[idx[(am_deg, t, j)]] + c
                         # minus (-1)^(i da) (a . f(m))_t
-                        for l in range(N.space.dim(dm + i)):
-                            u = N.act_vec(da, av, dm + i, N.basis_vec(dm + i, l))
+                        for l, u in enumerate(us):
                             c = u[t]
                             if c != 0 and (dm, l, jm) in idx:
                                 row[idx[(dm, l, jm)]] = row[idx[(dm, l, jm)]] - sgn * c
                         if any(x != 0 for x in row):
                             rows.append(row)
+    return rows
+
+
+def _delta_rows(P, N, i, slots):
+    """Rows of delta(f) = d_N f - (-1)^i f d_P over the maps of shift i:
+    one per basis element m of P and coordinate t of delta(f)(m), in
+    basis order, zero rows included."""
+    field = P.field
+    idx = {s: t for t, s in enumerate(slots)}
+    sgn = field.sign(i)
+    rows = []
+    for dm in P.space.degrees():
+        dn = N.complex.d.block(dm + i)
+        for jm in range(P.space.dim(dm)):
+            dpm = P.complex.d.apply(dm, P.basis_vec(dm, jm))
+            for t in range(N.space.dim(dm + i + 1)):
+                row = [field.zero] * len(slots)
+                for l, c in enumerate(dn.row(t)):
+                    if c != 0:
+                        row[idx[(dm, l, jm)]] += c
+                for j, c in enumerate(dpm):
+                    if c != 0 and (dm + 1, t, j) in idx:
+                        row[idx[(dm + 1, t, j)]] -= sgn * c
+                rows.append(row)
     return rows
 
 
@@ -409,25 +413,11 @@ def solve_chain_maps(P, N, constraints=()):
     def pad(row):
         return row + [field.zero] * (total - len(row))
 
-    for row in _linearity_rows(P, N, 0, slots):
-        rows.append(pad(row))
-        rhs.append(field.zero)
-    # chain-map rows: (d_N f - f d_P)(m) = 0
-    for dm in P.space.degrees():
-        for jm in range(P.space.dim(dm)):
-            dpm = P.complex.d.apply(dm, P.basis_vec(dm, jm))
-            for t in range(N.space.dim(dm + 1)):
-                row = [field.zero] * total
-                for l in range(N.space.dim(dm)):
-                    c = N.complex.d.block(dm)[t, l]
-                    if c != 0:
-                        row[idx[(dm, l, jm)]] = row[idx[(dm, l, jm)]] + c
-                for j, c in enumerate(dpm):
-                    if c != 0 and (dm + 1, t, j) in idx:
-                        row[idx[(dm + 1, t, j)]] = row[idx[(dm + 1, t, j)]] - c
-                if any(x != 0 for x in row):
-                    rows.append(row)
-                    rhs.append(field.zero)
+    # linearity rows, then chain-map rows: (d_N f - f d_P)(m) = 0
+    for row in _linearity_rows(P, N, 0, slots) + _delta_rows(P, N, 0, slots):
+        if any(x != 0 for x in row):
+            rows.append(pad(row))
+            rhs.append(field.zero)
     for c in constraints:
         if c[0] == "affine":
             _, rd, b = c
@@ -475,27 +465,13 @@ def homotopy_between(f, g):
     P, N = f.source, f.target
     field = P.field
     slots = _slots(P, N, -1)
-    idx = {s: t for t, s in enumerate(slots)}
-    rows, rhs = [], []
-    for row in _linearity_rows(P, N, -1, slots):
-        rows.append(row)
-        rhs.append(field.zero)
+    rows = _linearity_rows(P, N, -1, slots)
+    rhs = [field.zero] * len(rows)
+    rows += _delta_rows(P, N, -1, slots)
     diff = f.map.sub(g.map)
     for dm in P.space.degrees():
         for jm in range(P.space.dim(dm)):
-            dpm = P.complex.d.apply(dm, P.basis_vec(dm, jm))
-            target_vec = diff.apply(dm, P.basis_vec(dm, jm))
-            for t in range(N.space.dim(dm)):
-                row = [field.zero] * len(slots)
-                for l in range(N.space.dim(dm - 1)):
-                    c = N.complex.d.block(dm - 1)[t, l]
-                    if c != 0:
-                        row[idx[(dm, l, jm)]] = row[idx[(dm, l, jm)]] + c
-                for j, c in enumerate(dpm):
-                    if c != 0 and (dm + 1, t, j) in idx:
-                        row[idx[(dm + 1, t, j)]] = row[idx[(dm + 1, t, j)]] + c
-                rows.append(row)
-                rhs.append(target_vec[t])
+            rhs.extend(diff.block(dm).col(jm))
     if not rows:
         return GradedLinearMap.zero_map(P.space, N.space, -1)
     sol = Matrix.from_rows(field, rows).solve(tuple(rhs))
@@ -547,8 +523,7 @@ def free_module(algebra, gens, dvals=None, window=None):
     def act_on_basis(da, ia, dm, jm):
         out = [field.zero] * space.dim(da + dm)
         gi, e, ib = slots[(dm, jm)]
-        prod = a.mul_vec(da, a.basis_vec(da, ia), e, a.basis_vec(e, ib))
-        for ic, c in enumerate(prod):
+        for ic, c in enumerate(a.mul_basis(da, ia, e, ib)):
             if c != 0:
                 key = (gi, da + e, ic)
                 if key in index:
@@ -589,14 +564,10 @@ def free_module(algebra, gens, dvals=None, window=None):
             for jt, c in enumerate(dg):
                 if c == 0:
                     continue
-                w = act_on_basis_vec(e, ib, gdeg + 1, jt)
-                for p, cc in enumerate(w):
+                # a missing entry of the action table is a zero product
+                for p, cc in enumerate(action.get((e, ib, gdeg + 1, jt), ())):
                     out[p] = out[p] + sgn * c * cc
         return tuple(out)
-
-    def act_on_basis_vec(e, ib, dm, jm):
-        key = (e, ib, dm, jm)
-        return action.get(key, zero_vec(field, space.dim(e + dm)))
 
     for dm in sorted(dims):
         if dm + 1 > window.hi:
@@ -776,9 +747,6 @@ def direct_sum_modules(parts):
     """Direct sum of modules over one algebra."""
     if not parts:
         raise ModuleError("empty direct sum")
-    cx, offset, embed = direct_sum([p.complex for p in parts])
-    action = {}
-    for pi, p in enumerate(parts):
-        for (da, ia, dm, jm), v in p.action.items():
-            action[(da, ia, dm, offset[(pi, dm)] + jm)] = embed(pi, da + dm, v)
+    cx, offset, _ = direct_sum([p.complex for p in parts])
+    action = _stacked_action(cx.space, [(p, 0) for p in parts], offset)
     return DgModule(parts[0].algebra, cx, action), offset

@@ -110,7 +110,10 @@ def _parse_terms(toks, lineno):
         elif re.fullmatch(r"\d+/\d+|\d+", t):
             if coeff is not None:
                 raise ParseError(lineno, "two coefficients in one term")
-            coeff = Fraction(t)
+            try:
+                coeff = Fraction(t)
+            except ZeroDivisionError:
+                raise ParseError(lineno, "zero denominator in %s" % t)
             i += 1
         else:
             if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", t):
@@ -503,6 +506,8 @@ def parse(text, field_override=None):
                 pf.field = field_override
         elif head == "window":
             _expect(toks, lineno, "window", None, None)
+            if toks[1] == "-":
+                raise ParseError(lineno, "window must start at 0")
             try:
                 pf.window = DegreeWindow(int(toks[1]), int(toks[2]))
             except ValueError:
@@ -583,8 +588,14 @@ def parse(text, field_override=None):
 
 
 def parse_file(path, field_override=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read(), field_override=field_override)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(data.count(b"\n", 0, e.start) + 1,
+                         "not valid UTF-8 (byte 0x%02x)" % data[e.start])
+    return parse(text, field_override=field_override)
 
 
 def emit_explicit(name, cdga):

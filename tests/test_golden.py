@@ -1,0 +1,47 @@
+"""Golden digests of the CLI: exit code, stdout and stderr of every
+subcommand on every shipped example, in both formats.
+
+The digests in `golden_digests.json` pin the reports byte for byte, so
+a refactor that changes any basis, sign or message shows up here.
+"""
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from pemb import cli
+
+SUBCOMMANDS = ("validate", "analyze", "complement", "stable-square",
+               "dgmodule-square", "lefschetz", "punctured-square", "gysin")
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+
+
+def cases():
+    """(case name, argv) for every example, subcommand and format, plus
+    `dgmodule-square --field 5` on every example."""
+    for name in sorted(cli.EXAMPLES):
+        path = str(cli.example_path(name))
+        for sub in SUBCOMMANDS:
+            for fmt in ("table", "machine"):
+                yield "%s %s %s" % (name, sub, fmt), [sub, path, "--format", fmt]
+        yield "%s dgmodule-square field5" % name, ["dgmodule-square", path,
+                                                   "--field", "5"]
+
+
+def digest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    # the example path may appear in messages; it depends on the checkout
+    text = "%d\n%s\0%s" % (code, out.getvalue(), err.getvalue())
+    return hashlib.sha256(text.replace(argv[1], "<path>").encode()).hexdigest()
+
+
+def test_cli_outputs_match_golden_digests():
+    golden = json.loads(GOLDEN.read_text())
+    got = {case: digest(argv) for case, argv in cases()}
+    assert sorted(got) == sorted(golden)
+    changed = sorted(case for case in got if got[case] != golden[case])
+    assert not changed, changed

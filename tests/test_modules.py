@@ -2,11 +2,14 @@ import random
 
 import pytest
 
-from builders import sphere
+from builders import (complex_projective, product_s2_s4, sphere, sullivan_cp2,
+                      torus_s1_s7, wedge_s2_s4)
 from pemb.algebra import CdgaMorphism
-from pemb.fields import QQ
-from pemb.graded import (DegreeWindow, GradedLinearMap, cohomology)
-from pemb.linalg import Matrix
+from pemb.cones import semi_trivial_cone
+from pemb.fields import QQ, PrimeField
+from pemb.graded import (DegreeWindow, GradedLinearMap, cohomology, dualize,
+                         mapping_cone)
+from pemb.linalg import Matrix, is_zero_vec
 from pemb.modules import (DgModuleMorphism, FreeGenerator, ModuleError,
                           algebra_as_module, direct_sum_modules, dual_module,
                           free_module, hom_complex, homotopy_between,
@@ -215,3 +218,178 @@ def test_hom_complex_differential_squares_to_zero():
     # CochainComplex already asserts d*d = 0; check a delta value explicitly
     coh = cohomology(hc.complex)
     assert all(v >= 0 for v in coh.dims.values())
+
+
+# -- differential test: table-reading builders against the dense loops ------
+#
+# The four dense builders below recompute every entry of a derived table
+# from two basis vectors.  They are the reference for `restrict_scalars`,
+# `dual_module`, `module_mapping_cone` and the cone product, which read the
+# same tables off the nonzero entries of the tables they come from.
+
+
+def dense_restricted_action(m, phi):
+    a = phi.source
+    action = {}
+    sp = m.space
+    for da in a.space.degrees():
+        for ia in range(a.space.dim(da)):
+            img = phi.apply(da, a.basis_vec(da, ia))
+            if is_zero_vec(img):
+                continue
+            for dm in sp.degrees():
+                if da + dm > sp.window.hi or sp.dim(da + dm) == 0:
+                    continue
+                for jm in range(sp.dim(dm)):
+                    v = m.act_vec(da, img, dm, m.basis_vec(dm, jm))
+                    if not is_zero_vec(v):
+                        action[(da, ia, dm, jm)] = v
+    return action
+
+
+def dense_dual_action(m):
+    cx = dualize(m.complex)
+    sp = m.space
+    field = m.field
+    a = m.algebra
+    action = {}
+    for da in a.space.degrees():
+        for ia in range(a.space.dim(da)):
+            av = a.basis_vec(da, ia)
+            for j in cx.space.degrees():
+                src_deg = -j
+                out_deg = -j - da
+                if cx.space.dim(j + da) == 0 or sp.dim(src_deg) == 0:
+                    continue
+                sgn = field.sign(da * (da + j))
+                for b in range(sp.dim(src_deg)):
+                    out = [field.zero] * sp.dim(out_deg)
+                    for c in range(sp.dim(out_deg)):
+                        w = m.act_vec(da, av, out_deg, m.basis_vec(out_deg, c))
+                        out[c] = sgn * w[b]
+                    if not is_zero_vec(tuple(out)):
+                        action[(da, ia, j, b)] = tuple(out)
+    return action
+
+
+def dense_cone_action(f):
+    cone = mapping_cone(f.map, f.source.complex, f.target.complex)
+    X, Y = f.source, f.target
+    a = Y.algebra
+    field = Y.field
+    csp = cone.complex.space
+    action = {}
+    for da in a.space.degrees():
+        sgn = field.sign(da)
+        for ia in range(a.space.dim(da)):
+            av = a.basis_vec(da, ia)
+            for dm in csp.degrees():
+                t = da + dm
+                if csp.dim(t) == 0:
+                    continue
+                ny, ny_t = cone.y_dim(dm), cone.y_dim(t)
+                for jm in range(csp.dim(dm)):
+                    out = [field.zero] * csp.dim(t)
+                    if jm < ny:
+                        w = Y.act_vec(da, av, dm, Y.basis_vec(dm, jm))
+                        for c, val in enumerate(w):
+                            out[c] = val
+                    else:
+                        w = X.act_vec(da, av, dm + 1,
+                                      X.basis_vec(dm + 1, jm - ny))
+                        for c, val in enumerate(w):
+                            out[ny_t + c] = sgn * val
+                    if not is_zero_vec(tuple(out)):
+                        action[(da, ia, dm, jm)] = tuple(out)
+    return action
+
+
+def dense_cone_product(cone):
+    R, X, split = cone.base, cone.module, cone.split
+    field = cone.field
+    sp = cone.space
+    product = {}
+    for d1 in sp.degrees():
+        ny1 = split.y_dim(d1)
+        for d2 in sp.degrees():
+            d = d1 + d2
+            if d > sp.window.hi or sp.dim(d) == 0:
+                continue
+            ny2 = split.y_dim(d2)
+            ny_out = split.y_dim(d)
+            for i1 in range(sp.dim(d1)):
+                for i2 in range(sp.dim(d2)):
+                    out = [field.zero] * sp.dim(d)
+                    if i1 < ny1 and i2 < ny2:
+                        w = R.mul_basis(d1, i1, d2, i2)
+                        for c, val in enumerate(w):
+                            out[c] = val
+                    elif i1 < ny1:
+                        sgn = field.sign(d1)
+                        w = X.act_vec(d1, R.basis_vec(d1, i1), d2 + 1,
+                                      X.basis_vec(d2 + 1, i2 - ny2))
+                        for c, val in enumerate(w):
+                            out[ny_out + c] = sgn * val
+                    elif i2 < ny2:
+                        sgn = field.sign((d1 + 1) * d2)
+                        w = X.act_vec(d2, R.basis_vec(d2, i2), d1 + 1,
+                                      X.basis_vec(d1 + 1, i1 - ny1))
+                        for c, val in enumerate(w):
+                            out[ny_out + c] = sgn * val
+                    if not is_zero_vec(out):
+                        product[(d1, i1, d2, i2)] = tuple(out)
+    return product
+
+
+def degree_scaling(a, lam):
+    """The automorphism multiplying degree d by lam^d; a CDGA morphism
+    when the differential is zero."""
+    blocks = {d: Matrix.identity(a.field, a.space.dim(d)).scale(a.field.of(lam ** d))
+              for d in a.space.degrees()}
+    return CdgaMorphism(a, a, GradedLinearMap(a.space, a.space, 0, blocks))
+
+
+def algebra_samples():
+    for field in (QQ, PrimeField(5)):
+        yield from (sphere(2, field=field), sphere(3, hi=7, field=field),
+                    complex_projective(2, field=field), wedge_s2_s4(field=field),
+                    product_s2_s4(field=field), torus_s1_s7(hi=9, field=field),
+                    sullivan_cp2(field=field))
+
+
+def module_samples(a, rng):
+    top = a.top_degree()
+    yield algebra_as_module(a)
+    yield shifted_dual(algebra_as_module(a), top)
+    for _ in range(2):
+        yield random_semifree(a, rng, 3, 3)
+
+
+def test_derived_tables_match_dense_builders():
+    rng = random.Random(20261018)
+    seen = {"restrict": 0, "cone": 0}
+    for a in algebra_samples():
+        morphisms = [CdgaMorphism(a, a, GradedLinearMap.identity(a.space))]
+        if a.complex.d.is_zero():
+            morphisms.append(degree_scaling(a, 2))
+        target = algebra_as_module(a)
+        for m in module_samples(a, rng):
+            assert dual_module(m).action == dense_dual_action(m)
+            for phi in morphisms:
+                restricted = restrict_scalars(m, phi).action
+                assert restricted == dense_restricted_action(m, phi)
+                seen["restrict"] += bool(restricted)
+            # raised two degrees, so that the cone is nonnegatively graded
+            x = suspend_module(m, -2)
+            f, kernel = solve_chain_maps(x, target)
+            glm = f.map
+            for g in kernel:
+                glm = glm.add(g.map.scale(a.field.of(rng.randint(-2, 2))))
+            f = DgModuleMorphism(x, target, glm)
+            assert module_mapping_cone(f)[0].action == dense_cone_action(f)
+            cone = semi_trivial_cone(f)
+            assert cone.algebra.product == dense_cone_product(cone)
+            seen["cone"] += any(k[1] >= cone.split.y_dim(k[0])
+                                for k in cone.algebra.product)
+    # the samples reach nonzero restricted tables and mixed cone products
+    assert seen["restrict"] > 50 and seen["cone"] > 25, seen

@@ -183,6 +183,17 @@ def test_cli_exit_codes(tmp_path):
     assert "raise degree by 1" in err
     code, _, err = run_cli(["validate", str(tmp_path / "missing.pemb")])
     assert code == 2
+    # hostile input: a zero denominator, bytes that are not UTF-8, a
+    # negative window start
+    bad.write_text(SPHERE_PAIR.replace("e6 -> 0", "e6 -> 1/0"))
+    code, _, err = run_cli(["validate", str(bad)])
+    assert (code, err) == (2, "error: line 6: zero denominator in 1/0\n")
+    bad.write_bytes(b"field rational\nwindow 0 7\n# caf\xe9\n")
+    code, _, err = run_cli(["validate", str(bad)])
+    assert (code, err) == (2, "error: line 3: not valid UTF-8 (byte 0xe9)\n")
+    bad.write_text("field rational\nwindow -3 7\n")
+    code, _, err = run_cli(["validate", str(bad)])
+    assert (code, err) == (2, "error: line 2: window must start at 0\n")
 
 
 def test_cli_validate_and_cohomology():
