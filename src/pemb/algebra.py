@@ -16,7 +16,8 @@ from .checks import (check_cdga, check_cdga_morphism, escape_degree,
 from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
                      cohomology, direct_sum, quasi_isomorphism_failure,
                      truncation_spans)
-from .linalg import Matrix, add_vec, is_zero_vec, scale_vec, unit_vec, zero_vec
+from .linalg import (Matrix, Quotienter, add_scaled, add_vec, is_zero_vec,
+                     scale_vec, unit_vec, zero_vec)
 
 
 class AlgebraError(ValueError):
@@ -45,34 +46,30 @@ class Cdga:
                                    % (d1, i1, d2, i2))
             if not is_zero_vec(v):
                 self.product[(d1, i1, d2, i2)] = v
+        # every nonzero product of two basis elements, in both orders; a
+        # table that lists both already is shared, not copied
+        missing = {(d2, i2, d1, i1): scale_vec(field.sign(d1 * d2), v)
+                   for (d1, i1, d2, i2), v in self.product.items()
+                   if (d2, i2, d1, i1) not in self.product}
+        self.both_orders = {**self.product, **missing} if missing else self.product
         if validate:
             self.validate()
 
     # -- multiplication -------------------------------------------------
 
     def mul_basis(self, d1, i1, d2, i2):
-        d = d1 + d2
-        n = self.space.dim(d)
-        if n == 0:
-            return ()
-        key = (d1, i1, d2, i2)
-        if key in self.product:
-            return self.product[key]
-        rev = (d2, i2, d1, i1)
-        if rev in self.product:
-            return scale_vec(self.field.sign(d1 * d2), self.product[rev])
-        return zero_vec(self.field, n)
+        return (self.both_orders.get((d1, i1, d2, i2))
+                or zero_vec(self.field, self.space.dim(d1 + d2)))
 
     def mul_vec(self, d1, v1, d2, v2):
-        out = zero_vec(self.field, self.space.dim(d1 + d2))
+        out = [self.field.zero] * self.space.dim(d1 + d2)
         for i1, c1 in enumerate(v1):
             if c1 == 0:
                 continue
             for i2, c2 in enumerate(v2):
-                if c2 == 0:
-                    continue
-                out = add_vec(out, scale_vec(c1 * c2, self.mul_basis(d1, i1, d2, i2)))
-        return out
+                if c2 != 0 and (d1, i1, d2, i2) in self.both_orders:
+                    add_scaled(out, c1 * c2, self.both_orders[(d1, i1, d2, i2)])
+        return tuple(out)
 
     def basis_vec(self, d, i):
         return unit_vec(self.field, self.space.dim(d), i)
@@ -178,46 +175,7 @@ class FreePresentation:
         self.gen_degs = gen_degs
         self.monos_by_degree = monos_by_degree
         self.mono_index = mono_index
-        self.reducers = reducers  # degree -> _Quotienter in monomial coordinates
-
-
-class _Quotienter:
-    """Quotient of k^dim by the span of given vectors, pivot-rule basis."""
-
-    def __init__(self, field, spans, dim):
-        self.field = field
-        self.dim = dim
-        if spans:
-            m = Matrix.from_rows(field, [list(v) for v in spans])
-            red, pivots = m.rref()
-            self.rows = [red.row(r) for r in range(len(pivots))]
-            self.pivots = pivots
-        else:
-            self.rows = []
-            self.pivots = []
-        pivset = set(self.pivots)
-        self.keep = [i for i in range(dim) if i not in pivset]
-
-    def reduce_full(self, v):
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != 0:
-                v = [x - c * y for x, y in zip(v, row)]
-        return tuple(v)
-
-    def project(self, v):
-        r = self.reduce_full(v)
-        return tuple(r[i] for i in self.keep)
-
-    def lift(self, w):
-        v = [self.field.zero] * self.dim
-        for c, i in zip(w, self.keep):
-            v[i] = c
-        return tuple(v)
-
-    def contains(self, v):
-        return is_zero_vec(self.project(v))
+        self.reducers = reducers  # degree -> Quotienter in monomial coordinates
 
 
 def _poly_to_vec(field, poly, mono_index, dim, deg, gen_degs, what):
@@ -328,7 +286,7 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
                 if not is_zero_vec(v):
                     spans[d + e].append(tuple(v))
 
-    reducers = {d: _Quotienter(field, spans.get(d, []), n) for d, n in dims.items()}
+    reducers = {d: Quotienter(field, spans.get(d, []), n) for d, n in dims.items()}
 
     def d_vec(d, v):
         out = (field.zero,) * dims.get(d + 1, 0)
@@ -490,7 +448,7 @@ def quotient_complex(complex_, spans):
     """
     space = complex_.space
     field = space.field
-    reducers = {d: _Quotienter(field, spans.get(d, []), space.dim(d))
+    reducers = {d: Quotienter(field, spans.get(d, []), space.dim(d))
                 for d in space.degrees()}
     bad = escape_degree(spans, reducers,
                         lambda d, v: [(d + 1, complex_.d.apply(d, v))])

@@ -76,12 +76,7 @@ def _table(left, right, entries):
 def _products(a):
     """Every nonzero product of two basis elements, as `Cdga.mul_basis`
     reads it: a missing order follows by graded commutativity."""
-    given = _table(a.space, a.space, a.product)
-    full = dict(given)
-    for (x, y), v in given.items():
-        if (y, x) not in given:
-            full[y, x] = _scaled(a.field.sign(x[0] * y[0]), v)
-    return full
+    return _table(a.space, a.space, a.both_orders)
 
 
 def _columns(glm):

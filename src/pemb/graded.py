@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, is_zero_vec, span_complement_coords, unit_vec, zero_vec
+from .linalg import Matrix, Quotienter, is_zero_vec, unit_vec, zero_vec
 
 
 class GradedError(ValueError):
@@ -181,11 +181,12 @@ def is_chain_map(f, source, target):
 
 
 class CohomologyData:
-    """Cocycle/coboundary bases and chosen representatives per degree.
+    """Cocycle bases and chosen representatives per degree.
 
-    Representatives are the pivot-rule cocycles: list the coboundary
-    basis first, then the cocycle basis, row-reduce, and keep the
-    cocycles landing on pivot columns.
+    Representatives are the pivot-rule cocycles: list the nonzero image
+    columns first, then the cocycle basis, row-reduce, and keep the
+    cocycles landing on pivot columns.  The columns at all pivots are a
+    basis of the cocycles that starts with a basis of the image.
     """
 
     def __init__(self, complex_):
@@ -194,26 +195,24 @@ class CohomologyData:
         self.field = field
         self.dims = {}
         self.cocycles = {}
-        self.coboundaries = {}
         self.reps = {}
         self._decomp = {}
         for deg in complex_.space.degrees():
             z = complex_.d.block(deg).kernel_basis()
-            b = [c for c in complex_.d.block(deg - 1).cols() if not is_zero_vec(c)]
-            # span of the image, reduced to an independent list
-            b = _independent(field, b, complex_.space.dim(deg))
             self.cocycles[deg] = z
-            self.coboundaries[deg] = b
-            if z:
-                m = Matrix.from_cols(field, b + z, complex_.space.dim(deg))
-                _, pivots = m.rref()
-                reps = [z[p - len(b)] for p in pivots if p >= len(b)]
-            else:
-                m, pivots, reps = None, [], []
-            self.reps[deg] = reps
-            self._decomp[deg] = (m, len(b), pivots)
-            if reps:
-                self.dims[deg] = len(reps)
+            self.reps[deg] = []
+            self._decomp[deg] = (None, 0)
+            if not z:
+                continue
+            b = [c for c in complex_.d.block(deg - 1).cols() if not is_zero_vec(c)]
+            cols = b + z
+            _, pivots = Matrix.from_cols(field, cols, complex_.space.dim(deg)).rref()
+            nb = sum(1 for p in pivots if p < len(b))
+            self.reps[deg] = [z[p - len(b)] for p in pivots[nb:]]
+            self._decomp[deg] = (Matrix.from_cols(field, [cols[p] for p in pivots],
+                                                  complex_.space.dim(deg)), nb)
+            if self.reps[deg]:
+                self.dims[deg] = len(self.reps[deg])
 
     def dim(self, deg):
         return self.dims.get(deg, 0)
@@ -227,26 +226,17 @@ class CohomologyData:
             return ()
         if not is_zero_vec(self.complex.d.apply(deg, v)):
             raise GradedError("reduce() given a non-cocycle in degree %d" % deg)
-        m, nb, pivots = self._decomp[deg]
-        if m is None:
+        basis, nb = self._decomp[deg]
+        if basis is None:
             return ()
-        x = m.solve(v)
+        x = basis.solve(v)
         if x is None:
             raise GradedError("cocycle outside the cocycle span (internal)")
-        return tuple(x[p] for p in pivots if p >= nb)
+        return x[nb:]
 
     def write_coboundary(self, deg, v):
         """Find w with d(w) = v, or None."""
         return self.complex.d.block(deg - 1).solve(v)
-
-
-def _independent(field, vectors, dim):
-    """Reduce a spanning list to an independent sublist (pivot rule)."""
-    if not vectors:
-        return []
-    m = Matrix.from_cols(field, vectors, dim)
-    _, pivots = m.rref()
-    return [vectors[p] for p in pivots]
 
 
 def cohomology(complex_):
@@ -280,8 +270,7 @@ def truncation_spans(complex_, t):
     and in degree t the standard vectors completing the cocycles."""
     sp, field = complex_.space, complex_.field
     spans = {}
-    comp = span_complement_coords(
-        field, [list(z) for z in complex_.d.block(t).kernel_basis()], sp.dim(t))
+    comp = Quotienter(field, complex_.d.block(t).kernel_basis(), sp.dim(t)).keep
     if comp:
         spans[t] = [unit_vec(field, sp.dim(t), i) for i in comp]
     for d in sp.degrees():

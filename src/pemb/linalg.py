@@ -1,8 +1,10 @@
 """Exact linear algebra over Q or F_p.
 
-Matrices are immutable, dense, and field-tagged.  Pivoting always scans
-rows and columns in index order, so every basis this module produces is
-deterministic; golden-file tests upstream rely on that.
+Matrices are immutable, dense, and field-tagged.  `Matrix.rref` is the
+one Gaussian elimination: `kernel_basis`, `solve`, `Quotienter` and the
+cohomology bases all read its output.  It returns the unique reduced
+echelon form, so every basis this module produces is deterministic;
+golden-file tests upstream rely on that.
 """
 
 from __future__ import annotations
@@ -126,26 +128,30 @@ class Matrix:
     # -- elimination ----------------------------------------------------
 
     def rref(self):
-        """Reduced row-echelon form and the strictly increasing pivot columns."""
-        m = [list(row) for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            if r >= self.nrows:
-                break
-            pr = next((i for i in range(r, self.nrows) if m[i][c] != 0), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = self.field.one / m[r][c]
-            m[r] = [inv * x for x in m[r]]
-            for i in range(self.nrows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix(self.field, m, ncols=self.ncols), pivots
+        """Reduced row-echelon form and the strictly increasing pivot columns.
+
+        Rows are eliminated one at a time as sparse dicts {col: coeff}
+        against the pivot rows found so far, which stay fully reduced.  The
+        reduced echelon form of a matrix is unique, so the result is the
+        one the index-order pivot rule gives.
+        """
+        zero = self.field.zero
+        rows = {}   # pivot column -> reduced sparse row, 1 at the pivot
+        for entries in self.entries:
+            row = {c: x for c, x in enumerate(entries) if x}
+            _reduce(row, rows, zero)
+            if row:
+                p = min(row)
+                inv = self.field.one / row[p]
+                row = {c: inv * x for c, x in row.items()}
+                for other in rows.values():
+                    if p in other:
+                        _reduce(other, {p: row}, zero)
+                rows[p] = row
+        pivots = sorted(rows)
+        out = [[rows[p].get(c, zero) for c in range(self.ncols)] for p in pivots]
+        out += [[zero] * self.ncols] * (self.nrows - len(pivots))
+        return Matrix(self.field, out, ncols=self.ncols), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -184,14 +190,24 @@ def _is_scalar(x, field):
     return type(x) is type(field.zero)
 
 
+def _reduce(row, pivot_rows, zero):
+    """row -= row[p] * pivot_rows[p] for every pivot column p of row, in
+    place, over the pivot row's nonzeros.  Each pivot row is 1 at its
+    pivot and 0 at every other pivot, so one pass clears them all."""
+    for p in [p for p in row if p in pivot_rows]:
+        f = row[p]
+        for c, x in pivot_rows[p].items():
+            v = row.get(c, zero) - f * x
+            if v:
+                row[c] = v
+            else:
+                del row[c]
+
+
 def _check_shapes(a, b):
     if a.nrows != b.nrows or a.ncols != b.ncols:
         raise ValueError("shape mismatch: %dx%d vs %dx%d"
                          % (a.nrows, a.ncols, b.nrows, b.ncols))
-
-
-def vec(field, xs):
-    return tuple(field.of(x) for x in xs)
 
 
 def zero_vec(field, n):
@@ -208,6 +224,13 @@ def add_vec(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def add_scaled(out, c, v):
+    """out += c * v in place, over the nonzeros of v."""
+    for k, x in enumerate(v):
+        if x != 0:
+            out[k] += c * x
+
+
 def sub_vec(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
@@ -220,32 +243,32 @@ def is_zero_vec(a):
     return all(x == 0 for x in a)
 
 
-def span_complement_coords(field, vectors, dim):
-    """Indices of standard basis vectors completing span(vectors) to k^dim.
+class Quotienter:
+    """Quotient of k^dim by the span of given vectors, pivot-rule basis:
+    the kept coordinates are the non-pivot columns of the reduced span."""
 
-    The chosen indices are the non-pivot coordinates of the row-reduced
-    span, so the result is deterministic and the selected standard
-    vectors meet the span trivially.
-    """
-    if not vectors:
-        return list(range(dim))
-    m = Matrix.from_rows(field, [list(v) for v in vectors])
-    _, pivots = m.rref()
-    pivset = set(pivots)
-    return [i for i in range(dim) if i not in pivset]
+    def __init__(self, field, spans, dim):
+        self.field, self.dim = field, dim
+        red, pivots = Matrix(field, spans, ncols=dim).rref() if spans else (None, [])
+        self.rows = {p: {c: x for c, x in enumerate(red.row(r)) if x}
+                     for r, p in enumerate(pivots)}
+        self.keep = [i for i in range(dim) if i not in self.rows]
 
+    def _remainder(self, v):
+        """v reduced against the span, as a sparse row {kept index: coeff}."""
+        row = {c: x for c, x in enumerate(v) if x}
+        _reduce(row, self.rows, self.field.zero)
+        return row
 
-def solve_affine(field, rows, rhs, ncols):
-    """Full solution set of a linear system: (particular, kernel basis) or None.
+    def project(self, v):
+        row = self._remainder(v)
+        return tuple(row.get(i, self.field.zero) for i in self.keep)
 
-    `rows` is a list of coefficient rows of length ncols; `rhs` the
-    right-hand sides.  Deterministic free-variable-zero particular
-    solution.
-    """
-    if not rows:
-        return zero_vec(field, ncols), [unit_vec(field, ncols, i) for i in range(ncols)]
-    a = Matrix.from_rows(field, rows)
-    part = a.solve(rhs)
-    if part is None:
-        return None
-    return part, a.kernel_basis()
+    def lift(self, w):
+        v = [self.field.zero] * self.dim
+        for c, i in zip(w, self.keep):
+            v[i] = c
+        return tuple(v)
+
+    def contains(self, v):
+        return not self._remainder(v)

@@ -16,7 +16,8 @@ from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      GradedVectorSpace, cohomology, direct_sum, dualize,
                      mapping_cone, quasi_isomorphism_failure, suspend,
                      truncation_spans)
-from .linalg import Matrix, add_vec, is_zero_vec, scale_vec, unit_vec, zero_vec
+from .linalg import (Matrix, add_scaled, add_vec, is_zero_vec, scale_vec,
+                     unit_vec, zero_vec)
 
 
 class ModuleError(ValueError):
@@ -54,15 +55,14 @@ class DgModule:
         return self.action.get((da, ia, dm, jm), zero_vec(self.field, n))
 
     def act_vec(self, da, av, dm, mv):
-        out = zero_vec(self.field, self.space.dim(da + dm))
+        out = [self.field.zero] * self.space.dim(da + dm)
         for ia, c1 in enumerate(av):
             if c1 == 0:
                 continue
             for jm, c2 in enumerate(mv):
-                if c2 == 0:
-                    continue
-                out = add_vec(out, scale_vec(c1 * c2, self.act_basis(da, ia, dm, jm)))
-        return out
+                if c2 != 0 and (da, ia, dm, jm) in self.action:
+                    add_scaled(out, c1 * c2, self.action[(da, ia, dm, jm)])
+        return tuple(out)
 
     def basis_vec(self, d, i):
         return unit_vec(self.field, self.space.dim(d), i)
@@ -82,10 +82,7 @@ class DgModule:
 def algebra_as_module(a):
     """`a` acting on itself from the left; the action lists both orders
     of every product, since module actions are one-sided."""
-    action = dict(a.product)
-    for (d1, i1, d2, i2), v in a.product.items():
-        action.setdefault((d2, i2, d1, i1), scale_vec(a.field.sign(d1 * d2), v))
-    return DgModule(a, a.complex, action, validate=False)
+    return DgModule(a, a.complex, a.both_orders, validate=False)
 
 
 class DgModuleMorphism:
@@ -520,27 +517,18 @@ def free_module(algebra, gens, dvals=None, window=None):
             labels[d] = labs
     space = GradedVectorSpace(field, window, dims, labels)
 
-    def act_on_basis(da, ia, dm, jm):
-        out = [field.zero] * space.dim(da + dm)
-        gi, e, ib = slots[(dm, jm)]
-        for ic, c in enumerate(a.mul_basis(da, ia, e, ib)):
-            if c != 0:
-                key = (gi, da + e, ic)
-                if key in index:
-                    _, p = index[key]
-                    out[p] = out[p] + c
-        return tuple(out)
-
+    # a . (b x g) = (a b) x g, over the nonzero products in both orders
     action = {}
-    for da in a.space.degrees():
-        for dm in dims:
-            if da + dm > window.hi or space.dim(da + dm) == 0:
+    for (da, ia, e, ib), v in a.both_orders.items():
+        for gi, g in enumerate(gens):
+            if (gi, e, ib) not in index or da + e + g.degree > window.hi:
                 continue
-            for ia in range(a.space.dim(da)):
-                for jm in range(dims[dm]):
-                    v = act_on_basis(da, ia, dm, jm)
-                    if not is_zero_vec(v):
-                        action[(da, ia, dm, jm)] = v
+            dm, jm = index[(gi, e, ib)]
+            out = [field.zero] * space.dim(da + dm)
+            for ic, c in enumerate(v):
+                if c != 0:
+                    out[index[(gi, da + e, ic)][1]] = c
+            action[(da, ia, dm, jm)] = out
 
     dvals = dvals or {}
     dblocks = {}

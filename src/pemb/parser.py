@@ -131,42 +131,40 @@ def _parse_terms(toks, lineno):
     return terms
 
 
-def _sorted_mono(indices, degs, lineno):
-    """Sort generator indices with the Koszul sign; None kills the term."""
-    idx = list(indices)
-    sign = 1
-    for a in range(len(idx)):
-        for b in range(len(idx) - 1 - a):
-            if idx[b] > idx[b + 1]:
-                if degs[idx[b]] % 2 == 1 and degs[idx[b + 1]] % 2 == 1:
-                    sign = -sign
-                idx[b], idx[b + 1] = idx[b + 1], idx[b]
-    for a in range(len(idx) - 1):
-        if idx[a] == idx[a + 1] and degs[idx[a]] % 2 == 1:
-            return None, 0
-    return tuple(idx), sign
+def _terms_to_mono_poly(terms, gen_index, gen_degs, lineno, what, hi):
+    """Homogeneous polynomial {sorted index tuple: coeff} of parsed terms,
+    and its degree (None for the zero polynomial).
 
-
-def _terms_to_mono_poly(terms, gen_index, gen_degs, lineno):
+    Monomials are collected as exponents, and degrees are read off the
+    exponents, so no power is expanded past the window: a polynomial of
+    degree above `hi` comes back empty, with its degree.  A monomial takes
+    the Koszul sign of sorting its odd factors and vanishes when an odd
+    generator occurs twice.
+    """
     poly = {}
     for coeff, factors in terms:
-        indices = []
+        powers, odd = {}, []
         for name, power in factors:
             if name not in gen_index:
                 raise ParseError(lineno, "unknown generator %r" % name)
-            indices.extend([gen_index[name]] * power)
-        mono, sign = _sorted_mono(indices, gen_degs, lineno)
-        if mono is None:
+            g = gen_index[name]
+            if power:
+                powers[g] = powers.get(g, 0) + power
+                if gen_degs[g] % 2 == 1:
+                    odd.extend([g] * min(power, 2))
+        if len(set(odd)) < len(odd):
             continue
-        poly[mono] = poly.get(mono, Fraction(0)) + sign * coeff
-    return {m: c for m, c in poly.items() if c != 0}
-
-
-def _mono_poly_degree(poly, gen_degs, lineno, what):
-    degs = {sum(gen_degs[g] for g in m) for m in poly}
+        swaps = sum(a > b for k, a in enumerate(odd) for b in odd[k + 1:])
+        mono = tuple(sorted(powers.items()))
+        poly[mono] = poly.get(mono, Fraction(0)) + (-1) ** swaps * coeff
+    poly = {m: c for m, c in poly.items() if c != 0}
+    degs = {sum(gen_degs[g] * k for g, k in m) for m in poly}
     if len(degs) > 1:
         raise ParseError(lineno, "%s is not homogeneous" % what)
-    return degs.pop() if degs else None
+    deg = degs.pop() if degs else None
+    if deg is not None and deg > hi:
+        return {}, deg
+    return {tuple(g for g, k in m for _ in range(k)): c for m, c in poly.items()}, deg
 
 
 class ParsedAlgebra:
@@ -228,21 +226,25 @@ def _parse_free_cdga(name, lines, pf):
         else:
             raise ParseError(lineno, "unknown declaration %r in cdga block"
                              % toks[0])
+    for g, d in gens:
+        if d < 1:   # a degree-0 power has no degree bound
+            raise AlgebraError("generator %s must have positive degree" % g)
     gen_index = {g: i for i, (g, _) in enumerate(gens)}
     gen_degs = [d for _, d in gens]
+    hi = pf.window.hi
     diff_polys = {}
     for gname, (lineno, terms) in diffs.items():
         if gname not in gen_index:
             raise ParseError(lineno, "d given for unknown generator %r" % gname)
-        poly = _terms_to_mono_poly(terms, gen_index, gen_degs, lineno)
-        deg = _mono_poly_degree(poly, gen_degs, lineno, "d(%s)" % gname)
+        poly, deg = _terms_to_mono_poly(terms, gen_index, gen_degs, lineno,
+                                        "d(%s)" % gname, hi)
         if deg is not None and deg != gen_degs[gen_index[gname]] + 1:
             raise ParseError(lineno, "differential must raise degree by 1")
         diff_polys[gname] = poly
     rel_polys = []
     for lineno, terms in relations:
-        poly = _terms_to_mono_poly(terms, gen_index, gen_degs, lineno)
-        _mono_poly_degree(poly, gen_degs, lineno, "relation")
+        poly, _ = _terms_to_mono_poly(terms, gen_index, gen_degs, lineno,
+                                      "relation", hi)
         if poly:
             rel_polys.append(poly)
     cdga = materialize_free_cdga(pf.field, gens, diff_polys, rel_polys,
@@ -384,10 +386,10 @@ def _poly_to_target_vec(terms, target, lineno):
                   for d in target.cdga.space.degrees()})
         return deg, vec
     gen_index = {g: i for i, g in enumerate(target.gen_names)}
-    poly = _terms_to_mono_poly(terms, gen_index, target.gen_degs, lineno)
-    if not poly:
+    poly, deg = _terms_to_mono_poly(terms, gen_index, target.gen_degs, lineno,
+                                    "image", target.cdga.space.window.hi)
+    if deg is None:
         return None, None
-    deg = _mono_poly_degree(poly, target.gen_degs, lineno, "image")
     pres = target.cdga.presentation
     monos = pres.monos_by_degree.get(deg)
     if monos is None:
@@ -508,6 +510,12 @@ def parse(text, field_override=None):
             _expect(toks, lineno, "window", None, None)
             if toks[1] == "-":
                 raise ParseError(lineno, "window must start at 0")
+            if toks[2] == "-":
+                raise ParseError(lineno, "window upper bound must be a "
+                                 "nonnegative integer, found %s" % "".join(toks[2:]))
+            if len(toks) > 3:
+                raise ParseError(lineno, "unexpected %r after the window bounds"
+                                 % toks[3])
             try:
                 pf.window = DegreeWindow(int(toks[1]), int(toks[2]))
             except ValueError:

@@ -4,7 +4,7 @@ import pytest
 
 from builders import (complex_projective, product_s2_s4, sphere, sullivan_cp2,
                       torus_s1_s7, wedge_s2_s4)
-from pemb.algebra import CdgaMorphism
+from pemb.algebra import Cdga, CdgaMorphism
 from pemb.cones import semi_trivial_cone
 from pemb.fields import QQ, PrimeField
 from pemb.graded import (DegreeWindow, GradedLinearMap, cohomology, dualize,
@@ -222,10 +222,32 @@ def test_hom_complex_differential_squares_to_zero():
 
 # -- differential test: table-reading builders against the dense loops ------
 #
-# The four dense builders below recompute every entry of a derived table
-# from two basis vectors.  They are the reference for `restrict_scalars`,
-# `dual_module`, `module_mapping_cone` and the cone product, which read the
-# same tables off the nonzero entries of the tables they come from.
+# The five dense builders below recompute every entry of a derived table
+# from two basis vectors.  They are the reference for `free_module`,
+# `restrict_scalars`, `dual_module`, `module_mapping_cone` and the cone
+# product, which read the same tables off the nonzero entries of the tables
+# they come from.
+
+
+def dense_free_action(a, m, index):
+    slots = {v: k for k, v in index.items()}
+    sp = m.space
+    action = {}
+    for da in a.space.degrees():
+        for dm in sp.degrees():
+            if da + dm > sp.window.hi or sp.dim(da + dm) == 0:
+                continue
+            for ia in range(a.space.dim(da)):
+                for jm in range(sp.dim(dm)):
+                    out = [a.field.zero] * sp.dim(da + dm)
+                    gi, e, ib = slots[(dm, jm)]
+                    for ic, c in enumerate(a.mul_basis(da, ia, e, ib)):
+                        if c != 0 and (gi, da + e, ic) in index:
+                            _, p = index[(gi, da + e, ic)]
+                            out[p] = out[p] + c
+                    if not is_zero_vec(out):
+                        action[(da, ia, dm, jm)] = tuple(out)
+    return action
 
 
 def dense_restricted_action(m, phi):
@@ -363,6 +385,29 @@ def module_samples(a, rng):
     yield shifted_dual(algebra_as_module(a), top)
     for _ in range(2):
         yield random_semifree(a, rng, 3, 3)
+
+
+def one_sided(a):
+    """The same algebra with each product listed in one order only."""
+    product = {k: v for k, v in a.product.items() if k[:2] <= k[2:]}
+    return Cdga(a.field, a.complex, product, a.unit)
+
+
+def test_free_action_matches_dense_builder():
+    seen = 0
+    for a in [b for a in algebra_samples() for b in (a, one_sided(a))]:
+        top = a.top_degree()
+        gen_sets = ([FreeGenerator("g", 0, 0)],
+                    [FreeGenerator("g", 1, 0), FreeGenerator("h", 3, 1)],
+                    [FreeGenerator("g", 2, 0), FreeGenerator("h", 2, 1),
+                     FreeGenerator("k", top, 2)])
+        for gens in gen_sets:
+            for window in (a.space.window, DegreeWindow(0, top + 2),
+                           DegreeWindow(1, top - 1)):
+                m, index = free_module(a, gens, {}, window)
+                assert m.action == dense_free_action(a, m, index)
+                seen += len(m.action)
+    assert seen > 1000, seen
 
 
 def test_derived_tables_match_dense_builders():

@@ -1,4 +1,5 @@
 import io
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -194,6 +195,26 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text("field rational\nwindow -3 7\n")
     code, _, err = run_cli(["validate", str(bad)])
     assert (code, err) == (2, "error: line 2: window must start at 0\n")
+    # a third window bound, a negative upper bound
+    bad.write_text(SPHERE_PAIR.replace("window 0 7", "window 0 7 9"))
+    code, _, err = run_cli(["validate", str(bad)])
+    assert (code, err) == (2, "error: line 3: unexpected '9' after the "
+                              "window bounds\n")
+    bad.write_text("field rational\nwindow 0 -3\n")
+    code, _, err = run_cli(["validate", str(bad)])
+    assert (code, err) == (2, "error: line 2: window upper bound must be a "
+                              "nonnegative integer, found -3\n")
+    # a power far above the window: its degree is read off the exponent
+    # before the power is expanded, so it is as cheap as a small one
+    example = cli.example_path("s2_in_s6").read_text()
+    runs = []
+    for power in (20, 100000000):
+        bad.write_text(example.replace("relation x2*x2", "relation x2*x2\n"
+                                       "  relation x2^%d" % power))
+        start = time.perf_counter()
+        runs.append(run_cli(["complement", str(bad)]))
+        assert time.perf_counter() - start < 1.0
+    assert runs[0] == runs[1] and runs[0][0] == 0
 
 
 def test_cli_validate_and_cohomology():
