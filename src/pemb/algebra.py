@@ -17,7 +17,7 @@ from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
                      cohomology, direct_sum, quasi_isomorphism_failure,
                      truncation_spans)
 from .linalg import (Matrix, Quotienter, add_scaled, add_vec, is_zero_vec,
-                     scale_vec, unit_vec, zero_vec)
+                     scale_vec, sparse_sum, sparse_vec, unit_vec, zero_vec)
 
 
 class AlgebraError(ValueError):
@@ -178,17 +178,17 @@ class FreePresentation:
         self.reducers = reducers  # degree -> Quotienter in monomial coordinates
 
 
-def _poly_to_vec(field, poly, mono_index, dim, deg, gen_degs, what):
-    """poly: dict[index-tuple] -> scalar, all monomials of one degree."""
-    v = [field.zero] * dim
+def _poly_to_vec(field, poly, mono_index, deg, gen_degs, what):
+    """poly: dict[index-tuple] -> scalar, all monomials of one degree, as
+    a sparse vector in monomial coordinates."""
+    terms = []
     for mono, coeff in poly.items():
         if _mono_degree(mono, gen_degs) != deg:
             raise AlgebraError("%s is not homogeneous of degree %d" % (what, deg))
         if mono not in mono_index:
             raise AlgebraError("%s contains a monomial outside the window" % what)
-        _, i = mono_index[mono]
-        v[i] = v[i] + field.of(coeff)
-    return tuple(v)
+        terms.append((mono_index[mono][1], field.of(coeff)))
+    return sparse_sum(terms)
 
 
 def materialize_free_cdga(field, generators, diffs, relations, window):
@@ -238,30 +238,25 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
         g = gen_names.index(name)
         target_deg = gen_degs[g] + 1
         if target_deg <= window.hi:
-            dgen[g] = _poly_to_vec(field, poly, mono_index, dims.get(target_deg, 0),
-                                   target_deg, gen_degs, "d(%s)" % name)
+            dgen[g] = _poly_to_vec(field, poly, mono_index, target_deg, gen_degs,
+                                   "d(%s)" % name)
 
+    # vectors below are sparse, {monomial index: nonzero coefficient}
     def d_mono(mono):
-        deg = _mono_degree(mono, gen_degs)
-        out = [field.zero] * dims.get(deg + 1, 0)
-        if deg + 1 > window.hi:
-            return tuple(out)
+        if _mono_degree(mono, gen_degs) + 1 > window.hi:
+            return {}
+        terms = []
         for j, g in enumerate(mono):
             if g not in dgen:
                 continue
             sign = field.sign(_mono_degree(mono[:j], gen_degs))
             rest = mono[:j] + mono[j + 1:]
-            dv = dgen[g]
             tdeg = gen_degs[g] + 1
-            for i, c in enumerate(dv):
-                if c == 0:
-                    continue
+            for i, c in dgen[g].items():
                 s2, prod = _merge_sign(field, monos_by_degree[tdeg][i], rest, gen_degs)
-                if s2 is None:
-                    continue
-                _, idx = mono_index[prod]
-                out[idx] = out[idx] + sign * s2 * c
-        return tuple(out)
+                if s2 is not None:
+                    terms.append((mono_index[prod][1], sign * s2 * c))
+        return sparse_sum(terms)
 
     # ideal spans per degree
     spans = {d: [] for d in dims}
@@ -274,26 +269,23 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
         (e,) = rel_deg
         if e > window.hi:
             continue
+        coeffs = [(rm, field.of(coeff)) for rm, coeff in poly.items()]
         for d in range(0, window.hi - e + 1):
             for mono in monos_by_degree.get(d, ()):
-                v = [field.zero] * dims.get(d + e, 0)
-                for rm, coeff in poly.items():
+                terms = []
+                for rm, coeff in coeffs:
                     s, prod = _merge_sign(field, rm, mono, gen_degs)
-                    if s is None:
-                        continue
-                    _, idx = mono_index[prod]
-                    v[idx] = v[idx] + s * field.of(coeff)
-                if not is_zero_vec(v):
-                    spans[d + e].append(tuple(v))
+                    if s is not None:
+                        terms.append((mono_index[prod][1], s * coeff))
+                v = sparse_sum(terms)
+                if v:
+                    spans[d + e].append(v)
 
     reducers = {d: Quotienter(field, spans.get(d, []), n) for d, n in dims.items()}
 
     def d_vec(d, v):
-        out = (field.zero,) * dims.get(d + 1, 0)
-        for i, c in enumerate(v):
-            if c != 0:
-                out = add_vec(out, scale_vec(c, d_mono(monos_by_degree[d][i])))
-        return out
+        return sparse_sum([(k, c * x) for i, c in v.items()
+                            for k, x in d_mono(monos_by_degree[d][i]).items()])
 
     bad = escape_degree(spans, reducers, lambda d, v: [(d + 1, d_vec(d, v))])
     if bad is not None:
@@ -334,14 +326,11 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
                     s, prod = _merge_sign(field, m1, m2, gen_degs)
                     if s is None:
                         continue
-                    v = [field.zero] * len(monos_by_degree[d])
-                    _, idx = mono_index[prod]
-                    v[idx] = s
-                    w = red.project(tuple(v))
+                    w = red.project({mono_index[prod][1]: s})
                     if not is_zero_vec(w):
                         product[(d1, i1, d2, i2)] = w
 
-    unit = reducers[0].project(unit_vec(field, dims[0], 0))
+    unit = reducers[0].project({0: field.one})
     if is_zero_vec(unit):
         raise AlgebraError("relations kill the unit")
     alg = Cdga(field, complex_, product, unit)
@@ -448,10 +437,11 @@ def quotient_complex(complex_, spans):
     """
     space = complex_.space
     field = space.field
-    reducers = {d: Quotienter(field, spans.get(d, []), space.dim(d))
+    reducers = {d: Quotienter(field, [sparse_vec(v) for v in spans.get(d, [])],
+                              space.dim(d))
                 for d in space.degrees()}
     bad = escape_degree(spans, reducers,
-                        lambda d, v: [(d + 1, complex_.d.apply(d, v))])
+                        lambda d, v: [(d + 1, sparse_vec(complex_.d.apply(d, v)))])
     if bad is not None:
         raise AlgebraError("subspace not closed under d at degree %d" % (bad - 1))
     qdims, qlabels = {}, {}
@@ -462,13 +452,13 @@ def quotient_complex(complex_, spans):
     qspace = GradedVectorSpace(field, space.window, qdims, qlabels)
     dblocks = {}
     for d in qspace.degrees():
-        red, red1 = reducers[d], reducers.get(d + 1)
-        cols = [red1.project(complex_.d.apply(d, red.lift(unit_vec(field, len(red.keep), i))))
-                if red1 else () for i in range(len(red.keep))]
+        red1 = reducers.get(d + 1)
+        dcols = complex_.d.block(d).transpose().rows
+        cols = [red1.project(dcols[i]) if red1 else () for i in reducers[d].keep]
         dblocks[d] = Matrix.from_cols(field, cols, qspace.dim(d + 1))
     qcx = CochainComplex(qspace, GradedLinearMap(qspace, qspace, 1, dblocks))
     pblocks = {d: Matrix.from_cols(field,
-                                   [reducers[d].project(unit_vec(field, space.dim(d), i))
+                                   [reducers[d].project({i: field.one})
                                     for i in range(space.dim(d))], qspace.dim(d))
                for d in space.degrees()}
     proj = GradedLinearMap(space, qspace, 0, pblocks)
@@ -486,7 +476,8 @@ def projected_table(lefts, reducers, mul, hi):
             if d1 + d2 > hi or rd is None or not rd.keep:
                 continue
             for i2 in range(len(r2.keep)):
-                w = rd.project(mul(d1, v1, d2, r2.lift(unit_vec(r2.field, len(r2.keep), i2))))
+                w = rd.project(sparse_vec(
+                    mul(d1, v1, d2, r2.lift(unit_vec(r2.field, len(r2.keep), i2)))))
                 if not is_zero_vec(w):
                     table[(d1, i1, d2, i2)] = w
     return table
@@ -505,7 +496,7 @@ def quotient_cdga(a, spans):
     lifts = [(d, i, r.lift(unit_vec(a.field, len(r.keep), i)))
              for d, r in reducers.items() for i in range(len(r.keep))]
     product = projected_table(lifts, reducers, a.mul_vec, sp.window.hi)
-    unit = reducers[0].project(a.unit)
+    unit = reducers[0].project(sparse_vec(a.unit))
     q = Cdga(a.field, qcx, product, unit)
     morphism = CdgaMorphism(a, q, proj)
     return q, morphism, reducers

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import is_zero_vec, sub_vec
+from .linalg import is_zero_vec, sparse_vec, sub_vec
 
 _MESSAGES = {
     "grading": "algebra must be nonnegatively graded",
@@ -57,10 +57,6 @@ class Witness:
 # sparse vectors {index: nonzero coefficient}.
 
 
-def _sparse(v):
-    return {i: c for i, c in enumerate(v) if c != 0}
-
-
 def _scaled(s, v):
     return {i: s * c for i, c in v.items()}
 
@@ -68,7 +64,7 @@ def _scaled(s, v):
 def _table(left, right, entries):
     """A product or action table; keys naming no basis element are never
     reached by the exhaustive loops, and are dropped."""
-    return {((d1, i1), (d2, i2)): _sparse(v)
+    return {((d1, i1), (d2, i2)): sparse_vec(v)
             for (d1, i1, d2, i2), v in entries.items()
             if 0 <= i1 < left.dim(d1) and 0 <= i2 < right.dim(d2)}
 
@@ -83,10 +79,9 @@ def _columns(glm):
     """{(e,): image of basis element e} over the nonzero columns of a map."""
     cols = {}
     for d, m in glm.blocks.items():
-        for r, row in enumerate(m.entries):
-            for j, x in enumerate(row):
-                if x != 0:
-                    cols.setdefault(((d, j),), {})[r] = x
+        for r, row in enumerate(m.rows):
+            for j, x in row.items():
+                cols.setdefault(((d, j),), {})[r] = x
     return cols
 
 
@@ -152,7 +147,7 @@ def _unit_law(unit, sides, space):
     turn on each element."""
     one = space.field.one
     ident = {((d, i),): {i: one} for d in space.degrees() for i in range(space.dim(d))}
-    found = [_first_failure(axiom, _through({(): _sparse(unit)}, index), ident,
+    found = [_first_failure(axiom, _through({(): sparse_vec(unit)}, index), ident,
                             (space,), space) for axiom, index in sides]
     return min((w for w in found if w), key=lambda w: w.basis, default=None)
 
@@ -270,7 +265,7 @@ def escape_degree(spans, reducers, images):
     """First degree where an image of a span vector leaves the span, or
     None when the span is closed.
 
-    images(d, v) yields (degree, vector) images of v in spans[d];
+    images(d, v) yields (degree, sparse vector) images of v in spans[d];
     reducers[t] tests membership in degree t (a degree without one is
     zero, and so is every vector in it).
     """
@@ -285,10 +280,10 @@ def escape_degree(spans, reducers, images):
 
 def left_multiples(algebra, act, hi):
     """`escape_degree` images: act(e, basis vector, d, v) for every basis
-    element of `algebra`, up to degree hi."""
+    element of `algebra`, up to degree hi, as sparse vectors."""
     def images(d, v):
         for e in algebra.space.degrees():
             if d + e <= hi:
                 for i in range(algebra.space.dim(e)):
-                    yield d + e, act(e, algebra.basis_vec(e, i), d, v)
+                    yield d + e, sparse_vec(act(e, algebra.basis_vec(e, i), d, v))
     return images

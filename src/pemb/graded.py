@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, Quotienter, is_zero_vec, unit_vec, zero_vec
+from .linalg import (Matrix, Quotienter, is_zero_vec, sparse_vec, unit_vec,
+                     zero_vec)
 
 
 class GradedError(ValueError):
@@ -187,6 +188,11 @@ class CohomologyData:
     columns first, then the cocycle basis, row-reduce, and keep the
     cocycles landing on pivot columns.  The columns at all pivots are a
     basis of the cocycles that starts with a basis of the image.
+
+    The identity rides along in the same elimination: row-reducing
+    [columns | I] to [R | E] gives E with E (column at the r-th pivot) =
+    e_r, so E v holds the coordinates of a cocycle v in that basis, and
+    its entries past the rank vanish exactly when v is in its span.
     """
 
     def __init__(self, complex_):
@@ -201,16 +207,20 @@ class CohomologyData:
             z = complex_.d.block(deg).kernel_basis()
             self.cocycles[deg] = z
             self.reps[deg] = []
-            self._decomp[deg] = (None, 0)
+            self._decomp[deg] = None
             if not z:
                 continue
-            b = [c for c in complex_.d.block(deg - 1).cols() if not is_zero_vec(c)]
-            cols = b + z
-            _, pivots = Matrix.from_cols(field, cols, complex_.space.dim(deg)).rref()
+            n = complex_.space.dim(deg)
+            b = [c for c in complex_.d.block(deg - 1).transpose().rows if c]
+            cols = b + [sparse_vec(v) for v in z]
+            k = len(cols)
+            eye = [{i: field.one} for i in range(n)]
+            red, pivots = Matrix.sparse(field, cols + eye, n).transpose().rref()
+            pivots = [p for p in pivots if p < k]
             nb = sum(1 for p in pivots if p < len(b))
             self.reps[deg] = [z[p - len(b)] for p in pivots[nb:]]
-            self._decomp[deg] = (Matrix.from_cols(field, [cols[p] for p in pivots],
-                                                  complex_.space.dim(deg)), nb)
+            e = [{c - k: x for c, x in r.items() if c >= k} for r in red.rows]
+            self._decomp[deg] = (Matrix.sparse(field, e, n), nb, len(pivots))
             if self.reps[deg]:
                 self.dims[deg] = len(self.reps[deg])
 
@@ -226,13 +236,13 @@ class CohomologyData:
             return ()
         if not is_zero_vec(self.complex.d.apply(deg, v)):
             raise GradedError("reduce() given a non-cocycle in degree %d" % deg)
-        basis, nb = self._decomp[deg]
-        if basis is None:
+        if self._decomp[deg] is None:
             return ()
-        x = basis.solve(v)
-        if x is None:
+        e, nb, rank = self._decomp[deg]
+        x = e.apply(v)
+        if not is_zero_vec(x[rank:]):
             raise GradedError("cocycle outside the cocycle span (internal)")
-        return x[nb:]
+        return x[nb:rank]
 
     def write_coboundary(self, deg, v):
         """Find w with d(w) = v, or None."""
@@ -270,7 +280,8 @@ def truncation_spans(complex_, t):
     and in degree t the standard vectors completing the cocycles."""
     sp, field = complex_.space, complex_.field
     spans = {}
-    comp = Quotienter(field, complex_.d.block(t).kernel_basis(), sp.dim(t)).keep
+    comp = Quotienter(field, [sparse_vec(v) for v in complex_.d.block(t).kernel_basis()],
+                      sp.dim(t)).keep
     if comp:
         spans[t] = [unit_vec(field, sp.dim(t), i) for i in comp]
     for d in sp.degrees():
@@ -349,36 +360,29 @@ def mapping_cone(f, source, target):
             dims[d] = n
             labels[d] = list(y_sp.labels.get(d, ())) + list(sx.space.labels.get(d, ()))
     cone_sp = GradedVectorSpace(field, w, dims, labels)
+
+    def shifted(row, k):
+        return {c + k: x for c, x in row.items()}
+
     blocks = {}
     for d in cone_sp.degrees():
         ny, nx = y_sp.dim(d), sx.space.dim(d)
-        ny1, nx1 = y_sp.dim(d + 1), sx.space.dim(d + 1)
-        rows = []
         dy = target.d.block(d)
         fb = f.block(d + 1)            # X^(d+1) = (sX)^d -> Y^(d+1)
         dsx = sx.d.block(d)            # already carries the -1
-        for i in range(ny1):
-            rows.append(list(dy.row(i))[:ny] + list(fb.row(i)))
-        for i in range(nx1):
-            rows.append([field.zero] * ny + list(dsx.row(i)))
-        m = Matrix(field, rows) if rows else Matrix.zero(field, 0, ny + nx)
-        blocks[d] = m
+        rows = ([{**r, **shifted(s, ny)} for r, s in zip(dy.rows, fb.rows)]
+                + [shifted(r, ny) for r in dsx.rows])
+        blocks[d] = Matrix.sparse(field, rows, ny + nx)
     cone = CochainComplex(cone_sp, GradedLinearMap(cone_sp, cone_sp, 1, blocks))
     incl_blocks, proj_blocks = {}, {}
     for d in cone_sp.degrees():
         ny, nx = y_sp.dim(d), sx.space.dim(d)
-        ib = Matrix.from_rows(field,
-                              [[field.one if i == j else field.zero for j in range(ny)]
-                               for i in range(ny)] +
-                              [[field.zero] * ny for _ in range(nx)])
-        pb = Matrix.from_rows(field,
-                              [[field.zero] * ny +
-                               [field.one if i == j else field.zero for j in range(nx)]
-                               for i in range(nx)])
         if ny:
-            incl_blocks[d] = ib
+            incl_blocks[d] = Matrix.sparse(field, [{i: field.one} for i in range(ny)]
+                                           + [{} for _ in range(nx)], ny)
         if nx:
-            proj_blocks[d] = pb
+            proj_blocks[d] = Matrix.sparse(field, [{ny + i: field.one} for i in range(nx)],
+                                           ny + nx)
     incl = GradedLinearMap(y_sp, cone_sp, 0, incl_blocks)
     proj = GradedLinearMap(cone_sp, sx.space, 0, proj_blocks)
     return ConeSplit(cone, incl, proj, y_sp, sx)

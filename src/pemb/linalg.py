@@ -1,40 +1,63 @@
 """Exact linear algebra over Q or F_p.
 
-Matrices are immutable, dense, and field-tagged.  `Matrix.rref` is the
-one Gaussian elimination: `kernel_basis`, `solve`, `Quotienter` and the
-cohomology bases all read its output.  It returns the unique reduced
-echelon form, so every basis this module produces is deterministic;
-golden-file tests upstream rely on that.
+Matrices are immutable and field-tagged, stored as sparse rows: each row
+is a dict {column: nonzero scalar}.  `entries`, `row` and `col` are dense
+views built on demand.  `Matrix.rref` is the one Gaussian elimination:
+`kernel_basis`, `solve`, `Quotienter` and the cohomology bases all read
+its output.  It returns the unique reduced echelon form, so every basis
+this module produces is deterministic; golden-file tests upstream rely
+on that.
 """
 
 from __future__ import annotations
 
 
 class Matrix:
-    __slots__ = ("field", "nrows", "ncols", "entries")
+    __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, entries, ncols=None):
+        """From dense rows; entries that are not field scalars are coerced."""
+        scalar = type(field.zero)
+        rows = []
+        for row in entries:
+            if ncols is None:
+                ncols = len(row)
+            elif len(row) != ncols:
+                raise ValueError("row of length %d in a matrix of %d columns"
+                                 % (len(row), ncols))
+            sparse = {}
+            for c, x in enumerate(row):
+                if type(x) is not scalar:
+                    x = field.of(x)
+                if x:
+                    sparse[c] = x
+            rows.append(sparse)
         self.field = field
-        rows = tuple(tuple(field.of(x) if not _is_scalar(x, field) else x for x in row)
-                     for row in entries)
-        self.entries = rows
+        self.rows = tuple(rows)
         self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else (ncols or 0)
-        for row in rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged matrix")
+        self.ncols = ncols or 0
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
+    def sparse(field, rows, ncols):
+        """From rows already sparse: dicts {column < ncols: nonzero field
+        scalar}, taken as they are, neither copied nor coerced.  The
+        matrix shares them, so no one may change them afterwards."""
+        m = Matrix.__new__(Matrix)
+        m.field = field
+        m.rows = tuple(rows)
+        m.nrows = len(m.rows)
+        m.ncols = ncols
+        return m
+
+    @staticmethod
     def zero(field, nrows, ncols):
-        z = field.zero
-        return Matrix(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
+        return Matrix.sparse(field, [{} for _ in range(nrows)], ncols)
 
     @staticmethod
     def identity(field, n):
-        z, o = field.zero, field.one
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return Matrix.sparse(field, [{i: field.one} for i in range(n)], n)
 
     @staticmethod
     def from_rows(field, rows):
@@ -42,103 +65,123 @@ class Matrix:
 
     @staticmethod
     def from_cols(field, cols, nrows=None):
-        if not cols:
-            return Matrix.zero(field, nrows or 0, 0)
-        n = len(cols[0])
-        return Matrix(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)],
-                      ncols=len(cols))
+        return Matrix(field, cols, ncols=nrows).transpose()
+
+    # -- dense views ----------------------------------------------------
+
+    @property
+    def entries(self):
+        return tuple(self.row(i) for i in range(self.nrows))
+
+    def row(self, i):
+        r, z = self.rows[i], self.field.zero
+        return tuple(r.get(c, z) for c in range(self.ncols))
+
+    def col(self, j):
+        z = self.field.zero
+        return tuple(r.get(j, z) for r in self.rows)
+
+    def cols(self):
+        return [self.col(j) for j in range(self.ncols)]
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.rows[i].get(j, self.field.zero)
+
+    def __repr__(self):
+        return "Matrix(%s, %s)" % (self.field, [list(map(str, r)) for r in self.entries])
 
     # -- basics ---------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.entries == other.entries)
+                and self.ncols == other.ncols and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.entries))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
-
-    def col(self, j):
-        return tuple(self.entries[i][j] for i in range(self.nrows))
-
-    def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
+        return hash((self.nrows, self.ncols,
+                     tuple(tuple(sorted(r.items())) for r in self.rows)))
 
     def transpose(self):
-        return Matrix(self.field, [[self.entries[i][j] for i in range(self.nrows)]
-                                   for j in range(self.ncols)], ncols=self.nrows)
+        out = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self.rows):
+            for c, x in r.items():
+                out[c][i] = x
+        return Matrix.sparse(self.field, out, self.nrows)
 
     def is_zero(self):
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.rows)
 
     def __add__(self, other):
-        _check_shapes(self, other)
-        return Matrix(self.field, [[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.entries, other.entries)],
-                      ncols=self.ncols)
+        return self._combine(other, self.field.one)
 
     def __sub__(self, other):
+        return self._combine(other, self.field.minus_one)
+
+    def _combine(self, other, f):
+        """self + f * other."""
         _check_shapes(self, other)
-        return Matrix(self.field, [[a - b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.entries, other.entries)],
-                      ncols=self.ncols)
+        zero = self.field.zero
+        out = []
+        for r1, r2 in zip(self.rows, other.rows):
+            row = dict(r1)
+            _axpy(row, f, r2, zero)
+            out.append(row)
+        return Matrix.sparse(self.field, out, self.ncols)
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in row] for row in self.entries],
-                      ncols=self.ncols)
+        return Matrix.sparse(self.field, [{c: -x for c, x in r.items()} for r in self.rows],
+                             self.ncols)
 
     def scale(self, c):
         c = self.field.of(c) if not _is_scalar(c, self.field) else c
-        return Matrix(self.field, [[c * a for a in row] for row in self.entries],
-                      ncols=self.ncols)
+        if not c:
+            return Matrix.zero(self.field, self.nrows, self.ncols)
+        return Matrix.sparse(self.field, [{k: c * x for k, x in r.items()} for r in self.rows],
+                             self.ncols)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product: %dx%d @ %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
-        z = self.field.zero
-        ot = other.transpose().entries
+        zero = self.field.zero
         out = []
-        for row in self.entries:
-            out.append([sum((a * b for a, b in zip(row, col) if a != 0), z) for col in ot])
-        return Matrix(self.field, out, ncols=other.ncols)
+        for r in self.rows:
+            row = {}
+            for k, a in r.items():
+                _axpy(row, a, other.rows[k], zero)
+            out.append(row)
+        return Matrix.sparse(self.field, out, other.ncols)
 
     def apply(self, v):
         """Matrix times column vector (tuple)."""
         if len(v) != self.ncols:
             raise ValueError("vector length %d != %d columns" % (len(v), self.ncols))
         z = self.field.zero
-        return tuple(sum((a * b for a, b in zip(row, v) if a != 0), z) for row in self.entries)
+        return tuple(sum((a * v[c] for c, a in r.items()), z) for r in self.rows)
 
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row mismatch in hstack")
-        return Matrix(self.field, [r1 + r2 for r1, r2 in zip(self.entries, other.entries)],
-                      ncols=self.ncols + other.ncols)
-
-    def __repr__(self):
-        return "Matrix(%s, %s)" % (self.field, [list(map(str, r)) for r in self.entries])
+        n = self.ncols
+        return Matrix.sparse(self.field,
+                             [{**r1, **{c + n: x for c, x in r2.items()}}
+                              for r1, r2 in zip(self.rows, other.rows)],
+                             n + other.ncols)
 
     # -- elimination ----------------------------------------------------
 
     def rref(self):
         """Reduced row-echelon form and the strictly increasing pivot columns.
 
-        Rows are eliminated one at a time as sparse dicts {col: coeff}
-        against the pivot rows found so far, which stay fully reduced.  The
-        reduced echelon form of a matrix is unique, so the result is the
-        one the index-order pivot rule gives.
+        Copies of the rows are eliminated one at a time against the pivot
+        rows found so far, which stay fully reduced.  The reduced echelon
+        form of a matrix is unique, so the result is the one the
+        index-order pivot rule gives.
         """
         zero = self.field.zero
         rows = {}   # pivot column -> reduced sparse row, 1 at the pivot
-        for entries in self.entries:
-            row = {c: x for c, x in enumerate(entries) if x}
+        for r in self.rows:
+            row = dict(r)
             _reduce(row, rows, zero)
             if row:
                 p = min(row)
@@ -149,9 +192,8 @@ class Matrix:
                         _reduce(other, {p: row}, zero)
                 rows[p] = row
         pivots = sorted(rows)
-        out = [[rows[p].get(c, zero) for c in range(self.ncols)] for p in pivots]
-        out += [[zero] * self.ncols] * (self.nrows - len(pivots))
-        return Matrix(self.field, out, ncols=self.ncols), pivots
+        out = [rows[p] for p in pivots] + [{} for _ in range(self.nrows - len(pivots))]
+        return Matrix.sparse(self.field, out, self.ncols), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -160,16 +202,17 @@ class Matrix:
         """Basis of the null space; deterministic (one vector per free column)."""
         red, pivots = self.rref()
         pivset = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivset]
         z, o = self.field.zero, self.field.one
-        basis = []
-        for fc in free:
-            v = [z] * self.ncols
-            v[fc] = o
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.entries[r][fc]
-            basis.append(tuple(v))
-        return basis
+        free = {}   # free column -> its basis vector
+        for fc in range(self.ncols):
+            if fc not in pivset:
+                free[fc] = [z] * self.ncols
+                free[fc][fc] = o
+        for row, pc in zip(red.rows, pivots):
+            for c, x in row.items():
+                if c in free:
+                    free[c][pc] = -x
+        return [tuple(v) for v in free.values()]
 
     def solve(self, b):
         """One solution of A x = b with free variables set to 0, or None."""
@@ -181,8 +224,8 @@ class Matrix:
             return None
         z = self.field.zero
         x = [z] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.entries[r][self.ncols]
+        for row, pc in zip(red.rows, pivots):
+            x[pc] = row.get(self.ncols, z)
         return tuple(x)
 
 
@@ -190,18 +233,23 @@ def _is_scalar(x, field):
     return type(x) is type(field.zero)
 
 
+def _axpy(row, f, other, zero):
+    """row += f * other in place, over other's nonzeros; entries that
+    become zero are dropped."""
+    for c, x in other.items():
+        v = row.get(c, zero) + f * x
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+
+
 def _reduce(row, pivot_rows, zero):
     """row -= row[p] * pivot_rows[p] for every pivot column p of row, in
-    place, over the pivot row's nonzeros.  Each pivot row is 1 at its
-    pivot and 0 at every other pivot, so one pass clears them all."""
+    place.  Each pivot row is 1 at its pivot and 0 at every other pivot,
+    so one pass clears them all."""
     for p in [p for p in row if p in pivot_rows]:
-        f = row[p]
-        for c, x in pivot_rows[p].items():
-            v = row.get(c, zero) - f * x
-            if v:
-                row[c] = v
-            else:
-                del row[c]
+        _axpy(row, -row[p], pivot_rows[p], zero)
 
 
 def _check_shapes(a, b):
@@ -243,26 +291,45 @@ def is_zero_vec(a):
     return all(x == 0 for x in a)
 
 
+def sparse_vec(v):
+    """A dense vector as a sparse one, {index: nonzero coefficient}."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def sparse_sum(terms):
+    """The sparse vector {index: nonzero coefficient} summing the
+    (index, scalar) terms."""
+    out = {}
+    for i, c in terms:
+        out[i] = out[i] + c if i in out else c
+    return {i: c for i, c in out.items() if c}
+
+
 class Quotienter:
-    """Quotient of k^dim by the span of given vectors, pivot-rule basis:
-    the kept coordinates are the non-pivot columns of the reduced span."""
+    """Quotient of k^dim by the span of given sparse vectors, pivot-rule
+    basis: the kept coordinates are the non-pivot columns of the reduced
+    span.  `project` and `contains` take sparse vectors."""
 
     def __init__(self, field, spans, dim):
         self.field, self.dim = field, dim
-        red, pivots = Matrix(field, spans, ncols=dim).rref() if spans else (None, [])
-        self.rows = {p: {c: x for c, x in enumerate(red.row(r)) if x}
-                     for r, p in enumerate(pivots)}
+        self.rows = {}   # pivot column -> reduced sparse row
+        if spans:
+            red, pivots = Matrix.sparse(field, spans, dim).rref()
+            self.rows = dict(zip(pivots, red.rows))
         self.keep = [i for i in range(dim) if i not in self.rows]
+        self._position = {i: k for k, i in enumerate(self.keep)}
 
     def _remainder(self, v):
-        """v reduced against the span, as a sparse row {kept index: coeff}."""
-        row = {c: x for c, x in enumerate(v) if x}
+        """v reduced against the span: a sparse row over kept indices."""
+        row = dict(v)
         _reduce(row, self.rows, self.field.zero)
         return row
 
     def project(self, v):
-        row = self._remainder(v)
-        return tuple(row.get(i, self.field.zero) for i in self.keep)
+        out = [self.field.zero] * len(self.keep)
+        for c, x in self._remainder(v).items():
+            out[self._position[c]] = x
+        return tuple(out)
 
     def lift(self, w):
         v = [self.field.zero] * self.dim

@@ -17,7 +17,7 @@ from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      mapping_cone, quasi_isomorphism_failure, suspend,
                      truncation_spans)
 from .linalg import (Matrix, add_scaled, add_vec, is_zero_vec, scale_vec,
-                     unit_vec, zero_vec)
+                     sparse_sum, unit_vec, zero_vec)
 
 
 class ModuleError(ValueError):
@@ -120,10 +120,8 @@ def restrict_scalars(m, phi):
         by_element.setdefault((db, ib), []).append((dm, jm, v))
     action = {}
     for da, block in phi.map.blocks.items():
-        for ib, row in enumerate(block.entries):
-            for ia, c in enumerate(row):
-                if c == 0:
-                    continue
+        for ib, row in enumerate(block.rows):
+            for ia, c in row.items():
                 for dm, jm, v in by_element.get((da, ib), ()):
                     key = (da, ia, dm, jm)
                     w = scale_vec(c, v)
@@ -205,7 +203,8 @@ def _slots(P, N, i):
 
 
 def _linearity_rows(P, N, i, slots):
-    """Rows of the A-linearity system f(a.m) = (-1)^(i|a|) a.f(m)."""
+    """Sparse rows of the A-linearity system f(a.m) = (-1)^(i|a|) a.f(m),
+    the nonzero ones only."""
     field = P.field
     idx = {s: t for t, s in enumerate(slots)}
     a = P.algebra
@@ -223,60 +222,46 @@ def _linearity_rows(P, N, i, slots):
                 for jm in range(P.space.dim(dm)):
                     w = P.act_basis(da, ia, dm, jm)
                     for t in range(N.space.dim(out_deg)):
-                        row = [field.zero] * len(slots)
-                        for j, c in enumerate(w):
-                            if c != 0 and (am_deg, t, j) in idx:
-                                row[idx[(am_deg, t, j)]] = row[idx[(am_deg, t, j)]] + c
+                        terms = [(idx[(am_deg, t, j)], c) for j, c in enumerate(w)
+                                 if c != 0 and (am_deg, t, j) in idx]
                         # minus (-1)^(i da) (a . f(m))_t
-                        for l, u in enumerate(us):
-                            c = u[t]
-                            if c != 0 and (dm, l, jm) in idx:
-                                row[idx[(dm, l, jm)]] = row[idx[(dm, l, jm)]] - sgn * c
-                        if any(x != 0 for x in row):
+                        terms += [(idx[(dm, l, jm)], -sgn * u[t]) for l, u in enumerate(us)
+                                  if u[t] != 0 and (dm, l, jm) in idx]
+                        row = sparse_sum(terms)
+                        if row:
                             rows.append(row)
     return rows
 
 
 def _delta_rows(P, N, i, slots):
-    """Rows of delta(f) = d_N f - (-1)^i f d_P over the maps of shift i:
-    one per basis element m of P and coordinate t of delta(f)(m), in
-    basis order, zero rows included."""
-    field = P.field
+    """Sparse rows of delta(f) = d_N f - (-1)^i f d_P over the maps of
+    shift i: one per basis element m of P and coordinate t of
+    delta(f)(m), in basis order, zero rows included."""
     idx = {s: t for t, s in enumerate(slots)}
-    sgn = field.sign(i)
+    sgn = P.field.sign(i)
     rows = []
     for dm in P.space.degrees():
         dn = N.complex.d.block(dm + i)
+        dp_cols = P.complex.d.block(dm).transpose().rows
         for jm in range(P.space.dim(dm)):
-            dpm = P.complex.d.apply(dm, P.basis_vec(dm, jm))
             for t in range(N.space.dim(dm + i + 1)):
-                row = [field.zero] * len(slots)
-                for l, c in enumerate(dn.row(t)):
-                    if c != 0:
-                        row[idx[(dm, l, jm)]] += c
-                for j, c in enumerate(dpm):
-                    if c != 0 and (dm + 1, t, j) in idx:
-                        row[idx[(dm + 1, t, j)]] -= sgn * c
-                rows.append(row)
+                terms = [(idx[(dm, l, jm)], c) for l, c in dn.rows[t].items()]
+                terms += [(idx[(dm + 1, t, j)], -sgn * c) for j, c in dp_cols[jm].items()
+                          if (dm + 1, t, j) in idx]
+                rows.append(sparse_sum(terms))
     return rows
 
 
 def _glm_from_coords(P, N, i, slots, coords):
-    field = P.field
-    blocks = {}
-    for d in P.space.degrees():
-        nr, nc = N.space.dim(d + i), P.space.dim(d)
-        if nr and nc:
-            blocks[d] = Matrix.zero(field, nr, nc)
-    entries = {}
+    rows = {}   # degree -> sparse rows of its block
     for (d, l, j), c in zip(slots, coords):
         if c != 0:
-            entries.setdefault(d, {})[(l, j)] = c
-    for d, es in entries.items():
-        nr, nc = N.space.dim(d + i), P.space.dim(d)
-        rows = [[es.get((l, j), field.zero) for j in range(nc)] for l in range(nr)]
-        blocks[d] = Matrix(field, rows, ncols=nc)
-    return GradedLinearMap(P.space, N.space, i, blocks)
+            if d not in rows:
+                rows[d] = [{} for _ in range(N.space.dim(d + i))]
+            rows[d][l][j] = c
+    return GradedLinearMap(P.space, N.space, i,
+                           {d: Matrix.sparse(P.field, r, P.space.dim(d))
+                            for d, r in rows.items()})
 
 
 def _coords_from_glm(slots, glm):
@@ -304,7 +289,7 @@ class HomComplex:
                 continue
             rows = _linearity_rows(P, N, i, slots)
             if rows:
-                kern = Matrix.from_rows(field, rows).kernel_basis()
+                kern = Matrix.sparse(field, rows, len(slots)).kernel_basis()
             else:
                 kern = [unit_vec(field, len(slots), t) for t in range(len(slots))]
             self.basis[i] = [_glm_from_coords(P, N, i, slots, v) for v in kern]
@@ -407,43 +392,31 @@ def solve_chain_maps(P, N, constraints=()):
     total = nf + aux_cols
     rows, rhs = [], []
 
-    def pad(row):
-        return row + [field.zero] * (total - len(row))
-
     # linearity rows, then chain-map rows: (d_N f - f d_P)(m) = 0
     for row in _linearity_rows(P, N, 0, slots) + _delta_rows(P, N, 0, slots):
-        if any(x != 0 for x in row):
-            rows.append(pad(row))
+        if row:
+            rows.append(row)
             rhs.append(field.zero)
     for c in constraints:
         if c[0] == "affine":
             _, rd, b = c
-            row = [field.zero] * total
-            for s, coeff in rd.items():
-                row[idx[s]] = coeff
-            rows.append(row)
+            rows.append(sparse_sum((idx[s], field.of(coeff)) for s, coeff in rd.items()))
             rhs.append(b)
     for deg, z, w, off in class_constraints:
         # f(z)_t - d(u)_t = w_t for auxiliary u in N^(deg-1)
-        nprev = N.space.dim(deg - 1)
         dblock = N.complex.d.block(deg - 1)
         for t in range(N.space.dim(deg)):
-            row = [field.zero] * total
-            for j, cz in enumerate(z):
-                if cz != 0 and (deg, t, j) in idx:
-                    row[idx[(deg, t, j)]] = row[idx[(deg, t, j)]] + cz
-            for u in range(nprev):
-                c = dblock[t, u]
-                if c != 0:
-                    row[off + u] = row[off + u] - c
-            rows.append(row)
+            terms = [(idx[(deg, t, j)], cz) for j, cz in enumerate(z)
+                     if cz != 0 and (deg, t, j) in idx]
+            terms += [(off + u, -c) for u, c in dblock.rows[t].items()]
+            rows.append(sparse_sum(terms))
             rhs.append(w[t])
 
     if not rows:
         part = zero_vec(field, total)
         kern = [unit_vec(field, total, t) for t in range(total)]
     else:
-        m = Matrix.from_rows(field, rows)
+        m = Matrix.sparse(field, rows, total)
         part = m.solve(tuple(rhs))
         if part is None:
             return None
@@ -471,7 +444,7 @@ def homotopy_between(f, g):
             rhs.extend(diff.block(dm).col(jm))
     if not rows:
         return GradedLinearMap.zero_map(P.space, N.space, -1)
-    sol = Matrix.from_rows(field, rows).solve(tuple(rhs))
+    sol = Matrix.sparse(field, rows, len(slots)).solve(tuple(rhs))
     if sol is None:
         return None
     return _glm_from_coords(P, N, -1, slots, sol)
@@ -593,27 +566,32 @@ def semifree_resolution(m, minimal=True, max_rounds=30, window=None):
     gens = []
     dvals = {}
     rho_vals = {}
+    built = {}      # len(gens) -> the last build
 
     def build():
-        P, index = free_module(a, gens, dvals, window)
-        slots = {v: k for k, v in index.items()}
-        blocks = {}
-        for d in P.space.degrees():
-            cols = []
-            for jm in range(P.space.dim(d)):
-                gi, e, ib = slots[(d, jm)]
-                g = gens[gi]
-                cols.append(m.act_vec(e, a.basis_vec(e, ib), g.degree,
-                                      rho_vals[gi]))
-            blocks[d] = Matrix.from_cols(field, cols, m.space.dim(d))
-        rho = GradedLinearMap(P.space, m.space, 0, blocks)
-        return P, index, slots, rho
+        """(P, index, slots, rho, H(P)) for the generators so far; gens,
+        dvals and rho_vals only grow, so their length keys the build."""
+        n = len(gens)
+        if n not in built:
+            P, index = free_module(a, gens, dvals, window)
+            slots = {v: k for k, v in index.items()}
+            blocks = {}
+            for d in P.space.degrees():
+                cols = []
+                for jm in range(P.space.dim(d)):
+                    gi, e, ib = slots[(d, jm)]
+                    cols.append(m.act_vec(e, a.basis_vec(e, ib), gens[gi].degree,
+                                          rho_vals[gi]))
+                blocks[d] = Matrix.from_cols(field, cols, m.space.dim(d))
+            rho = GradedLinearMap(P.space, m.space, 0, blocks)
+            built.clear()
+            built[n] = P, index, slots, rho, cohomology(P.complex)
+        return built[n]
 
     coh_m = cohomology(m.complex)
     for j in range(window.lo, window.hi + 1):
         for round_ in range(max_rounds):
-            P, _, _, rho = build()
-            coh_P = cohomology(P.complex)
+            P, _, _, rho, coh_P = build()
             # induced map on H^j
             img_cols = [coh_m.reduce(j, rho.apply(j, z)) for z in coh_P.reps.get(j, [])]
             hm_dim = coh_m.dim(j)
@@ -650,9 +628,9 @@ def semifree_resolution(m, minimal=True, max_rounds=30, window=None):
         else:
             raise ModuleError("semifree resolution did not stabilize in degree %d" % j)
 
-    P, index, slots, rho_glm = build()
+    P, index, slots, rho_glm, coh_P = build()
     rho = DgModuleMorphism(P, m, rho_glm)
-    bad = quasi_isomorphism_failure(rho_glm, cohomology(P.complex), coh_m)
+    bad = quasi_isomorphism_failure(rho_glm, coh_P, coh_m)
     if bad is not None:
         raise ModuleError("resolution is not a quasi-isomorphism (degree %d)" % bad)
     is_minimal = True

@@ -16,7 +16,7 @@ from .algebra import (AlgebraError, Cdga, CdgaMorphism,
 from .fields import FieldError, PrimeField, QQ
 from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      GradedVectorSpace)
-from .linalg import Matrix, is_zero_vec
+from .linalg import Matrix, is_zero_vec, sparse_sum
 from .pipeline import EmbeddingProblem, PipelineError
 
 
@@ -394,13 +394,12 @@ def _poly_to_target_vec(terms, target, lineno):
     monos = pres.monos_by_degree.get(deg)
     if monos is None:
         raise ParseError(lineno, "image degree %d outside the window" % deg)
-    full = [field.zero] * len(monos)
+    coords = []
     for mono, coeff in poly.items():
         if mono not in pres.mono_index:
             raise ParseError(lineno, "monomial outside the window in image")
-        _, i = pres.mono_index[mono]
-        full[i] = full[i] + field.of(coeff)
-    return deg, pres.reducers[deg].project(tuple(full))
+        coords.append((pres.mono_index[mono][1], field.of(coeff)))
+    return deg, pres.reducers[deg].project(sparse_sum(coords))
 
 
 def _parse_morphism(name, src, tgt, lines, pf):

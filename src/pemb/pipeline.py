@@ -60,9 +60,9 @@ class EmbeddingProblem:
         else:
             self.target = direct_sum_cdga([b.target for b in branches])
             # the summands are stacked in order, so the branch blocks are too
-            blocks = {d: Matrix(self.field, [row for b in self.branches
-                                             for row in b.map.block(d).entries],
-                                ncols=src.space.dim(d))
+            blocks = {d: Matrix.sparse(self.field, [row for b in self.branches
+                                                    for row in b.map.block(d).rows],
+                                       src.space.dim(d))
                       for d in src.space.degrees()}
             glm = GradedLinearMap(src.space, self.target.space, 0, blocks)
             self.phi = CdgaMorphism(src, self.target, glm)

@@ -2,13 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+import builders
 from builders import (complex_projective, product_s2_s4, sphere, sullivan_cp2,
                       torus_s1_s7, wedge_s2_s4)
-from pemb.algebra import (AlgebraError, Cdga, cohomology_algebra,
-                          check_poincare_duality, direct_sum_cdga,
+from pemb.algebra import (AlgebraError, Cdga, FreePresentation, _merge_sign,
+                          _mono_degree, _mono_label, check_poincare_duality,
+                          cohomology_algebra, direct_sum_cdga,
                           materialize_free_cdga, quotient_by_acyclic_ideal)
+from pemb.checks import escape_degree
 from pemb.fields import PrimeField, QQ
-from pemb.graded import DegreeWindow, cohomology
+from pemb.graded import (CochainComplex, DegreeWindow, GradedLinearMap,
+                         GradedVectorSpace, cohomology)
+from pemb.linalg import Matrix, add_vec, is_zero_vec, scale_vec, unit_vec
+from test_linalg import DenseQuotienter
 
 
 def test_cp2_truncated_polynomial():
@@ -164,3 +170,229 @@ def test_validation_catches_broken_commutativity():
     bad[(0, 0, 3, 0)] = (QQ.of(2),)
     with pytest.raises(AlgebraError):
         Cdga(a.field, a.complex, bad, a.unit)
+
+
+# The parent's `materialize_free_cdga`, which built every span, image and
+# product as a dense vector of monomial-space length and reduced it with
+# a dense quotient, is the reference for the sparse one.
+
+
+def dense_poly_to_vec(field, poly, mono_index, dim, deg, gen_degs, what):
+    """poly: dict[index-tuple] -> scalar, all monomials of one degree."""
+    v = [field.zero] * dim
+    for mono, coeff in poly.items():
+        if _mono_degree(mono, gen_degs) != deg:
+            raise AlgebraError("%s is not homogeneous of degree %d" % (what, deg))
+        if mono not in mono_index:
+            raise AlgebraError("%s contains a monomial outside the window" % what)
+        _, i = mono_index[mono]
+        v[i] = v[i] + field.of(coeff)
+    return tuple(v)
+
+
+def dense_materialize_free_cdga(field, generators, diffs, relations, window):
+    """Build the free graded-commutative algebra on `generators`, impose
+    the differential `diffs` (name -> polynomial) and quotient by the
+    ideal generated by `relations`, all within the degree window.
+
+    Polynomials are dicts mapping sorted generator-index tuples to
+    coefficients.
+    """
+    if window.lo != 0:
+        raise AlgebraError("algebra window must start at 0")
+    gen_names = [g for g, _ in generators]
+    gen_degs = [d for _, d in generators]
+    for g, d in generators:
+        if d < 1:
+            raise AlgebraError("generator %s must have positive degree" % g)
+        if d > window.hi:
+            raise AlgebraError("generator %s exceeds the window" % g)
+
+    # monomials per degree, lex order on index tuples
+    monos_by_degree = {d: [] for d in range(window.hi + 1)}
+    def emit(mono, deg, start):
+        monos_by_degree[deg].append(tuple(mono))
+        for g in range(start, len(gen_degs)):
+            nd = deg + gen_degs[g]
+            if nd > window.hi:
+                continue
+            if mono and mono[-1] == g and gen_degs[g] % 2 == 1:
+                continue
+            mono.append(g)
+            emit(mono, nd, g)
+            mono.pop()
+    emit([], 0, 0)
+    for d in monos_by_degree:
+        monos_by_degree[d].sort()
+    mono_index = {m: (d, i) for d, ms in monos_by_degree.items()
+                  for i, m in enumerate(ms)}
+
+    dims = {d: len(ms) for d, ms in monos_by_degree.items() if ms}
+
+    # differential on generators, then on monomials by the Leibniz rule
+    dgen = {}
+    for name, poly in diffs.items():
+        if name not in gen_names:
+            raise AlgebraError("d given for unknown generator %s" % name)
+        g = gen_names.index(name)
+        target_deg = gen_degs[g] + 1
+        if target_deg <= window.hi:
+            dgen[g] = dense_poly_to_vec(field, poly, mono_index, dims.get(target_deg, 0),
+                                        target_deg, gen_degs, "d(%s)" % name)
+
+    def d_mono(mono):
+        deg = _mono_degree(mono, gen_degs)
+        out = [field.zero] * dims.get(deg + 1, 0)
+        if deg + 1 > window.hi:
+            return tuple(out)
+        for j, g in enumerate(mono):
+            if g not in dgen:
+                continue
+            sign = field.sign(_mono_degree(mono[:j], gen_degs))
+            rest = mono[:j] + mono[j + 1:]
+            dv = dgen[g]
+            tdeg = gen_degs[g] + 1
+            for i, c in enumerate(dv):
+                if c == 0:
+                    continue
+                s2, prod = _merge_sign(field, monos_by_degree[tdeg][i], rest, gen_degs)
+                if s2 is None:
+                    continue
+                _, idx = mono_index[prod]
+                out[idx] = out[idx] + sign * s2 * c
+        return tuple(out)
+
+    # ideal spans per degree
+    spans = {d: [] for d in dims}
+    for rn, poly in enumerate(relations):
+        if not poly:
+            continue
+        rel_deg = {_mono_degree(m, gen_degs) for m in poly}
+        if len(rel_deg) != 1:
+            raise AlgebraError("relation %d is not homogeneous" % rn)
+        (e,) = rel_deg
+        if e > window.hi:
+            continue
+        for d in range(0, window.hi - e + 1):
+            for mono in monos_by_degree.get(d, ()):
+                v = [field.zero] * dims.get(d + e, 0)
+                for rm, coeff in poly.items():
+                    s, prod = _merge_sign(field, rm, mono, gen_degs)
+                    if s is None:
+                        continue
+                    _, idx = mono_index[prod]
+                    v[idx] = v[idx] + s * field.of(coeff)
+                if not is_zero_vec(v):
+                    spans[d + e].append(tuple(v))
+
+    reducers = {d: DenseQuotienter(field, spans.get(d, []), n) for d, n in dims.items()}
+
+    def d_vec(d, v):
+        out = (field.zero,) * dims.get(d + 1, 0)
+        for i, c in enumerate(v):
+            if c != 0:
+                out = add_vec(out, scale_vec(c, d_mono(monos_by_degree[d][i])))
+        return out
+
+    bad = escape_degree(spans, reducers, lambda d, v: [(d + 1, d_vec(d, v))])
+    if bad is not None:
+        raise AlgebraError("differential does not preserve the relation ideal "
+                           "in degree %d" % bad)
+
+    # quotient basis, labels, differential, product
+    qdims, qlabels = {}, {}
+    for d, red in sorted(reducers.items()):
+        if red.keep:
+            qdims[d] = len(red.keep)
+            qlabels[d] = [_mono_label(monos_by_degree[d][i], gen_names)
+                          for i in red.keep]
+    space = GradedVectorSpace(field, window, qdims, qlabels)
+
+    dblocks = {}
+    for d in space.degrees():
+        red = reducers[d]
+        red1 = reducers.get(d + 1)
+        cols = []
+        for i in red.keep:
+            dv = d_mono(monos_by_degree[d][i])
+            cols.append(red1.project(dv) if red1 else ())
+        dblocks[d] = Matrix.from_cols(field, cols, space.dim(d + 1))
+    complex_ = CochainComplex(space, GradedLinearMap(space, space, 1, dblocks))
+
+    product = {}
+    for d1 in space.degrees():
+        for d2 in space.degrees():
+            d = d1 + d2
+            if d > window.hi or space.dim(d) == 0:
+                continue
+            red = reducers[d]
+            for i1, k1 in enumerate(reducers[d1].keep):
+                m1 = monos_by_degree[d1][k1]
+                for i2, k2 in enumerate(reducers[d2].keep):
+                    m2 = monos_by_degree[d2][k2]
+                    s, prod = _merge_sign(field, m1, m2, gen_degs)
+                    if s is None:
+                        continue
+                    v = [field.zero] * len(monos_by_degree[d])
+                    _, idx = mono_index[prod]
+                    v[idx] = s
+                    w = red.project(tuple(v))
+                    if not is_zero_vec(w):
+                        product[(d1, i1, d2, i2)] = w
+
+    unit = reducers[0].project(unit_vec(field, dims[0], 0))
+    if is_zero_vec(unit):
+        raise AlgebraError("relations kill the unit")
+    alg = Cdga(field, complex_, product, unit)
+    alg.presentation = FreePresentation(gen_names, gen_degs, monos_by_degree,
+                                        mono_index, reducers)
+    return alg
+
+
+# (generators, differential, relations, top degree).  x2, y3 with
+# dy = x^2 and the ideal (x^3, x y), which d preserves as d(x y) = x^3;
+# x2, y2, z3 with dz = x y + 2 y^2 and an ideal on cocycles.
+PRESENTATIONS = [
+    ([("x", 2), ("y", 3)], {"y": {(0, 0): 1}}, [{(0, 0, 0): 1}, {(0, 1): 1}], 12),
+    ([("x", 2), ("y", 2), ("z", 3)], {"z": {(0, 1): 1, (1, 1): 2}},
+     [{(0, 0): 1}, {(1, 1): 1, (0, 1): -1}], 13),
+]
+
+
+def assert_same_algebra(a, ref):
+    assert (a.space.dims, a.space.labels) == (ref.space.dims, ref.space.labels)
+    assert a.product == ref.product
+    assert a.complex.d.blocks == ref.complex.d.blocks
+    assert a.unit == ref.unit
+    assert ({d: r.keep for d, r in a.presentation.reducers.items()}
+            == {d: r.keep for d, r in ref.presentation.reducers.items()})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)])
+def test_materialize_matches_dense_reference(field, monkeypatch):
+    calls = [(field, gens, diffs, rels, DegreeWindow(0, hi))
+             for gens, diffs, rels, hi in PRESENTATIONS]
+
+    def recorded(*args):
+        calls.append(args)
+        return materialize_free_cdga(*args)
+
+    monkeypatch.setattr(builders, "materialize_free_cdga", recorded)
+    for n in (2, 3, 5, 6):
+        builders.sphere(n, field=field)
+    builders.complex_projective(3, field=field)
+    for build in (builders.wedge_s2_s4, builders.product_s2_s4, builders.sullivan_cp2,
+                  builders.torus_s1_s7):
+        build(field=field)
+    assert len(calls) == len(PRESENTATIONS) + 9
+    for args in calls:
+        assert_same_algebra(materialize_free_cdga(*args), dense_materialize_free_cdga(*args))
+
+
+def test_materialize_rejects_an_ideal_d_does_not_preserve():
+    # dy = x^2 and the relation y: d(y) = x^2 is not in the ideal (y)
+    args = (QQ, [("x", 2), ("y", 3)], {"y": {(0, 0): 1}}, [{(1,): 1}], DegreeWindow(0, 9))
+    for materialize in (materialize_free_cdga, dense_materialize_free_cdga):
+        with pytest.raises(AlgebraError, match="differential does not preserve the "
+                           "relation ideal in degree 4$"):
+            materialize(*args)

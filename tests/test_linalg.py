@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from pemb.fields import PrimeField, QQ
-from pemb.graded import (CochainComplex, DegreeWindow, GradedLinearMap,
-                         GradedVectorSpace, cohomology)
-from pemb.linalg import Matrix, Quotienter
+from pemb.graded import (CochainComplex, DegreeWindow, GradedError,
+                         GradedLinearMap, GradedVectorSpace, cohomology)
+from pemb.linalg import Matrix, Quotienter, sparse_vec
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5)]
 
@@ -101,7 +101,7 @@ def test_rref_idempotent(field):
 
 
 def test_span_complement():
-    vs = [(QQ.of(1), QQ.of(2), QQ.of(0))]
+    vs = [{0: QQ.of(1), 1: QQ.of(2)}]
     assert Quotienter(QQ, vs, 3).keep == [1, 2]
     assert Quotienter(QQ, [], 2).keep == [0, 1]
 
@@ -111,6 +111,211 @@ def test_matmul_and_transpose():
     b = Matrix(QQ, [[0, 1], [1, 0]])
     assert a @ b == Matrix(QQ, [[2, 1], [4, 3]])
     assert a.transpose() == Matrix(QQ, [[1, 3], [2, 4]])
+
+
+# The parent's dense `Matrix`, which stored every cell, is the reference
+# for the sparse rows of `Matrix`: every operation must give the same
+# dense view.
+
+
+class DenseMatrix:
+    __slots__ = ("field", "nrows", "ncols", "entries")
+
+    def __init__(self, field, entries, ncols=None):
+        self.field = field
+        rows = tuple(tuple(field.of(x) if not _dense_is_scalar(x, field) else x for x in row)
+                     for row in entries)
+        self.entries = rows
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else (ncols or 0)
+        for row in rows:
+            if len(row) != self.ncols:
+                raise ValueError("ragged matrix")
+
+    # -- constructors ---------------------------------------------------
+
+    @staticmethod
+    def zero(field, nrows, ncols):
+        z = field.zero
+        return DenseMatrix(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
+
+    @staticmethod
+    def identity(field, n):
+        z, o = field.zero, field.one
+        return DenseMatrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def from_rows(field, rows):
+        return DenseMatrix(field, rows)
+
+    @staticmethod
+    def from_cols(field, cols, nrows=None):
+        if not cols:
+            return DenseMatrix.zero(field, nrows or 0, 0)
+        n = len(cols[0])
+        return DenseMatrix(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)],
+                           ncols=len(cols))
+
+    # -- basics ---------------------------------------------------------
+
+    def __eq__(self, other):
+        return (isinstance(other, DenseMatrix) and self.nrows == other.nrows
+                and self.ncols == other.ncols and self.entries == other.entries)
+
+    def __hash__(self):
+        return hash((self.nrows, self.ncols, self.entries))
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i][j]
+
+    def row(self, i):
+        return self.entries[i]
+
+    def col(self, j):
+        return tuple(self.entries[i][j] for i in range(self.nrows))
+
+    def cols(self):
+        return [self.col(j) for j in range(self.ncols)]
+
+    def transpose(self):
+        return DenseMatrix(self.field, [[self.entries[i][j] for i in range(self.nrows)]
+                                        for j in range(self.ncols)], ncols=self.nrows)
+
+    def is_zero(self):
+        return all(x == 0 for row in self.entries for x in row)
+
+    def __add__(self, other):
+        _dense_check_shapes(self, other)
+        return DenseMatrix(self.field, [[a + b for a, b in zip(r1, r2)]
+                                        for r1, r2 in zip(self.entries, other.entries)],
+                           ncols=self.ncols)
+
+    def __sub__(self, other):
+        _dense_check_shapes(self, other)
+        return DenseMatrix(self.field, [[a - b for a, b in zip(r1, r2)]
+                                        for r1, r2 in zip(self.entries, other.entries)],
+                           ncols=self.ncols)
+
+    def __neg__(self):
+        return DenseMatrix(self.field, [[-a for a in row] for row in self.entries],
+                           ncols=self.ncols)
+
+    def scale(self, c):
+        c = self.field.of(c) if not _dense_is_scalar(c, self.field) else c
+        return DenseMatrix(self.field, [[c * a for a in row] for row in self.entries],
+                           ncols=self.ncols)
+
+    def __matmul__(self, other):
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch in product: %dx%d @ %dx%d"
+                             % (self.nrows, self.ncols, other.nrows, other.ncols))
+        z = self.field.zero
+        ot = other.transpose().entries
+        out = []
+        for row in self.entries:
+            out.append([sum((a * b for a, b in zip(row, col) if a != 0), z) for col in ot])
+        return DenseMatrix(self.field, out, ncols=other.ncols)
+
+    def apply(self, v):
+        """Matrix times column vector (tuple)."""
+        if len(v) != self.ncols:
+            raise ValueError("vector length %d != %d columns" % (len(v), self.ncols))
+        z = self.field.zero
+        return tuple(sum((a * b for a, b in zip(row, v) if a != 0), z) for row in self.entries)
+
+    def hstack(self, other):
+        if self.nrows != other.nrows:
+            raise ValueError("row mismatch in hstack")
+        return DenseMatrix(self.field, [r1 + r2 for r1, r2 in zip(self.entries, other.entries)],
+                           ncols=self.ncols + other.ncols)
+
+    def __repr__(self):
+        return "DenseMatrix(%s, %s)" % (self.field, [list(map(str, r)) for r in self.entries])
+
+    # -- elimination ----------------------------------------------------
+
+    def rref(self):
+        """Reduced row-echelon form and the strictly increasing pivot columns.
+
+        Rows are eliminated one at a time as sparse dicts {col: coeff}
+        against the pivot rows found so far, which stay fully reduced.  The
+        reduced echelon form of a matrix is unique, so the result is the
+        one the index-order pivot rule gives.
+        """
+        zero = self.field.zero
+        rows = {}   # pivot column -> reduced sparse row, 1 at the pivot
+        for entries in self.entries:
+            row = {c: x for c, x in enumerate(entries) if x}
+            _dense_reduce(row, rows, zero)
+            if row:
+                p = min(row)
+                inv = self.field.one / row[p]
+                row = {c: inv * x for c, x in row.items()}
+                for other in rows.values():
+                    if p in other:
+                        _dense_reduce(other, {p: row}, zero)
+                rows[p] = row
+        pivots = sorted(rows)
+        out = [[rows[p].get(c, zero) for c in range(self.ncols)] for p in pivots]
+        out += [[zero] * self.ncols] * (self.nrows - len(pivots))
+        return DenseMatrix(self.field, out, ncols=self.ncols), pivots
+
+    def rank(self):
+        return len(self.rref()[1])
+
+    def kernel_basis(self):
+        """Basis of the null space; deterministic (one vector per free column)."""
+        red, pivots = self.rref()
+        pivset = set(pivots)
+        free = [c for c in range(self.ncols) if c not in pivset]
+        z, o = self.field.zero, self.field.one
+        basis = []
+        for fc in free:
+            v = [z] * self.ncols
+            v[fc] = o
+            for r, pc in enumerate(pivots):
+                v[pc] = -red.entries[r][fc]
+            basis.append(tuple(v))
+        return basis
+
+    def solve(self, b):
+        """One solution of A x = b with free variables set to 0, or None."""
+        if len(b) != self.nrows:
+            raise ValueError("rhs length %d != %d rows" % (len(b), self.nrows))
+        aug = self.hstack(DenseMatrix.from_cols(self.field, [tuple(b)], self.nrows))
+        red, pivots = aug.rref()
+        if self.ncols in pivots:
+            return None
+        z = self.field.zero
+        x = [z] * self.ncols
+        for r, pc in enumerate(pivots):
+            x[pc] = red.entries[r][self.ncols]
+        return tuple(x)
+
+
+def _dense_is_scalar(x, field):
+    return type(x) is type(field.zero)
+
+
+def _dense_reduce(row, pivot_rows, zero):
+    """row -= row[p] * pivot_rows[p] for every pivot column p of row, in
+    place, over the pivot row's nonzeros.  Each pivot row is 1 at its
+    pivot and 0 at every other pivot, so one pass clears them all."""
+    for p in [p for p in row if p in pivot_rows]:
+        f = row[p]
+        for c, x in pivot_rows[p].items():
+            v = row.get(c, zero) - f * x
+            if v:
+                row[c] = v
+            else:
+                del row[c]
+
+
+def _dense_check_shapes(a, b):
+    if a.nrows != b.nrows or a.ncols != b.ncols:
+        raise ValueError("shape mismatch: %dx%d vs %dx%d"
+                         % (a.nrows, a.ncols, b.nrows, b.ncols))
 
 
 # The dense elimination, quotient reducer and cohomology representatives
@@ -244,11 +449,11 @@ def test_sparse_elimination_matches_dense_reference(field):
                                      for _ in range(m.ncols)))):
             assert m.solve(rhs) == dense_solve(m, rhs)
         spans = [m.row(i) for i in range(m.nrows)]
-        q, ref = Quotienter(field, spans, m.ncols), DenseQuotienter(field, spans, m.ncols)
+        q, ref = Quotienter(field, m.rows, m.ncols), DenseQuotienter(field, spans, m.ncols)
         assert q.keep == ref.keep
         for v in spans + [tuple(field.of(rng.randint(-3, 3)) for _ in range(m.ncols))]:
-            assert q.project(v) == ref.project(v)
-            assert q.contains(v) == ref.contains(v)
+            assert q.project(sparse_vec(v)) == ref.project(v)
+            assert q.contains(sparse_vec(v)) == ref.contains(v)
             seen += not ref.contains(v)
     assert seen > 15
 
@@ -263,12 +468,28 @@ def test_cohomology_matches_dense_reference(field):
             reps, reduce = dense_cohomology(cx, deg)
             assert coh.reps[deg] == reps
             image = cx.d.block(deg - 1).cols() if cx.space.dim(deg - 1) else []
-            for _ in range(3):
+            # random cocycles, from the dense kernel and from the image
+            for _ in range(6):
                 v = [field.zero] * cx.space.dim(deg)
-                for w in coh.cocycles[deg] + image:
+                for w in dense_kernel_basis(cx.d.block(deg)) + image:
                     c = field.of(rng.randint(-2, 2))
                     v = [x + c * y for x, y in zip(v, w)]
                 assert coh.reduce(deg, tuple(v)) == reduce(tuple(v))
+
+
+def test_cohomology_reduce_rejects_vectors_it_cannot_reduce():
+    # d: k^2 -> k, (x, y) -> x, so the cocycles of degree 0 are the y-axis
+    sp = GradedVectorSpace(QQ, DegreeWindow(0, 1), {0: 2, 1: 1})
+    coh = cohomology(CochainComplex(sp, GradedLinearMap(sp, sp, 1,
+                                                        {0: Matrix(QQ, [[1, 0]])})))
+    assert coh.reduce(0, (QQ.zero, QQ.of(3))) == (QQ.of(3),)
+    with pytest.raises(GradedError, match="non-cocycle in degree 0"):
+        coh.reduce(0, (QQ.one, QQ.zero))
+    # behind the cocycle test, the factored basis still refuses a vector
+    # outside its span: with d = 0 every vector passes the cocycle test
+    coh.complex = CochainComplex.zero_differential(sp)
+    with pytest.raises(GradedError, match="cocycle outside the cocycle span"):
+        coh.reduce(0, (QQ.one, QQ.zero))
 
 
 def test_quotienter_and_cohomology_eliminate_through_rref(monkeypatch):
@@ -280,19 +501,90 @@ def test_quotienter_and_cohomology_eliminate_through_rref(monkeypatch):
         return rref(self)
 
     monkeypatch.setattr(Matrix, "rref", counted)
-    q = Quotienter(QQ, [(QQ.of(1), QQ.of(2), QQ.of(0))], 3)
+    q = Quotienter(QQ, [{0: QQ.of(1), 1: QQ.of(2)}], 3)
     assert calls == [(1, 3)]
-    q.project((QQ.of(1), QQ.of(1), QQ.of(1)))
-    q.contains((QQ.of(2), QQ.of(4), QQ.of(0)))
+    q.project({0: QQ.of(1), 1: QQ.of(1), 2: QQ.of(1)})
+    q.contains({0: QQ.of(2), 1: QQ.of(4)})
     assert calls == [(1, 3)]
-    # d: k -> k^2, x -> (x, 0): one kernel rref per degree, one pivot rref
-    # where there are cocycles, one solve in reduce
+    # d: k -> k^2, x -> (x, 0): one kernel rref per degree, one rref of
+    # (image | cocycles | I) where there are cocycles, none in reduce
     sp = GradedVectorSpace(QQ, DegreeWindow(0, 1), {0: 1, 1: 2})
     d = GradedLinearMap(sp, sp, 1, {0: Matrix(QQ, [[1], [0]])})
     calls.clear()
     coh = cohomology(CochainComplex(sp, d))
-    assert calls == [(2, 1), (0, 2), (2, 3)]
+    assert calls == [(2, 1), (0, 2), (2, 5)]
     assert coh.reps == {0: [], 1: [(QQ.zero, QQ.one)]}
     calls.clear()
     assert coh.reduce(1, (QQ.of(5), QQ.of(3))) == (QQ.of(3),)
-    assert len(calls) == 1
+    assert calls == []
+
+
+def same_matrix(m, ref):
+    return (m.nrows, m.ncols, m.entries) == (ref.nrows, ref.ncols, ref.entries)
+
+
+def rand_sparse(field, rng, nrows, ncols):
+    return Matrix(field, [[field.of(rng.choice([0] * 5 + [1, -1, 2]))
+                           for _ in range(ncols)] for _ in range(nrows)], ncols=ncols)
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS)
+def test_sparse_rows_match_dense_matrix(field):
+    rng = random.Random(5150)
+    for m in sample_matrices(field, rng):
+        ref = DenseMatrix(field, m.entries, ncols=m.ncols)
+        assert m == Matrix(field, ref.entries, ncols=ref.ncols)
+        assert [m.row(i) for i in range(m.nrows)] == [ref.row(i) for i in range(m.nrows)]
+        assert m.cols() == ref.cols()
+        assert all(m[i, j] == ref[i, j] for i in range(m.nrows) for j in range(m.ncols))
+        assert m.is_zero() == ref.is_zero()
+        other = rand_sparse(field, rng, m.nrows, m.ncols)
+        ref_other = DenseMatrix(field, other.entries, ncols=other.ncols)
+        assert same_matrix(m + other, ref + ref_other)
+        assert same_matrix(m - other, ref - ref_other)
+        assert same_matrix(-m, -ref)
+        for c in (0, 1, -1, 3, field.of(2)):
+            assert same_matrix(m.scale(c), ref.scale(c))
+        right = rand_sparse(field, rng, m.ncols, rng.randint(0, 4))
+        assert same_matrix(m @ right, ref @ DenseMatrix(field, right.entries, right.ncols))
+        wide = rand_sparse(field, rng, m.nrows, rng.randint(0, 3))
+        assert same_matrix(m.hstack(wide), ref.hstack(DenseMatrix(field, wide.entries,
+                                                                  wide.ncols)))
+        assert same_matrix(m.transpose(), ref.transpose())
+        v = tuple(field.of(rng.randint(-3, 3)) for _ in range(m.ncols))
+        assert m.apply(v) == ref.apply(v)
+        red, pivots = m.rref()
+        ref_red, ref_pivots = ref.rref()
+        assert same_matrix(red, ref_red) and pivots == ref_pivots
+        assert m.kernel_basis() == ref.kernel_basis()
+        b = tuple(field.of(rng.randint(-3, 3)) for _ in range(m.nrows))
+        for rhs in (b, m.apply(v)):
+            assert m.solve(rhs) == ref.solve(rhs)
+        # equality and hashing see the matrix, not how it was built
+        twin = Matrix.sparse(field, [dict(reversed(r.items())) for r in m.rows], m.ncols)
+        assert twin == m and hash(twin) == hash(m)
+        assert (m == other) == (ref == ref_other)
+        assert (m + other - other) == m and hash(m + other - other) == hash(m)
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), PrimeField(10007), QQ])
+def test_matrix_coerces_and_drops_zeros(field):
+    row = [1, "1/2", Fraction(3, 4), "0", 0, Fraction(0), field.zero, -2]
+    m = Matrix(field, [row])
+    assert m.entries == DenseMatrix(field, [row]).entries
+    assert sorted(m.rows[0]) == [0, 1, 2, 7]
+    assert all(type(x) is type(field.zero) for x in m.rows[0].values())
+    assert m.rows[0][1] == field.of(Fraction(1, 2))
+    sparse = Matrix.sparse(field, [{c: field.of(row[c]) for c in (0, 1, 2, 7)}], len(row))
+    assert sparse == m and hash(sparse) == hash(m)
+
+
+def test_matrix_width_must_match_ncols():
+    with pytest.raises(ValueError):
+        Matrix(QQ, [[1, 2]], ncols=3)
+    with pytest.raises(ValueError):
+        Matrix(QQ, [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Matrix.from_cols(QQ, [(1, 2)], 3)
+    assert (Matrix(QQ, [[1, 2]], ncols=2).nrows, Matrix(QQ, [], ncols=3).ncols) == (1, 3)
+    assert Matrix.from_cols(QQ, [], 3).entries == ((), (), ())

@@ -4,6 +4,7 @@ import pytest
 
 from builders import (complex_projective, product_s2_s4, sphere, sullivan_cp2,
                       torus_s1_s7, wedge_s2_s4)
+from pemb import modules
 from pemb.algebra import Cdga, CdgaMorphism
 from pemb.cones import semi_trivial_cone
 from pemb.fields import QQ, PrimeField
@@ -137,6 +138,37 @@ def test_semifree_resolution_needs_kernel_generators():
     assert degs == [0, 1, 2, 3, 4]
     coh = cohomology(res.module.complex)
     assert coh.dims == {0: 1}
+
+
+def test_semifree_resolution_rebuilds_only_after_new_generators(monkeypatch):
+    builds, calls = [], []
+    real_free_module, real_cohomology = modules.free_module, modules.cohomology
+
+    def recorded_free_module(a, gens, *rest):
+        builds.append(len(gens))
+        return real_free_module(a, gens, *rest)
+
+    def counted_cohomology(cx):
+        calls.append(cx)
+        return real_cohomology(cx)
+
+    monkeypatch.setattr(modules, "free_module", recorded_free_module)
+    monkeypatch.setattr(modules, "cohomology", counted_cohomology)
+    unit_mod, _ = free_module(s2(hi=5), [FreeGenerator("g", 0, 0)], {}, DegreeWindow(0, 0))
+    cases = [(unit_mod, DegreeWindow(0, 5)),
+             (shifted_dual(algebra_as_module(product_s2_s4()), 7), None),
+             (algebra_as_module(sullivan_cp2()), None)]
+    for m, window in cases:
+        builds.clear()
+        calls.clear()
+        semifree_resolution(m, window=window)
+        # a round that adds generators is followed by a build for the new
+        # generator count, so the counts seen are 1 + those rounds
+        rounds_added = len(set(builds)) - 1
+        assert rounds_added >= 1
+        assert len(builds) == len(set(builds))
+        assert len(calls) <= 1 + (1 + rounds_added)   # H(m), then H(P) per build
+        assert sum(1 for cx in calls if cx is not m.complex) <= 1 + rounds_added
 
 
 def test_truncate_module_keeps_low_cohomology():

@@ -1,4 +1,6 @@
+import importlib
 import io
+import os
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -7,6 +9,7 @@ import pytest
 
 from pemb import cli
 from pemb.fields import QQ
+from pemb.linalg import Matrix
 from pemb.parser import ParseError, emit_explicit, parse, parse_file
 
 
@@ -279,3 +282,21 @@ def test_cli_gysin():
     assert "codimension 2" in out
     assert "degree 2 block: [['1']]" in out
     assert "degree 4 block: [['1']]" in out
+
+
+def test_free_presentation_never_reads_dense_matrices(monkeypatch):
+    """Materializing the largest (S^2)^k rung of the benchmark ladder stays
+    on sparse rows: no dense view of a matrix is ever built."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    ladder = importlib.import_module("ladder")
+    problem = ladder.build("sphere_quotient", 1).problems["spheres4"]
+
+    def dense_view(self, *args):
+        raise AssertionError("dense view of a %dx%d matrix" % (self.nrows, self.ncols))
+
+    monkeypatch.setattr(Matrix, "entries", property(dense_view))
+    for view in ("row", "col", "cols", "__getitem__"):
+        monkeypatch.setattr(Matrix, view, dense_view)
+    pf = parse(problem.text)
+    _, _, [(target, _)] = pf.problem
+    assert pf.algebras[target].cdga.space.dims == {0: 1, 2: 4, 4: 6, 6: 4, 8: 1}
