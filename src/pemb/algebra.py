@@ -16,8 +16,7 @@ from .checks import (check_cdga, check_cdga_morphism, escape_degree,
 from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
                      cohomology, direct_sum, quasi_isomorphism_failure,
                      truncation_spans)
-from .linalg import (Matrix, Quotienter, add_scaled, add_vec, is_zero_vec,
-                     scale_vec, sparse_sum, sparse_vec, unit_vec, zero_vec)
+from .linalg import Matrix, Quotienter, axpy, sparse_sum
 
 
 class AlgebraError(ValueError):
@@ -27,28 +26,35 @@ class AlgebraError(ValueError):
 class Cdga:
     """CDGA with a chosen basis per degree and sparse structure constants.
 
-    product maps (d1, i1, d2, i2) to the vector of e_{d1,i1} * e_{d2,i2}
-    in degree d1 + d2; missing keys mean the product is zero or is given
-    by graded commutativity from the reversed key.  The unit is a
-    degree-0 vector.
+    product maps (d1, i1, d2, i2) to the product e_{d1,i1} * e_{d2,i2}, a
+    vector of degree d1 + d2 in the library's one form, {index: nonzero
+    scalar}; missing keys mean the product is zero or is given by graded
+    commutativity from the reversed key.  The unit is a degree-0 vector.
+    Every key and every index must name a basis element, and no vector
+    holds a zero scalar; a zero product, {}, is not stored.
     """
 
     def __init__(self, field, complex_, product, unit, validate=True):
         self.field = field
         self.complex = complex_
         self.space = complex_.space
-        self.unit = tuple(unit)
+        dim = self.space.dim
+        if any(not 0 <= i < dim(0) for i in unit):
+            raise AlgebraError("unit names an index outside degree 0")
+        self.unit = unit
         self.product = {}
         for (d1, i1, d2, i2), v in product.items():
-            v = tuple(v)
-            if len(v) != self.space.dim(d1 + d2):
-                raise AlgebraError("product of (%d,%d)*(%d,%d) has wrong length"
-                                   % (d1, i1, d2, i2))
-            if not is_zero_vec(v):
+            n = dim(d1 + d2)
+            if not (0 <= i1 < dim(d1) and 0 <= i2 < dim(d2)) or any(
+                    not 0 <= i < n for i in v):
+                raise AlgebraError("product of (%d,%d)*(%d,%d) names no basis "
+                                   "element" % (d1, i1, d2, i2))
+            if v:
                 self.product[(d1, i1, d2, i2)] = v
         # every nonzero product of two basis elements, in both orders; a
         # table that lists both already is shared, not copied
-        missing = {(d2, i2, d1, i1): scale_vec(field.sign(d1 * d2), v)
+        missing = {(d2, i2, d1, i1): v if (d1 * d2) % 2 == 0
+                   else {i: -x for i, x in v.items()}
                    for (d1, i1, d2, i2), v in self.product.items()
                    if (d2, i2, d1, i1) not in self.product}
         self.both_orders = {**self.product, **missing} if missing else self.product
@@ -58,27 +64,28 @@ class Cdga:
     # -- multiplication -------------------------------------------------
 
     def mul_basis(self, d1, i1, d2, i2):
-        return (self.both_orders.get((d1, i1, d2, i2))
-                or zero_vec(self.field, self.space.dim(d1 + d2)))
+        """The stored product of two basis elements (not to be changed),
+        or {}."""
+        return self.both_orders.get((d1, i1, d2, i2), {})
 
     def mul_vec(self, d1, v1, d2, v2):
-        out = [self.field.zero] * self.space.dim(d1 + d2)
-        for i1, c1 in enumerate(v1):
-            if c1 == 0:
-                continue
-            for i2, c2 in enumerate(v2):
-                if c2 != 0 and (d1, i1, d2, i2) in self.both_orders:
-                    add_scaled(out, c1 * c2, self.both_orders[(d1, i1, d2, i2)])
-        return tuple(out)
+        out = {}
+        table = self.both_orders
+        for i1, c1 in v1.items():
+            for i2, c2 in v2.items():
+                w = table.get((d1, i1, d2, i2))
+                if w is not None:
+                    axpy(out, c1 * c2, w)
+        return out
 
     def basis_vec(self, d, i):
-        return unit_vec(self.field, self.space.dim(d), i)
+        return {i: self.field.one}
 
     def d_vec(self, d, v):
         return self.complex.d.apply(d, v)
 
     def is_connected(self):
-        return self.space.dim(0) == 1 and not is_zero_vec(self.unit)
+        return self.space.dim(0) == 1 and bool(self.unit)
 
     def top_degree(self):
         degs = self.space.degrees()
@@ -303,12 +310,9 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
 
     dblocks = {}
     for d in space.degrees():
-        red = reducers[d]
         red1 = reducers.get(d + 1)
-        cols = []
-        for i in red.keep:
-            dv = d_mono(monos_by_degree[d][i])
-            cols.append(red1.project(dv) if red1 else ())
+        cols = [red1.project(d_mono(monos_by_degree[d][i])) if red1 else {}
+                for i in reducers[d].keep]
         dblocks[d] = Matrix.from_cols(field, cols, space.dim(d + 1))
     complex_ = CochainComplex(space, GradedLinearMap(space, space, 1, dblocks))
 
@@ -327,11 +331,11 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
                     if s is None:
                         continue
                     w = red.project({mono_index[prod][1]: s})
-                    if not is_zero_vec(w):
+                    if w:
                         product[(d1, i1, d2, i2)] = w
 
     unit = reducers[0].project({0: field.one})
-    if is_zero_vec(unit):
+    if not unit:
         raise AlgebraError("relations kill the unit")
     alg = Cdga(field, complex_, product, unit)
     alg.presentation = FreePresentation(gen_names, gen_degs, monos_by_degree,
@@ -359,11 +363,10 @@ def cohomology_algebra(a, coh=None):
                 continue
             for i1, z1 in enumerate(coh.reps[d1]):
                 for i2, z2 in enumerate(coh.reps[d2]):
-                    v = a.mul_vec(d1, z1, d2, z2)
-                    w = coh.reduce(d, v)
-                    if w and not is_zero_vec(w):
+                    w = coh.reduce(d, a.mul_vec(d1, z1, d2, z2))
+                    if w:
                         product[(d1, i1, d2, i2)] = w
-    unit = coh.reduce(0, a.unit) if 0 in coh.dims else ()
+    unit = coh.reduce(0, a.unit) if 0 in coh.dims else {}
     halg = Cdga(a.field, complex_, product, unit)
     return halg, coh
 
@@ -371,8 +374,8 @@ def cohomology_algebra(a, coh=None):
 @dataclass
 class PoincareDualityCertificate:
     n: int
-    fundamental_class: tuple          # H^n coordinates (length 1)
-    fundamental_rep: tuple            # cocycle representative in the algebra
+    fundamental_class: dict           # H^n coordinates, {0: 1}
+    fundamental_rep: dict             # cocycle representative in the algebra
     pairings: dict = dc_field(default_factory=dict)   # k -> Matrix H^k x H^(n-k) -> H^n
 
 
@@ -407,14 +410,11 @@ def check_poincare_duality(a, n, halg=None, coh=None):
                 "complementary degrees have unequal dimensions", k)
         if h.dim(k) == 0:
             continue
-        rows = []
-        for i in range(h.dim(k)):
-            row = []
-            for j in range(h.dim(n - k)):
-                v = halg.mul_basis(k, i, n - k, j)
-                row.append(v[0] if v else a.field.zero)
-            rows.append(row)
-        m = Matrix.from_rows(a.field, rows)
+        rows = [{} for _ in range(h.dim(k))]
+        for (d1, i, d2, j), v in halg.both_orders.items():
+            if d1 == k and d2 == n - k and 0 in v:
+                rows[i][j] = v[0]
+        m = Matrix.sparse(a.field, rows, h.dim(n - k))
         if m.rank() != h.dim(k):
             return None, PoincareDualityFailure(
                 "degenerate pairing between degrees (%d, %d)" % (k, n - k), k)
@@ -424,7 +424,7 @@ def check_poincare_duality(a, n, halg=None, coh=None):
     # the pairings in degrees (0, n) are the unit law
     pairings[0] = Matrix.identity(a.field, 1)
     pairings[n] = Matrix.identity(a.field, 1)
-    fclass = (a.field.one,)
+    fclass = {0: a.field.one}
     frep = coh.reps[n][0]
     return PoincareDualityCertificate(n, fclass, frep, pairings), None
 
@@ -437,11 +437,10 @@ def quotient_complex(complex_, spans):
     """
     space = complex_.space
     field = space.field
-    reducers = {d: Quotienter(field, [sparse_vec(v) for v in spans.get(d, [])],
-                              space.dim(d))
+    reducers = {d: Quotienter(field, spans.get(d, []), space.dim(d))
                 for d in space.degrees()}
     bad = escape_degree(spans, reducers,
-                        lambda d, v: [(d + 1, sparse_vec(complex_.d.apply(d, v)))])
+                        lambda d, v: [(d + 1, complex_.d.apply(d, v))])
     if bad is not None:
         raise AlgebraError("subspace not closed under d at degree %d" % (bad - 1))
     qdims, qlabels = {}, {}
@@ -454,7 +453,7 @@ def quotient_complex(complex_, spans):
     for d in qspace.degrees():
         red1 = reducers.get(d + 1)
         dcols = complex_.d.block(d).transpose().rows
-        cols = [red1.project(dcols[i]) if red1 else () for i in reducers[d].keep]
+        cols = [red1.project(dcols[i]) if red1 else {} for i in reducers[d].keep]
         dblocks[d] = Matrix.from_cols(field, cols, qspace.dim(d + 1))
     qcx = CochainComplex(qspace, GradedLinearMap(qspace, qspace, 1, dblocks))
     pblocks = {d: Matrix.from_cols(field,
@@ -476,9 +475,8 @@ def projected_table(lefts, reducers, mul, hi):
             if d1 + d2 > hi or rd is None or not rd.keep:
                 continue
             for i2 in range(len(r2.keep)):
-                w = rd.project(sparse_vec(
-                    mul(d1, v1, d2, r2.lift(unit_vec(r2.field, len(r2.keep), i2)))))
-                if not is_zero_vec(w):
+                w = rd.project(mul(d1, v1, d2, r2.lift({i2: r2.field.one})))
+                if w:
                     table[(d1, i1, d2, i2)] = w
     return table
 
@@ -493,10 +491,10 @@ def quotient_cdga(a, spans):
     bad = escape_degree(spans, reducers, left_multiples(a, a.mul_vec, sp.window.hi))
     if bad is not None:
         raise AlgebraError("subspace is not an ideal (degree %d)" % bad)
-    lifts = [(d, i, r.lift(unit_vec(a.field, len(r.keep), i)))
+    lifts = [(d, i, r.lift({i: a.field.one}))
              for d, r in reducers.items() for i in range(len(r.keep))]
     product = projected_table(lifts, reducers, a.mul_vec, sp.window.hi)
-    unit = reducers[0].project(sparse_vec(a.unit))
+    unit = reducers[0].project(a.unit)
     q = Cdga(a.field, qcx, product, unit)
     morphism = CdgaMorphism(a, q, proj)
     return q, morphism, reducers
@@ -537,7 +535,7 @@ def direct_sum_cdga(parts):
         for (d1, i1, d2, i2), v in p.product.items():
             product[(d1, offset[(pi, d1)] + i1,
                      d2, offset[(pi, d2)] + i2)] = embed(pi, d1 + d2, v)
-    unit = cx.space.zero(0)
+    unit = {}
     for pi, p in enumerate(parts):
-        unit = add_vec(unit, embed(pi, 0, p.unit))
+        unit.update(embed(pi, 0, p.unit))
     return Cdga(parts[0].field, cx, product, unit)

@@ -3,16 +3,19 @@
 Each check compares the two sides of an identity on every basis tuple,
 but reaches the tuples only through the nonzero entries of the product
 and action tables and of the differential and map columns: where every
-partial product vanishes, both sides are zero.  The witness is the first
-failing tuple by axiom (unit, commutativity, associativity, Leibniz),
-then degrees, then indices: where the exhaustive loops stop.
+partial product vanishes, both sides are zero.  The tables are walked as
+they are stored, keys (d1, i1, d2, i2) to vectors {index: nonzero
+scalar}; their constructors have checked that every key and index names
+a basis element.  The witness is the first failing tuple by axiom (unit,
+commutativity, associativity, Leibniz), then degrees, then indices:
+where the exhaustive loops stop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import is_zero_vec, sparse_vec, sub_vec
+from .linalg import axpy
 
 _MESSAGES = {
     "grading": "algebra must be nonnegatively graded",
@@ -46,50 +49,35 @@ class Witness:
     basis: tuple
     labels: tuple
     degree: int
-    defect: tuple
+    defect: dict
 
     def __str__(self):
         text = _MESSAGES[self.axiom]
         return text % self.labels if "%s" in text else text
 
 
-# A table maps tuples of basis elements, each a (degree, index) pair, to
-# sparse vectors {index: nonzero coefficient}.
-
-
-def _scaled(s, v):
-    return {i: s * c for i, c in v.items()}
-
-
-def _table(left, right, entries):
-    """A product or action table; keys naming no basis element are never
-    reached by the exhaustive loops, and are dropped."""
-    return {((d1, i1), (d2, i2)): sparse_vec(v)
-            for (d1, i1, d2, i2), v in entries.items()
-            if 0 <= i1 < left.dim(d1) and 0 <= i2 < right.dim(d2)}
-
-
-def _products(a):
-    """Every nonzero product of two basis elements, as `Cdga.mul_basis`
-    reads it: a missing order follows by graded commutativity."""
-    return _table(a.space, a.space, a.both_orders)
+# A table maps a key, the flat tuple (d1, i1, d2, i2, ...) of a sequence
+# of basis elements (degree, index), to a vector: the tables of `Cdga`
+# and `DgModule` as they are stored.
 
 
 def _columns(glm):
-    """{(e,): image of basis element e} over the nonzero columns of a map."""
+    """{(d, j): image of basis element (d, j)} over the nonzero columns of
+    a map."""
     cols = {}
     for d, m in glm.blocks.items():
         for r, row in enumerate(m.rows):
             for j, x in row.items():
-                cols.setdefault(((d, j),), {})[r] = x
+                cols.setdefault((d, j), {})[r] = x
     return cols
 
 
 def _by(table, side):
     """{basis element at position `side` of a key: [(rest of the key, vector)]}."""
     out = {}
+    at = 2 * side
     for key, v in table.items():
-        out.setdefault(key[side], []).append((key[:side] + key[side + 1:], v))
+        out.setdefault(key[at:at + 2], []).append((key[:at] + key[at + 2:], v))
     return out
 
 
@@ -98,21 +86,19 @@ def _through(table, index, out=None, raise_by=0, prepend=False, sign=None):
     each entry key -> v of `table`, each coefficient c of v at basis
     element b = (degree of key + raise_by, k) and each (rest, w) that
     `index` lists under b; with `sign`, c also picks up
-    sign(degree of rest[0])."""
+    sign(degree of the first element of rest)."""
     out = {} if out is None else out
     for key, v in table.items():
-        deg = sum(d for d, _ in key) + raise_by
+        deg = sum(key[0::2]) + raise_by
         for k, c in v.items():
             for rest, w in index.get((deg, k), ()):
-                s = c * sign(rest[0][0]) if sign else c
-                acc = out.setdefault(rest + key if prepend else key + rest, {})
-                for i, x in w.items():
-                    acc[i] = acc[i] + s * x if i in acc else s * x
+                axpy(out.setdefault(rest + key if prepend else key + rest, {}),
+                     c * sign(rest[0]) if sign else c, w)
     return out
 
 
 def _degree_major(key):
-    return tuple(d for d, _ in key) + tuple(i for _, i in key)
+    return key[0::2] + key[1::2]
 
 
 def _first_failure(axiom, lhs, rhs, spaces, target, raise_by=0,
@@ -123,22 +109,20 @@ def _first_failure(axiom, lhs, rhs, spaces, target, raise_by=0,
     `target`, in their total degree plus raise_by.
     """
     best = None
+    minus_one = target.field.minus_one
     for key in lhs.keys() | rhs.keys():
         if keep is not None and not keep(key):
             continue
         diff = dict(lhs.get(key, {}))
-        for i, x in rhs.get(key, {}).items():
-            diff[i] = diff[i] - x if i in diff else -x
-        diff = {i: x for i, x in diff.items() if x != 0}
+        axpy(diff, minus_one, rhs.get(key, {}))
         if diff and (best is None or order(key) < order(best[0])):
             best = key, diff
     if best is None:
         return None
     key, diff = best
-    degree = sum(d for d, _ in key) + raise_by
-    z = target.field.zero
-    return Witness(axiom, key, tuple(s.label(d, i) for s, (d, i) in zip(spaces, key)),
-                   degree, tuple(diff.get(i, z) for i in range(target.dim(degree))))
+    basis = tuple(zip(key[0::2], key[1::2]))
+    return Witness(axiom, basis, tuple(s.label(d, i) for s, (d, i) in zip(spaces, basis)),
+                   sum(key[0::2]) + raise_by, diff)
 
 
 def _unit_law(unit, sides, space):
@@ -146,8 +130,8 @@ def _unit_law(unit, sides, space):
     are (axiom, index of the products with degree-0 elements), tried in
     turn on each element."""
     one = space.field.one
-    ident = {((d, i),): {i: one} for d in space.degrees() for i in range(space.dim(d))}
-    found = [_first_failure(axiom, _through({(): sparse_vec(unit)}, index), ident,
+    ident = {(d, i): {i: one} for d in space.degrees() for i in range(space.dim(d))}
+    found = [_first_failure(axiom, _through({(): unit}, index), ident,
                             (space,), space) for axiom, index in sides]
     return min((w for w in found if w), key=lambda w: w.basis, default=None)
 
@@ -168,21 +152,24 @@ def check_cdga(a):
     """First failure of the CDGA axioms on `a`, or None."""
     sp, sign = a.space, a.field.sign
     if sp.window.lo < 0:
-        return Witness("grading", (), (), sp.window.lo, ())
-    if len(a.unit) != sp.dim(0) or is_zero_vec(a.unit):
+        return Witness("grading", (), (), sp.window.lo, {})
+    if not a.unit:
         return Witness("unit vector", (), (), 0, a.unit)
-    if not is_zero_vec(a.d_vec(0, a.unit)):
-        return Witness("unit cocycle", (), (), 1, a.d_vec(0, a.unit))
-    full = _products(a)
+    du = a.d_vec(0, a.unit)
+    if du:
+        return Witness("unit cocycle", (), (), 1, du)
+    full = a.both_orders
     left, right = _by(full, 0), _by(full, 1)
     witness = _unit_law(a.unit, (("unit", left), ("right unit", right)), sp)
     if witness:
         return witness
-    given = _table(sp, sp, a.product)
-    both = [k for k in given if k[::-1] in given]
+    # the keys listed in both orders; both_orders fills in the others
+    given = a.product
+    both = [k for k in given if k[2:] + k[:2] in given]
     witness = _first_failure(
         "commutativity", {k: given[k] for k in both},
-        {k: _scaled(sign(k[0][0] * k[1][0]), given[k[::-1]]) for k in both},
+        {k: {i: sign(k[0] * k[2]) * x for i, x in given[k[2:] + k[:2]].items()}
+         for k in both},
         (sp, sp), sp)
     if witness:
         return witness
@@ -204,33 +191,34 @@ def check_cdga_morphism(f):
     of CDGAs, or None."""
     src, tgt = f.source, f.target
     if f.map.shift != 0:
-        return Witness("degree", (), (), f.map.shift, ())
+        return Witness("degree", (), (), f.map.shift, {})
     witness = _chain_map(f.map, src.complex, tgt.complex, "chain map")
     if witness:
         return witness
     fu = f.apply(0, src.unit)
     if fu != tgt.unit:
-        return Witness("unit preservation", (), (), 0, sub_vec(fu, tgt.unit))
+        axpy(fu, tgt.field.minus_one, tgt.unit)
+        return Witness("unit preservation", (), (), 0, fu)
     # f(xy) and f(x)f(y), through the products t f(y) of target elements t
     fcol = _columns(f.map)
-    t_fy = _through(fcol, _by(_products(tgt), 1), prepend=True)
+    t_fy = _through(fcol, _by(tgt.both_orders, 1), prepend=True)
     hi = min(src.space.window.hi, tgt.space.window.hi)
-    return _first_failure("multiplicativity", _through(_products(src), _by(fcol, 0)),
+    return _first_failure("multiplicativity", _through(src.both_orders, _by(fcol, 0)),
                           _through(fcol, _by(t_fy, 0)), (src.space, src.space),
-                          tgt.space, keep=lambda key: key[0][0] + key[1][0] <= hi)
+                          tgt.space, keep=lambda key: key[0] + key[2] <= hi)
 
 
 def check_module(m):
     """First failure of the DG-module axioms on `m`, or None."""
     a, sp = m.algebra, m.space
-    act = _table(a.space, sp, m.action)
+    act = m.action
     by_alg, by_mod = _by(act, 0), _by(act, 1)
     witness = _unit_law(a.unit, (("module unit", by_alg),), sp)
     if witness:
         return witness
     # x.(y.n) and (xy).n
     witness = _first_failure("module associativity", _through(act, by_mod, prepend=True),
-                             _through(_products(a), by_alg), (a.space, a.space, sp), sp)
+                             _through(a.both_orders, by_alg), (a.space, a.space, sp), sp)
     if witness:
         return witness
     # d(x.n) and d(x).n + (-1)^|x| x.d(n)
@@ -246,15 +234,15 @@ def check_module_morphism(f):
     one algebra, or None."""
     src, tgt = f.source, f.target
     if f.map.shift != 0:
-        return Witness("module degree", (), (), f.map.shift, ())
+        return Witness("module degree", (), (), f.map.shift, {})
     witness = _chain_map(f.map, src.complex, tgt.complex, "module chain map")
     if witness:
         return witness
     # f(x.n) and x.f(n), ordered by the algebra element first
     a, fcol = src.algebra, _columns(f.map)
     return _first_failure(
-        "linearity", _through(_table(a.space, src.space, src.action), _by(fcol, 0)),
-        _through(fcol, _by(_table(a.space, tgt.space, tgt.action), 1), prepend=True),
+        "linearity", _through(src.action, _by(fcol, 0)),
+        _through(fcol, _by(tgt.action, 1), prepend=True),
         (a.space, src.space), tgt.space, order=lambda key: key)
 
 
@@ -280,10 +268,10 @@ def escape_degree(spans, reducers, images):
 
 def left_multiples(algebra, act, hi):
     """`escape_degree` images: act(e, basis vector, d, v) for every basis
-    element of `algebra`, up to degree hi, as sparse vectors."""
+    element of `algebra`, up to degree hi."""
     def images(d, v):
         for e in algebra.space.degrees():
             if d + e <= hi:
                 for i in range(algebra.space.dim(e)):
-                    yield d + e, sparse_vec(act(e, algebra.basis_vec(e, i), d, v))
+                    yield d + e, act(e, algebra.basis_vec(e, i), d, v)
     return images

@@ -15,6 +15,7 @@ from .cones import ConeError
 from .duality import DualityError
 from .fields import FieldError, PrimeField, QQ
 from .graded import GradedError
+from .linalg import dense
 from .modules import ModuleError
 from .parser import ParseError, emit_explicit, parse_file
 from .pipeline import (HypothesisError, PipelineError, analyze,
@@ -93,7 +94,8 @@ def cmd_cohomology(pf, args):
         for (d1, i1, d2, i2) in sorted(halg.product):
             if d1 == 0 or d2 == 0:
                 continue
-            v = halg.product[(d1, i1, d2, i2)]
+            v = dense(halg.field, halg.product[(d1, i1, d2, i2)],
+                      halg.space.dim(d1 + d2))
             print("product h%d_%d . h%d_%d = %s"
                   % (d1, i1, d2, i2, [str(c) for c in v]))
     return 0

@@ -22,7 +22,7 @@ from .algebra import (AlgebraError, Cdga, CdgaMorphism, quotient_cdga,
 from .checks import check_cdga
 from .graded import (GradedLinearMap, cohomology, quasi_isomorphism_failure,
                      rewindow)
-from .linalg import Matrix, scale_vec, unit_vec
+from .linalg import Matrix
 from .modules import DgModule, module_mapping_cone
 
 
@@ -34,7 +34,7 @@ class ConeError(ValueError):
 class LeibnizReport:
     ok: bool
     witness: tuple = None          # ((deg1, idx1, label1), (deg2, idx2, label2))
-    defect: tuple = None           # vector in degree deg1 + deg2 + 1
+    defect: dict = None            # vector in degree deg1 + deg2 + 1
     defect_degree: int = None
 
     def __str__(self):
@@ -102,21 +102,17 @@ class MappingConeAlgebra:
         self.leibniz = leibniz_report(self.algebra)
 
     def _build_product(self):
-        """R's products in both orders; r.sx' as the cone module's action
-        on the sX columns, and sx.r' = (-1)^(|sx||r'|) r'.sx by graded
-        commutativity; sx.sx' = 0."""
-        R, field, sp = self.base, self.field, self.space
-        product = {}
-        for (d1, i1, d2, i2) in R.product:
-            for key in ((d1, i1, d2, i2), (d2, i2, d1, i1)):
-                w = R.mul_basis(*key)
-                product[key] = w + (field.zero,) * (sp.dim(d1 + d2) - len(w))
+        """R's products in both orders, and its unit, where they are: R
+        sits at the start of each degree; r.sx' as the cone module's
+        action on the sX columns, and sx.r' = (-1)^(|sx||r'|) r'.sx by
+        graded commutativity; sx.sx' = 0."""
+        product = dict(self.base.both_orders)
         for (da, ia, dm, jm), v in self.cone_module.action.items():
             if jm >= self.split.y_dim(dm):
                 product[(da, ia, dm, jm)] = v
-                product[(dm, jm, da, ia)] = scale_vec(field.sign(da * dm), v)
-        unit = R.unit + (field.zero,) * (sp.dim(0) - len(R.unit))
-        return product, unit
+                product[(dm, jm, da, ia)] = (v if (da * dm) % 2 == 0
+                                             else {i: -x for i, x in v.items()})
+        return product, self.base.unit
 
     def sx_degrees(self):
         return [d for d in self.space.degrees()
@@ -182,10 +178,6 @@ class TruncationIdeal:
         return Matrix.from_cols(cone.field, vs, n).rank() == n
 
 
-def zero_ideal():
-    return TruncationIdeal({}, {}, True)
-
-
 def build_acyclic_truncation(cone, cut, floor=None):
     """Acyclic subDGmodule L = cone^(>= cut) + S with d: S -> (degree-cut
     cocycles) an isomorphism; requires H^(>= cut)(cone) = 0."""
@@ -193,7 +185,7 @@ def build_acyclic_truncation(cone, cut, floor=None):
         raise ConeError("truncation needs a connected base algebra")
     if floor is None:
         floor = cut - 2
-    field = cone.field
+    one = cone.field.one
     sp = cone.space
     coh = cohomology(cone.complex)
     for d in sp.degrees():
@@ -216,7 +208,7 @@ def build_acyclic_truncation(cone, cut, floor=None):
         dims[cut - 1] = len(sections)
     for d in sp.degrees():
         if d >= cut:
-            spans[d] = [unit_vec(field, sp.dim(d), i) for i in range(sp.dim(d))]
+            spans[d] = [{i: one} for i in range(sp.dim(d))]
             dims[d] = sp.dim(d)
     if spans:
         # acyclic exactly when the projection to the quotient is a quasi-isomorphism

@@ -26,8 +26,8 @@ class TopDegreeMap:
     map: DgModuleMorphism
     n: int
     hn: object                     # the 1x1 value of H^n(map)
-    source_generator: tuple        # chosen cocycle spanning H^n(source)
-    target_generator: tuple
+    source_generator: dict         # chosen cocycle spanning H^n(source)
+    target_generator: dict
     resolution: object = None      # set when the solve ran on a resolution
 
     def validate(self):
@@ -37,7 +37,7 @@ class TopDegreeMap:
         if coh_s.dim(self.n) != 1 or coh_t.dim(self.n) != 1:
             raise DualityError("H^%d of source or target is not a line" % self.n)
         val = coh_t.reduce(self.n, self.map.apply(self.n, self.source_generator))
-        if val[0] == 0:
+        if not val:
             raise DualityError("H^%d of the map vanishes" % self.n)
         return val[0]
 
@@ -84,11 +84,11 @@ def verify_scalar_uniqueness(psi, psi2):
     homotopy: returns (u, h) with a verified h, or fails loudly."""
     if psi.map.source is not psi2.map.source or psi.map.target is not psi2.map.target:
         raise DualityError("scalar comparison needs a common model")
-    field = psi.map.source.field
+    zero = psi.map.source.field.zero
     coh_t = cohomology(psi.map.target.complex)
-    v1 = coh_t.reduce(psi.n, psi.map.apply(psi.n, psi.source_generator))[0]
-    v2 = coh_t.reduce(psi.n, psi2.map.apply(psi.n, psi.source_generator))[0]
-    if v2 == 0:
+    v1 = coh_t.reduce(psi.n, psi.map.apply(psi.n, psi.source_generator)).get(0, zero)
+    v2 = coh_t.reduce(psi.n, psi2.map.apply(psi.n, psi.source_generator)).get(0, zero)
+    if not v2:
         raise DualityError("second map is not top-degree on this generator")
     u = v1 / v2
     h = homotopy_between(psi.map, psi2.map.scale(u))
@@ -108,10 +108,10 @@ def verify_scalar_uniqueness(psi, psi2):
 
 def _top_coefficient(space, n, fundamental, vec):
     """Coefficient of the fundamental class in a top-degree vector."""
-    for i, c in enumerate(fundamental):
-        if c != 0:
-            return vec[i] / c
-    raise DualityError("degenerate fundamental class")
+    if not fundamental:
+        raise DualityError("degenerate fundamental class")
+    i = min(fundamental)
+    return vec[i] / fundamental[i] if i in vec else space.field.zero
 
 
 def gysin_map(hf, cert_w, cert_v, k):
@@ -136,20 +136,22 @@ def gysin_map(hf, cert_w, cert_v, k):
         comp_deg = nw - j
         pair_dim = hw.space.dim(comp_deg)
         # rows over the unknown x = f^!(v): <x . w_t, [W]> = rhs_t
-        pairing = Matrix(field, [[_top_coefficient(hw.space, nw, cert_w.fundamental_rep,
-                                                   hw.mul_basis(j, c, comp_deg, t))
-                                  for c in range(out_dim)] for t in range(pair_dim)],
-                         ncols=out_dim)
+        pairing = Matrix.sparse(field, [
+            {c: x for c in range(out_dim)
+             if (x := _top_coefficient(hw.space, nw, cert_w.fundamental_rep,
+                                       hw.mul_basis(j, c, comp_deg, t)))}
+            for t in range(pair_dim)], out_dim)
         cols = []
         for s in range(src_dim):
             v = hv.basis_vec(j - k, s)
-            rhs = []
+            rhs = {}
             for t in range(pair_dim):
                 w = hw.basis_vec(comp_deg, t)
                 prod = hv.mul_vec(j - k, v, comp_deg, hf.apply(comp_deg, w))
-                rhs.append(_top_coefficient(hv.space, nv, cert_v.fundamental_rep,
-                                            prod))
-            x = pairing.solve(tuple(rhs))
+                x = _top_coefficient(hv.space, nv, cert_v.fundamental_rep, prod)
+                if x:
+                    rhs[t] = x
+            x = pairing.solve(rhs)
             if x is None:
                 raise DualityError("pairing system inconsistent in degree %d" % j)
             cols.append(x)

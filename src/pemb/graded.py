@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, Quotienter, is_zero_vec, sparse_vec, unit_vec,
-                     zero_vec)
+from .linalg import Matrix, Quotienter
 
 
 class GradedError(ValueError):
@@ -67,9 +66,6 @@ class GradedVectorSpace:
     def label(self, d, i):
         return self.labels[d][i]
 
-    def zero(self, d):
-        return zero_vec(self.field, self.dim(d))
-
     def __eq__(self, other):
         return (isinstance(other, GradedVectorSpace) and self.field == other.field
                 and self.window == other.window and self.dims == other.dims)
@@ -112,7 +108,8 @@ class GradedLinearMap:
 
     def apply(self, d, v):
         """Apply to a vector in source^d; returns a vector in target^(d+shift)."""
-        return self.block(d).apply(v)
+        m = self.blocks.get(d)
+        return m.apply(v) if m is not None else {}
 
     def compose(self, other):
         """self after other."""
@@ -212,7 +209,7 @@ class CohomologyData:
                 continue
             n = complex_.space.dim(deg)
             b = [c for c in complex_.d.block(deg - 1).transpose().rows if c]
-            cols = b + [sparse_vec(v) for v in z]
+            cols = b + z
             k = len(cols)
             eye = [{i: field.one} for i in range(n)]
             red, pivots = Matrix.sparse(field, cols + eye, n).transpose().rref()
@@ -228,21 +225,22 @@ class CohomologyData:
         return self.dims.get(deg, 0)
 
     def reduce(self, deg, v):
-        """Coordinates of the class [v] in the chosen H^deg basis.
+        """Coordinates of the class [v] in the chosen H^deg basis, as a
+        vector over range(self.dim(deg)).
 
         v must be a cocycle of degree deg; raises otherwise.
         """
         if deg not in self._decomp:
-            return ()
-        if not is_zero_vec(self.complex.d.apply(deg, v)):
+            return {}
+        if self.complex.d.apply(deg, v):
             raise GradedError("reduce() given a non-cocycle in degree %d" % deg)
         if self._decomp[deg] is None:
-            return ()
+            return {}
         e, nb, rank = self._decomp[deg]
         x = e.apply(v)
-        if not is_zero_vec(x[rank:]):
+        if any(i >= rank for i in x):
             raise GradedError("cocycle outside the cocycle span (internal)")
-        return x[nb:rank]
+        return {i - nb: c for i, c in x.items() if i >= nb}
 
     def write_coboundary(self, deg, v):
         """Find w with d(w) = v, or None."""
@@ -278,15 +276,14 @@ def quasi_isomorphism_failure(f, coh_source, coh_target):
 def truncation_spans(complex_, t):
     """Spans of the subcomplex above degree t: every basis vector above t,
     and in degree t the standard vectors completing the cocycles."""
-    sp, field = complex_.space, complex_.field
+    sp, one = complex_.space, complex_.field.one
     spans = {}
-    comp = Quotienter(field, [sparse_vec(v) for v in complex_.d.block(t).kernel_basis()],
-                      sp.dim(t)).keep
+    comp = Quotienter(complex_.field, complex_.d.block(t).kernel_basis(), sp.dim(t)).keep
     if comp:
-        spans[t] = [unit_vec(field, sp.dim(t), i) for i in comp]
+        spans[t] = [{i: one} for i in comp]
     for d in sp.degrees():
         if d > t:
-            spans[d] = [unit_vec(field, sp.dim(d), i) for i in range(sp.dim(d))]
+            spans[d] = [{i: one} for i in range(sp.dim(d))]
     return spans
 
 
@@ -393,7 +390,8 @@ def direct_sum(complexes):
     on the smallest window holding them all.
 
     Returns (sum, offsets, embed): offsets[(k, d)] is where summand k
-    starts in degree d, and embed(k, d, v) includes its vector v.
+    starts in degree d, and embed(k, d, v) includes its vector v by
+    shifting the indices.
     """
     field = complexes[0].field
     window = DegreeWindow(min(c.space.window.lo for c in complexes),
@@ -408,16 +406,16 @@ def direct_sum(complexes):
     space = GradedVectorSpace(field, window, dims, labels)
 
     def embed(k, d, v):
-        out = [field.zero] * space.dim(d)
         off = offsets.get((k, d), 0)
-        out[off:off + len(v)] = v
-        return tuple(out)
+        return {i + off: x for i, x in v.items()} if off else v
 
-    blocks = {d: Matrix.from_cols(field, [embed(k, d + 1, col)
-                                          for k, c in enumerate(complexes)
-                                          for col in c.d.block(d).cols()],
-                                  space.dim(d + 1))
-              for d in space.degrees()}
+    blocks = {}
+    for d in space.degrees():
+        rows = [{} for _ in range(space.dim(d + 1))]
+        for k, c in enumerate(complexes):
+            for r, row in enumerate(c.d.block(d).rows):
+                rows[offsets[(k, d + 1)] + r] = embed(k, d, row)
+        blocks[d] = Matrix.sparse(field, rows, space.dim(d))
     return CochainComplex(space, GradedLinearMap(space, space, 1, blocks)), offsets, embed
 
 
@@ -432,7 +430,3 @@ def rewindow(complex_, lo, hi):
                                   space.dims, space.labels)
     d_map = GradedLinearMap(new_space, new_space, 1, complex_.d.blocks)
     return CochainComplex(new_space, d_map)
-
-
-def euler_characteristic(space):
-    return sum((-1) ** d * n for d, n in space.dims.items())

@@ -1,8 +1,13 @@
 """Exact linear algebra over Q or F_p.
 
-Matrices are immutable and field-tagged, stored as sparse rows: each row
-is a dict {column: nonzero scalar}.  `entries`, `row` and `col` are dense
-views built on demand.  `Matrix.rref` is the one Gaussian elimination:
+A vector is a sparse dict {index: nonzero scalar}, and it never stores a
+zero: the zero vector is {}.  This is the one vector form of the library,
+from structure constants to cohomology; `dense` expands one to a tuple
+for a printed report.  `axpy` is the one vector update.
+
+Matrices are immutable and field-tagged, stored as sparse rows, each a
+vector over the columns.  `entries`, `row` and `col` are dense views
+built on demand.  `Matrix.rref` is the one Gaussian elimination:
 `kernel_basis`, `solve`, `Quotienter` and the cohomology bases all read
 its output.  It returns the unique reduced echelon form, so every basis
 this module produces is deterministic; golden-file tests upstream rely
@@ -60,12 +65,13 @@ class Matrix:
         return Matrix.sparse(field, [{i: field.one} for i in range(n)], n)
 
     @staticmethod
-    def from_rows(field, rows):
-        return Matrix(field, rows)
-
-    @staticmethod
-    def from_cols(field, cols, nrows=None):
-        return Matrix(field, cols, ncols=nrows).transpose()
+    def from_cols(field, cols, nrows):
+        """From columns, vectors over range(nrows); the matrix copies them."""
+        rows = [{} for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                rows[i][j] = x
+        return Matrix.sparse(field, rows, len(cols))
 
     # -- dense views ----------------------------------------------------
 
@@ -120,11 +126,10 @@ class Matrix:
     def _combine(self, other, f):
         """self + f * other."""
         _check_shapes(self, other)
-        zero = self.field.zero
         out = []
         for r1, r2 in zip(self.rows, other.rows):
             row = dict(r1)
-            _axpy(row, f, r2, zero)
+            axpy(row, f, r2)
             out.append(row)
         return Matrix.sparse(self.field, out, self.ncols)
 
@@ -143,21 +148,26 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product: %dx%d @ %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
-        zero = self.field.zero
         out = []
         for r in self.rows:
             row = {}
             for k, a in r.items():
-                _axpy(row, a, other.rows[k], zero)
+                axpy(row, a, other.rows[k])
             out.append(row)
         return Matrix.sparse(self.field, out, other.ncols)
 
     def apply(self, v):
-        """Matrix times column vector (tuple)."""
-        if len(v) != self.ncols:
-            raise ValueError("vector length %d != %d columns" % (len(v), self.ncols))
-        z = self.field.zero
-        return tuple(sum((a * v[c] for c, a in r.items()), z) for r in self.rows)
+        """Matrix times a vector over the columns."""
+        out = {}
+        if v:
+            for i, r in enumerate(self.rows):
+                s = None
+                for c, a in r.items():
+                    if c in v:
+                        s = a * v[c] if s is None else s + a * v[c]
+                if s:
+                    out[i] = s
+        return out
 
     def hstack(self, other):
         if self.nrows != other.nrows:
@@ -178,18 +188,17 @@ class Matrix:
         form of a matrix is unique, so the result is the one the
         index-order pivot rule gives.
         """
-        zero = self.field.zero
         rows = {}   # pivot column -> reduced sparse row, 1 at the pivot
         for r in self.rows:
             row = dict(r)
-            _reduce(row, rows, zero)
+            _reduce(row, rows)
             if row:
                 p = min(row)
                 inv = self.field.one / row[p]
                 row = {c: inv * x for c, x in row.items()}
                 for other in rows.values():
                     if p in other:
-                        _reduce(other, {p: row}, zero)
+                        _reduce(other, {p: row})
                 rows[p] = row
         pivots = sorted(rows)
         out = [rows[p] for p in pivots] + [{} for _ in range(self.nrows - len(pivots))]
@@ -202,54 +211,52 @@ class Matrix:
         """Basis of the null space; deterministic (one vector per free column)."""
         red, pivots = self.rref()
         pivset = set(pivots)
-        z, o = self.field.zero, self.field.one
-        free = {}   # free column -> its basis vector
-        for fc in range(self.ncols):
-            if fc not in pivset:
-                free[fc] = [z] * self.ncols
-                free[fc][fc] = o
+        free = {fc: {fc: self.field.one} for fc in range(self.ncols)
+                if fc not in pivset}   # free column -> its basis vector
         for row, pc in zip(red.rows, pivots):
             for c, x in row.items():
                 if c in free:
                     free[c][pc] = -x
-        return [tuple(v) for v in free.values()]
+        return list(free.values())
 
     def solve(self, b):
-        """One solution of A x = b with free variables set to 0, or None."""
-        if len(b) != self.nrows:
-            raise ValueError("rhs length %d != %d rows" % (len(b), self.nrows))
-        aug = self.hstack(Matrix.from_cols(self.field, [tuple(b)], self.nrows))
+        """One solution x of A x = b, for a vector b over the rows, with
+        free variables set to 0; None when there is none."""
+        n = self.ncols
+        if any(not 0 <= i < self.nrows for i in b):
+            raise ValueError("rhs index outside the %d rows" % self.nrows)
+        aug = Matrix.sparse(self.field, [{**r, n: b[i]} if i in b else r
+                                         for i, r in enumerate(self.rows)], n + 1)
         red, pivots = aug.rref()
-        if self.ncols in pivots:
+        if n in pivots:
             return None
-        z = self.field.zero
-        x = [z] * self.ncols
-        for row, pc in zip(red.rows, pivots):
-            x[pc] = row.get(self.ncols, z)
-        return tuple(x)
+        return {pc: row[n] for row, pc in zip(red.rows, pivots) if n in row}
 
 
 def _is_scalar(x, field):
     return type(x) is type(field.zero)
 
 
-def _axpy(row, f, other, zero):
-    """row += f * other in place, over other's nonzeros; entries that
-    become zero are dropped."""
+def axpy(row, f, other):
+    """row += f * other in place, for vectors row and other and a nonzero
+    scalar f; entries that become zero are dropped."""
     for c, x in other.items():
-        v = row.get(c, zero) + f * x
-        if v:
-            row[c] = v
+        if c in row:
+            v = row[c] + f * x
+            if v:
+                row[c] = v
+            else:
+                del row[c]
         else:
-            del row[c]
+            row[c] = f * x
 
 
-def _reduce(row, pivot_rows, zero):
+def _reduce(row, pivot_rows):
     """row -= row[p] * pivot_rows[p] for every pivot column p of row, in
     place.  Each pivot row is 1 at its pivot and 0 at every other pivot,
     so one pass clears them all."""
     for p in [p for p in row if p in pivot_rows]:
-        _axpy(row, -row[p], pivot_rows[p], zero)
+        axpy(row, -row[p], pivot_rows[p])
 
 
 def _check_shapes(a, b):
@@ -258,47 +265,13 @@ def _check_shapes(a, b):
                          % (a.nrows, a.ncols, b.nrows, b.ncols))
 
 
-def zero_vec(field, n):
-    return (field.zero,) * n
-
-
-def unit_vec(field, n, i):
-    v = [field.zero] * n
-    v[i] = field.one
-    return tuple(v)
-
-
-def add_vec(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def add_scaled(out, c, v):
-    """out += c * v in place, over the nonzeros of v."""
-    for k, x in enumerate(v):
-        if x != 0:
-            out[k] += c * x
-
-
-def sub_vec(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def scale_vec(c, a):
-    return tuple(c * x for x in a)
-
-
-def is_zero_vec(a):
-    return all(x == 0 for x in a)
-
-
-def sparse_vec(v):
-    """A dense vector as a sparse one, {index: nonzero coefficient}."""
-    return {i: x for i, x in enumerate(v) if x}
+def dense(field, v, n):
+    """The vector v as a tuple of length n, for a printed report."""
+    return tuple(v.get(i, field.zero) for i in range(n))
 
 
 def sparse_sum(terms):
-    """The sparse vector {index: nonzero coefficient} summing the
-    (index, scalar) terms."""
+    """The vector summing the (index, scalar) terms."""
     out = {}
     for i, c in terms:
         out[i] = out[i] + c if i in out else c
@@ -306,9 +279,10 @@ def sparse_sum(terms):
 
 
 class Quotienter:
-    """Quotient of k^dim by the span of given sparse vectors, pivot-rule
-    basis: the kept coordinates are the non-pivot columns of the reduced
-    span.  `project` and `contains` take sparse vectors."""
+    """Quotient of k^dim by the span of given vectors, pivot-rule basis:
+    the kept coordinates are the non-pivot columns of the reduced span.
+    `project` maps a vector of k^dim to its class in the kept
+    coordinates, and `lift` takes a class back to k^dim."""
 
     def __init__(self, field, spans, dim):
         self.field, self.dim = field, dim
@@ -322,20 +296,16 @@ class Quotienter:
     def _remainder(self, v):
         """v reduced against the span: a sparse row over kept indices."""
         row = dict(v)
-        _reduce(row, self.rows, self.field.zero)
+        _reduce(row, self.rows)
         return row
 
     def project(self, v):
-        out = [self.field.zero] * len(self.keep)
-        for c, x in self._remainder(v).items():
-            out[self._position[c]] = x
-        return tuple(out)
+        position = self._position
+        return {position[c]: x for c, x in self._remainder(v).items()}
 
     def lift(self, w):
-        v = [self.field.zero] * self.dim
-        for c, i in zip(w, self.keep):
-            v[i] = c
-        return tuple(v)
+        keep = self.keep
+        return {keep[k]: c for k, c in w.items()}
 
     def contains(self, v):
         return not self._remainder(v)

@@ -16,8 +16,7 @@ from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      GradedVectorSpace, cohomology, direct_sum, dualize,
                      mapping_cone, quasi_isomorphism_failure, suspend,
                      truncation_spans)
-from .linalg import (Matrix, add_scaled, add_vec, is_zero_vec, scale_vec,
-                     sparse_sum, unit_vec, zero_vec)
+from .linalg import Matrix, axpy, sparse_sum
 
 
 class ModuleError(ValueError):
@@ -27,8 +26,11 @@ class ModuleError(ValueError):
 class DgModule:
     """Left DG module over a CDGA, with sparse action constants.
 
-    action maps (alg_deg, alg_idx, mod_deg, mod_idx) to the vector of
-    a_{alg_deg,alg_idx} . m_{mod_deg,mod_idx} in degree alg_deg+mod_deg.
+    action maps (alg_deg, alg_idx, mod_deg, mod_idx) to the vector
+    {index: nonzero scalar} of a_{alg_deg,alg_idx} . m_{mod_deg,mod_idx}
+    in degree alg_deg+mod_deg.  Every key and every index must name a
+    basis element, and no vector holds a zero scalar; a zero action, {},
+    is not stored.
     """
 
     def __init__(self, algebra, complex_, action, validate=True):
@@ -36,36 +38,36 @@ class DgModule:
         self.complex = complex_
         self.space = complex_.space
         self.field = algebra.field
+        adim, mdim = algebra.space.dim, self.space.dim
         self.action = {}
         for (da, ia, dm, jm), v in action.items():
-            v = tuple(v)
-            if len(v) != self.space.dim(da + dm):
-                raise ModuleError("action (%d,%d) on (%d,%d) has wrong length"
-                                  % (da, ia, dm, jm))
-            if not is_zero_vec(v):
+            n = mdim(da + dm)
+            if not (0 <= ia < adim(da) and 0 <= jm < mdim(dm)) or any(
+                    not 0 <= i < n for i in v):
+                raise ModuleError("action (%d,%d) on (%d,%d) names no basis "
+                                  "element" % (da, ia, dm, jm))
+            if v:
                 self.action[(da, ia, dm, jm)] = v
         if validate:
             self.validate()
 
     def act_basis(self, da, ia, dm, jm):
-        d = da + dm
-        n = self.space.dim(d)
-        if n == 0:
-            return ()
-        return self.action.get((da, ia, dm, jm), zero_vec(self.field, n))
+        """The stored action on two basis elements (not to be changed),
+        or {}."""
+        return self.action.get((da, ia, dm, jm), {})
 
     def act_vec(self, da, av, dm, mv):
-        out = [self.field.zero] * self.space.dim(da + dm)
-        for ia, c1 in enumerate(av):
-            if c1 == 0:
-                continue
-            for jm, c2 in enumerate(mv):
-                if c2 != 0 and (da, ia, dm, jm) in self.action:
-                    add_scaled(out, c1 * c2, self.action[(da, ia, dm, jm)])
-        return tuple(out)
+        out = {}
+        table = self.action
+        for ia, c1 in av.items():
+            for jm, c2 in mv.items():
+                w = table.get((da, ia, dm, jm))
+                if w is not None:
+                    axpy(out, c1 * c2, w)
+        return out
 
     def basis_vec(self, d, i):
-        return unit_vec(self.field, self.space.dim(d), i)
+        return {i: self.field.one}
 
     def d_vec(self, d, v):
         return self.complex.d.apply(d, v)
@@ -123,9 +125,7 @@ def restrict_scalars(m, phi):
         for ib, row in enumerate(block.rows):
             for ia, c in row.items():
                 for dm, jm, v in by_element.get((da, ib), ()):
-                    key = (da, ia, dm, jm)
-                    w = scale_vec(c, v)
-                    action[key] = add_vec(action[key], w) if key in action else w
+                    axpy(action.setdefault((da, ia, dm, jm), {}), c, v)
     return DgModule(phi.source, m.complex, action)
 
 
@@ -135,15 +135,14 @@ def _stacked_action(space, parts, offsets=None):
     r.(s^k x) = (-1)^(|r| k) s^k(r.x), starting in degree d at
     offsets[(p, d)] (default 0)."""
     offsets = offsets or {}
-    field = space.field
     action = {}
     for p, (m, k) in enumerate(parts):
         for (da, ia, dm, jm), v in m.action.items():
             d = dm - k
-            out = [field.zero] * space.dim(d + da)
             off = offsets.get((p, d + da), 0)
-            out[off:off + len(v)] = scale_vec(field.sign(da * k), v)
-            action[(da, ia, d, offsets.get((p, d), 0) + jm)] = out
+            s = space.field.sign(da * k)
+            action[(da, ia, d, offsets.get((p, d), 0) + jm)] = {
+                i + off: s * x for i, x in v.items()}
     return action
 
 
@@ -161,17 +160,12 @@ def dual_module(m):
     The table is m's transposed: each entry a.m_c = sum_b w_b m_b of m
     gives a.(dual of m_b) the coordinate +-w_b at the dual of m_c."""
     cx = dualize(m.complex)
-    field = m.field
     action = {}
     for (da, ia, dm, c), w in m.action.items():
         j = -(dm + da)
-        sgn = field.sign(da * (da + j))
-        for b, x in enumerate(w):
-            if x != 0:
-                key = (da, ia, j, b)
-                if key not in action:
-                    action[key] = [field.zero] * m.space.dim(dm)
-                action[key][c] = sgn * x
+        sgn = m.field.sign(da * (da + j))
+        for b, x in w.items():
+            action.setdefault((da, ia, j, b), {})[c] = sgn * x
     return DgModule(m.algebra, cx, action)
 
 
@@ -217,16 +211,21 @@ def _linearity_rows(P, N, i, slots):
                 out_deg = am_deg + i
                 if N.space.dim(out_deg) == 0 and N.space.dim(dm + i) == 0:
                     continue
-                us = [N.act_basis(da, ia, dm + i, l)
-                      for l in range(N.space.dim(dm + i))]
+                # (a . e_l)_t for the basis elements e_l of N^(dm+i), by t
+                us = {}
+                for l in range(N.space.dim(dm + i)):
+                    for t, x in N.act_basis(da, ia, dm + i, l).items():
+                        us.setdefault(t, []).append((l, x))
                 for jm in range(P.space.dim(dm)):
                     w = P.act_basis(da, ia, dm, jm)
+                    if not w and not us:
+                        continue
                     for t in range(N.space.dim(out_deg)):
-                        terms = [(idx[(am_deg, t, j)], c) for j, c in enumerate(w)
-                                 if c != 0 and (am_deg, t, j) in idx]
+                        terms = [(idx[(am_deg, t, j)], c) for j, c in w.items()
+                                 if (am_deg, t, j) in idx]
                         # minus (-1)^(i da) (a . f(m))_t
-                        terms += [(idx[(dm, l, jm)], -sgn * u[t]) for l, u in enumerate(us)
-                                  if u[t] != 0 and (dm, l, jm) in idx]
+                        terms += [(idx[(dm, l, jm)], -sgn * x) for l, x in us.get(t, ())
+                                  if (dm, l, jm) in idx]
                         row = sparse_sum(terms)
                         if row:
                             rows.append(row)
@@ -253,9 +252,12 @@ def _delta_rows(P, N, i, slots):
 
 
 def _glm_from_coords(P, N, i, slots, coords):
+    """The map of shift i with the coordinates {slot number: scalar};
+    numbers past the slots are ignored."""
     rows = {}   # degree -> sparse rows of its block
-    for (d, l, j), c in zip(slots, coords):
-        if c != 0:
+    for t, c in coords.items():
+        if t < len(slots):
+            d, l, j = slots[t]
             if d not in rows:
                 rows[d] = [{} for _ in range(N.space.dim(d + i))]
             rows[d][l][j] = c
@@ -264,8 +266,10 @@ def _glm_from_coords(P, N, i, slots, coords):
                             for d, r in rows.items()})
 
 
-def _coords_from_glm(slots, glm):
-    return tuple(glm.block(d)[l, j] for (d, l, j) in slots)
+def _coords_from_glm(idx, glm):
+    """The coordinates {slot number: scalar} of a map; idx numbers the slots."""
+    return {idx[(d, l, j)]: x for d, m in glm.blocks.items()
+            for l, row in enumerate(m.rows) for j, x in row.items()}
 
 
 class HomComplex:
@@ -291,7 +295,7 @@ class HomComplex:
             if rows:
                 kern = Matrix.sparse(field, rows, len(slots)).kernel_basis()
             else:
-                kern = [unit_vec(field, len(slots), t) for t in range(len(slots))]
+                kern = [{t: field.one} for t in range(len(slots))]
             self.basis[i] = [_glm_from_coords(P, N, i, slots, v) for v in kern]
         dims = {i: len(b) for i, b in self.basis.items() if b}
         space = GradedVectorSpace(field, self.window, dims,
@@ -325,20 +329,20 @@ class HomComplex:
         if not basis:
             if not G.is_zero():
                 raise ModuleError("map does not lie in the hom complex (degree %d)" % i)
-            return ()
+            return {}
         slots = self.slots[i]
-        m = Matrix.from_cols(field, [_coords_from_glm(slots, F) for F in basis],
+        idx = {s: t for t, s in enumerate(slots)}
+        m = Matrix.from_cols(field, [_coords_from_glm(idx, F) for F in basis],
                              len(slots))
-        x = m.solve(_coords_from_glm(slots, G))
+        x = m.solve(_coords_from_glm(idx, G))
         if x is None:
             raise ModuleError("map does not lie in the hom complex (degree %d)" % i)
         return x
 
     def element(self, i, coords):
         out = GradedLinearMap.zero_map(self.P.space, self.N.space, i)
-        for F, c in zip(self.basis[i], coords):
-            if c != 0:
-                out = out.add(F.scale(c))
+        for t, c in coords.items():
+            out = out.add(self.basis[i][t].scale(c))
         return out
 
 
@@ -390,41 +394,41 @@ def solve_chain_maps(P, N, constraints=()):
             class_constraints.append((deg, z, w, nf + aux_cols))
             aux_cols += N.space.dim(deg - 1)
     total = nf + aux_cols
-    rows, rhs = [], []
-
     # linearity rows, then chain-map rows: (d_N f - f d_P)(m) = 0
-    for row in _linearity_rows(P, N, 0, slots) + _delta_rows(P, N, 0, slots):
-        if row:
-            rows.append(row)
-            rhs.append(field.zero)
+    rows = [row for row in _linearity_rows(P, N, 0, slots) + _delta_rows(P, N, 0, slots)
+            if row]
+    rhs = {}
     for c in constraints:
         if c[0] == "affine":
             _, rd, b = c
+            b = field.of(b)
+            if b:
+                rhs[len(rows)] = b
             rows.append(sparse_sum((idx[s], field.of(coeff)) for s, coeff in rd.items()))
-            rhs.append(b)
     for deg, z, w, off in class_constraints:
         # f(z)_t - d(u)_t = w_t for auxiliary u in N^(deg-1)
         dblock = N.complex.d.block(deg - 1)
         for t in range(N.space.dim(deg)):
-            terms = [(idx[(deg, t, j)], cz) for j, cz in enumerate(z)
-                     if cz != 0 and (deg, t, j) in idx]
+            terms = [(idx[(deg, t, j)], cz) for j, cz in z.items() if (deg, t, j) in idx]
             terms += [(off + u, -c) for u, c in dblock.rows[t].items()]
+            if t in w:
+                rhs[len(rows)] = w[t]
             rows.append(sparse_sum(terms))
-            rhs.append(w[t])
 
     if not rows:
-        part = zero_vec(field, total)
-        kern = [unit_vec(field, total, t) for t in range(total)]
+        part = {}
+        kern = [{t: field.one} for t in range(total)]
     else:
         m = Matrix.sparse(field, rows, total)
-        part = m.solve(tuple(rhs))
+        part = m.solve(rhs)
         if part is None:
             return None
         kern = m.kernel_basis()
-    particular = DgModuleMorphism(P, N, _glm_from_coords(P, N, 0, slots, part[:nf]))
+    # coordinates past the nf slots are the auxiliary unknowns
+    particular = DgModuleMorphism(P, N, _glm_from_coords(P, N, 0, slots, part))
     kernel = []
     for v in kern:
-        glm = _glm_from_coords(P, N, 0, slots, v[:nf])
+        glm = _glm_from_coords(P, N, 0, slots, v)
         if not glm.is_zero():
             kernel.append(DgModuleMorphism(P, N, glm, validate=False))
     return particular, kernel
@@ -436,15 +440,19 @@ def homotopy_between(f, g):
     field = P.field
     slots = _slots(P, N, -1)
     rows = _linearity_rows(P, N, -1, slots)
-    rhs = [field.zero] * len(rows)
+    # the delta rows run over (m, t) with t a coordinate of N^|m|
+    k = len(rows)
     rows += _delta_rows(P, N, -1, slots)
     diff = f.map.sub(g.map)
+    rhs = {}
     for dm in P.space.degrees():
+        cols = diff.block(dm).transpose().rows
         for jm in range(P.space.dim(dm)):
-            rhs.extend(diff.block(dm).col(jm))
+            rhs.update((k + t, x) for t, x in cols[jm].items())
+            k += N.space.dim(dm)
     if not rows:
         return GradedLinearMap.zero_map(P.space, N.space, -1)
-    sol = Matrix.sparse(field, rows, len(slots)).solve(tuple(rhs))
+    sol = Matrix.sparse(field, rows, len(slots)).solve(rhs)
     if sol is None:
         return None
     return _glm_from_coords(P, N, -1, slots, sol)
@@ -497,11 +505,8 @@ def free_module(algebra, gens, dvals=None, window=None):
             if (gi, e, ib) not in index or da + e + g.degree > window.hi:
                 continue
             dm, jm = index[(gi, e, ib)]
-            out = [field.zero] * space.dim(da + dm)
-            for ic, c in enumerate(v):
-                if c != 0:
-                    out[index[(gi, da + e, ic)][1]] = c
-            action[(da, ia, dm, jm)] = out
+            action[(da, ia, dm, jm)] = {index[(gi, da + e, ic)][1]: c
+                                        for ic, c in v.items()}
 
     dvals = dvals or {}
     dblocks = {}
@@ -509,26 +514,17 @@ def free_module(algebra, gens, dvals=None, window=None):
     # d(a x g) = d(a) x g + (-1)^|a| a . d(g); compute columns directly
     def d_col(dm, jm):
         gi, e, ib = slots[(dm, jm)]
-        out = [field.zero] * space.dim(dm + 1)
-        dav = a.d_vec(e, a.basis_vec(e, ib))
-        for ic, c in enumerate(dav):
-            if c != 0:
-                key = (gi, e + 1, ic)
-                if key in index:
-                    _, p = index[key]
-                    out[p] = out[p] + c
+        out = {index[(gi, e + 1, ic)][1]: c
+               for ic, c in a.d_vec(e, a.basis_vec(e, ib)).items()
+               if (gi, e + 1, ic) in index}
         dg = dvals.get(gi)
         if dg is not None:
-            # a . dg with the action above
+            # a . dg with the action above; a missing entry is a zero product
             sgn = field.sign(e)
             gdeg = gens[gi].degree
-            for jt, c in enumerate(dg):
-                if c == 0:
-                    continue
-                # a missing entry of the action table is a zero product
-                for p, cc in enumerate(action.get((e, ib, gdeg + 1, jt), ())):
-                    out[p] = out[p] + sgn * c * cc
-        return tuple(out)
+            for jt, c in dg.items():
+                axpy(out, sgn * c, action.get((e, ib, gdeg + 1, jt), {}))
+        return out
 
     for dm in sorted(dims):
         if dm + 1 > window.hi:
@@ -595,29 +591,29 @@ def semifree_resolution(m, minimal=True, max_rounds=30, window=None):
             # induced map on H^j
             img_cols = [coh_m.reduce(j, rho.apply(j, z)) for z in coh_P.reps.get(j, [])]
             hm_dim = coh_m.dim(j)
-            hmat = Matrix.from_cols(field, img_cols, hm_dim)
-            # cokernel: classes of H^j(m) outside the column span
+            # cokernel: the classes e_t of H^j(m) outside the span of the
+            # image columns and of the e_s before them, the pivots of
+            # (image columns | I) past the image
             missing = []
-            for t in range(hm_dim):
-                e_t = unit_vec(field, hm_dim, t)
-                aug = Matrix.from_cols(field, img_cols + [e_t], hm_dim)
-                if aug.rank() != hmat.rank():
-                    missing.append(t)
-                    img_cols = img_cols + [e_t]
-                    hmat = aug
+            if hm_dim:
+                n_img = len(img_cols)
+                eye = [{t: field.one} for t in range(hm_dim)]
+                _, pivots = Matrix.from_cols(field, img_cols + eye, hm_dim).rref()
+                missing = [p - n_img for p in pivots if p >= n_img]
             if missing:
                 for t in missing:
                     gi = len(gens)
                     gens.append(FreeGenerator("v%d_%d" % (j, gi), j, gi))
                     rho_vals[gi] = coh_m.reps[j][t]
                 continue
-            kern = hmat.kernel_basis() if coh_P.dim(j) else []
+            kern = (Matrix.from_cols(field, img_cols, hm_dim).kernel_basis()
+                    if coh_P.dim(j) else [])
             if not kern:
                 break
             for v in kern:
-                z = zero_vec(field, P.space.dim(j))
-                for c, rep in zip(v, coh_P.reps[j]):
-                    z = add_vec(z, scale_vec(c, rep))
+                z = {}
+                for t, c in v.items():
+                    axpy(z, c, coh_P.reps[j][t])
                 w = coh_m.write_coboundary(j, rho.apply(j, z))
                 if w is None:
                     raise ModuleError("resolution internal error: class not exact")
@@ -636,37 +632,11 @@ def semifree_resolution(m, minimal=True, max_rounds=30, window=None):
     is_minimal = True
     for gi, z in dvals.items():
         deg = gens[gi].degree + 1
-        for jm, c in enumerate(z):
-            if c != 0 and slots[(deg, jm)][1] == 0:
-                is_minimal = False
+        if any(slots[(deg, jm)][1] == 0 for jm in z):
+            is_minimal = False
     if minimal and not is_minimal:
         raise ModuleError("resolution recipe produced a non-minimal differential")
     return SemifreeModule(P, gens, rho, is_minimal, index)
-
-
-def random_semifree(a, rng, n_gens, max_degree, window=None):
-    """Random semifree module: each new generator's differential is a
-    random cocycle of the module built so far.  Always valid."""
-    gens = []
-    dvals = {}
-    degrees = sorted(rng.randint(0, max_degree) for _ in range(n_gens))
-    for gd in degrees:
-        if gens:
-            P, _ = free_module(a, gens, dvals, window)
-            coh = cohomology(P.complex)
-            cands = coh.cocycles.get(gd + 1, [])
-        else:
-            cands = []
-        gi = len(gens)
-        gens.append(FreeGenerator("g%d_%d" % (gd, gi), gd, gi))
-        if cands and rng.random() < 0.7:
-            z = zero_vec(a.field, len(cands[0]))
-            for v in cands:
-                z = add_vec(z, scale_vec(a.field.of(rng.randint(-2, 2)), v))
-            if not is_zero_vec(z):
-                dvals[gi] = z
-    P, index = free_module(a, gens, dvals, window)
-    return P
 
 
 # -- sub/quotient machinery ---------------------------------------------

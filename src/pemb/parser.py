@@ -16,7 +16,7 @@ from .algebra import (AlgebraError, Cdga, CdgaMorphism,
 from .fields import FieldError, PrimeField, QQ
 from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      GradedVectorSpace)
-from .linalg import Matrix, is_zero_vec, sparse_sum
+from .linalg import Matrix, sparse_sum
 from .pipeline import EmbeddingProblem, PipelineError
 
 
@@ -253,8 +253,8 @@ def _parse_free_cdga(name, lines, pf):
                          gen_names=[g for g, _ in gens], gen_degs=gen_degs)
 
 
-def _lincomb_to_vec(terms, basis_index, field, lineno, expect_deg=None,
-                    dims=None):
+def _lincomb_to_vec(terms, basis_index, field, lineno, expect_deg=None):
+    """(degree, vector) of a linear combination of basis labels."""
     deg = None
     entries = {}
     for coeff, factors in terms:
@@ -276,12 +276,12 @@ def _lincomb_to_vec(terms, basis_index, field, lineno, expect_deg=None,
                          % (deg, expect_deg))
     if deg is None:
         deg = expect_deg
-    n = dims.get(deg, 0) if dims is not None else (
-        max(entries) + 1 if entries else 0)
-    vec = [field.zero] * n
+    vec = {}
     for i, c in entries.items():
-        vec[i] = field.of(c)
-    return deg, tuple(vec)
+        x = field.of(c)
+        if x:
+            vec[i] = x
+    return deg, vec
 
 
 def _parse_explicit_cdga(name, lines, pf):
@@ -322,16 +322,15 @@ def _parse_explicit_cdga(name, lines, pf):
             raise ParseError(lineno, "d given for unknown basis label %r" % label)
         d, i = index[label]
         tdeg, vec = _lincomb_to_vec(terms, index, field, lineno,
-                                    expect_deg=d + 1, dims=dims)
+                                    expect_deg=d + 1)
         if terms and tdeg != d + 1:
             raise ParseError(lineno, "differential must raise degree by 1")
-        if d not in dblocks:
-            dblocks[d] = [[field.zero] * space.dim(d)
-                          for _ in range(space.dim(d + 1))]
-        for r, c in enumerate(vec):
-            dblocks[d][r][i] = c
-    glm_blocks = {d: Matrix(field, rows, ncols=space.dim(d))
-                  for d, rows in dblocks.items()}
+        # a later line for the same label replaces the earlier one
+        dblocks.setdefault(d, {})[i] = vec
+    glm_blocks = {d: Matrix.from_cols(field, [cols.get(i, {})
+                                              for i in range(space.dim(d))],
+                                      space.dim(d + 1))
+                  for d, cols in dblocks.items()}
     cx = CochainComplex(space, GradedLinearMap(space, space, 1, glm_blocks))
     product = {}
     for lineno, l1, l2, terms in products:
@@ -341,8 +340,8 @@ def _parse_explicit_cdga(name, lines, pf):
         d1, i1 = index[l1]
         d2, i2 = index[l2]
         _, vec = _lincomb_to_vec(terms, index, field, lineno,
-                                 expect_deg=d1 + d2, dims=dims)
-        if not is_zero_vec(vec):
+                                 expect_deg=d1 + d2)
+        if vec:
             product[(d1, i1, d2, i2)] = vec
     unit = _solve_unit(field, space, product, dims)
     cdga = Cdga(field, cx, product, unit)
@@ -354,20 +353,17 @@ def _solve_unit(field, space, product, dims):
     n0 = space.dim(0)
     if n0 == 0:
         raise AlgebraError("explicit algebra has no degree-0 basis")
-    rows, rhs = [], []
+    rows, rhs = [], {}
     for d in space.degrees():
         for j in range(space.dim(d)):
+            # degree-0 elements commute, so either key order works
+            vs = [product.get((0, i, d, j)) or product.get((d, j, 0, i)) or {}
+                  for i in range(n0)]
             for t in range(space.dim(d)):
-                row = []
-                for i in range(n0):
-                    # degree-0 elements commute, so either key order works
-                    v = product.get((0, i, d, j))
-                    if v is None:
-                        v = product.get((d, j, 0, i))
-                    row.append(v[t] if v is not None else field.zero)
-                rows.append(row)
-                rhs.append(field.one if t == j else field.zero)
-    sol = Matrix(field, rows, ncols=n0).solve(tuple(rhs))
+                if t == j:
+                    rhs[len(rows)] = field.one
+                rows.append({i: v[t] for i, v in enumerate(vs) if t in v})
+    sol = Matrix.sparse(field, rows, n0).solve(rhs)
     if sol is None:
         raise AlgebraError("product table has no unit")
     return sol
@@ -380,11 +376,7 @@ def _poly_to_target_vec(terms, target, lineno):
     if target.kind == "explicit":
         if not terms:
             return None, None
-        deg, vec = _lincomb_to_vec(
-            terms, target.basis_index, field, lineno,
-            dims={d: target.cdga.space.dim(d)
-                  for d in target.cdga.space.degrees()})
-        return deg, vec
+        return _lincomb_to_vec(terms, target.basis_index, field, lineno)
     gen_index = {g: i for i, g in enumerate(target.gen_names)}
     poly, deg = _terms_to_mono_poly(terms, gen_index, target.gen_degs, lineno,
                                     "image", target.cdga.space.window.hi)
@@ -422,12 +414,10 @@ def _parse_morphism(name, src, tgt, lines, pf):
         deg, vec = _poly_to_target_vec(terms, target, lineno)
         images[label] = (lineno, deg, vec)
 
-    blocks = {d: [[field.zero] * sa.space.dim(d)
-                  for _ in range(ta.space.dim(d))]
-              for d in sa.space.degrees()}
+    blocks = {d: [{} for _ in range(ta.space.dim(d))] for d in sa.space.degrees()}
 
     def put(d, i, vec):
-        for r, c in enumerate(vec):
+        for r, c in vec.items():
             blocks[d][r][i] = c
 
     if source.kind == "explicit":
@@ -441,10 +431,9 @@ def _parse_morphism(name, src, tgt, lines, pf):
                                      "expected %d" % (label, deg, d))
                 put(d, i, vec)
         # unlisted degree-0 unit components go to the target unit
-        for i, c in enumerate(sa.unit):
-            label = sa.space.label(0, i)
-            if c != 0 and label not in images:
-                put(0, i, tuple(c * x for x in ta.unit))
+        for i, c in sa.unit.items():
+            if sa.space.label(0, i) not in images:
+                put(0, i, {r: c * x for r, x in ta.unit.items()})
     else:
         gen_imgs = {}
         for label, (lineno, deg, vec) in images.items():
@@ -465,7 +454,7 @@ def _parse_morphism(name, src, tgt, lines, pf):
                     return None, None
                 vec = ta.mul_vec(deg, vec, gd, gv)
                 deg += gd
-                if is_zero_vec(vec):
+                if not vec:
                     return None, None
             return deg, vec
 
@@ -477,7 +466,7 @@ def _parse_morphism(name, src, tgt, lines, pf):
                 if vec is not None:
                     put(d, i, vec)
     glm = GradedLinearMap(sa.space, ta.space, 0,
-                          {d: Matrix(field, rows, ncols=sa.space.dim(d))
+                          {d: Matrix.sparse(field, rows, sa.space.dim(d))
                            for d, rows in blocks.items()})
     return CdgaMorphism(sa, ta, glm)
 
@@ -614,17 +603,14 @@ def emit_explicit(name, cdga):
         for i in range(sp.dim(d)):
             out.append("  basis b%d_%d deg %d" % (d, i, d))
     for d in sp.degrees():
-        blk = cdga.complex.d.block(d)
-        for i in range(sp.dim(d)):
-            col = [blk[r, i] for r in range(blk.nrows)]
-            if any(c != 0 for c in col):
+        for i, col in enumerate(cdga.complex.d.block(d).transpose().rows):
+            if col:
                 out.append("  d b%d_%d = %s"
                            % (d, i, _comb_text(col, d + 1)))
     for (d1, i1, d2, i2) in sorted(cdga.product):
-        v = cdga.product[(d1, i1, d2, i2)]
-        if not is_zero_vec(v):
-            out.append("  product b%d_%d b%d_%d = %s"
-                       % (d1, i1, d2, i2, _comb_text(v, d1 + d2)))
+        out.append("  product b%d_%d b%d_%d = %s"
+                   % (d1, i1, d2, i2,
+                      _comb_text(cdga.product[(d1, i1, d2, i2)], d1 + d2)))
     out.append("}")
     return "\n".join(out)
 
@@ -635,9 +621,7 @@ def _coeff_text(c):
 
 def _comb_text(vec, deg):
     parts = []
-    for i, c in enumerate(vec):
-        if c == 0:
-            continue
+    for i, c in sorted(vec.items()):
         if c == 1:
             parts.append("b%d_%d" % (deg, i))
         else:

@@ -22,7 +22,7 @@ from .duality import (DualityError, construct_top_degree, gysin_map,
 from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      GradedVectorSpace, cohomology, induced_on_cohomology,
                      quasi_isomorphism_failure)
-from .linalg import Matrix, is_zero_vec, unit_vec, zero_vec
+from .linalg import Matrix, axpy
 from .modules import (DgModule, DgModuleMorphism, algebra_as_module,
                       direct_sum_modules, module_mapping_cone,
                       restrict_scalars, semifree_resolution, shifted_dual,
@@ -269,7 +269,7 @@ def _induced_quotient_morphism(phi, proj_r, proj_q):
         cols = []
         pr = proj_r.map.block(d)
         for i in range(src.space.dim(d)):
-            lift = pr.solve(unit_vec(field, src.space.dim(d), i))
+            lift = pr.solve({i: field.one})
             if lift is None:
                 raise PipelineError("internal: quotient projection not onto")
             cols.append(proj_q.apply(d, phi.apply(d, lift)))
@@ -281,31 +281,22 @@ def _trivial_action_module(algebra, complex_):
     """complex_ as a module where only the unit of a connected algebra acts."""
     if not algebra.is_connected():
         raise PipelineError("trivial action needs a connected algebra")
-    action = {}
-    for d in complex_.space.degrees():
-        for j in range(complex_.space.dim(d)):
-            action[(0, 0, d, j)] = unit_vec(algebra.field,
-                                            complex_.space.dim(d), j)
+    one = algebra.field.one
+    action = {(0, 0, d, j): {j: one} for d in complex_.space.degrees()
+              for j in range(complex_.space.dim(d))}
     return DgModule(algebra, complex_, action)
 
 
 def _cone_map_blocks(field, space_l, split_l, space_r, split_r, y_map):
-    """(y, sx) -> (y_map(y), sx) between cones sharing the same sX part."""
+    """(y, sx) -> (y_map(y), sx) between cones sharing the same sX part;
+    each Y sits at the start of its degrees."""
     blocks = {}
     for d in space_l.degrees():
         nyl = split_l.y_dim(d)
-        nxl = space_l.dim(d) - nyl
         nyr = split_r.y_dim(d)
-        out_dim = space_r.dim(d)
-        cols = []
-        for i in range(nyl):
-            v = y_map.apply(d, unit_vec(field, nyl, i))
-            cols.append(tuple(v) + (field.zero,) * (out_dim - nyr))
-        for i in range(nxl):
-            col = [field.zero] * out_dim
-            col[nyr + i] = field.one
-            cols.append(tuple(col))
-        blocks[d] = Matrix.from_cols(field, cols, out_dim)
+        cols = ([y_map.apply(d, {i: field.one}) for i in range(nyl)]
+                + [{nyr + i: field.one} for i in range(space_l.dim(d) - nyl)])
+        blocks[d] = Matrix.from_cols(field, cols, space_r.dim(d))
     return GradedLinearMap(space_l, space_r, 0, blocks)
 
 
@@ -317,6 +308,10 @@ def stable_square(problem):
         raise HypothesisError(
             "stable range fails: need n >= 2m+4, or n >= 2m+3 with "
             "injective H^1 (n=%d, m=%d)" % (n, m))
+    if problem.is_menorah:
+        raise HypothesisError("one-component hypothesis fails: the stable square "
+                              "needs a single embedded component, found %d"
+                              % len(problem.branches))
     # normalize both algebras so nothing lives above n resp. m+2
     r_norm, proj_r = quotient_by_acyclic_ideal(problem.ambient, n - 1)
     q_norm, proj_q = quotient_by_acyclic_ideal(problem.target, m + 1)
@@ -399,8 +394,8 @@ def dgmodule_square(problem):
     d_mod, offsets = direct_sum_modules(parts)
     field = problem.field
     # the summands are stacked in order, so the columns of the psi_k are too
-    blocks = {d: Matrix.from_cols(field, [col for psi_k in psis
-                                          for col in psi_k.map.map.block(d).cols()],
+    blocks = {d: Matrix.from_cols(field, [col for psi_k in psis for col
+                                          in psi_k.map.map.block(d).transpose().rows],
                                   r_mod.space.dim(d))
               for d in d_mod.space.degrees()}
     psi = DgModuleMorphism(d_mod, r_mod,
@@ -468,9 +463,8 @@ def lefschetz(problem):
                 if coh_c.dim(t) == 0:
                     continue
                 for j, zc in enumerate(coh_c.reps[dc]):
-                    v = cone_mod.act_vec(dw, zw, dc, zc)
-                    w = coh_c.reduce(t, v)
-                    if w and not is_zero_vec(w):
+                    w = coh_c.reduce(t, cone_mod.act_vec(dw, zw, dc, zc))
+                    if w:
                         action[(dw, i, dc, j)] = w
     if not report.unknotting:
         return LefschetzResult(dict(coh_c.dims), action, None, True, report,
@@ -510,13 +504,10 @@ def lefschetz(problem):
             for i1 in range(space.dim(d1)):
                 for i2 in range(space.dim(d2)):
                     if d1 < bound:
-                        wcoords = from_w[d1].solve(
-                            unit_vec(problem.field, space.dim(d1), i1))
-                        zw = zero_vec(problem.field,
-                                      problem.ambient.space.dim(d1))
-                        for c, rep in zip(wcoords, coh_r.reps[d1]):
-                            if c != 0:
-                                zw = tuple(x + c * y for x, y in zip(zw, rep))
+                        wcoords = from_w[d1].solve({i1: problem.field.one})
+                        zw = {}
+                        for c, x in wcoords.items():
+                            axpy(zw, x, coh_r.reps[d1][c])
                         v = cone_mod.act_vec(d1, zw, d2, coh_c.reps[d2][i2])
                         w = coh_c.reduce(t, v)
                     elif d2 < bound:
@@ -524,10 +515,10 @@ def lefschetz(problem):
                         w = product.get((d2, i2, d1, i1))
                         if w is None:
                             continue
-                        w = tuple(sgn * x for x in w)
+                        w = {k: sgn * x for k, x in w.items()}
                     else:
                         continue
-                    if w and not is_zero_vec(w):
+                    if w:
                         product[(d1, i1, d2, i2)] = w
     unit = coh_c.reduce(0, c0)
     halg = Cdga(problem.field, CochainComplex.zero_differential(space),
@@ -623,27 +614,17 @@ def punctured_square(problem, attest_boundary_simply_connected=False):
 
 
 def _embed_cone_spans(cone, y_spans, x_spans):
-    """Lift spans in the base and in the module into cone coordinates."""
-    field = cone.field
+    """Lift spans in the base and in the module into cone coordinates:
+    the base sits at the start of each degree, the module after it."""
     out = {}
     for d, vs in y_spans.items():
-        if cone.space.dim(d) == 0:
-            continue
-        for v in vs:
-            vec = [field.zero] * cone.space.dim(d)
-            for i, c in enumerate(v):
-                vec[i] = c
-            out.setdefault(d, []).append(tuple(vec))
+        if cone.space.dim(d):
+            out.setdefault(d, []).extend(vs)
     for d, vs in x_spans.items():
         cd = d - 1
-        if cone.space.dim(cd) == 0:
-            continue
-        ny = cone.split.y_dim(cd)
-        for v in vs:
-            vec = [field.zero] * cone.space.dim(cd)
-            for i, c in enumerate(v):
-                vec[ny + i] = c
-            out.setdefault(cd, []).append(tuple(vec))
+        if cone.space.dim(cd):
+            ny = cone.split.y_dim(cd)
+            out.setdefault(cd, []).extend({ny + i: c for i, c in v.items()} for v in vs)
     return out
 
 
@@ -733,10 +714,7 @@ def format_dims(dims):
 
 
 def all_positive_products_zero(halg):
-    for (d1, _i1, d2, _i2), v in halg.product.items():
-        if d1 > 0 and d2 > 0 and not is_zero_vec(v):
-            return False
-    return True
+    return not any(d1 > 0 and d2 > 0 for (d1, _i1, d2, _i2) in halg.product)
 
 
 def tables_match(h1, h2):
@@ -755,9 +733,5 @@ def tables_match(h1, h2):
 
 
 def _vanishing_pattern(h):
-    out = {}
-    for (d1, i1, d2, i2), v in h.product.items():
-        if d1 == 0 or d2 == 0 or is_zero_vec(v):
-            continue
-        out[(d1, i1, d2, i2)] = tuple(1 if c != 0 else 0 for c in v)
-    return out
+    return {(d1, i1, d2, i2): set(v) for (d1, i1, d2, i2), v in h.product.items()
+            if d1 and d2}

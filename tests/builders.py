@@ -1,8 +1,12 @@
-"""Shared constructions of small standard algebras for the test suite."""
+"""Shared constructions of small standard algebras, modules and
+complexes for the test suite."""
 
 from pemb.algebra import materialize_free_cdga
+from pemb.cones import TruncationIdeal
 from pemb.fields import QQ
-from pemb.graded import DegreeWindow
+from pemb.graded import DegreeWindow, cohomology
+from pemb.linalg import axpy
+from pemb.modules import FreeGenerator, free_module
 
 
 def sphere(n, hi=None, field=QQ):
@@ -45,3 +49,37 @@ def torus_s1_s7(hi=16, field=QQ):
     """H^*(S^1 x S^7), exterior on degrees 1 and 7."""
     return materialize_free_cdga(field, [("a", 1), ("b", 7)], {}, [],
                                  DegreeWindow(0, hi))
+
+
+def euler_characteristic(space):
+    return sum((-1) ** d * n for d, n in space.dims.items())
+
+
+def zero_ideal():
+    return TruncationIdeal({}, {}, True)
+
+
+def random_semifree(a, rng, n_gens, max_degree, window=None):
+    """Random semifree module: each new generator's differential is a
+    random cocycle of the module built so far.  Always valid."""
+    gens = []
+    dvals = {}
+    degrees = sorted(rng.randint(0, max_degree) for _ in range(n_gens))
+    for gd in degrees:
+        if gens:
+            P, _ = free_module(a, gens, dvals, window)
+            cands = cohomology(P.complex).cocycles.get(gd + 1, [])
+        else:
+            cands = []
+        gi = len(gens)
+        gens.append(FreeGenerator("g%d_%d" % (gd, gi), gd, gi))
+        if cands and rng.random() < 0.7:
+            z = {}
+            for v in cands:
+                c = a.field.of(rng.randint(-2, 2))
+                if c:
+                    axpy(z, c, v)
+            if z:
+                dvals[gi] = z
+    P, _ = free_module(a, gens, dvals, window)
+    return P

@@ -10,14 +10,14 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from builders import complex_projective, product_s2_s4, sphere
+from builders import complex_projective, product_s2_s4, random_semifree, sphere
 from pemb import cli
 from pemb.duality import (TopDegreeMap, construct_top_degree,
                           verify_scalar_uniqueness)
 from pemb.fields import QQ
 from pemb.graded import DegreeWindow, cohomology
 from pemb.modules import (DgModuleMorphism, algebra_as_module,
-                          homotopy_classes, random_semifree, solve_chain_maps)
+                          homotopy_classes, solve_chain_maps)
 from pemb.parser import parse_file
 from pemb.pipeline import (complement_model, lefschetz, tables_match)
 from pemb.cones import check_shift_bounds
@@ -142,7 +142,7 @@ def test_criterion_07_scalar_uniqueness():
         psi = construct_top_degree(p, target, n, semifree=True)
         # an independently normalized second construction
         c = QQ.of(2 + int(salt * 3))
-        gen_t = tuple(c * x for x in psi.target_generator)
+        gen_t = {i: c * x for i, x in psi.target_generator.items()}
         sol = solve_chain_maps(p, target,
                                [("class", n, psi.source_generator, gen_t)])
         assert sol is not None
@@ -175,7 +175,7 @@ def test_criterion_08_cone_bounds():
     (d1, _, l1), (d2, _, l2) = rep.witness
     assert (d1, l1) == (1, "sa") and (d2, l2) == (3, "sb")
     assert rep.defect_degree == 5
-    assert rep.defect == (QQ.one, QQ.of(-1))
+    assert rep.defect == {0: QQ.one, 1: QQ.of(-1)}
 
 
 @_criterion(9, "wrong-way map on the projective pair")

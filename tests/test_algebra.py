@@ -5,7 +5,7 @@ import pytest
 import builders
 from builders import (complex_projective, product_s2_s4, sphere, sullivan_cp2,
                       torus_s1_s7, wedge_s2_s4)
-from pemb.algebra import (AlgebraError, Cdga, FreePresentation, _merge_sign,
+from pemb.algebra import (AlgebraError, Cdga, _merge_sign,
                           _mono_degree, _mono_label, check_poincare_duality,
                           cohomology_algebra, direct_sum_cdga,
                           materialize_free_cdga, quotient_by_acyclic_ideal)
@@ -13,7 +13,8 @@ from pemb.checks import escape_degree
 from pemb.fields import PrimeField, QQ
 from pemb.graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                          GradedVectorSpace, cohomology)
-from pemb.linalg import Matrix, add_vec, is_zero_vec, scale_vec, unit_vec
+from pemb.linalg import Matrix, dense
+from dense import add_vec, dense_from_cols, is_zero_vec, scale_vec, unit_vec
 from test_linalg import DenseQuotienter
 
 
@@ -21,8 +22,8 @@ def test_cp2_truncated_polynomial():
     a = complex_projective(2, hi=8)
     assert a.space.dims == {0: 1, 2: 1, 4: 1}
     # x * x = x^2
-    assert a.mul_basis(2, 0, 2, 0) == (QQ.one,)
-    assert a.mul_basis(2, 0, 4, 0) == ()  # x^3 = 0, degree 6 empty
+    assert a.mul_basis(2, 0, 2, 0) == {0: QQ.one}
+    assert a.mul_basis(2, 0, 4, 0) == {}  # x^3 = 0, degree 6 empty
 
 
 def test_sphere_six():
@@ -35,7 +36,7 @@ def test_odd_sphere_exterior():
     a = sphere(3)
     assert a.space.dims == {0: 1, 3: 1}
     # odd generator squares to zero automatically
-    assert a.mul_basis(3, 0, 3, 0) == ()
+    assert a.mul_basis(3, 0, 3, 0) == {}
 
 
 def test_torus_s1_s7_signs():
@@ -43,8 +44,8 @@ def test_torus_s1_s7_signs():
     assert a.space.dims == {0: 1, 1: 1, 7: 1, 8: 1}
     ab = a.mul_basis(1, 0, 7, 0)
     ba = a.mul_basis(7, 0, 1, 0)
-    assert ab == (QQ.one,)
-    assert ba == (QQ.of(-1),)
+    assert ab == {0: QQ.one}
+    assert ba == {0: QQ.of(-1)}
     a.validate()
 
 
@@ -71,9 +72,9 @@ def acyclic_pair_cdga():
     from pemb.linalg import Matrix
     sp = GradedVectorSpace(QQ, DegreeWindow(0, 2), {0: 1, 1: 1, 2: 1})
     d = GradedLinearMap(sp, sp, 1, {1: Matrix(QQ, [[1]])})
-    product = {(0, 0, 0, 0): (QQ.one,), (0, 0, 1, 0): (QQ.one,),
-               (0, 0, 2, 0): (QQ.one,)}
-    return Cdga(QQ, CochainComplex(sp, d), product, (QQ.one,))
+    product = {(0, 0, 0, 0): {0: QQ.one}, (0, 0, 1, 0): {0: QQ.one},
+               (0, 0, 2, 0): {0: QQ.one}}
+    return Cdga(QQ, CochainComplex(sp, d), product, {0: QQ.one})
 
 
 def test_cohomology_algebra_acyclic():
@@ -159,22 +160,37 @@ def test_direct_sum():
     assert a.space.dims == {0: 2, 7: 2}
     assert not a.is_connected()
     # units multiply componentwise
-    assert a.mul_basis(0, 0, 7, 1) == (QQ.zero, QQ.zero)
-    assert a.mul_basis(0, 0, 7, 0) == (QQ.one, QQ.zero)
+    assert a.mul_basis(0, 0, 7, 1) == {}
+    assert a.mul_basis(0, 0, 7, 0) == {0: QQ.one}
+    assert a.unit == {0: QQ.one, 1: QQ.one}
 
 
 def test_validation_catches_broken_commutativity():
     a = sphere(3)
     bad = dict(a.product)
-    bad[(3, 0, 3, 0)] = ()  # fine, degree 6 outside window; break unit instead
-    bad[(0, 0, 3, 0)] = (QQ.of(2),)
+    bad[(3, 0, 3, 0)] = {}  # fine, degree 6 outside window; break unit instead
+    bad[(0, 0, 3, 0)] = {0: QQ.of(2)}
     with pytest.raises(AlgebraError):
         Cdga(a.field, a.complex, bad, a.unit)
 
 
-# The parent's `materialize_free_cdga`, which built every span, image and
+def test_cdga_rejects_keys_and_indices_outside_the_basis():
+    a = sphere(3)                                  # basis 1, e3 on the window 0..4
+    for bad in ({(3, 1, 0, 0): {0: QQ.one}},      # no second element in degree 3
+                {(0, 0, 3, 0): {1: QQ.one}},      # no second index in degree 3
+                {(3, 0, 3, 0): {0: QQ.one}}):     # degree 6 is empty
+        with pytest.raises(AlgebraError, match=r"product of \(\d,\d\)\*\(\d,\d\) "
+                           "names no basis element"):
+            Cdga(a.field, a.complex, {**a.product, **bad}, a.unit, validate=False)
+    with pytest.raises(AlgebraError, match="unit names an index outside degree 0"):
+        Cdga(a.field, a.complex, a.product, {1: QQ.one}, validate=False)
+
+
+# The earlier `materialize_free_cdga`, which built every span, image and
 # product as a dense vector of monomial-space length and reduced it with
-# a dense quotient, is the reference for the sparse one.
+# a dense quotient, is the reference for the sparse one.  It returns the
+# dense tables: the product, the unit and the reducers, with the space
+# and the complex.
 
 
 def dense_poly_to_vec(field, poly, mono_index, dim, deg, gen_degs, what):
@@ -316,7 +332,7 @@ def dense_materialize_free_cdga(field, generators, diffs, relations, window):
         for i in red.keep:
             dv = d_mono(monos_by_degree[d][i])
             cols.append(red1.project(dv) if red1 else ())
-        dblocks[d] = Matrix.from_cols(field, cols, space.dim(d + 1))
+        dblocks[d] = dense_from_cols(field, cols, space.dim(d + 1))
     complex_ = CochainComplex(space, GradedLinearMap(space, space, 1, dblocks))
 
     product = {}
@@ -343,10 +359,7 @@ def dense_materialize_free_cdga(field, generators, diffs, relations, window):
     unit = reducers[0].project(unit_vec(field, dims[0], 0))
     if is_zero_vec(unit):
         raise AlgebraError("relations kill the unit")
-    alg = Cdga(field, complex_, product, unit)
-    alg.presentation = FreePresentation(gen_names, gen_degs, monos_by_degree,
-                                        mono_index, reducers)
-    return alg
+    return space, complex_, product, unit, reducers
 
 
 # (generators, differential, relations, top degree).  x2, y3 with
@@ -360,12 +373,14 @@ PRESENTATIONS = [
 
 
 def assert_same_algebra(a, ref):
-    assert (a.space.dims, a.space.labels) == (ref.space.dims, ref.space.labels)
-    assert a.product == ref.product
-    assert a.complex.d.blocks == ref.complex.d.blocks
-    assert a.unit == ref.unit
+    space, complex_, product, unit, reducers = ref
+    assert (a.space.dims, a.space.labels) == (space.dims, space.labels)
+    assert {k: dense(a.field, v, a.space.dim(k[0] + k[2]))
+            for k, v in a.product.items()} == product
+    assert a.complex.d.blocks == complex_.d.blocks
+    assert dense(a.field, a.unit, a.space.dim(0)) == unit
     assert ({d: r.keep for d, r in a.presentation.reducers.items()}
-            == {d: r.keep for d, r in ref.presentation.reducers.items()})
+            == {d: r.keep for d, r in reducers.items()})
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)])

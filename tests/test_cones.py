@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from builders import sphere
+from builders import sphere, zero_ideal
 from pemb.algebra import CdgaMorphism, materialize_free_cdga
 from pemb.cones import (ConeError, build_acyclic_truncation, check_shift_bounds,
-                        semi_trivial_cone, truncated_cone, zero_ideal)
+                        semi_trivial_cone, truncated_cone)
 from pemb.fields import QQ
 from pemb.graded import DegreeWindow, GradedLinearMap, cohomology
-from pemb.linalg import Matrix, add_vec, scale_vec
+from pemb.linalg import Matrix
 from pemb.modules import (DgModuleMorphism, FreeGenerator, algebra_as_module,
                           free_module, restrict_scalars, shifted_dual,
                           solve_chain_maps)
@@ -82,7 +82,7 @@ def test_frozen_leibniz_failure_witness():
     assert (d2, l2) == (3, "sb")
     assert rep.defect_degree == 5
     # defect = s(u^2 a) - s(u b) in the ordered degree-5 basis
-    assert rep.defect == (QQ.one, QQ.of(-1))
+    assert rep.defect == {0: QQ.one, 1: QQ.of(-1)}
     assert not check_shift_bounds(cone).found
     with pytest.raises(ConeError):
         cone.to_cdga()
@@ -96,7 +96,7 @@ def test_acyclic_truncation_of_pipeline_cone():
     # d maps the degree-5 suspended class onto e6
     tc = truncated_cone(cone, ideal, 3, 3)
     assert tc.algebra.space.dims == {0: 1, 3: 1}
-    assert tc.algebra.mul_basis(3, 0, 3, 0) == ()
+    assert tc.algebra.mul_basis(3, 0, 3, 0) == {}
     assert tc.base_map.map.block(6).is_zero()
     assert tc.base_map.map.block(0).rank() == 1
 

@@ -2,22 +2,23 @@ import random
 
 import pytest
 
-from builders import (complex_projective, product_s2_s4, sphere, sullivan_cp2,
-                      torus_s1_s7, wedge_s2_s4)
+from builders import (complex_projective, product_s2_s4, random_semifree, sphere,
+                      sullivan_cp2, torus_s1_s7, wedge_s2_s4)
+from dense import (DenseCdga, DenseModule, DenseMorphism, dense_table,
+                   is_zero_vec)
 from pemb import modules
-from pemb.algebra import Cdga, CdgaMorphism
+from pemb.algebra import Cdga, CdgaMorphism, materialize_free_cdga
 from pemb.cones import semi_trivial_cone
 from pemb.fields import QQ, PrimeField
 from pemb.graded import (DegreeWindow, GradedLinearMap, cohomology, dualize,
                          mapping_cone)
-from pemb.linalg import Matrix, is_zero_vec
-from pemb.modules import (DgModuleMorphism, FreeGenerator, ModuleError,
+from pemb.linalg import Matrix
+from pemb.modules import (DgModule, DgModuleMorphism, FreeGenerator, ModuleError,
                           algebra_as_module, direct_sum_modules, dual_module,
                           free_module, hom_complex, homotopy_between,
                           homotopy_classes, module_mapping_cone, quotient_module,
-                          random_semifree, restrict_scalars, semifree_resolution,
-                          shifted_dual, solve_chain_maps, suspend_module,
-                          truncate_module)
+                          restrict_scalars, semifree_resolution, shifted_dual,
+                          solve_chain_maps, suspend_module, truncate_module)
 
 
 def s2(hi=7):
@@ -30,7 +31,18 @@ def test_algebra_as_module_validates():
     m.validate()
     assert m.space.dims == {0: 1, 2: 1}
     # u . u = 0 (u^2 relation)
-    assert m.act_basis(2, 0, 2, 0) == ()
+    assert m.act_basis(2, 0, 2, 0) == {}
+
+
+def test_dg_module_rejects_keys_and_indices_outside_the_basis():
+    m = algebra_as_module(s2())                    # basis 1, u on the window 0..7
+    for bad in ({(2, 1, 0, 0): {0: QQ.one}},      # no second algebra element u
+                {(0, 0, 2, 1): {0: QQ.one}},      # no second module element
+                {(2, 0, 0, 0): {1: QQ.one}},      # no second index in degree 2
+                {(2, 0, 2, 0): {0: QQ.one}}):     # degree 4 is empty
+        with pytest.raises(ModuleError, match=r"action \(\d,\d\) on \(\d,\d\) "
+                           "names no basis element"):
+            DgModule(m.algebra, m.complex, {**m.action, **bad}, validate=False)
 
 
 def test_dual_of_sphere_is_shift_of_itself():
@@ -39,7 +51,7 @@ def test_dual_of_sphere_is_shift_of_itself():
     dm = dual_module(m)
     assert dm.space.dims == {-6: 1, 0: 1}
     # e6 . (e6)* = 1*, so the dual is free on the top dual class
-    assert dm.act_basis(6, 0, -6, 0) == (QQ.one,)
+    assert dm.act_basis(6, 0, -6, 0) == {0: QQ.one}
     shifted = suspend_module(m, 6)
     hc = homotopy_classes(shifted, dm)
     assert hc.dimension == 1
@@ -52,7 +64,7 @@ def test_shifted_dual_dims():
     d = shifted_dual(algebra_as_module(q), 6)
     assert d.space.dims == {4: 1, 6: 1}
     # u . v4 = +- v6: the action stays full under the shift
-    assert d.act_basis(2, 0, 4, 0) in ((QQ.one,), (QQ.of(-1),))
+    assert d.act_basis(2, 0, 4, 0) in ({0: QQ.one}, {0: QQ.of(-1)})
 
 
 def test_hom_complex_endomorphisms_of_sphere():
@@ -78,7 +90,7 @@ def test_restrict_scalars_trivializes_action():
     d = shifted_dual(algebra_as_module(phi.target), 6)
     dr = restrict_scalars(d, phi)
     assert dr.space.dims == {4: 1, 6: 1}
-    assert dr.act_basis(6, 0, 4, 0) == ()  # e6 acts through phi(e6) = 0
+    assert dr.act_basis(6, 0, 4, 0) == {}  # e6 acts through phi(e6) = 0
 
 
 def test_solve_top_degree_map_s2_in_s6():
@@ -92,10 +104,10 @@ def test_solve_top_degree_map_s2_in_s6():
         [("class", 6, d.basis_vec(6, 0), phi.source.basis_vec(6, 0))])
     assert sol is not None
     psi, kernel = sol
-    assert psi.map.apply(6, d.basis_vec(6, 0)) == (QQ.one,)
+    assert psi.map.apply(6, d.basis_vec(6, 0)) == {0: QQ.one}
     assert psi.map.block(4).is_zero()  # R^4 = 0 forces psi(v4) = 0
     assert kernel == []
-    assert target_class == (QQ.one,)
+    assert target_class == {0: QQ.one}
 
 
 def test_homotopy_between_self_and_distinct():
@@ -171,6 +183,63 @@ def test_semifree_resolution_rebuilds_only_after_new_generators(monkeypatch):
         assert sum(1 for cx in calls if cx is not m.complex) <= 1 + rounds_added
 
 
+def exterior_in_s6():
+    """s^(-6) # H^*(T^2) over H^*(S^6), on which e6 acts as 0: its H^5 is
+    a plane, so one cokernel step adds two generators."""
+    r = sphere(6, hi=7)
+    q = materialize_free_cdga(QQ, [("a", 1), ("b", 1)], {}, [], DegreeWindow(0, 7))
+    phi = CdgaMorphism(r, q, GradedLinearMap(r.space, q.space, 0,
+                                             {0: Matrix.identity(QQ, 1)}))
+    return restrict_scalars(shifted_dual(algebra_as_module(q), 6), phi)
+
+
+def test_semifree_cokernel_step_eliminates_once_per_round(monkeypatch):
+    calls = {"rref": 0, "rank": 0}
+    rref, rank = Matrix.rref, Matrix.rank
+
+    def counted(name, fn):
+        def wrapper(self):
+            calls[name] += 1
+            return fn(self)
+        return wrapper
+
+    monkeypatch.setattr(Matrix, "rref", counted("rref", rref))
+    monkeypatch.setattr(Matrix, "rank", counted("rank", rank))
+    # rref calls when the cokernel step compared two ranks per class
+    for m, window, rank_pairs_rrefs in ((algebra_as_module(sullivan_cp2()), None, 38),
+                                        (exterior_in_s6(), DegreeWindow(0, 7), 40)):
+        calls.update(rref=0, rank=0)
+        res = semifree_resolution(m, minimal=False, window=window)
+        seen = dict(calls)
+        # rank is left to the closing quasi-isomorphism test, one call per
+        # degree of H(P) or H(m)
+        degrees = set(cohomology(res.module.complex).dims) | set(cohomology(m.complex).dims)
+        assert seen["rank"] == len(degrees)
+        assert seen["rref"] < rank_pairs_rrefs
+
+
+def test_semifree_resolution_generators_and_rho_are_unchanged():
+    """Generators and rho as the cokernel step with two rank calls per
+    class chose them: the greedy choice is the same."""
+    one = Matrix.identity(QQ, 1)
+    unit_mod, _ = free_module(s2(hi=5), [FreeGenerator("g", 0, 0)], {}, DegreeWindow(0, 0))
+    cases = [
+        (unit_mod, DegreeWindow(0, 5),
+         [("v0_0", 0), ("u2_1", 1), ("u3_2", 2), ("u4_3", 3), ("u5_4", 4)], {0: one}),
+        (algebra_as_module(sullivan_cp2()), None, [("v0_0", 0)],
+         {d: one for d in (0, 2, 4, 5, 6, 7, 8)}),
+        (shifted_dual(algebra_as_module(torus_s1_s7(hi=9)), 8), None, [("v0_0", 0)],
+         {0: one, 1: one.scale(-1), 7: one, 8: one}),
+        (exterior_in_s6(), DegreeWindow(0, 7),
+         [("v4_0", 4), ("v5_1", 5), ("v5_2", 5), ("v6_3", 6)],
+         {4: one, 5: Matrix.identity(QQ, 2), 6: one}),
+    ]
+    for m, window, gens, rho in cases:
+        res = semifree_resolution(m, minimal=False, window=window)
+        assert [(g.label, g.degree) for g in res.generators] == gens
+        assert res.rho.map.blocks == rho
+
+
 def test_truncate_module_keeps_low_cohomology():
     q = s2()
     d = shifted_dual(algebra_as_module(q), 6)  # dims {4:1, 6:1}, zero d
@@ -185,7 +254,7 @@ def test_truncate_module_acyclic_tail():
     # d(h4) = e3 * g2 pairs the two classes above degree 2
     a = sphere(3, hi=6)
     m, _ = free_module(a, [FreeGenerator("g", 2, 0), FreeGenerator("h", 4, 1)],
-                       {1: (QQ.one,)}, DegreeWindow(0, 6))
+                       {1: {0: QQ.one}}, DegreeWindow(0, 6))
     coh = cohomology(m.complex)
     tr = truncate_module(m, 2)
     assert tr.sub_acyclic
@@ -208,7 +277,7 @@ def test_module_mapping_cone():
 def test_quotient_module_by_top_line():
     a = sphere(6)
     m = algebra_as_module(a)
-    q, proj, _ = quotient_module(m, {6: [(QQ.one,)]})
+    q, proj, _ = quotient_module(m, {6: [{0: QQ.one}]})
     assert q.space.dims == {0: 1}
     assert proj.map.block(0).rank() == 1
 
@@ -217,7 +286,7 @@ def test_quotient_module_rejects_non_submodule():
     a = sphere(6)
     m = algebra_as_module(a)
     with pytest.raises(ModuleError):
-        quotient_module(m, {0: [(QQ.one,)]})  # unit line is not action-closed
+        quotient_module(m, {0: [{0: QQ.one}]})  # unit line is not action-closed
 
 
 def test_direct_sum_modules():
@@ -255,13 +324,15 @@ def test_hom_complex_differential_squares_to_zero():
 # -- differential test: table-reading builders against the dense loops ------
 #
 # The five dense builders below recompute every entry of a derived table
-# from two basis vectors.  They are the reference for `free_module`,
-# `restrict_scalars`, `dual_module`, `module_mapping_cone` and the cone
-# product, which read the same tables off the nonzero entries of the tables
-# they come from.
+# from two basis vectors, on the dense views of `dense`.  They are the
+# reference for `free_module`, `restrict_scalars`, `dual_module`,
+# `module_mapping_cone` and the cone product, which read the same tables
+# off the nonzero entries of the tables they come from; the tests compare
+# the tables with dense values.
 
 
 def dense_free_action(a, m, index):
+    a = DenseCdga(a)
     slots = {v: k for k, v in index.items()}
     sp = m.space
     action = {}
@@ -283,6 +354,7 @@ def dense_free_action(a, m, index):
 
 
 def dense_restricted_action(m, phi):
+    m, phi = DenseModule(m), DenseMorphism(phi, DenseCdga)
     a = phi.source
     action = {}
     sp = m.space
@@ -302,6 +374,7 @@ def dense_restricted_action(m, phi):
 
 
 def dense_dual_action(m):
+    m = DenseModule(m)
     cx = dualize(m.complex)
     sp = m.space
     field = m.field
@@ -327,6 +400,7 @@ def dense_dual_action(m):
 
 
 def dense_cone_action(f):
+    f = DenseMorphism(f, DenseModule)
     cone = mapping_cone(f.map, f.source.complex, f.target.complex)
     X, Y = f.source, f.target
     a = Y.algebra
@@ -359,7 +433,7 @@ def dense_cone_action(f):
 
 
 def dense_cone_product(cone):
-    R, X, split = cone.base, cone.module, cone.split
+    R, X, split = DenseCdga(cone.base), DenseModule(cone.module), cone.split
     field = cone.field
     sp = cone.space
     product = {}
@@ -437,7 +511,7 @@ def test_free_action_matches_dense_builder():
             for window in (a.space.window, DegreeWindow(0, top + 2),
                            DegreeWindow(1, top - 1)):
                 m, index = free_module(a, gens, {}, window)
-                assert m.action == dense_free_action(a, m, index)
+                assert dense_table(m.action, m.space) == dense_free_action(a, m, index)
                 seen += len(m.action)
     assert seen > 1000, seen
 
@@ -451,10 +525,11 @@ def test_derived_tables_match_dense_builders():
             morphisms.append(degree_scaling(a, 2))
         target = algebra_as_module(a)
         for m in module_samples(a, rng):
-            assert dual_module(m).action == dense_dual_action(m)
+            dual = dual_module(m)
+            assert dense_table(dual.action, dual.space) == dense_dual_action(m)
             for phi in morphisms:
                 restricted = restrict_scalars(m, phi).action
-                assert restricted == dense_restricted_action(m, phi)
+                assert dense_table(restricted, m.space) == dense_restricted_action(m, phi)
                 seen["restrict"] += bool(restricted)
             # raised two degrees, so that the cone is nonnegatively graded
             x = suspend_module(m, -2)
@@ -463,9 +538,10 @@ def test_derived_tables_match_dense_builders():
             for g in kernel:
                 glm = glm.add(g.map.scale(a.field.of(rng.randint(-2, 2))))
             f = DgModuleMorphism(x, target, glm)
-            assert module_mapping_cone(f)[0].action == dense_cone_action(f)
+            cone_mod = module_mapping_cone(f)[0]
+            assert dense_table(cone_mod.action, cone_mod.space) == dense_cone_action(f)
             cone = semi_trivial_cone(f)
-            assert cone.algebra.product == dense_cone_product(cone)
+            assert dense_table(cone.algebra.product, cone.space) == dense_cone_product(cone)
             seen["cone"] += any(k[1] >= cone.split.y_dim(k[0])
                                 for k in cone.algebra.product)
     # the samples reach nonzero restricted tables and mixed cone products

@@ -1,6 +1,7 @@
 import importlib
 import io
 import os
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -99,7 +100,7 @@ cdga E explicit {
 }
 """)
     e = pf.algebras["E"].cdga
-    assert e.unit == (Fraction(1),)
+    assert e.unit == {0: Fraction(1)}
     assert not e.complex.d.block(2).is_zero()
 
 
@@ -207,6 +208,18 @@ def test_cli_exit_codes(tmp_path):
     code, _, err = run_cli(["validate", str(bad)])
     assert (code, err) == (2, "error: line 2: window upper bound must be a "
                               "nonnegative integer, found -3\n")
+    # a stable square on a target of four embedded components: the stable
+    # range holds, the one-component hypothesis does not
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    try:
+        ladder = importlib.import_module("ladder")
+    finally:
+        sys.path.pop(0)
+    bad.write_text(ladder.build("menorah_fp", 1).problems["menorah4"].text)
+    code, _, err = run_cli(["stable-square", str(bad)])
+    assert (code, err) == (1, "hypothesis failure: one-component hypothesis fails: "
+                              "the stable square needs a single embedded "
+                              "component, found 4\n")
     # a power far above the window: its degree is read off the exponent
     # before the power is expanded, so it is as cheap as a small one
     example = cli.example_path("s2_in_s6").read_text()

@@ -1,0 +1,182 @@
+"""The one vector form: {index: nonzero scalar} everywhere below the reports.
+
+Every table value, unit and cohomology representative of the builders'
+algebras and of every shipped example (the parsed algebras, their
+cohomology algebras, the complement models, shifted duals and cone
+modules) must be a dict with nonzero field scalars at indices inside its
+degree.  The tables are also compared, with dense values, against the
+dense loops of `dense`, `test_linalg` and `test_modules`, over Q and F_5.
+"""
+
+import pytest
+
+from builders import (complex_projective, product_s2_s4, sphere, sullivan_cp2,
+                      torus_s1_s7, wedge_s2_s4)
+from dense import DenseCdga, dense_table, is_zero_vec, unit_vec
+from pemb import cli
+from pemb.algebra import cohomology_algebra
+from pemb.cones import semi_trivial_cone
+from pemb.fields import PrimeField, QQ
+from pemb.graded import cohomology
+from pemb.linalg import dense
+from pemb.modules import (DgModuleMorphism, algebra_as_module, dual_module,
+                          module_mapping_cone, shifted_dual, solve_chain_maps,
+                          suspend_module)
+from pemb.parser import parse_file
+from pemb.pipeline import HypothesisError, PipelineError, complement_model
+from test_linalg import DenseQuotienter, dense_cohomology
+from test_modules import dense_cone_action, dense_cone_product, dense_dual_action
+
+FIELDS = [QQ, PrimeField(5)]
+
+
+def assert_vector(v, field, n):
+    assert type(v) is dict, v
+    for i, x in v.items():
+        assert type(i) is int and 0 <= i < n, (i, n)
+        assert type(x) is type(field.zero) and x, x
+
+
+def assert_table(table, left, right, field):
+    for (d1, i1, d2, i2), v in table.items():
+        assert 0 <= i1 < left.dim(d1) and 0 <= i2 < right.dim(d2)
+        assert v
+        assert_vector(v, field, right.dim(d1 + d2))
+
+
+def assert_sparse_cdga(a):
+    assert a.unit
+    assert_vector(a.unit, a.field, a.space.dim(0))
+    assert_table(a.product, a.space, a.space, a.field)
+    assert_table(a.both_orders, a.space, a.space, a.field)
+
+
+def assert_sparse_module(m):
+    assert_table(m.action, m.algebra.space, m.space, m.field)
+
+
+def assert_sparse_cohomology(complex_):
+    coh = cohomology(complex_)
+    for vectors in (coh.cocycles, coh.reps):
+        for deg, vs in vectors.items():
+            for v in vs:
+                assert v
+                assert_vector(v, complex_.field, complex_.space.dim(deg))
+    return coh
+
+
+def dense_cohomology_table(a):
+    """The product and unit of the cohomology algebra, from the dense
+    representatives and the dense product."""
+    da, sp = DenseCdga(a), a.space
+    reps, reduce = {}, {}
+    for d in sp.degrees():
+        reps[d], reduce[d] = dense_cohomology(a.complex, d)
+    product = {}
+    for d1 in sp.degrees():
+        for d2 in sp.degrees():
+            if d1 + d2 > sp.window.hi:
+                continue
+            for i1, z1 in enumerate(reps[d1]):
+                for i2, z2 in enumerate(reps[d2]):
+                    v = da.mul_vec(d1, z1, d2, z2)
+                    w = reduce[d1 + d2](v) if d1 + d2 in reduce else ()
+                    if w and not is_zero_vec(w):
+                        product[(d1, i1, d2, i2)] = w
+    return product, reduce[0](da.unit)
+
+
+def assert_cohomology_algebra_matches_dense(a):
+    halg, _ = cohomology_algebra(a)
+    assert_sparse_cdga(halg)
+    product, unit = dense_cohomology_table(a)
+    assert dense_table(halg.product, halg.space) == product
+    assert dense(a.field, halg.unit, halg.space.dim(0)) == unit
+
+
+def dense_quotient_tables(a, spans):
+    """Product and unit of the quotient of a by a d-closed ideal given by
+    its spans, through dense quotients and the dense product."""
+    da, sp, field = DenseCdga(a), a.space, a.field
+    reducers = {d: DenseQuotienter(field, [dense(field, v, sp.dim(d))
+                                           for v in spans.get(d, [])], sp.dim(d))
+                for d in sp.degrees()}
+
+    def lift(d, i):
+        return unit_vec(field, sp.dim(d), reducers[d].keep[i])
+
+    product = {}
+    for d1, r1 in reducers.items():
+        for i1 in range(len(r1.keep)):
+            for d2, r2 in reducers.items():
+                rd = reducers.get(d1 + d2)
+                if d1 + d2 > sp.window.hi or rd is None or not rd.keep:
+                    continue
+                for i2 in range(len(r2.keep)):
+                    w = rd.project(da.mul_vec(d1, lift(d1, i1), d2, lift(d2, i2)))
+                    if not is_zero_vec(w):
+                        product[(d1, i1, d2, i2)] = w
+    return product, reducers[0].project(da.unit)
+
+
+def check_modules_over(a):
+    """Sparse shifted dual, dual and cone tables over a, equal to the
+    dense builders."""
+    m = algebra_as_module(a)
+    assert_sparse_module(m)
+    dual = shifted_dual(m, a.top_degree())
+    assert_sparse_module(dual)
+    assert_sparse_cohomology(dual.complex)
+    plain = dual_module(m)
+    assert dense_table(plain.action, plain.space) == dense_dual_action(m)
+    x = suspend_module(dual, -2)
+    f, _ = solve_chain_maps(x, m)
+    f = DgModuleMorphism(x, m, f.map)
+    cone_mod = module_mapping_cone(f)[0]
+    assert_sparse_module(cone_mod)
+    assert dense_table(cone_mod.action, cone_mod.space) == dense_cone_action(f)
+    cone = semi_trivial_cone(f)
+    assert_sparse_cdga(cone.algebra)
+    assert dense_table(cone.algebra.product, cone.space) == dense_cone_product(cone)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_builder_algebras_keep_one_vector_form(field):
+    for a in (sphere(2, field=field), sphere(3, hi=7, field=field),
+              sphere(6, field=field), complex_projective(2, field=field),
+              wedge_s2_s4(field=field), product_s2_s4(field=field),
+              sullivan_cp2(field=field), torus_s1_s7(hi=9, field=field)):
+        assert_sparse_cdga(a)
+        assert_sparse_cohomology(a.complex)
+        assert_cohomology_algebra_matches_dense(a)
+        check_modules_over(a)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_shipped_examples_keep_one_vector_form(field):
+    models = 0
+    for name in sorted(cli.EXAMPLES):
+        pf = parse_file(str(cli.example_path(name)), field_override=field)
+        for parsed in pf.algebras.values():
+            a = parsed.cdga
+            assert_sparse_cdga(a)
+            assert_sparse_cohomology(a.complex)
+            assert_cohomology_algebra_matches_dense(a)
+        for phi in pf.morphisms.values():
+            for d, block in phi.map.blocks.items():
+                for row in block.rows:
+                    assert_vector(row, field, phi.source.space.dim(d))
+        try:
+            cm = complement_model(pf.embedding_problem())
+        except (HypothesisError, PipelineError):
+            continue
+        models += 1
+        for a in (cm.cone.algebra, cm.quotient, cm.h_algebra):
+            assert_sparse_cdga(a)
+        assert_sparse_module(cm.resolution.module)
+        assert_sparse_module(cm.cone.cone_module)
+        product, unit = dense_quotient_tables(cm.cone.algebra, cm.ideal.spans)
+        assert dense_table(cm.quotient.product, cm.quotient.space) == product
+        assert dense(field, cm.quotient.unit, cm.quotient.space.dim(0)) == unit
+        assert_cohomology_algebra_matches_dense(cm.quotient)
+    assert models >= 5
