@@ -9,6 +9,7 @@ algebra axioms survive it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 
 from .checks import (check_cdga, check_cdga_morphism, escape_degree,
@@ -130,29 +131,20 @@ class CdgaMorphism:
 
 
 def _merge_sign(field, m1, m2, gen_degs):
-    """Sorted merge of two sorted index tuples with the Koszul sign."""
-    sign = field.one
-    out = []
-    i = j = 0
-    m1, m2 = list(m1), list(m2)
-    while i < len(m1) and j < len(m2):
-        if m1[i] <= m2[j]:
-            out.append(m1[i])
-            i += 1
-        else:
-            # m2[j] jumps over the remaining part of m1
-            jump = sum(gen_degs[g] for g in m1[i:])
-            if (gen_degs[m2[j]] * jump) % 2:
-                sign = -sign
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
+    """Sorted merge of two sorted index tuples with the Koszul sign: each
+    odd generator of m2 jumps over the odd generators of m1 above it."""
+    out = tuple(sorted(m1 + m2))
     # odd generator squared kills the monomial
     for a, b in zip(out, out[1:]):
         if a == b and gen_degs[a] % 2 == 1:
             return None, ()
-    return sign, tuple(out)
+    odd1 = [g for g in m1 if gen_degs[g] % 2]
+    swaps = 0
+    if odd1:
+        for g in m2:
+            if gen_degs[g] % 2:
+                swaps += len(odd1) - bisect_right(odd1, g)
+    return field.sign(swaps), out
 
 
 def _mono_degree(mono, gen_degs):

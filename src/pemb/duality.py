@@ -84,13 +84,13 @@ def verify_scalar_uniqueness(psi, psi2):
     homotopy: returns (u, h) with a verified h, or fails loudly."""
     if psi.map.source is not psi2.map.source or psi.map.target is not psi2.map.target:
         raise DualityError("scalar comparison needs a common model")
-    zero = psi.map.source.field.zero
+    field = psi.map.source.field
     coh_t = cohomology(psi.map.target.complex)
-    v1 = coh_t.reduce(psi.n, psi.map.apply(psi.n, psi.source_generator)).get(0, zero)
-    v2 = coh_t.reduce(psi.n, psi2.map.apply(psi.n, psi.source_generator)).get(0, zero)
+    v1 = coh_t.reduce(psi.n, psi.map.apply(psi.n, psi.source_generator)).get(0, field.zero)
+    v2 = coh_t.reduce(psi.n, psi2.map.apply(psi.n, psi.source_generator)).get(0, field.zero)
     if not v2:
         raise DualityError("second map is not top-degree on this generator")
-    u = v1 / v2
+    u = field.div(v1, v2)
     h = homotopy_between(psi.map, psi2.map.scale(u))
     if h is None:
         raise DualityError("no homotopy between psi and u.psi': scalar "
@@ -111,7 +111,8 @@ def _top_coefficient(space, n, fundamental, vec):
     if not fundamental:
         raise DualityError("degenerate fundamental class")
     i = min(fundamental)
-    return vec[i] / fundamental[i] if i in vec else space.field.zero
+    field = space.field
+    return field.div(vec[i], fundamental[i]) if i in vec else field.zero
 
 
 def gysin_map(hf, cert_w, cert_v, k):

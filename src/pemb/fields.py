@@ -1,9 +1,13 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
 All arithmetic in the library goes through elements produced by one of
-these field objects.  Rational scalars are `fractions.Fraction` (always
-stored reduced, positive denominator, which Fraction guarantees); prime
-field scalars are `FpElement`.  No floating point anywhere.
+these field objects.  A rational scalar is a Python `int` when it is
+integral and a `fractions.Fraction` (reduced, positive denominator) only
+when a denominator appears; the two mix, compare equal and hash equal,
+and print alike, so integral values cost no gcd.  A Fraction that
+arithmetic makes integral may stay a Fraction.  Prime field scalars are
+`FpElement`.  Scalars are divided only through `field.div`, since
+`int / int` would be a float: no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -95,25 +99,33 @@ class FpElement:
         return "%d" % self.v
 
 
+def _rational(q):
+    """The Fraction q as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class RationalField:
-    """The field Q, with Fraction scalars."""
+    """The field Q: int scalars, Fraction ones with a denominator > 1."""
 
     name = "Q"
     characteristic = 0
-    # shared: Fraction and FpElement scalars are never mutated
-    zero = Fraction(0)
-    one = Fraction(1)
-    minus_one = Fraction(-1)
+    zero = 0
+    one = 1
+    minus_one = -1
 
     def of(self, x):
         """Coerce an int, Fraction, or 'a/b' string to a scalar."""
-        if isinstance(x, Fraction):
-            return x
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)   # a bool becomes 0 or 1
+        if isinstance(x, Fraction):
+            return _rational(x)
         if isinstance(x, str):
-            return Fraction(x)
+            return _rational(Fraction(x))
         raise FieldError("cannot coerce %r into Q" % (x,))
+
+    def div(self, a, b):
+        """a / b; raises ZeroDivisionError when b is zero."""
+        return _rational(Fraction(a, b))
 
     def sign(self, k):
         """(-1)^k as a scalar."""
@@ -156,6 +168,10 @@ class PrimeField:
         if isinstance(x, str):
             return self.of(Fraction(x))
         raise FieldError("cannot coerce %r into F_%d" % (x, self.p))
+
+    def div(self, a, b):
+        """a / b; raises ZeroDivisionError when b is zero."""
+        return a / b
 
     sign = RationalField.sign
 

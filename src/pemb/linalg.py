@@ -194,7 +194,7 @@ class Matrix:
             _reduce(row, rows)
             if row:
                 p = min(row)
-                inv = self.field.one / row[p]
+                inv = self.field.div(self.field.one, row[p])
                 row = {c: inv * x for c, x in row.items()}
                 for other in rows.values():
                     if p in other:
@@ -209,15 +209,7 @@ class Matrix:
 
     def kernel_basis(self):
         """Basis of the null space; deterministic (one vector per free column)."""
-        red, pivots = self.rref()
-        pivset = set(pivots)
-        free = {fc: {fc: self.field.one} for fc in range(self.ncols)
-                if fc not in pivset}   # free column -> its basis vector
-        for row, pc in zip(red.rows, pivots):
-            for c, x in row.items():
-                if c in free:
-                    free[c][pc] = -x
-        return list(free.values())
+        return reduced_kernel(*self.rref(), self.ncols)
 
     def solve(self, b):
         """One solution x of A x = b, for a vector b over the rows, with
@@ -231,6 +223,21 @@ class Matrix:
         if n in pivots:
             return None
         return {pc: row[n] for row, pc in zip(red.rows, pivots) if n in row}
+
+
+def reduced_kernel(red, pivots, ncols):
+    """Basis of the null space of the first ncols columns of a matrix, read
+    off its `rref` (red, pivots): row operations keep those columns apart,
+    so the first ncols columns of red are their reduced echelon form.  One
+    vector per free column, so the basis is deterministic."""
+    pivset = set(pivots)
+    free = {fc: {fc: red.field.one} for fc in range(ncols)
+            if fc not in pivset}   # free column -> its basis vector
+    for row, pc in zip(red.rows, pivots):
+        for c, x in row.items():
+            if c in free:
+                free[c][pc] = -x
+    return list(free.values())
 
 
 def _is_scalar(x, field):

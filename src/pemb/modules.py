@@ -16,7 +16,7 @@ from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      GradedVectorSpace, cohomology, direct_sum, dualize,
                      mapping_cone, quasi_isomorphism_failure, suspend,
                      truncation_spans)
-from .linalg import Matrix, axpy, sparse_sum
+from .linalg import Matrix, axpy, reduced_kernel, sparse_sum
 
 
 class ModuleError(ValueError):
@@ -590,24 +590,23 @@ def semifree_resolution(m, minimal=True, max_rounds=30, window=None):
             P, _, _, rho, coh_P = build()
             # induced map on H^j
             img_cols = [coh_m.reduce(j, rho.apply(j, z)) for z in coh_P.reps.get(j, [])]
-            hm_dim = coh_m.dim(j)
-            # cokernel: the classes e_t of H^j(m) outside the span of the
-            # image columns and of the e_s before them, the pivots of
-            # (image columns | I) past the image
-            missing = []
-            if hm_dim:
-                n_img = len(img_cols)
-                eye = [{t: field.one} for t in range(hm_dim)]
-                _, pivots = Matrix.from_cols(field, img_cols + eye, hm_dim).rref()
-                missing = [p - n_img for p in pivots if p >= n_img]
+            n_img, hm_dim = len(img_cols), coh_m.dim(j)
+            if not n_img and not hm_dim:
+                break
+            # one elimination per round, of (image columns | I).  Cokernel:
+            # the classes e_t of H^j(m) outside the span of the image
+            # columns and of the e_s before them, its pivots past the image
+            eye = [{t: field.one} for t in range(hm_dim)]
+            red, pivots = Matrix.from_cols(field, img_cols + eye, hm_dim).rref()
+            missing = [p - n_img for p in pivots if p >= n_img]
             if missing:
                 for t in missing:
                     gi = len(gens)
                     gens.append(FreeGenerator("v%d_%d" % (j, gi), j, gi))
                     rho_vals[gi] = coh_m.reps[j][t]
                 continue
-            kern = (Matrix.from_cols(field, img_cols, hm_dim).kernel_basis()
-                    if coh_P.dim(j) else [])
+            # kernel of the induced map, from the first n_img columns of red
+            kern = reduced_kernel(red, pivots, n_img)
             if not kern:
                 break
             for v in kern:

@@ -153,7 +153,7 @@ def test_criterion_07_scalar_uniqueness():
         psi2 = TopDegreeMap(DgModuleMorphism(p, target, glm), n, c,
                             psi.source_generator, psi.target_generator)
         u, _ = verify_scalar_uniqueness(psi, psi2)
-        assert u == QQ.one / c
+        assert u == QQ.div(QQ.one, c)
         checked += 1
     assert checked >= 30
 

@@ -53,7 +53,7 @@ def test_scalar_uniqueness_on_scaled_map():
     doubled = TopDegreeMap(psi.map.scale(QQ.of(2)), 6, QQ.of(2),
                            psi.source_generator, psi.target_generator)
     u, h = verify_scalar_uniqueness(psi, doubled)
-    assert u == QQ.of(1) / QQ.of(2)
+    assert u == QQ.div(QQ.of(1), QQ.of(2))
     assert h.is_zero()
 
 

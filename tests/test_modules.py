@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -194,23 +195,31 @@ def exterior_in_s6():
 
 
 def test_semifree_cokernel_step_eliminates_once_per_round(monkeypatch):
-    calls = {"rref": 0, "rank": 0}
-    rref, rank = Matrix.rref, Matrix.rank
+    calls = {"rref": 0, "rank": 0, "kernel_basis": 0, "solve": 0}
+    per_round = {}   # (degree, round) of semifree_resolution -> eliminations it made
 
     def counted(name, fn):
-        def wrapper(self):
+        def wrapper(self, *args):
             calls[name] += 1
-            return fn(self)
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "semifree_resolution":
+                key = caller.f_locals["j"], caller.f_locals["round_"]
+                per_round[key] = per_round.get(key, 0) + 1
+            return fn(self, *args)
         return wrapper
 
-    monkeypatch.setattr(Matrix, "rref", counted("rref", rref))
-    monkeypatch.setattr(Matrix, "rank", counted("rank", rank))
+    for name in calls:
+        monkeypatch.setattr(Matrix, name, counted(name, getattr(Matrix, name)))
     # rref calls when the cokernel step compared two ranks per class
     for m, window, rank_pairs_rrefs in ((algebra_as_module(sullivan_cp2()), None, 38),
                                         (exterior_in_s6(), DegreeWindow(0, 7), 40)):
-        calls.update(rref=0, rank=0)
+        calls.update(dict.fromkeys(calls, 0))
+        per_round.clear()
         res = semifree_resolution(m, minimal=False, window=window)
         seen = dict(calls)
+        # the closing round of a degree reads the kernel off the round's
+        # one rref of (image columns | I) instead of eliminating again
+        assert per_round and set(per_round.values()) == {1}, per_round
         # rank is left to the closing quasi-isomorphism test, one call per
         # degree of H(P) or H(m)
         degrees = set(cohomology(res.module.complex).dims) | set(cohomology(m.complex).dims)

@@ -1,12 +1,16 @@
 """The one vector form: {index: nonzero scalar} everywhere below the reports.
 
-Every table value, unit and cohomology representative of the builders'
-algebras and of every shipped example (the parsed algebras, their
-cohomology algebras, the complement models, shifted duals and cone
-modules) must be a dict with nonzero field scalars at indices inside its
-degree.  The tables are also compared, with dense values, against the
-dense loops of `dense`, `test_linalg` and `test_modules`, over Q and F_5.
+Every table value, unit, differential row and cohomology representative
+of the builders' algebras and of every shipped example (the parsed
+algebras, their cohomology algebras, the complement models, shifted duals
+and cone modules) must be a dict with nonzero field scalars at indices
+inside its degree.  Over Q a scalar is an int, or a Fraction only when it
+has a denominator.  The tables are also compared, with dense values,
+against the dense loops of `dense`, `test_linalg` and `test_modules`,
+over Q and F_5.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +20,7 @@ from dense import DenseCdga, dense_table, is_zero_vec, unit_vec
 from pemb import cli
 from pemb.algebra import cohomology_algebra
 from pemb.cones import semi_trivial_cone
-from pemb.fields import PrimeField, QQ
+from pemb.fields import FieldError, PrimeField, QQ
 from pemb.graded import cohomology
 from pemb.linalg import dense
 from pemb.modules import (DgModuleMorphism, algebra_as_module, dual_module,
@@ -24,7 +28,7 @@ from pemb.modules import (DgModuleMorphism, algebra_as_module, dual_module,
                           suspend_module)
 from pemb.parser import parse_file
 from pemb.pipeline import HypothesisError, PipelineError, complement_model
-from test_linalg import DenseQuotienter, dense_cohomology
+from test_linalg import DenseQuotienter, dense_cohomology, in_scalar_form
 from test_modules import dense_cone_action, dense_cone_product, dense_dual_action
 
 FIELDS = [QQ, PrimeField(5)]
@@ -34,7 +38,7 @@ def assert_vector(v, field, n):
     assert type(v) is dict, v
     for i, x in v.items():
         assert type(i) is int and 0 <= i < n, (i, n)
-        assert type(x) is type(field.zero) and x, x
+        assert in_scalar_form(field, x) and x, x
 
 
 def assert_table(table, left, right, field):
@@ -44,15 +48,23 @@ def assert_table(table, left, right, field):
         assert_vector(v, field, right.dim(d1 + d2))
 
 
+def assert_sparse_differential(complex_):
+    for d, block in complex_.d.blocks.items():
+        for row in block.rows:
+            assert_vector(row, complex_.field, complex_.space.dim(d))
+
+
 def assert_sparse_cdga(a):
     assert a.unit
     assert_vector(a.unit, a.field, a.space.dim(0))
     assert_table(a.product, a.space, a.space, a.field)
     assert_table(a.both_orders, a.space, a.space, a.field)
+    assert_sparse_differential(a.complex)
 
 
 def assert_sparse_module(m):
     assert_table(m.action, m.algebra.space, m.space, m.field)
+    assert_sparse_differential(m.complex)
 
 
 def assert_sparse_cohomology(complex_):
@@ -138,6 +150,29 @@ def check_modules_over(a):
     cone = semi_trivial_cone(f)
     assert_sparse_cdga(cone.algebra)
     assert dense_table(cone.algebra.product, cone.space) == dense_cone_product(cone)
+
+
+def test_rational_scalars_are_ints_until_a_denominator_appears():
+    assert type(QQ.zero) is type(QQ.one) is type(QQ.minus_one) is int
+    for x, want in ((True, 1), (False, 0), (-3, -3), (Fraction(6, 3), 2), ("4/2", 2),
+                    (Fraction(1, 2), Fraction(1, 2)), ("-3/6", Fraction(-1, 2))):
+        got = QQ.of(x)
+        assert got == want and type(got) is type(want), (x, got)
+    for a, b, want in ((6, 3, 2), (-4, 2, -2), (Fraction(1, 2), Fraction(1, 4), 2),
+                       (1, 3, Fraction(1, 3)), (2, -4, Fraction(-1, 2)),
+                       (Fraction(1, 2), 3, Fraction(1, 6))):
+        got = QQ.div(a, b)
+        assert got == want and type(got) is type(want), (a, b, got)
+    for b in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(1, b)
+    for x in (1.5, 2.0, None):
+        with pytest.raises(FieldError):
+            QQ.of(x)
+    f5 = PrimeField(5)
+    assert f5.div(f5.of(1), f5.of(2)) == 3 and type(f5.div(1, f5.of(2))) is type(f5.zero)
+    with pytest.raises(ZeroDivisionError):
+        f5.div(f5.one, f5.zero)
 
 
 @pytest.mark.parametrize("field", FIELDS)
