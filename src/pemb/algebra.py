@@ -9,8 +9,11 @@ algebra axioms survive it.
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
+from itertools import count
+from operator import itemgetter
 
 from .checks import (check_cdga, check_cdga_morphism, escape_degree,
                      left_multiples)
@@ -128,6 +131,16 @@ class CdgaMorphism:
 
 
 # -- free graded-commutative presentations ------------------------------
+#
+# A monomial is a sorted tuple of generator indices in which no odd
+# generator repeats, and a polynomial is a homogeneous dict {monomial:
+# nonzero scalar}.  Monomials of one degree compare as tuples, and the
+# smallest tuple of a polynomial is its leading monomial: this is lex
+# order with generator 0 largest, a monomial order.
+
+# The most standard monomials one presentation may have over its whole
+# window; enumeration stops past it and names the degree it reached.
+MAX_STANDARD_MONOMIALS = 10000
 
 
 def _merge_sign(field, m1, m2, gen_degs):
@@ -166,28 +179,253 @@ def _mono_label(mono, gen_names):
     return "*".join(parts)
 
 
-class FreePresentation:
-    """Bookkeeping for an algebra materialized from generators/relations."""
+def _is_monomial(mono, gen_degs):
+    return (all(0 <= g < len(gen_degs) for g in mono) and list(mono) == sorted(mono)
+            and not any(a == b and gen_degs[a] % 2 for a, b in zip(mono, mono[1:])))
 
-    def __init__(self, gen_names, gen_degs, monos_by_degree, mono_index, reducers):
+
+def _divide(t, m):
+    """The monomial q with q * m = +-t, or None when m does not divide t."""
+    q, i = [], 0
+    for g in t:
+        if i < len(m) and m[i] == g:
+            i += 1
+        elif i < len(m) and m[i] < g:
+            return None
+        else:
+            q.append(g)
+    return tuple(q) if i == len(m) else None
+
+
+def _lcm(a, b):
+    """Least common multiple of two monomials: each generator to the
+    larger of its two multiplicities."""
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        if a[i] <= b[j]:
+            out.append(a[i])
+            j += a[i] == b[j]
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
+
+
+def _times(field, q, poly, gen_degs):
+    """The polynomial q * poly, for a monomial q."""
+    terms = []
+    for m, c in poly.items():
+        s, prod = _merge_sign(field, q, m, gen_degs)
+        if s is not None:
+            terms.append((prod, s * c))
+    return sparse_sum(terms)
+
+
+def _reduce(field, poly, basis, gen_degs):
+    """Normal form of a homogeneous polynomial against `basis`, a list of
+    (leading monomial, monic polynomial): no term of the result is a
+    multiple of a leading monomial.
+
+    Terms are taken leading first.  Reducing t = s q LM(g) by g puts in
+    its place the terms q u of g's tail, and each q u follows t in the
+    order, so every monomial is taken once, with its final coefficient.
+    """
+    work = dict(poly)
+    queue = list(work)
+    heapq.heapify(queue)
+    out = {}
+    while queue:
+        t = heapq.heappop(queue)
+        c = work.pop(t, None)
+        if c is None:
+            continue
+        for lm, g in basis:
+            q = _divide(t, lm)
+            if q is not None:
+                break
+        else:
+            out[t] = c
+            continue
+        s, _ = _merge_sign(field, q, lm, gen_degs)
+        f = -s * c
+        for u, cu in g.items():
+            if u == lm:
+                continue
+            s2, v = _merge_sign(field, q, u, gen_degs)
+            if s2 is None:
+                continue
+            x = f * s2 * cu
+            if v in work:
+                x = work[v] + x
+                if x:
+                    work[v] = x
+                else:
+                    del work[v]
+            else:
+                work[v] = x
+                heapq.heappush(queue, v)
+    return out
+
+
+def _groebner_basis(field, relations, gen_degs, hi):
+    """Reduced Groebner basis, truncated at degree hi, of the ideal that
+    the homogeneous polynomials `relations` generate: a list of (leading
+    monomial, monic polynomial).
+
+    Buchberger's algorithm with the graded-commutative rule of Stokes
+    ("Groebner bases in exterior algebras", J. Automated Reasoning,
+    1990): besides the S-polynomials, x * g must reduce to zero for each
+    odd generator x of LM(g), since x * LM(g) = 0 leaves x * g led by a
+    lower term.  Two monomials have S-polynomial zero, so monomial
+    relations are their own basis.  Polynomials are taken lowest degree
+    first and every one queued is of the degree taken or above, so a new
+    leading monomial never divides an earlier one and only the tails are
+    left to inter-reduce.
+    """
+    order = count()
+    queue = [(_mono_degree(min(r), gen_degs), next(order), r) for r in relations]
+    heapq.heapify(queue)
+    basis = []
+    while queue:
+        e, _, f = heapq.heappop(queue)
+        f = _reduce(field, f, basis, gen_degs)
+        if not f:
+            continue
+        lm = min(f)
+        inv = field.div(field.one, f[lm])
+        f = {m: inv * c for m, c in f.items()}
+        found = []
+        for lm2, g in basis:
+            if len(f) == 1 and len(g) == 1:
+                continue
+            lcm = _lcm(lm, lm2)
+            if _mono_degree(lcm, gen_degs) <= hi:
+                q1, q2 = _divide(lcm, lm), _divide(lcm, lm2)
+                s1, _ = _merge_sign(field, q1, lm, gen_degs)
+                s2, _ = _merge_sign(field, q2, lm2, gen_degs)
+                # q1 f - s1 s2 q2 g: the two leading terms cancel
+                spoly = _times(field, q1, f, gen_degs)
+                axpy(spoly, -s1 * s2, _times(field, q2, g, gen_degs))
+                found.append(spoly)
+        found += [_times(field, (x,), f, gen_degs) for x in lm
+                  if gen_degs[x] % 2 and e + gen_degs[x] <= hi]
+        for h in found:
+            if h:
+                heapq.heappush(queue, (_mono_degree(min(h), gen_degs), next(order), h))
+        basis.append((lm, f))
+    for k, (lm, g) in enumerate(basis):
+        tail = _reduce(field, {m: c for m, c in g.items() if m != lm},
+                       basis[:k] + basis[k + 1:], gen_degs)
+        basis[k] = (lm, {lm: field.one, **tail})
+    return basis
+
+
+def _d_mono(field, mono, dgen, gen_degs, hi):
+    """d of a monomial by the Leibniz rule, a polynomial of one degree
+    more; dgen maps generators to their differentials, and d vanishes
+    into degrees above hi.
+
+    The term of generator g = mono[j] is (-1)^|prefix| prefix d(g) rest,
+    prefix = mono[:j]; moving d(g), of degree |g| + 1, to the front turns
+    the sign into (-1)^(|g| |prefix|) times that of d(g) * (mono without
+    g).
+    """
+    if _mono_degree(mono, gen_degs) + 1 > hi:
+        return {}
+    terms = []
+    for j, g in enumerate(mono):
+        if g not in dgen:
+            continue
+        sign = field.sign(gen_degs[g] * _mono_degree(mono[:j], gen_degs))
+        rest = mono[:j] + mono[j + 1:]
+        for t, c in dgen[g].items():
+            s2, prod = _merge_sign(field, t, rest, gen_degs)
+            if s2 is not None:
+                terms.append((prod, sign * s2 * c))
+    return sparse_sum(terms)
+
+
+class FreePresentation:
+    """An algebra materialized from a free presentation: its generators,
+    the reduced Groebner basis of its relation ideal, and its basis, the
+    standard monomials of each degree in lex order."""
+
+    def __init__(self, field, gen_names, gen_degs, basis, standard):
+        self.field = field
         self.gen_names = gen_names
         self.gen_degs = gen_degs
-        self.monos_by_degree = monos_by_degree
-        self.mono_index = mono_index
-        self.reducers = reducers  # degree -> Quotienter in monomial coordinates
+        self.groebner_basis = basis  # [(leading monomial, monic polynomial)]
+        self.standard = standard    # degree -> standard monomials
+        self._position = {m: i for ms in standard.values() for i, m in enumerate(ms)}
+        self._reduced = {}          # monomial that is not standard -> its class
+
+    def monomial_form(self, t):
+        """The class of a monomial of degree within the window, a vector
+        over the standard monomials of its degree (not to be changed)."""
+        i = self._position.get(t)
+        if i is not None:
+            return {i: self.field.one}
+        v = self._reduced.get(t)
+        if v is None:
+            nf = _reduce(self.field, {t: self.field.one}, self.groebner_basis,
+                         self.gen_degs)
+            v = self._reduced[t] = {self._position[m]: c for m, c in nf.items()}
+        return v
+
+    def normal_form(self, poly):
+        """The class of a homogeneous polynomial of degree within the
+        window, a vector over the standard monomials of its degree."""
+        return sparse_sum([(i, c * x) for t, c in poly.items()
+                           for i, x in self.monomial_form(t).items()])
 
 
-def _poly_to_vec(field, poly, mono_index, deg, gen_degs, what):
-    """poly: dict[index-tuple] -> scalar, all monomials of one degree, as
-    a sparse vector in monomial coordinates."""
+def _poly_in_degree(field, poly, deg, gen_degs, what):
+    """poly with its coefficients coerced, checked to be a polynomial of
+    degree deg."""
     terms = []
     for mono, coeff in poly.items():
         if _mono_degree(mono, gen_degs) != deg:
             raise AlgebraError("%s is not homogeneous of degree %d" % (what, deg))
-        if mono not in mono_index:
+        if not _is_monomial(mono, gen_degs):
             raise AlgebraError("%s contains a monomial outside the window" % what)
-        terms.append((mono_index[mono][1], field.of(coeff)))
+        terms.append((mono, field.of(coeff)))
     return sparse_sum(terms)
+
+
+def _standard_monomials(basis, gen_degs, hi):
+    """degree -> the monomials of degree <= hi that no leading monomial of
+    `basis` divides, in lex order; nonempty degrees only.
+
+    A monomial is a standard monomial times its last generator, so each
+    degree extends the lower ones; a multiple of a leading monomial is
+    never extended, since its multiples are multiples too.  A standard t
+    extended by g is a multiple only of leading monomials that end in g.
+    """
+    ending = {}
+    for lm, _ in basis:
+        ending.setdefault(lm[-1] if lm else None, []).append(lm)
+    standard = {} if None in ending else {0: [()]}
+    total = len(standard)
+    for d in range(1, hi + 1):
+        found = []
+        for g, gd in enumerate(gen_degs):
+            for m in standard.get(d - gd, ()):
+                if m and (m[-1] > g or (m[-1] == g and gd % 2)):
+                    continue
+                t = m + (g,)
+                if any(_divide(t, lm) is not None for lm in ending.get(g, ())):
+                    continue
+                total += 1
+                if total > MAX_STANDARD_MONOMIALS:
+                    raise AlgebraError("presentation has more than %d standard "
+                                       "monomials by degree %d"
+                                       % (MAX_STANDARD_MONOMIALS, d))
+                found.append(t)
+        if found:
+            found.sort()
+            standard[d] = found
+    return standard
 
 
 def materialize_free_cdga(field, generators, diffs, relations, window):
@@ -196,69 +434,38 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
     ideal generated by `relations`, all within the degree window.
 
     Polynomials are dicts mapping sorted generator-index tuples to
-    coefficients.
+    coefficients.  The quotient basis in each degree is the set of
+    standard monomials of a reduced Groebner basis of the ideal in lex
+    order with generator 0 largest, and a class is written through its
+    normal form.  These are the basis and the coordinates that reducing
+    the span of all multiples of the relations by `Matrix.rref` gives, in
+    monomial coordinates indexed in lex order of sorted tuples: that
+    rule pivots on a row's smallest column, its leading monomial, so the
+    pivots are the leading monomials of the ideal, the kept columns the
+    standard monomials, and the remainder of a reduction the normal
+    form.  Bases, labels, signs and tables follow from the ideal alone.
     """
     if window.lo != 0:
         raise AlgebraError("algebra window must start at 0")
+    hi = window.hi
     gen_names = [g for g, _ in generators]
     gen_degs = [d for _, d in generators]
     for g, d in generators:
         if d < 1:
             raise AlgebraError("generator %s must have positive degree" % g)
-        if d > window.hi:
+        if d > hi:
             raise AlgebraError("generator %s exceeds the window" % g)
 
-    # monomials per degree, lex order on index tuples
-    monos_by_degree = {d: [] for d in range(window.hi + 1)}
-    def emit(mono, deg, start):
-        monos_by_degree[deg].append(tuple(mono))
-        for g in range(start, len(gen_degs)):
-            nd = deg + gen_degs[g]
-            if nd > window.hi:
-                continue
-            if mono and mono[-1] == g and gen_degs[g] % 2 == 1:
-                continue
-            mono.append(g)
-            emit(mono, nd, g)
-            mono.pop()
-    emit([], 0, 0)
-    for d in monos_by_degree:
-        monos_by_degree[d].sort()
-    mono_index = {m: (d, i) for d, ms in monos_by_degree.items()
-                  for i, m in enumerate(ms)}
-
-    dims = {d: len(ms) for d, ms in monos_by_degree.items() if ms}
-
-    # differential on generators, then on monomials by the Leibniz rule
     dgen = {}
     for name, poly in diffs.items():
         if name not in gen_names:
             raise AlgebraError("d given for unknown generator %s" % name)
         g = gen_names.index(name)
-        target_deg = gen_degs[g] + 1
-        if target_deg <= window.hi:
-            dgen[g] = _poly_to_vec(field, poly, mono_index, target_deg, gen_degs,
-                                   "d(%s)" % name)
+        if gen_degs[g] + 1 <= hi:
+            dgen[g] = _poly_in_degree(field, poly, gen_degs[g] + 1, gen_degs,
+                                      "d(%s)" % name)
 
-    # vectors below are sparse, {monomial index: nonzero coefficient}
-    def d_mono(mono):
-        if _mono_degree(mono, gen_degs) + 1 > window.hi:
-            return {}
-        terms = []
-        for j, g in enumerate(mono):
-            if g not in dgen:
-                continue
-            sign = field.sign(_mono_degree(mono[:j], gen_degs))
-            rest = mono[:j] + mono[j + 1:]
-            tdeg = gen_degs[g] + 1
-            for i, c in dgen[g].items():
-                s2, prod = _merge_sign(field, monos_by_degree[tdeg][i], rest, gen_degs)
-                if s2 is not None:
-                    terms.append((mono_index[prod][1], sign * s2 * c))
-        return sparse_sum(terms)
-
-    # ideal spans per degree
-    spans = {d: [] for d in dims}
+    rels = []   # (degree, polynomial) of the relations within the window
     for rn, poly in enumerate(relations):
         if not poly:
             continue
@@ -266,45 +473,33 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
         if len(rel_deg) != 1:
             raise AlgebraError("relation %d is not homogeneous" % rn)
         (e,) = rel_deg
-        if e > window.hi:
+        if e > hi:
             continue
-        coeffs = [(rm, field.of(coeff)) for rm, coeff in poly.items()]
-        for d in range(0, window.hi - e + 1):
-            for mono in monos_by_degree.get(d, ()):
-                terms = []
-                for rm, coeff in coeffs:
-                    s, prod = _merge_sign(field, rm, mono, gen_degs)
-                    if s is not None:
-                        terms.append((mono_index[prod][1], s * coeff))
-                v = sparse_sum(terms)
-                if v:
-                    spans[d + e].append(v)
+        # sorted, with a term that repeats an odd generator dropped
+        r = _times(field, (), {rm: field.of(c) for rm, c in poly.items()}, gen_degs)
+        if r:
+            rels.append((e, r))
+    basis = _groebner_basis(field, [r for _, r in rels], gen_degs, hi)
 
-    reducers = {d: Quotienter(field, spans.get(d, []), n) for d, n in dims.items()}
+    # d is a derivation, so d(r m) = d(r) m +- r d(m) lies in the ideal
+    # for every multiple r m of a relation r with d(r) in it
+    for e, r in sorted(rels, key=itemgetter(0)):
+        dr = sparse_sum([(t, c * x) for m, c in r.items()
+                         for t, x in _d_mono(field, m, dgen, gen_degs, hi).items()])
+        if _reduce(field, dr, basis, gen_degs):
+            raise AlgebraError("differential does not preserve the relation ideal "
+                               "in degree %d" % (e + 1))
 
-    def d_vec(d, v):
-        return sparse_sum([(k, c * x) for i, c in v.items()
-                            for k, x in d_mono(monos_by_degree[d][i]).items()])
-
-    bad = escape_degree(spans, reducers, lambda d, v: [(d + 1, d_vec(d, v))])
-    if bad is not None:
-        raise AlgebraError("differential does not preserve the relation ideal "
-                           "in degree %d" % bad)
-
-    # quotient basis, labels, differential, product
-    qdims, qlabels = {}, {}
-    for d, red in sorted(reducers.items()):
-        if red.keep:
-            qdims[d] = len(red.keep)
-            qlabels[d] = [_mono_label(monos_by_degree[d][i], gen_names)
-                          for i in red.keep]
-    space = GradedVectorSpace(field, window, qdims, qlabels)
+    standard = _standard_monomials(basis, gen_degs, hi)
+    pres = FreePresentation(field, gen_names, gen_degs, basis, standard)
+    space = GradedVectorSpace(field, window, {d: len(ms) for d, ms in standard.items()},
+                              {d: [_mono_label(m, gen_names) for m in ms]
+                               for d, ms in standard.items()})
 
     dblocks = {}
     for d in space.degrees():
-        red1 = reducers.get(d + 1)
-        cols = [red1.project(d_mono(monos_by_degree[d][i])) if red1 else {}
-                for i in reducers[d].keep]
+        cols = [pres.normal_form(_d_mono(field, m, dgen, gen_degs, hi))
+                for m in standard[d]]
         dblocks[d] = Matrix.from_cols(field, cols, space.dim(d + 1))
     complex_ = CochainComplex(space, GradedLinearMap(space, space, 1, dblocks))
 
@@ -312,26 +507,22 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
     for d1 in space.degrees():
         for d2 in space.degrees():
             d = d1 + d2
-            if d > window.hi or space.dim(d) == 0:
+            if d > hi or space.dim(d) == 0:
                 continue
-            red = reducers[d]
-            for i1, k1 in enumerate(reducers[d1].keep):
-                m1 = monos_by_degree[d1][k1]
-                for i2, k2 in enumerate(reducers[d2].keep):
-                    m2 = monos_by_degree[d2][k2]
+            for i1, m1 in enumerate(standard[d1]):
+                for i2, m2 in enumerate(standard[d2]):
                     s, prod = _merge_sign(field, m1, m2, gen_degs)
                     if s is None:
                         continue
-                    w = red.project({mono_index[prod][1]: s})
+                    w = pres.monomial_form(prod)
                     if w:
-                        product[(d1, i1, d2, i2)] = w
+                        product[(d1, i1, d2, i2)] = {i: s * x for i, x in w.items()}
 
-    unit = reducers[0].project({0: field.one})
+    unit = pres.normal_form({(): field.one})
     if not unit:
         raise AlgebraError("relations kill the unit")
     alg = Cdga(field, complex_, product, unit)
-    alg.presentation = FreePresentation(gen_names, gen_degs, monos_by_degree,
-                                        mono_index, reducers)
+    alg.presentation = pres
     return alg
 
 

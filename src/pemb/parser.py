@@ -16,7 +16,7 @@ from .algebra import (AlgebraError, Cdga, CdgaMorphism,
 from .fields import FieldError, PrimeField, QQ
 from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      GradedVectorSpace)
-from .linalg import Matrix, sparse_sum
+from .linalg import Matrix
 from .pipeline import EmbeddingProblem, PipelineError
 
 
@@ -382,16 +382,10 @@ def _poly_to_target_vec(terms, target, lineno):
                                     "image", target.cdga.space.window.hi)
     if deg is None:
         return None, None
-    pres = target.cdga.presentation
-    monos = pres.monos_by_degree.get(deg)
-    if monos is None:
+    if deg > target.cdga.space.window.hi:
         raise ParseError(lineno, "image degree %d outside the window" % deg)
-    coords = []
-    for mono, coeff in poly.items():
-        if mono not in pres.mono_index:
-            raise ParseError(lineno, "monomial outside the window in image")
-        coords.append((pres.mono_index[mono][1], field.of(coeff)))
-    return deg, pres.reducers[deg].project(sparse_sum(coords))
+    return deg, target.cdga.presentation.normal_form(
+        {mono: field.of(coeff) for mono, coeff in poly.items()})
 
 
 def _parse_morphism(name, src, tgt, lines, pf):
@@ -458,11 +452,9 @@ def _parse_morphism(name, src, tgt, lines, pf):
                     return None, None
             return deg, vec
 
-        pres = sa.presentation
-        for d in sa.space.degrees():
-            red = pres.reducers[d]
-            for i, k in enumerate(red.keep):
-                deg, vec = image_of_mono(pres.monos_by_degree[d][k])
+        for d, monos in sa.presentation.standard.items():
+            for i, mono in enumerate(monos):
+                deg, vec = image_of_mono(mono)
                 if vec is not None:
                     put(d, i, vec)
     glm = GradedLinearMap(sa.space, ta.space, 0,

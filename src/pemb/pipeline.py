@@ -652,7 +652,9 @@ def gysin(problem):
     """Umkehr map on cohomology for a single branch whose target also
     satisfies duality (in its own top dimension)."""
     if problem.is_menorah:
-        raise PipelineError("umkehr maps need a single embedded component")
+        raise HypothesisError("one-component hypothesis fails: umkehr maps "
+                              "need a single embedded component, found %d"
+                              % len(problem.branches))
     halg_r, coh_r = cohomology_algebra(problem.ambient)
     halg_q, coh_q = cohomology_algebra(problem.target)
     n = problem.n

@@ -1,11 +1,18 @@
+import gc
+import importlib
+import os
+import random
+import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 import builders
 from builders import (complex_projective, product_s2_s4, sphere, sullivan_cp2,
                       torus_s1_s7, wedge_s2_s4)
-from pemb.algebra import (AlgebraError, Cdga, _merge_sign,
+from pemb import algebra
+from pemb.algebra import (AlgebraError, Cdga, _groebner_basis, _merge_sign,
                           _mono_degree, _mono_label, check_poincare_duality,
                           cohomology_algebra, direct_sum_cdga,
                           materialize_free_cdga, quotient_by_acyclic_ideal)
@@ -14,6 +21,7 @@ from pemb.fields import PrimeField, QQ
 from pemb.graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                          GradedVectorSpace, cohomology)
 from pemb.linalg import Matrix, dense
+from pemb.parser import parse
 from dense import add_vec, dense_from_cols, is_zero_vec, scale_vec, unit_vec
 from test_linalg import DenseQuotienter
 
@@ -186,11 +194,12 @@ def test_cdga_rejects_keys_and_indices_outside_the_basis():
         Cdga(a.field, a.complex, a.product, {1: QQ.one}, validate=False)
 
 
-# The earlier `materialize_free_cdga`, which built every span, image and
-# product as a dense vector of monomial-space length and reduced it with
-# a dense quotient, is the reference for the sparse one.  It returns the
-# dense tables: the product, the unit and the reducers, with the space
-# and the complex.
+# The earlier `materialize_free_cdga`, which built the whole free algebra
+# in each degree, every multiple of every relation, and every image and
+# product as a dense vector of monomial-space length, and reduced them
+# with a dense quotient, is the reference for the Groebner-basis one.  It
+# returns the dense tables: the product and the unit, with the space,
+# the complex and the kept monomials of each degree.
 
 
 def dense_poly_to_vec(field, poly, mono_index, dim, deg, gen_degs, what):
@@ -264,7 +273,7 @@ def dense_materialize_free_cdga(field, generators, diffs, relations, window):
         for j, g in enumerate(mono):
             if g not in dgen:
                 continue
-            sign = field.sign(_mono_degree(mono[:j], gen_degs))
+            sign = field.sign(gen_degs[g] * _mono_degree(mono[:j], gen_degs))
             rest = mono[:j] + mono[j + 1:]
             dv = dgen[g]
             tdeg = gen_degs[g] + 1
@@ -359,7 +368,9 @@ def dense_materialize_free_cdga(field, generators, diffs, relations, window):
     unit = reducers[0].project(unit_vec(field, dims[0], 0))
     if is_zero_vec(unit):
         raise AlgebraError("relations kill the unit")
-    return space, complex_, product, unit, reducers
+    kept = {d: [monos_by_degree[d][i] for i in red.keep]
+            for d, red in reducers.items() if red.keep}
+    return space, complex_, product, unit, kept
 
 
 # (generators, differential, relations, top degree).  x2, y3 with
@@ -373,14 +384,13 @@ PRESENTATIONS = [
 
 
 def assert_same_algebra(a, ref):
-    space, complex_, product, unit, reducers = ref
+    space, complex_, product, unit, kept = ref
     assert (a.space.dims, a.space.labels) == (space.dims, space.labels)
     assert {k: dense(a.field, v, a.space.dim(k[0] + k[2]))
             for k, v in a.product.items()} == product
     assert a.complex.d.blocks == complex_.d.blocks
     assert dense(a.field, a.unit, a.space.dim(0)) == unit
-    assert ({d: r.keep for d, r in a.presentation.reducers.items()}
-            == {d: r.keep for d, r in reducers.items()})
+    assert a.presentation.standard == kept
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)])
@@ -411,3 +421,180 @@ def test_materialize_rejects_an_ideal_d_does_not_preserve():
         with pytest.raises(AlgebraError, match="differential does not preserve the "
                            "relation ideal in degree 4$"):
             materialize(*args)
+
+
+def free_monomials(gen_degs, deg):
+    """Sorted index tuples of degree deg with no odd generator repeated."""
+    return [m for k in range(deg + 1)
+            for m in combinations_with_replacement(range(len(gen_degs)), k)
+            if _mono_degree(m, gen_degs) == deg
+            and not any(a == b and gen_degs[a] % 2 for a, b in zip(m, m[1:]))]
+
+
+def random_presentation(field, rng, closed):
+    """Four or five generators of degrees 1 and 2, all cocycles but one,
+    y, whose differential is a random polynomial in the others, and two
+    or three random relations of two or three terms among the others, so
+    that d preserves their ideal.  Unless `closed`, one more relation has
+    only terms with y, and d(r) may leave the ideal."""
+    degs = [rng.choice((1, 1, 2)) for _ in range(rng.randint(4, 5))]
+
+    def poly(deg, nterms, among):
+        monos = [m for m in free_monomials(degs, deg) if among(m)]
+        return {m: rng.choice((-1, 1, 2, 3))
+                for m in rng.sample(monos, min(nterms, len(monos)))}
+
+    # y is a generator whose differential can be nonzero, when there is one
+    y = max(range(len(degs)), key=lambda g: (any(
+        g not in m for m in free_monomials(degs, degs[g] + 1)), rng.random()))
+    others = lambda m: y not in m
+    diffs = {"g%d" % y: poly(degs[y] + 1, 2, others)}
+    rels = [poly(rng.randint(2, 4), rng.choice((2, 3)), others)
+            for _ in range(rng.randint(2, 3))]
+    if not closed:
+        rels.append(poly(degs[y] + rng.randint(1, 2), rng.randint(1, 2),
+                         lambda m: y in m))
+    rels = [r for r in rels if r]
+    gens = [("g%d" % g, d) for g, d in enumerate(degs)]
+    return field, gens, diffs, rels, DegreeWindow(0, rng.randint(6, 8))
+
+
+def materialized_or_error(materialize, args):
+    try:
+        return materialize(*args)
+    except AlgebraError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)])
+def test_random_presentations_match_dense_reference(field):
+    """Odd generators, relations that are not monomials (S-polynomials and
+    the odd multiples x * g add to the basis) and, in half the draws, an
+    ideal d need not preserve, which must fail in the same degree."""
+    rng = random.Random("groebner:%s" % field)
+    grew = failed = 0
+    for n in range(32):
+        args = random_presentation(field, rng, closed=n % 2 == 0)
+        got = materialized_or_error(materialize_free_cdga, args)
+        ref = materialized_or_error(dense_materialize_free_cdga, args)
+        if isinstance(ref, str):
+            assert got == ref
+            failed += ref.startswith("differential does not preserve")
+        else:
+            assert not isinstance(got, str), got
+            assert_same_algebra(got, ref)
+            # a leading monomial that no relation has came from the closure
+            lms = {lm for lm, _ in got.presentation.groebner_basis}
+            grew += bool(lms - {min(r) for r in args[3]})
+    assert grew and failed
+
+
+def test_groebner_basis_closes_s_pairs_and_odd_multiples():
+    # x, y of degree 2 with x^2 - y^2 and x y: the S-polynomial
+    # y (x^2 - y^2) - x (x y) = -y^3 joins the basis
+    basis = _groebner_basis(QQ, [{(0, 0): 1, (1, 1): -1}, {(0, 1): 1}], [2, 2], 8)
+    assert basis == [((0, 0), {(0, 0): 1, (1, 1): -1}), ((0, 1), {(0, 1): 1}),
+                     ((1, 1, 1), {(1, 1, 1): 1})]
+    # a, b odd of degree 1, x of degree 2, a b + x: a (a b + x) = a x and
+    # b (a b + x) = b x, led by lower terms than a a b = a b b = 0,
+    basis = _groebner_basis(QQ, [{(0, 1): 1, (2,): 1}], [1, 1, 2], 6)
+    # and then the S-polynomial x (a b + x) + b (a x) = x^2 (as x = -a b)
+    assert basis == [((0, 1), {(0, 1): 1, (2,): 1}), ((0, 2), {(0, 2): 1}),
+                     ((1, 2), {(1, 2): 1}), ((2, 2), {(2, 2): 1})]
+    # truncated at degree 3, the odd multiples stay out
+    assert len(_groebner_basis(QQ, [{(0, 1): 1, (2,): 1}], [1, 1, 2], 2)) == 1
+    # reduced: x^2 + x y loses its tail to the later x y
+    basis = _groebner_basis(QQ, [{(0, 0): 1, (0, 1): 1}, {(0, 1): 1}], [2, 2], 8)
+    assert basis == [((0, 0), {(0, 0): 1}), ((0, 1), {(0, 1): 1})]
+
+
+def test_materialize_rejects_a_relation_that_kills_the_unit():
+    args = (QQ, [("x", 2)], {}, [{(0,): 1}, {(): 3}], DegreeWindow(0, 4))
+    for materialize in (materialize_free_cdga, dense_materialize_free_cdga):
+        with pytest.raises(AlgebraError, match="^relations kill the unit$"):
+            materialize(*args)
+
+
+def test_leibniz_sign_of_an_even_generator_after_an_odd_one():
+    # a1, x2, y3 with d x = y: d(a x) = -a y, the sign of moving d past a
+    a = materialize_free_cdga(QQ, [("a", 1), ("x", 2), ("y", 3)], {"x": {(2,): 1}}, [],
+                              DegreeWindow(0, 6))
+    ax, ay = a.space.labels[3].index("a*x"), a.space.labels[4].index("a*y")
+    assert a.d_vec(3, {ax: QQ.one}) == {ay: QQ.minus_one}
+
+
+def test_materialize_leaves_no_reference_cycles():
+    """Nothing a materialization builds outlives it in a reference cycle,
+    so its monomial lists are freed as soon as it returns."""
+    gens, diffs, rels, hi = PRESENTATIONS[0]
+    gc.collect()
+    gc.disable()
+    try:
+        materialize_free_cdga(QQ, gens, diffs, rels, DegreeWindow(0, hi))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def load_ladder():
+    """The benchmark's problem ladder, `bench/ladder.py`."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    try:
+        return importlib.import_module("ladder")
+    finally:
+        sys.path.pop(0)
+
+
+def test_d_runs_once_per_standard_monomial_and_relation_term(monkeypatch):
+    calls = []
+    d_mono = algebra._d_mono
+
+    def counted(*args):
+        calls.append(args[1])
+        return d_mono(*args)
+
+    monkeypatch.setattr(algebra, "_d_mono", counted)
+    gens, diffs, rels, hi = PRESENTATIONS[0]
+    a = materialize_free_cdga(QQ, gens, diffs, rels, DegreeWindow(0, hi))
+    assert len(calls) == a.space.total_dim() + sum(len(r) for r in rels)
+    # (S^2)^4 in S^20: the ambient's 2 standard monomials, the target's 16
+    # and its 4 one-term relations x_i^2
+    del calls[:]
+    parse(load_ladder().build("sphere_quotient", 1).problems["spheres4"].text)
+    assert len(calls) == 2 + 16 + 4
+
+
+CP12_IN_S48 = """field rational
+window 0 49
+cdga R {
+  generator e deg 48
+}
+cdga Q {
+  generator x deg 2
+  relation x^13
+}
+morphism phi : R -> Q {
+  e -> 0
+}
+problem {
+  ambient R dim 48
+  embedded Q via phi
+}
+"""
+
+
+def test_largest_rungs_enumerate_only_their_standard_monomials():
+    """(S^2)^6 in S^28, T^7 in S^18, CP^12 in S^48 and 64 disjoint S^3 in
+    S^10: the monomials enumerated in each degree are the basis (the
+    target of (S^2)^6 has C(20, 6) = 38,760 free monomials up to degree
+    29 and keeps 64); each parses, so none reaches the budget."""
+    ladder = load_ladder()
+    rng = random.Random(1)
+    for text, largest in ((ladder.sphere_product(rng, 6, 2, 28).text, 2 ** 6),
+                          (ladder.sphere_product(rng, 7, 1, 18).text, 2 ** 7),
+                          (CP12_IN_S48, 13),
+                          (ladder.menorah(rng, 64, 3, 10, 10007).text, 2)):
+        algebras = [a.cdga for a in parse(text).algebras.values()]
+        for a in algebras:
+            assert {d: len(ms) for d, ms in a.presentation.standard.items()} == a.space.dims
+        assert max(a.space.total_dim() for a in algebras) == largest

@@ -5,10 +5,13 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import count
+from math import comb
 
 import pytest
 
 from pemb import cli
+from pemb.algebra import MAX_STANDARD_MONOMIALS
 from pemb.fields import QQ
 from pemb.linalg import Matrix
 from pemb.parser import ParseError, emit_explicit, parse, parse_file
@@ -220,6 +223,23 @@ def test_cli_exit_codes(tmp_path):
     assert (code, err) == (1, "hypothesis failure: one-component hypothesis fails: "
                               "the stable square needs a single embedded "
                               "component, found 4\n")
+    # an umkehr map on two embedded components: the same named hypothesis
+    code, _, err = run_cli(["gysin", str(cli.example_path("two_s7_in_s15"))])
+    assert (code, err) == (1, "hypothesis failure: one-component hypothesis fails: "
+                              "umkehr maps need a single embedded component, "
+                              "found 2\n")
+    # four degree-2 generators on a window to 161: the standard monomials
+    # are counted as they are enumerated and stop at the budget, in the
+    # degree 2k where the C(k + 4, 4) monomials up to it pass it
+    degree = 2 * next(k for k in count() if comb(k + 4, 4) > MAX_STANDARD_MONOMIALS)
+    bad.write_text("field rational\nwindow 0 161\ncdga A {\n  generator a deg 2\n"
+                   "  generator b deg 2\n  generator c deg 2\n  generator e deg 2\n}\n")
+    start = time.perf_counter()
+    code, _, err = run_cli(["validate", str(bad)])
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (2, "error: line 3: presentation has more than %d standard "
+                              "monomials by degree %d\n"
+                              % (MAX_STANDARD_MONOMIALS, degree))
     # a power far above the window: its degree is read off the exponent
     # before the power is expanded, so it is as cheap as a small one
     example = cli.example_path("s2_in_s6").read_text()
