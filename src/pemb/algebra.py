@@ -35,10 +35,11 @@ class Cdga:
     scalar}; missing keys mean the product is zero or is given by graded
     commutativity from the reversed key.  The unit is a degree-0 vector.
     Every key and every index must name a basis element, and no vector
-    holds a zero scalar; a zero product, {}, is not stored.
+    holds a zero scalar; a zero product, {}, is not stored.  The
+    constructor checks only that; `validate` checks the axioms.
     """
 
-    def __init__(self, field, complex_, product, unit, validate=True):
+    def __init__(self, field, complex_, product, unit):
         self.field = field
         self.complex = complex_
         self.space = complex_.space
@@ -62,8 +63,6 @@ class Cdga:
                    for (d1, i1, d2, i2), v in self.product.items()
                    if (d2, i2, d1, i1) not in self.product}
         self.both_orders = {**self.product, **missing} if missing else self.product
-        if validate:
-            self.validate()
 
     # -- multiplication -------------------------------------------------
 
@@ -107,14 +106,13 @@ class Cdga:
 
 
 class CdgaMorphism:
-    """Unit-preserving multiplicative chain map between CDGAs."""
+    """Unit-preserving multiplicative chain map between CDGAs; `validate`
+    checks that it is one."""
 
-    def __init__(self, source, target, glm, validate=True):
+    def __init__(self, source, target, glm):
         self.source = source
         self.target = target
         self.map = glm
-        if validate:
-            self.validate()
 
     def apply(self, d, v):
         return self.map.apply(d, v)
@@ -126,8 +124,7 @@ class CdgaMorphism:
 
     def compose(self, other):
         """self after other."""
-        return CdgaMorphism(other.source, self.target,
-                            self.map.compose(other.map), validate=False)
+        return CdgaMorphism(other.source, self.target, self.map.compose(other.map))
 
 
 # -- free graded-commutative presentations ------------------------------
@@ -444,6 +441,7 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
     pivots are the leading monomials of the ideal, the kept columns the
     standard monomials, and the remainder of a reduction the normal
     form.  Bases, labels, signs and tables follow from the ideal alone.
+    The parser, not this function, checks the result.
     """
     if window.lo != 0:
         raise AlgebraError("algebra window must start at 0")
@@ -531,7 +529,10 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
 
 def cohomology_algebra(a, coh=None):
     """Cohomology of a CDGA as a zero-differential CDGA on the chosen
-    representatives; returns (H-algebra, cohomology data)."""
+    representatives; returns (H-algebra, cohomology data).
+
+    Not re-checked: by Leibniz in `a` the product of classes is well
+    defined, so H(a) inherits the axioms of `a`; d = 0 on it."""
     if coh is None:
         coh = cohomology(a.complex)
     dims = dict(coh.dims)
@@ -667,8 +668,9 @@ def projected_table(lefts, reducers, mul, hi):
 def quotient_cdga(a, spans):
     """Quotient of a CDGA by a d-closed ideal given by degreewise spans.
 
-    Validates closure under d and under multiplication; returns
-    (quotient, projection morphism, reducers)."""
+    Checks closure under d and under multiplication; returns (quotient,
+    projection morphism, reducers).  Closed, the span is a differential
+    ideal, so a quotient of a CDGA is one and is not re-checked."""
     qcx, proj, reducers = quotient_complex(a.complex, spans)
     sp = a.space
     bad = escape_degree(spans, reducers, left_multiples(a, a.mul_vec, sp.window.hi))
@@ -709,7 +711,8 @@ def direct_sum_cdga(parts):
     """Product algebra of finitely many CDGAs (componentwise operations).
 
     The result is connected only for a single part; the unit is the sum
-    of the component units."""
+    of the component units.  The axioms hold summand by summand, so the
+    sum is not re-checked."""
     if not parts:
         raise AlgebraError("empty direct sum")
     cx, offset, embed = direct_sum([p.complex for p in parts])

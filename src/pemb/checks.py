@@ -1,5 +1,8 @@
 """Axiom checks for CDGAs, DG modules and their morphisms.
 
+Each runs once per object: the parser checks what it reads, a report
+what it certifies; constructions from checked objects are not checked.
+
 Each check compares the two sides of an identity on every basis tuple,
 but reaches the tuples only through the nonzero entries of the product
 and action tables and of the differential and map columns: where every

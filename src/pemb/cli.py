@@ -84,6 +84,7 @@ def cmd_cohomology(pf, args):
         raise ParseError(0, "no algebra named %r in this file" % args.object)
     a = pf.algebras[args.object].cdga
     halg, coh = cohomology_algebra(a)
+    halg.validate()
     if args.format == "machine":
         print(_machine_doc(a.field, [("H_%s" % args.object, halg)]))
         return 0

@@ -11,11 +11,16 @@ product
 which is always graded commutative and associative but satisfies the
 Leibniz rule only under degree bounds; failures are reported with a
 concrete witness pair rather than raised.
+
+Checks run on what reports rest on: `.leibniz`, a full CDGA check of
+the cone product made when first read, and `truncated_cone`'s check of
+the quotient and of its map from the base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (AlgebraError, Cdga, CdgaMorphism, quotient_cdga,
                       quotient_complex)
@@ -88,7 +93,7 @@ class MappingConeAlgebra:
         lo = cx.space.window.lo
         if lo < 0 and all(d >= 0 for d in cx.space.degrees()):
             cx = rewindow(cx, 0, cx.space.window.hi)
-            cone_mod = DgModule(R, cx, cone_mod.action, validate=False)
+            cone_mod = DgModule(R, cx, cone_mod.action)
         self.cone_module = cone_mod
         self.complex = cx
         self.space = cx.space
@@ -97,9 +102,11 @@ class MappingConeAlgebra:
         self.projection = GradedLinearMap(self.space, split.sx_complex.space, 0,
                                           split.projection.blocks)
         product, unit = self._build_product()
-        self.algebra = Cdga(self.field, self.complex, product, unit,
-                            validate=False)
-        self.leibniz = leibniz_report(self.algebra)
+        self.algebra = Cdga(self.field, self.complex, product, unit)
+
+    @cached_property
+    def leibniz(self):
+        return leibniz_report(self.algebra)
 
     def _build_product(self):
         """R's products in both orders, and its unit, where they are: R
@@ -119,8 +126,9 @@ class MappingConeAlgebra:
                 if self.space.dim(d) - self.split.y_dim(d) > 0]
 
     def to_cdga(self):
-        """The cone as a CDGA (checked at construction) with the base
-        inclusion, or an error naming the Leibniz witness."""
+        """The cone as a CDGA, checked by its Leibniz report, with the base
+        inclusion (R's own table, not re-checked), or an error naming the
+        Leibniz witness."""
         if not self.leibniz.ok:
             raise ConeError("cone product is not a CDGA: %s" % self.leibniz)
         return self.algebra, CdgaMorphism(self.base, self.algebra, self.inclusion)
@@ -243,11 +251,13 @@ def truncated_cone(cone, ideal, k, l):
         if d >= 2 * k - l + 1 and not ideal.is_full_in(cone, d):
             raise ConeError("bound violated: cone degree %d >= 2k - l + 1 = %d "
                             "not contained in the ideal" % (d, 2 * k - l + 1))
-    # Leibniz defects must land in the ideal; quotient_cdga then rebuilds
-    # and fully validates the quotient as a CDGA.
+    # Leibniz defects must land in the ideal, which the check of the
+    # quotient as a CDGA decides.
     try:
         q, proj, _ = quotient_cdga(cone.algebra, ideal.spans)
+        q.validate()
     except AlgebraError as e:
         raise ConeError("truncation ideal rejected: %s" % e)
     base_map = CdgaMorphism(cone.base, q, proj.map.compose(cone.inclusion))
+    base_map.validate()
     return TruncatedCone(q, proj, base_map, cone, ideal)

@@ -159,36 +159,30 @@ def gysin_map(hf, cert_w, cert_v, k):
         blocks[j] = Matrix.from_cols(field, cols, out_dim)
     source = suspend_module(restrict_scalars(algebra_as_module(hv), hf), -k)
     target = algebra_as_module(hw)
-    glm_blocks = {}
-    for j, mtx in blocks.items():
-        if mtx.nrows and mtx.ncols:
-            glm_blocks[j] = mtx
-    glm = GradedLinearMap(source.space, target.space, 0, glm_blocks)
-    try:
-        morphism = DgModuleMorphism(source, target, glm)
-    except ModuleError as e:
-        raise DualityError("umkehr map failed linearity validation: %s" % e)
+    glm = GradedLinearMap(source.space, target.space, 0, blocks)
     coh_s = cohomology(source.complex)
     coh_t = cohomology(target.complex)
     gen_s = _line_generator(coh_s, nw, "shifted source")
     gen_t = _line_generator(coh_t, nw, "target algebra")
-    out = TopDegreeMap(morphism, nw, field.one, gen_s, gen_t)
-    out.hn = out.validate()
+    out = TopDegreeMap(DgModuleMorphism(source, target, glm), nw, field.one,
+                       gen_s, gen_t)
+    try:
+        out.hn = out.validate()
+    except ModuleError as e:
+        raise DualityError("umkehr map failed linearity validation: %s" % e)
     return out
 
 
 def shifted_dual_morphism(phi, n):
     """s^(-n) # phi as a module morphism over the source of phi; the
-    degree-j block is the transpose of phi's degree-(n-j) block."""
+    degree-j block is the transpose of phi's degree-(n-j) block.  Not
+    re-checked: the dual of a multiplicative chain map is a linear one."""
     r, q = phi.source, phi.target
     source = restrict_scalars(shifted_dual(algebra_as_module(q), n), phi)
     target = shifted_dual(algebra_as_module(r), n)
-    blocks = {}
-    for j in source.space.degrees():
-        b = phi.map.block(n - j)
-        if b.nrows and b.ncols:
-            blocks[j] = b.transpose()
-    glm = GradedLinearMap(source.space, target.space, 0, blocks)
+    glm = GradedLinearMap(source.space, target.space, 0,
+                          {j: phi.map.block(n - j).transpose()
+                           for j in source.space.degrees()})
     return DgModuleMorphism(source, target, glm)
 
 

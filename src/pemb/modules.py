@@ -30,10 +30,11 @@ class DgModule:
     {index: nonzero scalar} of a_{alg_deg,alg_idx} . m_{mod_deg,mod_idx}
     in degree alg_deg+mod_deg.  Every key and every index must name a
     basis element, and no vector holds a zero scalar; a zero action, {},
-    is not stored.
+    is not stored.  The constructor checks only that; `validate` checks
+    the axioms.
     """
 
-    def __init__(self, algebra, complex_, action, validate=True):
+    def __init__(self, algebra, complex_, action):
         self.algebra = algebra
         self.complex = complex_
         self.space = complex_.space
@@ -48,8 +49,6 @@ class DgModule:
                                   "element" % (da, ia, dm, jm))
             if v:
                 self.action[(da, ia, dm, jm)] = v
-        if validate:
-            self.validate()
 
     def act_basis(self, da, ia, dm, jm):
         """The stored action on two basis elements (not to be changed),
@@ -84,18 +83,17 @@ class DgModule:
 def algebra_as_module(a):
     """`a` acting on itself from the left; the action lists both orders
     of every product, since module actions are one-sided."""
-    return DgModule(a, a.complex, a.both_orders, validate=False)
+    return DgModule(a, a.complex, a.both_orders)
 
 
 class DgModuleMorphism:
-    """Degree-0 linear chain map between modules over one algebra."""
+    """Degree-0 linear chain map between modules over one algebra;
+    `validate` checks that it is one."""
 
-    def __init__(self, source, target, glm, validate=True):
+    def __init__(self, source, target, glm):
         self.source = source
         self.target = target
         self.map = glm
-        if validate:
-            self.validate()
 
     def apply(self, d, v):
         return self.map.apply(d, v)
@@ -106,17 +104,16 @@ class DgModuleMorphism:
             raise ModuleError(str(witness))
 
     def compose(self, other):
-        return DgModuleMorphism(other.source, self.target,
-                                self.map.compose(other.map), validate=False)
+        return DgModuleMorphism(other.source, self.target, self.map.compose(other.map))
 
     def scale(self, c):
-        return DgModuleMorphism(self.source, self.target, self.map.scale(c),
-                                validate=False)
+        return DgModuleMorphism(self.source, self.target, self.map.scale(c))
 
 
 def restrict_scalars(m, phi):
     """View a module over the target of phi as a module over its source:
-    a.x = phi(a).x, combining the action entries along the columns of phi."""
+    a.x = phi(a).x, combining the action entries along the columns of phi.
+    Not re-checked: phi is a morphism, so the axioms of m carry over."""
     by_element = {}
     for (db, ib, dm, jm), v in m.action.items():
         by_element.setdefault((db, ib), []).append((dm, jm, v))
@@ -147,7 +144,9 @@ def _stacked_action(space, parts, offsets=None):
 
 
 def suspend_module(m, k):
-    """k-fold suspension: r.(s^k x) = (-1)^(|r| k) s^k(r.x)."""
+    """k-fold suspension: r.(s^k x) = (-1)^(|r| k) s^k(r.x).  Not
+    re-checked: the sign is multiplicative in r, and both sides of
+    Leibniz pick up (-1)^(|r| k + k)."""
     if k == 0:
         return m
     cx = suspend(m.complex, k)
@@ -158,7 +157,9 @@ def dual_module(m):
     """Linear dual with the left action <x, a.f> = +-<x.a, f> converted
     through graded commutativity: (a.f)(x) = (-1)^(|a|(|a|+|f|)) f(a.x).
     The table is m's transposed: each entry a.m_c = sum_b w_b m_b of m
-    gives a.(dual of m_b) the coordinate +-w_b at the dual of m_c."""
+    gives a.(dual of m_b) the coordinate +-w_b at the dual of m_c.
+    Not re-checked: the transpose of a module over a graded-commutative
+    algebra, with `dualize`'s signs, is one."""
     cx = dualize(m.complex)
     action = {}
     for (da, ia, dm, c), w in m.action.items():
@@ -176,7 +177,9 @@ def shifted_dual(m, n):
 
 def module_mapping_cone(f):
     """Cone of a module morphism as a module, Y stacked over sX in each
-    degree: a.(y, sx) = (a.y, (-1)^|a| s(a.x))."""
+    degree: a.(y, sx) = (a.y, (-1)^|a| s(a.x)).  It is a module exactly
+    when f is linear (Leibniz on (a, sx) says f(a.x) = a.f(x)), so the
+    reports that rest on it check it, not this function."""
     cone = mapping_cone(f.map, f.source.complex, f.target.complex)
     csp = cone.complex.space
     action = _stacked_action(csp, [(f.target, 0), (f.source, 1)],
@@ -361,7 +364,8 @@ class HomotopyClassSpace:
 
 def homotopy_classes(P, N, semifree=True):
     """H^0 of the hom complex; labeled chain-level only when the source
-    is not known to be semifree."""
+    is not known to be semifree.  The representatives are degree-0
+    cocycles of hom, linear chain maps by construction, not re-checked."""
     hc = hom_complex(P, N)
     coh = cohomology(hc.complex)
     reps = []
@@ -381,6 +385,8 @@ def solve_chain_maps(P, N, constraints=()):
     [target_vector] in H^deg(N); the latter adds auxiliary coboundary
     unknowns.  Returns (particular, kernel) as lists of morphisms, or
     None when inconsistent.
+    Linearity and the chain-map rule are rows of the system, so the
+    solutions are not re-checked.
     """
     field = P.field
     slots = _slots(P, N, 0)
@@ -430,7 +436,7 @@ def solve_chain_maps(P, N, constraints=()):
     for v in kern:
         glm = _glm_from_coords(P, N, 0, slots, v)
         if not glm.is_zero():
-            kernel.append(DgModuleMorphism(P, N, glm, validate=False))
+            kernel.append(DgModuleMorphism(P, N, glm))
     return particular, kernel
 
 
@@ -473,7 +479,9 @@ def free_module(algebra, gens, dvals=None, window=None):
     vectors dvals[g] (in module coordinates, degree deg(g)+1).
 
     Basis per degree: (generator, algebra basis element) pairs in
-    generator order.  Returns (module, basis index table)."""
+    generator order.  Returns (module, basis index table).  Not
+    re-checked: a.(b x g) = (ab) x g inherits the algebra's axioms, d is
+    defined by Leibniz, and `CochainComplex` checks d*d = 0."""
     a = algebra
     field = a.field
     if window is None:
@@ -552,6 +560,9 @@ def semifree_resolution(m, minimal=True, max_rounds=30, window=None):
     (d = 0) hitting missed classes, then kernel-killing generators one
     degree below.  The minimal flag is checked on the result.  The
     window bounds the resolution itself and defaults to the target's.
+    rho is checked, and is a quasi-isomorphism: that test reads rho on
+    cocycles only, and would pass a wrong rho(u) for a u that kills a
+    class.
     """
     a = m.algebra
     if not a.is_connected():
@@ -625,6 +636,7 @@ def semifree_resolution(m, minimal=True, max_rounds=30, window=None):
 
     P, index, slots, rho_glm, coh_P = build()
     rho = DgModuleMorphism(P, m, rho_glm)
+    rho.validate()
     bad = quasi_isomorphism_failure(rho_glm, coh_P, coh_m)
     if bad is not None:
         raise ModuleError("resolution is not a quasi-isomorphism (degree %d)" % bad)
@@ -651,7 +663,8 @@ class ModuleTruncation:
 
 
 def quotient_module(m, spans):
-    """Quotient by a graded subspace after checking it is a subDGmodule."""
+    """Quotient by a graded subspace after checking it is a subDGmodule;
+    the quotient and the projection are not re-checked."""
     a = m.algebra
     qcx, proj, reducers = quotient_complex(m.complex, spans)
     hi = m.space.window.hi
@@ -679,7 +692,8 @@ def truncate_module(m, t):
 
 
 def direct_sum_modules(parts):
-    """Direct sum of modules over one algebra."""
+    """Direct sum of modules over one algebra, not re-checked: the axioms
+    hold summand by summand."""
     if not parts:
         raise ModuleError("empty direct sum")
     cx, offset, _ = direct_sum([p.complex for p in parts])

@@ -2,8 +2,11 @@
 
 A file declares a field, a degree window, some algebras (free
 presentations or explicit basis tables), morphisms between them, and
-one problem block.  Everything is validated while it is built, so a
-file that parses is a file whose objects passed the library checks.
+one problem block.  This is the trust boundary: every algebra and every
+morphism is checked against the axioms as it is read, so a file that
+parses is a file whose objects passed the library checks.  The
+constructions of the other modules keep the axioms and do not check
+their inputs again.
 """
 
 from __future__ import annotations
@@ -517,6 +520,7 @@ def parse(text, field_override=None):
                 raise ParseError(lineno, "duplicate algebra name %r" % name)
             try:
                 pf.algebras[name] = builder(name, lines, pf)
+                pf.algebras[name].cdga.validate()
             except (AlgebraError, FieldError) as e:
                 raise ParseError(lineno, str(e))
         elif head == "morphism":
@@ -529,6 +533,7 @@ def parse(text, field_override=None):
                 raise ParseError(lineno, "duplicate morphism name %r" % mname)
             try:
                 pf.morphisms[mname] = _parse_morphism(mname, src, tgt, lines, pf)
+                pf.morphisms[mname].validate()
             except (AlgebraError, FieldError) as e:
                 raise ParseError(lineno, str(e))
         elif head == "problem":
@@ -607,17 +612,13 @@ def emit_explicit(name, cdga):
     return "\n".join(out)
 
 
-def _coeff_text(c):
-    return str(c)
-
-
 def _comb_text(vec, deg):
     parts = []
     for i, c in sorted(vec.items()):
         if c == 1:
             parts.append("b%d_%d" % (deg, i))
         else:
-            parts.append("%s * b%d_%d" % (_coeff_text(c), deg, i))
+            parts.append("%s * b%d_%d" % (c, deg, i))
     if not parts:
         return "0"
     return " + ".join(parts).replace("+ -", "- ")

@@ -39,7 +39,8 @@ class HypothesisError(PipelineError):
 
 class EmbeddingProblem:
     """phi (or a family of phi_k out of one shared source) plus the
-    ambient dimension n."""
+    ambient dimension n.  Several branches give phi = (phi_1, ..., phi_k)
+    into the product of the targets, a morphism summand by summand."""
 
     def __init__(self, branches, n, name=""):
         if not branches:
@@ -127,22 +128,22 @@ def analyze(problem):
     coh_q = cohomology(q_alg.complex)
     cert, fail = check_poincare_duality(r_alg, n, halg_r, coh_r)
     m = _top_nonzero(coh_q.dims)
-    blocks = induced_on_cohomology(phi.map, coh_r, coh_q)
+    # H^i(phi) is injective when its rank is dim H^i(R); a degree without
+    # a block has H^i(R) = 0
+    injective = {i: b.rank() == coh_r.dim(i) for i, b in
+                 induced_on_cohomology(phi.map, coh_r, coh_q).items()}
     degs = sorted(set(coh_r.dims) | set(coh_q.dims) | {0})
     hi = max(degs) if degs else 0
     r = None
     for i in range(0, hi + 2):
-        b = blocks.get(i, Matrix.zero(problem.field, coh_q.dim(i), coh_r.dim(i)))
-        iso = (coh_r.dim(i) == coh_q.dim(i) and b.rank() == coh_r.dim(i))
-        injective = b.rank() == coh_r.dim(i)
-        if iso:
+        inj = injective.get(i, True)
+        if inj and coh_r.dim(i) == coh_q.dim(i):
             continue
-        r = i if injective else i - 1
+        r = i if inj else i - 1
         break
     if r is None:
         r = hi + 1
-    h1 = blocks.get(1, Matrix.zero(problem.field, coh_q.dim(1), coh_r.dim(1)))
-    h1_injective = h1.rank() == coh_r.dim(1)
+    h1_injective = injective.get(1, True)
     bound = 2 * m - n + 2
     return AnalysisReport(
         n=n, m=m, r=r, codimension=n - m,
@@ -157,12 +158,16 @@ def analyze(problem):
         h_target_dims=dict(coh_q.dims))
 
 
-def _require(report, need_unknotting=True):
+def _require_ambient(report):
     if not report.ambient_connected:
         raise HypothesisError("ambient algebra is not connected")
     if report.pd_failure is not None:
         raise HypothesisError("ambient duality certificate failed: %s"
                               % report.pd_failure)
+
+
+def _require(report, need_unknotting=True):
+    _require_ambient(report)
     if not report.codimension_ok:
         raise HypothesisError("codimension >= 2 fails: n - m = %d"
                               % report.codimension)
@@ -189,14 +194,6 @@ class ComplementModelResult:
     cone: object
     ideal: object
     analysis: AnalysisReport
-
-    def lines(self):
-        out = ["complement model H dims: %s" % format_dims(self.h_dims)]
-        out.append("quotient CDGA validated; map from ambient model validated")
-        out.append("truncation ideal acyclic: %s" % self.ideal.acyclic)
-        if all_positive_products_zero(self.h_algebra):
-            out.append("all positive products zero")
-        return out
 
 
 def complement_model(problem):
@@ -249,19 +246,11 @@ class SquareResult:
     notes: dict = dc_field(default_factory=dict)
     analysis: AnalysisReport = None
 
-    def lines(self):
-        out = ["%s square" % self.kind]
-        out.append("bottom-left H dims: %s" % format_dims(self.h_bottom_left))
-        out.append("bottom-right H dims: %s" % format_dims(self.h_bottom_right))
-        out.append("square commutes: %s" % self.commutes)
-        for k in sorted(self.notes):
-            out.append("%s: %s" % (k, self.notes[k]))
-        return out
-
 
 def _induced_quotient_morphism(phi, proj_r, proj_q):
     """The map on quotients making the square with phi commute; phi is a
-    CDGA morphism or a graded linear map."""
+    CDGA morphism or a graded linear map.  The callers report it and
+    check it."""
     field = phi.source.field
     src, tgt = proj_r.target, proj_q.target
     blocks = {}
@@ -278,7 +267,8 @@ def _induced_quotient_morphism(phi, proj_r, proj_q):
 
 
 def _trivial_action_module(algebra, complex_):
-    """complex_ as a module where only the unit of a connected algebra acts."""
+    """complex_ as a module where only the unit of a connected algebra
+    acts; every other axiom is about positive degrees, which act by 0."""
     if not algebra.is_connected():
         raise PipelineError("trivial action needs a connected algebra")
     one = algebra.field.one
@@ -316,6 +306,10 @@ def stable_square(problem):
     r_norm, proj_r = quotient_by_acyclic_ideal(problem.ambient, n - 1)
     q_norm, proj_q = quotient_by_acyclic_ideal(problem.target, m + 1)
     phi_n = _induced_quotient_morphism(problem.phi, proj_r, proj_q)
+    # the corners and maps reported below that the pipeline built; the
+    # bottom corners are checked by their Leibniz reports
+    for built in (r_norm, q_norm, phi_n):
+        built.validate()
     # D over the embedded algebra
     dq = shifted_dual(algebra_as_module(q_norm), n)
     res = semifree_resolution(dq, minimal=True, window=DegreeWindow(0, n + 1))
@@ -353,6 +347,8 @@ def stable_square(problem):
     bottom_glm = _cone_map_blocks(problem.field, cone_l.space, cone_l.split,
                                   cone_r.space, cone_r.split, phi_n.map)
     bottom = CdgaMorphism(bl, br, bottom_glm)
+    for built in (bl_incl, br_incl, bottom):
+        built.validate()
     commutes = bottom.map.compose(bl_incl.map) == br_incl.map.compose(phi_n.map)
     coh_bl = cohomology(bl.complex)
     coh_br = cohomology(br.complex)
@@ -372,11 +368,7 @@ def dgmodule_square(problem):
     """Module-level square for one or several branches out of a shared
     ambient algebra; no product claimed on the cones."""
     report = analyze(problem)
-    if not report.ambient_connected:
-        raise HypothesisError("ambient algebra is not connected")
-    if report.pd_failure is not None:
-        raise HypothesisError("ambient duality certificate failed: %s"
-                              % report.pd_failure)
+    _require_ambient(report)
     n = problem.n
     r_mod = algebra_as_module(problem.ambient)
     parts, psis = [], []
@@ -408,6 +400,10 @@ def dgmodule_square(problem):
     bottom_glm = _cone_map_blocks(field, bl_mod.space, bl_split,
                                   br_mod.space, br_split, problem.phi.map)
     bottom = DgModuleMorphism(bl_mod, br_mod, bottom_glm)
+    # the cone modules' Leibniz rule holds only for linear attaching maps,
+    # so these checks also cover psi and phi . psi
+    for built in (bl_mod, br_mod, bottom):
+        built.validate()
     commutes = (bottom_glm.compose(bl_split.inclusion)
                 == br_split.inclusion.compose(problem.phi.map))
     coh_bl = cohomology(bl_mod.complex)
@@ -433,16 +429,6 @@ class LefschetzResult:
     analysis: AnalysisReport
     cone_dims: dict
 
-    def lines(self):
-        out = ["complement H dims: %s" % format_dims(self.h_dims)]
-        if self.algebra_undetermined:
-            out.append("algebra undetermined (unknotting fails)")
-        else:
-            out.append("algebra determined")
-            if self.h_algebra is not None and all_positive_products_zero(self.h_algebra):
-                out.append("all positive products zero")
-        return out
-
 
 def lefschetz(problem):
     report = analyze(problem)
@@ -452,6 +438,7 @@ def lefschetz(problem):
     n, m, r = report.n, report.m, report.r
     dual_phi = shifted_dual_morphism(problem.phi, n)
     cone_mod, split = module_mapping_cone(dual_phi)
+    cone_mod.validate()
     coh_c = cohomology(cone_mod.complex)
     halg_r, coh_r = cohomology_algebra(problem.ambient)
     # module action of H(ambient) on H(cone)
@@ -475,7 +462,7 @@ def lefschetz(problem):
     if coh_c.dim(0) != 1:
         raise HypothesisError("H^0 of the duality cone is not a line")
     c0 = coh_c.reps[0][0]
-    from_w = {}                    # degree -> Matrix H^d(W) -> H^d(C)
+    lifts = {}                     # (d, i) -> cocycle of W with class c_{d,i}
     for d in [d for d in coh_r.dims if 0 <= d < bound]:
         cols = [coh_c.reduce(d, cone_mod.act_vec(d, zw, 0, c0))
                 for zw in coh_r.reps[d]]
@@ -484,9 +471,12 @@ def lefschetz(problem):
             raise PipelineError("internal: low-degree comparison with the "
                                 "ambient algebra is not an isomorphism "
                                 "(degree %d)" % d)
-        from_w[d] = mtx
+        for i in range(mtx.nrows):
+            lifts[(d, i)] = zw = {}
+            for c, x in mtx.solve({i: problem.field.one}).items():
+                axpy(zw, x, coh_r.reps[d][c])
     for d in coh_c.dims:
-        if d < bound and d not in from_w and coh_c.dim(d):
+        if d < bound and (d, 0) not in lifts:
             raise PipelineError("internal: complement class below the bound "
                                 "missing from the ambient algebra (degree %d)"
                                 % d)
@@ -504,11 +494,7 @@ def lefschetz(problem):
             for i1 in range(space.dim(d1)):
                 for i2 in range(space.dim(d2)):
                     if d1 < bound:
-                        wcoords = from_w[d1].solve({i1: problem.field.one})
-                        zw = {}
-                        for c, x in wcoords.items():
-                            axpy(zw, x, coh_r.reps[d1][c])
-                        v = cone_mod.act_vec(d1, zw, d2, coh_c.reps[d2][i2])
+                        v = cone_mod.act_vec(d1, lifts[(d1, i1)], d2, coh_c.reps[d2][i2])
                         w = coh_c.reduce(t, v)
                     elif d2 < bound:
                         sgn = problem.field.sign(d1 * d2)
@@ -523,6 +509,7 @@ def lefschetz(problem):
     unit = coh_c.reduce(0, c0)
     halg = Cdga(problem.field, CochainComplex.zero_differential(space),
                 product, unit)
+    halg.validate()
     return LefschetzResult(dict(coh_c.dims), action, halg, False, report,
                            dict(coh_c.dims))
 
@@ -568,9 +555,13 @@ def punctured_square(problem, attest_boundary_simply_connected=False):
     tr_k = truncate_module(res.module, n - r)
     spans_l = _embed_cone_spans(cone_l, tr_i.spans, tr_k.spans)
     spans_r = _embed_cone_spans(cone_r, tr_j.spans, tr_k.spans)
+    # the cone products are not checked: their quotients, the reported
+    # corners, are
     try:
         ql, proj_l, _ = quotient_cdga(cone_l.algebra, spans_l)
         qr, proj_r, _ = quotient_cdga(cone_r.algebra, spans_r)
+        ql.validate()
+        qr.validate()
     except AlgebraError as e:
         raise PipelineError("quotient cone failed validation: %s" % e)
     left_base = CdgaMorphism(problem.ambient, ql,
@@ -581,6 +572,8 @@ def punctured_square(problem, attest_boundary_simply_connected=False):
     raw_bottom = _cone_map_blocks(problem.field, cone_l.space, cone_l.split,
                                   cone_r.space, cone_r.split, problem.phi.map)
     bottom = _induced_quotient_morphism(raw_bottom, proj_l, proj_r)
+    for built in (left_base, right_base, bottom):
+        built.validate()
     commutes = (bottom.map.compose(left_base.map)
                 == right_base.map.compose(problem.phi.map))
     # certificates: left projection quasi-iso; right kills one class at n-1
@@ -639,18 +632,18 @@ class GysinResult:
 
     def lines(self):
         out = ["umkehr map certified in codimension %d" % self.codimension]
-        for j in sorted(self.map.map.map.blocks):
-            b = self.map.map.map.block(j)
-            if b.nrows and b.ncols:
-                out.append("degree %d block: %s"
-                           % (j, [[str(b[i, c]) for c in range(b.ncols)]
-                                  for i in range(b.nrows)]))
+        for j, b in sorted(self.map.map.map.blocks.items()):
+            out.append("degree %d block: %s"
+                       % (j, [[str(b[i, c]) for c in range(b.ncols)]
+                              for i in range(b.nrows)]))
         return out
 
 
 def gysin(problem):
     """Umkehr map on cohomology for a single branch whose target also
-    satisfies duality (in its own top dimension)."""
+    satisfies duality (in its own top dimension).  H(phi) is not
+    re-checked: phi is checked, so it is unital and multiplicative on the
+    representatives whose products the H-algebras reduce."""
     if problem.is_menorah:
         raise HypothesisError("one-component hypothesis fails: umkehr maps "
                               "need a single embedded component, found %d"
@@ -666,10 +659,8 @@ def gysin(problem):
     if fail_v is not None:
         raise HypothesisError("embedded duality certificate failed: %s" % fail_v)
     blocks = induced_on_cohomology(problem.phi.map, coh_r, coh_q)
-    glm = GradedLinearMap(halg_r.space, halg_q.space, 0,
-                          {d: b for d, b in blocks.items()
-                           if b.nrows and b.ncols})
-    hf = CdgaMorphism(halg_r, halg_q, glm)
+    hf = CdgaMorphism(halg_r, halg_q,
+                      GradedLinearMap(halg_r.space, halg_q.space, 0, blocks))
     try:
         g = gysin_map(hf, cert_w, cert_v, n - m)
     except DualityError as e:

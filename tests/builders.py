@@ -1,6 +1,10 @@
 """Shared constructions of small standard algebras, modules and
-complexes for the test suite."""
+complexes for the test suite, and `run_cli`."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+from pemb import cli
 from pemb.algebra import materialize_free_cdga
 from pemb.cones import TruncationIdeal
 from pemb.fields import QQ
@@ -61,7 +65,8 @@ def zero_ideal():
 
 def random_semifree(a, rng, n_gens, max_degree, window=None):
     """Random semifree module: each new generator's differential is a
-    random cocycle of the module built so far.  Always valid."""
+    random cocycle of the module built so far.  Always valid; checked
+    here, since `free_module` does not check what it builds."""
     gens = []
     dvals = {}
     degrees = sorted(rng.randint(0, max_degree) for _ in range(n_gens))
@@ -82,4 +87,13 @@ def random_semifree(a, rng, n_gens, max_degree, window=None):
             if z:
                 dvals[gi] = z
     P, _ = free_module(a, gens, dvals, window)
+    P.validate()
     return P
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of `pemb.cli.main(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()

@@ -140,3 +140,15 @@ class DenseMorphism:
 
     def apply(self, d, v):
         return dense_apply(self.map.block(d), v)
+
+
+def is_chain_map(f, source, target):
+    """Check d_T f = (-1)^shift f d_S degreewise (shift-0 maps: d f = f d),
+    block by block: the reference of the chain-map checks."""
+    sign = target.field.sign(f.shift)
+    for d in source.space.degrees():
+        lhs = target.d.block(d + f.shift) @ f.block(d)
+        rhs = (f.block(d + 1) @ source.d.block(d)).scale(sign)
+        if lhs != rhs:
+            return False
+    return True

@@ -3,14 +3,13 @@
 The printed lines bypass capture so they always appear in the run log.
 """
 
-import io
 import random
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from builders import complex_projective, product_s2_s4, random_semifree, sphere
+from builders import (complex_projective, product_s2_s4, random_semifree, run_cli,
+                      sphere)
 from pemb import cli
 from pemb.duality import (TopDegreeMap, construct_top_degree,
                           verify_scalar_uniqueness)
@@ -38,13 +37,6 @@ def _criterion(num, description):
         wrapped.__name__ = fn.__name__
         return wrapped
     return deco
-
-
-def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 @_criterion(1, "unknot baseline complement matches the duality oracle")
@@ -124,6 +116,8 @@ def test_criterion_06_homotopy_class_dimension():
     for a, n, p, _ in instances:
         target = algebra_as_module(a)
         hc = homotopy_classes(p, target)
+        for f in hc.representatives:
+            f.validate()
         coh_p = cohomology(p.complex)
         expected = coh_p.dim(n) * 1     # top cohomology of the base is a line
         assert hc.dimension == expected, (n, coh_p.dims)
@@ -140,6 +134,7 @@ def test_criterion_07_scalar_uniqueness():
             continue
         target = algebra_as_module(a)
         psi = construct_top_degree(p, target, n, semifree=True)
+        psi.validate()
         # an independently normalized second construction
         c = QQ.of(2 + int(salt * 3))
         gen_t = {i: c * x for i, x in psi.target_generator.items()}
@@ -152,6 +147,7 @@ def test_criterion_07_scalar_uniqueness():
             glm = glm.add(g.map)
         psi2 = TopDegreeMap(DgModuleMorphism(p, target, glm), n, c,
                             psi.source_generator, psi.target_generator)
+        psi2.validate()
         u, _ = verify_scalar_uniqueness(psi, psi2)
         assert u == QQ.div(QQ.one, c)
         checked += 1

@@ -178,8 +178,8 @@ def test_validation_catches_broken_commutativity():
     bad = dict(a.product)
     bad[(3, 0, 3, 0)] = {}  # fine, degree 6 outside window; break unit instead
     bad[(0, 0, 3, 0)] = {0: QQ.of(2)}
-    with pytest.raises(AlgebraError):
-        Cdga(a.field, a.complex, bad, a.unit)
+    with pytest.raises(AlgebraError, match=r"unit law fails on e3"):
+        Cdga(a.field, a.complex, bad, a.unit).validate()
 
 
 def test_cdga_rejects_keys_and_indices_outside_the_basis():
@@ -189,9 +189,9 @@ def test_cdga_rejects_keys_and_indices_outside_the_basis():
                 {(3, 0, 3, 0): {0: QQ.one}}):     # degree 6 is empty
         with pytest.raises(AlgebraError, match=r"product of \(\d,\d\)\*\(\d,\d\) "
                            "names no basis element"):
-            Cdga(a.field, a.complex, {**a.product, **bad}, a.unit, validate=False)
+            Cdga(a.field, a.complex, {**a.product, **bad}, a.unit)
     with pytest.raises(AlgebraError, match="unit names an index outside degree 0"):
-        Cdga(a.field, a.complex, a.product, {1: QQ.one}, validate=False)
+        Cdga(a.field, a.complex, a.product, {1: QQ.one})
 
 
 # The earlier `materialize_free_cdga`, which built the whole free algebra

@@ -1,0 +1,319 @@
+"""Checks run once: at the trust boundary and where a report rests on them.
+
+The parser checks every algebra and morphism it reads.  A report checks
+what it certifies, prints or emits: the Leibniz report of a cone, the
+truncated cone and its base map, the corners and maps that the square
+pipelines build, the cone modules of `dgmodule-square` and `lefschetz`,
+the H-algebras of `lefschetz` and `cohomology --object`, and the umkehr
+map.  Every construction in between keeps the axioms, by the argument
+in its docstring, and is not checked again.
+
+Each broken-builder test below replaces one of those constructions by a
+wrong one and shows that a check that remains still rejects a shipped
+example, with a nonzero exit code and that check's message.  The
+full-check harness wraps the four constructors so that every object
+built is checked, runs every shipped example and the smallest rung of
+each benchmark ladder under it, and finds no witness.
+"""
+
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from pemb import algebra, cli, duality, graded, modules, pipeline
+from pemb.algebra import Cdga, CdgaMorphism
+from pemb.checks import (check_cdga, check_cdga_morphism, check_module,
+                         check_module_morphism)
+from pemb.fields import QQ
+from pemb.graded import (CochainComplex, DegreeWindow, GradedLinearMap,
+                         GradedVectorSpace)
+from pemb.linalg import Matrix
+from pemb.modules import (DgModule, DgModuleMorphism, ModuleError,
+                          semifree_resolution)
+
+from builders import run_cli, sphere
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import ladder  # noqa: E402  (the benchmark's problem generator)
+
+
+def patch_everywhere(monkeypatch, module, attr, make):
+    """Replace module.attr by make(original) in every `pemb` namespace
+    that bound it."""
+    original = getattr(module, attr)
+    wrapped = make(original)
+    for name, other in list(sys.modules.items()):
+        if other is not None and (name == "pemb" or name.startswith("pemb.")):
+            for key, value in list(vars(other).items()):
+                if value is original:
+                    monkeypatch.setattr(other, key, wrapped)
+
+
+def negate_first(table, keep):
+    """table with its first entry, in key order, that keep(key) accepts
+    negated (the table itself when keep accepts none)."""
+    key = min((k for k in table if keep(k)), default=None)
+    if key is None:
+        return table
+    return {**table, key: {i: -x for i, x in table[key].items()}}
+
+
+def positive(key):
+    return key[0] > 0
+
+
+def unit_action(key):
+    return key[0] == 0
+
+
+def both_positive(key):
+    return key[0] > 0 and key[2] > 0
+
+
+def broken_algebra(a):
+    """An algebra builder's result with one product of positive classes
+    negated."""
+    return Cdga(a.field, a.complex, negate_first(a.product, both_positive), a.unit)
+
+
+def broken_module(keep):
+    """A module builder's result with one action entry negated."""
+    def broken(m):
+        return DgModule(m.algebra, m.complex, negate_first(m.action, keep))
+    return broken
+
+
+def doubled_lowest_positive(glm):
+    d = min(d for d in glm.blocks if d > 0)
+    return GradedLinearMap(glm.source, glm.target, glm.shift,
+                           {**glm.blocks, d: glm.blocks[d].scale(2)})
+
+
+def on_result(change, first=False):
+    """make() for patch_everywhere: the builder, then change() on its
+    result (on its first item with `first`)."""
+    def make(build):
+        def broken(*args, **kwargs):
+            out = build(*args, **kwargs)
+            return (change(out[0]),) + tuple(out[1:]) if first else change(out)
+        return broken
+    return make
+
+
+def _without_later_units(s):
+    """A direct sum whose summands after the first lose the products with
+    their unit."""
+    later_unit = {(0, i) for i in s.unit if i > 0}
+    return Cdga(s.field, s.complex,
+                {k: v for k, v in s.product.items()
+                 if k[:2] not in later_unit and k[2:] not in later_unit}, s.unit)
+
+
+def _cone_with_broken_unit_on_sx(build):
+    """module_mapping_cone whose unit negates one element of sX."""
+    def broken(f):
+        m, split = build(f)
+        return DgModule(m.algebra, m.complex, negate_first(
+            m.action, lambda k: k[0] == 0 and k[3] >= split.y_dim(k[2]))), split
+    return broken
+
+
+def _stacked_without_last_unit(monkeypatch):
+    """EmbeddingProblem whose stacked morphism loses the last branch's
+    unit."""
+    init = pipeline.EmbeddingProblem.__init__
+
+    def broken(self, branches, n, name=""):
+        init(self, branches, n, name)
+        if self.is_menorah:
+            phi = self.phi
+            rows = list(phi.map.block(0).rows[:-1]) + [{}]
+            blocks = {**phi.map.blocks, 0: Matrix.sparse(self.field, rows, 1)}
+            self.phi = CdgaMorphism(phi.source, phi.target, GradedLinearMap(
+                phi.map.source, phi.map.target, 0, blocks))
+    monkeypatch.setattr(pipeline.EmbeddingProblem, "__init__", broken)
+
+
+def _unit_doubled_on_cohomology(monkeypatch):
+    """gysin's induced map of H-algebras with the unit sent to twice
+    the unit."""
+    induced = pipeline.induced_on_cohomology
+
+    def broken(f, coh_source, coh_target):
+        blocks = induced(f, coh_source, coh_target)
+        return {**blocks, 0: blocks[0].scale(2)}
+    monkeypatch.setattr(pipeline, "induced_on_cohomology", broken)
+
+
+def _patch(module, attr, make):
+    return lambda monkeypatch: patch_everywhere(monkeypatch, module, attr, make)
+
+
+ATTEST = "--attest-boundary-simply-connected"
+
+# (broken builder, patch, example, argv after the path, exit code, message)
+BROKEN = [
+    ("restrict_scalars",
+     _patch(modules, "restrict_scalars", on_result(broken_module(positive))),
+     "cp1_in_cp2_gysin", ["lefschetz"], 2, r"action Leibniz fails on \(x, ss\^-4#t\)"),
+    ("dual_module",
+     _patch(modules, "dual_module", on_result(broken_module(positive))),
+     "cp1_in_cp2_gysin", ["lefschetz"], 2,
+     r"action not associative on \(x, x, s\^-4#x\^2\)"),
+    ("suspend_module",
+     _patch(modules, "suspend_module", on_result(broken_module(positive))),
+     "cp1_in_cp2_gysin", ["gysin"], 1,
+     r"umkehr map failed linearity validation: morphism not linear over \(h2_0\)"),
+    ("_stacked_action",
+     _patch(modules, "_stacked_action",
+            lambda build: lambda *a: negate_first(build(*a), positive)),
+     "cp1_in_cp2_gysin", ["dgmodule-square"], 2,
+     r"action not associative on \(x, x, 1\)"),
+    ("module_mapping_cone",
+     _patch(modules, "module_mapping_cone", _cone_with_broken_unit_on_sx),
+     "cp2_in_s8", ["complement"], 1, r"truncation ideal rejected: unit law fails on sv4_0"),
+    ("free_module",
+     _patch(modules, "free_module", on_result(broken_module(unit_action), first=True)),
+     "cp2_in_s8", ["dgmodule-square"], 2, r"morphism not linear over \(1\) at v4_0"),
+    ("solve_chain_maps",
+     _patch(modules, "solve_chain_maps", on_result(lambda sol: sol and (
+         DgModuleMorphism(sol[0].source, sol[0].target,
+                          doubled_lowest_positive(sol[0].map)), sol[1]))),
+     "cp1_in_cp2_gysin", ["dgmodule-square"], 2,
+     r"action Leibniz fails on \(x, sc0\.v2_0\)"),
+    ("_linearity_rows",
+     _patch(modules, "_linearity_rows", on_result(lambda rows: rows[1:])),
+     "cp1_in_cp2_gysin", ["dgmodule-square"], 2,
+     r"action Leibniz fails on \(x, sc0\.v2_0\)"),
+    ("quotient_cdga",
+     _patch(algebra, "quotient_cdga", on_result(broken_algebra, first=True)),
+     "cp2_in_s8", ["punctured-square", ATTEST], 2,
+     r"morphism not multiplicative on \(x, x\)"),
+    ("projected_table",
+     _patch(algebra, "projected_table",
+            on_result(lambda t: negate_first(t, both_positive))),
+     "cp2_in_s8", ["punctured-square", ATTEST], 2,
+     r"morphism not multiplicative on \(x, x\)"),
+    ("cohomology_algebra",
+     _patch(algebra, "cohomology_algebra", on_result(broken_algebra, first=True)),
+     "hopf_torus", ["cohomology", "--object", "Q"], 2,
+     r"commutativity fails on \(h1_0, h7_0\)"),
+    ("direct_sum_cdga",
+     _patch(algebra, "direct_sum_cdga", on_result(_without_later_units)),
+     "two_s7_in_s15", ["dgmodule-square"], 2, r"unit does not act as identity on c1\.1"),
+    ("direct_sum_modules",
+     _patch(modules, "direct_sum_modules", on_result(broken_module(positive), first=True)),
+     "cp1_in_cp2_gysin", ["dgmodule-square"], 2,
+     r"action Leibniz fails on \(x, sc0\.v2_0\)"),
+    ("EmbeddingProblem", _stacked_without_last_unit,
+     "two_s7_in_s15", ["lefschetz"], 2, r"unit does not act as identity on ss\^-15#c1\.b7"),
+    ("_induced_quotient_morphism",
+     _patch(pipeline, "_induced_quotient_morphism", on_result(
+         lambda f: CdgaMorphism(f.source, f.target, f.map.scale(2)))),
+     "s2_in_s9_stable", ["stable-square"], 2, r"morphism does not preserve the unit"),
+    ("_trivial_action_module",
+     _patch(pipeline, "_trivial_action_module", on_result(broken_module(unit_action))),
+     "s2_in_s6", ["punctured-square", ATTEST], 2,
+     r"quotient cone failed validation: unit law fails on sv4_0"),
+    ("induced_on_cohomology", _unit_doubled_on_cohomology,
+     "cp1_in_cp2_gysin", ["gysin"], 1,
+     r"umkehr map failed linearity validation: morphism not linear over \(h0_0\)"),
+    ("shifted_dual_morphism",
+     _patch(duality, "shifted_dual_morphism", on_result(
+         lambda f: DgModuleMorphism(f.source, f.target, doubled_lowest_positive(f.map)))),
+     "cp1_in_cp2_gysin", ["lefschetz"], 2, r"action Leibniz fails on \(x, ss\^-4#t\)"),
+]
+
+
+@pytest.mark.parametrize("builder, patch, example, args, code, message", BROKEN,
+                         ids=[case[0] for case in BROKEN])
+def test_a_remaining_check_rejects_a_broken_builder(monkeypatch, builder, patch,
+                                                    example, args, code, message):
+    path = str(cli.example_path(example))
+    argv = [args[0], path] + args[1:]
+    assert run_cli(argv)[0] == 0
+    patch(monkeypatch)
+    got, _, err = run_cli(argv)
+    assert got == code
+    assert re.search(message, err), err
+
+
+def test_semifree_resolution_keeps_its_check_of_rho(monkeypatch):
+    """rho is the one re-check that stays: its quasi-isomorphism test reads
+    rho on cocycles only, so a wrong rho(u) on a kernel-killing generator
+    u passes it.  Over S^2 = k[x]/x^2, m has d(m1) = m2 = x.m0, so the
+    resolution kills x g0 by a generator u with rho(u) = m1."""
+    a = sphere(2, hi=4)
+    sp = GradedVectorSpace(QQ, DegreeWindow(0, 4), {0: 1, 1: 1, 2: 1},
+                           {0: ["m0"], 1: ["m1"], 2: ["m2"]})
+    cx = CochainComplex(sp, GradedLinearMap(sp, sp, 1, {1: Matrix(QQ, [[1]])}))
+    one = QQ.one
+    m = DgModule(a, cx, {(0, 0, 0, 0): {0: one}, (0, 0, 1, 0): {0: one},
+                         (0, 0, 2, 0): {0: one}, (2, 0, 0, 0): {0: one}})
+    m.validate()
+    assert len(semifree_resolution(m, minimal=False).generators) == 4
+    write = graded.CohomologyData.write_coboundary
+    monkeypatch.setattr(graded.CohomologyData, "write_coboundary",
+                        lambda self, deg, v: {i: 2 * x for i, x in write(self, deg, v).items()})
+    with pytest.raises(ModuleError, match="module morphism is not a chain map"):
+        semifree_resolution(m, minimal=False)
+
+
+# -- the full-check harness ------------------------------------------------
+
+CHECKS = ((Cdga, check_cdga), (CdgaMorphism, check_cdga_morphism),
+          (DgModule, check_module), (DgModuleMorphism, check_module_morphism))
+
+
+def check_every_object(monkeypatch):
+    """Wrap the four constructors so that each object built is checked;
+    returns the list the witnesses go to, as (class, witness, the
+    function that built the object)."""
+    found = []
+    for cls, check in CHECKS:
+        def checked(self, *args, _init=cls.__init__, _check=check, **kwargs):
+            _init(self, *args, **kwargs)
+            witness = _check(self)
+            if witness is not None:
+                found.append((type(self).__name__, str(witness),
+                              sys._getframe(1).f_code.co_name))
+        monkeypatch.setattr(cls, "__init__", checked)
+    return found
+
+
+SUBCOMMANDS = ("validate", "analyze", "complement", "stable-square",
+               "dgmodule-square", "lefschetz", "punctured-square", "gysin")
+
+
+def shipped_runs():
+    """argv of every subcommand on every shipped example: each algebra
+    under `cohomology --object`, `punctured-square` also with the
+    attestation and `dgmodule-square` also over F_5."""
+    for name in sorted(cli.EXAMPLES):
+        path = str(cli.example_path(name))
+        for sub in SUBCOMMANDS:
+            yield [sub, path]
+        yield ["punctured-square", path, ATTEST]
+        yield ["dgmodule-square", path, "--field", "5"]
+        for obj in sorted(cli.parse_file(path).algebras):
+            yield ["cohomology", path, "--object", obj]
+
+
+def test_full_check_harness_finds_no_witness(monkeypatch, tmp_path):
+    found = check_every_object(monkeypatch)
+    codes = {}
+    for argv in shipped_runs():
+        codes[tuple(argv)] = run_cli(argv)[0]
+    assert set(codes.values()) == {0, 1}
+    for workload in ladder.WORKLOADS:
+        wl = ladder.build(workload, 1)
+        key = next(iter(wl.problems))
+        path = tmp_path / (key + ".pemb")
+        path.write_text(wl.problems[key].text)
+        for job in wl.jobs:
+            if job.problem == key:
+                code, out, err = run_cli([job.command, str(path)])
+                assert ladder.check(job, wl.problems[key], code, out, err) == []
+    assert found == []

@@ -12,15 +12,14 @@ import pytest
 
 from builders import (complex_projective, product_s2_s4, random_semifree, sphere,
                       sullivan_cp2, torus_s1_s7, wedge_s2_s4)
-from dense import (DenseCdga, DenseModule, DenseMorphism, add_vec, is_zero_vec,
-                   scale_vec, sparse, sub_vec)
+from dense import (DenseCdga, DenseModule, DenseMorphism, add_vec, is_chain_map,
+                   is_zero_vec, scale_vec, sparse, sub_vec)
 from pemb.algebra import (AlgebraError, Cdga, CdgaMorphism,
                           materialize_free_cdga)
 from pemb.checks import (check_cdga, check_cdga_morphism, check_module,
                          check_module_morphism)
 from pemb.fields import PrimeField, QQ
-from pemb.graded import (CochainComplex, DegreeWindow, GradedLinearMap,
-                         is_chain_map)
+from pemb.graded import CochainComplex, DegreeWindow, GradedLinearMap
 from pemb.linalg import Matrix
 from pemb.modules import (DgModule, DgModuleMorphism, ModuleError,
                           algebra_as_module)
@@ -244,7 +243,7 @@ def test_witness_unit_law_sides_in_loop_order():
     product = dict(a.product)
     product[(2, 0, 0, 0)] = {0: QQ.of(2)}                         # x * 1 = 2x
     product[(0, 0, 4, 0)] = {0: QQ.of(3)}                         # 1 * x^2 = 3x^2
-    w = check_cdga(Cdga(QQ, a.complex, product, a.unit, validate=False))
+    w = check_cdga(Cdga(QQ, a.complex, product, a.unit))
     assert (w.axiom, w.labels, w.defect) == ("right unit", ("x",), {0: QQ.one})
 
 
@@ -253,19 +252,19 @@ def test_witness_cdga_associativity():
                               DegreeWindow(0, 3))
     product = dict(a.product)
     product[(1, 0, 2, 2)] = product[(2, 2, 1, 0)] = {0: QQ.of(2)}  # a * bc = 2abc
-    w = check_cdga(Cdga(QQ, a.complex, product, a.unit, validate=False))
+    w = check_cdga(Cdga(QQ, a.complex, product, a.unit))
     assert w.axiom == "associativity"
     assert w.labels == ("a", "b", "c")
     assert (w.degree, w.defect) == (3, {0: QQ.of(-1)})
     with pytest.raises(AlgebraError, match=r"associativity fails on \(a, b, c\)"):
-        Cdga(QQ, a.complex, product, a.unit)
+        Cdga(QQ, a.complex, product, a.unit).validate()
 
 
 def test_witness_cdga_leibniz():
     a = acyclic_pair()
     product = dict(a.product)
     product[(2, 0, 2, 0)] = {0: QQ.of(3)}                         # x * x = 3x^2
-    w = check_cdga(Cdga(QQ, a.complex, product, a.unit, validate=False))
+    w = check_cdga(Cdga(QQ, a.complex, product, a.unit))
     assert w.axiom == "Leibniz"
     assert w.labels == ("x", "x")
     assert (w.degree, w.defect) == (5, {0: QQ.of(4)})
@@ -273,7 +272,7 @@ def test_witness_cdga_leibniz():
 
 def test_witness_morphism_multiplicativity():
     a = truncated_polynomial()
-    f = CdgaMorphism(a, a, scaled_identity(a.space, {4: 2}), validate=False)
+    f = CdgaMorphism(a, a, scaled_identity(a.space, {4: 2}))
     w = check_cdga_morphism(f)
     assert w.axiom == "multiplicativity"
     assert w.labels == ("x", "x")
@@ -295,12 +294,12 @@ def test_witness_module_associativity():
     m = algebra_as_module(truncated_polynomial())
     action = dict(m.action)
     action[(2, 0, 2, 0)] = {0: QQ.of(2)}                          # x . x = 2x^2
-    w = check_module(DgModule(m.algebra, m.complex, action, validate=False))
+    w = check_module(DgModule(m.algebra, m.complex, action))
     assert w.axiom == "module associativity"
     assert w.labels == ("x", "x", "1")
     assert (w.degree, w.defect) == (4, {0: QQ.one})
     with pytest.raises(ModuleError, match=r"not associative on \(x, x, 1\)"):
-        DgModule(m.algebra, m.complex, action)
+        DgModule(m.algebra, m.complex, action).validate()
 
 
 def test_witness_module_leibniz():
@@ -310,7 +309,7 @@ def test_witness_module_leibniz():
     blocks = dict(a.complex.d.blocks)
     blocks[2] = blocks[2].scale(2)
     cx = CochainComplex(sp, GradedLinearMap(sp, sp, 1, blocks))
-    w = check_module(DgModule(a, cx, algebra_as_module(a).action, validate=False))
+    w = check_module(DgModule(a, cx, algebra_as_module(a).action))
     assert w.axiom == "module Leibniz"
     assert w.labels == ("x", "1")
     assert (w.degree, w.defect) == (3, {0: QQ.one})
@@ -318,7 +317,7 @@ def test_witness_module_leibniz():
 
 def test_witness_module_morphism_linearity():
     m = algebra_as_module(truncated_polynomial())
-    f = DgModuleMorphism(m, m, scaled_identity(m.space, {2: 2}), validate=False)
+    f = DgModuleMorphism(m, m, scaled_identity(m.space, {2: 2}))
     w = check_module_morphism(f)
     assert w.axiom == "linearity"
     assert w.labels == ("x", "1")
@@ -406,33 +405,32 @@ def test_sparse_checks_match_dense_loops():
         for _ in range(6 if a.complex.d.is_zero() else 12):
             product = perturbed(a.product, a.space, a.space, rng, field,
                                 symmetric=rng.random() < 0.6)
-            b = Cdga(field, a.complex, product, a.unit, validate=False)
+            b = Cdga(field, a.complex, product, a.unit)
             compare("cdga", check_cdga, dense_cdga, b)
             ident = GradedLinearMap.identity(a.space)
             compare("morphism", check_cdga_morphism, dense_cdga_morphism,
-                    CdgaMorphism(a, b, ident, validate=False))
+                    CdgaMorphism(a, b, ident))
             compare("morphism", check_cdga_morphism, dense_cdga_morphism,
-                    CdgaMorphism(a, a, perturbed_map(ident, rng), validate=False))
+                    CdgaMorphism(a, a, perturbed_map(ident, rng)))
             cx = rescaled_differential(a.complex, rng)
             if cx is not None:
                 compare("cdga", check_cdga, dense_cdga,
-                        Cdga(field, cx, a.product, a.unit, validate=False))
+                        Cdga(field, cx, a.product, a.unit))
             for n in modules:
                 action = perturbed(n.action, a.space, n.space, rng, field)
-                p = DgModule(a, n.complex, action, validate=False)
+                p = DgModule(a, n.complex, action)
                 compare("module", check_module, dense_module, p)
                 cx = rescaled_differential(n.complex, rng)
                 if cx is not None:
                     compare("module", check_module, dense_module,
-                            DgModule(a, cx, n.action, validate=False))
+                            DgModule(a, cx, n.action))
                 ident = GradedLinearMap.identity(n.space)
                 compare("module morphism", check_module_morphism,
                         dense_module_morphism,
-                        DgModuleMorphism(n, p, ident, validate=False))
+                        DgModuleMorphism(n, p, ident))
                 compare("module morphism", check_module_morphism,
                         dense_module_morphism,
-                        DgModuleMorphism(n, n, perturbed_map(ident, rng),
-                                         validate=False))
+                        DgModuleMorphism(n, n, perturbed_map(ident, rng)))
     # Every valid sample passes both ways, and the perturbations reach
     # each axiom past the unit law.
     assert {"commutativity", "associativity", "Leibniz"} <= hit["cdga"]

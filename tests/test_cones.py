@@ -32,6 +32,7 @@ def pipeline_cone():
     psi, _ = solve_chain_maps(
         d, algebra_as_module(r),
         [("class", 6, d.basis_vec(6, 0), r.basis_vec(6, 0))])
+    psi.validate()
     return semi_trivial_cone(psi)
 
 
@@ -70,6 +71,7 @@ def witness_cone():
     }
     f = DgModuleMorphism(x, algebra_as_module(r),
                          GradedLinearMap(x.space, r.space, 0, blocks))
+    f.validate()
     return semi_trivial_cone(f)
 
 
@@ -138,7 +140,9 @@ def random_bounded_cone(rng, k):
     for g in kernel:
         if rng.random() < 0.6:
             glm = glm.add(g.map.scale(QQ.of(rng.randint(-2, 2))))
-    return semi_trivial_cone(DgModuleMorphism(x, algebra_as_module(r), glm))
+    f = DgModuleMorphism(x, algebra_as_module(r), glm)
+    f.validate()
+    return semi_trivial_cone(f)
 
 
 def test_bounded_cones_always_pass_leibniz():

@@ -34,6 +34,7 @@ def test_pipeline_top_degree_map():
     phi = sphere_restriction(6, 2, 7)
     d = restrict_scalars(shifted_dual(algebra_as_module(phi.target), 6), phi)
     psi = construct_top_degree(d, algebra_as_module(phi.source), 6)
+    assert psi.validate() == QQ.one
     assert psi.map.map.apply(6, d.basis_vec(6, 0)) == {0: QQ.one}
     assert psi.map.map.block(4).is_zero()
 
@@ -52,6 +53,7 @@ def test_scalar_uniqueness_on_scaled_map():
     psi = construct_top_degree(d, algebra_as_module(phi.source), 6)
     doubled = TopDegreeMap(psi.map.scale(QQ.of(2)), 6, QQ.of(2),
                            psi.source_generator, psi.target_generator)
+    assert doubled.validate() == QQ.of(2)
     u, h = verify_scalar_uniqueness(psi, doubled)
     assert u == QQ.div(QQ.of(1), QQ.of(2))
     assert h.is_zero()
@@ -68,8 +70,9 @@ def test_scalar_uniqueness_after_coboundary_shift():
         delta = hc._delta(h0, -1)
         from pemb.modules import DgModuleMorphism
         changed = TopDegreeMap(
-            DgModuleMorphism(d, m, changed.map.map.add(delta), validate=False),
+            DgModuleMorphism(d, m, changed.map.map.add(delta)),
             4, psi.hn, psi.source_generator, psi.target_generator)
+    assert changed.validate() == psi.validate()
     u, h = verify_scalar_uniqueness(psi, changed)
     assert u == QQ.one
 
@@ -138,5 +141,7 @@ def test_homotopy_class_dimension_matches_top_line():
     d = restrict_scalars(shifted_dual(algebra_as_module(phi.target), 6), phi)
     from pemb.modules import homotopy_classes, semifree_resolution
     res = semifree_resolution(d, window=DegreeWindow(0, 7))
+    res.module.validate()
     hc = homotopy_classes(res.module, algebra_as_module(phi.source))
     assert hc.dimension == 1
+    hc.representatives[0].validate()

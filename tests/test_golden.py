@@ -6,11 +6,10 @@ a refactor that changes any basis, sign or message shows up here.
 """
 
 import hashlib
-import io
 import json
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from builders import run_cli
 from pemb import cli
 
 SUBCOMMANDS = ("validate", "analyze", "complement", "stable-square",
@@ -31,11 +30,9 @@ def cases():
 
 
 def digest(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
+    code, out, err = run_cli(argv)
     # the example path may appear in messages; it depends on the checkout
-    text = "%d\n%s\0%s" % (code, out.getvalue(), err.getvalue())
+    text = "%d\n%s\0%s" % (code, out, err)
     return hashlib.sha256(text.replace(argv[1], "<path>").encode()).hexdigest()
 
 

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from builders import euler_characteristic
+from dense import is_chain_map
 from pemb.fields import QQ
 from pemb.graded import (CochainComplex, DegreeWindow, GradedError,
                          GradedLinearMap, GradedVectorSpace, cohomology,
-                         dualize, is_chain_map, mapping_cone, suspend)
+                         dualize, mapping_cone, suspend)
 from pemb.linalg import Matrix
 
 

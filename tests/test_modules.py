@@ -43,7 +43,7 @@ def test_dg_module_rejects_keys_and_indices_outside_the_basis():
                 {(2, 0, 2, 0): {0: QQ.one}}):     # degree 4 is empty
         with pytest.raises(ModuleError, match=r"action \(\d,\d\) on \(\d,\d\) "
                            "names no basis element"):
-            DgModule(m.algebra, m.complex, {**m.action, **bad}, validate=False)
+            DgModule(m.algebra, m.complex, {**m.action, **bad})
 
 
 def test_dual_of_sphere_is_shift_of_itself():
@@ -56,6 +56,7 @@ def test_dual_of_sphere_is_shift_of_itself():
     shifted = suspend_module(m, 6)
     hc = homotopy_classes(shifted, dm)
     assert hc.dimension == 1
+    hc.representatives[0].validate()   # homotopy_classes does not check them
     f = hc.representatives[0].map
     assert f.block(-6).rank() == 1 and f.block(0).rank() == 1
 
@@ -105,6 +106,7 @@ def test_solve_top_degree_map_s2_in_s6():
         [("class", 6, d.basis_vec(6, 0), phi.source.basis_vec(6, 0))])
     assert sol is not None
     psi, kernel = sol
+    psi.validate()
     assert psi.map.apply(6, d.basis_vec(6, 0)) == {0: QQ.one}
     assert psi.map.block(4).is_zero()  # R^4 = 0 forces psi(v4) = 0
     assert kernel == []
@@ -146,6 +148,7 @@ def test_semifree_resolution_needs_kernel_generators():
     unit_mod, _ = free_module(a, [FreeGenerator("g", 0, 0)], {},
                               DegreeWindow(0, 0))
     res = semifree_resolution(unit_mod, window=DegreeWindow(0, 5))
+    res.module.validate()
     degs = sorted(g.degree for g in res.generators)
     # Koszul-Tate style ladder killing u, then the artifacts it creates
     assert degs == [0, 1, 2, 3, 4]
@@ -245,6 +248,7 @@ def test_semifree_resolution_generators_and_rho_are_unchanged():
     ]
     for m, window, gens, rho in cases:
         res = semifree_resolution(m, minimal=False, window=window)
+        res.module.validate()
         assert [(g.label, g.degree) for g in res.generators] == gens
         assert res.rho.map.blocks == rho
 
@@ -278,6 +282,7 @@ def test_module_mapping_cone():
     sol = solve_chain_maps(x, y, [("affine", {(2, 0, 0): QQ.one}, QQ.one)])
     assert sol is not None
     f, _ = sol
+    f.validate()
     cone, split = module_mapping_cone(f)
     cone.validate()
     assert cohomology(cone.complex).dims == {0: 1, 3: 1}
@@ -287,6 +292,8 @@ def test_quotient_module_by_top_line():
     a = sphere(6)
     m = algebra_as_module(a)
     q, proj, _ = quotient_module(m, {6: [{0: QQ.one}]})
+    q.validate()                       # quotient_module does not check them
+    proj.validate()
     assert q.space.dims == {0: 1}
     assert proj.map.block(0).rank() == 1
 
@@ -313,10 +320,11 @@ def test_random_semifree_and_solvers():
     n = algebra_as_module(a)
     for _ in range(6):
         p = random_semifree(a, rng, 2, 3, DegreeWindow(0, 6))
-        p.validate()
         sol = solve_chain_maps(p, n)
         assert sol is not None
         psi, kernel = sol
+        for g in [psi] + kernel:
+            g.validate()
         for g in kernel[:3]:
             assert homotopy_between(g, g) is not None
 
@@ -535,9 +543,12 @@ def test_derived_tables_match_dense_builders():
         target = algebra_as_module(a)
         for m in module_samples(a, rng):
             dual = dual_module(m)
+            dual.validate()
             assert dense_table(dual.action, dual.space) == dense_dual_action(m)
             for phi in morphisms:
-                restricted = restrict_scalars(m, phi).action
+                restricted = restrict_scalars(m, phi)
+                restricted.validate()
+                restricted = restricted.action
                 assert dense_table(restricted, m.space) == dense_restricted_action(m, phi)
                 seen["restrict"] += bool(restricted)
             # raised two degrees, so that the cone is nonnegatively graded
@@ -547,7 +558,9 @@ def test_derived_tables_match_dense_builders():
             for g in kernel:
                 glm = glm.add(g.map.scale(a.field.of(rng.randint(-2, 2))))
             f = DgModuleMorphism(x, target, glm)
+            f.validate()
             cone_mod = module_mapping_cone(f)[0]
+            cone_mod.validate()
             assert dense_table(cone_mod.action, cone_mod.space) == dense_cone_action(f)
             cone = semi_trivial_cone(f)
             assert dense_table(cone.algebra.product, cone.space) == dense_cone_product(cone)

@@ -1,15 +1,14 @@
 import importlib
-import io
 import os
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import count
 from math import comb
 
 import pytest
 
+from builders import run_cli
 from pemb import cli
 from pemb.algebra import MAX_STANDARD_MONOMIALS
 from pemb.fields import QQ
@@ -25,13 +24,6 @@ cdga Q { generator x2 deg 2 ; relation x2*x2 }
 morphism f : R -> Q { e6 -> 0 }
 problem { ambient R dim 6 ; embedded Q via f }
 """
-
-
-def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 def test_parse_sphere_pair():

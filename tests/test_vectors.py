@@ -144,6 +144,7 @@ def check_modules_over(a):
     x = suspend_module(dual, -2)
     f, _ = solve_chain_maps(x, m)
     f = DgModuleMorphism(x, m, f.map)
+    f.validate()
     cone_mod = module_mapping_cone(f)[0]
     assert_sparse_module(cone_mod)
     assert dense_table(cone_mod.action, cone_mod.space) == dense_cone_action(f)
