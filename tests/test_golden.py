@@ -19,14 +19,16 @@ GOLDEN = Path(__file__).with_name("golden_digests.json")
 
 def cases():
     """(case name, argv) for every example, subcommand and format, plus
-    `dgmodule-square --field 5` on every example."""
+    `dgmodule-square --field p` on every example for p = 2, 5 and 10007:
+    p = 2 has -1 = 1, and 10007 is in the range of the ladder's primes."""
     for name in sorted(cli.EXAMPLES):
         path = str(cli.example_path(name))
         for sub in SUBCOMMANDS:
             for fmt in ("table", "machine"):
                 yield "%s %s %s" % (name, sub, fmt), [sub, path, "--format", fmt]
-        yield "%s dgmodule-square field5" % name, ["dgmodule-square", path,
-                                                   "--field", "5"]
+        for p in ("2", "5", "10007"):
+            yield ("%s dgmodule-square field%s" % (name, p),
+                   ["dgmodule-square", path, "--field", p])
 
 
 def digest(argv):
