@@ -20,7 +20,7 @@ from .checks import (check_cdga, check_cdga_morphism, escape_degree,
 from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
                      cohomology, direct_sum, quasi_isomorphism_failure,
                      truncation_spans)
-from .linalg import Matrix, Quotienter, axpy, sparse_sum
+from .linalg import Matrix, Quotienter, axpy, scaled, sparse_sum
 
 
 class AlgebraError(ValueError):
@@ -59,7 +59,7 @@ class Cdga:
         # every nonzero product of two basis elements, in both orders; a
         # table that lists both already is shared, not copied
         missing = {(d2, i2, d1, i1): v if (d1 * d2) % 2 == 0
-                   else {i: -x for i, x in v.items()}
+                   else scaled(field, field.minus_one, v)
                    for (d1, i1, d2, i2), v in self.product.items()
                    if (d2, i2, d1, i1) not in self.product}
         self.both_orders = {**self.product, **missing} if missing else self.product
@@ -73,12 +73,12 @@ class Cdga:
 
     def mul_vec(self, d1, v1, d2, v2):
         out = {}
-        table = self.both_orders
+        field, table = self.field, self.both_orders
         for i1, c1 in v1.items():
             for i2, c2 in v2.items():
                 w = table.get((d1, i1, d2, i2))
                 if w is not None:
-                    axpy(out, c1 * c2, w)
+                    axpy(field, out, c1 * c2, w)
         return out
 
     def basis_vec(self, d, i):
@@ -216,7 +216,7 @@ def _times(field, q, poly, gen_degs):
         s, prod = _merge_sign(field, q, m, gen_degs)
         if s is not None:
             terms.append((prod, s * c))
-    return sparse_sum(terms)
+    return sparse_sum(field, terms)
 
 
 def _reduce(field, poly, basis, gen_degs):
@@ -245,23 +245,17 @@ def _reduce(field, poly, basis, gen_degs):
             out[t] = c
             continue
         s, _ = _merge_sign(field, q, lm, gen_degs)
-        f = -s * c
+        tail = {}   # q times the tail of g; distinct u give distinct q u
         for u, cu in g.items():
             if u == lm:
                 continue
             s2, v = _merge_sign(field, q, u, gen_degs)
             if s2 is None:
                 continue
-            x = f * s2 * cu
-            if v in work:
-                x = work[v] + x
-                if x:
-                    work[v] = x
-                else:
-                    del work[v]
-            else:
-                work[v] = x
+            tail[v] = s2 * cu
+            if v not in work:
                 heapq.heappush(queue, v)
+        axpy(field, work, -s * c, tail)
     return out
 
 
@@ -290,8 +284,7 @@ def _groebner_basis(field, relations, gen_degs, hi):
         if not f:
             continue
         lm = min(f)
-        inv = field.div(field.one, f[lm])
-        f = {m: inv * c for m, c in f.items()}
+        f = scaled(field, field.div(field.one, f[lm]), f)
         found = []
         for lm2, g in basis:
             if len(f) == 1 and len(g) == 1:
@@ -303,7 +296,7 @@ def _groebner_basis(field, relations, gen_degs, hi):
                 s2, _ = _merge_sign(field, q2, lm2, gen_degs)
                 # q1 f - s1 s2 q2 g: the two leading terms cancel
                 spoly = _times(field, q1, f, gen_degs)
-                axpy(spoly, -s1 * s2, _times(field, q2, g, gen_degs))
+                axpy(field, spoly, -s1 * s2, _times(field, q2, g, gen_degs))
                 found.append(spoly)
         found += [_times(field, (x,), f, gen_degs) for x in lm
                   if gen_degs[x] % 2 and e + gen_degs[x] <= hi]
@@ -340,7 +333,7 @@ def _d_mono(field, mono, dgen, gen_degs, hi):
             s2, prod = _merge_sign(field, t, rest, gen_degs)
             if s2 is not None:
                 terms.append((prod, sign * s2 * c))
-    return sparse_sum(terms)
+    return sparse_sum(field, terms)
 
 
 class FreePresentation:
@@ -373,7 +366,7 @@ class FreePresentation:
     def normal_form(self, poly):
         """The class of a homogeneous polynomial of degree within the
         window, a vector over the standard monomials of its degree."""
-        return sparse_sum([(i, c * x) for t, c in poly.items()
+        return sparse_sum(self.field, [(i, c * x) for t, c in poly.items()
                            for i, x in self.monomial_form(t).items()])
 
 
@@ -387,7 +380,7 @@ def _poly_in_degree(field, poly, deg, gen_degs, what):
         if not _is_monomial(mono, gen_degs):
             raise AlgebraError("%s contains a monomial outside the window" % what)
         terms.append((mono, field.of(coeff)))
-    return sparse_sum(terms)
+    return sparse_sum(field, terms)
 
 
 def _standard_monomials(basis, gen_degs, hi):
@@ -482,7 +475,7 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
     # d is a derivation, so d(r m) = d(r) m +- r d(m) lies in the ideal
     # for every multiple r m of a relation r with d(r) in it
     for e, r in sorted(rels, key=itemgetter(0)):
-        dr = sparse_sum([(t, c * x) for m, c in r.items()
+        dr = sparse_sum(field, [(t, c * x) for m, c in r.items()
                          for t, x in _d_mono(field, m, dgen, gen_degs, hi).items()])
         if _reduce(field, dr, basis, gen_degs):
             raise AlgebraError("differential does not preserve the relation ideal "
@@ -514,7 +507,9 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
                         continue
                     w = pres.monomial_form(prod)
                     if w:
-                        product[(d1, i1, d2, i2)] = {i: s * x for i, x in w.items()}
+                        # a read-only vector may be shared, not copied
+                        product[(d1, i1, d2, i2)] = (w if s == field.one
+                                                     else scaled(field, s, w))
 
     unit = pres.normal_form({(): field.one})
     if not unit:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import axpy
+from .linalg import axpy, scaled
 
 _MESSAGES = {
     "grading": "algebra must be nonnegatively graded",
@@ -84,7 +84,7 @@ def _by(table, side):
     return out
 
 
-def _through(table, index, out=None, raise_by=0, prepend=False, sign=None):
+def _through(field, table, index, out=None, raise_by=0, prepend=False, sign=None):
     """Add c * w to out[key + rest] (out[rest + key] with `prepend`) for
     each entry key -> v of `table`, each coefficient c of v at basis
     element b = (degree of key + raise_by, k) and each (rest, w) that
@@ -95,7 +95,7 @@ def _through(table, index, out=None, raise_by=0, prepend=False, sign=None):
         deg = sum(key[0::2]) + raise_by
         for k, c in v.items():
             for rest, w in index.get((deg, k), ()):
-                axpy(out.setdefault(rest + key if prepend else key + rest, {}),
+                axpy(field, out.setdefault(rest + key if prepend else key + rest, {}),
                      c * sign(rest[0]) if sign else c, w)
     return out
 
@@ -112,12 +112,12 @@ def _first_failure(axiom, lhs, rhs, spaces, target, raise_by=0,
     `target`, in their total degree plus raise_by.
     """
     best = None
-    minus_one = target.field.minus_one
+    field = target.field
     for key in lhs.keys() | rhs.keys():
         if keep is not None and not keep(key):
             continue
         diff = dict(lhs.get(key, {}))
-        axpy(diff, minus_one, rhs.get(key, {}))
+        axpy(field, diff, field.minus_one, rhs.get(key, {}))
         if diff and (best is None or order(key) < order(best[0])):
             best = key, diff
     if best is None:
@@ -134,7 +134,7 @@ def _unit_law(unit, sides, space):
     turn on each element."""
     one = space.field.one
     ident = {(d, i): {i: one} for d in space.degrees() for i in range(space.dim(d))}
-    found = [_first_failure(axiom, _through({(): unit}, index), ident,
+    found = [_first_failure(axiom, _through(space.field, {(): unit}, index), ident,
                             (space,), space) for axiom, index in sides]
     return min((w for w in found if w), key=lambda w: w.basis, default=None)
 
@@ -142,9 +142,9 @@ def _unit_law(unit, sides, space):
 def _chain_map(f, source, target, axiom):
     """First basis element e of `source` with d f(e) != f(d e), for a
     degree-0 map f."""
-    fcol = _columns(f)
-    return _first_failure(axiom, _through(fcol, _by(_columns(target.d), 0)),
-                          _through(_columns(source.d), _by(fcol, 0), raise_by=1),
+    field, fcol = target.field, _columns(f)
+    return _first_failure(axiom, _through(field, fcol, _by(_columns(target.d), 0)),
+                          _through(field, _columns(source.d), _by(fcol, 0), raise_by=1),
                           (source.space,), target.space, raise_by=1)
 
 
@@ -153,7 +153,7 @@ def _chain_map(f, source, target, axiom):
 
 def check_cdga(a):
     """First failure of the CDGA axioms on `a`, or None."""
-    sp, sign = a.space, a.field.sign
+    sp, field = a.space, a.field
     if sp.window.lo < 0:
         return Witness("grading", (), (), sp.window.lo, {})
     if not a.unit:
@@ -169,23 +169,24 @@ def check_cdga(a):
     # the keys listed in both orders; both_orders fills in the others
     given = a.product
     both = [k for k in given if k[2:] + k[:2] in given]
+    reversed_ = {k: given[k[2:] + k[:2]] for k in both}
     witness = _first_failure(
         "commutativity", {k: given[k] for k in both},
-        {k: {i: sign(k[0] * k[2]) * x for i, x in given[k[2:] + k[:2]].items()}
-         for k in both},
+        {k: v if (k[0] * k[2]) % 2 == 0 else scaled(field, field.minus_one, v)
+         for k, v in reversed_.items()},
         (sp, sp), sp)
     if witness:
         return witness
     # (xy)z and x(yz)
-    witness = _first_failure("associativity", _through(full, left),
-                             _through(full, right, prepend=True), (sp, sp, sp), sp)
+    witness = _first_failure("associativity", _through(field, full, left),
+                             _through(field, full, right, prepend=True), (sp, sp, sp), sp)
     if witness:
         return witness
     # d(xy) and d(x)y + (-1)^|x| x d(y)
     d = _columns(a.complex.d)
-    rhs = _through(d, left, raise_by=1)
-    _through(d, right, rhs, raise_by=1, prepend=True, sign=sign)
-    return _first_failure("Leibniz", _through(full, _by(d, 0)), rhs, (sp, sp), sp,
+    rhs = _through(field, d, left, raise_by=1)
+    _through(field, d, right, rhs, raise_by=1, prepend=True, sign=field.sign)
+    return _first_failure("Leibniz", _through(field, full, _by(d, 0)), rhs, (sp, sp), sp,
                           raise_by=1)
 
 
@@ -193,6 +194,7 @@ def check_cdga_morphism(f):
     """First failure of `f` as a unit-preserving multiplicative chain map
     of CDGAs, or None."""
     src, tgt = f.source, f.target
+    field = tgt.field
     if f.map.shift != 0:
         return Witness("degree", (), (), f.map.shift, {})
     witness = _chain_map(f.map, src.complex, tgt.complex, "chain map")
@@ -200,35 +202,38 @@ def check_cdga_morphism(f):
         return witness
     fu = f.apply(0, src.unit)
     if fu != tgt.unit:
-        axpy(fu, tgt.field.minus_one, tgt.unit)
+        axpy(field, fu, field.minus_one, tgt.unit)
         return Witness("unit preservation", (), (), 0, fu)
     # f(xy) and f(x)f(y), through the products t f(y) of target elements t
     fcol = _columns(f.map)
-    t_fy = _through(fcol, _by(tgt.both_orders, 1), prepend=True)
+    t_fy = _through(field, fcol, _by(tgt.both_orders, 1), prepend=True)
     hi = min(src.space.window.hi, tgt.space.window.hi)
-    return _first_failure("multiplicativity", _through(src.both_orders, _by(fcol, 0)),
-                          _through(fcol, _by(t_fy, 0)), (src.space, src.space),
+    return _first_failure("multiplicativity",
+                          _through(field, src.both_orders, _by(fcol, 0)),
+                          _through(field, fcol, _by(t_fy, 0)), (src.space, src.space),
                           tgt.space, keep=lambda key: key[0] + key[2] <= hi)
 
 
 def check_module(m):
     """First failure of the DG-module axioms on `m`, or None."""
-    a, sp = m.algebra, m.space
+    a, sp, field = m.algebra, m.space, m.field
     act = m.action
     by_alg, by_mod = _by(act, 0), _by(act, 1)
     witness = _unit_law(a.unit, (("module unit", by_alg),), sp)
     if witness:
         return witness
     # x.(y.n) and (xy).n
-    witness = _first_failure("module associativity", _through(act, by_mod, prepend=True),
-                             _through(a.both_orders, by_alg), (a.space, a.space, sp), sp)
+    witness = _first_failure("module associativity",
+                             _through(field, act, by_mod, prepend=True),
+                             _through(field, a.both_orders, by_alg),
+                             (a.space, a.space, sp), sp)
     if witness:
         return witness
     # d(x.n) and d(x).n + (-1)^|x| x.d(n)
     dmod = _columns(m.complex.d)
-    rhs = _through(_columns(a.complex.d), by_alg, raise_by=1)
-    _through(dmod, by_mod, rhs, raise_by=1, prepend=True, sign=m.field.sign)
-    return _first_failure("module Leibniz", _through(act, _by(dmod, 0)), rhs,
+    rhs = _through(field, _columns(a.complex.d), by_alg, raise_by=1)
+    _through(field, dmod, by_mod, rhs, raise_by=1, prepend=True, sign=field.sign)
+    return _first_failure("module Leibniz", _through(field, act, _by(dmod, 0)), rhs,
                           (a.space, sp), sp, raise_by=1)
 
 
@@ -242,10 +247,10 @@ def check_module_morphism(f):
     if witness:
         return witness
     # f(x.n) and x.f(n), ordered by the algebra element first
-    a, fcol = src.algebra, _columns(f.map)
+    a, fcol, field = src.algebra, _columns(f.map), tgt.field
     return _first_failure(
-        "linearity", _through(src.action, _by(fcol, 0)),
-        _through(fcol, _by(tgt.action, 1), prepend=True),
+        "linearity", _through(field, src.action, _by(fcol, 0)),
+        _through(field, fcol, _by(tgt.action, 1), prepend=True),
         (a.space, src.space), tgt.space, order=lambda key: key)
 
 

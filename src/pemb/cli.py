@@ -172,6 +172,11 @@ def cmd_lefschetz(pf, args):
     acted = sorted({(dw, dc) for (dw, _, dc, _) in out.action if dw > 0})
     lines.append("nontrivial ambient action degrees: %s"
                  % (["%d on %d" % p for p in acted] if acted else "none"))
+    if args.format == "machine":
+        # no algebra to emit: a document that declares none, the report
+        # in its comments
+        lines = [_field_line(problem.field),
+                 "window 0 %d" % max(out.h_dims, default=0)] + ["# " + ln for ln in lines]
     _print(lines)
     return 0
 

@@ -27,7 +27,7 @@ from .algebra import (AlgebraError, Cdga, CdgaMorphism, quotient_cdga,
 from .checks import check_cdga
 from .graded import (GradedLinearMap, cohomology, quasi_isomorphism_failure,
                      rewindow)
-from .linalg import Matrix
+from .linalg import Matrix, scaled
 from .modules import DgModule, module_mapping_cone
 
 
@@ -117,8 +117,8 @@ class MappingConeAlgebra:
         for (da, ia, dm, jm), v in self.cone_module.action.items():
             if jm >= self.split.y_dim(dm):
                 product[(da, ia, dm, jm)] = v
-                product[(dm, jm, da, ia)] = (v if (da * dm) % 2 == 0
-                                             else {i: -x for i, x in v.items()})
+                product[(dm, jm, da, ia)] = (v if (da * dm) % 2 == 0 else
+                                             scaled(self.field, self.field.minus_one, v))
         return product, self.base.unit
 
     def sx_degrees(self):

@@ -30,10 +30,15 @@ class TopDegreeMap:
     target_generator: dict
     resolution: object = None      # set when the solve ran on a resolution
 
-    def validate(self):
+    def validate(self, coh_s=None, coh_t=None):
+        """Check the map and return its H^n value; coh_s and coh_t, the
+        cohomology of the source and the target, are computed when not
+        given."""
         self.map.validate()
-        coh_s = cohomology(self.map.source.complex)
-        coh_t = cohomology(self.map.target.complex)
+        if coh_s is None:
+            coh_s = cohomology(self.map.source.complex)
+        if coh_t is None:
+            coh_t = cohomology(self.map.target.complex)
         if coh_s.dim(self.n) != 1 or coh_t.dim(self.n) != 1:
             raise DualityError("H^%d of source or target is not a line" % self.n)
         val = coh_t.reduce(self.n, self.map.apply(self.n, self.source_generator))
@@ -167,7 +172,7 @@ def gysin_map(hf, cert_w, cert_v, k):
     out = TopDegreeMap(DgModuleMorphism(source, target, glm), nw, field.one,
                        gen_s, gen_t)
     try:
-        out.hn = out.validate()
+        out.hn = out.validate(coh_s, coh_t)
     except ModuleError as e:
         raise DualityError("umkehr map failed linearity validation: %s" % e)
     return out
@@ -203,5 +208,5 @@ def dual_morphism_top_degree(phi, n):
     gen_s = _line_generator(coh_s, n, "shifted dual of target algebra")
     gen_t = _line_generator(coh_t, n, "shifted dual of source algebra")
     out = TopDegreeMap(morphism, n, None, gen_s, gen_t)
-    out.hn = out.validate()
+    out.hn = out.validate(coh_s, coh_t)
     return out

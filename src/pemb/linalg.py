@@ -3,7 +3,14 @@
 A vector is a sparse dict {index: nonzero scalar}, and it never stores a
 zero: the zero vector is {}.  This is the one vector form of the library,
 from structure constants to cohomology; `dense` expands one to a tuple
-for a printed report.  `axpy` is the one vector update.
+for a printed report.  `axpy` is the one vector update, and `scaled`
+and `sparse_sum` build the vectors that are not updates.
+
+Over F_p a scalar is an int in [0, p), and a product or sum of residues
+may leave that range: these kernels take such values as arguments and
+reduce, modulo `field.characteristic`, every value they store or test
+for zero.  The characteristic is 0 over Q, where nothing is reduced;
+each kernel picks its loop once per call.
 
 Matrices are immutable and field-tagged, stored as sparse rows, each a
 vector over the columns.  `entries`, `row` and `col` are dense views
@@ -21,8 +28,9 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, entries, ncols=None):
-        """From dense rows; entries that are not field scalars are coerced."""
-        scalar = type(field.zero)
+        """From dense rows; every entry is coerced into the field (an int
+        need not be a residue mod p)."""
+        of = field.of
         rows = []
         for row in entries:
             if ncols is None:
@@ -32,8 +40,7 @@ class Matrix:
                                  % (len(row), ncols))
             sparse = {}
             for c, x in enumerate(row):
-                if type(x) is not scalar:
-                    x = field.of(x)
+                x = of(x)
                 if x:
                     sparse[c] = x
             rows.append(sparse)
@@ -129,30 +136,29 @@ class Matrix:
         out = []
         for r1, r2 in zip(self.rows, other.rows):
             row = dict(r1)
-            axpy(row, f, r2)
+            axpy(self.field, row, f, r2)
             out.append(row)
         return Matrix.sparse(self.field, out, self.ncols)
 
     def __neg__(self):
-        return Matrix.sparse(self.field, [{c: -x for c, x in r.items()} for r in self.rows],
-                             self.ncols)
+        return self.scale(self.field.minus_one)
 
     def scale(self, c):
-        c = self.field.of(c) if not _is_scalar(c, self.field) else c
+        field = self.field
+        c = field.of(c)
         if not c:
-            return Matrix.zero(self.field, self.nrows, self.ncols)
-        return Matrix.sparse(self.field, [{k: c * x for k, x in r.items()} for r in self.rows],
-                             self.ncols)
+            return Matrix.zero(field, self.nrows, self.ncols)
+        return Matrix.sparse(field, [scaled(field, c, r) for r in self.rows], self.ncols)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product: %dx%d @ %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
-        out = []
+        field, out = self.field, []
         for r in self.rows:
             row = {}
             for k, a in r.items():
-                axpy(row, a, other.rows[k])
+                axpy(field, row, a, other.rows[k])
             out.append(row)
         return Matrix.sparse(self.field, out, other.ncols)
 
@@ -160,11 +166,14 @@ class Matrix:
         """Matrix times a vector over the columns."""
         out = {}
         if v:
+            p = self.field.characteristic
             for i, r in enumerate(self.rows):
                 s = None
                 for c, a in r.items():
                     if c in v:
                         s = a * v[c] if s is None else s + a * v[c]
+                if s and p:
+                    s %= p
                 if s:
                     out[i] = s
         return out
@@ -188,17 +197,18 @@ class Matrix:
         form of a matrix is unique, so the result is the one the
         index-order pivot rule gives.
         """
+        field = self.field
         rows = {}   # pivot column -> reduced sparse row, 1 at the pivot
         for r in self.rows:
             row = dict(r)
-            _reduce(row, rows)
+            _reduce(field, row, rows)
             if row:
                 p = min(row)
-                inv = self.field.div(self.field.one, row[p])
-                row = {c: inv * x for c, x in row.items()}
+                if row[p] != field.one:
+                    row = scaled(field, field.div(field.one, row[p]), row)
                 for other in rows.values():
                     if p in other:
-                        _reduce(other, {p: row})
+                        _reduce(field, other, {p: row})
                 rows[p] = row
         pivots = sorted(rows)
         out = [rows[p] for p in pivots] + [{} for _ in range(self.nrows - len(pivots))]
@@ -231,22 +241,32 @@ def reduced_kernel(red, pivots, ncols):
     so the first ncols columns of red are their reduced echelon form.  One
     vector per free column, so the basis is deterministic."""
     pivset = set(pivots)
+    p = red.field.characteristic
     free = {fc: {fc: red.field.one} for fc in range(ncols)
             if fc not in pivset}   # free column -> its basis vector
     for row, pc in zip(red.rows, pivots):
         for c, x in row.items():
             if c in free:
-                free[c][pc] = -x
+                free[c][pc] = p - x if p else -x   # x is in (0, p) over F_p
     return list(free.values())
 
 
-def _is_scalar(x, field):
-    return type(x) is type(field.zero)
-
-
-def axpy(row, f, other):
-    """row += f * other in place, for vectors row and other and a nonzero
-    scalar f; entries that become zero are dropped."""
+def axpy(field, row, f, other):
+    """row += f * other in place, for vectors row and other and a scalar
+    f that is nonzero in the field (over F_p, f and the entries of other
+    may be unreduced); entries that become zero are dropped."""
+    p = field.characteristic
+    if p:
+        for c, x in other.items():
+            if c in row:
+                v = (row[c] + f * x) % p
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            else:
+                row[c] = f * x % p
+        return
     for c, x in other.items():
         if c in row:
             v = row[c] + f * x
@@ -258,12 +278,21 @@ def axpy(row, f, other):
             row[c] = f * x
 
 
-def _reduce(row, pivot_rows):
+def scaled(field, c, v):
+    """The vector c * v, for a scalar c that is nonzero in the field and
+    may be unreduced, like a sign -1 or a product of residues."""
+    p = field.characteristic
+    if p:
+        return {i: c * x % p for i, x in v.items()}
+    return {i: c * x for i, x in v.items()}
+
+
+def _reduce(field, row, pivot_rows):
     """row -= row[p] * pivot_rows[p] for every pivot column p of row, in
     place.  Each pivot row is 1 at its pivot and 0 at every other pivot,
     so one pass clears them all."""
     for p in [p for p in row if p in pivot_rows]:
-        axpy(row, -row[p], pivot_rows[p])
+        axpy(field, row, -row[p], pivot_rows[p])
 
 
 def _check_shapes(a, b):
@@ -277,11 +306,15 @@ def dense(field, v, n):
     return tuple(v.get(i, field.zero) for i in range(n))
 
 
-def sparse_sum(terms):
-    """The vector summing the (index, scalar) terms."""
+def sparse_sum(field, terms):
+    """The vector summing the (index, scalar) terms; over F_p the scalars
+    may be unreduced."""
     out = {}
     for i, c in terms:
         out[i] = out[i] + c if i in out else c
+    p = field.characteristic
+    if p:
+        return {i: r for i, c in out.items() if (r := c % p)}
     return {i: c for i, c in out.items() if c}
 
 
@@ -303,7 +336,7 @@ class Quotienter:
     def _remainder(self, v):
         """v reduced against the span: a sparse row over kept indices."""
         row = dict(v)
-        _reduce(row, self.rows)
+        _reduce(self.field, row, self.rows)
         return row
 
     def project(self, v):

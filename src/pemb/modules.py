@@ -16,7 +16,7 @@ from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      GradedVectorSpace, cohomology, direct_sum, dualize,
                      mapping_cone, quasi_isomorphism_failure, suspend,
                      truncation_spans)
-from .linalg import Matrix, axpy, reduced_kernel, sparse_sum
+from .linalg import Matrix, axpy, reduced_kernel, scaled, sparse_sum
 
 
 class ModuleError(ValueError):
@@ -57,12 +57,12 @@ class DgModule:
 
     def act_vec(self, da, av, dm, mv):
         out = {}
-        table = self.action
+        field, table = self.field, self.action
         for ia, c1 in av.items():
             for jm, c2 in mv.items():
                 w = table.get((da, ia, dm, jm))
                 if w is not None:
-                    axpy(out, c1 * c2, w)
+                    axpy(field, out, c1 * c2, w)
         return out
 
     def basis_vec(self, d, i):
@@ -122,7 +122,7 @@ def restrict_scalars(m, phi):
         for ib, row in enumerate(block.rows):
             for ia, c in row.items():
                 for dm, jm, v in by_element.get((da, ib), ()):
-                    axpy(action.setdefault((da, ia, dm, jm), {}), c, v)
+                    axpy(m.field, action.setdefault((da, ia, dm, jm), {}), c, v)
     return DgModule(phi.source, m.complex, action)
 
 
@@ -132,14 +132,16 @@ def _stacked_action(space, parts, offsets=None):
     r.(s^k x) = (-1)^(|r| k) s^k(r.x), starting in degree d at
     offsets[(p, d)] (default 0)."""
     offsets = offsets or {}
+    field = space.field
     action = {}
     for p, (m, k) in enumerate(parts):
         for (da, ia, dm, jm), v in m.action.items():
             d = dm - k
             off = offsets.get((p, d + da), 0)
-            s = space.field.sign(da * k)
-            action[(da, ia, d, offsets.get((p, d), 0) + jm)] = {
-                i + off: s * x for i, x in v.items()}
+            s = field.sign(da * k)
+            w = v if s == field.one else scaled(field, s, v)
+            action[(da, ia, d, offsets.get((p, d), 0) + jm)] = (
+                {i + off: x for i, x in w.items()} if off else w)
     return action
 
 
@@ -161,12 +163,15 @@ def dual_module(m):
     Not re-checked: the transpose of a module over a graded-commutative
     algebra, with `dualize`'s signs, is one."""
     cx = dualize(m.complex)
+    field = m.field
     action = {}
     for (da, ia, dm, c), w in m.action.items():
         j = -(dm + da)
-        sgn = m.field.sign(da * (da + j))
+        sgn = field.sign(da * (da + j))
+        if sgn != field.one:
+            w = scaled(field, sgn, w)
         for b, x in w.items():
-            action.setdefault((da, ia, j, b), {})[c] = sgn * x
+            action.setdefault((da, ia, j, b), {})[c] = x
     return DgModule(m.algebra, cx, action)
 
 
@@ -229,7 +234,7 @@ def _linearity_rows(P, N, i, slots):
                         # minus (-1)^(i da) (a . f(m))_t
                         terms += [(idx[(dm, l, jm)], -sgn * x) for l, x in us.get(t, ())
                                   if (dm, l, jm) in idx]
-                        row = sparse_sum(terms)
+                        row = sparse_sum(field, terms)
                         if row:
                             rows.append(row)
     return rows
@@ -240,7 +245,8 @@ def _delta_rows(P, N, i, slots):
     shift i: one per basis element m of P and coordinate t of
     delta(f)(m), in basis order, zero rows included."""
     idx = {s: t for t, s in enumerate(slots)}
-    sgn = P.field.sign(i)
+    field = P.field
+    sgn = field.sign(i)
     rows = []
     for dm in P.space.degrees():
         dn = N.complex.d.block(dm + i)
@@ -250,7 +256,7 @@ def _delta_rows(P, N, i, slots):
                 terms = [(idx[(dm, l, jm)], c) for l, c in dn.rows[t].items()]
                 terms += [(idx[(dm + 1, t, j)], -sgn * c) for j, c in dp_cols[jm].items()
                           if (dm + 1, t, j) in idx]
-                rows.append(sparse_sum(terms))
+                rows.append(sparse_sum(field, terms))
     return rows
 
 
@@ -410,7 +416,8 @@ def solve_chain_maps(P, N, constraints=()):
             b = field.of(b)
             if b:
                 rhs[len(rows)] = b
-            rows.append(sparse_sum((idx[s], field.of(coeff)) for s, coeff in rd.items()))
+            rows.append(sparse_sum(field, ((idx[s], field.of(coeff))
+                                           for s, coeff in rd.items())))
     for deg, z, w, off in class_constraints:
         # f(z)_t - d(u)_t = w_t for auxiliary u in N^(deg-1)
         dblock = N.complex.d.block(deg - 1)
@@ -419,7 +426,7 @@ def solve_chain_maps(P, N, constraints=()):
             terms += [(off + u, -c) for u, c in dblock.rows[t].items()]
             if t in w:
                 rhs[len(rows)] = w[t]
-            rows.append(sparse_sum(terms))
+            rows.append(sparse_sum(field, terms))
 
     if not rows:
         part = {}
@@ -531,7 +538,7 @@ def free_module(algebra, gens, dvals=None, window=None):
             sgn = field.sign(e)
             gdeg = gens[gi].degree
             for jt, c in dg.items():
-                axpy(out, sgn * c, action.get((e, ib, gdeg + 1, jt), {}))
+                axpy(field, out, sgn * c, action.get((e, ib, gdeg + 1, jt), {}))
         return out
 
     for dm in sorted(dims):
@@ -623,7 +630,7 @@ def semifree_resolution(m, minimal=True, max_rounds=30, window=None):
             for v in kern:
                 z = {}
                 for t, c in v.items():
-                    axpy(z, c, coh_P.reps[j][t])
+                    axpy(field, z, c, coh_P.reps[j][t])
                 w = coh_m.write_coboundary(j, rho.apply(j, z))
                 if w is None:
                     raise ModuleError("resolution internal error: class not exact")

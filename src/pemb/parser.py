@@ -19,7 +19,7 @@ from .algebra import (AlgebraError, Cdga, CdgaMorphism,
 from .fields import FieldError, PrimeField, QQ
 from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      GradedVectorSpace)
-from .linalg import Matrix
+from .linalg import Matrix, scaled
 from .pipeline import EmbeddingProblem, PipelineError
 
 
@@ -430,7 +430,7 @@ def _parse_morphism(name, src, tgt, lines, pf):
         # unlisted degree-0 unit components go to the target unit
         for i, c in sa.unit.items():
             if sa.space.label(0, i) not in images:
-                put(0, i, {r: c * x for r, x in ta.unit.items()})
+                put(0, i, scaled(field, c, ta.unit))
     else:
         gen_imgs = {}
         for label, (lineno, deg, vec) in images.items():

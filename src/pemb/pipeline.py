@@ -22,7 +22,7 @@ from .duality import (DualityError, construct_top_degree, gysin_map,
 from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      GradedVectorSpace, cohomology, induced_on_cohomology,
                      quasi_isomorphism_failure)
-from .linalg import Matrix, axpy
+from .linalg import Matrix, axpy, scaled
 from .modules import (DgModule, DgModuleMorphism, algebra_as_module,
                       direct_sum_modules, module_mapping_cone,
                       restrict_scalars, semifree_resolution, shifted_dual,
@@ -474,7 +474,7 @@ def lefschetz(problem):
         for i in range(mtx.nrows):
             lifts[(d, i)] = zw = {}
             for c, x in mtx.solve({i: problem.field.one}).items():
-                axpy(zw, x, coh_r.reps[d][c])
+                axpy(problem.field, zw, x, coh_r.reps[d][c])
     for d in coh_c.dims:
         if d < bound and (d, 0) not in lifts:
             raise PipelineError("internal: complement class below the bound "
@@ -501,7 +501,7 @@ def lefschetz(problem):
                         w = product.get((d2, i2, d1, i1))
                         if w is None:
                             continue
-                        w = {k: sgn * x for k, x in w.items()}
+                        w = scaled(problem.field, sgn, w)
                     else:
                         continue
                     if w:

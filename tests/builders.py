@@ -83,7 +83,7 @@ def random_semifree(a, rng, n_gens, max_degree, window=None):
             for v in cands:
                 c = a.field.of(rng.randint(-2, 2))
                 if c:
-                    axpy(z, c, v)
+                    axpy(a.field, z, c, v)
             if z:
                 dvals[gi] = z
     P, _ = free_module(a, gens, dvals, window)

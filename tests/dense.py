@@ -1,4 +1,5 @@
-"""Dense vectors, the reference for the library's sparse ones.
+"""Dense vectors and boxed F_p scalars, the references for the library's
+sparse vectors and int residues.
 
 The library keeps every vector as a dict {index: nonzero scalar}.  Its
 earlier form was the dense tuple of the full dimension, and the
@@ -8,9 +9,155 @@ are that dense API, with its arithmetic, read off the sparse objects: a
 `DenseCdga` has the dense `unit`, `product`, `mul_basis` and `mul_vec`
 of a `Cdga`, a `DenseModule` the dense `action` and `act_vec` of a
 `DgModule`.
+
+Over F_p the library holds a scalar as an int in [0, p) and reduces in
+its kernels only, so plain arithmetic on its scalars leaves that range.
+The references compute instead in `reference(field)`: over F_p the
+`BoxedPrimeField`, whose scalars are `FpElement`s that reduce on every
+operation, as the library's own scalars once did.  An `FpElement`
+compares equal to the int of its residue class, so a reference result
+compares with `==` against the library's.
 """
 
+from fractions import Fraction
+
+from pemb.fields import FieldError, PrimeField
 from pemb.linalg import Matrix, dense
+
+
+class FpElement:
+    """A residue modulo a prime, with exact field arithmetic."""
+
+    __slots__ = ("v", "p")
+
+    def __init__(self, v, p):
+        self.v = v % p
+        self.p = p
+
+    def _coerce(self, other):
+        if isinstance(other, FpElement):
+            if other.p != self.p:
+                raise FieldError("mixed prime fields F_%d and F_%d" % (self.p, other.p))
+            return other
+        if isinstance(other, int):
+            return FpElement(other, self.p)
+        return NotImplemented
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return FpElement(self.v + o.v, self.p)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return FpElement(self.v - o.v, self.p)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return FpElement(o.v - self.v, self.p)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return FpElement(self.v * o.v, self.p)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if o.v == 0:
+            raise ZeroDivisionError("division by zero in F_%d" % self.p)
+        return FpElement(self.v * pow(o.v, -1, self.p), self.p)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o / self
+
+    def __neg__(self):
+        return FpElement(-self.v, self.p)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self.v == other % self.p
+        if isinstance(other, FpElement):
+            return self.p == other.p and self.v == other.v
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.v, self.p))
+
+    def __bool__(self):
+        return self.v != 0
+
+    def __mod__(self, p):
+        """Already reduced: the library's kernels reduce what they store
+        with `% p`, which leaves a boxed residue as it is."""
+        if p != self.p:
+            raise FieldError("F_%d element reduced mod %d" % (self.p, p))
+        return self
+
+    def __repr__(self):
+        return "%d" % self.v
+
+
+class BoxedPrimeField(PrimeField):
+    """F_p with `FpElement` scalars.  The library's code runs on it
+    unchanged: its kernels' `% p` leaves a boxed residue as it is."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.zero = FpElement(0, p)
+        self.one = FpElement(1, p)
+        self.minus_one = FpElement(-1, p)
+
+    def of(self, x):
+        if isinstance(x, FpElement):
+            if x.p != self.p:
+                raise FieldError("element of F_%d given to F_%d" % (x.p, self.p))
+            return x
+        if isinstance(x, int):
+            return FpElement(x, self.p)
+        if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise FieldError("denominator of %s vanishes in F_%d" % (x, self.p))
+            return FpElement(x.numerator, self.p) / FpElement(x.denominator, self.p)
+        if isinstance(x, str):
+            return self.of(Fraction(x))
+        raise FieldError("cannot coerce %r into F_%d" % (x, self.p))
+
+    def div(self, a, b):
+        return self.of(a) / self.of(b)
+
+
+def reference(field):
+    """The field the references compute in: Q itself, and for F_p the
+    boxed F_p."""
+    if field.characteristic == 0 or isinstance(field, BoxedPrimeField):
+        return field
+    return BoxedPrimeField(field.p)
+
+
+def lift(field, v):
+    """A dense vector of library scalars as one of `reference(field)`."""
+    rf = reference(field)
+    return tuple(rf.of(x) for x in v)
+
+
+def lower(field, v):
+    """A dense vector of the reference field as one of library scalars."""
+    return tuple(field.of(x.v) if isinstance(x, FpElement) else x for x in v)
 
 
 def sparse(v):
@@ -19,12 +166,13 @@ def sparse(v):
 
 
 def zero_vec(field, n):
-    return (field.zero,) * n
+    return (reference(field).zero,) * n
 
 
 def unit_vec(field, n, i):
-    v = [field.zero] * n
-    v[i] = field.one
+    rf = reference(field)
+    v = [rf.zero] * n
+    v[i] = rf.one
     return tuple(v)
 
 
@@ -52,21 +200,22 @@ def add_scaled(out, c, v):
 
 
 def dense_apply(m, v):
-    """Matrix times a dense column vector."""
+    """Matrix times a dense column vector, in the reference field."""
     if len(v) != m.ncols:
         raise ValueError("vector length %d != %d columns" % (len(v), m.ncols))
-    z = m.field.zero
-    return tuple(sum((a * b for a, b in zip(row, v) if a != 0), z) for row in m.entries)
+    rf = reference(m.field)
+    return tuple(sum((rf.of(a) * b for a, b in zip(row, v) if a != 0), rf.zero)
+                 for row in m.entries)
 
 
 def dense_from_cols(field, cols, nrows):
-    """The matrix with the given dense columns."""
-    return Matrix(field, cols, ncols=nrows).transpose()
+    """The matrix over the reference field with the given dense columns."""
+    return Matrix(reference(field), cols, ncols=nrows).transpose()
 
 
 def dense_table(table, space):
-    """A product or action table with dense values."""
-    return {key: dense(space.field, v, space.dim(key[0] + key[2]))
+    """A product or action table with dense values in the reference field."""
+    return {key: lift(space.field, dense(space.field, v, space.dim(key[0] + key[2])))
             for key, v in table.items()}
 
 
@@ -74,8 +223,8 @@ class DenseCdga:
     """The dense view of a `Cdga`."""
 
     def __init__(self, a):
-        self.field, self.complex, self.space = a.field, a.complex, a.space
-        self.unit = dense(a.field, a.unit, a.space.dim(0))
+        self.field, self.complex, self.space = reference(a.field), a.complex, a.space
+        self.unit = lift(a.field, dense(a.field, a.unit, a.space.dim(0)))
         self.product = dense_table(a.product, a.space)
         self.both_orders = dense_table(a.both_orders, a.space)
 
@@ -105,7 +254,7 @@ class DenseModule:
 
     def __init__(self, m):
         self.algebra = DenseCdga(m.algebra)
-        self.field, self.complex, self.space = m.field, m.complex, m.space
+        self.field, self.complex, self.space = reference(m.field), m.complex, m.space
         self.action = dense_table(m.action, m.space)
 
     def act_basis(self, da, ia, dm, jm):

@@ -22,7 +22,8 @@ from pemb.graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                          GradedVectorSpace, cohomology)
 from pemb.linalg import Matrix, dense
 from pemb.parser import parse
-from dense import add_vec, dense_from_cols, is_zero_vec, scale_vec, unit_vec
+from dense import (add_vec, dense_from_cols, is_zero_vec, reference, scale_vec,
+                   unit_vec)
 from test_linalg import DenseQuotienter
 
 
@@ -221,8 +222,9 @@ def dense_materialize_free_cdga(field, generators, diffs, relations, window):
     ideal generated by `relations`, all within the degree window.
 
     Polynomials are dicts mapping sorted generator-index tuples to
-    coefficients.
+    coefficients.  Over F_p it computes with boxed scalars.
     """
+    field = reference(field)
     if window.lo != 0:
         raise AlgebraError("algebra window must start at 0")
     gen_names = [g for g, _ in generators]

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from builders import complex_projective, sphere
+from builders import complex_projective, run_cli, sphere
+from pemb import cli
 from pemb.algebra import CdgaMorphism, check_poincare_duality, materialize_free_cdga
 from pemb.duality import (DualityError, TopDegreeMap, construct_top_degree,
                           dual_morphism_top_degree, gysin_map,
@@ -145,3 +146,19 @@ def test_homotopy_class_dimension_matches_top_line():
     hc = homotopy_classes(res.module, algebra_as_module(phi.source))
     assert hc.dimension == 1
     hc.representatives[0].validate()
+
+
+def test_gysin_computes_each_cohomology_once(monkeypatch):
+    # the umkehr map's check reads the H^n lines of the cohomology that
+    # chose its generators: one computation per complex
+    from pemb import duality
+    calls = []
+
+    def counted(complex_):
+        calls.append(complex_)
+        return cohomology(complex_)
+
+    monkeypatch.setattr(duality, "cohomology", counted)
+    code, out, _ = run_cli(["gysin", str(cli.example_path("cp1_in_cp2_gysin"))])
+    assert code == 0 and "umkehr" in out
+    assert len(calls) == 2

@@ -7,17 +7,18 @@ from pemb.fields import PrimeField, QQ
 from pemb.graded import (CochainComplex, DegreeWindow, GradedError,
                          GradedLinearMap, GradedVectorSpace, cohomology)
 from pemb.linalg import Matrix, Quotienter, dense
-from dense import dense_apply, dense_from_cols, sparse
+from dense import dense_apply, dense_from_cols, lower, reference, sparse
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5)]
 
 
 def in_scalar_form(field, x):
     """x is held as the field holds its scalars: over Q an int, or a
-    Fraction with a denominator > 1 (never a float or a bool)."""
+    Fraction with a denominator > 1 (never a float or a bool); over F_p a
+    nonzero residue, an int in (0, p)."""
     if field == QQ:
         return type(x) is int or (type(x) is Fraction and x.denominator > 1)
-    return type(x) is type(field.zero)
+    return type(x) is int and 0 < x < field.p
 
 
 def rand_matrix(field, rng, nrows, ncols, lo=-4, hi=4):
@@ -126,16 +127,15 @@ def test_matmul_and_transpose():
 
 # The parent's dense `Matrix`, which stored every cell, is the reference
 # for the sparse rows of `Matrix`: every operation must give the same
-# dense view.
+# dense view.  It computes in the reference field, with boxed F_p scalars.
 
 
 class DenseMatrix:
     __slots__ = ("field", "nrows", "ncols", "entries")
 
     def __init__(self, field, entries, ncols=None):
-        self.field = field
-        rows = tuple(tuple(field.of(x) if not _dense_is_scalar(x, field) else x for x in row)
-                     for row in entries)
+        self.field = field = reference(field)
+        rows = tuple(tuple(field.of(x) for x in row) for row in entries)
         self.entries = rows
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else (ncols or 0)
@@ -213,7 +213,7 @@ class DenseMatrix:
                            ncols=self.ncols)
 
     def scale(self, c):
-        c = self.field.of(c) if not _dense_is_scalar(c, self.field) else c
+        c = self.field.of(c)
         return DenseMatrix(self.field, [[c * a for a in row] for row in self.entries],
                            ncols=self.ncols)
 
@@ -305,10 +305,6 @@ class DenseMatrix:
         return tuple(x)
 
 
-def _dense_is_scalar(x, field):
-    return type(x) is type(field.zero)
-
-
 def _dense_reduce(row, pivot_rows, zero):
     """row -= row[p] * pivot_rows[p] for every pivot column p of row, in
     place, over the pivot row's nonzeros.  Each pivot row is 1 at its
@@ -336,7 +332,8 @@ def _dense_check_shapes(a, b):
 
 
 def dense_rref(m):
-    a = [list(row) for row in m.entries]
+    field = reference(m.field)
+    a = [[field.of(x) for x in row] for row in m.entries]
     pivots = []
     r = 0
     for c in range(m.ncols):
@@ -346,7 +343,7 @@ def dense_rref(m):
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = m.field.div(m.field.one, a[r][c])
+        inv = field.div(field.one, a[r][c])
         a[r] = [inv * x for x in a[r]]
         for i in range(m.nrows):
             if i != r and a[i][c] != 0:
@@ -354,12 +351,12 @@ def dense_rref(m):
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-    return Matrix(m.field, a, ncols=m.ncols), pivots
+    return Matrix(field, a, ncols=m.ncols), pivots
 
 
 def dense_kernel_basis(m):
     red, pivots = dense_rref(m)
-    z, o = m.field.zero, m.field.one
+    z, o = red.field.zero, red.field.one
     basis = []
     for fc in (c for c in range(m.ncols) if c not in pivots):
         v = [z] * m.ncols
@@ -374,7 +371,7 @@ def dense_solve(m, b):
     red, pivots = dense_rref(m.hstack(dense_from_cols(m.field, [tuple(b)], m.nrows)))
     if m.ncols in pivots:
         return None
-    x = [m.field.zero] * m.ncols
+    x = [red.field.zero] * m.ncols
     for r, pc in enumerate(pivots):
         x[pc] = red[r, m.ncols]
     return tuple(x)
@@ -382,6 +379,7 @@ def dense_solve(m, b):
 
 class DenseQuotienter:
     def __init__(self, field, spans, dim):
+        field = reference(field)
         self.field, self.dim = field, dim
         self.rows, self.pivots = [], []
         if spans:
@@ -459,7 +457,8 @@ def test_sparse_elimination_matches_dense_reference(field):
         for rhs in (b, dense_apply(m, tuple(field.of(rng.randint(-3, 3))
                                             for _ in range(m.ncols)))):
             ref_x = dense_solve(m, rhs)
-            assert m.solve(sparse(rhs)) == (None if ref_x is None else sparse(ref_x))
+            got = m.solve(sparse(lower(field, rhs)))
+            assert got == (None if ref_x is None else sparse(ref_x))
         spans = [m.row(i) for i in range(m.nrows)]
         q, ref = Quotienter(field, m.rows, m.ncols), DenseQuotienter(field, spans, m.ncols)
         assert q.keep == ref.keep
@@ -483,12 +482,13 @@ def test_cohomology_matches_dense_reference(field):
             assert coh.reps[deg] == [sparse(r) for r in reps]
             image = cx.d.block(deg - 1).cols() if cx.space.dim(deg - 1) else []
             # random cocycles, from the dense kernel and from the image
+            rf = reference(field)
             for _ in range(6):
-                v = [field.zero] * cx.space.dim(deg)
+                v = [rf.zero] * cx.space.dim(deg)
                 for w in dense_kernel_basis(cx.d.block(deg)) + image:
-                    c = field.of(rng.randint(-2, 2))
+                    c = rf.of(rng.randint(-2, 2))
                     v = [x + c * y for x, y in zip(v, w)]
-                assert coh.reduce(deg, sparse(v)) == sparse(reduce(tuple(v)))
+                assert coh.reduce(deg, sparse(lower(field, v))) == sparse(reduce(tuple(v)))
 
 
 def test_cohomology_reduce_rejects_vectors_it_cannot_reduce():
@@ -547,7 +547,7 @@ def test_sparse_rows_match_dense_matrix(field):
     rng = random.Random(5150)
     for m in sample_matrices(field, rng):
         ref = DenseMatrix(field, m.entries, ncols=m.ncols)
-        assert m == Matrix(field, ref.entries, ncols=ref.ncols)
+        assert m == Matrix(field, [lower(field, r) for r in ref.entries], ncols=ref.ncols)
         assert [m.row(i) for i in range(m.nrows)] == [ref.row(i) for i in range(m.nrows)]
         assert m.cols() == ref.cols()
         assert all(m[i, j] == ref[i, j] for i in range(m.nrows) for j in range(m.ncols))
@@ -573,7 +573,7 @@ def test_sparse_rows_match_dense_matrix(field):
         assert m.kernel_basis() == [sparse(k) for k in ref.kernel_basis()]
         b = tuple(field.of(rng.randint(-3, 3)) for _ in range(m.nrows))
         for rhs in (b, ref.apply(v)):
-            x, ref_x = m.solve(sparse(rhs)), ref.solve(rhs)
+            x, ref_x = m.solve(sparse(lower(field, rhs))), ref.solve(rhs)
             assert x == (None if ref_x is None else sparse(ref_x))
         # equality and hashing see the matrix, not how it was built
         twin = Matrix.sparse(field, [dict(reversed(r.items())) for r in m.rows], m.ncols)
@@ -592,6 +592,19 @@ def test_matrix_coerces_and_drops_zeros(field):
     assert m.rows[0][1] == field.of(Fraction(1, 2))
     sparse = Matrix.sparse(field, [{c: field.of(row[c]) for c in (0, 1, 2, 7)}], len(row))
     assert sparse == m and hash(sparse) == hash(m)
+
+
+def test_prime_field_ints_are_reduced_where_stored():
+    f5 = PrimeField(5)
+    assert Matrix(f5, [[-1, 5, 7]]).rows == ({0: 4, 2: 2},)
+    m = Matrix.sparse(f5, [{0: 4, 1: 2}], 2)
+    assert m.scale(-1).rows == (-m).rows == ({0: 1, 1: 3},)
+    assert m.scale(-3).rows == ({0: 3, 1: 4},) and m.scale(10).is_zero()
+    assert (f5.zero, f5.one, f5.minus_one) == (0, 1, 4)
+    assert (f5.of(-7), f5.of(Fraction(1, 2)), f5.of("-3/4")) == (3, 3, 3)
+    assert f5.div(9, 3) == 3 and f5.div(-1, 2) == 2
+    with pytest.raises(ZeroDivisionError):
+        f5.div(1, 10)
 
 
 def test_matrix_width_must_match_ncols():

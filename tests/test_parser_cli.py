@@ -11,7 +11,7 @@ import pytest
 from builders import run_cli
 from pemb import cli
 from pemb.algebra import MAX_STANDARD_MONOMIALS
-from pemb.fields import QQ
+from pemb.fields import MAX_PRIME, QQ, is_prime
 from pemb.linalg import Matrix
 from pemb.parser import ParseError, emit_explicit, parse, parse_file
 
@@ -144,6 +144,36 @@ window 0 7
 cdga R { generator e6 deg 6 }
 """)
     assert pf.field.characteristic == 2
+
+
+def test_primality_is_exact_below_the_bound():
+    trial = lambda n: n > 1 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(-2, 20000) if is_prime(n)] == [
+        n for n in range(-2, 20000) if trial(n)]
+    # composites that pass the first eleven and the first twelve prime bases
+    for n in (3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 18 + 3)
+
+
+def test_prime_modulus_checked_in_bounded_time(tmp_path):
+    path = tmp_path / "p.pemb"
+    not_prime = "error: line 2: %d is not prime\n"
+    for p, want in ((10 ** 18 + 3, (0, "")),
+                    (10 ** 18 + 1, (2, not_prime % (10 ** 18 + 1))),
+                    (4, (2, not_prime % 4)),
+                    (2 ** 89 - 1, (2, "error: line 2: %d exceeds the largest supported "
+                                      "prime modulus, bound %d\n" % (2 ** 89 - 1, MAX_PRIME)))):
+        path.write_text(SPHERE_PAIR.replace("field rational", "field prime %d" % p))
+        start = time.perf_counter()
+        code, _, err = run_cli(["validate", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == want, p
+    start = time.perf_counter()
+    code, _, err = run_cli(["dgmodule-square", str(cli.example_path("s2_in_s6")),
+                            "--field", str(10 ** 18 + 1)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (2, "error: %d is not prime\n" % (10 ** 18 + 1))
 
 
 def test_machine_roundtrip():
