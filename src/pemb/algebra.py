@@ -139,6 +139,13 @@ class CdgaMorphism:
 # window; enumeration stops past it and names the degree it reached.
 MAX_STANDARD_MONOMIALS = 10000
 
+# The most nonzero products of two standard monomials, each order
+# counted, one presentation may have; building its table stops past it
+# and names the degree it reached.  Building and checking the table take
+# time and memory in proportion to this count, which the bound above
+# alone would let reach its square.
+MAX_PRODUCT_ENTRIES = 1000000
+
 
 def _merge_sign(field, m1, m2, gen_degs):
     """Sorted merge of two sorted index tuples with the Koszul sign: each
@@ -494,6 +501,10 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
         dblocks[d] = Matrix.from_cols(field, cols, space.dim(d + 1))
     complex_ = CochainComplex(space, GradedLinearMap(space, space, 1, dblocks))
 
+    # the odd generators of each standard monomial, as a bitmask: two
+    # monomials that share one multiply to zero
+    odd = {d: [sum(1 << g for g in m if gen_degs[g] % 2) for m in ms]
+           for d, ms in standard.items()}
     product = {}
     for d1 in space.degrees():
         for d2 in space.degrees():
@@ -501,15 +512,20 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
             if d > hi or space.dim(d) == 0:
                 continue
             for i1, m1 in enumerate(standard[d1]):
+                odd1 = odd[d1][i1]
                 for i2, m2 in enumerate(standard[d2]):
-                    s, prod = _merge_sign(field, m1, m2, gen_degs)
-                    if s is None:
+                    if odd1 & odd[d2][i2]:
                         continue
+                    s, prod = _merge_sign(field, m1, m2, gen_degs)
                     w = pres.monomial_form(prod)
                     if w:
                         # a read-only vector may be shared, not copied
                         product[(d1, i1, d2, i2)] = (w if s == field.one
                                                      else scaled(field, s, w))
+                        if len(product) > MAX_PRODUCT_ENTRIES:
+                            raise AlgebraError("presentation has more than %d nonzero "
+                                               "products of basis elements by degree %d"
+                                               % (MAX_PRODUCT_ENTRIES, d))
 
     unit = pres.normal_form({(): field.one})
     if not unit:

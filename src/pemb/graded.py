@@ -154,9 +154,10 @@ class CochainComplex:
         self.space = space
         self.field = space.field
         self.d = differential
-        for deg in space.degrees():
-            sq = self.d.block(deg + 1) @ self.d.block(deg)
-            if not sq.is_zero():
+        # d*d vanishes where d has no stored block in the degree or the next
+        blocks = differential.blocks
+        for deg in sorted(blocks):
+            if deg + 1 in blocks and not (blocks[deg + 1] @ blocks[deg]).is_zero():
                 raise GradedError("d*d != 0 at degree %d" % deg)
 
     @staticmethod

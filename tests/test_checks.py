@@ -14,12 +14,14 @@ from builders import (complex_projective, product_s2_s4, random_semifree, sphere
                       sullivan_cp2, torus_s1_s7, wedge_s2_s4)
 from dense import (DenseCdga, DenseModule, DenseMorphism, add_vec, is_chain_map,
                    is_zero_vec, scale_vec, sparse, sub_vec)
+from pemb import checks
 from pemb.algebra import (AlgebraError, Cdga, CdgaMorphism,
                           materialize_free_cdga)
 from pemb.checks import (check_cdga, check_cdga_morphism, check_module,
                          check_module_morphism)
 from pemb.fields import PrimeField, QQ
-from pemb.graded import CochainComplex, DegreeWindow, GradedLinearMap
+from pemb.graded import (CochainComplex, DegreeWindow, GradedLinearMap,
+                         GradedVectorSpace)
 from pemb.linalg import Matrix
 from pemb.modules import (DgModule, DgModuleMorphism, ModuleError,
                           algebra_as_module)
@@ -326,6 +328,45 @@ def test_witness_module_morphism_linearity():
         f.validate()
 
 
+# -- the generating set ------------------------------------------------------
+
+
+def idempotent_pair():
+    """A^0 spanned by 1 and an idempotent e, A^1 by y, with e y = y and
+    d e = y: Leibniz fails on (e, e) alone, d(ee) = y against 2y."""
+    sp = GradedVectorSpace(QQ, DegreeWindow(0, 1), {0: 2, 1: 1},
+                           {0: ["1", "e"], 1: ["y"]})
+    cx = CochainComplex(sp, GradedLinearMap(sp, sp, 1, {0: Matrix(QQ, [[0, 1]])}))
+    product = {(0, 0, 0, 0): {0: QQ.one}, (0, 0, 0, 1): {1: QQ.one},
+               (0, 1, 0, 1): {1: QQ.one}, (0, 0, 1, 0): {0: QQ.one},
+               (0, 1, 1, 0): {0: QQ.one}}
+    return Cdga(QQ, cx, product, {0: QQ.one})
+
+
+def broken_square():
+    """acyclic_pair with x * x = 3x^2: Leibniz fails on (x, x) alone."""
+    a = acyclic_pair()
+    product = dict(a.product)
+    product[(2, 0, 2, 0)] = {0: QQ.of(3)}
+    return Cdga(QQ, a.complex, product, a.unit)
+
+
+@pytest.mark.parametrize("build, dropped", [(broken_square, (2, 0)),
+                                            (idempotent_pair, (0, 1))])
+def test_generating_set_cannot_lose_an_element(monkeypatch, build, dropped):
+    """An indecomposable, and a non-unit element of A^0, are each needed
+    in S: without one, an algebra that fails Leibniz passes."""
+    a = build()
+    witness = check_cdga(a)
+    assert (witness.axiom, witness.labels) == ("Leibniz", (a.space.label(*dropped),) * 2)
+    assert dense_cdga(a)[0] == str(witness)
+    full = checks.generating_set(a)
+    assert dropped in full
+    monkeypatch.setattr(checks, "generating_set",
+                        lambda b: [s for s in full if s != dropped])
+    assert check_cdga(a) is None
+
+
 # -- differential test: sparse checks against the dense loops ---------------
 
 
@@ -384,9 +425,20 @@ def perturbed_map(glm, rng):
     return GradedLinearMap(glm.source, glm.target, glm.shift, blocks)
 
 
+def reduced_verdict(a, witness):
+    """Whether `check_cdga`'s walk with first factors in the generating
+    set passes `a`, given its witness: the axioms before associativity
+    are checked in full either way."""
+    if witness is not None and witness.axiom not in ("associativity", "Leibniz"):
+        return False
+    return checks._CdgaWalk(a).holds_on(checks.generating_set(a))
+
+
 def test_sparse_checks_match_dense_loops():
     """Same verdict and witness on valid objects with one table entry,
-    map entry or differential block changed."""
+    map entry or differential block changed; and the same verdict from
+    the walk with first factors in the generating set as from the walk
+    over every first factor, on each algebra."""
     rng = random.Random(20261017)
     hit = {"cdga": set(), "morphism": set(), "module": set(), "module morphism": set()}
 
@@ -395,8 +447,14 @@ def test_sparse_checks_match_dense_loops():
         witness = check(obj)
         assert summary(witness, reference) == sparse_defect(reference)
         hit[kind].add(witness.axiom if witness else None)
+        if kind == "cdga":
+            exhaustive = reference is None
+            assert reduced_verdict(obj, witness) == exhaustive
+            if witness is None or witness.axiom in ("associativity", "Leibniz"):
+                assert (checks._CdgaWalk(obj).first_failure() is None) == exhaustive
 
     for a in cdga_samples():
+        compare("cdga", check_cdga, dense_cdga, a)
         field = a.field
         m = algebra_as_module(a)
         modules = [m]

@@ -24,8 +24,12 @@ def simple_complex(dims, dmaps, lo=0, hi=None):
 def test_d_squared_rejected():
     sp = GradedVectorSpace(QQ, DegreeWindow(0, 2), {0: 1, 1: 1, 2: 1})
     blocks = {0: Matrix(QQ, [[1]]), 1: Matrix(QQ, [[1]])}
-    with pytest.raises(GradedError):
+    with pytest.raises(GradedError, match=r"d\*d != 0 at degree 0"):
         CochainComplex(sp, GradedLinearMap(sp, sp, 1, blocks))
+    # no block stored in degree 1: d*d vanishes around it
+    sp = GradedVectorSpace(QQ, DegreeWindow(0, 4), {0: 1, 1: 1, 2: 1, 3: 1})
+    blocks = {0: Matrix(QQ, [[1]]), 2: Matrix(QQ, [[1]])}
+    assert CochainComplex(sp, GradedLinearMap(sp, sp, 1, blocks)).d.blocks.keys() == {0, 2}
 
 
 def test_cohomology_zero_differential():

@@ -9,8 +9,8 @@ from math import comb
 import pytest
 
 from builders import run_cli
-from pemb import cli
-from pemb.algebra import MAX_STANDARD_MONOMIALS
+from pemb import algebra, cli
+from pemb.algebra import MAX_PRODUCT_ENTRIES, MAX_STANDARD_MONOMIALS
 from pemb.fields import MAX_PRIME, QQ, is_prime
 from pemb.linalg import Matrix
 from pemb.parser import ParseError, emit_explicit, parse, parse_file
@@ -273,6 +273,36 @@ def test_cli_exit_codes(tmp_path):
         runs.append(run_cli(["complement", str(bad)]))
         assert time.perf_counter() - start < 1.0
     assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+def test_product_table_stops_past_its_bound(tmp_path, monkeypatch):
+    """Four degree-2 generators on a window to 38: 8,855 standard
+    monomials, within their budget, and one nonzero product for each of
+    the C(19 + 8, 8) pairs of exponent vectors of total at most 19, past
+    the table bound.  The products are counted as they are stored and
+    stop at the bound plus one; the bound is lowered here, so that the
+    run stops early."""
+    assert comb(19 + 4, 4) <= MAX_STANDARD_MONOMIALS < comb(20 + 4, 4)
+    assert comb(19 + 8, 8) > MAX_PRODUCT_ENTRIES
+    bound = 1000
+    monkeypatch.setattr(algebra, "MAX_PRODUCT_ENTRIES", bound)
+    stored = []
+    monomial_form = algebra.FreePresentation.monomial_form
+    monkeypatch.setattr(algebra.FreePresentation, "monomial_form",
+                        lambda pres, t: stored.append(t) or monomial_form(pres, t))
+    bad = tmp_path / "bad.pemb"
+    bad.write_text("field rational\nwindow 0 38\ncdga A {\n  generator a deg 2\n"
+                   "  generator b deg 2\n  generator c deg 2\n  generator e deg 2\n}\n")
+    # the unit times each monomial comes first: the C(k + 4, 4) monomials
+    # of degree up to 2k pass the bound in degree 2k
+    degree = 2 * next(k for k in count() if comb(k + 4, 4) > bound)
+    start = time.perf_counter()
+    code, _, err = run_cli(["validate", str(bad)])
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (2, "error: line 3: presentation has more than %d nonzero "
+                              "products of basis elements by degree %d\n"
+                              % (bound, degree))
+    assert len(stored) == bound + 1
 
 
 def test_cli_validate_and_cohomology():
