@@ -646,9 +646,11 @@ def quotient_complex(complex_, spans):
     qspace = GradedVectorSpace(field, space.window, qdims, qlabels)
     dblocks = {}
     for d in qspace.degrees():
-        red1 = reducers.get(d + 1)
-        dcols = complex_.d.block(d).transpose().rows
-        cols = [red1.project(dcols[i]) if red1 else {} for i in reducers[d].keep]
+        m = complex_.d.blocks.get(d)
+        if m is None:
+            continue
+        dcols, red1 = m.transpose().rows, reducers[d + 1]
+        cols = [red1.project(dcols[i]) for i in reducers[d].keep]
         dblocks[d] = Matrix.from_cols(field, cols, qspace.dim(d + 1))
     qcx = CochainComplex(qspace, GradedLinearMap(qspace, qspace, 1, dblocks))
     pblocks = {d: Matrix.from_cols(field,

@@ -8,8 +8,20 @@ reaches the tuples only through the nonzero entries of the product and
 action tables and of the differential and map columns: where every
 partial product vanishes, both sides are zero.  The tables are walked as
 they are stored, keys (d1, i1, d2, i2) to vectors {index: nonzero
-scalar}; their constructors have checked that every key and index names
-a basis element.  The witness is the first failing tuple by axiom (unit,
+scalar}, and every key and index must name a basis element.  The
+constructors of `Cdga` and `DgModule` check that on the tables they are
+given.  The modules built from checked objects skip it: they are handed
+over through `DgModule.derived` (the algebra acting on itself,
+restrictions of scalars, suspensions, duals, mapping cones, free
+modules, quotients, direct sums and the pipelines' trivial actions).
+Their indices hold by construction, since each builder writes only
+indices it numbered itself (free modules, quotient bases, trivial
+actions), read off a checked table or map (restrictions, duals), or
+shifted by the offsets of the degreewise stacking it built
+(suspensions, cones, sums).  So that a faulty builder is still named,
+not met as an IndexError, `check_module` and `check_module_morphism`
+test the indices of every module they read (`outside_basis`) before any
+axiom.  The witness is the first failing tuple by axiom (unit,
 commutativity, associativity, Leibniz), then degrees, then indices:
 where the exhaustive loops stop.
 
@@ -79,6 +91,7 @@ _MESSAGES = {
     "chain map": "morphism is not a chain map",
     "unit preservation": "morphism does not preserve the unit",
     "multiplicativity": "morphism not multiplicative on (%s, %s)",
+    "module basis": "action (%s,%s) on (%s,%s) names no basis element",
     "module unit": "unit does not act as identity on %s",
     "module associativity": "action not associative on (%s, %s, %s)",
     "module Leibniz": "action Leibniz fails on (%s, %s)",
@@ -354,8 +367,26 @@ def check_cdga_morphism(f):
                           tgt.space, keep=lambda key: key[0] + key[2] <= hi)
 
 
+def outside_basis(algebra, space, action):
+    """The first entry of an action table of `algebra` on `space`, in
+    table order, whose key or some index of whose vector names no basis
+    element, or None."""
+    adim, mdim = algebra.space.dim, space.dim
+    for (da, ia, dm, jm), v in action.items():
+        n = mdim(da + dm)
+        if not (0 <= ia < adim(da) and 0 <= jm < mdim(dm)) or any(
+                not 0 <= i < n for i in v):
+            return Witness("module basis", ((da, ia), (dm, jm)), (da, ia, dm, jm),
+                           da + dm, v)
+    return None
+
+
 def check_module(m):
-    """First failure of the DG-module axioms on `m`, or None."""
+    """First failure of the DG-module axioms on `m`, or None; first of
+    all, an action entry that names no basis element."""
+    witness = outside_basis(m.algebra, m.space, m.action)
+    if witness:
+        return witness
     a, sp, field = m.algebra, m.space, m.field
     act = m.action
     by_alg, by_mod = _by(act, 0), _by(act, 1)
@@ -379,11 +410,14 @@ def check_module(m):
 
 def check_module_morphism(f):
     """First failure of `f` as a degree-0 linear chain map of modules over
-    one algebra, or None."""
+    one algebra, or None; an action entry of its source or target that
+    names no basis element comes before the chain-map rule."""
     src, tgt = f.source, f.target
     if f.map.shift != 0:
         return Witness("module degree", (), (), f.map.shift, {})
-    witness = _chain_map(f.map, src.complex, tgt.complex, "module chain map")
+    witness = (outside_basis(src.algebra, src.space, src.action)
+               or outside_basis(tgt.algebra, tgt.space, tgt.action)
+               or _chain_map(f.map, src.complex, tgt.complex, "module chain map"))
     if witness:
         return witness
     # f(x.n) and x.f(n), ordered by the algebra element first

@@ -7,6 +7,7 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from importlib import resources
 
@@ -216,7 +217,10 @@ def example_path(name):
     return ref
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it as
+    it was, and each call returns a new namespace."""
     ap = argparse.ArgumentParser(
         prog="pemb",
         description="Exact-arithmetic models of embedding complements.")

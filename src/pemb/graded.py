@@ -117,7 +117,9 @@ class GradedLinearMap:
             raise GradedError("composition domain mismatch")
         blocks = {}
         for d in other.source.degrees():
-            blocks[d] = self.block(d + other.shift) @ other.block(d)
+            a, b = self.blocks.get(d + other.shift), other.blocks.get(d)
+            if a is not None and b is not None:
+                blocks[d] = a @ b
         return GradedLinearMap(other.source, self.target, self.shift + other.shift, blocks)
 
     def add(self, other):
@@ -176,6 +178,12 @@ class CohomologyData:
     cocycles landing on pivot columns.  The columns at all pivots are a
     basis of the cocycles that starts with a basis of the image.
 
+    A degree with no stored block out of it has the standard basis as
+    its cocycles, with no elimination; with no stored block into it
+    either, those are the representatives, and `reduce` returns its
+    vector as it is.  The elimination would give the same: the columns
+    of I, and E = I.
+
     The identity rides along in the same elimination: row-reducing
     [columns | I] to [R | E] gives E with E (column at the r-th pivot) =
     e_r, so E v holds the coordinates of a cocycle v in that basis, and
@@ -190,15 +198,27 @@ class CohomologyData:
         self.cocycles = {}
         self.reps = {}
         self._decomp = {}
+        blocks = complex_.d.blocks
         for deg in complex_.space.degrees():
-            z = complex_.d.block(deg).kernel_basis()
+            n = complex_.space.dim(deg)
+            out = blocks.get(deg)
+            if out is None:
+                z = [{i: field.one} for i in range(n)]
+            else:
+                z = out.kernel_basis()
             self.cocycles[deg] = z
             self.reps[deg] = []
             self._decomp[deg] = None
             if not z:
                 continue
-            n = complex_.space.dim(deg)
-            b = [c for c in complex_.d.block(deg - 1).transpose().rows if c]
+            into = blocks.get(deg - 1)
+            if out is None and into is None:
+                # d = 0 into and out of deg: every vector is its own class
+                self.reps[deg] = list(z)
+                self._decomp[deg] = (None, 0, n)
+                self.dims[deg] = n
+                continue
+            b = [c for c in into.transpose().rows if c] if into is not None else []
             cols = b + z
             k = len(cols)
             eye = [{i: field.one} for i in range(n)]
@@ -227,6 +247,8 @@ class CohomologyData:
         if self._decomp[deg] is None:
             return {}
         e, nb, rank = self._decomp[deg]
+        if e is None:
+            return dict(v)
         x = e.apply(v)
         if any(i >= rank for i in x):
             raise GradedError("cocycle outside the cocycle span (internal)")
@@ -294,7 +316,8 @@ def suspend(complex_, k):
               for d in space.dims}
     new_space = GradedVectorSpace(space.field, w, dims, labels)
     sign = space.field.sign(k)
-    blocks = {d - k: complex_.d.block(d).scale(sign) for d in space.degrees()}
+    blocks = {d - k: m if sign == space.field.one else m.scale(sign)
+              for d in space.degrees() if (m := complex_.d.blocks.get(d)) is not None}
     return CochainComplex(new_space, GradedLinearMap(new_space, new_space, 1, blocks))
 
 
@@ -309,8 +332,8 @@ def dualize(complex_):
     blocks = {}
     for j in new_space.degrees():
         # delta: (#c)^j -> (#c)^(j+1) is -(-1)^(j+1) (d: c^(-j-1) -> c^(-j))^T
-        d_block = complex_.d.block(-j - 1)
-        if d_block.nrows and d_block.ncols:
+        d_block = complex_.d.blocks.get(-j - 1)
+        if d_block is not None:
             blocks[j] = d_block.transpose().scale(-field.sign(j + 1))
     return CochainComplex(new_space, GradedLinearMap(new_space, new_space, 1, blocks))
 
@@ -352,14 +375,20 @@ def mapping_cone(f, source, target):
     def shifted(row, k):
         return {c + k: x for c, x in row.items()}
 
+    def rows_of(m, n):
+        return m.rows if m is not None else [{}] * n
+
     blocks = {}
     for d in cone_sp.degrees():
+        dy = target.d.blocks.get(d)
+        fb = f.blocks.get(d + 1)       # X^(d+1) = (sX)^d -> Y^(d+1)
+        dsx = sx.d.blocks.get(d)       # already carries the -1
+        if dy is None and fb is None and dsx is None:
+            continue
         ny, nx = y_sp.dim(d), sx.space.dim(d)
-        dy = target.d.block(d)
-        fb = f.block(d + 1)            # X^(d+1) = (sX)^d -> Y^(d+1)
-        dsx = sx.d.block(d)            # already carries the -1
-        rows = ([{**r, **shifted(s, ny)} for r, s in zip(dy.rows, fb.rows)]
-                + [shifted(r, ny) for r in dsx.rows])
+        top = y_sp.dim(d + 1)
+        rows = ([{**r, **shifted(s, ny)} for r, s in zip(rows_of(dy, top), rows_of(fb, top))]
+                + [shifted(r, ny) for r in rows_of(dsx, sx.space.dim(d + 1))])
         blocks[d] = Matrix.sparse(field, rows, ny + nx)
     cone = CochainComplex(cone_sp, GradedLinearMap(cone_sp, cone_sp, 1, blocks))
     incl_blocks, proj_blocks = {}, {}
@@ -402,9 +431,13 @@ def direct_sum(complexes):
 
     blocks = {}
     for d in space.degrees():
+        parts = [(k, m) for k, c in enumerate(complexes)
+                 if (m := c.d.blocks.get(d)) is not None]
+        if not parts:
+            continue
         rows = [{} for _ in range(space.dim(d + 1))]
-        for k, c in enumerate(complexes):
-            for r, row in enumerate(c.d.block(d).rows):
+        for k, m in parts:
+            for r, row in enumerate(m.rows):
                 rows[offsets[(k, d + 1)] + r] = embed(k, d, row)
         blocks[d] = Matrix.sparse(field, rows, space.dim(d))
     return CochainComplex(space, GradedLinearMap(space, space, 1, blocks)), offsets, embed

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 
 class Matrix:
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_columns")
 
     def __init__(self, field, entries, ncols=None):
         """From dense rows; every entry is coerced into the field (an int
@@ -48,6 +48,7 @@ class Matrix:
         self.rows = tuple(rows)
         self.nrows = len(rows)
         self.ncols = ncols or 0
+        self._columns = None
 
     # -- constructors ---------------------------------------------------
 
@@ -61,6 +62,7 @@ class Matrix:
         m.rows = tuple(rows)
         m.nrows = len(m.rows)
         m.ncols = ncols
+        m._columns = None
         return m
 
     @staticmethod
@@ -163,20 +165,26 @@ class Matrix:
         return Matrix.sparse(self.field, out, other.ncols)
 
     def apply(self, v):
-        """Matrix times a vector over the columns."""
-        out = {}
-        if v:
-            p = self.field.characteristic
+        """Matrix times a vector over the columns, keyed in row order.
+        It walks only the columns that v hits, through a column index
+        built on the first call (the matrix is immutable)."""
+        if not v:
+            return {}
+        columns = self._columns
+        if columns is None:
+            columns = {}
             for i, r in enumerate(self.rows):
-                s = None
                 for c, a in r.items():
-                    if c in v:
-                        s = a * v[c] if s is None else s + a * v[c]
-                if s and p:
-                    s %= p
-                if s:
-                    out[i] = s
-        return out
+                    columns.setdefault(c, []).append((i, a))
+            self._columns = columns
+        sums = {}
+        for c, x in v.items():
+            for i, a in columns.get(c, ()):
+                sums[i] = sums[i] + a * x if i in sums else a * x
+        p = self.field.characteristic
+        if p:
+            return {i: s for i in sorted(sums) if (s := sums[i] % p)}
+        return {i: s for i in sorted(sums) if (s := sums[i])}
 
     def hstack(self, other):
         if self.nrows != other.nrows:

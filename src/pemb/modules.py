@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .algebra import projected_table, quotient_complex
 from .checks import (check_module, check_module_morphism, escape_degree,
-                     left_multiples)
+                     left_multiples, outside_basis)
 from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      GradedVectorSpace, cohomology, direct_sum, dualize,
                      mapping_cone, quasi_isomorphism_failure, suspend,
@@ -31,24 +31,32 @@ class DgModule:
     in degree alg_deg+mod_deg.  Every key and every index must name a
     basis element, and no vector holds a zero scalar; a zero action, {},
     is not stored.  The constructor checks only that; `validate` checks
-    the axioms.
+    the axioms.  The builders below hand their tables over through
+    `derived`, which drops the zero actions and checks nothing.
     """
 
     def __init__(self, algebra, complex_, action):
+        witness = outside_basis(algebra, complex_.space, action)
+        if witness is not None:
+            raise ModuleError(str(witness))
+        self._store(algebra, complex_, action)
+
+    @classmethod
+    def derived(cls, algebra, complex_, action):
+        """A module built from checked objects, with the action table
+        taken as it is, as `Matrix.sparse` takes its rows: its builder
+        makes every key and index name a basis element, and `check_module`
+        names any that does not where a report checks the module."""
+        m = cls.__new__(cls)
+        m._store(algebra, complex_, action)
+        return m
+
+    def _store(self, algebra, complex_, action):
         self.algebra = algebra
         self.complex = complex_
         self.space = complex_.space
         self.field = algebra.field
-        adim, mdim = algebra.space.dim, self.space.dim
-        self.action = {}
-        for (da, ia, dm, jm), v in action.items():
-            n = mdim(da + dm)
-            if not (0 <= ia < adim(da) and 0 <= jm < mdim(dm)) or any(
-                    not 0 <= i < n for i in v):
-                raise ModuleError("action (%d,%d) on (%d,%d) names no basis "
-                                  "element" % (da, ia, dm, jm))
-            if v:
-                self.action[(da, ia, dm, jm)] = v
+        self.action = {k: v for k, v in action.items() if v}
 
     def act_basis(self, da, ia, dm, jm):
         """The stored action on two basis elements (not to be changed),
@@ -83,7 +91,7 @@ class DgModule:
 def algebra_as_module(a):
     """`a` acting on itself from the left; the action lists both orders
     of every product, since module actions are one-sided."""
-    return DgModule(a, a.complex, a.both_orders)
+    return DgModule.derived(a, a.complex, a.both_orders)
 
 
 class DgModuleMorphism:
@@ -123,7 +131,7 @@ def restrict_scalars(m, phi):
             for ia, c in row.items():
                 for dm, jm, v in by_element.get((da, ib), ()):
                     axpy(m.field, action.setdefault((da, ia, dm, jm), {}), c, v)
-    return DgModule(phi.source, m.complex, action)
+    return DgModule.derived(phi.source, m.complex, action)
 
 
 def _stacked_action(space, parts, offsets=None):
@@ -152,7 +160,7 @@ def suspend_module(m, k):
     if k == 0:
         return m
     cx = suspend(m.complex, k)
-    return DgModule(m.algebra, cx, _stacked_action(cx.space, [(m, k)]))
+    return DgModule.derived(m.algebra, cx, _stacked_action(cx.space, [(m, k)]))
 
 
 def dual_module(m):
@@ -172,7 +180,7 @@ def dual_module(m):
             w = scaled(field, sgn, w)
         for b, x in w.items():
             action.setdefault((da, ia, j, b), {})[c] = x
-    return DgModule(m.algebra, cx, action)
+    return DgModule.derived(m.algebra, cx, action)
 
 
 def shifted_dual(m, n):
@@ -189,7 +197,7 @@ def module_mapping_cone(f):
     csp = cone.complex.space
     action = _stacked_action(csp, [(f.target, 0), (f.source, 1)],
                              {(1, d): cone.y_dim(d) for d in csp.degrees()})
-    return DgModule(f.target.algebra, cone.complex, action), cone
+    return DgModule.derived(f.target.algebra, cone.complex, action), cone
 
 
 # -- hom complexes and solvers ------------------------------------------
@@ -249,11 +257,17 @@ def _delta_rows(P, N, i, slots):
     sgn = field.sign(i)
     rows = []
     for dm in P.space.degrees():
-        dn = N.complex.d.block(dm + i)
-        dp_cols = P.complex.d.block(dm).transpose().rows
-        for jm in range(P.space.dim(dm)):
-            for t in range(N.space.dim(dm + i + 1)):
-                terms = [(idx[(dm, l, jm)], c) for l, c in dn.rows[t].items()]
+        dn = N.complex.d.blocks.get(dm + i)
+        dp = P.complex.d.blocks.get(dm)
+        nt, nm = N.space.dim(dm + i + 1), P.space.dim(dm)
+        if dn is None and dp is None:
+            rows.extend({} for _ in range(nm * nt))
+            continue
+        dn_rows = dn.rows if dn is not None else [{}] * nt
+        dp_cols = dp.transpose().rows if dp is not None else [{}] * nm
+        for jm in range(nm):
+            for t in range(nt):
+                terms = [(idx[(dm, l, jm)], c) for l, c in dn_rows[t].items()]
                 terms += [(idx[(dm + 1, t, j)], -sgn * c) for j, c in dp_cols[jm].items()
                           if (dm + 1, t, j) in idx]
                 rows.append(sparse_sum(field, terms))
@@ -420,10 +434,11 @@ def solve_chain_maps(P, N, constraints=()):
                                            for s, coeff in rd.items())))
     for deg, z, w, off in class_constraints:
         # f(z)_t - d(u)_t = w_t for auxiliary u in N^(deg-1)
-        dblock = N.complex.d.block(deg - 1)
+        dblock = N.complex.d.blocks.get(deg - 1)
         for t in range(N.space.dim(deg)):
             terms = [(idx[(deg, t, j)], cz) for j, cz in z.items() if (deg, t, j) in idx]
-            terms += [(off + u, -c) for u, c in dblock.rows[t].items()]
+            if dblock is not None:
+                terms += [(off + u, -c) for u, c in dblock.rows[t].items()]
             if t in w:
                 rhs[len(rows)] = w[t]
             rows.append(sparse_sum(field, terms))
@@ -547,7 +562,7 @@ def free_module(algebra, gens, dvals=None, window=None):
         cols = [d_col(dm, jm) for jm in range(dims[dm])]
         dblocks[dm] = Matrix.from_cols(field, cols, space.dim(dm + 1))
     cx = CochainComplex(space, GradedLinearMap(space, space, 1, dblocks))
-    module = DgModule(a, cx, action)
+    module = DgModule.derived(a, cx, action)
     return module, index
 
 
@@ -680,7 +695,7 @@ def quotient_module(m, spans):
         raise ModuleError("subspace not action-closed (degree %d)" % bad)
     basis = [(d, i, a.basis_vec(d, i)) for d in a.space.degrees()
              for i in range(a.space.dim(d))]
-    q = DgModule(a, qcx, projected_table(basis, reducers, m.act_vec, hi))
+    q = DgModule.derived(a, qcx, projected_table(basis, reducers, m.act_vec, hi))
     return q, DgModuleMorphism(m, q, proj), reducers
 
 
@@ -705,4 +720,4 @@ def direct_sum_modules(parts):
         raise ModuleError("empty direct sum")
     cx, offset, _ = direct_sum([p.complex for p in parts])
     action = _stacked_action(cx.space, [(p, 0) for p in parts], offset)
-    return DgModule(parts[0].algebra, cx, action), offset
+    return DgModule.derived(parts[0].algebra, cx, action), offset

@@ -274,7 +274,7 @@ def _trivial_action_module(algebra, complex_):
     one = algebra.field.one
     action = {(0, 0, d, j): {j: one} for d in complex_.space.degrees()
               for j in range(complex_.space.dim(d))}
-    return DgModule(algebra, complex_, action)
+    return DgModule.derived(algebra, complex_, action)
 
 
 def _cone_map_blocks(field, space_l, split_l, space_r, split_r, y_map):

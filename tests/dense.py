@@ -301,3 +301,46 @@ def is_chain_map(f, source, target):
         if lhs != rhs:
             return False
     return True
+
+
+class ReferenceCohomology:
+    """The elimination `graded.CohomologyData` ran in every degree before
+    it skipped the degrees with no stored block: cocycles from
+    `kernel_basis` of the shaped block out of the degree, even a zero
+    one, and one `rref` of [image | cocycles | I] wherever there are
+    cocycles.  The reference for its shortcut."""
+
+    def __init__(self, complex_):
+        self.complex = complex_
+        field = complex_.field
+        self.dims, self.cocycles, self.reps, self._decomp = {}, {}, {}, {}
+        for deg in complex_.space.degrees():
+            z = complex_.d.block(deg).kernel_basis()
+            self.cocycles[deg] = z
+            self.reps[deg] = []
+            self._decomp[deg] = None
+            if not z:
+                continue
+            n = complex_.space.dim(deg)
+            b = [c for c in complex_.d.block(deg - 1).transpose().rows if c]
+            k = len(b) + len(z)
+            eye = [{i: field.one} for i in range(n)]
+            red, pivots = Matrix.sparse(field, b + z + eye, n).transpose().rref()
+            pivots = [p for p in pivots if p < k]
+            nb = sum(1 for p in pivots if p < len(b))
+            self.reps[deg] = [z[p - len(b)] for p in pivots[nb:]]
+            e = [{c - k: x for c, x in r.items() if c >= k} for r in red.rows]
+            self._decomp[deg] = (Matrix.sparse(field, e, n), nb, len(pivots))
+            if self.reps[deg]:
+                self.dims[deg] = len(self.reps[deg])
+
+    def reduce(self, deg, v):
+        if self._decomp.get(deg) is None:
+            return {}
+        e, nb, rank = self._decomp[deg]
+        x = e.apply(v)
+        assert all(i < rank for i in x)
+        return {i - nb: c for i, c in x.items() if i >= nb}
+
+    def write_coboundary(self, deg, v):
+        return self.complex.d.block(deg - 1).solve(v)

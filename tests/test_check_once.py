@@ -11,7 +11,10 @@ in its docstring, and is not checked again.
 Each broken-builder test below replaces one of those constructions by a
 wrong one and shows that a check that remains still rejects a shipped
 example, with a nonzero exit code and that check's message.  The
-full-check harness wraps the four constructors so that every object
+derived modules are handed over through `DgModule.derived`, whose index
+check moved to the module checks; a builder that hands over an index
+outside the basis is rejected by name too.  The full-check harness
+wraps the four constructors and `DgModule.derived` so that every object
 built is checked, runs every shipped example and the smallest rung of
 each benchmark ladder under it, and finds no witness.
 """
@@ -240,6 +243,38 @@ def test_a_remaining_check_rejects_a_broken_builder(monkeypatch, builder, patch,
     assert re.search(message, err), err
 
 
+def with_key_outside_basis(m):
+    """A module builder's result, handed over with one more entry: the
+    unit acting on an element one past the last of the top degree."""
+    d = max(m.space.degrees())
+    return DgModule.derived(m.algebra, m.complex,
+                            {**m.action, (0, 0, d, m.space.dim(d)): {0: m.field.one}})
+
+
+OUTSIDE = r"action \(0,0\) on \(4,1\) names no basis element"
+
+# (builder, argv after the path, exit code, message) on cp1_in_cp2_gysin
+HANDED_OVER = [
+    ("dual_module", ["lefschetz"], 2, "error: " + OUTSIDE),
+    ("suspend_module", ["gysin"], 1, "umkehr map failed linearity validation: " + OUTSIDE),
+]
+
+
+@pytest.mark.parametrize("builder, args, code, message", HANDED_OVER,
+                         ids=[case[0] for case in HANDED_OVER])
+def test_a_remaining_check_names_a_handed_over_index_outside_the_basis(
+        monkeypatch, builder, args, code, message):
+    """`DgModule.derived` does not check indices; the module and
+    module-morphism checks name an entry outside the basis first, so a
+    builder that hands one over is rejected by name, not by a traceback."""
+    argv = [args[0], str(cli.example_path("cp1_in_cp2_gysin"))] + args[1:]
+    assert run_cli(argv)[0] == 0
+    patch_everywhere(monkeypatch, modules, builder, on_result(with_key_outside_basis))
+    got, _, err = run_cli(argv)
+    assert got == code
+    assert re.search(message, err), err
+
+
 def test_semifree_resolution_keeps_its_check_of_rho(monkeypatch):
     """rho is the one re-check that stays: its quasi-isomorphism test reads
     rho on cocycles only, so a wrong rho(u) on a kernel-killing generator
@@ -268,18 +303,28 @@ CHECKS = ((Cdga, check_cdga), (CdgaMorphism, check_cdga_morphism),
 
 
 def check_every_object(monkeypatch):
-    """Wrap the four constructors so that each object built is checked;
-    returns the list the witnesses go to, as (class, witness, the
-    function that built the object)."""
+    """Wrap the four constructors, and the hand-over `DgModule.derived`,
+    so that each object built is checked; returns the list the witnesses
+    go to, as (class, witness, the function that built the object)."""
     found = []
+
+    def record(obj, check):
+        witness = check(obj)
+        if witness is not None:
+            found.append((type(obj).__name__, str(witness),
+                          sys._getframe(2).f_code.co_name))
+
     for cls, check in CHECKS:
         def checked(self, *args, _init=cls.__init__, _check=check, **kwargs):
             _init(self, *args, **kwargs)
-            witness = _check(self)
-            if witness is not None:
-                found.append((type(self).__name__, str(witness),
-                              sys._getframe(1).f_code.co_name))
+            record(self, _check)
         monkeypatch.setattr(cls, "__init__", checked)
+
+    def checked_derived(*args, _derived=DgModule.derived):
+        m = _derived(*args)
+        record(m, check_module)
+        return m
+    monkeypatch.setattr(DgModule, "derived", staticmethod(checked_derived))
     return found
 
 

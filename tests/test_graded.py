@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from builders import euler_characteristic
-from dense import is_chain_map
-from pemb.fields import QQ
+from dense import ReferenceCohomology, is_chain_map
+from pemb.fields import PrimeField, QQ
 from pemb.graded import (CochainComplex, DegreeWindow, GradedError,
                          GradedLinearMap, GradedVectorSpace, cohomology,
-                         dualize, mapping_cone, suspend)
-from pemb.linalg import Matrix
+                         direct_sum, dualize, mapping_cone, suspend)
+from pemb.linalg import Matrix, axpy
 
 
 def simple_complex(dims, dmaps, lo=0, hi=None):
@@ -166,3 +166,78 @@ def test_cone_inclusion_projection_chain_maps():
     cone = cone_of({1: [[2]]}, cx, cy)
     assert is_chain_map(cone.inclusion, cy, cone.complex)
     assert is_chain_map(cone.projection, cone.complex, cone.sx_complex)
+
+
+def random_combination(field, rng, vectors):
+    out = {}
+    for v in vectors:
+        c = field.of(rng.randint(-2, 2))
+        if c:
+            axpy(field, out, c, v)
+    return out
+
+
+def random_complex(field, rng, hi=5):
+    """A complex on the window 0..hi with dimensions 0..3, where about
+    half of the blocks that could be nonzero are absent; each stored
+    block's rows are combinations of the vectors that kill the image of
+    the block before it, so d*d = 0."""
+    sp = GradedVectorSpace(field, DegreeWindow(0, hi),
+                           {d: rng.randint(0, 3) for d in range(hi + 1)})
+    blocks = {}
+    for d in range(hi):
+        n, m = sp.dim(d), sp.dim(d + 1)
+        if not n or not m or rng.random() < 0.5:
+            continue
+        prev = blocks.get(d - 1)
+        allowed = (prev.transpose().kernel_basis() if prev is not None
+                   else [{i: field.one} for i in range(n)])
+        rows = [random_combination(field, rng, allowed) for _ in range(m)]
+        blocks[d] = Matrix.sparse(field, rows, n)
+    return CochainComplex(sp, GradedLinearMap(sp, sp, 1, blocks))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(10007)],
+                         ids=["Q", "F2", "F10007"])
+def test_cohomology_skips_absent_blocks_as_the_full_elimination_would(field):
+    rng = random.Random(1212)
+    bare = stored = 0
+    for _ in range(60):
+        c = random_complex(field, rng)
+        coh, ref = cohomology(c), ReferenceCohomology(c)
+        assert (coh.dims, coh.cocycles, coh.reps) == (ref.dims, ref.cocycles, ref.reps)
+        for deg in c.space.degrees():
+            if deg in c.d.blocks or deg - 1 in c.d.blocks:
+                stored += 1
+            else:
+                bare += 1
+            for _ in range(3):
+                z = random_combination(field, rng, coh.cocycles[deg])
+                assert coh.reduce(deg, z) == ref.reduce(deg, z)
+                w = {i: field.of(rng.randint(-2, 2)) for i in range(c.space.dim(deg - 1))}
+                b = c.d.apply(deg - 1, {i: x for i, x in w.items() if x})
+                for v in (b, z):
+                    assert coh.write_coboundary(deg, v) == ref.write_coboundary(deg, v)
+    assert bare > 50 and stored > 50
+
+
+def test_zero_differentials_cost_no_elimination_and_no_zero_block(monkeypatch):
+    """Cohomology, suspension, dual, cone and sum of complexes with d = 0
+    neither row-reduce nor build a zero matrix."""
+    x = simple_complex({0: 1, 2: 2, 3: 1}, {}, hi=4)
+    y = simple_complex({1: 2, 2: 1}, {}, hi=4)
+    f = GradedLinearMap(x.space, y.space, 0, {})
+
+    def forbidden(*args):
+        raise AssertionError("eliminated or built a zero block")
+    monkeypatch.setattr(Matrix, "rref", forbidden)
+    monkeypatch.setattr(Matrix, "zero", staticmethod(forbidden))
+    for c in (x, suspend(x, 3), dualize(x), mapping_cone(f, x, y).complex,
+              direct_sum([x, y])[0]):
+        assert not c.d.blocks
+        coh = cohomology(c)
+        assert coh.dims == c.space.dims
+        for deg in c.space.degrees():
+            v = {i: QQ.of(i + 1) for i in range(c.space.dim(deg))}
+            assert coh.reps[deg] == [{i: QQ.one} for i in range(c.space.dim(deg))]
+            assert coh.reduce(deg, v) == v

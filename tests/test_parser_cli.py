@@ -339,6 +339,33 @@ def test_cli_dgmodule_field_flag():
     assert "deg 0:1, deg 7:2, deg 14:1" in out_q
 
 
+def test_cli_parser_is_built_once_and_keeps_no_state(capsys):
+    """The parser is built once per process; a failing argv after a
+    successful run still exits 2 with the usage, and each parse starts
+    from the defaults."""
+    path = str(cli.example_path("two_s7_in_s15"))
+    assert run_cli(["dgmodule-square", path, "--field", "5", "--format", "machine"])[0] == 0
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dgmodule-square", path, "--field", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pemb dgmodule-square") and "invalid int value" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main([])
+    assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: pemb")
+    parse = cli._build_parser().parse_args
+    first = parse(["dgmodule-square", path, "--field", "5", "--format", "machine"])
+    second = parse(["dgmodule-square", path])
+    assert first is not second
+    assert (second.field, second.format) == (None, "table")
+    assert vars(first) == {"command": "dgmodule-square", "path": path,
+                           "field": 5, "format": "machine"}
+    # `examples run` rewrites the command of its own namespace only
+    assert run_cli(["examples", "run", "s2_in_s6"])[0] == 0
+    assert parse(["examples", "run", "s2_in_s6"]).command == "examples"
+
+
 def test_cli_punctured_requires_attestation():
     path = str(cli.example_path("s2_in_s6"))
     code, _, err = run_cli(["punctured-square", path])
