@@ -16,7 +16,7 @@ from itertools import count
 from operator import itemgetter
 
 from .checks import (check_cdga, check_cdga_morphism, escape_degree,
-                     left_multiples)
+                     left_multiples, outside_basis)
 from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
                      cohomology, direct_sum, quasi_isomorphism_failure,
                      truncation_spans)
@@ -36,26 +36,36 @@ class Cdga:
     commutativity from the reversed key.  The unit is a degree-0 vector.
     Every key and every index must name a basis element, and no vector
     holds a zero scalar; a zero product, {}, is not stored.  The
-    constructor checks only that; `validate` checks the axioms.
+    constructor checks only that; `validate` checks the axioms.  The
+    builders below hand their tables over through `derived`, which
+    drops the zero products and checks nothing.
     """
 
     def __init__(self, field, complex_, product, unit):
+        space = complex_.space
+        if any(not 0 <= i < space.dim(0) for i in unit):
+            raise AlgebraError("unit names an index outside degree 0")
+        witness = outside_basis(space, space, product, "algebra basis")
+        if witness is not None:
+            raise AlgebraError(str(witness))
+        self._store(field, complex_, product, unit)
+
+    @classmethod
+    def derived(cls, field, complex_, product, unit):
+        """An algebra built from checked objects, with the product table
+        taken as it is, as `DgModule.derived` takes an action: its builder
+        makes every key and index name a basis element, and `check_cdga`
+        names any that does not where a report checks the algebra."""
+        a = cls.__new__(cls)
+        a._store(field, complex_, product, unit)
+        return a
+
+    def _store(self, field, complex_, product, unit):
         self.field = field
         self.complex = complex_
         self.space = complex_.space
-        dim = self.space.dim
-        if any(not 0 <= i < dim(0) for i in unit):
-            raise AlgebraError("unit names an index outside degree 0")
         self.unit = unit
-        self.product = {}
-        for (d1, i1, d2, i2), v in product.items():
-            n = dim(d1 + d2)
-            if not (0 <= i1 < dim(d1) and 0 <= i2 < dim(d2)) or any(
-                    not 0 <= i < n for i in v):
-                raise AlgebraError("product of (%d,%d)*(%d,%d) names no basis "
-                                   "element" % (d1, i1, d2, i2))
-            if v:
-                self.product[(d1, i1, d2, i2)] = v
+        self.product = {k: v for k, v in product.items() if v}
         # every nonzero product of two basis elements, in both orders; a
         # table that lists both already is shared, not copied
         missing = {(d2, i2, d1, i1): v if (d1 * d2) % 2 == 0
@@ -116,6 +126,10 @@ class CdgaMorphism:
 
     def apply(self, d, v):
         return self.map.apply(d, v)
+
+    @staticmethod
+    def identity(a):
+        return CdgaMorphism(a, a, GradedLinearMap.identity(a.space))
 
     def validate(self):
         witness = check_cdga_morphism(self)
@@ -530,7 +544,7 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
     unit = pres.normal_form({(): field.one})
     if not unit:
         raise AlgebraError("relations kill the unit")
-    alg = Cdga(field, complex_, product, unit)
+    alg = Cdga.derived(field, complex_, product, unit)
     alg.presentation = pres
     return alg
 
@@ -562,7 +576,7 @@ def cohomology_algebra(a, coh=None):
                     if w:
                         product[(d1, i1, d2, i2)] = w
     unit = coh.reduce(0, a.unit) if 0 in coh.dims else {}
-    halg = Cdga(a.field, complex_, product, unit)
+    halg = Cdga.derived(a.field, complex_, product, unit)
     return halg, coh
 
 
@@ -682,8 +696,12 @@ def quotient_cdga(a, spans):
     """Quotient of a CDGA by a d-closed ideal given by degreewise spans.
 
     Checks closure under d and under multiplication; returns (quotient,
-    projection morphism, reducers).  Closed, the span is a differential
-    ideal, so a quotient of a CDGA is one and is not re-checked."""
+    projection morphism).  Closed, the span is a differential ideal, so a
+    quotient of a CDGA is one and is not re-checked.  When every span is
+    empty the ideal is zero, and the quotient is `a` itself with the
+    identity: nothing is built, so nothing new is there to check."""
+    if not any(spans.values()):
+        return a, CdgaMorphism.identity(a)
     qcx, proj, reducers = quotient_complex(a.complex, spans)
     sp = a.space
     bad = escape_degree(spans, reducers, left_multiples(a, a.mul_vec, sp.window.hi))
@@ -693,9 +711,8 @@ def quotient_cdga(a, spans):
              for d, r in reducers.items() for i in range(len(r.keep))]
     product = projected_table(lifts, reducers, a.mul_vec, sp.window.hi)
     unit = reducers[0].project(a.unit)
-    q = Cdga(a.field, qcx, product, unit)
-    morphism = CdgaMorphism(a, q, proj)
-    return q, morphism, reducers
+    q = Cdga.derived(a.field, qcx, product, unit)
+    return q, CdgaMorphism(a, q, proj)
 
 
 def quotient_by_acyclic_ideal(a, above):
@@ -703,16 +720,23 @@ def quotient_by_acyclic_ideal(a, above):
     degree above+1, with acyclic kernel concentrated in degrees > above.
 
     Needs H^(>above+1)(a) = 0 so the kernel can be acyclic; H^(above+1)
-    itself may be nonzero.
+    itself may be nonzero.  The truncation spans are read first: when
+    they are empty, `a` has no basis element above degree above+1 and
+    only cocycles in that degree, so it already vanishes where the
+    quotient must, and (a, identity) is returned with no cohomology
+    computed.
     """
     if not a.is_connected():
         raise AlgebraError("acyclic-ideal quotient needs a connected algebra")
+    spans = truncation_spans(a.complex, above + 1)
+    if not any(spans.values()):
+        return a, CdgaMorphism.identity(a)
     coh = cohomology(a.complex)
     for d in sorted(coh.dims):
         if d >= above + 2:
             raise AlgebraError("H^%d != 0: cannot build an acyclic ideal above "
                                "degree %d" % (d, above))
-    q, proj, _ = quotient_cdga(a, truncation_spans(a.complex, above + 1))
+    q, proj = quotient_cdga(a, spans)
     bad = quasi_isomorphism_failure(proj.map, coh, cohomology(q.complex))
     if bad is not None:
         raise AlgebraError("acyclic-ideal projection not a quasi-isomorphism "
@@ -737,4 +761,4 @@ def direct_sum_cdga(parts):
     unit = {}
     for pi, p in enumerate(parts):
         unit.update(embed(pi, 0, p.unit))
-    return Cdga(parts[0].field, cx, product, unit)
+    return Cdga.derived(parts[0].field, cx, product, unit)

@@ -10,41 +10,49 @@ partial product vanishes, both sides are zero.  The tables are walked as
 they are stored, keys (d1, i1, d2, i2) to vectors {index: nonzero
 scalar}, and every key and index must name a basis element.  The
 constructors of `Cdga` and `DgModule` check that on the tables they are
-given.  The modules built from checked objects skip it: they are handed
-over through `DgModule.derived` (the algebra acting on itself,
-restrictions of scalars, suspensions, duals, mapping cones, free
-modules, quotients, direct sums and the pipelines' trivial actions).
-Their indices hold by construction, since each builder writes only
-indices it numbered itself (free modules, quotient bases, trivial
-actions), read off a checked table or map (restrictions, duals), or
-shifted by the offsets of the degreewise stacking it built
+given.  The objects built from checked ones skip it.  Algebras are
+handed over through `Cdga.derived` (materialized presentations,
+cohomology algebras, quotients, direct sums, cone products and the
+H-algebra of `lefschetz`), modules through `DgModule.derived` (the
+algebra acting on itself, restrictions of scalars, suspensions, duals,
+mapping cones, free modules, quotients, direct sums and the pipelines'
+trivial actions).  Their indices hold by construction, since each
+builder writes only indices it numbered itself (standard monomials,
+cohomology classes, free modules, quotient bases, trivial actions),
+read off a checked table or map (restrictions, duals, cone products),
+or shifted by the offsets of the degreewise stacking it built
 (suspensions, cones, sums).  So that a faulty builder is still named,
-not met as an IndexError, `check_module` and `check_module_morphism`
-test the indices of every module they read (`outside_basis`) before any
-axiom.  The witness is the first failing tuple by axiom (unit,
-commutativity, associativity, Leibniz), then degrees, then indices:
-where the exhaustive loops stop.
+not met as an IndexError, `check_cdga` tests the indices of the product
+table, and `check_module` and `check_module_morphism` those of every
+module they read (`outside_basis`), before any axiom.  The witness is
+the first failing tuple by axiom (unit, right unit, commutativity,
+associativity, Leibniz), then degrees, then indices: where the
+exhaustive loops stop.
 
-`check_cdga` decides associativity and Leibniz on the triples and pairs
-whose first factor lies in a generating set S, one element of S at a
-time, and walks the rest only for an algebra that fails, to name its
-witness, one degree of the first factor at a time.
+`check_cdga` checks the unit laws on every basis element, then decides
+commutativity, associativity and Leibniz on the pairs and triples whose
+first factor lies in a generating set S, a chunk of S at a time, and
+walks the rest only for an algebra that fails, to name its witness:
+commutativity on every pair, then associativity and Leibniz one degree
+of the first factor at a time.
 
 Lemma.  Let A be graded in degrees 0..hi, with a bilinear product of
 degree 0 (zero into degrees above hi), a map d of degree +1 and a
-1 in A^0 with d(1) = 0 and 1x = x for every x.  Let S be a set of
+1 in A^0 with d(1) = 0 and 1x = x1 = x for every x.  Let S be a set of
 elements such that 1 and S^0 span A^0, and S^n and the products uv with
 0 < |u|, |v| < n span A^n for n > 0.  If (sy)z = s(yz) for all s in S
 and all y, z, the product is associative.  If moreover
 d(sy) = d(s)y + (-1)^|s| s d(y) for all s in S and all y, d is a
-derivation.
+derivation; and if sy = (-1)^(|s||y|) ys for all s in S and all y, the
+product is graded commutative.
 
-Proof.  Both identities are linear in the first factor x, so it is
-enough to take x in a spanning set; induct on |x| = n, for all y, z at
-once.  In degree 0, x = 1 satisfies both by the unit law and d(1) = 0:
-(1y)z = yz = 1(yz) and d(1y) = dy = d(1)y + 1dy.  Elements of S are
-given.  It remains x = uv with 0 < |u|, |v| < n, for which both
-identities hold with u or v as first factor.  Associativity first:
+Proof.  The three identities are linear in the first factor x, so it
+is enough to take x in a spanning set; induct on |x| = n, for all y, z
+at once.  In degree 0, x = 1 satisfies all three by the unit laws and
+d(1) = 0: (1y)z = yz = 1(yz), d(1y) = dy = d(1)y + 1dy and 1y = y1.
+Elements of S are given.  It remains x = uv with 0 < |u|, |v| < n, for
+which the identities hold with u or v as first factor.  Associativity
+first:
 
     ((uv)y)z = (u(vy))z = u((vy)z) = u(v(yz)) = (uv)(yz),
 
@@ -55,9 +63,15 @@ associativity known on all triples, and Leibniz for u, v and (u, v):
              = (du v)y + (-1)^|u| (u dv)y + (-1)^(|u|+|v|) (uv) dy
              = d(uv) y + (-1)^|uv| (uv) dy.
 
-Graded commutativity follows from associativity the same way,
-(uv)y = u(vy) = +-u(yv) = +-(uy)v = +-(yu)v = +-y(uv), but it is a walk
-over pairs, so it is checked on all of them; the right unit law is too.
+Commutativity likewise, with associativity known on all triples, and
+with e(a, b) = (-1)^(|a||b|), so that e(u, y) e(v, y) = e(uv, y):
+
+    (uv)y = u(vy) = e(v, y) u(yv) = e(v, y) (uy)v
+          = e(v, y) e(u, y) (yu)v = e(uv, y) y(uv),
+
+by associativity, commutativity with first factor v, associativity,
+commutativity with first factor u and associativity.
+
 `generating_set` reads S off the stored table, so the check trusts no
 construction: the complement of one coordinate of the unit in A^0, and
 in each degree n > 0 the basis elements off the pivots of one `rref` of
@@ -91,6 +105,7 @@ _MESSAGES = {
     "chain map": "morphism is not a chain map",
     "unit preservation": "morphism does not preserve the unit",
     "multiplicativity": "morphism not multiplicative on (%s, %s)",
+    "algebra basis": "product of (%s,%s)*(%s,%s) names no basis element",
     "module basis": "action (%s,%s) on (%s,%s) names no basis element",
     "module unit": "unit does not act as identity on %s",
     "module associativity": "action not associative on (%s, %s, %s)",
@@ -239,11 +254,15 @@ def _chain_map(f, source, target, axiom):
 
 
 def check_cdga(a):
-    """First failure of the CDGA axioms on `a`, or None."""
-    sp, field = a.space, a.field
+    """First failure of the CDGA axioms on `a`, or None; first of all, a
+    product entry that names no basis element."""
+    sp = a.space
+    witness = outside_basis(sp, sp, a.product, "algebra basis")
+    if witness:
+        return witness
     if sp.window.lo < 0:
         return Witness("grading", (), (), sp.window.lo, {})
-    if not a.unit:
+    if not a.unit or any(not 0 <= i < sp.dim(0) for i in a.unit):
         return Witness("unit vector", (), (), 0, a.unit)
     du = a.d_vec(0, a.unit)
     if du:
@@ -253,33 +272,41 @@ def check_cdga(a):
     witness = _unit_law(a.unit, (("unit", walk.left), ("right unit", right)), sp)
     if witness:
         return witness
-    # the keys listed in both orders; both_orders fills in the others
-    given = a.product
-    both = [k for k in given if k[2:] + k[:2] in given]
-    reversed_ = {k: given[k[2:] + k[:2]] for k in both}
-    witness = _first_failure(
-        "commutativity", {k: given[k] for k in both},
-        {k: v if (k[0] * k[2]) % 2 == 0 else scaled(field, field.minus_one, v)
-         for k, v in reversed_.items()},
-        (sp, sp), sp)
-    if witness:
-        return witness
     if walk.holds_on(generating_set(a)):
         return None
-    return walk.first_failure()
+    return _commutativity_failure(a) or walk.first_failure()
+
+
+def _commutativity_failure(a):
+    """First pair of basis elements, both orders of which the table
+    lists, whose two products break graded commutativity, or None; a
+    pair listed in one order is commutative by `both_orders`."""
+    sp, field, given = a.space, a.field, a.product
+    both = [k for k in given if k[2:] + k[:2] in given]
+    return _first_failure(
+        "commutativity", {k: given[k] for k in both},
+        {k: given[k[2:] + k[:2]] if (k[0] * k[2]) % 2 == 0
+         else scaled(field, field.minus_one, given[k[2:] + k[:2]]) for k in both},
+        (sp, sp), sp)
 
 
 _TRIPLE_AXIOMS = ("associativity", "Leibniz")
 
+# The most partial products (xy)z that several first factors may share
+# one walk with; each costs about half a kilobyte while it is held.
+_CHUNK = 128
+
 
 class _CdgaWalk:
-    """Associativity and Leibniz on a CDGA, walked over the tuples whose
-    first factor lies in a given set of basis elements.  The indices of
-    the product table and of the columns of d are built once, so that a
-    walk reaches only the tuples with a nonzero partial product."""
+    """Commutativity, associativity and Leibniz on a CDGA, walked over the
+    tuples whose first factor lies in a given set of basis elements.  The
+    indices of the product table and of the columns of d are built once,
+    so that a walk reaches only the tuples with a nonzero partial
+    product."""
 
     def __init__(self, a):
         self.space, self.field = a.space, a.field
+        self.table = a.both_orders
         self.left = _by(a.both_orders, 0)
         self.products_with = _coefficients(a.both_orders)
         self.d = d = _columns(a.complex.d)
@@ -304,11 +331,41 @@ class _CdgaWalk:
         return _first_failure(axiom, _through(field, rows, self.d_index), rhs, (sp, sp), sp,
                               raise_by=1)
 
+    def commutes(self, firsts):
+        """Whether xy = (-1)^(|x||y|) yx for every x in `firsts` and
+        every basis element y."""
+        field, table = self.field, self.table
+        for x in firsts:
+            for rest, v in self.left.get(x, ()):
+                w = table[rest + x]
+                if v != (w if (x[0] * rest[0]) % 2 == 0
+                         else scaled(field, field.minus_one, w)):
+                    return False
+        return True
+
     def holds_on(self, firsts):
-        """Whether both axioms hold on the tuples whose first factor is
-        in `firsts`, walked one first factor at a time."""
-        return all(self.failure(axiom, [x]) is None
-                   for x in firsts for axiom in _TRIPLE_AXIOMS)
+        """Whether the three axioms hold on the tuples whose first factor
+        is in `firsts`, walked in chunks of consecutive first factors: a
+        chunk is one first factor, or several whose partial products
+        (xy)z number at most `_CHUNK`.  A walk so holds no more at a time
+        than one first factor at a time would, or than `_CHUNK` products,
+        and first factors with few products share a walk."""
+        left = self.left
+        chunk, total = [], 0
+        for x in firsts:
+            n = sum(len(left.get((x[0] + rest[0], k), ()))
+                    for rest, v in left.get(x, ()) for k in v)
+            if chunk and total + n > _CHUNK:
+                if not self._holds(chunk):
+                    return False
+                chunk, total = [], 0
+            chunk.append(x)
+            total += n
+        return self._holds(chunk)
+
+    def _holds(self, firsts):
+        return self.commutes(firsts) and all(
+            self.failure(axiom, firsts) is None for axiom in _TRIPLE_AXIOMS)
 
     def first_failure(self):
         """The first failure by axiom, then in degree-major order: each
@@ -367,24 +424,25 @@ def check_cdga_morphism(f):
                           tgt.space, keep=lambda key: key[0] + key[2] <= hi)
 
 
-def outside_basis(algebra, space, action):
-    """The first entry of an action table of `algebra` on `space`, in
-    table order, whose key or some index of whose vector names no basis
+def outside_basis(left, right, table, axiom="module basis"):
+    """The first entry of a table of products of basis elements of the
+    space `left` with those of `right`, landing in `right` (an action
+    table, or with `axiom` "algebra basis" a product table), in table
+    order, whose key or some index of whose vector names no basis
     element, or None."""
-    adim, mdim = algebra.space.dim, space.dim
-    for (da, ia, dm, jm), v in action.items():
-        n = mdim(da + dm)
-        if not (0 <= ia < adim(da) and 0 <= jm < mdim(dm)) or any(
+    ldim, rdim = left.dim, right.dim
+    for (d1, i1, d2, i2), v in table.items():
+        n = rdim(d1 + d2)
+        if not (0 <= i1 < ldim(d1) and 0 <= i2 < rdim(d2)) or any(
                 not 0 <= i < n for i in v):
-            return Witness("module basis", ((da, ia), (dm, jm)), (da, ia, dm, jm),
-                           da + dm, v)
+            return Witness(axiom, ((d1, i1), (d2, i2)), (d1, i1, d2, i2), d1 + d2, v)
     return None
 
 
 def check_module(m):
     """First failure of the DG-module axioms on `m`, or None; first of
     all, an action entry that names no basis element."""
-    witness = outside_basis(m.algebra, m.space, m.action)
+    witness = outside_basis(m.algebra.space, m.space, m.action)
     if witness:
         return witness
     a, sp, field = m.algebra, m.space, m.field
@@ -415,8 +473,8 @@ def check_module_morphism(f):
     src, tgt = f.source, f.target
     if f.map.shift != 0:
         return Witness("module degree", (), (), f.map.shift, {})
-    witness = (outside_basis(src.algebra, src.space, src.action)
-               or outside_basis(tgt.algebra, tgt.space, tgt.action)
+    witness = (outside_basis(src.algebra.space, src.space, src.action)
+               or outside_basis(tgt.algebra.space, tgt.space, tgt.action)
                or _chain_map(f.map, src.complex, tgt.complex, "module chain map"))
     if witness:
         return witness

@@ -102,7 +102,7 @@ class MappingConeAlgebra:
         self.projection = GradedLinearMap(self.space, split.sx_complex.space, 0,
                                           split.projection.blocks)
         product, unit = self._build_product()
-        self.algebra = Cdga(self.field, self.complex, product, unit)
+        self.algebra = Cdga.derived(self.field, self.complex, product, unit)
 
     @cached_property
     def leibniz(self):
@@ -254,7 +254,7 @@ def truncated_cone(cone, ideal, k, l):
     # Leibniz defects must land in the ideal, which the check of the
     # quotient as a CDGA decides.
     try:
-        q, proj, _ = quotient_cdga(cone.algebra, ideal.spans)
+        q, proj = quotient_cdga(cone.algebra, ideal.spans)
         q.validate()
     except AlgebraError as e:
         raise ConeError("truncation ideal rejected: %s" % e)

@@ -290,7 +290,9 @@ def truncation_spans(complex_, t):
     and in degree t the standard vectors completing the cocycles."""
     sp, one = complex_.space, complex_.field.one
     spans = {}
-    comp = Quotienter(complex_.field, complex_.d.block(t).kernel_basis(), sp.dim(t)).keep
+    # with no block out of degree t, all of it is cocycles
+    m = complex_.d.blocks.get(t)
+    comp = () if m is None else Quotienter(complex_.field, m.kernel_basis(), sp.dim(t)).keep
     if comp:
         spans[t] = [{i: one} for i in comp]
     for d in sp.degrees():

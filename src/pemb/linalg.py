@@ -166,12 +166,28 @@ class Matrix:
 
     def apply(self, v):
         """Matrix times a vector over the columns, keyed in row order.
-        It walks only the columns that v hits, through a column index
-        built on the first call (the matrix is immutable)."""
+        The first call walks the rows, testing each entry against v; from
+        the second on, it walks only the columns that v hits, through a
+        column index built on the second call (the matrix is immutable),
+        so a matrix applied once builds none."""
         if not v:
             return {}
         columns = self._columns
+        p = self.field.characteristic
         if columns is None:
+            self._columns = False
+            out = {}
+            for i, r in enumerate(self.rows):
+                s = None
+                for c, a in r.items():
+                    if c in v:
+                        s = a * v[c] if s is None else s + a * v[c]
+                if s and p:
+                    s %= p
+                if s:
+                    out[i] = s
+            return out
+        if columns is False:
             columns = {}
             for i, r in enumerate(self.rows):
                 for c, a in r.items():
@@ -181,7 +197,6 @@ class Matrix:
         for c, x in v.items():
             for i, a in columns.get(c, ()):
                 sums[i] = sums[i] + a * x if i in sums else a * x
-        p = self.field.characteristic
         if p:
             return {i: s for i in sorted(sums) if (s := sums[i] % p)}
         return {i: s for i in sorted(sums) if (s := sums[i])}

@@ -36,7 +36,7 @@ class DgModule:
     """
 
     def __init__(self, algebra, complex_, action):
-        witness = outside_basis(algebra, complex_.space, action)
+        witness = outside_basis(algebra.space, complex_.space, action)
         if witness is not None:
             raise ModuleError(str(witness))
         self._store(algebra, complex_, action)

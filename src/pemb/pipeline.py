@@ -60,11 +60,16 @@ class EmbeddingProblem:
             self.phi = branches[0]
         else:
             self.target = direct_sum_cdga([b.target for b in branches])
-            # the summands are stacked in order, so the branch blocks are too
-            blocks = {d: Matrix.sparse(self.field, [row for b in self.branches
-                                                    for row in b.map.block(d).rows],
-                                       src.space.dim(d))
-                      for d in src.space.degrees()}
+            # the summands are stacked in order, so the branch blocks are
+            # too; an absent block stacks as zero rows
+            blocks = {}
+            for d in src.space.degrees():
+                rows = []
+                for b in self.branches:
+                    m = b.map.blocks.get(d)
+                    rows += (m.rows if m is not None
+                             else [{} for _ in range(b.target.space.dim(d))])
+                blocks[d] = Matrix.sparse(self.field, rows, src.space.dim(d))
             glm = GradedLinearMap(src.space, self.target.space, 0, blocks)
             self.phi = CdgaMorphism(src, self.target, glm)
 
@@ -302,14 +307,21 @@ def stable_square(problem):
         raise HypothesisError("one-component hypothesis fails: the stable square "
                               "needs a single embedded component, found %d"
                               % len(problem.branches))
-    # normalize both algebras so nothing lives above n resp. m+2
+    # normalize both algebras so nothing lives above n resp. m+2; where
+    # they already do, the normalization is the identity
     r_norm, proj_r = quotient_by_acyclic_ideal(problem.ambient, n - 1)
     q_norm, proj_q = quotient_by_acyclic_ideal(problem.target, m + 1)
-    phi_n = _induced_quotient_morphism(problem.phi, proj_r, proj_q)
-    # the corners and maps reported below that the pipeline built; the
-    # bottom corners are checked by their Leibniz reports
-    for built in (r_norm, q_norm, phi_n):
-        built.validate()
+    if r_norm is problem.ambient and q_norm is problem.target:
+        phi_n = problem.phi
+    else:
+        phi_n = _induced_quotient_morphism(problem.phi, proj_r, proj_q)
+    # the corners and maps reported below that the pipeline built (the
+    # parser checked the others); the bottom corners are checked by their
+    # Leibniz reports
+    for built, given in ((r_norm, problem.ambient), (q_norm, problem.target),
+                         (phi_n, problem.phi)):
+        if built is not given:
+            built.validate()
     # D over the embedded algebra
     dq = shifted_dual(algebra_as_module(q_norm), n)
     res = semifree_resolution(dq, minimal=True, window=DegreeWindow(0, n + 1))
@@ -507,8 +519,8 @@ def lefschetz(problem):
                     if w:
                         product[(d1, i1, d2, i2)] = w
     unit = coh_c.reduce(0, c0)
-    halg = Cdga(problem.field, CochainComplex.zero_differential(space),
-                product, unit)
+    halg = Cdga.derived(problem.field, CochainComplex.zero_differential(space),
+                        product, unit)
     halg.validate()
     return LefschetzResult(dict(coh_c.dims), action, halg, False, report,
                            dict(coh_c.dims))
@@ -558,8 +570,8 @@ def punctured_square(problem, attest_boundary_simply_connected=False):
     # the cone products are not checked: their quotients, the reported
     # corners, are
     try:
-        ql, proj_l, _ = quotient_cdga(cone_l.algebra, spans_l)
-        qr, proj_r, _ = quotient_cdga(cone_r.algebra, spans_r)
+        ql, proj_l = quotient_cdga(cone_l.algebra, spans_l)
+        qr, proj_r = quotient_cdga(cone_r.algebra, spans_r)
         ql.validate()
         qr.validate()
     except AlgebraError as e:

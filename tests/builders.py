@@ -55,6 +55,35 @@ def torus_s1_s7(hi=16, field=QQ):
                                  DegreeWindow(0, hi))
 
 
+# S^2 in S^9 with the target a Sullivan model, (x2, y3 ; dy = x^2): it
+# has basis elements up to the top of the window, so the stable square's
+# normalization of the target by an acyclic ideal above degree m+2 = 4
+# is not the identity, as on every shipped example.
+SULLIVAN_S2_IN_S9 = """\
+field rational
+window 0 10
+
+cdga R {
+  generator e9 deg 9
+}
+
+cdga Q {
+  generator x deg 2
+  generator y deg 3
+  d y = x*x
+}
+
+morphism f : R -> Q {
+  e9 -> 0
+}
+
+problem {
+  ambient R dim 9
+  embedded Q via f
+}
+"""
+
+
 def euler_characteristic(space):
     return sum((-1) ** d * n for d, n in space.dims.items())
 

@@ -2,6 +2,7 @@ import gc
 import importlib
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -15,8 +16,9 @@ from pemb import algebra
 from pemb.algebra import (AlgebraError, Cdga, _groebner_basis, _merge_sign,
                           _mono_degree, _mono_label, check_poincare_duality,
                           cohomology_algebra, direct_sum_cdga,
-                          materialize_free_cdga, quotient_by_acyclic_ideal)
-from pemb.checks import escape_degree
+                          materialize_free_cdga, quotient_by_acyclic_ideal,
+                          quotient_cdga)
+from pemb.checks import check_cdga, escape_degree
 from pemb.fields import PrimeField, QQ
 from pemb.graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                          GradedVectorSpace, cohomology)
@@ -125,9 +127,15 @@ def test_pd_wrong_dimension():
 
 
 def test_quotient_by_acyclic_ideal_identity_case():
+    """Nothing of CP^2 lies above degree 5, so the quotient is the algebra
+    itself with the identity, as is a quotient by empty spans."""
     a = complex_projective(2, hi=8)
     q, proj = quotient_by_acyclic_ideal(a, 4)
     assert q.space.dims == a.space.dims
+    assert q is a and proj.source is proj.target is a
+    assert proj.map == GradedLinearMap.identity(a.space)
+    q, proj = quotient_cdga(a, {4: [], 6: []})
+    assert q is a and proj.map == GradedLinearMap.identity(a.space)
 
 
 def test_quotient_by_acyclic_ideal_sullivan():
@@ -184,13 +192,19 @@ def test_validation_catches_broken_commutativity():
 
 
 def test_cdga_rejects_keys_and_indices_outside_the_basis():
+    """The constructor rejects an index outside the basis; handed over
+    through `Cdga.derived`, the same table is named by `check_cdga`
+    before any axiom, here before the unit law that 1 * e3 = 2 e3 breaks."""
     a = sphere(3)                                  # basis 1, e3 on the window 0..4
+    message = r"product of \(\d,\d\)\*\(\d,\d\) names no basis element"
     for bad in ({(3, 1, 0, 0): {0: QQ.one}},      # no second element in degree 3
                 {(0, 0, 3, 0): {1: QQ.one}},      # no second index in degree 3
                 {(3, 0, 3, 0): {0: QQ.one}}):     # degree 6 is empty
-        with pytest.raises(AlgebraError, match=r"product of \(\d,\d\)\*\(\d,\d\) "
-                           "names no basis element"):
+        with pytest.raises(AlgebraError, match=message):
             Cdga(a.field, a.complex, {**a.product, **bad}, a.unit)
+        product = {**a.product, (0, 0, 3, 0): {0: QQ.of(2)}, **bad}
+        witness = check_cdga(Cdga.derived(a.field, a.complex, product, a.unit))
+        assert witness.axiom == "algebra basis" and re.fullmatch(message, str(witness))
     with pytest.raises(AlgebraError, match="unit names an index outside degree 0"):
         Cdga(a.field, a.complex, a.product, {1: QQ.one})
 

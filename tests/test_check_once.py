@@ -10,13 +10,16 @@ in its docstring, and is not checked again.
 
 Each broken-builder test below replaces one of those constructions by a
 wrong one and shows that a check that remains still rejects a shipped
-example, with a nonzero exit code and that check's message.  The
-derived modules are handed over through `DgModule.derived`, whose index
-check moved to the module checks; a builder that hands over an index
-outside the basis is rejected by name too.  The full-check harness
-wraps the four constructors and `DgModule.derived` so that every object
-built is checked, runs every shipped example and the smallest rung of
-each benchmark ladder under it, and finds no witness.
+example (or, for a builder no shipped example reaches, a problem of the
+test suite), with a nonzero exit code and that check's message.  The
+derived algebras and modules are handed over through `Cdga.derived` and
+`DgModule.derived`, whose index checks moved to the algebra and module
+checks; a builder that hands over an index outside the basis is
+rejected by name too.  The full-check harness wraps the four
+constructors and both hand-overs so that every object built is checked,
+runs every shipped example and the smallest rung of each benchmark
+ladder under it, and finds no witness.  Where the stable square's
+normalizations are the identity, it builds and checks nothing for them.
 """
 
 import re
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from pemb import algebra, cli, duality, graded, modules, pipeline
+from pemb import algebra, checks, cli, cones, duality, graded, modules, pipeline
 from pemb.algebra import Cdga, CdgaMorphism
 from pemb.checks import (check_cdga, check_cdga_morphism, check_module,
                          check_module_morphism)
@@ -36,7 +39,7 @@ from pemb.linalg import Matrix
 from pemb.modules import (DgModule, DgModuleMorphism, ModuleError,
                           semifree_resolution)
 
-from builders import run_cli, sphere
+from builders import SULLIVAN_S2_IN_S9, run_cli, sphere
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import ladder  # noqa: E402  (the benchmark's problem generator)
@@ -150,11 +153,48 @@ def _unit_doubled_on_cohomology(monkeypatch):
     monkeypatch.setattr(pipeline, "induced_on_cohomology", broken)
 
 
+def with_product_outside_basis(product, space, field):
+    """A product table handed over with one more entry: the unit times
+    an element one past the last of the top degree."""
+    d = max(space.degrees())
+    return {**product, (0, 0, d, space.dim(d)): {0: field.one}}
+
+
+def _algebra_with_product_outside_basis(a):
+    return Cdga.derived(a.field, a.complex,
+                        with_product_outside_basis(a.product, a.space, a.field), a.unit)
+
+
+def _cone_product_outside_basis(monkeypatch):
+    build = cones.MappingConeAlgebra._build_product
+
+    def broken(self):
+        product, unit = build(self)
+        return with_product_outside_basis(product, self.space, self.field), unit
+    monkeypatch.setattr(cones.MappingConeAlgebra, "_build_product", broken)
+
+
+PRODUCT_OUTSIDE = r"product of \(0,0\)\*\(\d+,\d+\) names no basis element"
+
+
 def _patch(module, attr, make):
     return lambda monkeypatch: patch_everywhere(monkeypatch, module, attr, make)
 
 
 ATTEST = "--attest-boundary-simply-connected"
+
+# problems of the test suite, by the name the cases below use
+LOCAL = {"sullivan_s2_in_s9": SULLIVAN_S2_IN_S9}
+
+
+def example_file(example, directory):
+    """Path of a shipped example, or of a problem of `LOCAL` written to
+    `directory`."""
+    if example not in LOCAL:
+        return str(cli.example_path(example))
+    path = directory / (example + ".pemb")
+    path.write_text(LOCAL[example])
+    return str(path)
 
 # (broken builder, patch, example, argv after the path, exit code, message)
 BROKEN = [
@@ -215,7 +255,7 @@ BROKEN = [
     ("_induced_quotient_morphism",
      _patch(pipeline, "_induced_quotient_morphism", on_result(
          lambda f: CdgaMorphism(f.source, f.target, f.map.scale(2)))),
-     "s2_in_s9_stable", ["stable-square"], 2, r"morphism does not preserve the unit"),
+     "sullivan_s2_in_s9", ["stable-square"], 2, r"morphism does not preserve the unit"),
     ("_trivial_action_module",
      _patch(pipeline, "_trivial_action_module", on_result(broken_module(unit_action))),
      "s2_in_s6", ["punctured-square", ATTEST], 2,
@@ -227,15 +267,28 @@ BROKEN = [
      _patch(duality, "shifted_dual_morphism", on_result(
          lambda f: DgModuleMorphism(f.source, f.target, doubled_lowest_positive(f.map)))),
      "cp1_in_cp2_gysin", ["lefschetz"], 2, r"action Leibniz fails on \(x, ss\^-4#t\)"),
+    # `Cdga.derived` does not check indices; `check_cdga` names a product
+    # entry outside the basis before any axiom, not as a traceback
+    ("cohomology_algebra-index",
+     _patch(algebra, "cohomology_algebra",
+            on_result(_algebra_with_product_outside_basis, first=True)),
+     "hopf_torus", ["cohomology", "--object", "Q"], 2, "error: " + PRODUCT_OUTSIDE),
+    ("quotient_cdga-index",
+     _patch(algebra, "quotient_cdga",
+            on_result(_algebra_with_product_outside_basis, first=True)),
+     "cp2_in_s8", ["punctured-square", ATTEST], 2,
+     "quotient cone failed validation: " + PRODUCT_OUTSIDE),
+    ("MappingConeAlgebra-index", _cone_product_outside_basis,
+     "s2_in_s9_stable", ["stable-square"], 2,
+     "error: cone product is not a CDGA: " + PRODUCT_OUTSIDE),
 ]
 
 
 @pytest.mark.parametrize("builder, patch, example, args, code, message", BROKEN,
                          ids=[case[0] for case in BROKEN])
-def test_a_remaining_check_rejects_a_broken_builder(monkeypatch, builder, patch,
-                                                    example, args, code, message):
-    path = str(cli.example_path(example))
-    argv = [args[0], path] + args[1:]
+def test_a_remaining_check_rejects_a_broken_builder(monkeypatch, tmp_path, builder,
+                                                    patch, example, args, code, message):
+    argv = [args[0], example_file(example, tmp_path)] + args[1:]
     assert run_cli(argv)[0] == 0
     patch(monkeypatch)
     got, _, err = run_cli(argv)
@@ -298,14 +351,27 @@ def test_semifree_resolution_keeps_its_check_of_rho(monkeypatch):
 
 # -- the full-check harness ------------------------------------------------
 
-CHECKS = ((Cdga, check_cdga), (CdgaMorphism, check_cdga_morphism),
+def check_cdga_as_exhaustively(a):
+    """`check_cdga`'s witness, which must be that of the exhaustive walk:
+    commutativity on every pair, then associativity and Leibniz on every
+    first factor (the checks before them are exhaustive themselves)."""
+    witness = check_cdga(a)
+    if witness is None or witness.axiom in ("commutativity", "associativity", "Leibniz"):
+        assert witness == (checks._commutativity_failure(a)
+                           or checks._CdgaWalk(a).first_failure())
+    return witness
+
+
+CHECKS = ((Cdga, check_cdga_as_exhaustively), (CdgaMorphism, check_cdga_morphism),
           (DgModule, check_module), (DgModuleMorphism, check_module_morphism))
 
 
 def check_every_object(monkeypatch):
-    """Wrap the four constructors, and the hand-over `DgModule.derived`,
-    so that each object built is checked; returns the list the witnesses
-    go to, as (class, witness, the function that built the object)."""
+    """Wrap the four constructors, and the hand-overs `Cdga.derived` and
+    `DgModule.derived`, so that each object built is checked (an algebra
+    also by the exhaustive walk, which must agree); returns the list the
+    witnesses go to, as (class, witness, the function that built the
+    object)."""
     found = []
 
     def record(obj, check):
@@ -320,11 +386,12 @@ def check_every_object(monkeypatch):
             record(self, _check)
         monkeypatch.setattr(cls, "__init__", checked)
 
-    def checked_derived(*args, _derived=DgModule.derived):
-        m = _derived(*args)
-        record(m, check_module)
-        return m
-    monkeypatch.setattr(DgModule, "derived", staticmethod(checked_derived))
+    for cls, check in ((Cdga, check_cdga_as_exhaustively), (DgModule, check_module)):
+        def checked_derived(*args, _derived=cls.derived, _check=check):
+            obj = _derived(*args)
+            record(obj, _check)
+            return obj
+        monkeypatch.setattr(cls, "derived", staticmethod(checked_derived))
     return found
 
 
@@ -362,3 +429,74 @@ def test_full_check_harness_finds_no_witness(monkeypatch, tmp_path):
                 code, out, err = run_cli([job.command, str(path)])
                 assert ladder.check(job, wl.problems[key], code, out, err) == []
     assert found == []
+
+
+# -- the identity normalization ---------------------------------------------
+
+
+def stable_square_problems(directory):
+    """(name, embedding problem) of every shipped example and every rung
+    of the benchmark ladders, parsed and checked."""
+    for name in sorted(cli.EXAMPLES):
+        yield name, cli.parse_file(str(cli.example_path(name))).embedding_problem()
+    for workload in ladder.WORKLOADS:
+        wl = ladder.build(workload, 1)
+        for key, problem in wl.problems.items():
+            path = directory / (key + ".pemb")
+            path.write_text(problem.text)
+            yield key, cli.parse_file(str(path)).embedding_problem()
+
+
+def test_identity_normalization_builds_and_checks_nothing(monkeypatch, tmp_path):
+    """On every shipped example and ladder rung the stable square's two
+    normalizations are the identity: it builds no quotient and no map
+    between quotients, computes no cohomology to justify one, and checks
+    none of the parsed ambient, target or phi again."""
+    problems = list(stable_square_problems(tmp_path))
+    calls = []
+
+    def counted(what):
+        def make(f):
+            def wrapped(*args, **kwargs):
+                calls.append((what, args[0]))
+                return f(*args, **kwargs)
+            return wrapped
+        return make
+
+    def normalized(f):
+        def wrapped(a, above):
+            q, proj = f(a, above)
+            calls.append(("normalization", q is a))
+            return q, proj
+        return wrapped
+
+    def cohomology_in_normalization(f):
+        def wrapped(*args):
+            if sys._getframe(1).f_code.co_name == "quotient_by_acyclic_ideal":
+                calls.append(("cohomology", None))
+            return f(*args)
+        return wrapped
+
+    patch_everywhere(monkeypatch, algebra, "quotient_cdga", counted("built"))
+    patch_everywhere(monkeypatch, pipeline, "_induced_quotient_morphism", counted("built"))
+    patch_everywhere(monkeypatch, algebra, "quotient_by_acyclic_ideal", normalized)
+    patch_everywhere(monkeypatch, graded, "cohomology", cohomology_in_normalization)
+    for check in (check_cdga, check_cdga_morphism):
+        patch_everywhere(monkeypatch, sys.modules[check.__module__], check.__name__,
+                         counted("check"))
+    stable = set()
+    for name, problem in problems:
+        del calls[:]
+        try:
+            pipeline.stable_square(problem)
+            stable.add(name)
+        except pipeline.HypothesisError:
+            pass
+        parsed = [problem.ambient, problem.target, problem.phi]
+        assert [c for c in calls if c[0] == "normalization"] in (
+            [], [("normalization", True)] * 2), name
+        assert not [c for c in calls if c[0] in ("built", "cohomology")], name
+        assert not [c for c in calls if c[0] == "check"
+                    and any(c[1] is p for p in parsed)], name
+    assert stable == {"point_in_sn", "s2_in_s9_stable", "torus3", "torus4", "torus5",
+                      "spheres2", "spheres3", "spheres4"}

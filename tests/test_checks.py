@@ -351,20 +351,76 @@ def broken_square():
     return Cdga(QQ, a.complex, product, a.unit)
 
 
+def broken_commutator():
+    """The exterior algebra on a, b, c (degree 1) with c * ab negated, its
+    reverse ab * c kept: commutativity fails on (c, a*b) alone, and
+    associativity only on triples led by c, such as (c, a, b)."""
+    a = materialize_free_cdga(QQ, [("a", 1), ("b", 1), ("c", 1)], {}, [],
+                              DegreeWindow(0, 3))
+    sp = a.space
+    c, ab = sp.labels[1].index("c"), sp.labels[2].index("a*b")
+    product = dict(a.product)
+    product[(1, c, 2, ab)] = {i: -x for i, x in product[(1, c, 2, ab)].items()}
+    return Cdga(QQ, a.complex, product, a.unit)
+
+
+# the failing axiom and pair of each algebra below
+LOST = {broken_square: ("Leibniz", ("x", "x")), idempotent_pair: ("Leibniz", ("e", "e")),
+        broken_commutator: ("commutativity", ("c", "a*b"))}
+
+
 @pytest.mark.parametrize("build, dropped", [(broken_square, (2, 0)),
-                                            (idempotent_pair, (0, 1))])
+                                            (idempotent_pair, (0, 1)),
+                                            (broken_commutator, (1, 2))])
 def test_generating_set_cannot_lose_an_element(monkeypatch, build, dropped):
     """An indecomposable, and a non-unit element of A^0, are each needed
-    in S: without one, an algebra that fails Leibniz passes."""
+    in S: without one, an algebra that fails Leibniz, or commutativity,
+    passes."""
     a = build()
     witness = check_cdga(a)
-    assert (witness.axiom, witness.labels) == ("Leibniz", (a.space.label(*dropped),) * 2)
+    assert (witness.axiom, witness.labels) == LOST[build]
+    assert witness.labels[0] == a.space.label(*dropped)
     assert dense_cdga(a)[0] == str(witness)
     full = checks.generating_set(a)
     assert dropped in full
     monkeypatch.setattr(checks, "generating_set",
                         lambda b: [s for s in full if s != dropped])
     assert check_cdga(a) is None
+
+
+def partial_products(a, x):
+    """The triples (y, k, z) of basis elements with e_k in x y and
+    e_k z nonzero: the partial products (xy)z of a walk led by x."""
+    sp = a.space
+    return sum(1 for dy in sp.degrees() for y in range(sp.dim(dy))
+               for k in a.mul_basis(*x, dy, y)
+               for dz in sp.degrees() for z in range(sp.dim(dz))
+               if a.mul_basis(x[0] + dy, k, dz, z))
+
+
+@pytest.mark.parametrize("budget", [0, 90, 200, checks._CHUNK])
+def test_walk_on_s_shares_chunks_within_the_budget(monkeypatch, budget):
+    """`holds_on` walks S in chunks of consecutive first factors: one
+    alone, or several whose partial products total at most `_CHUNK`; the
+    verdict does not depend on how S is cut."""
+    monkeypatch.setattr(checks, "_CHUNK", budget)
+    for a, verdict in ((materialize_free_cdga(QQ, [("a", 1), ("b", 1), ("c", 1), ("x", 2)],
+                                              {}, [], DegreeWindow(0, 6)), True),
+                       (broken_commutator(), False), (broken_square(), False)):
+        s = checks.generating_set(a)
+        walk = checks._CdgaWalk(a)
+        chunks = []
+        holds = walk._holds
+        walk._holds = lambda c: chunks.append(list(c)) or holds(c)
+        assert walk.holds_on(s) == verdict
+        if verdict:
+            assert [x for c in chunks for x in c] == s
+        for c in chunks:
+            assert len(c) == 1 or sum(partial_products(a, x) for x in c) <= budget
+    if budget == checks._CHUNK:
+        assert len(chunks) == 1 < len(s)
+    if budget == 0:
+        assert all(len(c) == 1 for c in chunks)
 
 
 # -- differential test: sparse checks against the dense loops ---------------
@@ -425,11 +481,14 @@ def perturbed_map(glm, rng):
     return GradedLinearMap(glm.source, glm.target, glm.shift, blocks)
 
 
+WALKED = ("commutativity", "associativity", "Leibniz")
+
+
 def reduced_verdict(a, witness):
     """Whether `check_cdga`'s walk with first factors in the generating
-    set passes `a`, given its witness: the axioms before associativity
+    set passes `a`, given its witness: the axioms before commutativity
     are checked in full either way."""
-    if witness is not None and witness.axiom not in ("associativity", "Leibniz"):
+    if witness is not None and witness.axiom not in WALKED:
         return False
     return checks._CdgaWalk(a).holds_on(checks.generating_set(a))
 
@@ -450,8 +509,9 @@ def test_sparse_checks_match_dense_loops():
         if kind == "cdga":
             exhaustive = reference is None
             assert reduced_verdict(obj, witness) == exhaustive
-            if witness is None or witness.axiom in ("associativity", "Leibniz"):
-                assert (checks._CdgaWalk(obj).first_failure() is None) == exhaustive
+            if witness is None or witness.axiom in WALKED:
+                assert ((checks._commutativity_failure(obj) is None
+                         and checks._CdgaWalk(obj).first_failure() is None) == exhaustive)
 
     for a in cdga_samples():
         compare("cdga", check_cdga, dense_cdga, a)

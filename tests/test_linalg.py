@@ -586,16 +586,20 @@ def test_sparse_rows_match_dense_matrix(field):
 @pytest.mark.parametrize("field", DIFF_FIELDS)
 def test_apply_walks_the_columns_it_hits(field):
     """`apply` against the dense product, on vectors with one entry, a
-    few or all, again and again on one matrix (the column index is built
-    once), with its keys in row order."""
+    few or all, again and again on one matrix, with its keys in row
+    order: the first call walks the rows and builds no column index, the
+    second builds it once."""
     rng = random.Random(4242)
     for m in sample_matrices(field, rng):
         ref = DenseMatrix(field, m.entries, ncols=m.ncols)
+        calls = 0
         for size in (1, 2, m.ncols, m.ncols):
             cols = rng.sample(range(m.ncols), min(size, m.ncols))
             v = tuple(field.of(rng.choice([1, -1, 2, -3])) if c in cols else field.zero
                       for c in range(m.ncols))
             got = m.apply(sparse(v))
+            calls += any(v)
+            assert isinstance(m._columns, dict) == (calls > 1)
             assert got == sparse(ref.apply(v))
             assert list(got) == sorted(got)
             assert all(in_scalar_form(field, x) for x in got.values())

@@ -1,15 +1,25 @@
+import sys
+from pathlib import Path
+
 import pytest
 
-from builders import sphere, sullivan_cp2, torus_s1_s7, wedge_s2_s4
+from builders import (SULLIVAN_S2_IN_S9, run_cli, sphere, sullivan_cp2, torus_s1_s7,
+                      wedge_s2_s4)
+from pemb import cli
 from pemb.algebra import CdgaMorphism, materialize_free_cdga
+from pemb.checks import check_cdga, check_cdga_morphism
 from pemb.fields import QQ
 from pemb.graded import DegreeWindow, GradedLinearMap, cohomology
 from pemb.linalg import Matrix
+from pemb.parser import parse
 from pemb.pipeline import (EmbeddingProblem, HypothesisError, PipelineError,
                            alexander_oracle, analyze, complement_model,
                            dgmodule_square, gysin, lefschetz,
                            oracle_complement_dims, punctured_square,
                            reduced_homology_dims, stable_square, tables_match)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import ladder  # noqa: E402  (the benchmark's problem generator)
 
 
 def zero_morphism(r, q):
@@ -101,6 +111,34 @@ def test_stable_square_s2_in_s9():
     assert sq.notes["shift bound k"] == 6
 
 
+def test_stable_square_normalizes_a_sullivan_target(tmp_path):
+    """S^2 as (x2, y3 ; dy = x^2) in S^9.  The target has basis elements
+    up to degree 10, so the square normalizes it to 1, x, y, x^2 (the
+    ambient stays as parsed) and builds phi between the normalized
+    algebras; its tables and certificates are those of S^2 in S^9."""
+    problem = parse(SULLIVAN_S2_IN_S9).embedding_problem()
+    sq = stable_square(problem)
+    assert sq.top_left is problem.ambient
+    assert sq.top_right is not problem.target and sq.top_map is not problem.phi
+    assert sq.top_right.space.dims == {0: 1, 2: 1, 3: 1, 4: 1}
+    assert cohomology(sq.top_right.complex).dims == {0: 1, 2: 1}
+    assert check_cdga(sq.top_right) is None and check_cdga_morphism(sq.top_map) is None
+    assert sq.h_bottom_left == {0: 1, 6: 1}
+    assert sq.h_bottom_right == {0: 1, 2: 1, 6: 1, 8: 1}
+    assert sq.commutes
+    assert sq.notes == {"psi route": "direct", "leibniz left": "pass",
+                        "leibniz right": "pass", "shift bound k": 6}
+    path = tmp_path / "sullivan_s2_in_s9.pemb"
+    path.write_text(SULLIVAN_S2_IN_S9)
+    code, out, _ = run_cli(["stable-square", str(path)])
+    assert code == 0
+    assert out.splitlines() == [
+        "stable square", "bottom-left H: deg 0:1, deg 6:1",
+        "bottom-right H: deg 0:1, deg 2:1, deg 6:1, deg 8:1", "square commutes: True",
+        "leibniz left: pass", "leibniz right: pass", "psi route: direct",
+        "shift bound k: 6"]
+
+
 def test_stable_square_needs_stable_range():
     with pytest.raises(HypothesisError, match="stable range"):
         stable_square(s2_in_s6())
@@ -111,6 +149,28 @@ def test_dgmodule_square_two_s7():
     assert sq.h_bottom_left == {0: 1, 7: 2, 14: 1}
     assert sq.commutes
     assert sq.notes["branches"] == 2
+
+
+def test_stacked_branches_build_no_zero_block(monkeypatch):
+    """A menorah's phi stacks the stored blocks of its branches, and a
+    degree where a branch stores none as zero rows: building the problem
+    makes no zero matrix, and every block is the branch blocks stacked."""
+    texts = [cli.example_path("two_s7_in_s15").read_text(),
+             ladder.build("menorah_fp", 1).problems["menorah8"].text]
+    for text in texts:
+        pf = parse(text)
+
+        def forbidden(*args):
+            raise AssertionError("built a zero block")
+        with monkeypatch.context() as patched:
+            patched.setattr(Matrix, "zero", staticmethod(forbidden))
+            problem = pf.embedding_problem()
+        assert problem.is_menorah
+        for d in problem.ambient.space.degrees():
+            block = problem.phi.map.block(d)
+            assert block.rows == tuple(row for b in problem.branches
+                                       for row in b.map.block(d).rows)
+            assert block.ncols == problem.ambient.space.dim(d)
 
 
 def test_lefschetz_menorah_undetermined():
