@@ -16,7 +16,7 @@ from itertools import count
 from operator import itemgetter
 
 from .checks import (check_cdga, check_cdga_morphism, escape_degree,
-                     left_multiples, outside_basis)
+                     outside_basis)
 from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
                      cohomology, direct_sum, quasi_isomorphism_failure,
                      truncation_spans)
@@ -37,8 +37,8 @@ class Cdga:
     Every key and every index must name a basis element, and no vector
     holds a zero scalar; a zero product, {}, is not stored.  The
     constructor checks only that; `validate` checks the axioms.  The
-    builders below hand their tables over through `derived`, which
-    drops the zero products and checks nothing.
+    builders below and the parser hand their tables over through
+    `derived`, which drops the zero products and checks nothing.
     """
 
     def __init__(self, field, complex_, product, unit):
@@ -52,10 +52,11 @@ class Cdga:
 
     @classmethod
     def derived(cls, field, complex_, product, unit):
-        """An algebra built from checked objects, with the product table
-        taken as it is, as `DgModule.derived` takes an action: its builder
-        makes every key and index name a basis element, and `check_cdga`
-        names any that does not where a report checks the algebra."""
+        """An algebra with the product table taken as it is, as
+        `DgModule.derived` takes an action: its builder makes every key
+        and index name a basis element (the builders below from checked
+        objects, the parser from its basis labels), and `check_cdga`
+        names any that does not where the algebra is checked."""
         a = cls.__new__(cls)
         a._store(field, complex_, product, unit)
         return a
@@ -704,12 +705,20 @@ def quotient_cdga(a, spans):
         return a, CdgaMorphism.identity(a)
     qcx, proj, reducers = quotient_complex(a.complex, spans)
     sp = a.space
-    bad = escape_degree(spans, reducers, left_multiples(a, a.mul_vec, sp.window.hi))
+    hi = sp.window.hi
+
+    def multiples(d, v):
+        """Products of v with every basis element, up to degree hi."""
+        for e in sp.degrees():
+            if d + e <= hi:
+                for i in range(sp.dim(e)):
+                    yield d + e, a.mul_vec(e, a.basis_vec(e, i), d, v)
+    bad = escape_degree(spans, reducers, multiples)
     if bad is not None:
         raise AlgebraError("subspace is not an ideal (degree %d)" % bad)
     lifts = [(d, i, r.lift({i: a.field.one}))
              for d, r in reducers.items() for i in range(len(r.keep))]
-    product = projected_table(lifts, reducers, a.mul_vec, sp.window.hi)
+    product = projected_table(lifts, reducers, a.mul_vec, hi)
     unit = reducers[0].project(a.unit)
     q = Cdga.derived(a.field, qcx, product, unit)
     return q, CdgaMorphism(a, q, proj)

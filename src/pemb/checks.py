@@ -10,15 +10,16 @@ partial product vanishes, both sides are zero.  The tables are walked as
 they are stored, keys (d1, i1, d2, i2) to vectors {index: nonzero
 scalar}, and every key and index must name a basis element.  The
 constructors of `Cdga` and `DgModule` check that on the tables they are
-given.  The objects built from checked ones skip it.  Algebras are
-handed over through `Cdga.derived` (materialized presentations,
-cohomology algebras, quotients, direct sums, cone products and the
-H-algebra of `lefschetz`), modules through `DgModule.derived` (the
-algebra acting on itself, restrictions of scalars, suspensions, duals,
-mapping cones, free modules, quotients, direct sums and the pipelines'
-trivial actions).  Their indices hold by construction, since each
-builder writes only indices it numbered itself (standard monomials,
-cohomology classes, free modules, quotient bases, trivial actions),
+given.  The package hands every table it builds over instead.  Algebras
+go through `Cdga.derived` (explicit algebras the parser reads,
+materialized presentations, cohomology algebras, quotients, direct
+sums, cone products and the H-algebra of `lefschetz`), modules through
+`DgModule.derived` (the algebra acting on itself, restrictions of
+scalars, suspensions, duals, mapping cones, free modules, direct sums
+and the pipelines' trivial actions).  Their indices hold by
+construction, since each builder writes only indices it numbered itself
+(basis labels, standard monomials, cohomology classes, free modules,
+quotient bases, trivial actions),
 read off a checked table or map (restrictions, duals, cone products),
 or shifted by the offsets of the degreewise stacking it built
 (suspensions, cones, sums).  So that a faulty builder is still named,
@@ -430,11 +431,11 @@ def outside_basis(left, right, table, axiom="module basis"):
     table, or with `axiom` "algebra basis" a product table), in table
     order, whose key or some index of whose vector names no basis
     element, or None."""
-    ldim, rdim = left.dim, right.dim
+    ldims, rdims = left.dims, right.dims
     for (d1, i1, d2, i2), v in table.items():
-        n = rdim(d1 + d2)
-        if not (0 <= i1 < ldim(d1) and 0 <= i2 < rdim(d2)) or any(
-                not 0 <= i < n for i in v):
+        n = rdims.get(d1 + d2, 0)
+        if not (0 <= i1 < ldims.get(d1, 0) and 0 <= i2 < rdims.get(d2, 0)) or (
+                v and not (0 <= min(v) and max(v) < n)):
             return Witness(axiom, ((d1, i1), (d2, i2)), (d1, i1, d2, i2), d1 + d2, v)
     return None
 
@@ -504,14 +505,3 @@ def escape_degree(spans, reducers, images):
                 if red is not None and not red.contains(w):
                     return t
     return None
-
-
-def left_multiples(algebra, act, hi):
-    """`escape_degree` images: act(e, basis vector, d, v) for every basis
-    element of `algebra`, up to degree hi."""
-    def images(d, v):
-        for e in algebra.space.degrees():
-            if d + e <= hi:
-                for i in range(algebra.space.dim(e)):
-                    yield d + e, act(e, algebra.basis_vec(e, i), d, v)
-    return images

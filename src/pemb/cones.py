@@ -14,7 +14,8 @@ concrete witness pair rather than raised.
 
 Checks run on what reports rest on: `.leibniz`, a full CDGA check of
 the cone product made when first read, and `truncated_cone`'s check of
-the quotient and of its map from the base.
+the quotient, of its map from the base and of the projection onto it as
+a quasi-isomorphism, which certifies the truncation ideal acyclic.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import (AlgebraError, Cdga, CdgaMorphism, quotient_cdga,
-                      quotient_complex)
+from .algebra import AlgebraError, Cdga, CdgaMorphism, quotient_cdga
 from .checks import check_cdga
 from .graded import (GradedLinearMap, cohomology, quasi_isomorphism_failure,
                      rewindow)
@@ -108,6 +108,10 @@ class MappingConeAlgebra:
     def leibniz(self):
         return leibniz_report(self.algebra)
 
+    @cached_property
+    def cohomology(self):
+        return cohomology(self.complex)
+
     def _build_product(self):
         """R's products in both orders, and its unit, where they are: R
         sits at the start of each degree; r.sx' as the cone module's
@@ -169,8 +173,6 @@ def check_shift_bounds(cone):
 @dataclass
 class TruncationIdeal:
     spans: dict                    # degree -> list of cone vectors
-    dims: dict
-    acyclic: bool
 
     def min_degree(self):
         degs = [d for d, vs in self.spans.items() if vs]
@@ -186,21 +188,20 @@ class TruncationIdeal:
         return Matrix.from_cols(cone.field, vs, n).rank() == n
 
 
-def build_acyclic_truncation(cone, cut, floor=None):
-    """Acyclic subDGmodule L = cone^(>= cut) + S with d: S -> (degree-cut
-    cocycles) an isomorphism; requires H^(>= cut)(cone) = 0."""
+def build_acyclic_truncation(cone, cut):
+    """Spans of the subDGmodule L = cone^(>= cut) + S with d: S ->
+    (degree-cut cocycles) an isomorphism; requires H^(>= cut)(cone) = 0,
+    which makes L acyclic.  `truncated_cone` certifies that on the
+    quotient it builds."""
     if not cone.base.is_connected():
         raise ConeError("truncation needs a connected base algebra")
-    if floor is None:
-        floor = cut - 2
     one = cone.field.one
     sp = cone.space
-    coh = cohomology(cone.complex)
     for d in sp.degrees():
-        if d >= cut and coh.dim(d):
+        if d >= cut and cone.cohomology.dim(d):
             raise ConeError("connectivity hypothesis violated: "
                             "H^%d of the cone is nonzero at or above %d" % (d, cut))
-    spans, dims = {}, {}
+    spans = {}
     z = cone.complex.d.block(cut).kernel_basis() if sp.dim(cut) else []
     sections = []
     for zv in z:
@@ -209,21 +210,11 @@ def build_acyclic_truncation(cone, cut, floor=None):
             raise ConeError("internal: degree-%d cocycle is not a boundary" % cut)
         sections.append(w)
     if sections:
-        if cut - 1 <= floor:
-            raise ConeError("truncation floor %d conflicts with the section "
-                            "degree %d" % (floor, cut - 1))
         spans[cut - 1] = sections
-        dims[cut - 1] = len(sections)
     for d in sp.degrees():
         if d >= cut:
             spans[d] = [{i: one} for i in range(sp.dim(d))]
-            dims[d] = sp.dim(d)
-    if spans:
-        # acyclic exactly when the projection to the quotient is a quasi-isomorphism
-        qcx, proj, _ = quotient_complex(cone.complex, spans)
-        if quasi_isomorphism_failure(proj, coh, cohomology(qcx)) is not None:
-            raise ConeError("internal: truncation subcomplex is not acyclic")
-    return TruncationIdeal(spans, dims, True)
+    return TruncationIdeal(spans)
 
 
 @dataclass
@@ -233,12 +224,15 @@ class TruncatedCone:
     base_map: CdgaMorphism         # base R -> quotient
     cone: MappingConeAlgebra
     ideal: TruncationIdeal
+    cohomology: object             # H(algebra); the projection is a quasi-isomorphism
 
 
 def truncated_cone(cone, ideal, k, l):
     """Quotient of the cone by a truncation ideal, certified a CDGA by
     the degree bounds: sX starts at or after k, the ideal starts above
-    k - l, and the cone at or above 2k - l + 1 lies in the ideal."""
+    k - l, and the cone at or above 2k - l + 1 lies in the ideal.  The
+    ideal is certified acyclic on the quotient: the projection onto it is
+    a quasi-isomorphism."""
     sx = cone.sx_degrees()
     if sx and min(sx) < k:
         raise ConeError("bound violated: suspended part in degree %d < k = %d"
@@ -258,6 +252,10 @@ def truncated_cone(cone, ideal, k, l):
         q.validate()
     except AlgebraError as e:
         raise ConeError("truncation ideal rejected: %s" % e)
+    coh = cohomology(q.complex)
+    bad = quasi_isomorphism_failure(proj.map, cone.cohomology, coh)
+    if bad is not None:
+        raise ConeError("truncation ideal is not acyclic (degree %d)" % bad)
     base_map = CdgaMorphism(cone.base, q, proj.map.compose(cone.inclusion))
     base_map.validate()
-    return TruncatedCone(q, proj, base_map, cone, ideal)
+    return TruncatedCone(q, proj, base_map, cone, ideal, coh)

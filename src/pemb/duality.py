@@ -54,7 +54,7 @@ def _line_generator(coh, n, what):
     return coh.reps[n][0]
 
 
-def construct_top_degree(D, target, n, semifree=False, window=None):
+def construct_top_degree(D, target, n, semifree=False):
     """Find psi: D -> target with H^n(psi) carrying the chosen generator
     of H^n(D) to the chosen generator of H^n(target).
 
@@ -73,7 +73,7 @@ def construct_top_degree(D, target, n, semifree=False, window=None):
     if semifree:
         raise DualityError("internal assertion: no top-degree map on a "
                            "semifree source")
-    res = semifree_resolution(D, minimal=False, window=window)
+    res = semifree_resolution(D, minimal=False)
     coh_p = cohomology(res.module.complex)
     gen_p = _line_generator(coh_p, n, "resolved source module")
     sol = solve_chain_maps(res.module, target, [("class", n, gen_p, gen_t)])

@@ -9,13 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import projected_table, quotient_complex
-from .checks import (check_module, check_module_morphism, escape_degree,
-                     left_multiples, outside_basis)
+from .checks import check_module, check_module_morphism, outside_basis
 from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      GradedVectorSpace, cohomology, direct_sum, dualize,
-                     mapping_cone, quasi_isomorphism_failure, suspend,
-                     truncation_spans)
+                     mapping_cone, quasi_isomorphism_failure, suspend)
 from .linalg import Matrix, axpy, reduced_kernel, scaled, sparse_sum
 
 
@@ -369,10 +366,6 @@ class HomComplex:
         return out
 
 
-def hom_complex(P, N):
-    return HomComplex(P, N)
-
-
 @dataclass
 class HomotopyClassSpace:
     P: object
@@ -386,7 +379,7 @@ def homotopy_classes(P, N, semifree=True):
     """H^0 of the hom complex; labeled chain-level only when the source
     is not known to be semifree.  The representatives are degree-0
     cocycles of hom, linear chain maps by construction, not re-checked."""
-    hc = hom_complex(P, N)
+    hc = HomComplex(P, N)
     coh = cohomology(hc.complex)
     reps = []
     for z in coh.reps.get(0, []):
@@ -575,7 +568,11 @@ class SemifreeModule:
     index: dict
 
 
-def semifree_resolution(m, minimal=True, max_rounds=30, window=None):
+# rounds of generators added in one degree before a resolution gives up
+MAX_ROUNDS = 30
+
+
+def semifree_resolution(m, minimal=True, window=None):
     """Semifree quasi-isomorphism rho: (A x V, d) -> m, built degreewise.
 
     Generators are added in degree order: first cokernel generators
@@ -619,7 +616,7 @@ def semifree_resolution(m, minimal=True, max_rounds=30, window=None):
 
     coh_m = cohomology(m.complex)
     for j in range(window.lo, window.hi + 1):
-        for round_ in range(max_rounds):
+        for round_ in range(MAX_ROUNDS):
             P, _, _, rho, coh_P = build()
             # induced map on H^j
             img_cols = [coh_m.reduce(j, rho.apply(j, z)) for z in coh_P.reps.get(j, [])]
@@ -670,47 +667,6 @@ def semifree_resolution(m, minimal=True, max_rounds=30, window=None):
     if minimal and not is_minimal:
         raise ModuleError("resolution recipe produced a non-minimal differential")
     return SemifreeModule(P, gens, rho, is_minimal, index)
-
-
-# -- sub/quotient machinery ---------------------------------------------
-
-
-@dataclass
-class ModuleTruncation:
-    spans: dict
-    quotient: DgModule
-    projection: DgModuleMorphism
-    sub_dims: dict
-    sub_acyclic: bool
-
-
-def quotient_module(m, spans):
-    """Quotient by a graded subspace after checking it is a subDGmodule;
-    the quotient and the projection are not re-checked."""
-    a = m.algebra
-    qcx, proj, reducers = quotient_complex(m.complex, spans)
-    hi = m.space.window.hi
-    bad = escape_degree(spans, reducers, left_multiples(a, m.act_vec, hi))
-    if bad is not None:
-        raise ModuleError("subspace not action-closed (degree %d)" % bad)
-    basis = [(d, i, a.basis_vec(d, i)) for d in a.space.degrees()
-             for i in range(a.space.dim(d))]
-    q = DgModule.derived(a, qcx, projected_table(basis, reducers, m.act_vec, hi))
-    return q, DgModuleMorphism(m, q, proj), reducers
-
-
-def truncate_module(m, t):
-    """Truncation subDGmodule above degree t: everything above t plus a
-    complement of the cocycles in degree t; the quotient keeps H^(<=t)."""
-    if not m.algebra.is_connected():
-        raise ModuleError("truncation needs a connected algebra")
-    spans = truncation_spans(m.complex, t)
-    q, proj, _ = quotient_module(m, spans)
-    # the subcomplex is acyclic exactly when the projection is a quasi-isomorphism
-    acyclic = quasi_isomorphism_failure(proj.map, cohomology(m.complex),
-                                        cohomology(q.complex)) is None
-    return ModuleTruncation(spans, q, proj,
-                            {d: len(vs) for d, vs in spans.items() if vs}, acyclic)
 
 
 def direct_sum_modules(parts):

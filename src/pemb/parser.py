@@ -347,7 +347,8 @@ def _parse_explicit_cdga(name, lines, pf):
         if vec:
             product[(d1, i1, d2, i2)] = vec
     unit = _solve_unit(field, space, product, dims)
-    cdga = Cdga(field, cx, product, unit)
+    # every index was read off the basis labels, and `validate` checks them
+    cdga = Cdga.derived(field, cx, product, unit)
     return ParsedAlgebra(name, cdga, "explicit", basis_index=index)
 
 

@@ -21,12 +21,11 @@ from .duality import (DualityError, construct_top_degree, gysin_map,
                       shifted_dual_morphism)
 from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      GradedVectorSpace, cohomology, induced_on_cohomology,
-                     quasi_isomorphism_failure)
+                     quasi_isomorphism_failure, truncation_spans)
 from .linalg import Matrix, axpy, scaled
 from .modules import (DgModule, DgModuleMorphism, algebra_as_module,
                       direct_sum_modules, module_mapping_cone,
-                      restrict_scalars, semifree_resolution, shifted_dual,
-                      truncate_module)
+                      restrict_scalars, semifree_resolution, shifted_dual)
 
 
 class PipelineError(ValueError):
@@ -181,11 +180,11 @@ def _require(report, need_unknotting=True):
                               % (report.r, report.unknotting_bound))
 
 
-def _resolve_shifted_dual(problem, window):
-    """s^(-n)#Q as a module over the ambient algebra, resolved semifree."""
-    dq = restrict_scalars(
-        shifted_dual(algebra_as_module(problem.target), problem.n), problem.phi)
-    return semifree_resolution(dq, minimal=True, window=window)
+def _resolve_shifted_dual(phi, n):
+    """s^(-n)#Q, for phi: R -> Q, as a module over R, resolved semifree
+    in degrees 0..n+1."""
+    dq = restrict_scalars(shifted_dual(algebra_as_module(phi.target), n), phi)
+    return semifree_resolution(dq, minimal=True, window=DegreeWindow(0, n + 1))
 
 
 @dataclass
@@ -205,7 +204,7 @@ def complement_model(problem):
     report = analyze(problem)
     _require(report)
     n, m, r = report.n, report.m, report.r
-    res = _resolve_shifted_dual(problem, DegreeWindow(0, n + 1))
+    res = _resolve_shifted_dual(problem.phi, n)
     low = min(res.module.space.degrees(), default=n)
     if low < n - m:
         raise PipelineError("internal: resolution not concentrated in "
@@ -224,7 +223,7 @@ def complement_model(problem):
         tc = truncated_cone(cone, ideal, n - m - 1, n - 2 * m + r - 1)
     except ConeError as e:
         raise HypothesisError(str(e))
-    halg, coh = cohomology_algebra(tc.algebra)
+    halg, coh = cohomology_algebra(tc.algebra, tc.cohomology)
     return ComplementModelResult(
         lambda_map=tc.base_map, quotient=tc.algebra, h_algebra=halg,
         h_dims=dict(coh.dims), resolution=res, psi=psi, cone=cone,
@@ -385,10 +384,7 @@ def dgmodule_square(problem):
     r_mod = algebra_as_module(problem.ambient)
     parts, psis = [], []
     for bi, branch in enumerate(problem.branches):
-        dq = restrict_scalars(
-            shifted_dual(algebra_as_module(branch.target), n), branch)
-        res = semifree_resolution(dq, minimal=True,
-                                  window=DegreeWindow(0, n + 1))
+        res = _resolve_shifted_dual(branch, n)
         try:
             psi_k = construct_top_degree(res.module, r_mod, n, semifree=True)
         except DualityError as e:
@@ -544,7 +540,7 @@ def punctured_square(problem, attest_boundary_simply_connected=False):
     if not attest_boundary_simply_connected:
         raise HypothesisError("boundary simple connectivity not attested "
                               "(pass the attestation flag)")
-    res = _resolve_shifted_dual(problem, DegreeWindow(0, n + 1))
+    res = _resolve_shifted_dual(problem.phi, n)
     try:
         psi = construct_top_degree(res.module, algebra_as_module(problem.ambient),
                                    n, semifree=True)
@@ -561,14 +557,15 @@ def punctured_square(problem, attest_boundary_simply_connected=False):
         d_q, algebra_as_module(problem.target),
         GradedLinearMap.zero_map(d_q.space, problem.target.space, 0))
     cone_r = semi_trivial_cone(zero_map)
-    # truncation ideals: ambient above n-r-1, embedded above m, D above n-r
-    tr_i = truncate_module(algebra_as_module(problem.ambient), n - r - 1)
-    tr_j = truncate_module(algebra_as_module(problem.target), m)
-    tr_k = truncate_module(res.module, n - r)
-    spans_l = _embed_cone_spans(cone_l, tr_i.spans, tr_k.spans)
-    spans_r = _embed_cone_spans(cone_r, tr_j.spans, tr_k.spans)
-    # the cone products are not checked: their quotients, the reported
-    # corners, are
+    # truncation ideals: ambient above n-r-1, embedded above m, D above
+    # n-r.  Their closure under d and the actions is checked on the cones,
+    # by the quotients below; the cone products are not checked: their
+    # quotients, the reported corners, are
+    spans_d = truncation_spans(res.module.complex, n - r)
+    spans_l = _embed_cone_spans(
+        cone_l, truncation_spans(problem.ambient.complex, n - r - 1), spans_d)
+    spans_r = _embed_cone_spans(
+        cone_r, truncation_spans(problem.target.complex, m), spans_d)
     try:
         ql, proj_l = quotient_cdga(cone_l.algebra, spans_l)
         qr, proj_r = quotient_cdga(cone_r.algebra, spans_r)

@@ -89,7 +89,7 @@ def euler_characteristic(space):
 
 
 def zero_ideal():
-    return TruncationIdeal({}, {}, True)
+    return TruncationIdeal({})
 
 
 def random_semifree(a, rng, n_gens, max_degree, window=None):

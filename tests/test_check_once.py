@@ -20,6 +20,8 @@ constructors and both hand-overs so that every object built is checked,
 runs every shipped example and the smallest rung of each benchmark
 ladder under it, and finds no witness.  Where the stable square's
 normalizations are the identity, it builds and checks nothing for them.
+Each truncation is built and certified once, and a parsed algebra has
+its indices checked once.
 """
 
 import re
@@ -38,6 +40,7 @@ from pemb.graded import (CochainComplex, DegreeWindow, GradedLinearMap,
 from pemb.linalg import Matrix
 from pemb.modules import (DgModule, DgModuleMorphism, ModuleError,
                           semifree_resolution)
+from pemb.parser import parse
 
 from builders import SULLIVAN_S2_IN_S9, run_cli, sphere
 
@@ -174,6 +177,18 @@ def _cone_product_outside_basis(monkeypatch):
     monkeypatch.setattr(cones.MappingConeAlgebra, "_build_product", broken)
 
 
+def _spans_with_a_positive_vector(build):
+    """_embed_cone_spans with one more vector: the first basis element of
+    the cone's lowest positive degree, a cocycle whose multiples leave
+    the span."""
+    def broken(cone, y_spans, x_spans):
+        spans = build(cone, y_spans, x_spans)
+        d = min(d for d in cone.space.degrees() if d > 0)
+        spans.setdefault(d, []).append({0: cone.field.one})
+        return spans
+    return broken
+
+
 PRODUCT_OUTSIDE = r"product of \(0,0\)\*\(\d+,\d+\) names no basis element"
 
 
@@ -256,6 +271,12 @@ BROKEN = [
      _patch(pipeline, "_induced_quotient_morphism", on_result(
          lambda f: CdgaMorphism(f.source, f.target, f.map.scale(2)))),
      "sullivan_s2_in_s9", ["stable-square"], 2, r"morphism does not preserve the unit"),
+    # the truncation spans are read, not checked, where they are built:
+    # the quotients of the cones check their closure under the products
+    ("_embed_cone_spans",
+     _patch(pipeline, "_embed_cone_spans", _spans_with_a_positive_vector),
+     "cp2_in_s8", ["punctured-square", ATTEST], 2,
+     r"quotient cone failed validation: subspace is not an ideal \(degree 4\)"),
     ("_trivial_action_module",
      _patch(pipeline, "_trivial_action_module", on_result(broken_module(unit_action))),
      "s2_in_s6", ["punctured-square", ATTEST], 2,
@@ -500,3 +521,47 @@ def test_identity_normalization_builds_and_checks_nothing(monkeypatch, tmp_path)
                     and any(c[1] is p for p in parsed)], name
     assert stable == {"point_in_sn", "s2_in_s9_stable", "torus3", "torus4", "torus5",
                       "spheres2", "spheres3", "spheres4"}
+
+
+# -- each truncation built once ---------------------------------------------
+
+
+def counted_calls(monkeypatch, module, attr, calls):
+    """Append attr to calls on each call of module.attr, in every `pemb`
+    namespace that bound it."""
+    def make(f):
+        def wrapped(*args, **kwargs):
+            calls.append(attr)
+            return f(*args, **kwargs)
+        return wrapped
+    patch_everywhere(monkeypatch, module, attr, make)
+
+
+def test_each_truncation_is_built_and_certified_once(monkeypatch):
+    """On cp2_in_s8, `punctured-square` reads the three truncation spans
+    and builds only the two quotient cones; `complement` builds its one
+    quotient, certifies the ideal acyclic on it and hands its cohomology
+    to the H-algebra."""
+    calls = []
+    counted_calls(monkeypatch, algebra, "quotient_complex", calls)
+    counted_calls(monkeypatch, graded, "cohomology", calls)
+    path = str(cli.example_path("cp2_in_s8"))
+    for argv, quotients, cohomologies in (
+            (["punctured-square", path, ATTEST], 2, 14), (["complement", path], 1, 12)):
+        del calls[:]
+        assert run_cli(argv)[0] == 0
+        assert (calls.count("quotient_complex"), calls.count("cohomology")) == (
+            quotients, cohomologies), argv[0]
+
+
+def test_a_parsed_algebra_has_its_indices_checked_once(monkeypatch):
+    """The parser hands an explicit algebra over and checks its indices
+    once, in `validate`: one `outside_basis` call for each of the two
+    algebras of a stable-square report."""
+    code, machine, _ = run_cli(["stable-square", str(cli.example_path("s2_in_s9_stable")),
+                                "--format", "machine"])
+    assert code == 0
+    calls = []
+    counted_calls(monkeypatch, checks, "outside_basis", calls)
+    assert sorted(parse(machine).algebras) == ["BL", "BR"]
+    assert len(calls) == 2

@@ -4,8 +4,8 @@ import pytest
 
 from builders import sphere, zero_ideal
 from pemb.algebra import CdgaMorphism, materialize_free_cdga
-from pemb.cones import (ConeError, build_acyclic_truncation, check_shift_bounds,
-                        semi_trivial_cone, truncated_cone)
+from pemb.cones import (ConeError, TruncationIdeal, build_acyclic_truncation,
+                        check_shift_bounds, semi_trivial_cone, truncated_cone)
 from pemb.fields import QQ
 from pemb.graded import DegreeWindow, GradedLinearMap, cohomology
 from pemb.linalg import Matrix
@@ -93,11 +93,12 @@ def test_frozen_leibniz_failure_witness():
 def test_acyclic_truncation_of_pipeline_cone():
     cone = pipeline_cone()
     ideal = build_acyclic_truncation(cone, 4)
-    assert ideal.acyclic
-    assert ideal.dims == {5: 1, 6: 1}
+    assert {d: len(vs) for d, vs in ideal.spans.items()} == {5: 1, 6: 1}
     # d maps the degree-5 suspended class onto e6
     tc = truncated_cone(cone, ideal, 3, 3)
     assert tc.algebra.space.dims == {0: 1, 3: 1}
+    # the ideal is acyclic: the quotient keeps the cone's cohomology
+    assert tc.cohomology.dims == cohomology(cone.complex).dims
     assert tc.algebra.mul_basis(3, 0, 3, 0) == {}
     assert tc.base_map.map.block(6).is_zero()
     assert tc.base_map.map.block(0).rank() == 1
@@ -121,9 +122,18 @@ def test_truncated_cone_rejects_bad_bounds():
 def test_zero_ideal_with_plain_bounds_reduces_to_cone():
     cone = pipeline_cone()
     ideal = build_acyclic_truncation(cone, 7)  # empty above the window top
-    assert ideal.dims == {}
+    assert ideal.spans == {}
     tc = truncated_cone(cone, ideal, 3, 0)
     assert tc.algebra.space.dims == cone.space.dims
+
+
+def test_truncated_cone_rejects_an_ideal_that_is_not_acyclic():
+    """The line of e6 is closed under d and products and meets the
+    bounds, but it is a cocycle and no coboundary: dividing it out adds
+    the class of the degree-5 suspended element."""
+    cone = pipeline_cone()
+    with pytest.raises(ConeError, match=r"truncation ideal is not acyclic \(degree 5\)"):
+        truncated_cone(cone, TruncationIdeal({6: [{0: QQ.one}]}), 3, 0)
 
 
 def random_bounded_cone(rng, k):

@@ -11,8 +11,7 @@ from pemb.duality import (DualityError, TopDegreeMap, construct_top_degree,
 from pemb.fields import QQ
 from pemb.graded import DegreeWindow, GradedLinearMap, cohomology
 from pemb.linalg import Matrix
-from pemb.modules import (algebra_as_module, hom_complex, restrict_scalars,
-                          shifted_dual)
+from pemb.modules import HomComplex, algebra_as_module, restrict_scalars, shifted_dual
 
 
 def sphere_restriction(n, k, hi):
@@ -65,7 +64,7 @@ def test_scalar_uniqueness_after_coboundary_shift():
     d = shifted_dual(algebra_as_module(r), 4)
     m = algebra_as_module(r)
     psi = construct_top_degree(d, m, 4)
-    hc = hom_complex(d, m)
+    hc = HomComplex(d, m)
     changed = psi
     for h0 in hc.basis.get(-1, []):
         delta = hc._delta(h0, -1)

@@ -14,12 +14,12 @@ from pemb.fields import QQ, PrimeField
 from pemb.graded import (DegreeWindow, GradedLinearMap, cohomology, dualize,
                          mapping_cone)
 from pemb.linalg import Matrix
-from pemb.modules import (DgModule, DgModuleMorphism, FreeGenerator, ModuleError,
-                          algebra_as_module, direct_sum_modules, dual_module,
-                          free_module, hom_complex, homotopy_between,
-                          homotopy_classes, module_mapping_cone, quotient_module,
-                          restrict_scalars, semifree_resolution, shifted_dual,
-                          solve_chain_maps, suspend_module, truncate_module)
+from pemb.modules import (DgModule, DgModuleMorphism, FreeGenerator, HomComplex,
+                          ModuleError, algebra_as_module, direct_sum_modules,
+                          dual_module, free_module, homotopy_between,
+                          homotopy_classes, module_mapping_cone, restrict_scalars,
+                          semifree_resolution, shifted_dual, solve_chain_maps,
+                          suspend_module)
 
 
 def s2(hi=7):
@@ -72,7 +72,7 @@ def test_shifted_dual_dims():
 def test_hom_complex_endomorphisms_of_sphere():
     a = sphere(6)
     m = algebra_as_module(a)
-    hc = hom_complex(m, m)
+    hc = HomComplex(m, m)
     # only scalars: a linear endomorphism fixing the unit line
     assert hc.complex.space.dim(0) == 1
     assert homotopy_classes(m, m).dimension == 1
@@ -253,28 +253,6 @@ def test_semifree_resolution_generators_and_rho_are_unchanged():
         assert res.rho.map.blocks == rho
 
 
-def test_truncate_module_keeps_low_cohomology():
-    q = s2()
-    d = shifted_dual(algebra_as_module(q), 6)  # dims {4:1, 6:1}, zero d
-    tr = truncate_module(d, 4)
-    assert tr.quotient.space.dims == {4: 1}
-    assert tr.sub_dims == {6: 1}
-    assert not tr.sub_acyclic
-    assert cohomology(tr.quotient.complex).dims == {4: 1}
-
-
-def test_truncate_module_acyclic_tail():
-    # d(h4) = e3 * g2 pairs the two classes above degree 2
-    a = sphere(3, hi=6)
-    m, _ = free_module(a, [FreeGenerator("g", 2, 0), FreeGenerator("h", 4, 1)],
-                       {1: {0: QQ.one}}, DegreeWindow(0, 6))
-    coh = cohomology(m.complex)
-    tr = truncate_module(m, 2)
-    assert tr.sub_acyclic
-    assert cohomology(tr.quotient.complex).dims == {d: n for d, n in coh.dims.items()
-                                                    if d <= 2}
-
-
 def test_module_mapping_cone():
     a = s2(hi=5)
     x, _ = free_module(a, [FreeGenerator("g", 2, 0)], {}, DegreeWindow(0, 5))
@@ -286,23 +264,6 @@ def test_module_mapping_cone():
     cone, split = module_mapping_cone(f)
     cone.validate()
     assert cohomology(cone.complex).dims == {0: 1, 3: 1}
-
-
-def test_quotient_module_by_top_line():
-    a = sphere(6)
-    m = algebra_as_module(a)
-    q, proj, _ = quotient_module(m, {6: [{0: QQ.one}]})
-    q.validate()                       # quotient_module does not check them
-    proj.validate()
-    assert q.space.dims == {0: 1}
-    assert proj.map.block(0).rank() == 1
-
-
-def test_quotient_module_rejects_non_submodule():
-    a = sphere(6)
-    m = algebra_as_module(a)
-    with pytest.raises(ModuleError):
-        quotient_module(m, {0: [{0: QQ.one}]})  # unit line is not action-closed
 
 
 def test_direct_sum_modules():
@@ -332,7 +293,7 @@ def test_random_semifree_and_solvers():
 def test_hom_complex_differential_squares_to_zero():
     a = s2(hi=6)
     p, _ = free_module(a, [FreeGenerator("g", 1, 0)], {}, DegreeWindow(0, 6))
-    hc = hom_complex(p, algebra_as_module(a))
+    hc = HomComplex(p, algebra_as_module(a))
     # CochainComplex already asserts d*d = 0; check a delta value explicitly
     coh = cohomology(hc.complex)
     assert all(v >= 0 for v in coh.dims.values())
