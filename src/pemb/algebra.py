@@ -553,14 +553,13 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
 # -- derived constructions ----------------------------------------------
 
 
-def cohomology_algebra(a, coh=None):
+def cohomology_algebra(a):
     """Cohomology of a CDGA as a zero-differential CDGA on the chosen
     representatives; returns (H-algebra, cohomology data).
 
     Not re-checked: by Leibniz in `a` the product of classes is well
     defined, so H(a) inherits the axioms of `a`; d = 0 on it."""
-    if coh is None:
-        coh = cohomology(a.complex)
+    coh = cohomology(a.complex)
     dims = dict(coh.dims)
     labels = {d: ["h%d_%d" % (d, i) for i in range(n)] for d, n in dims.items()}
     space = GradedVectorSpace(a.field, a.space.window, dims, labels)
@@ -600,11 +599,10 @@ class PoincareDualityFailure:
         return "%s (degree %d)" % (self.reason, self.degree)
 
 
-def check_poincare_duality(a, n, halg=None, coh=None):
+def check_poincare_duality(a, n):
     """Certificate that H(a) is a Poincare duality algebra in dimension n,
     or a failure report naming the first failing degree."""
-    if halg is None:
-        halg, coh = cohomology_algebra(a)
+    halg, coh = cohomology_algebra(a)
     h = halg.space
     if h.dim(0) != 1:
         return None, PoincareDualityFailure("H^0 is not one-dimensional", 0)

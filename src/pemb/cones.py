@@ -108,10 +108,6 @@ class MappingConeAlgebra:
     def leibniz(self):
         return leibniz_report(self.algebra)
 
-    @cached_property
-    def cohomology(self):
-        return cohomology(self.complex)
-
     def _build_product(self):
         """R's products in both orders, and its unit, where they are: R
         sits at the start of each degree; r.sx' as the cone module's
@@ -197,8 +193,9 @@ def build_acyclic_truncation(cone, cut):
         raise ConeError("truncation needs a connected base algebra")
     one = cone.field.one
     sp = cone.space
+    coh = cohomology(cone.complex)
     for d in sp.degrees():
-        if d >= cut and cone.cohomology.dim(d):
+        if d >= cut and coh.dim(d):
             raise ConeError("connectivity hypothesis violated: "
                             "H^%d of the cone is nonzero at or above %d" % (d, cut))
     spans = {}
@@ -224,7 +221,6 @@ class TruncatedCone:
     base_map: CdgaMorphism         # base R -> quotient
     cone: MappingConeAlgebra
     ideal: TruncationIdeal
-    cohomology: object             # H(algebra); the projection is a quasi-isomorphism
 
 
 def truncated_cone(cone, ideal, k, l):
@@ -252,10 +248,10 @@ def truncated_cone(cone, ideal, k, l):
         q.validate()
     except AlgebraError as e:
         raise ConeError("truncation ideal rejected: %s" % e)
-    coh = cohomology(q.complex)
-    bad = quasi_isomorphism_failure(proj.map, cone.cohomology, coh)
+    bad = quasi_isomorphism_failure(proj.map, cohomology(cone.complex),
+                                    cohomology(q.complex))
     if bad is not None:
         raise ConeError("truncation ideal is not acyclic (degree %d)" % bad)
     base_map = CdgaMorphism(cone.base, q, proj.map.compose(cone.inclusion))
     base_map.validate()
-    return TruncatedCone(q, proj, base_map, cone, ideal, coh)
+    return TruncatedCone(q, proj, base_map, cone, ideal)

@@ -30,15 +30,11 @@ class TopDegreeMap:
     target_generator: dict
     resolution: object = None      # set when the solve ran on a resolution
 
-    def validate(self, coh_s=None, coh_t=None):
-        """Check the map and return its H^n value; coh_s and coh_t, the
-        cohomology of the source and the target, are computed when not
-        given."""
+    def validate(self):
+        """Check the map and return its H^n value."""
         self.map.validate()
-        if coh_s is None:
-            coh_s = cohomology(self.map.source.complex)
-        if coh_t is None:
-            coh_t = cohomology(self.map.target.complex)
+        coh_s = cohomology(self.map.source.complex)
+        coh_t = cohomology(self.map.target.complex)
         if coh_s.dim(self.n) != 1 or coh_t.dim(self.n) != 1:
             raise DualityError("H^%d of source or target is not a line" % self.n)
         val = coh_t.reduce(self.n, self.map.apply(self.n, self.source_generator))
@@ -62,10 +58,8 @@ def construct_top_degree(D, target, n, semifree=False):
     is replaced by a semifree resolution and psi is returned on it, with
     the resolution attached for transport.
     """
-    coh_d = cohomology(D.complex)
-    coh_t = cohomology(target.complex)
-    gen_d = _line_generator(coh_d, n, "source module")
-    gen_t = _line_generator(coh_t, n, "target module")
+    gen_d = _line_generator(cohomology(D.complex), n, "source module")
+    gen_t = _line_generator(cohomology(target.complex), n, "target module")
     sol = solve_chain_maps(D, target, [("class", n, gen_d, gen_t)])
     if sol is not None:
         psi, _ = sol
@@ -74,8 +68,7 @@ def construct_top_degree(D, target, n, semifree=False):
         raise DualityError("internal assertion: no top-degree map on a "
                            "semifree source")
     res = semifree_resolution(D, minimal=False)
-    coh_p = cohomology(res.module.complex)
-    gen_p = _line_generator(coh_p, n, "resolved source module")
+    gen_p = _line_generator(cohomology(res.module.complex), n, "resolved source module")
     sol = solve_chain_maps(res.module, target, [("class", n, gen_p, gen_t)])
     if sol is None:
         raise DualityError("internal assertion: no top-degree map on the "
@@ -165,14 +158,12 @@ def gysin_map(hf, cert_w, cert_v, k):
     source = suspend_module(restrict_scalars(algebra_as_module(hv), hf), -k)
     target = algebra_as_module(hw)
     glm = GradedLinearMap(source.space, target.space, 0, blocks)
-    coh_s = cohomology(source.complex)
-    coh_t = cohomology(target.complex)
-    gen_s = _line_generator(coh_s, nw, "shifted source")
-    gen_t = _line_generator(coh_t, nw, "target algebra")
+    gen_s = _line_generator(cohomology(source.complex), nw, "shifted source")
+    gen_t = _line_generator(cohomology(target.complex), nw, "target algebra")
     out = TopDegreeMap(DgModuleMorphism(source, target, glm), nw, field.one,
                        gen_s, gen_t)
     try:
-        out.hn = out.validate(coh_s, coh_t)
+        out.hn = out.validate()
     except ModuleError as e:
         raise DualityError("umkehr map failed linearity validation: %s" % e)
     return out
@@ -203,10 +194,8 @@ def dual_morphism_top_degree(phi, n):
         raise DualityError("H^0 of the morphism is not an isomorphism")
     morphism = shifted_dual_morphism(phi, n)
     source, target = morphism.source, morphism.target
-    coh_s = cohomology(source.complex)
-    coh_t = cohomology(target.complex)
-    gen_s = _line_generator(coh_s, n, "shifted dual of target algebra")
-    gen_t = _line_generator(coh_t, n, "shifted dual of source algebra")
+    gen_s = _line_generator(cohomology(source.complex), n, "shifted dual of target algebra")
+    gen_t = _line_generator(cohomology(target.complex), n, "shifted dual of source algebra")
     out = TopDegreeMap(morphism, n, None, gen_s, gen_t)
-    out.hn = out.validate(coh_s, coh_t)
+    out.hn = out.validate()
     return out

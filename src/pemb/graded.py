@@ -148,7 +148,8 @@ class GradedLinearMap:
 
 
 class CochainComplex:
-    """Graded space with a validated degree +1 differential."""
+    """Graded space with a validated degree +1 differential.  Not changed
+    once built, so `cohomology` keeps its result on it."""
 
     def __init__(self, space, differential):
         if differential.shift != 1:
@@ -156,6 +157,7 @@ class CochainComplex:
         self.space = space
         self.field = space.field
         self.d = differential
+        self._cohomology = None
         # d*d vanishes where d has no stored block in the degree or the next
         blocks = differential.blocks
         for deg in sorted(blocks):
@@ -191,7 +193,8 @@ class CohomologyData:
     """
 
     def __init__(self, complex_):
-        self.complex = complex_
+        # d, not the complex, which keeps this object: no reference cycle
+        self.d = complex_.d
         field = complex_.field
         self.field = field
         self.dims = {}
@@ -242,7 +245,7 @@ class CohomologyData:
         """
         if deg not in self._decomp:
             return {}
-        if self.complex.d.apply(deg, v):
+        if self.d.apply(deg, v):
             raise GradedError("reduce() given a non-cocycle in degree %d" % deg)
         if self._decomp[deg] is None:
             return {}
@@ -256,11 +259,16 @@ class CohomologyData:
 
     def write_coboundary(self, deg, v):
         """Find w with d(w) = v, or None."""
-        return self.complex.d.block(deg - 1).solve(v)
+        return self.d.block(deg - 1).solve(v)
 
 
 def cohomology(complex_):
-    return CohomologyData(complex_)
+    """The cohomology of a complex, built on the first call and kept on
+    the complex for the later ones."""
+    coh = complex_._cohomology
+    if coh is None:
+        coh = complex_._cohomology = CohomologyData(complex_)
+    return coh
 
 
 def induced_on_cohomology(f, coh_source, coh_target):

@@ -3,6 +3,14 @@
 All module maps are found or certified by solving explicit affine
 systems over the ground field: linearity and chain-map conditions become
 rows, homotopy and cohomology-class conditions add auxiliary columns.
+
+Free modules A x V are grown one generator at a time.  Within a degree
+the basis lists (generator, algebra basis element) pairs in generator
+order and a new generator comes last, so adding one appends its slots,
+action entries and columns of d, and no index, entry or column written
+before changes.  A semifree resolution adds its generators this way,
+computes rho at each slot once, and assembles P after each round that
+added generators.
 """
 
 from __future__ import annotations
@@ -489,74 +497,88 @@ class FreeGenerator:
     stage: int
 
 
+class _FreeBuilder:
+    """A free module A x V grown one generator at a time, as the module
+    docstring says: `add` appends, `assemble` builds the module on the
+    generators so far from what is stored."""
+
+    def __init__(self, algebra, window):
+        self.algebra = algebra
+        self.window = window
+        self.gens = []
+        self.index = {}     # (g, e, ia) -> (deg, pos)
+        self.slots = {}     # (deg, pos) -> (g, e, ia)
+        self.dims, self.labels = {}, {}
+        self.action = {}
+        self.d_cols = {}    # deg -> columns of d out of deg, by pos
+        # the products a.b by the right factor b
+        self.by_right = {}
+        for (da, ia, e, ib), v in algebra.both_orders.items():
+            self.by_right.setdefault((e, ib), []).append((da, ia, v))
+
+    def add(self, gen, dval=None):
+        """Append a generator with d(gen) = dval, a vector on the
+        generators before it; returns its slots (deg, e, ia) in order."""
+        a, index, hi = self.algebra, self.index, self.window.hi
+        field = a.field
+        gi = len(self.gens)
+        self.gens.append(gen)
+        new = [(e + gen.degree, e, ia) for e in a.space.degrees()
+               if self.window.contains(e + gen.degree) for ia in range(a.space.dim(e))]
+        for d, e, ia in new:
+            pos = self.dims.get(d, 0)
+            self.dims[d] = pos + 1
+            index[(gi, e, ia)] = (d, pos)
+            self.slots[(d, pos)] = (gi, e, ia)
+            lab = a.space.label(e, ia)
+            self.labels.setdefault(d, []).append(
+                gen.label if e == 0 and lab == "1" else "%s*%s" % (lab, gen.label))
+        for d, e, ib in new:
+            jm = index[(gi, e, ib)][1]
+            # a . (b x g) = (a b) x g, over the nonzero products in both orders
+            for da, ia, v in self.by_right.get((e, ib), ()):
+                if da + d <= hi:
+                    self.action[(da, ia, d, jm)] = {index[(gi, da + e, ic)][1]: c
+                                                    for ic, c in v.items()}
+            if d + 1 > hi:
+                continue
+            # d(a x g) = d(a) x g + (-1)^|a| a . d(g), with a . d(g) read off
+            # the entries of the generators before g (a missing one is zero)
+            out = {index[(gi, e + 1, ic)][1]: c
+                   for ic, c in a.d_vec(e, a.basis_vec(e, ib)).items()
+                   if (gi, e + 1, ic) in index}
+            for jt, c in (dval or {}).items():
+                axpy(field, out, field.sign(e) * c,
+                     self.action.get((e, ib, gen.degree + 1, jt), {}))
+            self.d_cols.setdefault(d, []).append(out)
+        return new
+
+    def assemble(self):
+        """(module, basis index table) on the generators so far."""
+        a = self.algebra
+        field = a.field
+        space = GradedVectorSpace(field, self.window, self.dims, self.labels)
+        blocks = {d: Matrix.from_cols(field, cols, space.dim(d + 1))
+                  for d, cols in self.d_cols.items()}
+        cx = CochainComplex(space, GradedLinearMap(space, space, 1, blocks))
+        return DgModule.derived(a, cx, self.action), self.index
+
+
 def free_module(algebra, gens, dvals=None, window=None):
     """Free module on generators, with an optional differential given by
-    vectors dvals[g] (in module coordinates, degree deg(g)+1).
+    vectors dvals[g] (in module coordinates, degree deg(g)+1, on the
+    generators before g).
 
     Basis per degree: (generator, algebra basis element) pairs in
-    generator order.  Returns (module, basis index table).  Not
+    generator order, so each generator's pairs come after those of the
+    generators before it.  Returns (module, basis index table).  Not
     re-checked: a.(b x g) = (ab) x g inherits the algebra's axioms, d is
     defined by Leibniz, and `CochainComplex` checks d*d = 0."""
-    a = algebra
-    field = a.field
-    if window is None:
-        window = a.space.window
-    index = {}      # (g, da, ia) -> (deg, pos)
-    slots = {}      # (deg, pos) -> (g, da, ia)
-    dims, labels = {}, {}
-    for d in range(window.lo, window.hi + 1):
-        pos = 0
-        labs = []
-        for gi, g in enumerate(gens):
-            e = d - g.degree
-            for ia in range(a.space.dim(e)):
-                index[(gi, e, ia)] = (d, pos)
-                slots[(d, pos)] = (gi, e, ia)
-                lab = g.label if e == 0 and a.space.label(e, ia) == "1" \
-                    else "%s*%s" % (a.space.label(e, ia), g.label)
-                labs.append(lab)
-                pos += 1
-        if pos:
-            dims[d] = pos
-            labels[d] = labs
-    space = GradedVectorSpace(field, window, dims, labels)
-
-    # a . (b x g) = (a b) x g, over the nonzero products in both orders
-    action = {}
-    for (da, ia, e, ib), v in a.both_orders.items():
-        for gi, g in enumerate(gens):
-            if (gi, e, ib) not in index or da + e + g.degree > window.hi:
-                continue
-            dm, jm = index[(gi, e, ib)]
-            action[(da, ia, dm, jm)] = {index[(gi, da + e, ic)][1]: c
-                                        for ic, c in v.items()}
-
+    fb = _FreeBuilder(algebra, algebra.space.window if window is None else window)
     dvals = dvals or {}
-    dblocks = {}
-
-    # d(a x g) = d(a) x g + (-1)^|a| a . d(g); compute columns directly
-    def d_col(dm, jm):
-        gi, e, ib = slots[(dm, jm)]
-        out = {index[(gi, e + 1, ic)][1]: c
-               for ic, c in a.d_vec(e, a.basis_vec(e, ib)).items()
-               if (gi, e + 1, ic) in index}
-        dg = dvals.get(gi)
-        if dg is not None:
-            # a . dg with the action above; a missing entry is a zero product
-            sgn = field.sign(e)
-            gdeg = gens[gi].degree
-            for jt, c in dg.items():
-                axpy(field, out, sgn * c, action.get((e, ib, gdeg + 1, jt), {}))
-        return out
-
-    for dm in sorted(dims):
-        if dm + 1 > window.hi:
-            continue
-        cols = [d_col(dm, jm) for jm in range(dims[dm])]
-        dblocks[dm] = Matrix.from_cols(field, cols, space.dim(dm + 1))
-    cx = CochainComplex(space, GradedLinearMap(space, space, 1, dblocks))
-    module = DgModule.derived(a, cx, action)
-    return module, index
+    for gi, g in enumerate(gens):
+        fb.add(g, dvals.get(gi))
+    return fb.assemble()
 
 
 @dataclass
@@ -589,35 +611,36 @@ def semifree_resolution(m, minimal=True, window=None):
     field = m.field
     if window is None:
         window = m.space.window
-    gens = []
+    fb = _FreeBuilder(a, window)
+    gens = fb.gens
     dvals = {}
-    rho_vals = {}
-    built = {}      # len(gens) -> the last build
+    rho_cols = {}   # degree -> rho's columns, by slot
+    built = None    # (generator count, P, rho, H(P)) of the last assembly
+
+    def add(gen, rho_val, dval=None):
+        """Append a generator; rho at its slot a x gen is a . rho(gen)."""
+        if dval is not None:
+            dvals[len(gens)] = dval
+        for d, e, ib in fb.add(gen, dval):
+            rho_cols.setdefault(d, []).append(
+                m.act_vec(e, a.basis_vec(e, ib), gen.degree, rho_val))
 
     def build():
-        """(P, index, slots, rho, H(P)) for the generators so far; gens,
-        dvals and rho_vals only grow, so their length keys the build."""
-        n = len(gens)
-        if n not in built:
-            P, index = free_module(a, gens, dvals, window)
-            slots = {v: k for k, v in index.items()}
-            blocks = {}
-            for d in P.space.degrees():
-                cols = []
-                for jm in range(P.space.dim(d)):
-                    gi, e, ib = slots[(d, jm)]
-                    cols.append(m.act_vec(e, a.basis_vec(e, ib), gens[gi].degree,
-                                          rho_vals[gi]))
-                blocks[d] = Matrix.from_cols(field, cols, m.space.dim(d))
-            rho = GradedLinearMap(P.space, m.space, 0, blocks)
-            built.clear()
-            built[n] = P, index, slots, rho, cohomology(P.complex)
-        return built[n]
+        """(P, rho, H(P)) for the generators so far, assembled again only
+        when generators were added since the last call."""
+        nonlocal built
+        if built is None or built[0] != len(gens):
+            P, _ = fb.assemble()
+            rho = GradedLinearMap(P.space, m.space, 0,
+                                  {d: Matrix.from_cols(field, cols, m.space.dim(d))
+                                   for d, cols in rho_cols.items()})
+            built = len(gens), P, rho, cohomology(P.complex)
+        return built[1:]
 
     coh_m = cohomology(m.complex)
     for j in range(window.lo, window.hi + 1):
         for round_ in range(MAX_ROUNDS):
-            P, _, _, rho, coh_P = build()
+            P, rho, coh_P = build()
             # induced map on H^j
             img_cols = [coh_m.reduce(j, rho.apply(j, z)) for z in coh_P.reps.get(j, [])]
             n_img, hm_dim = len(img_cols), coh_m.dim(j)
@@ -632,8 +655,7 @@ def semifree_resolution(m, minimal=True, window=None):
             if missing:
                 for t in missing:
                     gi = len(gens)
-                    gens.append(FreeGenerator("v%d_%d" % (j, gi), j, gi))
-                    rho_vals[gi] = coh_m.reps[j][t]
+                    add(FreeGenerator("v%d_%d" % (j, gi), j, gi), coh_m.reps[j][t])
                 continue
             # kernel of the induced map, from the first n_img columns of red
             kern = reduced_kernel(red, pivots, n_img)
@@ -647,26 +669,22 @@ def semifree_resolution(m, minimal=True, window=None):
                 if w is None:
                     raise ModuleError("resolution internal error: class not exact")
                 gi = len(gens)
-                gens.append(FreeGenerator("u%d_%d" % (j, gi), j - 1, gi))
-                dvals[gi] = z
-                rho_vals[gi] = w
+                add(FreeGenerator("u%d_%d" % (j, gi), j - 1, gi), w, z)
         else:
             raise ModuleError("semifree resolution did not stabilize in degree %d" % j)
 
-    P, index, slots, rho_glm, coh_P = build()
+    P, rho_glm, coh_P = build()
     rho = DgModuleMorphism(P, m, rho_glm)
     rho.validate()
     bad = quasi_isomorphism_failure(rho_glm, coh_P, coh_m)
     if bad is not None:
         raise ModuleError("resolution is not a quasi-isomorphism (degree %d)" % bad)
-    is_minimal = True
-    for gi, z in dvals.items():
-        deg = gens[gi].degree + 1
-        if any(slots[(deg, jm)][1] == 0 for jm in z):
-            is_minimal = False
+    # minimal: no d(g) has a term 1 x g' (the algebra element of degree 0)
+    is_minimal = not any(fb.slots[(gens[gi].degree + 1, jm)][1] == 0
+                         for gi, z in dvals.items() for jm in z)
     if minimal and not is_minimal:
         raise ModuleError("resolution recipe produced a non-minimal differential")
-    return SemifreeModule(P, gens, rho, is_minimal, index)
+    return SemifreeModule(P, gens, rho, is_minimal, fb.index)
 
 
 def direct_sum_modules(parts):

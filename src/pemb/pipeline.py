@@ -128,9 +128,9 @@ def analyze(problem):
     phi = problem.phi
     n = problem.n
     r_alg, q_alg = phi.source, phi.target
-    halg_r, coh_r = cohomology_algebra(r_alg)
+    coh_r = cohomology(r_alg.complex)
     coh_q = cohomology(q_alg.complex)
-    cert, fail = check_poincare_duality(r_alg, n, halg_r, coh_r)
+    cert, fail = check_poincare_duality(r_alg, n)
     m = _top_nonzero(coh_q.dims)
     # H^i(phi) is injective when its rank is dim H^i(R); a degree without
     # a block has H^i(R) = 0
@@ -223,7 +223,7 @@ def complement_model(problem):
         tc = truncated_cone(cone, ideal, n - m - 1, n - 2 * m + r - 1)
     except ConeError as e:
         raise HypothesisError(str(e))
-    halg, coh = cohomology_algebra(tc.algebra, tc.cohomology)
+    halg, coh = cohomology_algebra(tc.algebra)
     return ComplementModelResult(
         lambda_map=tc.base_map, quotient=tc.algebra, h_algebra=halg,
         h_dims=dict(coh.dims), resolution=res, psi=psi, cone=cone,
@@ -448,7 +448,7 @@ def lefschetz(problem):
     cone_mod, split = module_mapping_cone(dual_phi)
     cone_mod.validate()
     coh_c = cohomology(cone_mod.complex)
-    halg_r, coh_r = cohomology_algebra(problem.ambient)
+    coh_r = cohomology(problem.ambient.complex)
     # module action of H(ambient) on H(cone)
     action = {}
     for dw in coh_r.dims:

@@ -4,7 +4,7 @@ complexes for the test suite, and `run_cli`."""
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
-from pemb import cli
+from pemb import cli, graded
 from pemb.algebra import materialize_free_cdga
 from pemb.cones import TruncationIdeal
 from pemb.fields import QQ
@@ -118,6 +118,20 @@ def random_semifree(a, rng, n_gens, max_degree, window=None):
     P, _ = free_module(a, gens, dvals, window)
     P.validate()
     return P
+
+
+def record_cohomology_constructions(monkeypatch):
+    """The list that each `CohomologyData` construction from now on
+    appends its complex to.  The list keeps the complexes alive, so no
+    two of them share an id."""
+    built = []
+    init = graded.CohomologyData.__init__
+
+    def recorded(self, complex_):
+        built.append(complex_)
+        init(self, complex_)
+    monkeypatch.setattr(graded.CohomologyData, "__init__", recorded)
+    return built
 
 
 def run_cli(argv):

@@ -42,7 +42,7 @@ from pemb.modules import (DgModule, DgModuleMorphism, ModuleError,
                           semifree_resolution)
 from pemb.parser import parse
 
-from builders import SULLIVAN_S2_IN_S9, run_cli, sphere
+from builders import SULLIVAN_S2_IN_S9, record_cohomology_constructions, run_cli, sphere
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import ladder  # noqa: E402  (the benchmark's problem generator)
@@ -232,8 +232,11 @@ BROKEN = [
     ("module_mapping_cone",
      _patch(modules, "module_mapping_cone", _cone_with_broken_unit_on_sx),
      "cp2_in_s8", ["complement"], 1, r"truncation ideal rejected: unit law fails on sv4_0"),
+    # free modules are grown in place; the builder's assembly hands them over
     ("free_module",
-     _patch(modules, "free_module", on_result(broken_module(unit_action), first=True)),
+     lambda monkeypatch: monkeypatch.setattr(
+         modules._FreeBuilder, "assemble", on_result(broken_module(unit_action), first=True)(
+             modules._FreeBuilder.assemble)),
      "cp2_in_s8", ["dgmodule-square"], 2, r"morphism not linear over \(1\) at v4_0"),
     ("solve_chain_maps",
      _patch(modules, "solve_chain_maps", on_result(lambda sol: sol and (
@@ -540,18 +543,44 @@ def counted_calls(monkeypatch, module, attr, calls):
 def test_each_truncation_is_built_and_certified_once(monkeypatch):
     """On cp2_in_s8, `punctured-square` reads the three truncation spans
     and builds only the two quotient cones; `complement` builds its one
-    quotient, certifies the ideal acyclic on it and hands its cohomology
-    to the H-algebra."""
+    quotient and certifies the ideal acyclic on it, and the H-algebra
+    reads that quotient's cohomology, built once."""
     calls = []
     counted_calls(monkeypatch, algebra, "quotient_complex", calls)
-    counted_calls(monkeypatch, graded, "cohomology", calls)
+    built = record_cohomology_constructions(monkeypatch)
     path = str(cli.example_path("cp2_in_s8"))
     for argv, quotients, cohomologies in (
-            (["punctured-square", path, ATTEST], 2, 14), (["complement", path], 1, 12)):
-        del calls[:]
+            (["punctured-square", path, ATTEST], 2, 11), (["complement", path], 1, 9)):
+        del calls[:], built[:]
         assert run_cli(argv)[0] == 0
-        assert (calls.count("quotient_complex"), calls.count("cohomology")) == (
+        assert (calls.count("quotient_complex"), len(built)) == (
             quotients, cohomologies), argv[0]
+
+
+# (example, argv after the path, CohomologyData constructions)
+COHOMOLOGY_RUNS = [
+    ("cp2_in_s8", ["complement"], 9),
+    ("cp2_in_s8", ["punctured-square", ATTEST], 11),
+    ("cp2_in_s8", ["dgmodule-square"], 9),
+    ("cp1_in_cp2_gysin", ["gysin"], 5),
+    ("cp1_in_cp2_gysin", ["lefschetz"], 3),
+    ("sullivan_s2_in_s9", ["stable-square"], 9),
+]
+
+
+@pytest.mark.parametrize("example, args, constructions", COHOMOLOGY_RUNS,
+                         ids=["%s %s" % (case[0], case[1][0]) for case in COHOMOLOGY_RUNS])
+def test_each_complex_has_its_cohomology_built_once(monkeypatch, tmp_path, example,
+                                                    args, constructions):
+    """`graded.cohomology` keeps what it builds on the complex, so the
+    stages that read one complex's cohomology share one `CohomologyData`:
+    the resolution's and the ambient's in the top-degree map, the
+    ambient's in `analyze`, `lefschetz` and `gysin`, a normalized
+    target's in `stable-square`."""
+    built = record_cohomology_constructions(monkeypatch)
+    argv = [args[0], example_file(example, tmp_path)] + args[1:]
+    assert run_cli(argv)[0] == 0
+    assert len({id(cx) for cx in built}) == len(built) == constructions
 
 
 def test_a_parsed_algebra_has_its_indices_checked_once(monkeypatch):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from builders import complex_projective, run_cli, sphere
+from builders import complex_projective, record_cohomology_constructions, run_cli, sphere
 from pemb import cli
 from pemb.algebra import CdgaMorphism, check_poincare_duality, materialize_free_cdga
 from pemb.duality import (DualityError, TopDegreeMap, construct_top_degree,
@@ -149,7 +149,8 @@ def test_homotopy_class_dimension_matches_top_line():
 
 def test_gysin_computes_each_cohomology_once(monkeypatch):
     # the umkehr map's check reads the H^n lines of the cohomology that
-    # chose its generators: one computation per complex
+    # chose its generators: the two complexes `duality` reads have their
+    # cohomology built once each
     from pemb import duality
     calls = []
 
@@ -158,6 +159,9 @@ def test_gysin_computes_each_cohomology_once(monkeypatch):
         return cohomology(complex_)
 
     monkeypatch.setattr(duality, "cohomology", counted)
+    built = record_cohomology_constructions(monkeypatch)
     code, out, _ = run_cli(["gysin", str(cli.example_path("cp1_in_cp2_gysin"))])
     assert code == 0 and "umkehr" in out
-    assert len(calls) == 2
+    read = {id(cx) for cx in calls}
+    assert len(read) == 2
+    assert sorted(id(cx) for cx in built if id(cx) in read) == sorted(read)

@@ -3,11 +3,13 @@ import sys
 
 import pytest
 
-from builders import (complex_projective, product_s2_s4, random_semifree, sphere,
-                      sullivan_cp2, torus_s1_s7, wedge_s2_s4)
+import oneshot
+from builders import (complex_projective, product_s2_s4, random_semifree,
+                      record_cohomology_constructions, sphere, sullivan_cp2,
+                      torus_s1_s7, wedge_s2_s4)
 from dense import (DenseCdga, DenseModule, DenseMorphism, dense_table,
                    is_zero_vec)
-from pemb import modules
+from pemb import cli, duality, modules, pipeline
 from pemb.algebra import Cdga, CdgaMorphism, materialize_free_cdga
 from pemb.cones import semi_trivial_cone
 from pemb.fields import QQ, PrimeField
@@ -156,35 +158,109 @@ def test_semifree_resolution_needs_kernel_generators():
     assert coh.dims == {0: 1}
 
 
-def test_semifree_resolution_rebuilds_only_after_new_generators(monkeypatch):
-    builds, calls = [], []
-    real_free_module, real_cohomology = modules.free_module, modules.cohomology
+def test_semifree_resolution_builds_each_slot_once(monkeypatch):
+    """The free module grows in place: each slot of P, and rho's column
+    at it, is built once, so the target's `act_vec` runs once per slot of
+    the final P.  P is assembled once at the start and once after each
+    round that added generators, and H(P) is built once per assembly."""
+    assembled, acts, rounds = [], [], set()
+    assemble, add, act_vec = (modules._FreeBuilder.assemble, modules._FreeBuilder.add,
+                              DgModule.act_vec)
 
-    def recorded_free_module(a, gens, *rest):
-        builds.append(len(gens))
-        return real_free_module(a, gens, *rest)
+    def recorded_assemble(self):
+        assembled.append(len(self.gens))
+        return assemble(self)
 
-    def counted_cohomology(cx):
-        calls.append(cx)
-        return real_cohomology(cx)
+    def recorded_add(self, *args):
+        # (degree, round) of the resolution's loop that added the generator
+        loop = sys._getframe(2).f_locals
+        rounds.add((loop["j"], loop["round_"]))
+        return add(self, *args)
 
-    monkeypatch.setattr(modules, "free_module", recorded_free_module)
-    monkeypatch.setattr(modules, "cohomology", counted_cohomology)
+    def counted_act_vec(self, *args):
+        acts.append(self)
+        return act_vec(self, *args)
+
     unit_mod, _ = free_module(s2(hi=5), [FreeGenerator("g", 0, 0)], {}, DegreeWindow(0, 0))
     cases = [(unit_mod, DegreeWindow(0, 5)),
              (shifted_dual(algebra_as_module(product_s2_s4()), 7), None),
              (algebra_as_module(sullivan_cp2()), None)]
+    monkeypatch.setattr(modules._FreeBuilder, "assemble", recorded_assemble)
+    monkeypatch.setattr(modules._FreeBuilder, "add", recorded_add)
+    monkeypatch.setattr(DgModule, "act_vec", counted_act_vec)
+    built = record_cohomology_constructions(monkeypatch)
     for m, window in cases:
-        builds.clear()
-        calls.clear()
-        semifree_resolution(m, window=window)
-        # a round that adds generators is followed by a build for the new
-        # generator count, so the counts seen are 1 + those rounds
-        rounds_added = len(set(builds)) - 1
-        assert rounds_added >= 1
-        assert len(builds) == len(set(builds))
-        assert len(calls) <= 1 + (1 + rounds_added)   # H(m), then H(P) per build
-        assert sum(1 for cx in calls if cx is not m.complex) <= 1 + rounds_added
+        for seen in (assembled, acts, rounds, built):
+            seen.clear()
+        res = semifree_resolution(m, window=window)
+        assert rounds
+        assert len(assembled) <= 1 + len(rounds)
+        assert assembled[-1] == len(res.generators)
+        assert len(acts) == res.module.space.total_dim()
+        assert all(x is m for x in acts)
+        # H(m), then H(P) per assembly
+        assert len(built) <= 1 + len(assembled)
+        assert sum(1 for cx in built if cx is not m.complex) <= len(assembled)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "F10007"])
+def test_grown_resolutions_match_the_one_shot_free_module(monkeypatch, field):
+    """Every resolution that `complement`, `punctured-square`,
+    `dgmodule-square` and `stable-square` build on a shipped example, over
+    Q and over F_10007, is the one-shot free module on the same
+    generators, differentials and window, with rho built over all its
+    slots: same index, labels, action table, d blocks and rho blocks.  So
+    are the resolutions of the ground field over S^2, CP^2 and the
+    Sullivan model of CP^2, whose kernel-killing generators have d != 0;
+    the shipped examples' generators have d = 0."""
+    grown = {}      # id of a builder's index -> (builder, [(gen, d(gen), rho(gen))])
+    add = modules._FreeBuilder.add
+
+    def recorded_add(self, gen, dval=None):
+        rho_val = sys._getframe(1).f_locals.get("rho_val")
+        grown.setdefault(id(self.index), (self, []))[1].append((gen, dval, rho_val))
+        return add(self, gen, dval)
+
+    resolved = []
+    resolve = modules.semifree_resolution
+
+    def recorded_resolution(m, *args, **kwargs):
+        res = resolve(m, *args, **kwargs)
+        resolved.append((m, res))
+        return res
+
+    monkeypatch.setattr(modules._FreeBuilder, "add", recorded_add)
+    for namespace in (modules, pipeline, duality):
+        monkeypatch.setattr(namespace, "semifree_resolution", recorded_resolution)
+    for name in sorted(cli.EXAMPLES):
+        problem = cli.parse_file(str(cli.example_path(name)),
+                                 field_override=field).embedding_problem()
+        for run in (pipeline.complement_model, pipeline.dgmodule_square,
+                    pipeline.stable_square,
+                    lambda p: pipeline.punctured_square(p, True)):
+            try:
+                run(problem)
+            except (pipeline.HypothesisError, pipeline.PipelineError):
+                pass
+    assert len(resolved) >= 20
+    for a in (sphere(2, hi=7, field=field), complex_projective(2, hi=9, field=field),
+              sullivan_cp2(field=field)):
+        ground, _ = free_module(a, [FreeGenerator("g", 0, 0)], {}, DegreeWindow(0, 0))
+        recorded_resolution(ground, minimal=False, window=a.space.window)
+    assert sum(len(res.module.complex.d.blocks) for _, res in resolved[-3:]) > 10
+    for m, res in resolved:
+        builder, adds = grown[id(res.index)]
+        gens = [g for g, _, _ in adds]
+        assert gens == res.generators
+        dvals = {gi: z for gi, (_, z, _) in enumerate(adds) if z is not None}
+        ref, index = oneshot.free_module(m.algebra, gens, dvals, builder.window)
+        P = res.module
+        assert res.index == index
+        assert P.space.labels == ref.space.labels
+        assert P.action == ref.action
+        assert P.complex.d.blocks == ref.complex.d.blocks
+        rho = oneshot.one_shot_rho(ref, index, gens, [r for _, _, r in adds], m)
+        assert res.rho.map.blocks == rho.blocks
 
 
 def exterior_in_s6():
