@@ -584,7 +584,6 @@ def cohomology_algebra(a):
 class PoincareDualityCertificate:
     n: int
     fundamental_class: dict           # H^n coordinates, {0: 1}
-    fundamental_rep: dict             # cocycle representative in the algebra
     pairings: dict = dc_field(default_factory=dict)   # k -> Matrix H^k x H^(n-k) -> H^n
 
 
@@ -599,10 +598,13 @@ class PoincareDualityFailure:
         return "%s (degree %d)" % (self.reason, self.degree)
 
 
-def check_poincare_duality(a, n):
-    """Certificate that H(a) is a Poincare duality algebra in dimension n,
-    or a failure report naming the first failing degree."""
-    halg, coh = cohomology_algebra(a)
+def check_poincare_duality(halg, n):
+    """Certificate that an algebra with zero differential, in practice
+    the `cohomology_algebra` the caller built, is a Poincare duality
+    algebra in dimension n, or a failure report naming the first failing
+    degree."""
+    if halg.complex.d.blocks:
+        raise AlgebraError("duality is certified on an algebra with d = 0")
     h = halg.space
     if h.dim(0) != 1:
         return None, PoincareDualityFailure("H^0 is not one-dimensional", 0)
@@ -622,7 +624,7 @@ def check_poincare_duality(a, n):
         for (d1, i, d2, j), v in halg.both_orders.items():
             if d1 == k and d2 == n - k and 0 in v:
                 rows[i][j] = v[0]
-        m = Matrix.sparse(a.field, rows, h.dim(n - k))
+        m = Matrix.sparse(halg.field, rows, h.dim(n - k))
         if m.rank() != h.dim(k):
             return None, PoincareDualityFailure(
                 "degenerate pairing between degrees (%d, %d)" % (k, n - k), k)
@@ -630,11 +632,9 @@ def check_poincare_duality(a, n):
     if h.dim(n) != 1:
         return None, PoincareDualityFailure("H^n is not one-dimensional", n)
     # the pairings in degrees (0, n) are the unit law
-    pairings[0] = Matrix.identity(a.field, 1)
-    pairings[n] = Matrix.identity(a.field, 1)
-    fclass = {0: a.field.one}
-    frep = coh.reps[n][0]
-    return PoincareDualityCertificate(n, fclass, frep, pairings), None
+    pairings[0] = Matrix.identity(halg.field, 1)
+    pairings[n] = Matrix.identity(halg.field, 1)
+    return PoincareDualityCertificate(n, {0: halg.field.one}, pairings), None
 
 
 def quotient_complex(complex_, spans):

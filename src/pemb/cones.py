@@ -9,8 +9,12 @@ product
     sx . sx' = 0
 
 which is always graded commutative and associative but satisfies the
-Leibniz rule only under degree bounds; failures are reported with a
-concrete witness pair rather than raised.
+Leibniz rule only under degree bounds; a failure is reported as the
+`checks.Witness` naming its first pair rather than raised.
+
+A truncation ideal is a dict of degreewise spans, built by
+`graded.truncation_spans`: everything above a degree, and in that
+degree the vectors d maps one-to-one onto the boundaries above it.
 
 Checks run on what reports rest on: `.leibniz`, a full CDGA check of
 the cone product made when first read, and `truncated_cone`'s check of
@@ -26,7 +30,7 @@ from functools import cached_property
 from .algebra import AlgebraError, Cdga, CdgaMorphism, quotient_cdga
 from .checks import check_cdga
 from .graded import (GradedLinearMap, cohomology, quasi_isomorphism_failure,
-                     rewindow)
+                     rewindow, truncation_spans)
 from .linalg import Matrix, scaled
 from .modules import DgModule, module_mapping_cone
 
@@ -36,46 +40,27 @@ class ConeError(ValueError):
 
 
 @dataclass
-class LeibnizReport:
-    ok: bool
-    witness: tuple = None          # ((deg1, idx1, label1), (deg2, idx2, label2))
-    defect: dict = None            # vector in degree deg1 + deg2 + 1
-    defect_degree: int = None
-
-    def __str__(self):
-        if self.ok:
-            return "Leibniz: pass"
-        (d1, i1, l1), (d2, i2, l2) = self.witness
-        return ("Leibniz: fail on (%s, %s) with defect of degree %d"
-                % (l1, l2, self.defect_degree))
-
-
-@dataclass
 class ShiftBounds:
     """Values k with sX concentrated in degrees >= k and the cone
     concentrated in degrees <= 2k; any such k certifies the CDGA axioms."""
 
-    lo: int = None
-    hi: int = None                 # None with lo set means unbounded above
+    lo: int
+    hi: int = None                 # None means unbounded above
 
     @property
     def found(self):
-        if self.lo is None:
-            return False
         return self.hi is None or self.lo <= self.hi
 
-    def values(self, cap=3):
-        if not self.found:
-            return []
-        hi = self.lo + cap - 1 if self.hi is None else self.hi
-        return list(range(self.lo, hi + 1))
+    def admits(self, k):
+        return self.lo <= k and (self.hi is None or k <= self.hi)
 
 
 class MappingConeAlgebra:
     """Cone of f: X -> R with the semi-trivial product.
 
-    Always a commutative graded algebra; .leibniz records whether the
-    differential is a derivation, and to_cdga() refuses when it is not.
+    Always a commutative graded algebra; .leibniz is None when the
+    differential is a derivation and its first failure otherwise, and
+    to_cdga() refuses when it is not.
     """
 
     def __init__(self, f):
@@ -85,7 +70,6 @@ class MappingConeAlgebra:
             raise ConeError("attaching map must land in the base algebra")
         self.base = R
         self.module = X
-        self.attaching = f
         self.field = R.field
         cone_mod, split = module_mapping_cone(f)
         self.split = split
@@ -99,8 +83,6 @@ class MappingConeAlgebra:
         self.space = cx.space
         self.inclusion = GradedLinearMap(R.space, self.space, 0,
                                          split.inclusion.blocks)
-        self.projection = GradedLinearMap(self.space, split.sx_complex.space, 0,
-                                          split.projection.blocks)
         product, unit = self._build_product()
         self.algebra = Cdga.derived(self.field, self.complex, product, unit)
 
@@ -126,10 +108,10 @@ class MappingConeAlgebra:
                 if self.space.dim(d) - self.split.y_dim(d) > 0]
 
     def to_cdga(self):
-        """The cone as a CDGA, checked by its Leibniz report, with the base
+        """The cone as a CDGA, checked by its Leibniz check, with the base
         inclusion (R's own table, not re-checked), or an error naming the
         Leibniz witness."""
-        if not self.leibniz.ok:
+        if self.leibniz is not None:
             raise ConeError("cone product is not a CDGA: %s" % self.leibniz)
         return self.algebra, CdgaMorphism(self.base, self.algebra, self.inclusion)
 
@@ -141,17 +123,13 @@ def semi_trivial_cone(f):
 def leibniz_report(a):
     """CDGA check of a cone product.  The semi-trivial product is a
     unital commutative graded algebra by construction, so a failure of
-    any other axiom raises; a failure of d(cc') = d(c)c' + (-1)^|c| c d(c')
-    is reported with its first witness pair."""
+    any other axiom raises.  Returns None when d(cc') = d(c)c' +
+    (-1)^|c| c d(c') holds, and otherwise the witness of its first
+    failing pair."""
     witness = check_cdga(a)
-    if witness is None:
-        return LeibnizReport(True)
-    if witness.axiom != "Leibniz":
+    if witness is not None and witness.axiom != "Leibniz":
         raise ConeError("cone product is not a CDGA: %s" % witness)
-    (d1, i1), (d2, i2) = witness.basis
-    l1, l2 = witness.labels
-    return LeibnizReport(False, ((d1, i1, l1), (d2, i2, l2)), witness.defect,
-                         witness.degree)
+    return witness
 
 
 def check_shift_bounds(cone):
@@ -166,52 +144,20 @@ def check_shift_bounds(cone):
     return ShiftBounds(lo, min(sx))
 
 
-@dataclass
-class TruncationIdeal:
-    spans: dict                    # degree -> list of cone vectors
-
-    def min_degree(self):
-        degs = [d for d, vs in self.spans.items() if vs]
-        return min(degs) if degs else None
-
-    def is_full_in(self, cone, d):
-        vs = self.spans.get(d, [])
-        n = cone.space.dim(d)
-        if n == 0:
-            return True
-        if not vs:
-            return False
-        return Matrix.from_cols(cone.field, vs, n).rank() == n
-
-
 def build_acyclic_truncation(cone, cut):
     """Spans of the subDGmodule L = cone^(>= cut) + S with d: S ->
-    (degree-cut cocycles) an isomorphism; requires H^(>= cut)(cone) = 0,
+    (degree-cut cocycles) an isomorphism, S spanned by standard vectors
+    (`truncation_spans` above cut - 1); requires H^(>= cut)(cone) = 0,
     which makes L acyclic.  `truncated_cone` certifies that on the
     quotient it builds."""
     if not cone.base.is_connected():
         raise ConeError("truncation needs a connected base algebra")
-    one = cone.field.one
-    sp = cone.space
     coh = cohomology(cone.complex)
-    for d in sp.degrees():
+    for d in cone.space.degrees():
         if d >= cut and coh.dim(d):
             raise ConeError("connectivity hypothesis violated: "
                             "H^%d of the cone is nonzero at or above %d" % (d, cut))
-    spans = {}
-    z = cone.complex.d.block(cut).kernel_basis() if sp.dim(cut) else []
-    sections = []
-    for zv in z:
-        w = cone.complex.d.block(cut - 1).solve(zv)
-        if w is None:
-            raise ConeError("internal: degree-%d cocycle is not a boundary" % cut)
-        sections.append(w)
-    if sections:
-        spans[cut - 1] = sections
-    for d in sp.degrees():
-        if d >= cut:
-            spans[d] = [{i: one} for i in range(sp.dim(d))]
-    return TruncationIdeal(spans)
+    return truncation_spans(cone.complex, cut - 1)
 
 
 @dataclass
@@ -220,31 +166,34 @@ class TruncatedCone:
     projection: CdgaMorphism       # raw cone -> quotient (as algebras)
     base_map: CdgaMorphism         # base R -> quotient
     cone: MappingConeAlgebra
-    ideal: TruncationIdeal
+    ideal: dict                    # degree -> spanning cone vectors
 
 
 def truncated_cone(cone, ideal, k, l):
-    """Quotient of the cone by a truncation ideal, certified a CDGA by
-    the degree bounds: sX starts at or after k, the ideal starts above
-    k - l, and the cone at or above 2k - l + 1 lies in the ideal.  The
-    ideal is certified acyclic on the quotient: the projection onto it is
-    a quasi-isomorphism."""
+    """Quotient of the cone by a truncation ideal, given by its spans,
+    certified a CDGA by the degree bounds: sX starts at or after k, the
+    ideal starts above k - l, and the cone at or above 2k - l + 1 lies in
+    the ideal.  The ideal is certified acyclic on the quotient: the
+    projection onto it is a quasi-isomorphism."""
     sx = cone.sx_degrees()
     if sx and min(sx) < k:
         raise ConeError("bound violated: suspended part in degree %d < k = %d"
                         % (min(sx), k))
-    mind = ideal.min_degree()
+    mind = min((d for d, vs in ideal.items() if vs), default=None)
     if mind is not None and mind <= k - l:
         raise ConeError("bound violated: ideal nonzero in degree %d <= k - l = %d"
                         % (mind, k - l))
     for d in cone.space.degrees():
-        if d >= 2 * k - l + 1 and not ideal.is_full_in(cone, d):
+        n = cone.space.dim(d)
+        # degree d lies in the ideal when its spans there have rank dim(d)
+        if d >= 2 * k - l + 1 and (
+                not ideal.get(d) or Matrix.from_cols(cone.field, ideal[d], n).rank() < n):
             raise ConeError("bound violated: cone degree %d >= 2k - l + 1 = %d "
                             "not contained in the ideal" % (d, 2 * k - l + 1))
     # Leibniz defects must land in the ideal, which the check of the
     # quotient as a CDGA decides.
     try:
-        q, proj = quotient_cdga(cone.algebra, ideal.spans)
+        q, proj = quotient_cdga(cone.algebra, ideal)
         q.validate()
     except AlgebraError as e:
         raise ConeError("truncation ideal rejected: %s" % e)

@@ -137,7 +137,7 @@ def gysin_map(hf, cert_w, cert_v, k):
         # rows over the unknown x = f^!(v): <x . w_t, [W]> = rhs_t
         pairing = Matrix.sparse(field, [
             {c: x for c in range(out_dim)
-             if (x := _top_coefficient(hw.space, nw, cert_w.fundamental_rep,
+             if (x := _top_coefficient(hw.space, nw, cert_w.fundamental_class,
                                        hw.mul_basis(j, c, comp_deg, t)))}
             for t in range(pair_dim)], out_dim)
         cols = []
@@ -147,7 +147,7 @@ def gysin_map(hf, cert_w, cert_v, k):
             for t in range(pair_dim):
                 w = hw.basis_vec(comp_deg, t)
                 prod = hv.mul_vec(j - k, v, comp_deg, hf.apply(comp_deg, w))
-                x = _top_coefficient(hv.space, nv, cert_v.fundamental_rep, prod)
+                x = _top_coefficient(hv.space, nv, cert_v.fundamental_class, prod)
                 if x:
                     rhs[t] = x
             x = pairing.solve(rhs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, Quotienter
+from .linalg import Matrix
 
 
 class GradedError(ValueError):
@@ -295,14 +295,14 @@ def quasi_isomorphism_failure(f, coh_source, coh_target):
 
 def truncation_spans(complex_, t):
     """Spans of the subcomplex above degree t: every basis vector above t,
-    and in degree t the standard vectors completing the cocycles."""
+    and in degree t the standard vectors at the pivot columns of d out of
+    degree t, which d maps one-to-one onto the boundaries in degree t+1."""
     sp, one = complex_.space, complex_.field.one
     spans = {}
-    # with no block out of degree t, all of it is cocycles
+    # with no block out of degree t, d is zero there and nothing is kept
     m = complex_.d.blocks.get(t)
-    comp = () if m is None else Quotienter(complex_.field, m.kernel_basis(), sp.dim(t)).keep
-    if comp:
-        spans[t] = [{i: one} for i in comp]
+    if m is not None:
+        spans[t] = [{i: one} for i in m.rref()[1]]
     for d in sp.degrees():
         if d > t:
             spans[d] = [{i: one} for i in range(sp.dim(d))]

@@ -22,7 +22,7 @@ from .duality import (DualityError, construct_top_degree, gysin_map,
 from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      GradedVectorSpace, cohomology, induced_on_cohomology,
                      quasi_isomorphism_failure, truncation_spans)
-from .linalg import Matrix, axpy, scaled
+from .linalg import Matrix, axpy, dense, scaled
 from .modules import (DgModule, DgModuleMorphism, algebra_as_module,
                       direct_sum_modules, module_mapping_cone,
                       restrict_scalars, semifree_resolution, shifted_dual)
@@ -130,7 +130,7 @@ def analyze(problem):
     r_alg, q_alg = phi.source, phi.target
     coh_r = cohomology(r_alg.complex)
     coh_q = cohomology(q_alg.complex)
-    cert, fail = check_poincare_duality(r_alg, n)
+    cert, fail = check_poincare_duality(cohomology_algebra(r_alg)[0], n)
     m = _top_nonzero(coh_q.dims)
     # H^i(phi) is injective when its rank is dim H^i(R); a degree without
     # a block has H^i(R) = 0
@@ -180,11 +180,32 @@ def _require(report, need_unknotting=True):
                               % (report.r, report.unknotting_bound))
 
 
-def _resolve_shifted_dual(phi, n):
-    """s^(-n)#Q, for phi: R -> Q, as a module over R, resolved semifree
-    in degrees 0..n+1."""
+def _top_degree_map(phi, n):
+    """(res, psi) for phi: R -> Q: res resolves s^(-n)#Q, as a module
+    over R, semifree and minimal in degrees 0..n+1, and psi: res.module
+    -> R is its top-degree map.  A hypothesis that leaves no top-degree
+    map is named by a HypothesisError.
+
+    A minimal resolution starts no lower than the cohomology it
+    resolves, which starts in degree n - m, m the top degree of H(Q):
+    Q is nonnegatively graded and H^j(s^(-n)#Q) is dual to H^(n-j)(Q)."""
     dq = restrict_scalars(shifted_dual(algebra_as_module(phi.target), n), phi)
-    return semifree_resolution(dq, minimal=True, window=DegreeWindow(0, n + 1))
+    res = semifree_resolution(dq, minimal=True, window=DegreeWindow(0, n + 1))
+    if (min(res.module.space.degrees(), default=n)
+            < min(cohomology(dq.complex).dims, default=n)):
+        raise PipelineError("internal: resolution not concentrated in "
+                            "degrees >= n - m")
+    try:
+        return res, construct_top_degree(res.module, algebra_as_module(phi.source),
+                                         n, semifree=True)
+    except DualityError as e:
+        raise HypothesisError(str(e))
+
+
+def _zero_map_cone(module, q):
+    """The semi-trivial cone of the zero map from a module over Q to Q."""
+    zero = GradedLinearMap.zero_map(module.space, q.space, 0)
+    return semi_trivial_cone(DgModuleMorphism(module, algebra_as_module(q), zero))
 
 
 @dataclass
@@ -196,7 +217,7 @@ class ComplementModelResult:
     resolution: object
     psi: object
     cone: object
-    ideal: object
+    ideal: dict                    # degree -> spans of the truncation ideal
     analysis: AnalysisReport
 
 
@@ -204,16 +225,7 @@ def complement_model(problem):
     report = analyze(problem)
     _require(report)
     n, m, r = report.n, report.m, report.r
-    res = _resolve_shifted_dual(problem.phi, n)
-    low = min(res.module.space.degrees(), default=n)
-    if low < n - m:
-        raise PipelineError("internal: resolution not concentrated in "
-                            "degrees >= n - m")
-    try:
-        psi = construct_top_degree(res.module, algebra_as_module(problem.ambient),
-                                   n, semifree=True)
-    except DualityError as e:
-        raise HypothesisError(str(e))
+    res, psi = _top_degree_map(problem.phi, n)
     cone = semi_trivial_cone(psi.map)
     try:
         ideal = build_acyclic_truncation(cone, n - r)
@@ -340,18 +352,15 @@ def stable_square(problem):
     if not phi_psi.is_zero():
         raise PipelineError("internal: phi . psi expected to vanish in the "
                             "stable range")
-    zero_map = DgModuleMorphism(
+    cone_r = _zero_map_cone(
         _trivial_action_module(q_norm, d_r.complex) if route != "direct" else d_mod,
-        algebra_as_module(q_norm),
-        GradedLinearMap.zero_map(d_r.space, q_norm.space, 0))
-    cone_r = semi_trivial_cone(zero_map)
+        q_norm)
     bounds_l = check_shift_bounds(cone_l)
     bounds_r = check_shift_bounds(cone_r)
     k = n - m - 1
-    if not (bounds_l.found and k in bounds_l.values(cap=n + 2)
-            and cone_l.leibniz.ok):
+    if not (bounds_l.admits(k) and cone_l.leibniz is None):
         raise PipelineError("internal: left cone fails the k = n-m-1 bounds")
-    if not (bounds_r.found and cone_r.leibniz.ok):
+    if not (bounds_r.found and cone_r.leibniz is None):
         raise PipelineError("internal: right cone fails the degree bounds")
     bl, bl_incl = cone_l.to_cdga()
     br, br_incl = cone_r.to_cdga()
@@ -384,10 +393,9 @@ def dgmodule_square(problem):
     r_mod = algebra_as_module(problem.ambient)
     parts, psis = [], []
     for bi, branch in enumerate(problem.branches):
-        res = _resolve_shifted_dual(branch, n)
         try:
-            psi_k = construct_top_degree(res.module, r_mod, n, semifree=True)
-        except DualityError as e:
+            res, psi_k = _top_degree_map(branch, n)
+        except HypothesisError as e:
             raise HypothesisError("branch %d: %s" % (bi, e))
         parts.append(res.module)
         psis.append(psi_k)
@@ -540,23 +548,15 @@ def punctured_square(problem, attest_boundary_simply_connected=False):
     if not attest_boundary_simply_connected:
         raise HypothesisError("boundary simple connectivity not attested "
                               "(pass the attestation flag)")
-    res = _resolve_shifted_dual(problem.phi, n)
-    try:
-        psi = construct_top_degree(res.module, algebra_as_module(problem.ambient),
-                                   n, semifree=True)
-    except DualityError as e:
-        raise HypothesisError(str(e))
+    res, psi = _top_degree_map(problem.phi, n)
     cone_l = semi_trivial_cone(psi.map)
     phi_psi = problem.phi.map.compose(psi.map.map)
     if not phi_psi.is_zero():
         raise PipelineError("unsupported: phi . psi does not vanish, the "
                             "embedded algebra genuinely acts on the "
                             "resolution")
-    d_q = _trivial_action_module(problem.target, res.module.complex)
-    zero_map = DgModuleMorphism(
-        d_q, algebra_as_module(problem.target),
-        GradedLinearMap.zero_map(d_q.space, problem.target.space, 0))
-    cone_r = semi_trivial_cone(zero_map)
+    cone_r = _zero_map_cone(
+        _trivial_action_module(problem.target, res.module.complex), problem.target)
     # truncation ideals: ambient above n-r-1, embedded above m, D above
     # n-r.  Their closure under d and the actions is checked on the cones,
     # by the quotients below; the cone products are not checked: their
@@ -643,8 +643,8 @@ class GysinResult:
         out = ["umkehr map certified in codimension %d" % self.codimension]
         for j, b in sorted(self.map.map.map.blocks.items()):
             out.append("degree %d block: %s"
-                       % (j, [[str(b[i, c]) for c in range(b.ncols)]
-                              for i in range(b.nrows)]))
+                       % (j, [[str(x) for x in dense(b.field, row, b.ncols)]
+                              for row in b.rows]))
         return out
 
 

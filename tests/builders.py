@@ -6,7 +6,6 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from pemb import cli, graded
 from pemb.algebra import materialize_free_cdga
-from pemb.cones import TruncationIdeal
 from pemb.fields import QQ
 from pemb.graded import DegreeWindow, cohomology
 from pemb.linalg import axpy
@@ -86,10 +85,6 @@ problem {
 
 def euler_characteristic(space):
     return sum((-1) ** d * n for d, n in space.dims.items())
-
-
-def zero_ideal():
-    return TruncationIdeal({})
 
 
 def random_semifree(a, rng, n_gens, max_degree, window=None):

@@ -162,15 +162,16 @@ def test_criterion_08_cone_bounds():
         k = rng.randint(2, 4)
         cone = random_bounded_cone(rng, k)
         bounds = check_shift_bounds(cone)
-        assert bounds.found and k in bounds.values(cap=10)
-        assert cone.leibniz.ok
+        assert bounds.found and bounds.admits(k)
+        assert cone.leibniz is None
         cone.to_cdga()
     cone = witness_cone()
     rep = cone.leibniz
-    assert not rep.ok
-    (d1, _, l1), (d2, _, l2) = rep.witness
+    assert rep is not None
+    (d1, _), (d2, _) = rep.basis
+    l1, l2 = rep.labels
     assert (d1, l1) == (1, "sa") and (d2, l2) == (3, "sb")
-    assert rep.defect_degree == 5
+    assert rep.degree == 5
     assert rep.defect == {0: QQ.one, 1: QQ.of(-1)}
 
 

@@ -21,7 +21,7 @@ from pemb.algebra import (AlgebraError, Cdga, _groebner_basis, _merge_sign,
 from pemb.checks import check_cdga, escape_degree
 from pemb.fields import PrimeField, QQ
 from pemb.graded import (CochainComplex, DegreeWindow, GradedLinearMap,
-                         GradedVectorSpace, cohomology)
+                         GradedVectorSpace, cohomology, truncation_spans)
 from pemb.linalg import Matrix, dense
 from pemb.parser import parse
 from dense import (add_vec, dense_from_cols, is_zero_vec, reference, scale_vec,
@@ -126,6 +126,16 @@ def test_pd_wrong_dimension():
     assert cert is None
 
 
+def test_pd_is_certified_on_an_h_algebra():
+    """Duality is read off an algebra with d = 0, the H-algebra the
+    caller built; the fundamental class is its H^n generator."""
+    a = sullivan_cp2()
+    with pytest.raises(AlgebraError, match="d = 0"):
+        check_poincare_duality(a, 4)
+    cert, fail = check_poincare_duality(cohomology_algebra(a)[0], 4)
+    assert fail is None and cert.fundamental_class == {0: QQ.one}
+
+
 def test_quotient_by_acyclic_ideal_identity_case():
     """Nothing of CP^2 lies above degree 5, so the quotient is the algebra
     itself with the identity, as is a quotient by empty spans."""
@@ -150,6 +160,22 @@ def test_quotient_by_acyclic_ideal_acyclic_algebra():
     q, proj = quotient_by_acyclic_ideal(a, 0)
     assert cohomology(q.complex).dims == {0: 1}
     assert q.space.dims == {0: 1}
+
+
+def test_truncation_keeps_the_pivot_columns_of_d():
+    """a, b in degree 2 and c in degree 3 with da = db = c: above degree 2
+    the truncation spans keep a, the pivot column of d, so the acyclic
+    ideal is <a, c>, and the certified quotient keeps b."""
+    sp = GradedVectorSpace(QQ, DegreeWindow(0, 3), {0: 1, 2: 2, 3: 1},
+                           {0: ["1"], 2: ["a", "b"], 3: ["c"]})
+    d = GradedLinearMap(sp, sp, 1, {2: Matrix(QQ, [[1, 1]])})
+    product = {(0, 0, e, i): {i: QQ.one} for e in sp.degrees() for i in range(sp.dim(e))}
+    a = Cdga(QQ, CochainComplex(sp, d), product, {0: QQ.one})
+    assert truncation_spans(a.complex, 2) == {2: [{0: QQ.one}], 3: [{0: QQ.one}]}
+    q, proj = quotient_by_acyclic_ideal(a, 1)
+    assert q.space.labels == {0: ("1",), 2: ("b",)}
+    assert proj.map.block(2) == Matrix(QQ, [[0, 1]])
+    assert cohomology(q.complex).dims == cohomology(a.complex).dims == {0: 1, 2: 1}
 
 
 def test_quotient_rejects_high_cohomology():

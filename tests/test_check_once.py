@@ -562,7 +562,7 @@ COHOMOLOGY_RUNS = [
     ("cp2_in_s8", ["complement"], 9),
     ("cp2_in_s8", ["punctured-square", ATTEST], 11),
     ("cp2_in_s8", ["dgmodule-square"], 9),
-    ("cp1_in_cp2_gysin", ["gysin"], 5),
+    ("cp1_in_cp2_gysin", ["gysin"], 4),
     ("cp1_in_cp2_gysin", ["lefschetz"], 3),
     ("sullivan_s2_in_s9", ["stable-square"], 9),
 ]
@@ -581,6 +581,16 @@ def test_each_complex_has_its_cohomology_built_once(monkeypatch, tmp_path, examp
     argv = [args[0], example_file(example, tmp_path)] + args[1:]
     assert run_cli(argv)[0] == 0
     assert len({id(cx) for cx in built}) == len(built) == constructions
+
+
+@pytest.mark.parametrize("example", ["cp1_in_cp2_gysin", "cp2_in_s8"])
+def test_gysin_builds_each_h_algebra_once(monkeypatch, example):
+    """`gysin` certifies duality on the H-algebras of the ambient and the
+    target that it built, so it builds just those two."""
+    calls = []
+    counted_calls(monkeypatch, algebra, "cohomology_algebra", calls)
+    assert run_cli(["gysin", str(cli.example_path(example))])[0] == 0
+    assert len(calls) == 2
 
 
 def test_a_parsed_algebra_has_its_indices_checked_once(monkeypatch):

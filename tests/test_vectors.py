@@ -211,7 +211,7 @@ def test_shipped_examples_keep_one_vector_form(field):
             assert_sparse_cdga(a)
         assert_sparse_module(cm.resolution.module)
         assert_sparse_module(cm.cone.cone_module)
-        product, unit = dense_quotient_tables(cm.cone.algebra, cm.ideal.spans)
+        product, unit = dense_quotient_tables(cm.cone.algebra, cm.ideal)
         assert dense_table(cm.quotient.product, cm.quotient.space) == product
         assert dense(field, cm.quotient.unit, cm.quotient.space.dim(0)) == unit
         assert_cohomology_algebra_matches_dense(cm.quotient)
