@@ -74,6 +74,8 @@ class Cdga:
                    for (d1, i1, d2, i2), v in self.product.items()
                    if (d2, i2, d1, i1) not in self.product}
         self.both_orders = {**self.product, **missing} if missing else self.product
+        # the generating set S of a passing `check_cdga`, its proof record
+        self.proven_generators = None
 
     # -- multiplication -------------------------------------------------
 
@@ -516,9 +518,13 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
         dblocks[d] = Matrix.from_cols(field, cols, space.dim(d + 1))
     complex_ = CochainComplex(space, GradedLinearMap(space, space, 1, dblocks))
 
-    # the odd generators of each standard monomial, as a bitmask: two
-    # monomials that share one multiply to zero
-    odd = {d: [sum(1 << g for g in m if gen_degs[g] % 2) for m in ms]
+    # the generators of each standard monomial whose square is zero, as a
+    # bitmask: the odd ones, and those g with (g, g) a one-term element of
+    # the Groebner basis.  A standard monomial holds such a g at most
+    # once, and two that share one multiply into the ideal, so the pair
+    # is skipped before its merge.
+    squared = {lm[0] for lm, p in basis if len(p) == 1 and len(lm) == 2 and lm[0] == lm[1]}
+    nil = {d: [sum(1 << g for g in m if gen_degs[g] % 2 or g in squared) for m in ms]
            for d, ms in standard.items()}
     product = {}
     for d1 in space.degrees():
@@ -527,9 +533,9 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
             if d > hi or space.dim(d) == 0:
                 continue
             for i1, m1 in enumerate(standard[d1]):
-                odd1 = odd[d1][i1]
+                nil1 = nil[d1][i1]
                 for i2, m2 in enumerate(standard[d2]):
-                    if odd1 & odd[d2][i2]:
+                    if nil1 & nil[d2][i2]:
                         continue
                     s, prod = _merge_sign(field, m1, m2, gen_degs)
                     w = pres.monomial_form(prod)

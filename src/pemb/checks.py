@@ -78,13 +78,45 @@ construction: the complement of one coordinate of the unit in A^0, and
 in each degree n > 0 the basis elements off the pivots of one `rref` of
 the stored products of two elements of positive degree.
 
-The same induction would prove multiplicativity of a morphism, and the
-module axioms and linearity, from their instances with the algebra
-factor in S; but each of its steps also uses associativity, or the
-module axioms, in the source or the target.  Objects derived from
-checked ones are not checked, so those axioms are not known to hold
-where `check_cdga_morphism`, `check_module` and `check_module_morphism`
-run; a wrong derived module would slip through.  They stay exhaustive.
+`check_cdga` leaves S on an algebra it passes, as `proven_generators`,
+its proof record; any other algebra holds None there, and so does every
+algebra built from a proven one, since `Cdga._store` starts the record
+at None and no table is changed after construction.
+
+`check_cdga_morphism` checks the degree, the chain-map rule and the unit
+on every basis element.  Where both ends carry a proof record it decides
+multiplicativity on the pairs whose first factor lies in S of the
+source, and walks every pair only where that fails, to name its
+witness; where either end carries none, it walks every pair.
+
+Lemma.  Let A and B be graded algebras as above, up to degrees hi_A and
+hi_B, both associative with unit laws, hi = min(hi_A, hi_B), S a set for
+A as above, and f: A -> B linear of degree 0 with f(1) = 1.  If
+f(sy) = f(s)f(y) for all s in S and all y with |s| + |y| <= hi, then
+f(xy) = f(x)f(y) for all x, y with |x| + |y| <= hi.
+
+Proof.  Linear in x; induct on |x| = n.  For x = 1 the unit laws give
+f(1y) = f(y) = f(1)f(y); elements of S are given.  It remains x = uv
+with 0 < |u|, |v| < n:
+
+    f((uv)y) = f(u(vy)) = f(u)f(vy) = f(u)(f(v)f(y))
+             = (f(u)f(v))f(y) = f(uv)f(y),
+
+by associativity in A, the identity for u (at vy, as |u| + |vy| <= hi),
+for v, associativity in B, and the identity for u at v (|uv| <= hi).
+
+So the walk on S decides the parsed `phi`, since the parser checks the
+algebras it reads before its morphisms; `truncated_cone`'s `base_map`,
+into the quotient it checks; and the maps that the square pipelines
+check between parsed or checked corners, the cone products of
+`stable-square` among them, proven by their Leibniz reports.
+
+The same induction would prove the module axioms and linearity from
+their instances with the algebra factor in S, but each step also uses
+the module axioms of source and target, and modules carry no proof
+record: the ends of `rho`, of the top-degree maps and of the umkehr map
+are derived, not checked, and a wrong derived module would slip
+through.  `check_module` and `check_module_morphism` stay exhaustive.
 """
 
 from __future__ import annotations
@@ -273,7 +305,9 @@ def check_cdga(a):
     witness = _unit_law(a.unit, (("unit", walk.left), ("right unit", right)), sp)
     if witness:
         return witness
-    if walk.holds_on(generating_set(a)):
+    s = generating_set(a)
+    if walk.holds_on(s):
+        a.proven_generators = s
         return None
     return _commutativity_failure(a) or walk.first_failure()
 
@@ -415,13 +449,32 @@ def check_cdga_morphism(f):
     if fu != tgt.unit:
         axpy(field, fu, field.minus_one, tgt.unit)
         return Witness("unit preservation", (), (), 0, fu)
-    # f(xy) and f(x)f(y), through the products t f(y) of target elements t
     fcol = _columns(f.map)
-    t_fy = _through(field, fcol, _by(tgt.both_orders, 1), prepend=True)
     hi = min(src.space.window.hi, tgt.space.window.hi)
-    return _first_failure("multiplicativity",
-                          _through(field, src.both_orders, _by(fcol, 0)),
-                          _through(field, fcol, _by(t_fy, 0)), (src.space, src.space),
+    s = src.proven_generators
+    if (s is not None and tgt.proven_generators is not None
+            and _multiplicativity(f, fcol, hi, set(s)) is None):
+        return None
+    return _multiplicativity(f, fcol, hi)
+
+
+def _multiplicativity(f, fcol, hi, firsts=None):
+    """First pair (x, y), |x| + |y| <= hi, with f(xy) != f(x)f(y), or
+    None; with `firsts`, only the pairs whose x lies in it, reached
+    through the source products with first factor x and the target
+    products with first factor in the support of f(x)."""
+    src, tgt = f.source, f.target
+    field = tgt.field
+    products, xcols, tproducts = src.both_orders, fcol, tgt.both_orders
+    if firsts is not None:
+        xcols = {x: v for x, v in fcol.items() if x in firsts}
+        support = {(x[0], k) for x, v in xcols.items() for k in v}
+        products = {k: v for k, v in products.items() if k[:2] in firsts}
+        tproducts = {k: v for k, v in tproducts.items() if k[:2] in support}
+    # f(xy) and f(x)f(y), through the products t f(y) of target elements t
+    t_fy = _through(field, fcol, _by(tproducts, 1), prepend=True)
+    return _first_failure("multiplicativity", _through(field, products, _by(fcol, 0)),
+                          _through(field, xcols, _by(t_fy, 0)), (src.space, src.space),
                           tgt.space, keep=lambda key: key[0] + key[2] <= hi)
 
 

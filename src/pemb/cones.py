@@ -64,12 +64,10 @@ class MappingConeAlgebra:
     """
 
     def __init__(self, f):
-        X = f.source
         R = f.target.algebra
         if f.target.space != R.space:
             raise ConeError("attaching map must land in the base algebra")
         self.base = R
-        self.module = X
         self.field = R.field
         cone_mod, split = module_mapping_cone(f)
         self.split = split

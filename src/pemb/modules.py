@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checks import check_module, check_module_morphism, outside_basis
-from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
-                     GradedVectorSpace, cohomology, direct_sum, dualize,
-                     mapping_cone, quasi_isomorphism_failure, suspend)
+from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
+                     cohomology, direct_sum, dualize, mapping_cone,
+                     quasi_isomorphism_failure, suspend)
 from .linalg import Matrix, axpy, reduced_kernel, scaled, sparse_sum
 
 
@@ -205,7 +205,7 @@ def module_mapping_cone(f):
     return DgModule.derived(f.target.algebra, cone.complex, action), cone
 
 
-# -- hom complexes and solvers ------------------------------------------
+# -- solvers over the hom complex ----------------------------------------
 
 
 def _slots(P, N, i):
@@ -292,108 +292,6 @@ def _glm_from_coords(P, N, i, slots, coords):
     return GradedLinearMap(P.space, N.space, i,
                            {d: Matrix.sparse(P.field, r, P.space.dim(d))
                             for d, r in rows.items()})
-
-
-def _coords_from_glm(idx, glm):
-    """The coordinates {slot number: scalar} of a map; idx numbers the slots."""
-    return {idx[(d, l, j)]: x for d, m in glm.blocks.items()
-            for l, row in enumerate(m.rows) for j, x in row.items()}
-
-
-class HomComplex:
-    """hom^*_A(P, N) with basis maps per degree and the differential
-    delta(f) = d f - (-1)^|f| f d, realized as an abstract complex."""
-
-    def __init__(self, P, N):
-        self.P = P
-        self.N = N
-        field = P.field
-        lo = N.space.window.lo - P.space.window.hi
-        hi = N.space.window.hi - P.space.window.lo
-        self.window = DegreeWindow(lo, hi + 1)
-        self.basis = {}
-        self.slots = {}
-        for i in range(lo, hi + 1):
-            slots = _slots(P, N, i)
-            self.slots[i] = slots
-            if not slots:
-                self.basis[i] = []
-                continue
-            rows = _linearity_rows(P, N, i, slots)
-            if rows:
-                kern = Matrix.sparse(field, rows, len(slots)).kernel_basis()
-            else:
-                kern = [{t: field.one} for t in range(len(slots))]
-            self.basis[i] = [_glm_from_coords(P, N, i, slots, v) for v in kern]
-        dims = {i: len(b) for i, b in self.basis.items() if b}
-        space = GradedVectorSpace(field, self.window, dims,
-                                  {i: ["f%d_%d" % (i, t) for t in range(n)]
-                                   for i, n in dims.items()})
-        blocks = {}
-        for i in sorted(dims):
-            cols = []
-            for F in self.basis[i]:
-                G = self._delta(F, i)
-                cols.append(self.express(i + 1, G))
-            blocks[i] = Matrix.from_cols(field, cols, space.dim(i + 1))
-        self.complex = CochainComplex(space, GradedLinearMap(space, space, 1, blocks))
-
-    def _delta(self, F, i):
-        dn = self.N.complex.d
-        dp = self.P.complex.d
-        sgn = self.P.field.sign(i)
-        left = GradedLinearMap(self.P.space, self.N.space, i + 1,
-                               {d: dn.block(d + i) @ F.block(d)
-                                for d in self.P.space.degrees()})
-        right = GradedLinearMap(self.P.space, self.N.space, i + 1,
-                                {d: (F.block(d + 1) @ dp.block(d)).scale(sgn)
-                                 for d in self.P.space.degrees()})
-        return left.sub(right)
-
-    def express(self, i, G):
-        """Coordinates of an A-linear map G of shift i in the hom basis."""
-        field = self.P.field
-        basis = self.basis.get(i, [])
-        if not basis:
-            if not G.is_zero():
-                raise ModuleError("map does not lie in the hom complex (degree %d)" % i)
-            return {}
-        slots = self.slots[i]
-        idx = {s: t for t, s in enumerate(slots)}
-        m = Matrix.from_cols(field, [_coords_from_glm(idx, F) for F in basis],
-                             len(slots))
-        x = m.solve(_coords_from_glm(idx, G))
-        if x is None:
-            raise ModuleError("map does not lie in the hom complex (degree %d)" % i)
-        return x
-
-    def element(self, i, coords):
-        out = GradedLinearMap.zero_map(self.P.space, self.N.space, i)
-        for t, c in coords.items():
-            out = out.add(self.basis[i][t].scale(c))
-        return out
-
-
-@dataclass
-class HomotopyClassSpace:
-    P: object
-    N: object
-    dimension: int
-    representatives: list
-    chain_level_only: bool
-
-
-def homotopy_classes(P, N, semifree=True):
-    """H^0 of the hom complex; labeled chain-level only when the source
-    is not known to be semifree.  The representatives are degree-0
-    cocycles of hom, linear chain maps by construction, not re-checked."""
-    hc = HomComplex(P, N)
-    coh = cohomology(hc.complex)
-    reps = []
-    for z in coh.reps.get(0, []):
-        glm = hc.element(0, z)
-        reps.append(DgModuleMorphism(P, N, glm))
-    return HomotopyClassSpace(P, N, coh.dim(0), reps, not semifree)
 
 
 def solve_chain_maps(P, N, constraints=()):

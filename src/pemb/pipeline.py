@@ -83,7 +83,6 @@ class AnalysisReport:
     m: int
     r: int
     codimension: int
-    pd_certificate: object
     pd_failure: object
     unknotting: bool
     unknotting_bound: int
@@ -130,7 +129,7 @@ def analyze(problem):
     r_alg, q_alg = phi.source, phi.target
     coh_r = cohomology(r_alg.complex)
     coh_q = cohomology(q_alg.complex)
-    cert, fail = check_poincare_duality(cohomology_algebra(r_alg)[0], n)
+    _, fail = check_poincare_duality(cohomology_algebra(r_alg)[0], n)
     m = _top_nonzero(coh_q.dims)
     # H^i(phi) is injective when its rank is dim H^i(R); a degree without
     # a block has H^i(R) = 0
@@ -151,7 +150,7 @@ def analyze(problem):
     bound = 2 * m - n + 2
     return AnalysisReport(
         n=n, m=m, r=r, codimension=n - m,
-        pd_certificate=cert, pd_failure=fail,
+        pd_failure=fail,
         unknotting=r >= bound, unknotting_bound=bound,
         stable=(n >= 2 * m + 4) or (n >= 2 * m + 3 and h1_injective),
         stable_plain=n >= 2 * m + 4,
@@ -717,23 +716,3 @@ def format_dims(dims):
 
 def all_positive_products_zero(halg):
     return not any(d1 > 0 and d2 > 0 for (d1, _i1, d2, _i2) in halg.product)
-
-
-def tables_match(h1, h2):
-    """Whether two zero-differential algebra tables agree: same dims,
-    and the same vanishing pattern of products of positive classes.
-    For the tables arising here (trivial products, or one-dimensional
-    degrees) this detects graded-algebra isomorphism."""
-    if {d: h1.space.dim(d) for d in h1.space.degrees()} != \
-       {d: h2.space.dim(d) for d in h2.space.degrees()}:
-        return False
-    z1 = all_positive_products_zero(h1)
-    z2 = all_positive_products_zero(h2)
-    if z1 or z2:
-        return z1 and z2
-    return _vanishing_pattern(h1) == _vanishing_pattern(h2)
-
-
-def _vanishing_pattern(h):
-    return {(d1, i1, d2, i2): set(v) for (d1, i1, d2, i2), v in h.product.items()
-            if d1 and d2}

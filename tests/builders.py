@@ -1,5 +1,5 @@
 """Shared constructions of small standard algebras, modules and
-complexes for the test suite, and `run_cli`."""
+complexes for the test suite, `run_cli` and `tables_match`."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,6 +10,7 @@ from pemb.fields import QQ
 from pemb.graded import DegreeWindow, cohomology
 from pemb.linalg import axpy
 from pemb.modules import FreeGenerator, free_module
+from pemb.pipeline import all_positive_products_zero
 
 
 def sphere(n, hi=None, field=QQ):
@@ -135,3 +136,23 @@ def run_cli(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def tables_match(h1, h2):
+    """Whether two zero-differential algebra tables agree: same dims,
+    and the same vanishing pattern of products of positive classes.
+    For the tables arising here (trivial products, or one-dimensional
+    degrees) this detects graded-algebra isomorphism."""
+    if {d: h1.space.dim(d) for d in h1.space.degrees()} != \
+       {d: h2.space.dim(d) for d in h2.space.degrees()}:
+        return False
+    z1 = all_positive_products_zero(h1)
+    z2 = all_positive_products_zero(h2)
+    if z1 or z2:
+        return z1 and z2
+    return _vanishing_pattern(h1) == _vanishing_pattern(h2)
+
+
+def _vanishing_pattern(h):
+    return {(d1, i1, d2, i2): set(v) for (d1, i1, d2, i2), v in h.product.items()
+            if d1 and d2}

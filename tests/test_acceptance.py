@@ -9,16 +9,16 @@ import sys
 import pytest
 
 from builders import (complex_projective, product_s2_s4, random_semifree, run_cli,
-                      sphere)
+                      sphere, tables_match)
 from pemb import cli
 from pemb.duality import (TopDegreeMap, construct_top_degree,
                           verify_scalar_uniqueness)
 from pemb.fields import QQ
 from pemb.graded import DegreeWindow, cohomology
-from pemb.modules import (DgModuleMorphism, algebra_as_module,
-                          homotopy_classes, solve_chain_maps)
+from homotopy import homotopy_classes
+from pemb.modules import DgModuleMorphism, algebra_as_module, solve_chain_maps
 from pemb.parser import parse_file
-from pemb.pipeline import (complement_model, lefschetz, tables_match)
+from pemb.pipeline import complement_model, lefschetz
 from pemb.cones import check_shift_bounds
 from test_cones import random_bounded_cone, witness_cone
 

@@ -456,6 +456,54 @@ def test_materialize_matches_dense_reference(field, monkeypatch):
         assert_same_algebra(materialize_free_cdga(*args), dense_materialize_free_cdga(*args))
 
 
+# (generators, d, relations, top degree, the generators g with g^2 in the
+# Groebner basis): x^2, x^2 - y^2, xy, x^2 - y^2 with xy (whose
+# S-polynomial adds y^3), x^2 with xz - y^2 (which adds x y^2 and y^4),
+# x^2 with an odd generator and d, and (S^2)^3
+SQUARED = [
+    ([("x", 2), ("y", 2)], {}, [{(0, 0): 1}], 8, {0}),
+    ([("x", 2), ("y", 2)], {}, [{(0, 0): 1, (1, 1): -1}], 8, set()),
+    ([("x", 2), ("y", 2)], {}, [{(0, 1): 1}], 8, set()),
+    ([("x", 2), ("y", 2)], {}, [{(0, 0): 1, (1, 1): -1}, {(0, 1): 1}], 8, set()),
+    ([("x", 2), ("y", 2), ("z", 2)], {}, [{(0, 0): 1}, {(0, 2): 1, (1, 1): -1}], 10, {0}),
+    ([("x", 2), ("a", 1), ("y", 3)], {"y": {(0, 0): 1}}, [{(0, 0): 1}], 9, {0}),
+    ([("x", 2), ("y", 2), ("z", 2)], {}, [{(g, g): 1} for g in range(3)], 8, {0, 1, 2}),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)])
+def test_pairs_skipped_on_squares_match_dense_reference(field):
+    """The product loop skips a pair of standard monomials that share a
+    generator g with g^2 in the Groebner basis; the unskipped dense
+    reference builds the same algebra, with or without such a g."""
+    for gens, diffs, rels, hi, squared in SQUARED:
+        args = (field, gens, diffs, rels, DegreeWindow(0, hi))
+        a = materialize_free_cdga(*args)
+        assert_same_algebra(a, dense_materialize_free_cdga(*args))
+        assert {lm[0] for lm, g in a.presentation.groebner_basis
+                if len(g) == 1 and lm == lm[:1] * 2} == squared
+
+
+def test_merges_on_sphere_products_follow_the_stored_products(monkeypatch):
+    """(S^2)^k, k = 2..6: the pairs that share a generator x_i, with x_i^2
+    a relation, are skipped before they are merged, so the merges number
+    the 3^k stored products and at most 3k more."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _merge_sign(*args)
+
+    monkeypatch.setattr(algebra, "_merge_sign", counted)
+    for k in range(2, 7):
+        del calls[:]
+        gens = [("x%d" % i, 2) for i in range(k)]
+        a = materialize_free_cdga(QQ, gens, {}, [{(i, i): 1} for i in range(k)],
+                                  DegreeWindow(0, 4 * k + 5))
+        assert len(a.product) == 3 ** k
+        assert len(calls) <= len(a.product) + 3 * k, k
+
+
 def test_materialize_rejects_an_ideal_d_does_not_preserve():
     # dy = x^2 and the relation y: d(y) = x^2 is not in the ideal (y)
     args = (QQ, [("x", 2), ("y", 3)], {"y": {(0, 0): 1}}, [{(1,): 1}], DegreeWindow(0, 9))

@@ -21,7 +21,9 @@ runs every shipped example and the smallest rung of each benchmark
 ladder under it, and finds no witness.  Where the stable square's
 normalizations are the identity, it builds and checks nothing for them.
 Each truncation is built and certified once, and a parsed algebra has
-its indices checked once.
+its indices checked once.  Every algebra morphism that parsing and the
+stable square check joins two algebras that `check_cdga` passed, so it
+is checked multiplicative on the generating set alone.
 """
 
 import re
@@ -524,6 +526,38 @@ def test_identity_normalization_builds_and_checks_nothing(monkeypatch, tmp_path)
                     and any(c[1] is p for p in parsed)], name
     assert stable == {"point_in_sn", "s2_in_s9_stable", "torus3", "torus4", "torus5",
                       "spheres2", "spheres3", "spheres4"}
+
+
+# -- morphisms between proven algebras --------------------------------------
+
+
+def test_stable_square_checks_each_morphism_on_s(monkeypatch, tmp_path):
+    """Every algebra morphism checked in parsing the shipped examples and
+    ladder rungs, and in their stable squares, joins two algebras that
+    `check_cdga` passed: each check decides multiplicativity on S of its
+    source, passes there and walks no pair beyond it."""
+    calls = []
+    counted_calls(monkeypatch, checks, "check_cdga_morphism", calls)
+    walk = checks._multiplicativity
+
+    def recorded(f, fcol, hi, firsts=None):
+        calls.append("every pair" if firsts is None else "on S")
+        return walk(f, fcol, hi, firsts)
+
+    monkeypatch.setattr(checks, "_multiplicativity", recorded)
+    stable = 0
+    for name, problem in stable_square_problems(tmp_path):
+        before = calls.count("check_cdga_morphism")
+        try:
+            pipeline.stable_square(problem)
+        except pipeline.HypothesisError:
+            continue
+        stable += 1
+        # the two inclusions into the bottom corners and the bottom map
+        assert calls.count("check_cdga_morphism") - before == 3, name
+    assert stable == 8
+    assert "every pair" not in calls
+    assert calls.count("on S") == calls.count("check_cdga_morphism") > 3 * stable
 
 
 # -- each truncation built once ---------------------------------------------

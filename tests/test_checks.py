@@ -15,7 +15,7 @@ from builders import (complex_projective, product_s2_s4, random_semifree, sphere
 from dense import (DenseCdga, DenseModule, DenseMorphism, add_vec, is_chain_map,
                    is_zero_vec, scale_vec, sparse, sub_vec)
 from pemb import checks
-from pemb.algebra import (AlgebraError, Cdga, CdgaMorphism,
+from pemb.algebra import (AlgebraError, Cdga, CdgaMorphism, direct_sum_cdga,
                           materialize_free_cdga)
 from pemb.checks import (check_cdga, check_cdga_morphism, check_module,
                          check_module_morphism)
@@ -562,3 +562,77 @@ def test_valid_samples_pass():
         assert check_cdga(a) is None and dense_cdga(a) is None
         m = algebra_as_module(a)
         assert check_module(m) is None and dense_module(m) is None
+
+
+# -- multiplicativity on the generating set ---------------------------------
+
+
+def multiplicativity_verdicts(f):
+    """Whether f(xy) = f(x)f(y) holds with x in the source's proof
+    record S, and with x any basis element."""
+    fcol = checks._columns(f.map)
+    hi = min(f.source.space.window.hi, f.target.space.window.hi)
+    firsts = set(f.source.proven_generators)
+    return (checks._multiplicativity(f, fcol, hi, firsts) is None,
+            checks._multiplicativity(f, fcol, hi) is None)
+
+
+def test_multiplicativity_on_s_matches_every_pair():
+    """On each proven sample, the identity and maps with one entry
+    changed that still preserve d and the unit: the walk on S and the
+    walk on every pair agree, and `check_cdga_morphism` names the
+    witness of the exhaustive loop."""
+    rng = random.Random(20261019)
+    verdicts = []
+    for a in cdga_samples():
+        assert check_cdga(a) is None and a.proven_generators is not None
+        ident = GradedLinearMap.identity(a.space)
+        for glm in [ident] + [perturbed_map(ident, rng) for _ in range(16)]:
+            f = CdgaMorphism(a, a, glm)
+            reference = dense_cdga_morphism(f)
+            assert summary(check_cdga_morphism(f), reference) == sparse_defect(reference)
+            if reference is None or reference[0].startswith("morphism not multiplicative"):
+                reduced, exhaustive = multiplicativity_verdicts(f)
+                assert reduced == exhaustive == (reference is None)
+                verdicts.append(reduced)
+    assert verdicts.count(True) > 20 and verdicts.count(False) > 20
+
+
+def test_an_unproven_target_is_walked_on_every_pair():
+    """Lambda(a, b), |a| = |b| = 1, into a copy with a class w in degree
+    4 and (ab)(ab) = w, which breaks associativity: (ab)(ab) != a(b(ab)).
+    Every product with a first factor in S = {a, b} agrees, so only the
+    walk on every pair names the failure, and it must run because the
+    target carries no proof record."""
+    a = materialize_free_cdga(QQ, [("a", 1), ("b", 1)], {}, [], DegreeWindow(0, 4))
+    assert check_cdga(a) is None
+    dims = {**a.space.dims, 4: 1}
+    labels = {**a.space.labels, 4: ["w"]}
+    space = GradedVectorSpace(QQ, a.space.window, dims, labels)
+    b = Cdga(QQ, CochainComplex.zero_differential(space),
+             {**a.product, (0, 0, 4, 0): {0: QQ.one}, (2, 0, 2, 0): {0: QQ.one}}, a.unit)
+    assert check_cdga(b).axiom == "associativity" and b.proven_generators is None
+    f = CdgaMorphism(a, b, GradedLinearMap(a.space, space, 0, {
+        d: Matrix.identity(QQ, a.space.dim(d)) for d in a.space.degrees()}))
+    assert multiplicativity_verdicts(f) == (True, False)
+    w = check_cdga_morphism(f)
+    assert (w.axiom, w.labels, w.degree, w.defect) == (
+        "multiplicativity", ("a*b", "a*b"), 4, {0: QQ.minus_one})
+    assert summary(w, dense_cdga_morphism(f)) == sparse_defect(dense_cdga_morphism(f))
+
+
+def test_a_failure_on_s_is_named_by_the_walk_on_every_pair():
+    """S^2 + S^2, with unit c0.1 + c1.1 and S^0 = {c1.1}, under the map
+    that swaps c0.1 and c1.1 and fixes the rest.  The walk on S fails
+    first on (c1.1, c0.e2); the witness is the exhaustive loop's, the
+    earlier (c0.1, c0.e2)."""
+    a = direct_sum_cdga([sphere(2), sphere(2)])
+    assert check_cdga(a) is None and (0, 0) not in a.proven_generators
+    blocks = {d: Matrix.identity(QQ, a.space.dim(d)) for d in a.space.degrees()}
+    blocks[0] = Matrix.sparse(QQ, [{1: QQ.one}, {0: QQ.one}], 2)
+    f = CdgaMorphism(a, a, GradedLinearMap(a.space, a.space, 0, blocks))
+    on_s = checks._multiplicativity(f, checks._columns(f.map), 3, set(a.proven_generators))
+    assert on_s.labels == ("c1.1", "c0.e2")
+    reference = dense_cdga_morphism(f)
+    assert reference[0] == "morphism not multiplicative on (c0.1, c0.e2)"
+    assert summary(check_cdga_morphism(f), reference) == sparse_defect(reference)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from builders import complex_projective, record_cohomology_constructions, run_cli, sphere
+from homotopy import HomComplex, homotopy_classes
 from pemb import cli
 from pemb.algebra import CdgaMorphism, check_poincare_duality, materialize_free_cdga
 from pemb.duality import (DualityError, TopDegreeMap, construct_top_degree,
@@ -11,7 +12,8 @@ from pemb.duality import (DualityError, TopDegreeMap, construct_top_degree,
 from pemb.fields import QQ
 from pemb.graded import DegreeWindow, GradedLinearMap, cohomology
 from pemb.linalg import Matrix
-from pemb.modules import HomComplex, algebra_as_module, restrict_scalars, shifted_dual
+from pemb.modules import (algebra_as_module, restrict_scalars, semifree_resolution,
+                          shifted_dual)
 
 
 def sphere_restriction(n, k, hi):
@@ -139,7 +141,6 @@ def test_homotopy_class_dimension_matches_top_line():
     # chain-homotopy classes D -> R biject with maps H^n(D) -> H^n(R)
     phi = sphere_restriction(6, 2, 7)
     d = restrict_scalars(shifted_dual(algebra_as_module(phi.target), 6), phi)
-    from pemb.modules import homotopy_classes, semifree_resolution
     res = semifree_resolution(d, window=DegreeWindow(0, 7))
     res.module.validate()
     hc = homotopy_classes(res.module, algebra_as_module(phi.source))

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from builders import (SULLIVAN_S2_IN_S9, run_cli, sphere, sullivan_cp2, torus_s1_s7,
-                      wedge_s2_s4)
+from builders import (SULLIVAN_S2_IN_S9, run_cli, sphere, sullivan_cp2, tables_match,
+                      torus_s1_s7, wedge_s2_s4)
 from pemb import cli
 from pemb.algebra import CdgaMorphism, materialize_free_cdga
 from pemb.checks import check_cdga, check_cdga_morphism
@@ -16,7 +16,7 @@ from pemb.pipeline import (EmbeddingProblem, HypothesisError, PipelineError,
                            alexander_oracle, analyze, complement_model,
                            dgmodule_square, gysin, lefschetz,
                            oracle_complement_dims, punctured_square,
-                           reduced_homology_dims, stable_square, tables_match)
+                           reduced_homology_dims, stable_square)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import ladder  # noqa: E402  (the benchmark's problem generator)

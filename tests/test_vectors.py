@@ -150,7 +150,7 @@ def check_modules_over(a):
     assert dense_table(cone_mod.action, cone_mod.space) == dense_cone_action(f)
     cone = semi_trivial_cone(f)
     assert_sparse_cdga(cone.algebra)
-    assert dense_table(cone.algebra.product, cone.space) == dense_cone_product(cone)
+    assert dense_table(cone.algebra.product, cone.space) == dense_cone_product(cone, f)
 
 
 def test_rational_scalars_are_ints_until_a_denominator_appears():
