@@ -15,8 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import count
 from operator import itemgetter
 
-from .checks import (check_cdga, check_cdga_morphism, escape_degree,
-                     outside_basis)
+from .checks import check_cdga, check_cdga_morphism, escape_degree
 from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
                      cohomology, direct_sum, quasi_isomorphism_failure,
                      truncation_spans)
@@ -36,32 +35,11 @@ class Cdga:
     commutativity from the reversed key.  The unit is a degree-0 vector.
     Every key and every index must name a basis element, and no vector
     holds a zero scalar; a zero product, {}, is not stored.  The
-    constructor checks only that; `validate` checks the axioms.  The
-    builders below and the parser hand their tables over through
-    `derived`, which drops the zero products and checks nothing.
+    constructor takes the table as it is, dropping the zero products and
+    checking nothing; `validate` checks indices, then axioms.
     """
 
     def __init__(self, field, complex_, product, unit):
-        space = complex_.space
-        if any(not 0 <= i < space.dim(0) for i in unit):
-            raise AlgebraError("unit names an index outside degree 0")
-        witness = outside_basis(space, space, product, "algebra basis")
-        if witness is not None:
-            raise AlgebraError(str(witness))
-        self._store(field, complex_, product, unit)
-
-    @classmethod
-    def derived(cls, field, complex_, product, unit):
-        """An algebra with the product table taken as it is, as
-        `DgModule.derived` takes an action: its builder makes every key
-        and index name a basis element (the builders below from checked
-        objects, the parser from its basis labels), and `check_cdga`
-        names any that does not where the algebra is checked."""
-        a = cls.__new__(cls)
-        a._store(field, complex_, product, unit)
-        return a
-
-    def _store(self, field, complex_, product, unit):
         self.field = field
         self.complex = complex_
         self.space = complex_.space
@@ -138,10 +116,6 @@ class CdgaMorphism:
         witness = check_cdga_morphism(self)
         if witness is not None:
             raise AlgebraError(str(witness))
-
-    def compose(self, other):
-        """self after other."""
-        return CdgaMorphism(other.source, self.target, self.map.compose(other.map))
 
 
 # -- free graded-commutative presentations ------------------------------
@@ -551,7 +525,7 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
     unit = pres.normal_form({(): field.one})
     if not unit:
         raise AlgebraError("relations kill the unit")
-    alg = Cdga.derived(field, complex_, product, unit)
+    alg = Cdga(field, complex_, product, unit)
     alg.presentation = pres
     return alg
 
@@ -582,7 +556,7 @@ def cohomology_algebra(a):
                     if w:
                         product[(d1, i1, d2, i2)] = w
     unit = coh.reduce(0, a.unit) if 0 in coh.dims else {}
-    halg = Cdga.derived(a.field, complex_, product, unit)
+    halg = Cdga(a.field, complex_, product, unit)
     return halg, coh
 
 
@@ -724,7 +698,7 @@ def quotient_cdga(a, spans):
              for d, r in reducers.items() for i in range(len(r.keep))]
     product = projected_table(lifts, reducers, a.mul_vec, hi)
     unit = reducers[0].project(a.unit)
-    q = Cdga.derived(a.field, qcx, product, unit)
+    q = Cdga(a.field, qcx, product, unit)
     return q, CdgaMorphism(a, q, proj)
 
 
@@ -774,4 +748,4 @@ def direct_sum_cdga(parts):
     unit = {}
     for pi, p in enumerate(parts):
         unit.update(embed(pi, 0, p.unit))
-    return Cdga.derived(parts[0].field, cx, product, unit)
+    return Cdga(parts[0].field, cx, product, unit)

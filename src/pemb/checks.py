@@ -9,15 +9,15 @@ action tables and of the differential and map columns: where every
 partial product vanishes, both sides are zero.  The tables are walked as
 they are stored, keys (d1, i1, d2, i2) to vectors {index: nonzero
 scalar}, and every key and index must name a basis element.  The
-constructors of `Cdga` and `DgModule` check that on the tables they are
-given.  The package hands every table it builds over instead.  Algebras
-go through `Cdga.derived` (explicit algebras the parser reads,
+constructors of `Cdga` and `DgModule` take their tables as they are and
+check nothing; `validate` is the one index and axiom check.  Every
+table the package builds (explicit algebras the parser reads,
 materialized presentations, cohomology algebras, quotients, direct
-sums, cone products and the H-algebra of `lefschetz`), modules through
-`DgModule.derived` (the algebra acting on itself, restrictions of
-scalars, suspensions, duals, mapping cones, free modules, direct sums
-and the pipelines' trivial actions).  Their indices hold by
-construction, since each builder writes only indices it numbered itself
+sums, cone products and the H-algebra of `lefschetz`; the algebra
+acting on itself, restrictions of scalars, suspensions, duals, mapping
+cones, free modules, direct sums and the pipelines' trivial actions)
+has its indices by construction, since each builder writes only
+indices it numbered itself
 (basis labels, standard monomials, cohomology classes, free modules,
 quotient bases, trivial actions),
 read off a checked table or map (restrictions, duals, cone products),
@@ -34,8 +34,10 @@ exhaustive loops stop.
 commutativity, associativity and Leibniz on the pairs and triples whose
 first factor lies in a generating set S, a chunk of S at a time, and
 walks the rest only for an algebra that fails, to name its witness:
-commutativity on every pair, then associativity and Leibniz one degree
-of the first factor at a time.
+commutativity, associativity and Leibniz in turn, each one degree of
+the first factor at a time.  One walk serves all three: the products
+of a chunk's first factors are built once, and commutativity writes
+out the two sides only at the pairs that differ.
 
 Lemma.  Let A be graded in degrees 0..hi, with a bilinear product of
 degree 0 (zero into degrees above hi), a map d of degree +1 and a
@@ -80,8 +82,8 @@ the stored products of two elements of positive degree.
 
 `check_cdga` leaves S on an algebra it passes, as `proven_generators`,
 its proof record; any other algebra holds None there, and so does every
-algebra built from a proven one, since `Cdga._store` starts the record
-at None and no table is changed after construction.
+algebra built from a proven one, since the constructor starts the
+record at None and no table is changed after construction.
 
 `check_cdga_morphism` checks the degree, the chain-map rule and the unit
 on every basis element.  Where both ends carry a proof record it decides
@@ -309,23 +311,10 @@ def check_cdga(a):
     if walk.holds_on(s):
         a.proven_generators = s
         return None
-    return _commutativity_failure(a) or walk.first_failure()
+    return walk.first_failure()
 
 
-def _commutativity_failure(a):
-    """First pair of basis elements, both orders of which the table
-    lists, whose two products break graded commutativity, or None; a
-    pair listed in one order is commutative by `both_orders`."""
-    sp, field, given = a.space, a.field, a.product
-    both = [k for k in given if k[2:] + k[:2] in given]
-    return _first_failure(
-        "commutativity", {k: given[k] for k in both},
-        {k: given[k[2:] + k[:2]] if (k[0] * k[2]) % 2 == 0
-         else scaled(field, field.minus_one, given[k[2:] + k[:2]]) for k in both},
-        (sp, sp), sp)
-
-
-_TRIPLE_AXIOMS = ("associativity", "Leibniz")
+_WALKED_AXIOMS = ("commutativity", "associativity", "Leibniz")
 
 # The most partial products (xy)z that several first factors may share
 # one walk with; each costs about half a kilobyte while it is held.
@@ -348,35 +337,35 @@ class _CdgaWalk:
         self.d_index = _by(d, 0)
         self.d_with = _coefficients(d, raise_by=1)
 
-    def failure(self, axiom, firsts):
-        """First failure of `axiom` on the tuples whose first factor is
-        in `firsts`, or None."""
-        field, left, d, sp = self.field, self.left, self.d, self.space
+    def failures(self, firsts, axioms=_WALKED_AXIOMS):
+        """The first failure of each of `axioms` in turn, or None where it
+        holds, on the tuples whose first factor is in `firsts`; generated
+        lazily, from the products xy of the first factors built once."""
+        field, left, d, sp, table = self.field, self.left, self.d, self.space, self.table
         rows = {x + rest: v for x in firsts for rest, v in left.get(x, ())}
         # the products x k, indexed by k
         right = _by(rows, 1)
-        if axiom == "associativity":
-            # (xy)z and x(yz)
-            return _first_failure(axiom, _through(field, rows, left),
-                                  _prepended(field, right, self.products_with),
-                                  (sp, sp, sp), sp)
-        # d(xy) and d(x)y + (-1)^|x| x d(y)
-        rhs = _through(field, {x: d[x] for x in firsts if x in d}, left, raise_by=1)
-        _prepended(field, right, self.d_with, rhs, sign=field.sign)
-        return _first_failure(axiom, _through(field, rows, self.d_index), rhs, (sp, sp), sp,
-                              raise_by=1)
-
-    def commutes(self, firsts):
-        """Whether xy = (-1)^(|x||y|) yx for every x in `firsts` and
-        every basis element y."""
-        field, table = self.field, self.table
-        for x in firsts:
-            for rest, v in self.left.get(x, ()):
-                w = table[rest + x]
-                if v != (w if (x[0] * rest[0]) % 2 == 0
-                         else scaled(field, field.minus_one, w)):
-                    return False
-        return True
+        for axiom in axioms:
+            if axiom == "commutativity":
+                # xy and (-1)^(|x||y|) yx, written out only where they differ
+                bad = [k for k, v in rows.items()
+                       if v != (table[k[2:] + k[:2]] if (k[0] * k[2]) % 2 == 0
+                                else scaled(field, field.minus_one, table[k[2:] + k[:2]]))]
+                yield _first_failure(
+                    axiom, {k: rows[k] for k in bad},
+                    {k: scaled(field, field.sign(k[0] * k[2]), table[k[2:] + k[:2]])
+                     for k in bad}, (sp, sp), sp) if bad else None
+            elif axiom == "associativity":
+                # (xy)z and x(yz)
+                yield _first_failure(axiom, _through(field, rows, left),
+                                     _prepended(field, right, self.products_with),
+                                     (sp, sp, sp), sp)
+            else:
+                # d(xy) and d(x)y + (-1)^|x| x d(y)
+                rhs = _through(field, {x: d[x] for x in firsts if x in d}, left, raise_by=1)
+                _prepended(field, right, self.d_with, rhs, sign=field.sign)
+                yield _first_failure(axiom, _through(field, rows, self.d_index), rhs,
+                                     (sp, sp), sp, raise_by=1)
 
     def holds_on(self, firsts):
         """Whether the three axioms hold on the tuples whose first factor
@@ -399,17 +388,16 @@ class _CdgaWalk:
         return self._holds(chunk)
 
     def _holds(self, firsts):
-        return self.commutes(firsts) and all(
-            self.failure(axiom, firsts) is None for axiom in _TRIPLE_AXIOMS)
+        return not any(self.failures(firsts))
 
     def first_failure(self):
         """The first failure by axiom, then in degree-major order: each
         axiom walked one degree of the first factor at a time, up to the
         first degree that fails."""
         sp = self.space
-        for axiom in _TRIPLE_AXIOMS:
+        for axiom in _WALKED_AXIOMS:
             for deg in sp.degrees():
-                witness = self.failure(axiom, [(deg, i) for i in range(sp.dim(deg))])
+                witness, = self.failures([(deg, i) for i in range(sp.dim(deg))], (axiom,))
                 if witness:
                     return witness
         return None

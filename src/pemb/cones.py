@@ -75,14 +75,14 @@ class MappingConeAlgebra:
         lo = cx.space.window.lo
         if lo < 0 and all(d >= 0 for d in cx.space.degrees()):
             cx = rewindow(cx, 0, cx.space.window.hi)
-            cone_mod = DgModule.derived(R, cx, cone_mod.action)
+            cone_mod = DgModule(R, cx, cone_mod.action)
         self.cone_module = cone_mod
         self.complex = cx
         self.space = cx.space
         self.inclusion = GradedLinearMap(R.space, self.space, 0,
                                          split.inclusion.blocks)
         product, unit = self._build_product()
-        self.algebra = Cdga.derived(self.field, self.complex, product, unit)
+        self.algebra = Cdga(self.field, self.complex, product, unit)
 
     @cached_property
     def leibniz(self):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from .graded import GradedLinearMap, cohomology, induced_on_cohomology
 from .linalg import Matrix
 from .modules import (DgModuleMorphism, ModuleError, algebra_as_module,
-                      homotopy_between, restrict_scalars, semifree_resolution,
-                      shifted_dual, solve_chain_maps, suspend_module)
+                      homotopy_between, restrict_scalars, shifted_dual,
+                      solve_chain_maps, suspend_module)
 
 
 class DualityError(ValueError):
@@ -28,7 +28,6 @@ class TopDegreeMap:
     hn: object                     # the 1x1 value of H^n(map)
     source_generator: dict         # chosen cocycle spanning H^n(source)
     target_generator: dict
-    resolution: object = None      # set when the solve ran on a resolution
 
     def validate(self):
         """Check the map and return its H^n value."""
@@ -50,31 +49,24 @@ def _line_generator(coh, n, what):
     return coh.reps[n][0]
 
 
-def construct_top_degree(D, target, n, semifree=False):
-    """Find psi: D -> target with H^n(psi) carrying the chosen generator
-    of H^n(D) to the chosen generator of H^n(target).
+def construct_top_degree(D, target, n):
+    """psi: D -> target with H^n(psi) carrying the chosen generator of
+    H^n(D) to that of H^n(target), found by one affine solve over D as
+    it is given.
 
-    If the direct affine solve fails and D is not declared semifree, D
-    is replaced by a semifree resolution and psi is returned on it, with
-    the resolution attached for transport.
-    """
+    Both H^n must be lines.  D is not resolved here: over a semifree D
+    the solve finds a top-degree map whenever one exists up to homotopy,
+    and the pipelines hand over a semifree resolution (`stable_square`
+    its restriction to the ambient, on which no input is known to leave
+    the solve without a solution).  A failed solve raises DualityError,
+    which the pipelines report as a hypothesis failure."""
     gen_d = _line_generator(cohomology(D.complex), n, "source module")
     gen_t = _line_generator(cohomology(target.complex), n, "target module")
     sol = solve_chain_maps(D, target, [("class", n, gen_d, gen_t)])
-    if sol is not None:
-        psi, _ = sol
-        return TopDegreeMap(psi, n, D.field.one, gen_d, gen_t)
-    if semifree:
-        raise DualityError("internal assertion: no top-degree map on a "
-                           "semifree source")
-    res = semifree_resolution(D, minimal=False)
-    gen_p = _line_generator(cohomology(res.module.complex), n, "resolved source module")
-    sol = solve_chain_maps(res.module, target, [("class", n, gen_p, gen_t)])
     if sol is None:
-        raise DualityError("internal assertion: no top-degree map on the "
-                           "resolution")
-    psi, _ = sol
-    return TopDegreeMap(psi, n, D.field.one, gen_p, gen_t, resolution=res)
+        raise DualityError("no top-degree map: no linear chain map carries "
+                           "H^%d of the source module onto the target's" % n)
+    return TopDegreeMap(sol[0], n, D.field.one, gen_d, gen_t)
 
 
 def verify_scalar_uniqueness(psi, psi2):

@@ -31,9 +31,6 @@ class DegreeWindow:
     def contains(self, d):
         return self.lo <= d <= self.hi
 
-    def degrees(self):
-        return range(self.lo, self.hi + 1)
-
 
 class GradedVectorSpace:
     """Finite-dimensional graded vector space with labeled bases."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checks import check_module, check_module_morphism, outside_basis
+from .checks import check_module, check_module_morphism
 from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
                      cohomology, direct_sum, dualize, mapping_cone,
                      quasi_isomorphism_failure, suspend)
@@ -35,28 +35,12 @@ class DgModule:
     {index: nonzero scalar} of a_{alg_deg,alg_idx} . m_{mod_deg,mod_idx}
     in degree alg_deg+mod_deg.  Every key and every index must name a
     basis element, and no vector holds a zero scalar; a zero action, {},
-    is not stored.  The constructor checks only that; `validate` checks
-    the axioms.  The builders below hand their tables over through
-    `derived`, which drops the zero actions and checks nothing.
+    is not stored.  The constructor takes the table as it is, dropping
+    the zero actions and checking nothing; `validate` checks indices,
+    then axioms.
     """
 
     def __init__(self, algebra, complex_, action):
-        witness = outside_basis(algebra.space, complex_.space, action)
-        if witness is not None:
-            raise ModuleError(str(witness))
-        self._store(algebra, complex_, action)
-
-    @classmethod
-    def derived(cls, algebra, complex_, action):
-        """A module built from checked objects, with the action table
-        taken as it is, as `Matrix.sparse` takes its rows: its builder
-        makes every key and index name a basis element, and `check_module`
-        names any that does not where a report checks the module."""
-        m = cls.__new__(cls)
-        m._store(algebra, complex_, action)
-        return m
-
-    def _store(self, algebra, complex_, action):
         self.algebra = algebra
         self.complex = complex_
         self.space = complex_.space
@@ -96,7 +80,7 @@ class DgModule:
 def algebra_as_module(a):
     """`a` acting on itself from the left; the action lists both orders
     of every product, since module actions are one-sided."""
-    return DgModule.derived(a, a.complex, a.both_orders)
+    return DgModule(a, a.complex, a.both_orders)
 
 
 class DgModuleMorphism:
@@ -116,9 +100,6 @@ class DgModuleMorphism:
         if witness is not None:
             raise ModuleError(str(witness))
 
-    def compose(self, other):
-        return DgModuleMorphism(other.source, self.target, self.map.compose(other.map))
-
     def scale(self, c):
         return DgModuleMorphism(self.source, self.target, self.map.scale(c))
 
@@ -136,7 +117,7 @@ def restrict_scalars(m, phi):
             for ia, c in row.items():
                 for dm, jm, v in by_element.get((da, ib), ()):
                     axpy(m.field, action.setdefault((da, ia, dm, jm), {}), c, v)
-    return DgModule.derived(phi.source, m.complex, action)
+    return DgModule(phi.source, m.complex, action)
 
 
 def _stacked_action(space, parts, offsets=None):
@@ -165,7 +146,7 @@ def suspend_module(m, k):
     if k == 0:
         return m
     cx = suspend(m.complex, k)
-    return DgModule.derived(m.algebra, cx, _stacked_action(cx.space, [(m, k)]))
+    return DgModule(m.algebra, cx, _stacked_action(cx.space, [(m, k)]))
 
 
 def dual_module(m):
@@ -185,7 +166,7 @@ def dual_module(m):
             w = scaled(field, sgn, w)
         for b, x in w.items():
             action.setdefault((da, ia, j, b), {})[c] = x
-    return DgModule.derived(m.algebra, cx, action)
+    return DgModule(m.algebra, cx, action)
 
 
 def shifted_dual(m, n):
@@ -202,7 +183,7 @@ def module_mapping_cone(f):
     csp = cone.complex.space
     action = _stacked_action(csp, [(f.target, 0), (f.source, 1)],
                              {(1, d): cone.y_dim(d) for d in csp.degrees()})
-    return DgModule.derived(f.target.algebra, cone.complex, action), cone
+    return DgModule(f.target.algebra, cone.complex, action), cone
 
 
 # -- solvers over the hom complex ----------------------------------------
@@ -459,7 +440,7 @@ class _FreeBuilder:
         blocks = {d: Matrix.from_cols(field, cols, space.dim(d + 1))
                   for d, cols in self.d_cols.items()}
         cx = CochainComplex(space, GradedLinearMap(space, space, 1, blocks))
-        return DgModule.derived(a, cx, self.action), self.index
+        return DgModule(a, cx, self.action), self.index
 
 
 def free_module(algebra, gens, dvals=None, window=None):
@@ -484,7 +465,6 @@ class SemifreeModule:
     module: DgModule
     generators: list
     rho: DgModuleMorphism
-    minimal: bool
     index: dict
 
 
@@ -492,16 +472,17 @@ class SemifreeModule:
 MAX_ROUNDS = 30
 
 
-def semifree_resolution(m, minimal=True, window=None):
-    """Semifree quasi-isomorphism rho: (A x V, d) -> m, built degreewise.
+def semifree_resolution(m, window=None):
+    """Minimal semifree quasi-isomorphism rho: (A x V, d) -> m, built
+    degreewise.
 
     Generators are added in degree order: first cokernel generators
     (d = 0) hitting missed classes, then kernel-killing generators one
-    degree below.  The minimal flag is checked on the result.  The
-    window bounds the resolution itself and defaults to the target's.
-    rho is checked, and is a quasi-isomorphism: that test reads rho on
-    cocycles only, and would pass a wrong rho(u) for a u that kills a
-    class.
+    degree below.  Minimality, no d(g) with a term 1 x g', is checked on
+    the result, and a differential that breaks it raises.  The window
+    bounds the resolution itself and defaults to the target's.  rho is
+    checked, and is a quasi-isomorphism: that test reads rho on cocycles
+    only, and would pass a wrong rho(u) for a u that kills a class.
     """
     a = m.algebra
     if not a.is_connected():
@@ -578,11 +559,10 @@ def semifree_resolution(m, minimal=True, window=None):
     if bad is not None:
         raise ModuleError("resolution is not a quasi-isomorphism (degree %d)" % bad)
     # minimal: no d(g) has a term 1 x g' (the algebra element of degree 0)
-    is_minimal = not any(fb.slots[(gens[gi].degree + 1, jm)][1] == 0
-                         for gi, z in dvals.items() for jm in z)
-    if minimal and not is_minimal:
+    if any(fb.slots[(gens[gi].degree + 1, jm)][1] == 0
+           for gi, z in dvals.items() for jm in z):
         raise ModuleError("resolution recipe produced a non-minimal differential")
-    return SemifreeModule(P, gens, rho, is_minimal, fb.index)
+    return SemifreeModule(P, gens, rho, fb.index)
 
 
 def direct_sum_modules(parts):
@@ -592,4 +572,4 @@ def direct_sum_modules(parts):
         raise ModuleError("empty direct sum")
     cx, offset, _ = direct_sum([p.complex for p in parts])
     action = _stacked_action(cx.space, [(p, 0) for p in parts], offset)
-    return DgModule.derived(parts[0].algebra, cx, action), offset
+    return DgModule(parts[0].algebra, cx, action), offset

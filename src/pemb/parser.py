@@ -37,8 +37,9 @@ def _tokenize(text, lineno):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise ParseError(lineno, "unexpected character %r" % text[pos])
+            rest = text[pos:].strip()
+            if rest:
+                raise ParseError(lineno, "unexpected character %r" % rest[0])
             break
         out.append(m.group(1))
         pos = m.end()
@@ -94,8 +95,6 @@ def _parse_terms(toks, lineno):
 
     def flush():
         nonlocal coeff, factors, sign
-        if coeff is None and not factors:
-            raise ParseError(lineno, "empty term in expression")
         terms.append((Fraction(sign) * (coeff if coeff is not None else 1),
                       factors))
         coeff, factors, sign = None, [], 1
@@ -324,10 +323,8 @@ def _parse_explicit_cdga(name, lines, pf):
         if label not in index:
             raise ParseError(lineno, "d given for unknown basis label %r" % label)
         d, i = index[label]
-        tdeg, vec = _lincomb_to_vec(terms, index, field, lineno,
-                                    expect_deg=d + 1)
-        if terms and tdeg != d + 1:
-            raise ParseError(lineno, "differential must raise degree by 1")
+        # _lincomb_to_vec rejects a combination of any other degree
+        _, vec = _lincomb_to_vec(terms, index, field, lineno, expect_deg=d + 1)
         # a later line for the same label replaces the earlier one
         dblocks.setdefault(d, {})[i] = vec
     glm_blocks = {d: Matrix.from_cols(field, [cols.get(i, {})
@@ -348,7 +345,7 @@ def _parse_explicit_cdga(name, lines, pf):
             product[(d1, i1, d2, i2)] = vec
     unit = _solve_unit(field, space, product, dims)
     # every index was read off the basis labels, and `validate` checks them
-    cdga = Cdga.derived(field, cx, product, unit)
+    cdga = Cdga(field, cx, product, unit)
     return ParsedAlgebra(name, cdga, "explicit", basis_index=index)
 
 
@@ -428,10 +425,11 @@ def _parse_morphism(name, src, tgt, lines, pf):
                     raise ParseError(lineno, "image of %s has degree %d, "
                                      "expected %d" % (label, deg, d))
                 put(d, i, vec)
-        # unlisted degree-0 unit components go to the target unit
+        # an unlisted component e_i of the unit sum c_i e_i goes to 1/c_i
+        # times the target unit: with one such component, 1 goes to 1
         for i, c in sa.unit.items():
             if sa.space.label(0, i) not in images:
-                put(0, i, scaled(field, c, ta.unit))
+                put(0, i, scaled(field, field.div(field.one, c), ta.unit))
     else:
         gen_imgs = {}
         for label, (lineno, deg, vec) in images.items():

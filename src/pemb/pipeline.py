@@ -91,8 +91,6 @@ class AnalysisReport:
     h1_injective: bool
     codimension_ok: bool
     ambient_connected: bool
-    h_ambient_dims: dict
-    h_target_dims: dict
 
     def lines(self):
         out = []
@@ -156,9 +154,7 @@ def analyze(problem):
         stable_plain=n >= 2 * m + 4,
         h1_injective=h1_injective,
         codimension_ok=n - m >= 2,
-        ambient_connected=r_alg.is_connected(),
-        h_ambient_dims=dict(coh_r.dims),
-        h_target_dims=dict(coh_q.dims))
+        ambient_connected=r_alg.is_connected())
 
 
 def _require_ambient(report):
@@ -189,14 +185,13 @@ def _top_degree_map(phi, n):
     resolves, which starts in degree n - m, m the top degree of H(Q):
     Q is nonnegatively graded and H^j(s^(-n)#Q) is dual to H^(n-j)(Q)."""
     dq = restrict_scalars(shifted_dual(algebra_as_module(phi.target), n), phi)
-    res = semifree_resolution(dq, minimal=True, window=DegreeWindow(0, n + 1))
+    res = semifree_resolution(dq, window=DegreeWindow(0, n + 1))
     if (min(res.module.space.degrees(), default=n)
             < min(cohomology(dq.complex).dims, default=n)):
         raise PipelineError("internal: resolution not concentrated in "
                             "degrees >= n - m")
     try:
-        return res, construct_top_degree(res.module, algebra_as_module(phi.source),
-                                         n, semifree=True)
+        return res, construct_top_degree(res.module, algebra_as_module(phi.source), n)
     except DualityError as e:
         raise HypothesisError(str(e))
 
@@ -209,7 +204,6 @@ def _zero_map_cone(module, q):
 
 @dataclass
 class ComplementModelResult:
-    lambda_map: CdgaMorphism
     quotient: Cdga
     h_algebra: Cdga
     h_dims: dict
@@ -236,7 +230,7 @@ def complement_model(problem):
         raise HypothesisError(str(e))
     halg, coh = cohomology_algebra(tc.algebra)
     return ComplementModelResult(
-        lambda_map=tc.base_map, quotient=tc.algebra, h_algebra=halg,
+        quotient=tc.algebra, h_algebra=halg,
         h_dims=dict(coh.dims), resolution=res, psi=psi, cone=cone,
         ideal=ideal, analysis=report)
 
@@ -252,9 +246,6 @@ class SquareResult:
     bottom_left: object
     bottom_right: object
     top_map: object
-    bottom_map: object
-    left_map: object
-    right_map: object
     commutes: bool
     h_bottom_left: dict
     h_bottom_right: dict
@@ -289,7 +280,7 @@ def _trivial_action_module(algebra, complex_):
     one = algebra.field.one
     action = {(0, 0, d, j): {j: one} for d in complex_.space.degrees()
               for j in range(complex_.space.dim(d))}
-    return DgModule.derived(algebra, complex_, action)
+    return DgModule(algebra, complex_, action)
 
 
 def _cone_map_blocks(field, space_l, split_l, space_r, split_r, y_map):
@@ -334,16 +325,10 @@ def stable_square(problem):
             built.validate()
     # D over the embedded algebra
     dq = shifted_dual(algebra_as_module(q_norm), n)
-    res = semifree_resolution(dq, minimal=True, window=DegreeWindow(0, n + 1))
-    d_mod = res.module
-    d_r = restrict_scalars(d_mod, phi_n)
-    route = "direct"
+    d_mod = semifree_resolution(dq, window=DegreeWindow(0, n + 1)).module
     try:
-        psi = construct_top_degree(d_r, algebra_as_module(r_norm), n,
-                                   semifree=False)
-        if psi.resolution is not None:
-            route = "resolved over ambient"
-            d_r = psi.map.source
+        psi = construct_top_degree(restrict_scalars(d_mod, phi_n),
+                                   algebra_as_module(r_norm), n)
     except DualityError as e:
         raise HypothesisError(str(e))
     cone_l = semi_trivial_cone(psi.map)
@@ -351,9 +336,7 @@ def stable_square(problem):
     if not phi_psi.is_zero():
         raise PipelineError("internal: phi . psi expected to vanish in the "
                             "stable range")
-    cone_r = _zero_map_cone(
-        _trivial_action_module(q_norm, d_r.complex) if route != "direct" else d_mod,
-        q_norm)
+    cone_r = _zero_map_cone(d_mod, q_norm)
     bounds_l = check_shift_bounds(cone_l)
     bounds_r = check_shift_bounds(cone_r)
     k = n - m - 1
@@ -374,10 +357,10 @@ def stable_square(problem):
     return SquareResult(
         kind="stable", top_left=r_norm, top_right=q_norm,
         bottom_left=bl, bottom_right=br,
-        top_map=phi_n, bottom_map=bottom, left_map=bl_incl, right_map=br_incl,
-        commutes=commutes,
+        top_map=phi_n, commutes=commutes,
         h_bottom_left=dict(coh_bl.dims), h_bottom_right=dict(coh_br.dims),
-        notes={"psi route": route,
+        # psi has one route; the reports keep its line, which the goldens pin
+        notes={"psi route": "direct",
                "leibniz left": "pass", "leibniz right": "pass",
                "shift bound k": k},
         analysis=report)
@@ -426,9 +409,7 @@ def dgmodule_square(problem):
     return SquareResult(
         kind="module", top_left=problem.ambient, top_right=problem.target,
         bottom_left=bl_mod, bottom_right=br_mod,
-        top_map=phi_mod, bottom_map=bottom,
-        left_map=bl_split.inclusion, right_map=br_split.inclusion,
-        commutes=commutes,
+        top_map=phi_mod, commutes=commutes,
         h_bottom_left=dict(coh_bl.dims), h_bottom_right=dict(coh_br.dims),
         notes={"branches": len(problem.branches),
                "field": repr(problem.field)},
@@ -442,7 +423,6 @@ class LefschetzResult:
     h_algebra: object              # Cdga or None
     algebra_undetermined: bool
     analysis: AnalysisReport
-    cone_dims: dict
 
 
 def lefschetz(problem):
@@ -469,8 +449,7 @@ def lefschetz(problem):
                     if w:
                         action[(dw, i, dc, j)] = w
     if not report.unknotting:
-        return LefschetzResult(dict(coh_c.dims), action, None, True, report,
-                               dict(coh_c.dims))
+        return LefschetzResult(dict(coh_c.dims), action, None, True, report)
     bound = n - m - 1
     # low-degree classes come from the ambient algebra through the action
     # on the degree-0 generator
@@ -522,11 +501,9 @@ def lefschetz(problem):
                     if w:
                         product[(d1, i1, d2, i2)] = w
     unit = coh_c.reduce(0, c0)
-    halg = Cdga.derived(problem.field, CochainComplex.zero_differential(space),
-                        product, unit)
+    halg = Cdga(problem.field, CochainComplex.zero_differential(space), product, unit)
     halg.validate()
-    return LefschetzResult(dict(coh_c.dims), action, halg, False, report,
-                           dict(coh_c.dims))
+    return LefschetzResult(dict(coh_c.dims), action, halg, False, report)
 
 
 def punctured_square(problem, attest_boundary_simply_connected=False):
@@ -604,9 +581,7 @@ def punctured_square(problem, attest_boundary_simply_connected=False):
     return SquareResult(
         kind="punctured", top_left=problem.ambient, top_right=problem.target,
         bottom_left=ql, bottom_right=qr,
-        top_map=problem.phi, bottom_map=bottom,
-        left_map=left_base, right_map=right_base,
-        commutes=commutes,
+        top_map=problem.phi, commutes=commutes,
         h_bottom_left=dict(coh_ql.dims), h_bottom_right=dict(coh_qr.dims),
         notes={"ambient-side projection": "quasi-isomorphism",
                "embedded-side projection": "kills one degree-%d class" % (n - 1),
@@ -633,10 +608,6 @@ def _embed_cone_spans(cone, y_spans, x_spans):
 class GysinResult:
     map: object                    # certified top-degree umkehr map
     codimension: int
-    ambient_certificate: object
-    embedded_certificate: object
-    h_source_dims: dict
-    h_target_dims: dict
 
     def lines(self):
         out = ["umkehr map certified in codimension %d" % self.codimension]
@@ -673,9 +644,7 @@ def gysin(problem):
         g = gysin_map(hf, cert_w, cert_v, n - m)
     except DualityError as e:
         raise HypothesisError(str(e))
-    return GysinResult(g, n - m, cert_w, cert_v,
-                       {d: halg_q.space.dim(d) for d in halg_q.space.degrees()},
-                       {d: halg_r.space.dim(d) for d in halg_r.space.degrees()})
+    return GysinResult(g, n - m)
 
 
 # -- oracles and canonical tables ---------------------------------------

@@ -76,7 +76,7 @@ def free_module(algebra, gens, dvals=None, window=None):
         cols = [d_col(dm, jm) for jm in range(dims[dm])]
         dblocks[dm] = Matrix.from_cols(field, cols, space.dim(dm + 1))
     cx = CochainComplex(space, GradedLinearMap(space, space, 1, dblocks))
-    module = DgModule.derived(a, cx, action)
+    module = DgModule(a, cx, action)
     return module, index
 
 

@@ -133,7 +133,7 @@ def test_criterion_07_scalar_uniqueness():
         if coh_p.dim(n) != 1:
             continue
         target = algebra_as_module(a)
-        psi = construct_top_degree(p, target, n, semifree=True)
+        psi = construct_top_degree(p, target, n)
         psi.validate()
         # an independently normalized second construction
         c = QQ.of(2 + int(salt * 3))

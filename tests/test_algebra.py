@@ -218,21 +218,24 @@ def test_validation_catches_broken_commutativity():
 
 
 def test_cdga_rejects_keys_and_indices_outside_the_basis():
-    """The constructor rejects an index outside the basis; handed over
-    through `Cdga.derived`, the same table is named by `check_cdga`
-    before any axiom, here before the unit law that 1 * e3 = 2 e3 breaks."""
+    """The constructor takes a table as it is; `validate` names an index
+    outside the basis through `check_cdga`, before any axiom, here before
+    the unit law that 1 * e3 = 2 e3 breaks, and a unit outside degree 0
+    before the unit laws."""
     a = sphere(3)                                  # basis 1, e3 on the window 0..4
     message = r"product of \(\d,\d\)\*\(\d,\d\) names no basis element"
     for bad in ({(3, 1, 0, 0): {0: QQ.one}},      # no second element in degree 3
                 {(0, 0, 3, 0): {1: QQ.one}},      # no second index in degree 3
                 {(3, 0, 3, 0): {0: QQ.one}}):     # degree 6 is empty
-        with pytest.raises(AlgebraError, match=message):
-            Cdga(a.field, a.complex, {**a.product, **bad}, a.unit)
         product = {**a.product, (0, 0, 3, 0): {0: QQ.of(2)}, **bad}
-        witness = check_cdga(Cdga.derived(a.field, a.complex, product, a.unit))
+        b = Cdga(a.field, a.complex, product, a.unit)
+        assert b.product == product
+        witness = check_cdga(b)
         assert witness.axiom == "algebra basis" and re.fullmatch(message, str(witness))
-    with pytest.raises(AlgebraError, match="unit names an index outside degree 0"):
-        Cdga(a.field, a.complex, a.product, {1: QQ.one})
+        with pytest.raises(AlgebraError, match=message):
+            b.validate()
+    with pytest.raises(AlgebraError, match="unit must be a nonzero degree-0 vector"):
+        Cdga(a.field, a.complex, a.product, {1: QQ.one}).validate()
 
 
 # The earlier `materialize_free_cdga`, which built the whole free algebra

@@ -29,7 +29,6 @@ def test_identity_is_top_degree():
     psi = construct_top_degree(m, m, 6)
     assert psi.hn == QQ.one
     assert psi.validate() == QQ.one
-    assert psi.resolution is None
 
 
 def test_pipeline_top_degree_map():

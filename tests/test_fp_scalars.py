@@ -156,8 +156,8 @@ def test_semifree_resolution_matches_boxed_scalars(p):
     field, boxed = PrimeField(p), BoxedPrimeField(p)
     for (m, window), (ref, _) in zip(modules_to_resolve(field), modules_to_resolve(boxed)):
         assert m.action == ref.action
-        res = semifree_resolution(m, minimal=False, window=window)
-        rres = semifree_resolution(ref, minimal=False, window=window)
+        res = semifree_resolution(m, window=window)
+        rres = semifree_resolution(ref, window=window)
         assert ([(g.label, g.degree) for g in res.generators]
                 == [(g.label, g.degree) for g in rres.generators])
         assert res.module.action == rres.module.action

@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from builders import euler_characteristic
+from builders import euler_characteristic, sphere, sullivan_cp2
 from dense import ReferenceCohomology, is_chain_map
+from pemb.algebra import direct_sum_cdga, materialize_free_cdga
 from pemb.fields import PrimeField, QQ
 from pemb.graded import (CochainComplex, DegreeWindow, GradedError,
                          GradedLinearMap, GradedVectorSpace, cohomology,
                          direct_sum, dualize, mapping_cone, suspend)
-from pemb.linalg import Matrix, axpy
+from pemb.linalg import Matrix, axpy, dense
+from pemb.modules import (algebra_as_module, direct_sum_modules, shifted_dual,
+                          suspend_module)
 
 
 def simple_complex(dims, dmaps, lo=0, hi=None):
@@ -241,3 +244,46 @@ def test_zero_differentials_cost_no_elimination_and_no_zero_block(monkeypatch):
             v = {i: QQ.of(i + 1) for i in range(c.space.dim(deg))}
             assert coh.reps[deg] == [{i: QQ.one} for i in range(c.space.dim(deg))]
             assert coh.reduce(deg, v) == v
+
+
+def block_diagonal(blocks, shapes):
+    """The dense matrix with the given blocks, each (rows, cols) in
+    `shapes` and stored sparse or None for zero, down its diagonal."""
+    out = []
+    col = 0
+    ncols = sum(c for _, c in shapes)
+    for m, (nr, nc) in zip(blocks, shapes):
+        for r in range(nr):
+            row = [QQ.zero] * ncols
+            if m is not None:
+                for j, x in m.rows[r].items():
+                    row[col + j] = x
+            out.append(tuple(row))
+        col += nc
+    return out
+
+
+def test_direct_sum_stacks_nonzero_differentials():
+    """`direct_sum` puts d of each summand on the diagonal, through
+    `direct_sum_cdga` and `direct_sum_modules` of Sullivan-type summands
+    (d != 0; among the algebras also one with d = 0); the sums pass
+    their checks and their cohomology dimensions add."""
+    s2 = materialize_free_cdga(QQ, [("x", 2), ("y", 3)], {"y": {(0, 0): 1}}, [],
+                               DegreeWindow(0, 8))
+    cp2 = sullivan_cp2(hi=8)
+    algebras = [cp2, sphere(4, hi=8), s2]
+    m = algebra_as_module(cp2)
+    modules = [m, suspend_module(m, -3), shifted_dual(m, 8)]
+    for total, parts in ((direct_sum_cdga(algebras), algebras),
+                         (direct_sum_modules(modules)[0], modules)):
+        total.validate()
+        cxs = [p.complex for p in parts]
+        assert sum(1 for c in cxs if c.d.blocks) >= 2
+        for d in total.space.degrees():
+            shapes = [(c.space.dim(d + 1), c.space.dim(d)) for c in cxs]
+            expected = block_diagonal([c.d.blocks.get(d) for c in cxs], shapes)
+            got = total.complex.d.block(d)
+            assert [dense(QQ, r, got.ncols) for r in got.rows] == expected
+        coh = cohomology(total.complex).dims
+        assert coh == {d: n for d in total.space.degrees()
+                       if (n := sum(cohomology(c).dims.get(d, 0) for c in cxs))}

@@ -412,3 +412,125 @@ def test_free_presentation_never_reads_dense_matrices(monkeypatch):
     pf = parse(problem.text)
     _, _, [(target, _)] = pf.problem
     assert pf.algebras[target].cdga.space.dims == {0: 1, 2: 4, 4: 6, 6: 4, 8: 1}
+
+
+# -- every error the parser raises, through the command line ---------------
+
+HEAD = "field rational\nwindow 0 7\n"
+FREE = HEAD + "cdga R { generator e6 deg 6 }\ncdga Q { generator x2 deg 2 ; relation x2^2 }\n"
+EXPLICIT = HEAD + ("cdga E explicit {\n  basis one deg 0 ; basis a deg 1 ; basis b deg 2\n"
+                   "  basis c deg 3 ; product one one = one ; product one a = a\n"
+                   "  product one b = b ; product one c = c\n")
+MORPHISM = FREE + "morphism f : R -> Q {\n"
+PROBLEM = FREE + "morphism f : R -> Q { e6 -> 0 }\nproblem {\n"
+
+# (file text or bytes, line of the error, message): one for each error the
+# parser raises, in the order of parser.py
+PARSE_ERRORS = [
+    (HEAD + "cdga A { generator x deg 2 @ }\n", 3, "unexpected character '@'"),
+    (HEAD + "cdga A {\n  generator x deg 2\n", 0, "unexpected end of file"),
+    (HEAD + "cdga A { generator x deg 2 ; relation 2 3 x^2 }\n", 3,
+     "two coefficients in one term"),
+    (HEAD + "cdga A { generator x deg 2 ; relation 1/0 x^2 }\n", 3, "zero denominator in 1/0"),
+    (HEAD + "cdga A { generator x deg 2 ; relation x = x }\n", 3, "unexpected token '='"),
+    (HEAD + "cdga A { generator x deg 2 ; relation x^y }\n", 3, "bad exponent after x"),
+    (HEAD + "cdga A { generator x deg 2 ; relation w^2 }\n", 3, "unknown generator 'w'"),
+    (HEAD + "cdga A { generator x deg 2 ; relation x + x^2 }\n", 3,
+     "relation is not homogeneous"),
+    (HEAD + "cdga A { generator x deg }\n", 3, "incomplete statement"),
+    (HEAD + "cdga A { generator x degree 2 }\n", 3, "expected 'deg', found 'degree'"),
+    (HEAD + "cdga A { generator x deg two }\n", 3, "degree must be an integer"),
+    (HEAD + "cdga A { basis x deg 2 }\n", 3, "unknown declaration 'basis' in cdga block"),
+    (HEAD + "cdga A { generator x deg 0 }\n", 3, "generator x must have positive degree"),
+    (HEAD + "cdga A { generator x deg 2 ; d w = x }\n", 3, "d given for unknown generator 'w'"),
+    (HEAD + "cdga A { generator x deg 2 ; d x = x }\n", 3, "differential must raise degree by 1"),
+    (EXPLICIT + "  d a = b^2\n}\n", 7, "expected a linear combination of basis labels"),
+    (EXPLICIT + "  d a = w\n}\n", 7, "unknown basis label 'w'"),
+    (EXPLICIT + "  d a = b + c\n}\n", 7, "combination mixes degrees 2 and 3"),
+    (EXPLICIT + "  d a = c\n}\n", 7, "combination has degree 3, expected 2"),
+    (EXPLICIT + "  basis e deg five\n}\n", 7, "degree must be an integer"),
+    (EXPLICIT + "  generator e deg 5\n}\n", 7,
+     "unknown declaration 'generator' in explicit cdga block"),
+    (EXPLICIT + "  basis a deg 5\n}\n", 7, "duplicate basis label 'a'"),
+    (EXPLICIT + "  basis e deg 9\n}\n", 7, "degree 9 outside the window"),
+    (EXPLICIT + "  d w = b\n}\n", 7, "d given for unknown basis label 'w'"),
+    (EXPLICIT + "  product a w = c\n}\n", 7, "unknown basis label 'w'"),
+    (HEAD + "cdga E explicit { basis a deg 1 }\n", 3, "explicit algebra has no degree-0 basis"),
+    (HEAD + "cdga E explicit { basis one deg 0 }\n", 3, "product table has no unit"),
+    (MORPHISM + "  e6 -> x2^4\n}\n", 6, "image degree 8 outside the window"),
+    (MORPHISM + "  e6 0\n}\n", 6, "expected '<element> -> <expression>'"),
+    (MORPHISM + "  e6 e7 -> 0\n}\n", 6, "left side of '->' must be one name"),
+    (EXPLICIT + "}\nmorphism f : E -> E {\n  w -> b\n}\n", 9, "unknown basis label 'w'"),
+    (EXPLICIT + "}\nmorphism f : E -> E {\n  b -> c\n}\n", 9,
+     "image of b has degree 3, expected 2"),
+    (MORPHISM + "  e5 -> 0\n}\n", 6, "unknown generator 'e5'"),
+    (MORPHISM.replace("e6 deg 6", "e2 deg 2").replace("R -> Q", "Q -> R")
+     + "  x2 -> e2 * e2\n}\n", 6, "image of x2 has degree 4, expected 2"),
+    ("field prime 4\nwindow 0 7\n", 1, "4 is not prime"),
+    ("field real\nwindow 0 7\n", 1, "expected 'field rational' or 'field prime <p>'"),
+    ("field rational\nwindow -3 7\n", 2, "window must start at 0"),
+    ("field rational\nwindow 0 -3\n", 2,
+     "window upper bound must be a nonnegative integer, found -3"),
+    ("field rational\nwindow 0 7 9\n", 2, "unexpected '9' after the window bounds"),
+    ("field rational\nwindow 0 seven\n", 2, "window bounds must be integers"),
+    ("field rational\nwindow 2 7\n", 2, "window must start at 0"),
+    ("field rational\ncdga A { generator x deg 2 }\n", 2, "field and window must come first"),
+    (HEAD + "cdga A B { generator x deg 2 }\n", 3, "expected 'cdga <Name> [explicit] {'"),
+    (FREE + "cdga R { generator e6 deg 6 }\n", 5, "duplicate algebra name 'R'"),
+    ("field prime 5\nwindow 0 7\ncdga A { generator x deg 2 ; relation 1/5 x^2 }\n", 3,
+     "denominator of 1/5 vanishes in F_5"),
+    (FREE + "morphism f : R -> P { e6 -> 0 }\n", 5, "unknown algebra 'P'"),
+    (FREE + "morphism f : R -> Q { e6 -> 0 }\nmorphism f : R -> Q { e6 -> 0 }\n", 6,
+     "duplicate morphism name 'f'"),
+    (HEAD + "cdga R { generator a deg 1 ; generator b deg 2 ; d a = b }\n"
+     "cdga Q { generator x deg 1 ; generator y deg 2 }\n"
+     "morphism f : R -> Q { a -> x ; b -> y }\n", 5, "morphism is not a chain map"),
+    (PROBLEM + "  ambient P dim 6\n}\n", 7, "unknown algebra 'P'"),
+    (PROBLEM + "  ambient R dim six\n}\n", 7, "dimension must be an integer"),
+    (PROBLEM + "  embedded P via f\n}\n", 7, "unknown algebra 'P'"),
+    (PROBLEM + "  embedded Q via g\n}\n", 7, "unknown morphism 'g'"),
+    (PROBLEM + "  boundary Q\n}\n", 7, "unknown problem declaration 'boundary'"),
+    (PROBLEM + "  embedded Q via f\n}\n", 6, "problem block needs an ambient line"),
+    (PROBLEM + "  ambient R dim 6\n}\n", 6, "problem block needs an embedded line"),
+    (PROBLEM + "  ambient Q dim 6 ; embedded Q via f\n}\n", 6,
+     "morphism 'f' does not start at the ambient algebra"),
+    (PROBLEM + "  ambient R dim 6 ; embedded R via f\n}\n", 6, "morphism 'f' does not land in 'R'"),
+    (HEAD + "algebra A {\n", 3, "unknown declaration 'algebra'"),
+    ("# nothing but a comment\n", 0, "file declares no field"),
+    (b"field rational\nwindow 0 7\n# caf\xe9\n", 3, "not valid UTF-8 (byte 0xe9)"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", PARSE_ERRORS)
+def test_every_parse_error_exits_2_with_its_line(tmp_path, text, line, message):
+    """Each error the parser raises reaches `validate` as exit code 2 and
+    one line on stderr naming the line of the file, with no traceback."""
+    path = tmp_path / "bad.pemb"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert run_cli(["validate", str(path)]) == (2, "", "error: line %d: %s\n" % (line, message))
+
+
+def test_morphism_out_of_an_explicit_algebra():
+    """Images of an explicit source are read by basis label; a component
+    e_i of the source unit, sum c_i e_i, left unlisted goes to 1/c_i times
+    the target unit, so that the unit goes to the unit."""
+    text = (HEAD + "cdga S explicit {\n  basis %s deg 0 ; basis u deg 2\n"
+            "  product %s %s = %s ; product %s u = %s\n}\n"
+            "cdga Q { generator x2 deg 2 ; relation x2^2 }\n"
+            "morphism f : S -> Q { u -> 3 x2 }\n")
+    for e, c in (("one", 1), ("two", 2)):   # e * e = c e, so the unit is e / c
+        f = parse(text % (e, e, e, "%d %s" % (c, e), e, "%d u" % c)).morphisms["f"]
+        assert f.map.block(0).rows == ({0: QQ.of(c)},)
+        assert f.map.block(2).rows == ({0: QQ.of(3)},)
+        assert f.apply(0, f.source.unit) == f.target.unit
+    # two points to one: the unlisted point p goes to 1, q is listed as 0
+    pf = parse(HEAD + "cdga P explicit {\n  basis p deg 0 ; basis q deg 0\n"
+               "  product p p = p ; product q q = q\n}\n"
+               "cdga T explicit { basis pt deg 0 ; product pt pt = pt }\n"
+               "morphism f : P -> T { q -> 0 }\n")
+    f = pf.morphisms["f"]
+    assert f.source.unit == {0: QQ.one, 1: QQ.one}
+    assert f.map.block(0).rows == ({0: QQ.one},)
+    # explicit on both sides, the identity of EXPLICIT from its positive part
+    f = parse(EXPLICIT + "}\nmorphism f : E -> E { a -> a ; b -> b ; c -> c }\n").morphisms["f"]
+    assert all(f.map.block(d).rows == ({0: QQ.one},) for d in range(4))

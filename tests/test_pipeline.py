@@ -5,7 +5,7 @@ import pytest
 
 from builders import (SULLIVAN_S2_IN_S9, run_cli, sphere, sullivan_cp2, tables_match,
                       torus_s1_s7, wedge_s2_s4)
-from pemb import cli
+from pemb import cli, duality
 from pemb.algebra import CdgaMorphism, materialize_free_cdga
 from pemb.checks import check_cdga, check_cdga_morphism
 from pemb.fields import QQ
@@ -142,6 +142,53 @@ def test_stable_square_normalizes_a_sullivan_target(tmp_path):
 def test_stable_square_needs_stable_range():
     with pytest.raises(HypothesisError, match="stable range"):
         stable_square(s2_in_s6())
+
+
+# CP^1 in CP^4 twice, the ambient as k[y]/y^5 and as its Sullivan model
+# (y2, z9 ; dz = y^5), and S^2 in S^9 with an ambient whose presentation
+# is not minimal, (a3, b4, e9 ; da = b)
+STABLE_RANGE_AMBIENTS = {
+    "cp1_in_cp4": ("window 0 9", "generator y deg 2 ; relation y^5", "y -> x", 8),
+    "cp1_in_sullivan_cp4": ("window 0 10", "generator y deg 2 ; generator z deg 9 ; "
+                            "d z = y^5", "y -> x ; z -> 0", 8),
+    "s2_in_nonminimal_s9": ("window 0 10", "generator a deg 3 ; generator b deg 4 ; "
+                            "generator e deg 9 ; d a = b", "a -> 0 ; b -> 0 ; e -> 0", 9),
+}
+
+
+def stable_range_problem(key):
+    window, ambient, images, n = STABLE_RANGE_AMBIENTS[key]
+    return "\n".join(["field rational", window, "cdga R { %s }" % ambient,
+                      "cdga Q { generator x deg 2 ; relation x^2 }",
+                      "morphism f : R -> Q { %s }" % images,
+                      "problem { ambient R dim %d ; embedded Q via f }" % n])
+
+
+def test_stable_square_finds_psi_on_the_resolution(tmp_path):
+    """psi has one route, the solve on the resolution of D restricted to
+    the ambient; it succeeds on a polynomial, a Sullivan and a
+    non-minimal ambient, and the two models of CP^4 give one report."""
+    outs = {}
+    for key in STABLE_RANGE_AMBIENTS:
+        path = tmp_path / (key + ".pemb")
+        path.write_text(stable_range_problem(key))
+        code, outs[key], err = run_cli(["stable-square", str(path)])
+        assert (code, err) == (0, "")
+        assert "psi route: direct" in outs[key].splitlines()
+        assert "square commutes: True" in outs[key].splitlines()
+    assert outs["cp1_in_cp4"] == outs["cp1_in_sullivan_cp4"]
+
+
+def test_failed_top_degree_solve_is_a_hypothesis_failure(monkeypatch):
+    """A top-degree solve without a solution is one DualityError for both
+    callers, which the pipelines name as a hypothesis failure (exit 1)."""
+    monkeypatch.setattr(duality, "solve_chain_maps", lambda *args: None)
+    for sub, name, n in (("complement", "s2_in_s6", 6),
+                         ("stable-square", "s2_in_s9_stable", 9)):
+        code, out, err = run_cli([sub, str(cli.example_path(name))])
+        assert (code, out) == (1, "")
+        assert err == ("hypothesis failure: no top-degree map: no linear chain map "
+                       "carries H^%d of the source module onto the target's\n" % n)
 
 
 def test_dgmodule_square_two_s7():
