@@ -9,6 +9,7 @@ algebra axioms survive it.
 
 from __future__ import annotations
 
+import copy
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
@@ -17,8 +18,8 @@ from operator import itemgetter
 
 from .checks import check_cdga, check_cdga_morphism, escape_degree
 from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
-                     cohomology, direct_sum, quasi_isomorphism_failure,
-                     truncation_spans)
+                     InternalError, cohomology, direct_sum,
+                     quasi_isomorphism_failure, truncation_spans)
 from .linalg import Matrix, Quotienter, axpy, scaled, sparse_sum
 
 
@@ -530,6 +531,30 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
     return alg
 
 
+def renamed_presentation(a, gen_names):
+    """The algebra `a`, materialized from a free presentation, under the
+    generator names `gen_names`: its own `FreePresentation`, basis labels
+    and complex, sharing a's product table, differential blocks, unit,
+    Groebner basis, standard monomials and proof record.
+
+    Nothing is materialized or checked again.  `check_cdga` reads only
+    the field, the dimensions, the tables and the unit, which are a's;
+    the names only label the basis and name a witness; and no table is
+    changed after construction."""
+    pres = copy.copy(a.presentation)
+    pres.gen_names = gen_names
+    space = GradedVectorSpace(a.field, a.space.window, a.space.dims,
+                              {d: [_mono_label(m, gen_names) for m in ms]
+                               for d, ms in pres.standard.items()})
+    d = copy.copy(a.complex.d)
+    d.source = d.target = space
+    complex_ = copy.copy(a.complex)
+    complex_.space, complex_.d, complex_._cohomology = space, d, None
+    b = copy.copy(a)
+    b.complex, b.space, b.presentation = complex_, space, pres
+    return b
+
+
 # -- derived constructions ----------------------------------------------
 
 
@@ -726,8 +751,8 @@ def quotient_by_acyclic_ideal(a, above):
     q, proj = quotient_cdga(a, spans)
     bad = quasi_isomorphism_failure(proj.map, coh, cohomology(q.complex))
     if bad is not None:
-        raise AlgebraError("acyclic-ideal projection not a quasi-isomorphism "
-                           "(internal, degree %d)" % bad)
+        raise InternalError("acyclic-ideal projection not a quasi-isomorphism "
+                            "(degree %d)" % bad)
     return q, proj
 
 

@@ -2,6 +2,10 @@
 
 Each runs once per object: the parser checks what it reads, a report
 what it certifies; constructions from checked objects are not checked.
+A free presentation that a file repeats under other generator names is
+checked once: the copies share the checked algebra's tables, unit and
+proof record, and `check_cdga` reads only the field, the dimensions,
+the tables and the unit, none of which the names change.
 
 Each check compares the two sides of an identity on basis tuples, but
 reaches the tuples only through the nonzero entries of the product and

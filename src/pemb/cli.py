@@ -1,7 +1,9 @@
 """Command line front end: problem files in, deterministic reports out.
 
 Exit codes: 0 success, 1 named hypothesis failure, 2 parse or
-validation error.
+validation error, 3 internal error: a construction broke what its own
+argument guarantees (`graded.InternalError`), a fault of `pemb` and not
+of the input.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .algebra import AlgebraError, cohomology_algebra
 from .cones import ConeError
 from .duality import DualityError
 from .fields import FieldError, PrimeField, QQ
-from .graded import GradedError
+from .graded import GradedError, InternalError
 from .linalg import dense
 from .modules import ModuleError
 from .parser import ParseError, emit_explicit, parse_file
@@ -288,6 +290,9 @@ def main(argv=None):
     except _INPUT_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except InternalError as e:
+        print("error: internal: %s" % e, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

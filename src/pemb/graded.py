@@ -19,6 +19,12 @@ class GradedError(ValueError):
     pass
 
 
+class InternalError(RuntimeError):
+    """A construction broke what its own argument guarantees: a fault of
+    `pemb`, not of the input (exit code 3).  Not a ValueError, so no
+    handler of input errors turns it into one."""
+
+
 @dataclass(frozen=True)
 class DegreeWindow:
     lo: int
@@ -251,7 +257,7 @@ class CohomologyData:
             return dict(v)
         x = e.apply(v)
         if any(i >= rank for i in x):
-            raise GradedError("cocycle outside the cocycle span (internal)")
+            raise InternalError("cocycle outside the cocycle span")
         return {i - nb: c for i, c in x.items() if i >= nb}
 
     def write_coboundary(self, deg, v):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .checks import check_module, check_module_morphism
 from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
-                     cohomology, direct_sum, dualize, mapping_cone,
-                     quasi_isomorphism_failure, suspend)
+                     InternalError, cohomology, direct_sum, dualize,
+                     mapping_cone, quasi_isomorphism_failure, suspend)
 from .linalg import Matrix, axpy, reduced_kernel, scaled, sparse_sum
 
 
@@ -546,7 +546,7 @@ def semifree_resolution(m, window=None):
                     axpy(field, z, c, coh_P.reps[j][t])
                 w = coh_m.write_coboundary(j, rho.apply(j, z))
                 if w is None:
-                    raise ModuleError("resolution internal error: class not exact")
+                    raise InternalError("resolution: class not exact")
                 gi = len(gens)
                 add(FreeGenerator("u%d_%d" % (j, gi), j - 1, gi), w, z)
         else:

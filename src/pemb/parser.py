@@ -7,6 +7,13 @@ morphism is checked against the axioms as it is read, so a file that
 parses is a file whose objects passed the library checks.  The
 constructions of the other modules keep the axioms and do not check
 their inputs again.
+
+A free presentation equal to an earlier one of the same file up to its
+generator names is neither materialized nor checked again: it gets the
+earlier algebra under its own names (`algebra.renamed_presentation`).
+`check_cdga` reads only the field, the dimensions, the tables and the
+unit, none of which the names change.  The memo lives on the
+`ProblemFile`, so no two parses share it.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ import re
 from fractions import Fraction
 
 from .algebra import (AlgebraError, Cdga, CdgaMorphism,
-                      materialize_free_cdga)
+                      materialize_free_cdga, renamed_presentation)
+from .checks import check_cdga_morphism
 from .fields import FieldError, PrimeField, QQ
 from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      GradedVectorSpace)
@@ -102,6 +110,8 @@ def _parse_terms(toks, lineno):
     while i < len(toks):
         t = toks[i]
         if t in ("+", "-"):
+            if i + 1 == len(toks) or toks[i + 1] in ("+", "-"):
+                raise ParseError(lineno, "sign with no term after it")
             if coeff is not None or factors:
                 flush()
             if t == "-":
@@ -187,6 +197,8 @@ class ProblemFile:
         self.algebras = {}
         self.morphisms = {}
         self.problem = None        # (ambient_name, n, [(emb_name, mor_name)])
+        # free presentation with the names removed -> its checked algebra
+        self.presentations = {}
 
     def embedding_problem(self, name=""):
         if self.problem is None:
@@ -249,10 +261,21 @@ def _parse_free_cdga(name, lines, pf):
                                       "relation", hi)
         if poly:
             rel_polys.append(poly)
-    cdga = materialize_free_cdga(pf.field, gens, diff_polys, rel_polys,
-                                 pf.window)
-    return ParsedAlgebra(name, cdga, "free",
-                         gen_names=[g for g, _ in gens], gen_degs=gen_degs)
+    gen_names = [g for g, _ in gens]
+    key = (pf.field, pf.window, tuple(gen_degs),
+           tuple(sorted((gen_index[g], frozenset(p.items()))
+                        for g, p in diff_polys.items())),
+           tuple(frozenset(p.items()) for p in rel_polys))
+    first = pf.presentations.get(key)
+    if first is not None:
+        cdga = renamed_presentation(first, gen_names)
+    else:
+        cdga = materialize_free_cdga(pf.field, gens, diff_polys, rel_polys,
+                                     pf.window)
+        cdga.validate()
+        pf.presentations[key] = cdga
+    return ParsedAlgebra(name, cdga, "free", gen_names=gen_names,
+                         gen_degs=gen_degs)
 
 
 def _lincomb_to_vec(terms, basis_index, field, lineno, expect_deg=None):
@@ -346,6 +369,7 @@ def _parse_explicit_cdga(name, lines, pf):
     unit = _solve_unit(field, space, product, dims)
     # every index was read off the basis labels, and `validate` checks them
     cdga = Cdga(field, cx, product, unit)
+    cdga.validate()
     return ParsedAlgebra(name, cdga, "explicit", basis_index=index)
 
 
@@ -410,6 +434,7 @@ def _parse_morphism(name, src, tgt, lines, pf):
         images[label] = (lineno, deg, vec)
 
     blocks = {d: [{} for _ in range(ta.space.dim(d))] for d in sa.space.degrees()}
+    unlisted = []       # labels of the unit components given no image
 
     def put(d, i, vec):
         for r, c in vec.items():
@@ -429,6 +454,7 @@ def _parse_morphism(name, src, tgt, lines, pf):
         # times the target unit: with one such component, 1 goes to 1
         for i, c in sa.unit.items():
             if sa.space.label(0, i) not in images:
+                unlisted.append(sa.space.label(0, i))
                 put(0, i, scaled(field, field.div(field.one, c), ta.unit))
     else:
         gen_imgs = {}
@@ -462,7 +488,16 @@ def _parse_morphism(name, src, tgt, lines, pf):
     glm = GradedLinearMap(sa.space, ta.space, 0,
                           {d: Matrix.sparse(field, rows, sa.space.dim(d))
                            for d, rows in blocks.items()})
-    return CdgaMorphism(sa, ta, glm)
+    f = CdgaMorphism(sa, ta, glm)
+    try:
+        f.validate()
+    except AlgebraError as e:
+        # the witness, read again on the way out, says which law failed
+        if unlisted and check_cdga_morphism(f).axiom == "unit preservation":
+            raise AlgebraError("%s; unlisted unit components: %s"
+                               % (e, ", ".join(unlisted)))
+        raise
+    return f
 
 
 def parse(text, field_override=None):
@@ -519,7 +554,6 @@ def parse(text, field_override=None):
                 raise ParseError(lineno, "duplicate algebra name %r" % name)
             try:
                 pf.algebras[name] = builder(name, lines, pf)
-                pf.algebras[name].cdga.validate()
             except (AlgebraError, FieldError) as e:
                 raise ParseError(lineno, str(e))
         elif head == "morphism":
@@ -532,7 +566,6 @@ def parse(text, field_override=None):
                 raise ParseError(lineno, "duplicate morphism name %r" % mname)
             try:
                 pf.morphisms[mname] = _parse_morphism(mname, src, tgt, lines, pf)
-                pf.morphisms[mname].validate()
             except (AlgebraError, FieldError) as e:
                 raise ParseError(lineno, str(e))
         elif head == "problem":

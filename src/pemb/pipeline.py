@@ -5,7 +5,8 @@ duality algebra to the embedded piece, the pipelines build complement
 models, commuting squares, and Lefschetz-duality module structures,
 each with machine-checkable certificates.  Hypothesis failures raise
 HypothesisError with the violated inequality named; structural input
-problems raise PipelineError.
+problems raise PipelineError; a broken invariant of a construction
+raises `graded.InternalError`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from .cones import (ConeError, build_acyclic_truncation, check_shift_bounds,
 from .duality import (DualityError, construct_top_degree, gysin_map,
                       shifted_dual_morphism)
 from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
-                     GradedVectorSpace, cohomology, induced_on_cohomology,
-                     quasi_isomorphism_failure, truncation_spans)
+                     GradedVectorSpace, InternalError, cohomology,
+                     induced_on_cohomology, quasi_isomorphism_failure,
+                     truncation_spans)
 from .linalg import Matrix, axpy, dense, scaled
 from .modules import (DgModule, DgModuleMorphism, algebra_as_module,
                       direct_sum_modules, module_mapping_cone,
@@ -188,12 +190,18 @@ def _top_degree_map(phi, n):
     res = semifree_resolution(dq, window=DegreeWindow(0, n + 1))
     if (min(res.module.space.degrees(), default=n)
             < min(cohomology(dq.complex).dims, default=n)):
-        raise PipelineError("internal: resolution not concentrated in "
-                            "degrees >= n - m")
+        raise InternalError("resolution not concentrated in degrees >= n - m")
     try:
         return res, construct_top_degree(res.module, algebra_as_module(phi.source), n)
     except DualityError as e:
         raise HypothesisError(str(e))
+
+
+def _same_tables(a, b):
+    """Whether two algebras share their product table, differential
+    blocks and unit, as the copies of one parsed presentation do."""
+    return (a.product is b.product and a.complex.d.blocks is b.complex.d.blocks
+            and a.unit is b.unit)
 
 
 def _zero_map_cone(module, q):
@@ -266,7 +274,7 @@ def _induced_quotient_morphism(phi, proj_r, proj_q):
         for i in range(src.space.dim(d)):
             lift = pr.solve({i: field.one})
             if lift is None:
-                raise PipelineError("internal: quotient projection not onto")
+                raise InternalError("quotient projection not onto")
             cols.append(proj_q.apply(d, phi.apply(d, lift)))
         blocks[d] = Matrix.from_cols(field, cols, tgt.space.dim(d))
     return CdgaMorphism(src, tgt, GradedLinearMap(src.space, tgt.space, 0, blocks))
@@ -334,16 +342,15 @@ def stable_square(problem):
     cone_l = semi_trivial_cone(psi.map)
     phi_psi = phi_n.map.compose(psi.map.map)
     if not phi_psi.is_zero():
-        raise PipelineError("internal: phi . psi expected to vanish in the "
-                            "stable range")
+        raise InternalError("phi . psi expected to vanish in the stable range")
     cone_r = _zero_map_cone(d_mod, q_norm)
     bounds_l = check_shift_bounds(cone_l)
     bounds_r = check_shift_bounds(cone_r)
     k = n - m - 1
     if not (bounds_l.admits(k) and cone_l.leibniz is None):
-        raise PipelineError("internal: left cone fails the k = n-m-1 bounds")
+        raise InternalError("left cone fails the k = n-m-1 bounds")
     if not (bounds_r.found and cone_r.leibniz is None):
-        raise PipelineError("internal: right cone fails the degree bounds")
+        raise InternalError("right cone fails the degree bounds")
     bl, bl_incl = cone_l.to_cdga()
     br, br_incl = cone_r.to_cdga()
     bottom_glm = _cone_map_blocks(problem.field, cone_l.space, cone_l.split,
@@ -374,11 +381,19 @@ def dgmodule_square(problem):
     n = problem.n
     r_mod = algebra_as_module(problem.ambient)
     parts, psis = [], []
+    done = []                      # (branch, res, psi) of each map resolved
     for bi, branch in enumerate(problem.branches):
-        try:
-            res, psi_k = _top_degree_map(branch, n)
-        except HypothesisError as e:
-            raise HypothesisError("branch %d: %s" % (bi, e))
+        # a target sharing an earlier one's tables, under an equal map,
+        # restricts to the same module: its (res, psi) serve again
+        for b, res, psi_k in done:
+            if _same_tables(b.target, branch.target) and b.map == branch.map:
+                break
+        else:
+            try:
+                res, psi_k = _top_degree_map(branch, n)
+            except HypothesisError as e:
+                raise HypothesisError("branch %d: %s" % (bi, e))
+            done.append((branch, res, psi_k))
         parts.append(res.module)
         psis.append(psi_k)
     d_mod, offsets = direct_sum_modules(parts)
@@ -462,18 +477,16 @@ def lefschetz(problem):
                 for zw in coh_r.reps[d]]
         mtx = Matrix.from_cols(problem.field, cols, coh_c.dim(d))
         if coh_c.dim(d) != coh_r.dim(d) or mtx.rank() != coh_c.dim(d):
-            raise PipelineError("internal: low-degree comparison with the "
-                                "ambient algebra is not an isomorphism "
-                                "(degree %d)" % d)
+            raise InternalError("low-degree comparison with the ambient algebra "
+                                "is not an isomorphism (degree %d)" % d)
         for i in range(mtx.nrows):
             lifts[(d, i)] = zw = {}
             for c, x in mtx.solve({i: problem.field.one}).items():
                 axpy(problem.field, zw, x, coh_r.reps[d][c])
     for d in coh_c.dims:
         if d < bound and (d, 0) not in lifts:
-            raise PipelineError("internal: complement class below the bound "
-                                "missing from the ambient algebra (degree %d)"
-                                % d)
+            raise InternalError("complement class below the bound missing from "
+                                "the ambient algebra (degree %d)" % d)
     space = GradedVectorSpace(problem.field,
                               DegreeWindow(0, max(coh_c.dims) if coh_c.dims else 0),
                               dict(coh_c.dims),
@@ -572,12 +585,10 @@ def punctured_square(problem, attest_boundary_simply_connected=False):
               if coh_cr.dim(d) != coh_qr.dim(d)}
     right_ok = killed == {n - 1: 1}
     if not left_qiso:
-        raise PipelineError("internal: ambient-side projection is not a "
-                            "quasi-isomorphism")
+        raise InternalError("ambient-side projection is not a quasi-isomorphism")
     if not right_ok:
-        raise PipelineError("internal: embedded-side projection does not "
-                            "kill exactly one degree-%d class (killed: %s)"
-                            % (n - 1, killed))
+        raise InternalError("embedded-side projection does not kill exactly "
+                            "one degree-%d class (killed: %s)" % (n - 1, killed))
     return SquareResult(
         kind="punctured", top_left=problem.ambient, top_right=problem.target,
         bottom_left=ql, bottom_right=qr,

@@ -22,7 +22,10 @@ normalizations are the identity, it builds and checks nothing for them.
 Each truncation is built and certified once, and a parsed algebra has
 its indices checked once.  Every algebra morphism that parsing and the
 stable square check joins two algebras that `check_cdga` passed, so it
-is checked multiplicative on the generating set alone.
+is checked multiplicative on the generating set alone.  A free
+presentation that a file repeats under other names is materialized and
+checked once per parse, never once per process, and `dgmodule-square`
+resolves the equal branches of a menorah once.
 """
 
 import re
@@ -628,3 +631,56 @@ def test_a_parsed_algebra_has_its_indices_checked_once(monkeypatch):
     counted_calls(monkeypatch, checks, "outside_basis", calls)
     assert sorted(parse(machine).algebras) == ["BL", "BR"]
     assert len(calls) == 2
+
+
+# -- one materialization per distinct presentation -------------------------
+
+
+def menorah16(directory):
+    """Path of the 16-branch rung of the menorah ladder: one ambient and
+    16 copies of one presentation of S^3 under 16 names."""
+    path = directory / "menorah16.pemb"
+    path.write_text(ladder.build("menorah_fp", 1).problems["menorah16"].text)
+    return str(path)
+
+
+def counting(monkeypatch):
+    """Calls of the materialization, the algebra check and the semifree
+    resolution, in order."""
+    calls = []
+    counted_calls(monkeypatch, algebra, "materialize_free_cdga", calls)
+    counted_calls(monkeypatch, checks, "check_cdga", calls)
+    counted_calls(monkeypatch, modules, "semifree_resolution", calls)
+    return calls
+
+
+def test_each_distinct_presentation_is_materialized_and_checked_once(
+        monkeypatch, tmp_path):
+    """Parsing a 16-branch menorah materializes and checks the ambient
+    and one branch; the other 15 branches share that branch's algebra.
+    `dgmodule-square` resolves the one map they share once, not 16 times."""
+    path = menorah16(tmp_path)
+    calls = counting(monkeypatch)
+    pf = cli.parse_file(path)
+    assert (calls.count("materialize_free_cdga"), calls.count("check_cdga")) == (2, 2)
+    _, _, branches = pf.problem
+    targets = [pf.algebras[q].cdga for q, _ in branches]
+    assert all(t.product is targets[0].product for t in targets)
+    del calls[:]
+    assert run_cli(["dgmodule-square", path])[0] == 0
+    assert calls.count("semifree_resolution") == 1
+
+
+def test_nothing_is_shared_between_two_runs(monkeypatch, tmp_path):
+    """The shared presentations live on one parsed file: a second run in
+    the same process materializes and checks again, as the first did."""
+    path = menorah16(tmp_path)
+    calls = counting(monkeypatch)
+    runs = []
+    for _ in range(2):
+        del calls[:]
+        assert run_cli(["dgmodule-square", path])[0] == 0
+        runs.append(list(calls))
+    assert runs[0] == runs[1]
+    assert [runs[0].count(c) for c in ("materialize_free_cdga", "check_cdga",
+                                       "semifree_resolution")] == [2, 2, 1]

@@ -9,9 +9,11 @@ from math import comb
 import pytest
 
 from builders import run_cli
-from pemb import algebra, cli
-from pemb.algebra import MAX_PRODUCT_ENTRIES, MAX_STANDARD_MONOMIALS
+from pemb import algebra, cli, pipeline
+from pemb.algebra import (MAX_PRODUCT_ENTRIES, MAX_STANDARD_MONOMIALS,
+                          materialize_free_cdga)
 from pemb.fields import MAX_PRIME, QQ, is_prime
+from pemb.graded import DegreeWindow
 from pemb.linalg import Matrix
 from pemb.parser import ParseError, emit_explicit, parse, parse_file
 
@@ -275,6 +277,17 @@ def test_cli_exit_codes(tmp_path):
     assert runs[0] == runs[1] and runs[0][0] == 0
 
 
+def test_internal_error_exits_3(monkeypatch):
+    """A construction that breaks what its own argument guarantees is a
+    fault of the program, not of the input: exit code 3, one line on
+    stderr, no traceback."""
+    monkeypatch.setattr(pipeline, "quasi_isomorphism_failure", lambda *args: 4)
+    code, out, err = run_cli(["punctured-square", str(cli.example_path("cp2_in_s8")),
+                              "--attest-boundary-simply-connected"])
+    assert (code, out, err) == (
+        3, "", "error: internal: ambient-side projection is not a quasi-isomorphism\n")
+
+
 def test_product_table_stops_past_its_bound(tmp_path, monkeypatch):
     """Four degree-2 generators on a window to 38: 8,855 standard
     monomials, within their budget, and one nonzero product for each of
@@ -414,6 +427,70 @@ def test_free_presentation_never_reads_dense_matrices(monkeypatch):
     assert pf.algebras[target].cdga.space.dims == {0: 1, 2: 4, 4: 6, 6: 4, 8: 1}
 
 
+# -- presentations equal up to names share one materialization -------------
+
+SHARED = ("field rational\nwindow 0 9\n"
+          "cdga A { generator x deg 2 ; generator y deg 3 ; generator z deg 4 ;"
+          " d y = x^2 ; relation x*z }\n")
+# A with its generators renamed, and with one degree, one relation or one
+# d(g) changed
+RENAMED = ("cdga B { generator u deg 2 ; generator v deg 3 ; generator w deg 4 ;"
+           " d v = u^2 ; relation u*w }\n")
+DIFFERENT = [RENAMED.replace("w deg 4", "w deg 6"),
+             RENAMED.replace("relation u*w", "relation w^2"),
+             RENAMED.replace("d v = u^2", "d v = 2 u^2")]
+
+
+def test_a_renamed_presentation_shares_the_checked_algebra(tmp_path):
+    """A block equal to an earlier one up to its generator names gets the
+    earlier algebra's tables and proof record, under its own names."""
+    pf = parse(SHARED + RENAMED)
+    a, b = pf.algebras["A"].cdga, pf.algebras["B"].cdga
+    assert a.proven_generators is not None
+    for attr in ("product", "both_orders", "unit", "proven_generators"):
+        assert getattr(b, attr) is getattr(a, attr), attr
+    assert b.complex.d.blocks is a.complex.d.blocks
+    assert b.presentation.standard is a.presentation.standard
+    assert (a.presentation.gen_names, b.presentation.gen_names) == (
+        ["x", "y", "z"], ["u", "v", "w"])
+    assert a.space.labels[5] == ("x*y",) and b.space.labels[5] == ("u*v",)
+    assert b.complex.space is b.space and b.complex.d.source is b.space
+    # the reference: each block materialized on its own gives these tables
+    window = DegreeWindow(0, 9)
+    for names, alg in (("xyz", a), ("uvw", b)):
+        g1, g2, g3 = names
+        own = materialize_free_cdga(QQ, [(g1, 2), (g2, 3), (g3, 4)],
+                                    {g2: {(0, 0): 1}}, [{(0, 2): 1}], window)
+        assert own.product == alg.product and own.unit == alg.unit
+        assert own.complex.d == alg.complex.d
+        assert own.space.labels == alg.space.labels
+    # the names of each block reach the reports
+    path = tmp_path / "shared.pemb"
+    path.write_text(SHARED + RENAMED)
+    reports = {}
+    for name in ("A", "B"):
+        for fmt in ("table", "machine"):
+            code, out, _ = run_cli(["cohomology", str(path), "--object", name,
+                                    "--format", fmt])
+            assert code == 0
+            reports[name, fmt] = out
+    assert reports["B", "table"] == reports["A", "table"].replace("H^*(A)", "H^*(B)")
+    assert reports["B", "machine"] == reports["A", "machine"].replace("H_A", "H_B")
+    assert "cdga H_B explicit {" in reports["B", "machine"]
+
+
+@pytest.mark.parametrize("other", DIFFERENT, ids=["degree", "relation", "d"])
+def test_presentations_that_differ_share_nothing(other):
+    """One changed degree, relation or d(g) makes another presentation:
+    it is materialized and checked on its own."""
+    pf = parse(SHARED + other)
+    a, b = pf.algebras["A"].cdga, pf.algebras["B"].cdga
+    for attr in ("product", "unit", "proven_generators"):
+        assert getattr(b, attr) is not getattr(a, attr), attr
+    assert b.complex.d.blocks is not a.complex.d.blocks
+    assert b.presentation.standard is not a.presentation.standard
+
+
 # -- every error the parser raises, through the command line ---------------
 
 HEAD = "field rational\nwindow 0 7\n"
@@ -429,6 +506,10 @@ PROBLEM = FREE + "morphism f : R -> Q { e6 -> 0 }\nproblem {\n"
 PARSE_ERRORS = [
     (HEAD + "cdga A { generator x deg 2 @ }\n", 3, "unexpected character '@'"),
     (HEAD + "cdga A {\n  generator x deg 2\n", 0, "unexpected end of file"),
+    (HEAD + "cdga A { generator x deg 2 ; relation x^2 + }\n", 3, "sign with no term after it"),
+    (MORPHISM + "  e6 -> -\n}\n", 6, "sign with no term after it"),
+    (HEAD + "cdga A { generator x deg 2 ; generator y deg 2 ; relation x - - y }\n", 3,
+     "sign with no term after it"),
     (HEAD + "cdga A { generator x deg 2 ; relation 2 3 x^2 }\n", 3,
      "two coefficients in one term"),
     (HEAD + "cdga A { generator x deg 2 ; relation 1/0 x^2 }\n", 3, "zero denominator in 1/0"),
@@ -466,6 +547,10 @@ PARSE_ERRORS = [
     (MORPHISM + "  e5 -> 0\n}\n", 6, "unknown generator 'e5'"),
     (MORPHISM.replace("e6 deg 6", "e2 deg 2").replace("R -> Q", "Q -> R")
      + "  x2 -> e2 * e2\n}\n", 6, "image of x2 has degree 4, expected 2"),
+    (HEAD + "cdga P explicit { basis p deg 0 ; basis q deg 0 ; product p p = p ;"
+     " product q q = q }\ncdga T explicit { basis t deg 0 ; product t t = t }\n"
+     "morphism f : P -> T { }\n", 5,
+     "morphism does not preserve the unit; unlisted unit components: p, q"),
     ("field prime 4\nwindow 0 7\n", 1, "4 is not prime"),
     ("field real\nwindow 0 7\n", 1, "expected 'field rational' or 'field prime <p>'"),
     ("field rational\nwindow -3 7\n", 2, "window must start at 0"),
@@ -531,6 +616,13 @@ def test_morphism_out_of_an_explicit_algebra():
     f = pf.morphisms["f"]
     assert f.source.unit == {0: QQ.one, 1: QQ.one}
     assert f.map.block(0).rows == ({0: QQ.one},)
+    # both points unlisted: each goes to 1, so 1 goes to 2; the error names them
+    with pytest.raises(ParseError, match="^line 8: morphism does not preserve the unit; "
+                                         "unlisted unit components: p, q$"):
+        parse(HEAD + "cdga P explicit {\n  basis p deg 0 ; basis q deg 0\n"
+              "  product p p = p ; product q q = q\n}\n"
+              "cdga T explicit { basis pt deg 0 ; product pt pt = pt }\n"
+              "morphism f : P -> T { }\n")
     # explicit on both sides, the identity of EXPLICIT from its positive part
     f = parse(EXPLICIT + "}\nmorphism f : E -> E { a -> a ; b -> b ; c -> c }\n").morphisms["f"]
     assert all(f.map.block(d).rows == ({0: QQ.one},) for d in range(4))

@@ -5,7 +5,7 @@ import pytest
 
 from builders import (SULLIVAN_S2_IN_S9, run_cli, sphere, sullivan_cp2, tables_match,
                       torus_s1_s7, wedge_s2_s4)
-from pemb import cli, duality
+from pemb import cli, duality, pipeline
 from pemb.algebra import CdgaMorphism, materialize_free_cdga
 from pemb.checks import check_cdga, check_cdga_morphism
 from pemb.fields import QQ
@@ -218,6 +218,45 @@ def test_stacked_branches_build_no_zero_block(monkeypatch):
             assert block.rows == tuple(row for b in problem.branches
                                        for row in b.map.block(d).rows)
             assert block.ncols == problem.ambient.space.dim(d)
+
+
+def test_mixed_link_matches_the_alexander_tables(monkeypatch, tmp_path):
+    """Two S^3 and one S^5 in S^12: the two S^3 share one resolution and
+    the S^5 has its own, and both reports give the closed-form tables of
+    Alexander duality and of the tube boundary, over Q and F_p."""
+    n, dims = 12, [3, 5, 3]
+    names = ["A", "B", "C"]
+    text = ["field rational", "window 0 %d" % (n + 1), "cdga R { generator e deg %d }" % n]
+    text += ["cdga %s { generator g%s deg %d }" % (q, q, d) for q, d in zip(names, dims)]
+    text += ["morphism f%s : R -> %s { e -> 0 }" % (q, q) for q in names]
+    text += ["problem { ambient R dim %d ; %s }"
+             % (n, " ; ".join("embedded %s via f%s" % (q, q) for q in names))]
+    path = tmp_path / "mixed.pemb"
+    path.write_text("\n".join(text) + "\n")
+    reduced = {0: len(dims) - 1}
+    for d in dims:
+        reduced[d] = reduced.get(d, 0) + 1
+    boundary = {}
+    for d in dims:
+        for k, c in ladder.poincare_product([{0: 1, d: 1}, {0: 1, n - d - 1: 1}]).items():
+            boundary[k] = boundary.get(k, 0) + c
+    prob = ladder.Problem(path.read_text(), n, max(dims),
+                          ladder.alexander_table(reduced, n), boundary)
+    assert prob.complement == {0: 1, 6: 1, 8: 2, 11: 2}
+    resolutions = []
+    semifree = pipeline.semifree_resolution
+
+    def counted(*args, **kwargs):
+        resolutions.append(args[0])
+        return semifree(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "semifree_resolution", counted)
+    for command, extra in (("dgmodule-square", []), ("dgmodule-square", ["--field", "10007"]),
+                           ("lefschetz", [])):
+        job = ladder.Job(command, "mixed")
+        code, out, err = run_cli([command, str(path)] + extra)
+        assert ladder.check(job, prob, code, out, err) == [], (command, out, err)
+    assert len(resolutions) == 4
 
 
 def test_lefschetz_menorah_undetermined():
