@@ -568,20 +568,10 @@ def cohomology_algebra(a):
     dims = dict(coh.dims)
     labels = {d: ["h%d_%d" % (d, i) for i in range(n)] for d, n in dims.items()}
     space = GradedVectorSpace(a.field, a.space.window, dims, labels)
-    complex_ = CochainComplex.zero_differential(space)
-    product = {}
-    for d1 in space.degrees():
-        for d2 in space.degrees():
-            d = d1 + d2
-            if d > space.window.hi:
-                continue
-            for i1, z1 in enumerate(coh.reps[d1]):
-                for i2, z2 in enumerate(coh.reps[d2]):
-                    w = coh.reduce(d, a.mul_vec(d1, z1, d2, z2))
-                    if w:
-                        product[(d1, i1, d2, i2)] = w
+    product = projected_table(left_factors(coh.reps), coh.reps, coh.reduce, a.mul_vec,
+                              space.window.hi)
     unit = coh.reduce(0, a.unit) if 0 in coh.dims else {}
-    halg = Cdga(a.field, complex_, product, unit)
+    halg = Cdga(a.field, CochainComplex.zero_differential(space), product, unit)
     return halg, coh
 
 
@@ -619,27 +609,33 @@ def check_poincare_duality(halg, n):
         if d > n:
             return None, PoincareDualityFailure("cohomology above dimension", d)
     pairings = {}
-    for k in range(1, n):
+    # H^k = H^(n-k) = 0 passes, so only the degrees with a class or a
+    # complementary class are walked: the first failure is the same
+    inner = [d for d in h.degrees() if 0 < d < n]
+    for k in sorted(set(inner) | {n - d for d in inner}):
         if h.dim(k) != h.dim(n - k):
             return None, PoincareDualityFailure(
                 "complementary degrees have unequal dimensions", k)
-        if h.dim(k) == 0:
-            continue
-        rows = [{} for _ in range(h.dim(k))]
-        for (d1, i, d2, j), v in halg.both_orders.items():
-            if d1 == k and d2 == n - k and 0 in v:
-                rows[i][j] = v[0]
-        m = Matrix.sparse(halg.field, rows, h.dim(n - k))
+        m = _pairing(halg, k, n)
         if m.rank() != h.dim(k):
             return None, PoincareDualityFailure(
                 "degenerate pairing between degrees (%d, %d)" % (k, n - k), k)
         pairings[k] = m
     if h.dim(n) != 1:
         return None, PoincareDualityFailure("H^n is not one-dimensional", n)
-    # the pairings in degrees (0, n) are the unit law
-    pairings[0] = Matrix.identity(halg.field, 1)
-    pairings[n] = Matrix.identity(halg.field, 1)
+    # in degrees (0, n) the pairing is a unit class times H^n: nondegenerate
+    pairings[0], pairings[n] = _pairing(halg, 0, n), _pairing(halg, n, n)
     return PoincareDualityCertificate(n, {0: halg.field.one}, pairings), None
+
+
+def _pairing(halg, k, n):
+    """H^k x H^(n-k) -> H^n as a matrix: the coefficient of the first
+    class of H^n in each product."""
+    rows = [{} for _ in range(halg.space.dim(k))]
+    for (d1, i, d2, j), v in halg.both_orders.items():
+        if d1 == k and d2 == n - k and 0 in v:
+            rows[i][j] = v[0]
+    return Matrix.sparse(halg.field, rows, halg.space.dim(n - k))
 
 
 def quotient_complex(complex_, spans):
@@ -679,18 +675,26 @@ def quotient_complex(complex_, spans):
     return qcx, proj, reducers
 
 
-def projected_table(lefts, reducers, mul, hi):
-    """Structure constants on a quotient: for each left factor (d1, i1, v1)
-    and each quotient basis element i2 of degree d2 <= hi - d1, the
-    nonzero projection of mul(d1, v1, d2, its lift)."""
+def left_factors(reps):
+    """(degree, index, representative) of each class of reps, degree ->
+    list of representatives, as the left factors of `projected_table`."""
+    return [(d, i, v) for d, vs in reps.items() for i, v in enumerate(vs)]
+
+
+def projected_table(lefts, reps, reduce, mul, hi):
+    """Structure constants over classes, the one place where products of
+    classes are reduced: for each left factor (d1, i1, v1) and each
+    representative reps[d2][i2] with d1 + d2 <= hi, the nonzero
+    reduce(d1 + d2, mul(d1, v1, d2, reps[d2][i2])) under (d1, i1, d2, i2).
+    A target degree with no classes is skipped."""
     table = {}
     for d1, i1, v1 in lefts:
-        for d2, r2 in reducers.items():
-            rd = reducers.get(d1 + d2)
-            if d1 + d2 > hi or rd is None or not rd.keep:
+        for d2, r2 in reps.items():
+            d = d1 + d2
+            if d > hi or not reps.get(d):
                 continue
-            for i2 in range(len(r2.keep)):
-                w = rd.project(mul(d1, v1, d2, r2.lift({i2: r2.field.one})))
+            for i2, z2 in enumerate(r2):
+                w = reduce(d, mul(d1, v1, d2, z2))
                 if w:
                     table[(d1, i1, d2, i2)] = w
     return table
@@ -719,9 +723,10 @@ def quotient_cdga(a, spans):
     bad = escape_degree(spans, reducers, multiples)
     if bad is not None:
         raise AlgebraError("subspace is not an ideal (degree %d)" % bad)
-    lifts = [(d, i, r.lift({i: a.field.one}))
-             for d, r in reducers.items() for i in range(len(r.keep))]
-    product = projected_table(lifts, reducers, a.mul_vec, hi)
+    lifts = {d: [r.lift({i: a.field.one}) for i in range(len(r.keep))]
+             for d, r in reducers.items()}
+    product = projected_table(left_factors(lifts), lifts,
+                              lambda d, v: reducers[d].project(v), a.mul_vec, hi)
     unit = reducers[0].project(a.unit)
     q = Cdga(a.field, qcx, product, unit)
     return q, CdgaMorphism(a, q, proj)

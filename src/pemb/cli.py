@@ -131,8 +131,12 @@ def cmd_complement(pf, args):
         return 0
     _print(_algebra_summary(out))
     oracle = oracle_complement_dims(problem)
-    print("independent dimension oracle: %s : %s"
-          % (format_dims(oracle), "MATCH" if oracle == out.h_dims else "MISMATCH"))
+    if oracle is None:
+        print("independent dimension oracle: not applicable "
+              "(ambient is not a cohomology n-sphere)")
+    else:
+        print("independent dimension oracle: %s : %s"
+              % (format_dims(oracle), "MATCH" if oracle == out.h_dims else "MISMATCH"))
     return 0
 
 

@@ -161,10 +161,7 @@ def build_acyclic_truncation(cone, cut):
 @dataclass
 class TruncatedCone:
     algebra: Cdga                  # the quotient, validated as a CDGA
-    projection: CdgaMorphism       # raw cone -> quotient (as algebras)
     base_map: CdgaMorphism         # base R -> quotient
-    cone: MappingConeAlgebra
-    ideal: dict                    # degree -> spanning cone vectors
 
 
 def truncated_cone(cone, ideal, k, l):
@@ -201,4 +198,4 @@ def truncated_cone(cone, ideal, k, l):
         raise ConeError("truncation ideal is not acyclic (degree %d)" % bad)
     base_map = CdgaMorphism(cone.base, q, proj.map.compose(cone.inclusion))
     base_map.validate()
-    return TruncatedCone(q, proj, base_map, cone, ideal)
+    return TruncatedCone(q, base_map)

@@ -96,12 +96,11 @@ def verify_scalar_uniqueness(psi, psi2):
     return u, h
 
 
-def _top_coefficient(space, n, fundamental, vec):
+def _top_coefficient(field, fundamental, vec):
     """Coefficient of the fundamental class in a top-degree vector."""
     if not fundamental:
         raise DualityError("degenerate fundamental class")
     i = min(fundamental)
-    field = space.field
     return field.div(vec[i], fundamental[i]) if i in vec else field.zero
 
 
@@ -126,12 +125,9 @@ def gysin_map(hf, cert_w, cert_v, k):
         out_dim = hw.space.dim(j)
         comp_deg = nw - j
         pair_dim = hw.space.dim(comp_deg)
-        # rows over the unknown x = f^!(v): <x . w_t, [W]> = rhs_t
-        pairing = Matrix.sparse(field, [
-            {c: x for c in range(out_dim)
-             if (x := _top_coefficient(hw.space, nw, cert_w.fundamental_class,
-                                       hw.mul_basis(j, c, comp_deg, t)))}
-            for t in range(pair_dim)], out_dim)
+        # rows over the unknown x = f^!(v): <x . w_t, [W]> = rhs_t, the
+        # certificate's pairing of H^j(W) with H^(nw-j)(W), transposed
+        pairing = cert_w.pairings[j].transpose()
         cols = []
         for s in range(src_dim):
             v = hv.basis_vec(j - k, s)
@@ -139,7 +135,7 @@ def gysin_map(hf, cert_w, cert_v, k):
             for t in range(pair_dim):
                 w = hw.basis_vec(comp_deg, t)
                 prod = hv.mul_vec(j - k, v, comp_deg, hf.apply(comp_deg, w))
-                x = _top_coefficient(hv.space, nv, cert_v.fundamental_class, prod)
+                x = _top_coefficient(field, cert_v.fundamental_class, prod)
                 if x:
                     rhs[t] = x
             x = pairing.solve(rhs)

@@ -276,15 +276,13 @@ def _glm_from_coords(P, N, i, slots, coords):
 
 
 def solve_chain_maps(P, N, constraints=()):
-    """All degree-0 A-linear chain maps P -> N subject to extra affine
+    """All degree-0 A-linear chain maps P -> N subject to cohomology-class
     constraints.
 
-    Each constraint is either ("affine", row_dict, rhs) with row_dict
-    mapping slots (deg, target_idx, source_idx) to coefficients, or
-    ("class", deg, cocycle, target_vector) demanding [f(cocycle)] =
-    [target_vector] in H^deg(N); the latter adds auxiliary coboundary
-    unknowns.  Returns (particular, kernel) as lists of morphisms, or
-    None when inconsistent.
+    Each constraint is ("class", deg, cocycle, target_vector), demanding
+    [f(cocycle)] = [target_vector] in H^deg(N); it adds auxiliary
+    coboundary unknowns.  Returns (particular, kernel) as lists of
+    morphisms, or None when inconsistent.
     Linearity and the chain-map rule are rows of the system, so the
     solutions are not re-checked.
     """
@@ -294,24 +292,14 @@ def solve_chain_maps(P, N, constraints=()):
     nf = len(slots)
     aux_cols = 0
     class_constraints = []
-    for c in constraints:
-        if c[0] == "class":
-            _, deg, z, w = c
-            class_constraints.append((deg, z, w, nf + aux_cols))
-            aux_cols += N.space.dim(deg - 1)
+    for _, deg, z, w in constraints:
+        class_constraints.append((deg, z, w, nf + aux_cols))
+        aux_cols += N.space.dim(deg - 1)
     total = nf + aux_cols
     # linearity rows, then chain-map rows: (d_N f - f d_P)(m) = 0
     rows = [row for row in _linearity_rows(P, N, 0, slots) + _delta_rows(P, N, 0, slots)
             if row]
     rhs = {}
-    for c in constraints:
-        if c[0] == "affine":
-            _, rd, b = c
-            b = field.of(b)
-            if b:
-                rhs[len(rows)] = b
-            rows.append(sparse_sum(field, ((idx[s], field.of(coeff))
-                                           for s, coeff in rd.items())))
     for deg, z, w, off in class_constraints:
         # f(z)_t - d(u)_t = w_t for auxiliary u in N^(deg-1)
         dblock = N.complex.d.blocks.get(deg - 1)

@@ -31,6 +31,12 @@ from .linalg import Matrix, scaled
 from .pipeline import EmbeddingProblem, PipelineError
 
 
+# The largest window top a file may declare.  Materializing a free
+# presentation and its checks walk every degree of the window, so a
+# larger one costs time in proportion to a single number of the file.
+MAX_DEGREE = 10000
+
+
 class ParseError(ValueError):
     def __init__(self, lineno, message):
         self.lineno = lineno
@@ -231,6 +237,8 @@ def _parse_free_cdga(name, lines, pf):
             _expect(toks, lineno, "generator", None, "deg", None)
             if not re.fullmatch(r"\d+", toks[3]):
                 raise ParseError(lineno, "degree must be an integer")
+            if any(g == toks[1] for g, _ in gens):
+                raise ParseError(lineno, "duplicate generator name %r" % toks[1])
             gens.append((toks[1], int(toks[3])))
         elif toks[0] == "d":
             _expect(toks, lineno, "d", None, "=")
@@ -539,6 +547,9 @@ def parse(text, field_override=None):
                 raise ParseError(lineno, "window bounds must be integers")
             if pf.window.lo != 0:
                 raise ParseError(lineno, "window must start at 0")
+            if pf.window.hi > MAX_DEGREE:
+                raise ParseError(lineno, "window upper bound %d exceeds the largest "
+                                 "degree %d" % (pf.window.hi, MAX_DEGREE))
         elif head == "cdga":
             if pf.field is None or pf.window is None:
                 raise ParseError(lineno, "field and window must come first")

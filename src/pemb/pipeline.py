@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import (AlgebraError, Cdga, CdgaMorphism, check_poincare_duality,
-                      cohomology_algebra, direct_sum_cdga,
-                      quotient_by_acyclic_ideal, quotient_cdga)
+                      cohomology_algebra, direct_sum_cdga, left_factors,
+                      projected_table, quotient_by_acyclic_ideal, quotient_cdga)
 from .cones import (ConeError, build_acyclic_truncation, check_shift_bounds,
                     semi_trivial_cone, truncated_cone)
 from .duality import (DualityError, construct_top_degree, gysin_map,
@@ -445,76 +445,53 @@ def lefschetz(problem):
     if report.pd_failure is not None:
         raise HypothesisError("ambient duality certificate failed: %s"
                               % report.pd_failure)
-    n, m, r = report.n, report.m, report.r
-    dual_phi = shifted_dual_morphism(problem.phi, n)
-    cone_mod, split = module_mapping_cone(dual_phi)
+    n, m = report.n, report.m
+    cone_mod, _ = module_mapping_cone(shifted_dual_morphism(problem.phi, n))
     cone_mod.validate()
     coh_c = cohomology(cone_mod.complex)
     coh_r = cohomology(problem.ambient.complex)
     # module action of H(ambient) on H(cone)
-    action = {}
-    for dw in coh_r.dims:
-        for i, zw in enumerate(coh_r.reps[dw]):
-            for dc in coh_c.dims:
-                t = dw + dc
-                if coh_c.dim(t) == 0:
-                    continue
-                for j, zc in enumerate(coh_c.reps[dc]):
-                    w = coh_c.reduce(t, cone_mod.act_vec(dw, zw, dc, zc))
-                    if w:
-                        action[(dw, i, dc, j)] = w
+    action = projected_table(left_factors(coh_r.reps), coh_c.reps, coh_c.reduce,
+                             cone_mod.act_vec, max(coh_c.dims, default=0))
     if not report.unknotting:
         return LefschetzResult(dict(coh_c.dims), action, None, True, report)
     bound = n - m - 1
-    # low-degree classes come from the ambient algebra through the action
-    # on the degree-0 generator
     if coh_c.dim(0) != 1:
         raise HypothesisError("H^0 of the duality cone is not a line")
-    c0 = coh_c.reps[0][0]
-    lifts = {}                     # (d, i) -> cocycle of W with class c_{d,i}
-    for d in [d for d in coh_r.dims if 0 <= d < bound]:
-        cols = [coh_c.reduce(d, cone_mod.act_vec(d, zw, 0, c0))
-                for zw in coh_r.reps[d]]
-        mtx = Matrix.from_cols(problem.field, cols, coh_c.dim(d))
-        if coh_c.dim(d) != coh_r.dim(d) or mtx.rank() != coh_c.dim(d):
+    field = problem.field
+    # below the bound, w -> w.[1] (the action entries (d, k, 0, 0)) is an
+    # isomorphism H^d(W) -> H^d(C); row k of its inverse holds the
+    # coefficients x_k of w_k in c = sum x_k w_k.[1], for each class c
+    inverse = {}
+    for d in sorted(set(coh_r.dims) | set(coh_c.dims)):
+        if d >= bound:
+            break
+        k = coh_c.dim(d)
+        comparison = Matrix.from_cols(field, [action.get((d, j, 0, 0), {})
+                                              for j in range(coh_r.dim(d))], k)
+        if comparison.ncols != k or comparison.rank() != k:
             raise InternalError("low-degree comparison with the ambient algebra "
                                 "is not an isomorphism (degree %d)" % d)
-        for i in range(mtx.nrows):
-            lifts[(d, i)] = zw = {}
-            for c, x in mtx.solve({i: problem.field.one}).items():
-                axpy(problem.field, zw, x, coh_r.reps[d][c])
-    for d in coh_c.dims:
-        if d < bound and (d, 0) not in lifts:
-            raise InternalError("complement class below the bound missing from "
-                                "the ambient algebra (degree %d)" % d)
-    space = GradedVectorSpace(problem.field,
+        inverse[d] = Matrix.from_cols(field, [comparison.solve({i: field.one})
+                                              for i in range(k)], k)
+    space = GradedVectorSpace(field,
                               DegreeWindow(0, max(coh_c.dims) if coh_c.dims else 0),
                               dict(coh_c.dims),
                               {d: ["c%d_%d" % (d, i) for i in range(k)]
                                for d, k in coh_c.dims.items()})
+    # c.c' = sum x_k (w_k.c') for |c| below the bound
     product = {}
-    for d1 in space.degrees():
-        for d2 in space.degrees():
-            t = d1 + d2
-            if space.dim(t) == 0 or t > space.window.hi:
-                continue
-            for i1 in range(space.dim(d1)):
-                for i2 in range(space.dim(d2)):
-                    if d1 < bound:
-                        v = cone_mod.act_vec(d1, lifts[(d1, i1)], d2, coh_c.reps[d2][i2])
-                        w = coh_c.reduce(t, v)
-                    elif d2 < bound:
-                        sgn = problem.field.sign(d1 * d2)
-                        w = product.get((d2, i2, d1, i1))
-                        if w is None:
-                            continue
-                        w = scaled(problem.field, sgn, w)
-                    else:
-                        continue
-                    if w:
-                        product[(d1, i1, d2, i2)] = w
-    unit = coh_c.reduce(0, c0)
-    halg = Cdga(problem.field, CochainComplex.zero_differential(space), product, unit)
+    for (d1, k, d2, i2), w in action.items():
+        if d1 in inverse:
+            for i1, x in inverse[d1].rows[k].items():
+                axpy(field, product.setdefault((d1, i1, d2, i2), {}), x, w)
+    product = {key: w for key, w in product.items() if w}
+    # a right factor below the bound: graded commutativity
+    for (d1, i1, d2, i2), w in list(product.items()):
+        if d2 >= bound:
+            product[(d2, i2, d1, i1)] = scaled(field, field.sign(d1 * d2), w)
+    unit = coh_c.reduce(0, coh_c.reps[0][0])
+    halg = Cdga(field, CochainComplex.zero_differential(space), product, unit)
     halg.validate()
     return LefschetzResult(dict(coh_c.dims), action, halg, False, report)
 
@@ -684,7 +661,11 @@ def alexander_oracle(reduced_dims, n):
 
 
 def oracle_complement_dims(problem):
-    """Full predicted H dims of the complement (with the unit line)."""
+    """Full predicted H dims of the complement (with the unit line), or
+    None when the ambient is not a cohomology n-sphere, where Alexander
+    duality in S^n says nothing."""
+    if dict(cohomology(problem.ambient.complex).dims) != {0: 1, problem.n: 1}:
+        return None
     pred = alexander_oracle(reduced_homology_dims(problem.target), problem.n)
     pred[0] = pred.get(0, 0) + 1
     return pred

@@ -55,6 +55,18 @@ def torus_s1_s7(hi=16, field=QQ):
                                  DegreeWindow(0, hi))
 
 
+# S^3 x S^1 in S^3 x S^11, an ambient that is not a cohomology sphere:
+# H(C) = H(S^3 x S^9), in degrees 0, 3, 9 and 12.  The bound n - m - 1
+# of `lefschetz` is 9, so c9.c3 comes from graded commutativity.
+S3S1_IN_S3S11 = """\
+field rational
+window 0 15
+cdga R { generator x deg 3 ; generator y deg 11 }
+cdga Q { generator a deg 3 ; generator t deg 1 }
+morphism f : R -> Q { x -> a ; y -> 0 }
+problem { ambient R dim 14 ; embedded Q via f }
+"""
+
 # S^2 in S^9 with the target a Sullivan model, (x2, y3 ; dy = x^2): it
 # has basis elements up to the top of the window, so the stable square's
 # normalization of the target by an acyclic ideal above degree m+2 = 4

@@ -334,7 +334,8 @@ def test_module_mapping_cone():
     a = s2(hi=5)
     x, _ = free_module(a, [FreeGenerator("g", 2, 0)], {}, DegreeWindow(0, 5))
     y = algebra_as_module(a)
-    sol = solve_chain_maps(x, y, [("affine", {(2, 0, 0): QQ.one}, QQ.one)])
+    # g goes to a cocycle of the class of x in H^2(S^2)
+    sol = solve_chain_maps(x, y, [("class", 2, {0: QQ.one}, {0: QQ.one})])
     assert sol is not None
     f, _ = sol
     f.validate()

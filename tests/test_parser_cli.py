@@ -9,7 +9,7 @@ from math import comb
 import pytest
 
 from builders import run_cli
-from pemb import algebra, cli, pipeline
+from pemb import algebra, cli, parser, pipeline
 from pemb.algebra import (MAX_PRODUCT_ENTRIES, MAX_STANDARD_MONOMIALS,
                           materialize_free_cdga)
 from pemb.fields import MAX_PRIME, QQ, is_prime
@@ -176,6 +176,33 @@ def test_prime_modulus_checked_in_bounded_time(tmp_path):
                             "--field", str(10 ** 18 + 1)])
     assert time.perf_counter() - start < 1.0
     assert (code, err) == (2, "error: %d is not prime\n" % (10 ** 18 + 1))
+
+
+POINT_IN_A_POINT = """\
+field rational
+window 0 3
+cdga P explicit { basis p deg 0 ; product p p = p }
+cdga Q explicit { basis q deg 0 ; product q q = q }
+morphism f : P -> Q { p -> q }
+problem { ambient P dim %d ; embedded Q via f }
+"""
+
+
+def test_degree_loops_are_bounded_by_the_classes_and_the_window(tmp_path):
+    """The duality certificate walks the degrees that hold a class, not
+    every degree below the dimension of the file: a one-point ambient of
+    dimension 10^12 fails in H^n at once, as one of dimension 7 does.  A
+    window may reach `parser.MAX_DEGREE` and no further."""
+    path = tmp_path / "p.pemb"
+    fail = "duality certificate: FAIL (H^n is not one-dimensional (degree %d))"
+    for n in (7, 10 ** 12):
+        path.write_text(POINT_IN_A_POINT % n)
+        start = time.perf_counter()
+        code, out, _ = run_cli(["analyze", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and fail % n in out.splitlines()
+    path.write_text("field rational\nwindow 0 %d\n" % parser.MAX_DEGREE)
+    assert run_cli(["validate", str(path)]) == (0, "", "")
 
 
 def test_machine_roundtrip():
@@ -521,6 +548,8 @@ PARSE_ERRORS = [
     (HEAD + "cdga A { generator x deg }\n", 3, "incomplete statement"),
     (HEAD + "cdga A { generator x degree 2 }\n", 3, "expected 'deg', found 'degree'"),
     (HEAD + "cdga A { generator x deg two }\n", 3, "degree must be an integer"),
+    (HEAD + "cdga A { generator x deg 2 ; generator x deg 3 }\n", 3,
+     "duplicate generator name 'x'"),
     (HEAD + "cdga A { basis x deg 2 }\n", 3, "unknown declaration 'basis' in cdga block"),
     (HEAD + "cdga A { generator x deg 0 }\n", 3, "generator x must have positive degree"),
     (HEAD + "cdga A { generator x deg 2 ; d w = x }\n", 3, "d given for unknown generator 'w'"),
@@ -559,6 +588,8 @@ PARSE_ERRORS = [
     ("field rational\nwindow 0 7 9\n", 2, "unexpected '9' after the window bounds"),
     ("field rational\nwindow 0 seven\n", 2, "window bounds must be integers"),
     ("field rational\nwindow 2 7\n", 2, "window must start at 0"),
+    ("field rational\nwindow 0 10001\n", 2,
+     "window upper bound 10001 exceeds the largest degree 10000"),
     ("field rational\ncdga A { generator x deg 2 }\n", 2, "field and window must come first"),
     (HEAD + "cdga A B { generator x deg 2 }\n", 3, "expected 'cdga <Name> [explicit] {'"),
     (FREE + "cdga R { generator e6 deg 6 }\n", 5, "duplicate algebra name 'R'"),

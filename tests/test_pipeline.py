@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from builders import (SULLIVAN_S2_IN_S9, run_cli, sphere, sullivan_cp2, tables_match,
-                      torus_s1_s7, wedge_s2_s4)
+from builders import (S3S1_IN_S3S11, SULLIVAN_S2_IN_S9, run_cli, sphere, sullivan_cp2,
+                      tables_match, torus_s1_s7, wedge_s2_s4)
 from pemb import cli, duality, pipeline
 from pemb.algebra import CdgaMorphism, materialize_free_cdga
 from pemb.checks import check_cdga, check_cdga_morphism
@@ -303,6 +303,23 @@ def test_gysin_pipeline_cp1_in_cp2():
     assert out.codimension == 2
     assert out.map.map.map.block(2) == Matrix(QQ, [[1]])
     assert out.map.map.map.block(4) == Matrix(QQ, [[1]])
+
+
+def test_the_oracle_needs_a_cohomology_sphere_ambient(tmp_path):
+    """Alexander duality in S^n predicts the complement only inside a
+    cohomology n-sphere.  For S^3 x S^1 in S^3 x S^11 it would predict
+    {0:1, 9:1, 10:1, 12:1} against the correct H(S^3 x S^9), so the
+    report says the oracle does not apply."""
+    path = tmp_path / "p.pemb"
+    path.write_text(S3S1_IN_S3S11)
+    assert oracle_complement_dims(parse(S3S1_IN_S3S11).embedding_problem()) is None
+    code, out, _ = run_cli(["complement", str(path)])
+    assert code == 0
+    assert out.splitlines()[0] == "H^*(C): deg 0:1, deg 3:1, deg 9:1, deg 12:1"
+    assert out.splitlines()[-1] == ("independent dimension oracle: not applicable "
+                                    "(ambient is not a cohomology n-sphere)")
+    code, out, _ = run_cli(["complement", str(cli.example_path("s2_in_s6"))])
+    assert "independent dimension oracle: {0:1, 3:1} : MATCH" in out.splitlines()
 
 
 def test_alexander_oracle():
