@@ -38,10 +38,9 @@ exhaustive loops stop.
 commutativity, associativity and Leibniz on the pairs and triples whose
 first factor lies in a generating set S, a chunk of S at a time, and
 walks the rest only for an algebra that fails, to name its witness:
-commutativity, associativity and Leibniz in turn, each one degree of
-the first factor at a time.  One walk serves all three: the products
-of a chunk's first factors are built once, and commutativity writes
-out the two sides only at the pairs that differ.
+each axiom in turn, one degree of the first factor at a time.  The
+products of a chunk's first factors are built once, and commutativity
+writes out the two sides only at the pairs that differ.
 
 Lemma.  Let A be graded in degrees 0..hi, with a bilinear product of
 degree 0 (zero into degrees above hi), a map d of degree +1 and a
@@ -117,12 +116,14 @@ into the quotient it checks; and the maps that the square pipelines
 check between parsed or checked corners, the cone products of
 `stable-square` among them, proven by their Leibniz reports.
 
-The same induction would prove the module axioms and linearity from
-their instances with the algebra factor in S, but each step also uses
-the module axioms of source and target, and modules carry no proof
-record: the ends of `rho`, of the top-degree maps and of the umkehr map
-are derived, not checked, and a wrong derived module would slip
-through.  `check_module` and `check_module_morphism` stay exhaustive.
+A CDGA is a module over itself, so one walk decides (xy).n = x.(y.n)
+and d(x.n) = d(x).n + (-1)^|x| x.d(n) for both.  The same induction
+would prove the module axioms and linearity from their instances with
+the algebra factor in S, but each step uses the module axioms of source
+and target, and modules carry no proof record: the ends of `rho`, the
+top-degree maps and the umkehr map are derived, not checked, and a
+wrong one would slip through.  So `check_module` walks every first
+factor, in chunks, and `check_module_morphism` every pair.
 """
 
 from __future__ import annotations
@@ -197,19 +198,16 @@ def _by(table, side):
     return out
 
 
-def _through(field, table, index, out=None, raise_by=0, prepend=False, sign=None):
-    """Add c * w to out[key + rest] (out[rest + key] with `prepend`) for
-    each entry key -> v of `table`, each coefficient c of v at basis
-    element b = (degree of key + raise_by, k) and each (rest, w) that
-    `index` lists under b; with `sign`, c also picks up
-    sign(degree of the first element of rest)."""
-    out = {} if out is None else out
+def _through(field, table, index, raise_by=0):
+    """{key + rest: sum of c * w} over each entry key -> v of `table`,
+    each coefficient c of v at basis element b = (degree of key +
+    raise_by, k) and each (rest, w) that `index` lists under b."""
+    out = {}
     for key, v in table.items():
         deg = sum(key[0::2]) + raise_by
         for k, c in v.items():
             for rest, w in index.get((deg, k), ()):
-                axpy(field, out.setdefault(rest + key if prepend else key + rest, {}),
-                     c * sign(rest[0]) if sign else c, w)
+                axpy(field, out.setdefault(key + rest, {}), c, w)
     return out
 
 
@@ -225,10 +223,10 @@ def _coefficients(table, raise_by=0):
 
 
 def _prepended(field, index, coefficients, out=None, sign=None):
-    """`_through(field, table, index, out, prepend=True, sign=sign)`, from
-    the `_coefficients` of the table: the same sums, reached through the
-    basis elements that `index` lists rather than through the whole
-    table."""
+    """Add c * w to out[rest + key] for each (rest, w) that `index` lists
+    under a basis element b and each (key, c) that the `_coefficients` of
+    a table list under b; with `sign`, c also picks up sign(degree of
+    the first element of rest)."""
     out = {} if out is None else out
     for b, pairs in index.items():
         for key, c in coefficients.get(b, ()):
@@ -306,7 +304,7 @@ def check_cdga(a):
     du = a.d_vec(0, a.unit)
     if du:
         return Witness("unit cocycle", (), (), 1, du)
-    walk = _CdgaWalk(a)
+    walk = _Walk(a)
     right = _by({k: v for k, v in a.both_orders.items() if not k[2]}, 1)
     witness = _unit_law(a.unit, (("unit", walk.left), ("right unit", right)), sp)
     if witness:
@@ -318,37 +316,45 @@ def check_cdga(a):
     return walk.first_failure()
 
 
-_WALKED_AXIOMS = ("commutativity", "associativity", "Leibniz")
-
-# The most partial products (xy)z that several first factors may share
+# The most partial products (xy).n that several first factors may share
 # one walk with; each costs about half a kilobyte while it is held.
 _CHUNK = 128
 
 
-class _CdgaWalk:
-    """Commutativity, associativity and Leibniz on a CDGA, walked over the
-    tuples whose first factor lies in a given set of basis elements.  The
-    indices of the product table and of the columns of d are built once,
-    so that a walk reaches only the tuples with a nonzero partial
+class _Walk:
+    """The axioms of the action of a CDGA `a` on itself (commutativity,
+    associativity and Leibniz) or on `module` (module associativity and
+    module Leibniz), walked over the tuples whose first factor x, an
+    element of `a`, lies in a given set of basis elements.  The indices
+    of the product and action tables and of the columns of d are built
+    once, so that a walk reaches only the tuples with a nonzero partial
     product."""
 
-    def __init__(self, a):
-        self.space, self.field = a.space, a.field
-        self.table = a.both_orders
-        self.left = _by(a.both_orders, 0)
-        self.products_with = _coefficients(a.both_orders)
-        self.d = d = _columns(a.complex.d)
-        self.d_index = _by(d, 0)
-        self.d_with = _coefficients(d, raise_by=1)
+    def __init__(self, a, module=None):
+        self.axioms = (("commutativity", "associativity", "Leibniz") if module is None
+                       else ("module associativity", "module Leibniz"))
+        self.algebra, self.field, self.table = a.space, a.field, a.both_orders
+        self.products = self.left = _by(a.both_orders, 0)
+        self.d_algebra = d = _columns(a.complex.d)
+        self.space, action = a.space, a.both_orders
+        if module is not None:
+            self.space, action, d = module.space, module.action, _columns(module.complex.d)
+            self.left = _by(action, 0)
+        self.acting_with = _coefficients(action)
+        self.d_index, self.d_with = _by(d, 0), _coefficients(d, raise_by=1)
 
-    def failures(self, firsts, axioms=_WALKED_AXIOMS):
+    def failures(self, firsts, axioms):
         """The first failure of each of `axioms` in turn, or None where it
         holds, on the tuples whose first factor is in `firsts`; generated
-        lazily, from the products xy of the first factors built once."""
-        field, left, d, sp, table = self.field, self.left, self.d, self.space, self.table
-        rows = {x + rest: v for x in firsts for rest, v in left.get(x, ())}
-        # the products x k, indexed by k
-        right = _by(rows, 1)
+        lazily, from the products xy and x.n of the first factors built
+        once."""
+        field, alg, sp, table = self.field, self.algebra, self.space, self.table
+        rows = {x + rest: v for x in firsts for rest, v in self.products.get(x, ())}
+        # the actions x.n: with no module given, the products xy
+        acts = rows if self.left is self.products else {
+            x + rest: v for x in firsts for rest, v in self.left.get(x, ())}
+        # the actions x.k, indexed by k
+        right = _by(acts, 1)
         for axiom in axioms:
             if axiom == "commutativity":
                 # xy and (-1)^(|x||y|) yx, written out only where they differ
@@ -359,30 +365,31 @@ class _CdgaWalk:
                     axiom, {k: rows[k] for k in bad},
                     {k: scaled(field, field.sign(k[0] * k[2]), table[k[2:] + k[:2]])
                      for k in bad}, (sp, sp), sp) if bad else None
-            elif axiom == "associativity":
-                # (xy)z and x(yz)
-                yield _first_failure(axiom, _through(field, rows, left),
-                                     _prepended(field, right, self.products_with),
-                                     (sp, sp, sp), sp)
+            elif axiom.endswith("associativity"):
+                # (xy).n and x.(y.n); a module's defect is x.(y.n) - (xy).n
+                xy_n = _through(field, rows, self.left)
+                x_yn = _prepended(field, right, self.acting_with)
+                yield _first_failure(axiom, *((xy_n, x_yn) if axiom == "associativity"
+                                              else (x_yn, xy_n)), (alg, alg, sp), sp)
             else:
-                # d(xy) and d(x)y + (-1)^|x| x d(y)
-                rhs = _through(field, {x: d[x] for x in firsts if x in d}, left, raise_by=1)
+                # d(x.n) and d(x).n + (-1)^|x| x.d(n)
+                d = self.d_algebra
+                rhs = _through(field, {x: d[x] for x in firsts if x in d}, self.left, raise_by=1)
                 _prepended(field, right, self.d_with, rhs, sign=field.sign)
-                yield _first_failure(axiom, _through(field, rows, self.d_index), rhs,
-                                     (sp, sp), sp, raise_by=1)
+                yield _first_failure(axiom, _through(field, acts, self.d_index), rhs,
+                                     (alg, sp), sp, raise_by=1)
 
     def holds_on(self, firsts):
-        """Whether the three axioms hold on the tuples whose first factor
-        is in `firsts`, walked in chunks of consecutive first factors: a
-        chunk is one first factor, or several whose partial products
-        (xy)z number at most `_CHUNK`.  A walk so holds no more at a time
-        than one first factor at a time would, or than `_CHUNK` products,
-        and first factors with few products share a walk."""
-        left = self.left
+        """Whether the axioms hold on the tuples whose first factor is in
+        `firsts`, walked in chunks of consecutive first factors: a chunk
+        is one first factor, or several whose partial products (xy).n
+        number at most `_CHUNK`.  A walk so holds no more at a time than
+        one first factor at a time would, or than `_CHUNK` products, and
+        first factors with few products share a walk."""
         chunk, total = [], 0
         for x in firsts:
-            n = sum(len(left.get((x[0] + rest[0], k), ()))
-                    for rest, v in left.get(x, ()) for k in v)
+            n = sum(len(self.left.get((x[0] + rest[0], k), ()))
+                    for rest, v in self.products.get(x, ()) for k in v)
             if chunk and total + n > _CHUNK:
                 if not self._holds(chunk):
                     return False
@@ -392,16 +399,16 @@ class _CdgaWalk:
         return self._holds(chunk)
 
     def _holds(self, firsts):
-        return not any(self.failures(firsts))
+        return not any(self.failures(firsts, self.axioms))
 
     def first_failure(self):
         """The first failure by axiom, then in degree-major order: each
         axiom walked one degree of the first factor at a time, up to the
         first degree that fails."""
-        sp = self.space
-        for axiom in _WALKED_AXIOMS:
-            for deg in sp.degrees():
-                witness, = self.failures([(deg, i) for i in range(sp.dim(deg))], (axiom,))
+        alg = self.algebra
+        for axiom in self.axioms:
+            for deg in alg.degrees():
+                witness, = self.failures([(deg, i) for i in range(alg.dim(deg))], (axiom,))
                 if witness:
                     return witness
         return None
@@ -464,7 +471,7 @@ def _multiplicativity(f, fcol, hi, firsts=None):
         products = {k: v for k, v in products.items() if k[:2] in firsts}
         tproducts = {k: v for k, v in tproducts.items() if k[:2] in support}
     # f(xy) and f(x)f(y), through the products t f(y) of target elements t
-    t_fy = _through(field, fcol, _by(tproducts, 1), prepend=True)
+    t_fy = _prepended(field, _by(tproducts, 1), _coefficients(fcol))
     return _first_failure("multiplicativity", _through(field, products, _by(fcol, 0)),
                           _through(field, xcols, _by(t_fy, 0)), (src.space, src.space),
                           tgt.space, keep=lambda key: key[0] + key[2] <= hi)
@@ -488,28 +495,15 @@ def outside_basis(left, right, table, axiom="module basis"):
 def check_module(m):
     """First failure of the DG-module axioms on `m`, or None; first of
     all, an action entry that names no basis element."""
-    witness = outside_basis(m.algebra.space, m.space, m.action)
+    a, alg = m.algebra, m.algebra.space
+    witness = outside_basis(alg, m.space, m.action)
     if witness:
         return witness
-    a, sp, field = m.algebra, m.space, m.field
-    act = m.action
-    by_alg, by_mod = _by(act, 0), _by(act, 1)
-    witness = _unit_law(a.unit, (("module unit", by_alg),), sp)
-    if witness:
+    walk = _Walk(a, m)
+    witness = _unit_law(a.unit, (("module unit", walk.left),), m.space)
+    if witness or walk.holds_on([(d, i) for d in alg.degrees() for i in range(alg.dim(d))]):
         return witness
-    # x.(y.n) and (xy).n
-    witness = _first_failure("module associativity",
-                             _through(field, act, by_mod, prepend=True),
-                             _through(field, a.both_orders, by_alg),
-                             (a.space, a.space, sp), sp)
-    if witness:
-        return witness
-    # d(x.n) and d(x).n + (-1)^|x| x.d(n)
-    dmod = _columns(m.complex.d)
-    rhs = _through(field, _columns(a.complex.d), by_alg, raise_by=1)
-    _through(field, dmod, by_mod, rhs, raise_by=1, prepend=True, sign=field.sign)
-    return _first_failure("module Leibniz", _through(field, act, _by(dmod, 0)), rhs,
-                          (a.space, sp), sp, raise_by=1)
+    return walk.first_failure()
 
 
 def check_module_morphism(f):
@@ -528,7 +522,7 @@ def check_module_morphism(f):
     a, fcol, field = src.algebra, _columns(f.map), tgt.field
     return _first_failure(
         "linearity", _through(field, src.action, _by(fcol, 0)),
-        _through(field, fcol, _by(tgt.action, 1), prepend=True),
+        _prepended(field, _by(tgt.action, 1), _coefficients(fcol)),
         (a.space, src.space), tgt.space, order=lambda key: key)
 
 

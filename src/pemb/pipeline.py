@@ -547,8 +547,14 @@ def punctured_square(problem, attest_boundary_simply_connected=False):
     raw_bottom = _cone_map_blocks(problem.field, cone_l.space, cone_l.split,
                                   cone_r.space, cone_r.split, problem.phi.map)
     bottom = _induced_quotient_morphism(raw_bottom, proj_l, proj_r)
-    for built in (left_base, right_base, bottom):
-        built.validate()
+    left_base.validate()
+    right_base.validate()
+    # the base maps are CDGA morphisms by construction; the bar map is one
+    # under the hypotheses, the attested one among them
+    try:
+        bottom.validate()
+    except AlgebraError as e:
+        raise HypothesisError("attested boundary simple connectivity fails: %s" % e) from e
     commutes = (bottom.map.compose(left_base.map)
                 == right_base.map.compose(problem.phi.map))
     # certificates: left projection quasi-iso; right kills one class at n-1

@@ -385,7 +385,7 @@ def check_cdga_as_exhaustively(a):
     factor (the checks before them are exhaustive themselves)."""
     witness = check_cdga(a)
     if witness is None or witness.axiom in ("commutativity", "associativity", "Leibniz"):
-        assert witness == checks._CdgaWalk(a).first_failure()
+        assert witness == checks._Walk(a).first_failure()
     return witness
 
 

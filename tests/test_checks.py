@@ -388,39 +388,69 @@ def test_generating_set_cannot_lose_an_element(monkeypatch, build, dropped):
     assert check_cdga(a) is None
 
 
-def partial_products(a, x):
-    """The triples (y, k, z) of basis elements with e_k in x y and
-    e_k z nonzero: the partial products (xy)z of a walk led by x."""
-    sp = a.space
-    return sum(1 for dy in sp.degrees() for y in range(sp.dim(dy))
+def partial_products(a, x, m=None):
+    """The triples (y, k, n) of basis elements with e_k in x y and
+    e_k.n nonzero, n in the module m or, without one, in a: the partial
+    products (xy).n of a walk led by x."""
+    act, sp = (a.mul_basis, a.space) if m is None else (m.act_basis, m.space)
+    return sum(1 for dy in a.space.degrees() for y in range(a.space.dim(dy))
                for k in a.mul_basis(*x, dy, y)
-               for dz in sp.degrees() for z in range(sp.dim(dz))
-               if a.mul_basis(x[0] + dy, k, dz, z))
+               for dn in sp.degrees() for n in range(sp.dim(dn))
+               if act(x[0] + dy, k, dn, n))
+
+
+def late_module_failure(a):
+    """The free algebra `a` on a, b, c (degree 1) and x (degree 2) acting
+    on itself, with c.(a x^2) negated: associativity fails only on
+    triples led by c, the last element of degree 1, first on
+    (c, a, x^2)."""
+    m = algebra_as_module(a)
+    sp = a.space
+    key = (1, sp.labels[1].index("c"), 5, sp.labels[5].index("a*x^2"))
+    action = dict(m.action)
+    action[key] = {i: -v for i, v in action[key].items()}
+    return DgModule(a, m.complex, action)
 
 
 @pytest.mark.parametrize("budget", [0, 90, 200, checks._CHUNK])
 def test_walk_on_s_shares_chunks_within_the_budget(monkeypatch, budget):
     """`holds_on` walks S in chunks of consecutive first factors: one
     alone, or several whose partial products total at most `_CHUNK`; the
-    verdict does not depend on how S is cut."""
+    verdict does not depend on how S is cut.  A module is walked so on
+    every basis element of its algebra, and `check_module` names the
+    dense loop's witness under every budget."""
     monkeypatch.setattr(checks, "_CHUNK", budget)
-    for a, verdict in ((materialize_free_cdga(QQ, [("a", 1), ("b", 1), ("c", 1), ("x", 2)],
-                                              {}, [], DegreeWindow(0, 6)), True),
-                       (broken_commutator(), False), (broken_square(), False)):
-        s = checks.generating_set(a)
-        walk = checks._CdgaWalk(a)
+    free = materialize_free_cdga(QQ, [("a", 1), ("b", 1), ("c", 1), ("x", 2)],
+                                 {}, [], DegreeWindow(0, 6))
+    every = [(d, i) for d in free.space.degrees() for i in range(free.space.dim(d))]
+    rows = [(a, None, checks.generating_set(a), verdict)
+            for a, verdict in ((free, True), (broken_commutator(), False),
+                               (broken_square(), False))]
+    rows += [(free, m, every, verdict)
+             for m, verdict in ((algebra_as_module(free), True),
+                                (late_module_failure(free), False))]
+    walked = []
+    for a, m, firsts, verdict in rows:
+        walk = checks._Walk(a, m)
         chunks = []
         holds = walk._holds
         walk._holds = lambda c: chunks.append(list(c)) or holds(c)
-        assert walk.holds_on(s) == verdict
+        assert walk.holds_on(firsts) == verdict
         if verdict:
-            assert [x for c in chunks for x in c] == s
+            assert [x for c in chunks for x in c] == firsts
         for c in chunks:
-            assert len(c) == 1 or sum(partial_products(a, x) for x in c) <= budget
+            assert len(c) == 1 or sum(partial_products(a, x, m) for x in c) <= budget
+        if m is not None:
+            reference = dense_module(m)
+            assert (reference is None) == verdict
+            assert summary(check_module(m), reference) == sparse_defect(reference)
+            assert len(chunks) > 1
+        walked.append((chunks, firsts))
+    chunks, s = walked[2]                # broken_square's S fits one chunk
     if budget == checks._CHUNK:
         assert len(chunks) == 1 < len(s)
     if budget == 0:
-        assert all(len(c) == 1 for c in chunks)
+        assert all(len(c) == 1 for chunks, _ in walked for c in chunks)
 
 
 # -- differential test: sparse checks against the dense loops ---------------
@@ -490,7 +520,7 @@ def reduced_verdict(a, witness):
     are checked in full either way."""
     if witness is not None and witness.axiom not in WALKED:
         return False
-    return checks._CdgaWalk(a).holds_on(checks.generating_set(a))
+    return checks._Walk(a).holds_on(checks.generating_set(a))
 
 
 def test_sparse_checks_match_dense_loops():
@@ -510,7 +540,7 @@ def test_sparse_checks_match_dense_loops():
             exhaustive = reference is None
             assert reduced_verdict(obj, witness) == exhaustive
             if witness is None or witness.axiom in WALKED:
-                assert (checks._CdgaWalk(obj).first_failure() is None) == exhaustive
+                assert (checks._Walk(obj).first_failure() is None) == exhaustive
 
     for a in cdga_samples():
         compare("cdga", check_cdga, dense_cdga, a)
@@ -554,6 +584,23 @@ def test_sparse_checks_match_dense_loops():
     assert {"chain map", "multiplicativity"} <= hit["morphism"]
     assert {"module associativity", "module Leibniz"} <= hit["module"]
     assert {"module chain map", "linearity"} <= hit["module morphism"]
+
+
+def test_an_algebra_acting_on_itself_is_checked_as_a_module():
+    """A module that shares its algebra's table and differential is
+    checked for the module axioms, and named by them, also where the
+    algebra fails the CDGA axioms: the walk decides which axioms it
+    walks from whether it is given a module, not from the tables."""
+    found = {}
+    for build in (broken_square, broken_commutator, idempotent_pair):
+        m = algebra_as_module(build())
+        reference = dense_module(m)
+        witness = check_module(m)
+        assert summary(witness, reference) == sparse_defect(reference)
+        found[build.__name__] = witness.axiom, witness.labels
+    assert found == {"broken_square": ("module Leibniz", ("x", "x")),
+                     "broken_commutator": ("module associativity", ("c", "a", "b")),
+                     "idempotent_pair": ("module Leibniz", ("e", "e"))}
 
 
 def test_valid_samples_pass():

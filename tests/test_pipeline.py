@@ -322,6 +322,21 @@ def test_the_oracle_needs_a_cohomology_sphere_ambient(tmp_path):
     assert "independent dimension oracle: {0:1, 3:1} : MATCH" in out.splitlines()
 
 
+def test_a_false_attestation_is_a_hypothesis_failure(tmp_path):
+    """S^3 x S^1 in S^3 x S^11 has a boundary that is not simply
+    connected.  Attested anyway, `punctured-square` builds a map between
+    its quotient cones that is not multiplicative: the attested
+    hypothesis fails (exit 1, with the map's witness), where the input
+    is not malformed (exit 2)."""
+    path = tmp_path / "p.pemb"
+    path.write_text(S3S1_IN_S3S11)
+    code, out, err = run_cli(["punctured-square", str(path),
+                              "--attest-boundary-simply-connected"])
+    assert (code, out) == (1, "")
+    assert err == ("hypothesis failure: attested boundary simple connectivity fails: "
+                   "morphism not multiplicative on (x, sv10_0)\n")
+
+
 def test_alexander_oracle():
     assert alexander_oracle({2: 1}, 6) == {3: 1}
     assert alexander_oracle({2: 1, 4: 1}, 8) == {5: 1, 3: 1}
