@@ -16,11 +16,11 @@ from dataclasses import dataclass, field as dc_field
 from itertools import count
 from operator import itemgetter
 
-from .checks import check_cdga, check_cdga_morphism, escape_degree
+from .checks import check_cdga, check_cdga_morphism
 from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
                      InternalError, cohomology, direct_sum,
                      quasi_isomorphism_failure, truncation_spans)
-from .linalg import Matrix, Quotienter, axpy, scaled, sparse_sum
+from .linalg import Matrix, axpy, scaled, sparse_sum
 
 
 class AlgebraError(ValueError):
@@ -36,8 +36,8 @@ class Cdga:
     commutativity from the reversed key.  The unit is a degree-0 vector.
     Every key and every index must name a basis element, and no vector
     holds a zero scalar; a zero product, {}, is not stored.  The
-    constructor takes the table as it is, dropping the zero products and
-    checking nothing; `validate` checks indices, then axioms.
+    constructor takes the table as it is, neither copied nor checked;
+    `validate` checks indices, then axioms.
     """
 
     def __init__(self, field, complex_, product, unit):
@@ -45,7 +45,7 @@ class Cdga:
         self.complex = complex_
         self.space = complex_.space
         self.unit = unit
-        self.product = {k: v for k, v in product.items() if v}
+        self.product = product
         # every nonzero product of two basis elements, in both orders; a
         # table that lists both already is shared, not copied
         missing = {(d2, i2, d1, i1): v if (d1 * d2) % 2 == 0
@@ -638,41 +638,44 @@ def _pairing(halg, k, n):
     return Matrix.sparse(halg.field, rows, halg.space.dim(n - k))
 
 
-def quotient_complex(complex_, spans):
-    """Quotient of a complex by a d-closed graded subspace.
+def quotient_complex(complex_, ideal):
+    """Quotient of a complex by a d-closed subcomplex spanned by basis
+    elements, given as degree -> basis indices; the quotient keeps the
+    other basis elements, in index order.
 
-    spans: degree -> list of vectors.  Returns (quotient complex,
-    projection map, reducers per degree).
-    """
+    Returns (quotient complex, projection map, degree -> {kept index:
+    its position in the quotient basis})."""
     space = complex_.space
     field = space.field
-    reducers = {d: Quotienter(field, spans.get(d, []), space.dim(d))
-                for d in space.degrees()}
-    bad = escape_degree(spans, reducers,
-                        lambda d, v: [(d + 1, complex_.d.apply(d, v))])
-    if bad is not None:
-        raise AlgebraError("subspace not closed under d at degree %d" % (bad - 1))
-    qdims, qlabels = {}, {}
-    for d, red in reducers.items():
-        if red.keep:
-            qdims[d] = len(red.keep)
-            qlabels[d] = [space.label(d, i) for i in red.keep]
-    qspace = GradedVectorSpace(field, space.window, qdims, qlabels)
+    blocks = complex_.d.blocks
+    pos = {}
+    for d in space.degrees():
+        listed = set(ideal.get(d, ()))
+        pos[d] = {i: k for k, i in enumerate(
+            [i for i in range(space.dim(d)) if i not in listed])}
+    # closed under d: no kept row of d out of a listed degree has an
+    # entry in a listed column
+    for d in ideal:
+        m = blocks.get(d)
+        if m is not None and any(c not in pos[d] for r in pos[d + 1] for c in m.rows[r]):
+            raise AlgebraError("subspace not closed under d at degree %d" % d)
+    qspace = GradedVectorSpace(field, space.window,
+                               {d: len(p) for d, p in pos.items() if p},
+                               {d: [space.label(d, i) for i in p]
+                                for d, p in pos.items() if p})
+    # d and the projection restricted to the kept rows and columns
     dblocks = {}
     for d in qspace.degrees():
-        m = complex_.d.blocks.get(d)
-        if m is None:
-            continue
-        dcols, red1 = m.transpose().rows, reducers[d + 1]
-        cols = [red1.project(dcols[i]) for i in reducers[d].keep]
-        dblocks[d] = Matrix.from_cols(field, cols, qspace.dim(d + 1))
+        m, p = blocks.get(d), pos[d]
+        if m is not None:
+            rows = [{p[c]: x for c, x in m.rows[r].items() if c in p} for r in pos[d + 1]]
+            dblocks[d] = Matrix.sparse(field, rows, len(p))
     qcx = CochainComplex(qspace, GradedLinearMap(qspace, qspace, 1, dblocks))
-    pblocks = {d: Matrix.from_cols(field,
-                                   [reducers[d].project({i: field.one})
-                                    for i in range(space.dim(d))], qspace.dim(d))
-               for d in space.degrees()}
-    proj = GradedLinearMap(space, qspace, 0, pblocks)
-    return qcx, proj, reducers
+    one = field.one
+    proj = GradedLinearMap(space, qspace, 0,
+                           {d: Matrix.sparse(field, [{i: one} for i in p], space.dim(d))
+                            for d, p in pos.items()})
+    return qcx, proj, pos
 
 
 def left_factors(reps):
@@ -700,34 +703,40 @@ def projected_table(lefts, reps, reduce, mul, hi):
     return table
 
 
-def quotient_cdga(a, spans):
-    """Quotient of a CDGA by a d-closed ideal given by degreewise spans.
+def quotient_cdga(a, ideal):
+    """Quotient of a CDGA by a d-closed ideal spanned by basis elements,
+    given as degree -> basis indices.
 
     Checks closure under d and under multiplication; returns (quotient,
     projection morphism).  Closed, the span is a differential ideal, so a
-    quotient of a CDGA is one and is not re-checked.  When every span is
-    empty the ideal is zero, and the quotient is `a` itself with the
-    identity: nothing is built, so nothing new is there to check."""
-    if not any(spans.values()):
+    quotient of a CDGA is one and is not re-checked.  Its product is the
+    stored products of two kept basis elements, projected.  When no
+    index is listed the ideal is zero, and the quotient is `a` itself
+    with the identity: nothing is built, so nothing new is there to
+    check."""
+    if not any(ideal.values()):
         return a, CdgaMorphism.identity(a)
-    qcx, proj, reducers = quotient_complex(a.complex, spans)
-    sp = a.space
-    hi = sp.window.hi
-
-    def multiples(d, v):
-        """Products of v with every basis element, up to degree hi."""
-        for e in sp.degrees():
-            if d + e <= hi:
-                for i in range(sp.dim(e)):
-                    yield d + e, a.mul_vec(e, a.basis_vec(e, i), d, v)
-    bad = escape_degree(spans, reducers, multiples)
-    if bad is not None:
-        raise AlgebraError("subspace is not an ideal (degree %d)" % bad)
-    lifts = {d: [r.lift({i: a.field.one}) for i in range(len(r.keep))]
-             for d, r in reducers.items()}
-    product = projected_table(left_factors(lifts), lifts,
-                              lambda d, v: reducers[d].project(v), a.mul_vec, hi)
-    unit = reducers[0].project(a.unit)
+    qcx, proj, pos = quotient_complex(a.complex, ideal)
+    # closed under products: every stored product with a listed factor
+    # lands in the ideal; both orders are stored, so the right factor is
+    # enough.  escape: listed element -> lowest degree of a multiple that
+    # leaves the ideal
+    escape, product = {}, {}
+    for (d1, i1, d2, i2), v in a.both_orders.items():
+        p1, p2, p = pos[d1], pos[d2], pos[d1 + d2]
+        if i2 not in p2:
+            if any(k in p for k in v):
+                t = d1 + d2
+                escape[(d2, i2)] = min(t, escape.get((d2, i2), t))
+        elif i1 in p1:
+            w = {p[k]: x for k, x in v.items() if k in p}
+            if w:
+                product[(d1, p1[i1], d2, p2[i2])] = w
+    for d, listed in ideal.items():
+        for i in listed:
+            if (d, i) in escape:
+                raise AlgebraError("subspace is not an ideal (degree %d)" % escape[(d, i)])
+    unit = {pos[0][i]: x for i, x in a.unit.items() if i in pos[0]}
     q = Cdga(a.field, qcx, product, unit)
     return q, CdgaMorphism(a, q, proj)
 
@@ -737,23 +746,22 @@ def quotient_by_acyclic_ideal(a, above):
     degree above+1, with acyclic kernel concentrated in degrees > above.
 
     Needs H^(>above+1)(a) = 0 so the kernel can be acyclic; H^(above+1)
-    itself may be nonzero.  The truncation spans are read first: when
-    they are empty, `a` has no basis element above degree above+1 and
-    only cocycles in that degree, so it already vanishes where the
-    quotient must, and (a, identity) is returned with no cohomology
-    computed.
+    itself may be nonzero.  The truncation is read first: when it lists
+    no index, `a` has no basis element above degree above+1 and only
+    cocycles in that degree, so it already vanishes where the quotient
+    must, and (a, identity) is returned with no cohomology computed.
     """
     if not a.is_connected():
         raise AlgebraError("acyclic-ideal quotient needs a connected algebra")
-    spans = truncation_spans(a.complex, above + 1)
-    if not any(spans.values()):
+    ideal = truncation_spans(a.complex, above + 1)
+    if not any(ideal.values()):
         return a, CdgaMorphism.identity(a)
     coh = cohomology(a.complex)
     for d in sorted(coh.dims):
         if d >= above + 2:
             raise AlgebraError("H^%d != 0: cannot build an acyclic ideal above "
                                "degree %d" % (d, above))
-    q, proj = quotient_cdga(a, spans)
+    q, proj = quotient_cdga(a, ideal)
     bad = quasi_isomorphism_failure(proj.map, coh, cohomology(q.complex))
     if bad is not None:
         raise InternalError("acyclic-ideal projection not a quasi-isomorphism "

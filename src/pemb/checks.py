@@ -524,23 +524,3 @@ def check_module_morphism(f):
         "linearity", _through(field, src.action, _by(fcol, 0)),
         _prepended(field, _by(tgt.action, 1), _coefficients(fcol)),
         (a.space, src.space), tgt.space, order=lambda key: key)
-
-
-# -- closure of a graded subspace ------------------------------------------
-
-
-def escape_degree(spans, reducers, images):
-    """First degree where an image of a span vector leaves the span, or
-    None when the span is closed.
-
-    images(d, v) yields (degree, sparse vector) images of v in spans[d];
-    reducers[t] tests membership in degree t (a degree without one is
-    zero, and so is every vector in it).
-    """
-    for d, vs in spans.items():
-        for v in vs:
-            for t, w in images(d, v):
-                red = reducers.get(t)
-                if red is not None and not red.contains(w):
-                    return t
-    return None

@@ -297,18 +297,19 @@ def quasi_isomorphism_failure(f, coh_source, coh_target):
 
 
 def truncation_spans(complex_, t):
-    """Spans of the subcomplex above degree t: every basis vector above t,
-    and in degree t the standard vectors at the pivot columns of d out of
-    degree t, which d maps one-to-one onto the boundaries in degree t+1."""
-    sp, one = complex_.space, complex_.field.one
+    """The subcomplex above degree t, as degree -> sorted basis indices:
+    every basis element above t, and in degree t the pivot columns of d
+    out of degree t, which d maps one-to-one onto the boundaries in
+    degree t+1."""
+    sp = complex_.space
     spans = {}
-    # with no block out of degree t, d is zero there and nothing is kept
+    # with no block out of degree t, d is zero there and nothing is listed
     m = complex_.d.blocks.get(t)
     if m is not None:
-        spans[t] = [{i: one} for i in m.rref()[1]]
+        spans[t] = m.rref()[1]
     for d in sp.degrees():
         if d > t:
-            spans[d] = [{i: one} for i in range(sp.dim(d))]
+            spans[d] = list(range(sp.dim(d)))
     return spans
 
 

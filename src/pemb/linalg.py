@@ -15,10 +15,9 @@ each kernel picks its loop once per call.
 Matrices are immutable and field-tagged, stored as sparse rows, each a
 vector over the columns.  `entries`, `row` and `col` are dense views
 built on demand.  `Matrix.rref` is the one Gaussian elimination:
-`kernel_basis`, `solve`, `Quotienter` and the cohomology bases all read
-its output.  It returns the unique reduced echelon form, so every basis
-this module produces is deterministic; golden-file tests upstream rely
-on that.
+`kernel_basis`, `solve` and the cohomology bases all read its output.
+It returns the unique reduced echelon form, so every basis this module
+produces is deterministic; golden-file tests upstream rely on that.
 """
 
 from __future__ import annotations
@@ -339,36 +338,3 @@ def sparse_sum(field, terms):
     if p:
         return {i: r for i, c in out.items() if (r := c % p)}
     return {i: c for i, c in out.items() if c}
-
-
-class Quotienter:
-    """Quotient of k^dim by the span of given vectors, pivot-rule basis:
-    the kept coordinates are the non-pivot columns of the reduced span.
-    `project` maps a vector of k^dim to its class in the kept
-    coordinates, and `lift` takes a class back to k^dim."""
-
-    def __init__(self, field, spans, dim):
-        self.field, self.dim = field, dim
-        self.rows = {}   # pivot column -> reduced sparse row
-        if spans:
-            red, pivots = Matrix.sparse(field, spans, dim).rref()
-            self.rows = dict(zip(pivots, red.rows))
-        self.keep = [i for i in range(dim) if i not in self.rows]
-        self._position = {i: k for k, i in enumerate(self.keep)}
-
-    def _remainder(self, v):
-        """v reduced against the span: a sparse row over kept indices."""
-        row = dict(v)
-        _reduce(self.field, row, self.rows)
-        return row
-
-    def project(self, v):
-        position = self._position
-        return {position[c]: x for c, x in self._remainder(v).items()}
-
-    def lift(self, w):
-        keep = self.keep
-        return {keep[k]: c for k, c in w.items()}
-
-    def contains(self, v):
-        return not self._remainder(v)

@@ -35,9 +35,8 @@ class DgModule:
     {index: nonzero scalar} of a_{alg_deg,alg_idx} . m_{mod_deg,mod_idx}
     in degree alg_deg+mod_deg.  Every key and every index must name a
     basis element, and no vector holds a zero scalar; a zero action, {},
-    is not stored.  The constructor takes the table as it is, dropping
-    the zero actions and checking nothing; `validate` checks indices,
-    then axioms.
+    is not stored.  The constructor takes the table as it is, neither
+    copied nor checked; `validate` checks indices, then axioms.
     """
 
     def __init__(self, algebra, complex_, action):
@@ -45,7 +44,7 @@ class DgModule:
         self.complex = complex_
         self.space = complex_.space
         self.field = algebra.field
-        self.action = {k: v for k, v in action.items() if v}
+        self.action = action
 
     def act_basis(self, da, ia, dm, jm):
         """The stored action on two basis elements (not to be changed),
@@ -106,8 +105,9 @@ class DgModuleMorphism:
 
 def restrict_scalars(m, phi):
     """View a module over the target of phi as a module over its source:
-    a.x = phi(a).x, combining the action entries along the columns of phi.
-    Not re-checked: phi is a morphism, so the axioms of m carry over."""
+    a.x = phi(a).x, combining the action entries along the columns of phi;
+    entries that cancel are dropped.  Not re-checked: phi is a morphism,
+    so the axioms of m carry over."""
     by_element = {}
     for (db, ib, dm, jm), v in m.action.items():
         by_element.setdefault((db, ib), []).append((dm, jm, v))
@@ -117,7 +117,7 @@ def restrict_scalars(m, phi):
             for ia, c in row.items():
                 for dm, jm, v in by_element.get((da, ib), ()):
                     axpy(m.field, action.setdefault((da, ia, dm, jm), {}), c, v)
-    return DgModule(phi.source, m.complex, action)
+    return DgModule(phi.source, m.complex, {k: v for k, v in action.items() if v})
 
 
 def _stacked_action(space, parts, offsets=None):
@@ -421,14 +421,15 @@ class _FreeBuilder:
         return new
 
     def assemble(self):
-        """(module, basis index table) on the generators so far."""
+        """(module, basis index table) on the generators so far; the module
+        holds a copy of the action table, which later `add` calls grow."""
         a = self.algebra
         field = a.field
         space = GradedVectorSpace(field, self.window, self.dims, self.labels)
         blocks = {d: Matrix.from_cols(field, cols, space.dim(d + 1))
                   for d, cols in self.d_cols.items()}
         cx = CochainComplex(space, GradedLinearMap(space, space, 1, blocks))
-        return DgModule(a, cx, self.action), self.index
+        return DgModule(a, cx, dict(self.action)), self.index
 
 
 def free_module(algebra, gens, dvals=None, window=None):
@@ -456,8 +457,14 @@ class SemifreeModule:
     index: dict
 
 
-# rounds of generators added in one degree before a resolution gives up
+# rounds of generators added in one degree before a resolution gives up,
+# and the most generators it adds in one degree.  Where each kernel
+# generator u adds a.u, b.u as new cocycles (a point in a torus), the
+# kernel doubles each round, which the round bound alone lets run to
+# about 2^30 generators.  The shipped examples, the benchmark ladders
+# and 800 random problem files add at most 16 in one degree.
 MAX_ROUNDS = 30
+MAX_DEGREE_GENERATORS = 1000
 
 
 def semifree_resolution(m, window=None):
@@ -467,8 +474,10 @@ def semifree_resolution(m, window=None):
     Generators are added in degree order: first cokernel generators
     (d = 0) hitting missed classes, then kernel-killing generators one
     degree below.  Minimality, no d(g) with a term 1 x g', is checked on
-    the result, and a differential that breaks it raises.  The window
-    bounds the resolution itself and defaults to the target's.  rho is
+    the result, and a differential that breaks it raises.  A degree that
+    takes more than MAX_ROUNDS rounds, or adds more than
+    MAX_DEGREE_GENERATORS generators, raises.  The window bounds the
+    resolution itself and defaults to the target's.  rho is
     checked, and is a quasi-isomorphism: that test reads rho on cocycles
     only, and would pass a wrong rho(u) for a u that kills a class.
     """
@@ -506,7 +515,10 @@ def semifree_resolution(m, window=None):
 
     coh_m = cohomology(m.complex)
     for j in range(window.lo, window.hi + 1):
-        for round_ in range(MAX_ROUNDS):
+        first = len(gens)
+        for round_ in range(MAX_ROUNDS + 1):
+            if round_ == MAX_ROUNDS or len(gens) - first > MAX_DEGREE_GENERATORS:
+                raise ModuleError("semifree resolution did not stabilize in degree %d" % j)
             P, rho, coh_P = build()
             # induced map on H^j
             img_cols = [coh_m.reduce(j, rho.apply(j, z)) for z in coh_P.reps.get(j, [])]
@@ -537,8 +549,6 @@ def semifree_resolution(m, window=None):
                     raise InternalError("resolution: class not exact")
                 gi = len(gens)
                 add(FreeGenerator("u%d_%d" % (j, gi), j - 1, gi), w, z)
-        else:
-            raise ModuleError("semifree resolution did not stabilize in degree %d" % j)
 
     P, rho_glm, coh_P = build()
     rho = DgModuleMorphism(P, m, rho_glm)

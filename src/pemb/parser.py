@@ -206,12 +206,12 @@ class ProblemFile:
         # free presentation with the names removed -> its checked algebra
         self.presentations = {}
 
-    def embedding_problem(self, name=""):
+    def embedding_problem(self):
         if self.problem is None:
             raise PipelineError("file declares no problem block")
         ambient, n, branches = self.problem
         return EmbeddingProblem(
-            [self.morphisms[m] for _, m in branches], n, name=name)
+            [self.morphisms[m] for _, m in branches], n)
 
 
 def _expect(toks, lineno, *pattern):

@@ -43,7 +43,7 @@ class EmbeddingProblem:
     ambient dimension n.  Several branches give phi = (phi_1, ..., phi_k)
     into the product of the targets, a morphism summand by summand."""
 
-    def __init__(self, branches, n, name=""):
+    def __init__(self, branches, n):
         if not branches:
             raise PipelineError("at least one embedded component required")
         src = branches[0].source
@@ -53,7 +53,6 @@ class EmbeddingProblem:
                                     "ambient algebra object")
         self.branches = list(branches)
         self.n = n
-        self.name = name
         self.ambient = src
         self.field = src.field
         if len(branches) == 1:
@@ -218,7 +217,7 @@ class ComplementModelResult:
     resolution: object
     psi: object
     cone: object
-    ideal: dict                    # degree -> spans of the truncation ideal
+    ideal: dict                    # degree -> basis indices of the truncation ideal
     analysis: AnalysisReport
 
 
@@ -263,19 +262,14 @@ class SquareResult:
 
 def _induced_quotient_morphism(phi, proj_r, proj_q):
     """The map on quotients making the square with phi commute; phi is a
-    CDGA morphism or a graded linear map.  The callers report it and
-    check it."""
+    CDGA morphism or a graded linear map.  A quotient keeps basis
+    elements, so the rows of a projection block, the kept basis vectors,
+    lift the quotient's basis.  The callers report it and check it."""
     field = phi.source.field
     src, tgt = proj_r.target, proj_q.target
     blocks = {}
     for d in src.space.degrees():
-        cols = []
-        pr = proj_r.map.block(d)
-        for i in range(src.space.dim(d)):
-            lift = pr.solve({i: field.one})
-            if lift is None:
-                raise InternalError("quotient projection not onto")
-            cols.append(proj_q.apply(d, phi.apply(d, lift)))
+        cols = [proj_q.apply(d, phi.apply(d, lift)) for lift in proj_r.map.block(d).rows]
         blocks[d] = Matrix.from_cols(field, cols, tgt.space.dim(d))
     return CdgaMorphism(src, tgt, GradedLinearMap(src.space, tgt.space, 0, blocks))
 
@@ -584,17 +578,17 @@ def punctured_square(problem, attest_boundary_simply_connected=False):
 
 
 def _embed_cone_spans(cone, y_spans, x_spans):
-    """Lift spans in the base and in the module into cone coordinates:
-    the base sits at the start of each degree, the module after it."""
+    """Basis indices in the base and in the module as cone indices: the
+    base sits at the start of each degree, the module after it."""
     out = {}
-    for d, vs in y_spans.items():
+    for d, idx in y_spans.items():
         if cone.space.dim(d):
-            out.setdefault(d, []).extend(vs)
-    for d, vs in x_spans.items():
+            out.setdefault(d, []).extend(idx)
+    for d, idx in x_spans.items():
         cd = d - 1
         if cone.space.dim(cd):
             ny = cone.split.y_dim(cd)
-            out.setdefault(cd, []).extend({ny + i: c for i, c in v.items()} for v in vs)
+            out.setdefault(cd, []).extend(ny + i for i in idx)
     return out
 
 

@@ -1,11 +1,12 @@
 import random
 import sys
+import time
 
 import pytest
 
 import oneshot
 from builders import (complex_projective, product_s2_s4, random_semifree,
-                      record_cohomology_constructions, sphere, sullivan_cp2,
+                      record_cohomology_constructions, run_cli, sphere, sullivan_cp2,
                       torus_s1_s7, wedge_s2_s4)
 from dense import (DenseCdga, DenseModule, DenseMorphism, dense_table,
                    is_zero_vec)
@@ -16,6 +17,7 @@ from pemb.fields import QQ, PrimeField
 from pemb.graded import (DegreeWindow, GradedLinearMap, cohomology, dualize,
                          mapping_cone)
 from pemb.linalg import Matrix
+from pemb.parser import parse
 from homotopy import HomComplex, homotopy_classes
 from pemb.modules import (DgModule, DgModuleMorphism, FreeGenerator, ModuleError,
                           algebra_as_module, direct_sum_modules, dual_module,
@@ -98,6 +100,37 @@ def test_restrict_scalars_trivializes_action():
     dr = restrict_scalars(d, phi)
     assert dr.space.dims == {4: 1, 6: 1}
     assert dr.act_basis(6, 0, 4, 0) == {}  # e6 acts through phi(e6) = 0
+
+
+def test_tables_are_shared_not_copied():
+    """The constructors take their tables as they are: a CDGA acting on
+    itself holds the algebra's own table."""
+    a = s2()
+    assert Cdga(a.field, a.complex, a.product, a.unit).product is a.product
+    assert algebra_as_module(a).action is a.both_orders
+
+
+def test_restriction_drops_entries_that_cancel():
+    """phi(a) = x - y with x.x = y.x: a.x = 0 cancels, and no {} entry
+    is stored."""
+    pf = parse("""field rational
+window 0 4
+cdga R { generator a deg 2 }
+cdga Q explicit {
+  basis one deg 0 ; basis x deg 2 ; basis y deg 2 ; basis z deg 4
+  product one one = one ; product one x = x ; product x one = x
+  product one y = y ; product y one = y ; product one z = z ; product z one = z
+  product x x = z ; product x y = z ; product y x = z ; product y y = z
+}
+morphism f : R -> Q { a -> x - y }
+""")
+    phi = pf.morphisms["f"]
+    r = restrict_scalars(algebra_as_module(phi.target), phi)
+    assert all(r.action.values())
+    # a.x and a.y cancel; a.1 = x - y does not
+    assert r.act_basis(2, 0, 2, 0) == r.act_basis(2, 0, 2, 1) == {}
+    assert r.act_basis(2, 0, 0, 0) == {0: QQ.one, 1: -QQ.one}
+    r.validate()
 
 
 def test_solve_top_degree_map_s2_in_s6():
@@ -328,6 +361,51 @@ def test_semifree_resolution_generators_and_rho_are_unchanged():
         res.module.validate()
         assert [(g.label, g.degree) for g in res.generators] == gens
         assert res.rho.map.blocks == rho
+
+
+# a point in the torus T^2 and in T^4: each kernel generator u of the
+# top degree adds a.u and b.u as new cocycles, so the resolution never
+# stabilizes
+POINT_IN_TORUS = """field rational
+window 0 %d
+cdga R { %s }
+cdga Q explicit { basis q deg 0 ; product q q = q }
+morphism f : R -> Q { }
+problem { ambient R dim %d ; embedded Q via f }
+"""
+
+
+def point_in_torus(k):
+    gens = " ; ".join("generator a%d deg 1" % i for i in range(k))
+    return POINT_IN_TORUS % (k + 1, gens, k)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("command", ["complement", "dgmodule-square"])
+def test_a_resolution_that_never_stabilizes_stops(tmp_path, command, k):
+    """The generators added in one degree are bounded: the run exits 2,
+    naming the degree, in well under a second."""
+    path = tmp_path / "t.pemb"
+    path.write_text(point_in_torus(k))
+    start = time.perf_counter()
+    code, out, err = run_cli([command, str(path)])
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (2, "error: semifree resolution did not stabilize "
+                              "in degree %d\n" % (k + 1))
+
+
+def test_a_resolution_stops_after_its_rounds(monkeypatch, tmp_path):
+    """With three rounds allowed, the same error comes from the round
+    bound, long before the generator bound: 15 generators in all."""
+    added = []
+    add = modules._FreeBuilder.add
+    monkeypatch.setattr(modules._FreeBuilder, "add",
+                        lambda self, *args: added.append(1) or add(self, *args))
+    monkeypatch.setattr(modules, "MAX_ROUNDS", 3)
+    path = tmp_path / "t.pemb"
+    path.write_text(point_in_torus(2))
+    assert run_cli(["complement", str(path)])[:2] == (2, "")
+    assert len(added) == 15
 
 
 def test_module_mapping_cone():
