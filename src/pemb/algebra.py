@@ -555,6 +555,13 @@ def renamed_presentation(a, gen_names):
     return b
 
 
+def same_tables(a, b):
+    """Whether two algebras share their product table, differential
+    blocks and unit, as the copies of one parsed presentation do."""
+    return (a.product is b.product and a.complex.d.blocks is b.complex.d.blocks
+            and a.unit is b.unit)
+
+
 # -- derived constructions ----------------------------------------------
 
 

@@ -5,7 +5,10 @@ what it certifies; constructions from checked objects are not checked.
 A free presentation that a file repeats under other generator names is
 checked once: the copies share the checked algebra's tables, unit and
 proof record, and `check_cdga` reads only the field, the dimensions,
-the tables and the unit, none of which the names change.
+the tables and the unit, none of which the names change.  So is a map
+equal to an earlier one of the file between algebras sharing its ends'
+tables, since `check_cdga_morphism` reads only the map, the tables and
+the records.
 
 Each check compares the two sides of an identity on basis tuples, but
 reaches the tuples only through the nonzero entries of the product and
@@ -118,12 +121,54 @@ check between parsed or checked corners, the cone products of
 
 A CDGA is a module over itself, so one walk decides (xy).n = x.(y.n)
 and d(x.n) = d(x).n + (-1)^|x| x.d(n) for both.  The same induction
-would prove the module axioms and linearity from their instances with
-the algebra factor in S, but each step uses the module axioms of source
-and target, and modules carry no proof record: the ends of `rho`, the
-top-degree maps and the umkehr map are derived, not checked, and a
-wrong one would slip through.  So `check_module` walks every first
-factor, in chunks, and `check_module_morphism` every pair.
+proves the module axioms and linearity from their instances with the
+algebra factor in S.
+
+Lemma.  Let A be an algebra as above that passed `check_cdga`, with S
+its proof record, and M a graded space with a differential and an
+action of A of degree 0 (zero outside M's degrees) on which 1 acts as
+the identity.  If (sy).n = s.(y.n) for all s in S and all y, n, the
+action is associative; if moreover d(s.n) = d(s).n + (-1)^|s| s.d(n)
+for all s in S and all n, M is a DG module.  If M and N are such modules
+over A and f: M -> N is linear of degree 0 with f(s.n) = s.f(n) for all
+s in S and all n, then f is A-linear.
+
+Proof.  Linear in x; induct on |x|.  x = 1 holds by the unit laws (and
+d(1) = 0), elements of S are given, and it remains x = uv with
+0 < |u|, |v| < |x|.  With associativity in A and the identities for u
+and v:
+
+    ((uv)y).n = (u(vy)).n = u.((vy).n) = u.(v.(y.n)) = (uv).(y.n).
+
+Then, with the action associative for every first factor, and A's
+Leibniz rule:
+
+    d((uv).n) = d(u.(v.n)) = du.(v.n) + (-1)^|u| u.(dv.n) + (-1)^|uv| u.(v.dn)
+              = (du v + (-1)^|u| u dv).n + (-1)^|uv| (uv).dn,
+
+and, with the actions of M and N associative,
+
+    f((uv).n) = f(u.(v.n)) = u.f(v.n) = u.(v.f(n)) = (uv).f(n).
+
+So `check_module` walks the first factors in S where its algebra carries
+a proof record, and every first factor where it carries none; either
+way the rest only for a module that fails, to name its witness, as
+`check_cdga` does.  On a module over a proven algebra that passes, it
+leaves the record (S, G), where G is a module generating set: M is
+spanned by G and A^+.M, A^+ the elements of positive degree, so by
+induction on the degree (M is bounded below) every element is a sum of
+products a.g with g in G.  `module_generating_set` reads G off the
+stored action as `generating_set` reads S off the stored products: in
+each degree the basis elements off the pivots of one `rref` of the
+stored actions x.m with |x| > 0.  Modules built from checked ones start
+without a record, as algebras do; `modules.algebra_as_module` of a
+proven algebra carries its record, S and the basis of A^0, since the
+algebra's walk on S is the module walk and A^+.A holds every element of
+positive degree.  `check_module_morphism` tests the indices of an end
+without a record (one with a record passed that test in its check),
+and decides linearity on the pairs whose algebra factor lies in S where
+both ends carry a record and share one algebra, walking every pair
+where that fails, to name its witness; elsewhere it walks every pair.
 """
 
 from __future__ import annotations
@@ -421,16 +466,34 @@ def generating_set(a):
     stored products uv, 0 < |u|, |v| < n, one per unordered pair."""
     sp = a.space
     first = min(a.unit)
-    out = [(0, i) for i in range(sp.dim(0)) if i != first]
     products = {}
     for (d1, i1, d2, i2), v in a.both_orders.items():
         if d1 and d2 and (d1, i1) <= (d2, i2):
             products.setdefault(d1 + d2, []).append(v)
-    for deg in sp.degrees():
-        if deg:
-            rows = products.get(deg)
-            pivots = set(Matrix.sparse(a.field, rows, sp.dim(deg)).rref()[1]) if rows else ()
-            out += [(deg, i) for i in range(sp.dim(deg)) if i not in pivots]
+    return ([(0, i) for i in range(sp.dim(0)) if i != first]
+            + _off_pivots(a.field, sp, products, [d for d in sp.degrees() if d]))
+
+
+def module_generating_set(m):
+    """G of the module docstring: in each degree the basis elements off
+    the pivots of one `rref` of the stored actions x.n with |x| > 0."""
+    actions = {}
+    for (d1, _, d2, _), v in m.action.items():
+        if d1:
+            actions.setdefault(d1 + d2, []).append(v)
+    return _off_pivots(m.field, m.space, actions, m.space.degrees())
+
+
+def _off_pivots(field, space, rows, degrees):
+    """The basis elements (degree, index) of `space` in `degrees` off the
+    pivots of one `rref` of the vectors rows[degree]."""
+    out = []
+    for deg in degrees:
+        vs = rows.get(deg, ())
+        # rows of one term each span the coordinates they name
+        pivots = ({i for v in vs for i in v} if all(len(v) == 1 for v in vs)
+                  else set(Matrix.sparse(field, vs, space.dim(deg)).rref()[1]))
+        out += [(deg, i) for i in range(space.dim(deg)) if i not in pivots]
     return out
 
 
@@ -494,15 +557,22 @@ def outside_basis(left, right, table, axiom="module basis"):
 
 def check_module(m):
     """First failure of the DG-module axioms on `m`, or None; first of
-    all, an action entry that names no basis element."""
+    all, an action entry that names no basis element.  A module over a
+    proven algebra that passes keeps (S, G) as `proven_generators`."""
     a, alg = m.algebra, m.algebra.space
     witness = outside_basis(alg, m.space, m.action)
     if witness:
         return witness
     walk = _Walk(a, m)
     witness = _unit_law(a.unit, (("module unit", walk.left),), m.space)
-    if witness or walk.holds_on([(d, i) for d in alg.degrees() for i in range(alg.dim(d))]):
+    if witness:
         return witness
+    s = a.proven_generators
+    if walk.holds_on(s if s is not None else
+                     [(d, i) for d in alg.degrees() for i in range(alg.dim(d))]):
+        if s is not None:
+            m.proven_generators = s, module_generating_set(m)
+        return None
     return walk.first_failure()
 
 
@@ -513,14 +583,32 @@ def check_module_morphism(f):
     src, tgt = f.source, f.target
     if f.map.shift != 0:
         return Witness("module degree", (), (), f.map.shift, {})
-    witness = (outside_basis(src.algebra.space, src.space, src.action)
-               or outside_basis(tgt.algebra.space, tgt.space, tgt.action)
+    # an end with a proof record had its indices tested by its check
+    witness = (src.proven_generators is None
+               and outside_basis(src.algebra.space, src.space, src.action)
+               or tgt.proven_generators is None
+               and outside_basis(tgt.algebra.space, tgt.space, tgt.action)
                or _chain_map(f.map, src.complex, tgt.complex, "module chain map"))
     if witness:
         return witness
-    # f(x.n) and x.f(n), ordered by the algebra element first
-    a, fcol, field = src.algebra, _columns(f.map), tgt.field
+    fcol = _columns(f.map)
+    if (src.proven_generators is not None and tgt.proven_generators is not None
+            and src.algebra is tgt.algebra
+            and _linearity(f, fcol, set(src.proven_generators[0])) is None):
+        return None
+    return _linearity(f, fcol)
+
+
+def _linearity(f, fcol, firsts=None):
+    """First pair (x, n) with f(x.n) != x.f(n), ordered by the algebra
+    element first, or None; with `firsts`, only the pairs whose x lies
+    in it."""
+    src, tgt = f.source, f.target
+    field, source_action, target_action = tgt.field, src.action, tgt.action
+    if firsts is not None:
+        source_action = {k: v for k, v in source_action.items() if k[:2] in firsts}
+        target_action = {k: v for k, v in target_action.items() if k[:2] in firsts}
     return _first_failure(
-        "linearity", _through(field, src.action, _by(fcol, 0)),
-        _prepended(field, _by(tgt.action, 1), _coefficients(fcol)),
-        (a.space, src.space), tgt.space, order=lambda key: key)
+        "linearity", _through(field, source_action, _by(fcol, 0)),
+        _prepended(field, _by(target_action, 1), _coefficients(fcol)),
+        (src.algebra.space, src.space), tgt.space, order=lambda key: key)

@@ -1,26 +1,49 @@
 """Mapping cones as algebras.
 
-The cone R + sX of a module map f: X -> R carries the semi-trivial
-product
+The cone R + sX of a module map f: X -> R, with d(r, sx) =
+(dr + f(x), -s(dx)), carries the semi-trivial product
 
     r . r'   = rr'
     r . sx'  = (-1)^|r| s(r.x')
     sx . r'  = (-1)^(|x||r'|) s(r'.x)
     sx . sx' = 0
 
-which is always graded commutative and associative but satisfies the
-Leibniz rule only under degree bounds; a failure is reported as the
-`checks.Witness` naming its first pair rather than raised.
+(|sx| = |x| - 1), which is graded commutative by construction, and
+associative and unital where R is a CDGA and X an R-module.  Where
+moreover f is R-linear, the Leibniz rule holds on every pair with a
+factor in R: on (r, sx) its R-part is f(r.x) = r.f(x) and its sX-part
+X's Leibniz rule, and (sx, r) follows by commutativity.  On (sx, sx')
+the left side is 0, and the defect lhs - rhs is
+
+    -(f(x).sx' + (-1)^|sx| sx.f(x')) = (-1)^(|x|+1) s(beta(x, x')),
+    beta(x, x') = f(x).x' - (-1)^(|x||x'|) f(x').x,
+
+so the cone is a CDGA exactly when beta vanishes.  beta is R-bilinear
+up to sign: beta(r.x, x') = r.beta(x, x') by linearity of f,
+associativity of the action and commutativity of R, and beta(x, x') =
+-(-1)^(|x||x'|) beta(x', x).  So beta vanishes once it vanishes on
+G x G, for G a module generating set of X.  Under the shift bounds
+beta lands above the top of X and there is nothing to compute: the
+paper's degree argument is what the check reads.  A failure is
+reported as the `checks.Witness` naming its first pair rather than
+raised.
 
 A truncation ideal is spanned by basis elements, and given as degree
 -> sorted basis indices, built by `graded.truncation_spans`: everything
 above a degree, and in that degree the basis elements that d maps
 one-to-one onto the boundaries above it.
 
-Checks run on what reports rest on: `.leibniz`, a full CDGA check of
-the cone product made when first read, and `truncated_cone`'s check of
-the quotient, of its map from the base and of the projection onto it as
-a quasi-isomorphism, which certifies the truncation ideal acyclic.
+Checks run on what reports rest on: `.leibniz`, the cone's Leibniz
+report made when first read, and `truncated_cone`'s check of the
+quotient, of its map from the base and of the projection onto it as a
+quasi-isomorphism, which certifies the truncation ideal acyclic.  The
+Leibniz report decides the cone from its inputs: R's proof record, X's
+module check on S (`checks`), f's check, linear on S, and beta on
+G x G, after the index test of the cone table that `check_cdga` makes
+first, so that a faulty cone builder is still named.  A cone so proven
+keeps `generating_set` of its table as its proof record, so the
+morphisms into it are checked on S.  Any failure falls back to
+`check_cdga` on the cone table, whose witness is the exhaustive walk's.
 """
 
 from __future__ import annotations
@@ -29,10 +52,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import AlgebraError, Cdga, CdgaMorphism, quotient_cdga
-from .checks import check_cdga
+from .checks import (check_cdga, check_module, check_module_morphism, generating_set,
+                     outside_basis)
 from .graded import (GradedLinearMap, cohomology, quasi_isomorphism_failure,
                      rewindow, truncation_spans)
-from .linalg import scaled
+from .linalg import axpy, scaled
 from .modules import DgModule, module_mapping_cone
 
 
@@ -69,6 +93,7 @@ class MappingConeAlgebra:
         if f.target.space != R.space:
             raise ConeError("attaching map must land in the base algebra")
         self.base = R
+        self.attaching = f
         self.field = R.field
         cone_mod, split = module_mapping_cone(f)
         self.split = split
@@ -87,7 +112,7 @@ class MappingConeAlgebra:
 
     @cached_property
     def leibniz(self):
-        return leibniz_report(self.algebra)
+        return leibniz_report(self)
 
     def _build_product(self):
         """R's products in both orders, and its unit, where they are: R
@@ -119,16 +144,57 @@ def semi_trivial_cone(f):
     return MappingConeAlgebra(f)
 
 
-def leibniz_report(a):
-    """CDGA check of a cone product.  The semi-trivial product is a
-    unital commutative graded algebra by construction, so a failure of
-    any other axiom raises.  Returns None when d(cc') = d(c)c' +
-    (-1)^|c| c d(c') holds, and otherwise the witness of its first
-    failing pair."""
+def leibniz_report(cone):
+    """None when the cone product is a CDGA, and otherwise the witness of
+    its first pair failing the Leibniz rule, d(cc') = d(c)c' +
+    (-1)^|c| c d(c').  The semi-trivial product is a unital commutative
+    graded algebra by construction, so a failure of any other axiom
+    raises.  Proven from the cone's inputs where they pass, as the module
+    docstring says, and otherwise by `check_cdga` on the cone table."""
+    a = cone.algebra
+    if proven_from_inputs(cone):
+        a.proven_generators = generating_set(a)
+        return None
     witness = check_cdga(a)
     if witness is not None and witness.axiom != "Leibniz":
         raise ConeError("cone product is not a CDGA: %s" % witness)
     return witness
+
+
+def proven_from_inputs(cone):
+    """Whether the cone product passes as a CDGA by the module docstring:
+    its indices, R proven, X a module over R, f linear into R acting on
+    itself, and beta zero on G x G."""
+    f, r, a = cone.attaching, cone.base, cone.algebra
+    x = f.source
+    if (a.space.window.lo < 0 or r.proven_generators is None or x.algebra is not r
+            or f.target.action is not r.both_orders or f.target.complex is not r.complex):
+        return False
+    # R's entries had their indices tested when R was proven
+    base = r.both_orders
+    if outside_basis(a.space, a.space, {k: v for k, v in a.product.items()
+                                        if base.get(k) is not v}, "algebra basis"):
+        return False
+    # a module over the proven R that passes its check has a record
+    if x.proven_generators is None and check_module(x) is not None:
+        return False
+    if check_module_morphism(f) is not None:
+        return False
+    gens = x.proven_generators[1]
+    return not any(_beta(f, g, h) for p, g in enumerate(gens) for h in gens[p:])
+
+
+def _beta(f, g, h):
+    """beta(g, h) = f(g).h - (-1)^(|g||h|) f(h).g for basis elements g, h
+    of X, as a vector of X."""
+    x = f.source
+    field, one = x.field, x.field.one
+    if not x.space.dim(g[0] + h[0]):
+        return {}
+    out = x.act_vec(g[0], f.apply(g[0], {g[1]: one}), h[0], {h[1]: one})
+    axpy(field, out, field.sign(g[0] * h[0] + 1),
+         x.act_vec(h[0], f.apply(h[0], {h[1]: one}), g[0], {g[1]: one}))
+    return out
 
 
 def check_shift_bounds(cone):

@@ -45,6 +45,8 @@ class DgModule:
         self.space = complex_.space
         self.field = algebra.field
         self.action = action
+        # (S of the algebra, G) of a passing `check_module`, its proof record
+        self.proven_generators = None
 
     def act_basis(self, da, ia, dm, jm):
         """The stored action on two basis elements (not to be changed),
@@ -78,8 +80,14 @@ class DgModule:
 
 def algebra_as_module(a):
     """`a` acting on itself from the left; the action lists both orders
-    of every product, since module actions are one-sided."""
-    return DgModule(a, a.complex, a.both_orders)
+    of every product, since module actions are one-sided.  A proven `a`
+    makes a proven module, with G the basis of A^0: `check_cdga` walked
+    the module axioms on S, as the `checks` docstring says."""
+    m = DgModule(a, a.complex, a.both_orders)
+    s = a.proven_generators
+    if s is not None:
+        m.proven_generators = s, [(0, i) for i in range(a.space.dim(0))]
+    return m
 
 
 class DgModuleMorphism:

@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 
 from .algebra import (AlgebraError, Cdga, CdgaMorphism,
-                      materialize_free_cdga, renamed_presentation)
+                      materialize_free_cdga, renamed_presentation, same_tables)
 from .checks import check_cdga_morphism
 from .fields import FieldError, PrimeField, QQ
 from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
@@ -497,6 +497,11 @@ def _parse_morphism(name, src, tgt, lines, pf):
                           {d: Matrix.sparse(field, rows, sa.space.dim(d))
                            for d, rows in blocks.items()})
     f = CdgaMorphism(sa, ta, glm)
+    # a map equal to an earlier one between algebras sharing its ends'
+    # tables passes as that one did: the check reads only those
+    if any(same_tables(g.source, sa) and same_tables(g.target, ta) and g.map == glm
+           for g in pf.morphisms.values()):
+        return f
     try:
         f.validate()
     except AlgebraError as e:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import (AlgebraError, Cdga, CdgaMorphism, check_poincare_duality,
                       cohomology_algebra, direct_sum_cdga, left_factors,
-                      projected_table, quotient_by_acyclic_ideal, quotient_cdga)
+                      projected_table, quotient_by_acyclic_ideal, quotient_cdga,
+                      same_tables)
 from .cones import (ConeError, build_acyclic_truncation, check_shift_bounds,
                     semi_trivial_cone, truncated_cone)
 from .duality import (DualityError, construct_top_degree, gysin_map,
@@ -166,6 +167,16 @@ def _require_ambient(report):
                               % report.pd_failure)
 
 
+def _require_dimension(report):
+    """m <= n: the embedded piece has no cohomology above the ambient
+    dimension.  `complement` and the squares on algebras ask for more,
+    codimension >= 2; the module pipelines need only this."""
+    if report.m > report.n:
+        raise HypothesisError("m <= n fails: the embedded piece has cohomology in "
+                              "degree m = %d above the ambient dimension n = %d"
+                              % (report.m, report.n))
+
+
 def _require(report, need_unknotting=True):
     _require_ambient(report)
     if not report.codimension_ok:
@@ -194,13 +205,6 @@ def _top_degree_map(phi, n):
         return res, construct_top_degree(res.module, algebra_as_module(phi.source), n)
     except DualityError as e:
         raise HypothesisError(str(e))
-
-
-def _same_tables(a, b):
-    """Whether two algebras share their product table, differential
-    blocks and unit, as the copies of one parsed presentation do."""
-    return (a.product is b.product and a.complex.d.blocks is b.complex.d.blocks
-            and a.unit is b.unit)
 
 
 def _zero_map_cone(module, q):
@@ -372,6 +376,7 @@ def dgmodule_square(problem):
     ambient algebra; no product claimed on the cones."""
     report = analyze(problem)
     _require_ambient(report)
+    _require_dimension(report)
     n = problem.n
     r_mod = algebra_as_module(problem.ambient)
     parts, psis = [], []
@@ -380,7 +385,7 @@ def dgmodule_square(problem):
         # a target sharing an earlier one's tables, under an equal map,
         # restricts to the same module: its (res, psi) serve again
         for b, res, psi_k in done:
-            if _same_tables(b.target, branch.target) and b.map == branch.map:
+            if same_tables(b.target, branch.target) and b.map == branch.map:
                 break
         else:
             try:
@@ -439,6 +444,7 @@ def lefschetz(problem):
     if report.pd_failure is not None:
         raise HypothesisError("ambient duality certificate failed: %s"
                               % report.pd_failure)
+    _require_dimension(report)
     n, m = report.n, report.m
     cone_mod, _ = module_mapping_cone(shifted_dual_morphism(problem.phi, n))
     cone_mod.validate()

@@ -671,6 +671,31 @@ def test_each_distinct_presentation_is_materialized_and_checked_once(
     assert calls.count("semifree_resolution") == 1
 
 
+def test_a_repeated_morphism_is_checked_once(monkeypatch, tmp_path):
+    """The 16 maps R -> Q_k of a menorah are equal, and their targets
+    share one checked algebra's tables: parsing checks the first and
+    lets the other 15 pass as it did.  A map that differs is checked."""
+    calls = []
+    counted_calls(monkeypatch, checks, "check_cdga_morphism", calls)
+    pf = cli.parse_file(menorah16(tmp_path))
+    assert len(pf.morphisms) == 16
+    assert calls.count("check_cdga_morphism") == 1
+    del calls[:]
+    parse("field rational\nwindow 0 5\n"
+          "cdga R { generator a deg 2 ; relation a^2 }\n"
+          "cdga Q { generator x deg 2 ; relation x^2 }\n"
+          "cdga P { generator y deg 2 ; relation y^2 }\n"
+          "cdga T { generator z deg 2 ; generator w deg 3 ; relation z^2 }\n"
+          "morphism f : R -> Q { a -> x }\n"
+          "morphism g : R -> Q { a -> 0 }\n"
+          "morphism h : R -> Q { a -> x }\n"
+          "morphism k : R -> P { a -> y }\n"
+          "morphism t : R -> T { a -> z }\n")
+    # f, g (another map) and t (a target with other tables); h equals f,
+    # and k equals f into a copy of Q under other names
+    assert calls.count("check_cdga_morphism") == 3
+
+
 def test_nothing_is_shared_between_two_runs(monkeypatch, tmp_path):
     """The shared presentations live on one parsed file: a second run in
     the same process materializes and checks again, as the first did."""

@@ -32,6 +32,11 @@ WORDS = ["generator", "deg", "relation", "d", "=", "{", "}", ";", "->", "0", "1"
 # seconds a run may take before the fuzz calls it unbounded
 GUARD = 20
 
+# an embedded circle over a point, m = 1 > n = 0: a file the fuzz drew
+M_ABOVE_N = ("field prime 5\nwindow 0 1\ncdga R {  }\n"
+             "cdga Q0 { generator x deg 1 }\nmorphism f0 : R -> Q0 {  }\n"
+             "problem { ambient R dim 0 ; embedded Q0 via f0 }\n")
+
 
 @st.composite
 def free_algebra(draw, name, hi, letters):
@@ -113,6 +118,7 @@ def run_guarded(argv):
                                  HealthCheck.too_slow])
 @given(text=problem_files())
 @example(text=point_in_torus(2))
+@example(text=M_ABOVE_N)
 def test_every_generated_file_exits_with_a_contract_code(guarded, tmp_path, text):
     path = tmp_path / "p.pemb"
     path.write_text(text)
@@ -121,3 +127,14 @@ def test_every_generated_file_exits_with_a_contract_code(guarded, tmp_path, text
         assert code in (0, 1, 2), (command, code, err)
         assert "Traceback" not in out + err
         assert code == 0 or err.startswith(("error: ", "hypothesis failure: ")), err
+
+
+@pytest.mark.parametrize("command", ["dgmodule-square", "lefschetz"])
+def test_an_embedded_piece_above_the_ambient_dimension_is_named(tmp_path, command):
+    """m > n is a hypothesis failure of the module pipelines, which need
+    no bound on the codimension; `complement` names codimension >= 2."""
+    path = tmp_path / "p.pemb"
+    path.write_text(M_ABOVE_N)
+    code, out, err = run_cli([command, str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("hypothesis failure: m <= n fails: ") and "m = 1" in err
