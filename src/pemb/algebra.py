@@ -434,6 +434,13 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
     standard monomials, and the remainder of a reduction the normal
     form.  Bases, labels, signs and tables follow from the ideal alone.
     The parser, not this function, checks the result.
+
+    The product table lists both orders of every nonzero product, keys
+    in the order of the loops over (d1, d2, i1, i2).  Each unordered pair
+    of standard monomials is merged once, at the first of its two keys;
+    the second key is written as the Koszul sign (-1)^(d1 d2) times the
+    vector stored at the first, since m2 m1 = (-1)^(|m1||m2|) m1 m2 in
+    the free algebra and both merge into one monomial.
     """
     if window.lo != 0:
         raise AlgebraError("algebra window must start at 0")
@@ -502,26 +509,40 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
     nil = {d: [sum(1 << g for g in m if gen_degs[g] % 2 or g in squared) for m in ms]
            for d, ms in standard.items()}
     product = {}
+
+    def store(key, v, d):
+        product[key] = v
+        if len(product) > MAX_PRODUCT_ENTRIES:
+            raise AlgebraError("presentation has more than %d nonzero "
+                               "products of basis elements by degree %d"
+                               % (MAX_PRODUCT_ENTRIES, d))
+
     for d1 in space.degrees():
         for d2 in space.degrees():
             d = d1 + d2
             if d > hi or space.dim(d) == 0:
                 continue
+            odd = (d1 * d2) % 2
             for i1, m1 in enumerate(standard[d1]):
                 nil1 = nil[d1][i1]
+                # the keys (d2, i2) before (d1, i1), whose pairs are merged
+                merged = len(standard[d2]) if d2 < d1 else i1 if d2 == d1 else 0
                 for i2, m2 in enumerate(standard[d2]):
+                    if i2 < merged:
+                        # merged at the reversed key: m1 m2 = +-m2 m1
+                        v = product.get((d2, i2, d1, i1))
+                        if v is not None:
+                            store((d1, i1, d2, i2),
+                                  scaled(field, field.minus_one, v) if odd else v, d)
+                        continue
                     if nil1 & nil[d2][i2]:
                         continue
                     s, prod = _merge_sign(field, m1, m2, gen_degs)
                     w = pres.monomial_form(prod)
                     if w:
                         # a read-only vector may be shared, not copied
-                        product[(d1, i1, d2, i2)] = (w if s == field.one
-                                                     else scaled(field, s, w))
-                        if len(product) > MAX_PRODUCT_ENTRIES:
-                            raise AlgebraError("presentation has more than %d nonzero "
-                                               "products of basis elements by degree %d"
-                                               % (MAX_PRODUCT_ENTRIES, d))
+                        store((d1, i1, d2, i2), w if s == field.one
+                              else scaled(field, s, w), d)
 
     unit = pres.normal_form({(): field.one})
     if not unit:

@@ -373,13 +373,17 @@ class _Walk:
     element of `a`, lies in a given set of basis elements.  The indices
     of the product and action tables and of the columns of d are built
     once, so that a walk reaches only the tuples with a nonzero partial
-    product."""
+    product.  Given the first factors `firsts` it will walk, a module
+    walk indexes the products xy of `a` for those x alone, and indexes
+    every x only for the exhaustive walk of `first_failure`."""
 
-    def __init__(self, a, module=None):
+    def __init__(self, a, module=None, firsts=None):
         self.axioms = (("commutativity", "associativity", "Leibniz") if module is None
                        else ("module associativity", "module Leibniz"))
         self.algebra, self.field, self.table = a.space, a.field, a.both_orders
-        self.products = self.left = _by(a.both_orders, 0)
+        partial = module is not None and firsts is not None
+        self.every = None if partial else _by(a.both_orders, 0)
+        self.products = self.left = _rows(a, firsts) if partial else self.every
         self.d_algebra = d = _columns(a.complex.d)
         self.space, action = a.space, a.both_orders
         if module is not None:
@@ -451,12 +455,20 @@ class _Walk:
         axiom walked one degree of the first factor at a time, up to the
         first degree that fails."""
         alg = self.algebra
+        if self.every is None:
+            self.products = self.every = _by(self.table, 0)
         for axiom in self.axioms:
             for deg in alg.degrees():
                 witness, = self.failures([(deg, i) for i in range(alg.dim(deg))], (axiom,))
                 if witness:
                     return witness
         return None
+
+
+def _rows(a, firsts):
+    """`_by(a.both_orders, 0)` on the first factors x in `firsts` alone."""
+    wanted = set(firsts)
+    return _by({k: v for k, v in a.both_orders.items() if k[:2] in wanted}, 0)
 
 
 def generating_set(a):
@@ -563,11 +575,11 @@ def check_module(m):
     witness = outside_basis(alg, m.space, m.action)
     if witness:
         return witness
-    walk = _Walk(a, m)
+    s = a.proven_generators
+    walk = _Walk(a, m, s)
     witness = _unit_law(a.unit, (("module unit", walk.left),), m.space)
     if witness:
         return witness
-    s = a.proven_generators
     if walk.holds_on(s if s is not None else
                      [(d, i) for d in alg.degrees() for i in range(alg.dim(d))]):
         if s is not None:

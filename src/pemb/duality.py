@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from .graded import GradedLinearMap, cohomology, induced_on_cohomology
 from .linalg import Matrix
 from .modules import (DgModuleMorphism, ModuleError, algebra_as_module,
-                      homotopy_between, restrict_scalars, shifted_dual,
-                      solve_chain_maps, suspend_module)
+                      homotopy_between, restrict_scalars,
+                      restricted_shifted_dual, shifted_dual, solve_chain_maps,
+                      suspend_module)
 
 
 class DualityError(ValueError):
@@ -161,9 +162,8 @@ def shifted_dual_morphism(phi, n):
     """s^(-n) # phi as a module morphism over the source of phi; the
     degree-j block is the transpose of phi's degree-(n-j) block.  Not
     re-checked: the dual of a multiplicative chain map is a linear one."""
-    r, q = phi.source, phi.target
-    source = restrict_scalars(shifted_dual(algebra_as_module(q), n), phi)
-    target = shifted_dual(algebra_as_module(r), n)
+    source = restricted_shifted_dual(phi, n)
+    target = shifted_dual(algebra_as_module(phi.source), n)
     glm = GradedLinearMap(source.space, target.space, 0,
                           {j: phi.map.block(n - j).transpose()
                            for j in source.space.degrees()})

@@ -206,36 +206,11 @@ class CohomologyData:
         self._decomp = {}
         blocks = complex_.d.blocks
         for deg in complex_.space.degrees():
-            n = complex_.space.dim(deg)
-            out = blocks.get(deg)
-            if out is None:
-                z = [{i: field.one} for i in range(n)]
-            else:
-                z = out.kernel_basis()
-            self.cocycles[deg] = z
-            self.reps[deg] = []
-            self._decomp[deg] = None
-            if not z:
-                continue
-            into = blocks.get(deg - 1)
-            if out is None and into is None:
-                # d = 0 into and out of deg: every vector is its own class
-                self.reps[deg] = list(z)
-                self._decomp[deg] = (None, 0, n)
-                self.dims[deg] = n
-                continue
-            b = [c for c in into.transpose().rows if c] if into is not None else []
-            cols = b + z
-            k = len(cols)
-            eye = [{i: field.one} for i in range(n)]
-            red, pivots = Matrix.sparse(field, cols + eye, n).transpose().rref()
-            pivots = [p for p in pivots if p < k]
-            nb = sum(1 for p in pivots if p < len(b))
-            self.reps[deg] = [z[p - len(b)] for p in pivots[nb:]]
-            e = [{c - k: x for c, x in r.items() if c >= k} for r in red.rows]
-            self._decomp[deg] = (Matrix.sparse(field, e, n), nb, len(pivots))
-            if self.reps[deg]:
-                self.dims[deg] = len(self.reps[deg])
+            z, reps, decomp = degree_cohomology(field, complex_.space.dim(deg),
+                                                blocks.get(deg), blocks.get(deg - 1))
+            self.cocycles[deg], self.reps[deg], self._decomp[deg] = z, reps, decomp
+            if reps:
+                self.dims[deg] = len(reps)
 
     def dim(self, deg):
         return self.dims.get(deg, 0)
@@ -263,6 +238,34 @@ class CohomologyData:
     def write_coboundary(self, deg, v):
         """Find w with d(w) = v, or None."""
         return self.d.block(deg - 1).solve(v)
+
+
+def degree_cohomology(field, n, out, into):
+    """(cocycles, representatives, decomposition) of one degree of
+    dimension n, from the blocks of d out of it and into it (None for a
+    block that d does not store): the step `CohomologyData` takes in
+    each degree, as its docstring says.  The decomposition is None when
+    there are no cocycles, and (None, 0, n) when d is zero on both
+    sides."""
+    if out is None:
+        z = [{i: field.one} for i in range(n)]
+    else:
+        z = out.kernel_basis()
+    if not z:
+        return z, [], None
+    if out is None and into is None:
+        # d = 0 into and out of the degree: every vector is its own class
+        return z, list(z), (None, 0, n)
+    b = [c for c in into.transpose().rows if c] if into is not None else []
+    cols = b + z
+    k = len(cols)
+    eye = [{i: field.one} for i in range(n)]
+    red, pivots = Matrix.sparse(field, cols + eye, n).transpose().rref()
+    pivots = [p for p in pivots if p < k]
+    nb = sum(1 for p in pivots if p < len(b))
+    reps = [z[p - len(b)] for p in pivots[nb:]]
+    e = [{c - k: x for c, x in r.items() if c >= k} for r in red.rows]
+    return z, reps, (Matrix.sparse(field, e, n), nb, len(pivots))
 
 
 def cohomology(complex_):

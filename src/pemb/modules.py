@@ -8,9 +8,11 @@ Free modules A x V are grown one generator at a time.  Within a degree
 the basis lists (generator, algebra basis element) pairs in generator
 order and a new generator comes last, so adding one appends its slots,
 action entries and columns of d, and no index, entry or column written
-before changes.  A semifree resolution adds its generators this way,
-computes rho at each slot once, and assembles P after each round that
-added generators.
+before changes.  A semifree resolution adds its generators this way and
+computes rho at each slot once.  Each round in degree j reads H^j(P)
+and rho in degree j alone, from the stored columns of d out of degrees
+j - 1 and j and of rho at j; P and H(P) are assembled once, after the
+last round.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 
 from .checks import check_module, check_module_morphism
 from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
-                     InternalError, cohomology, direct_sum, dualize,
-                     mapping_cone, quasi_isomorphism_failure, suspend)
+                     InternalError, cohomology, degree_cohomology, direct_sum,
+                     dualize, mapping_cone, quasi_isomorphism_failure, suspend)
 from .linalg import Matrix, axpy, reduced_kernel, scaled, sparse_sum
 
 
@@ -180,6 +182,15 @@ def dual_module(m):
 def shifted_dual(m, n):
     """s^(-n) # M, the module of Poincare-Lefschetz comparisons."""
     return suspend_module(dual_module(m), -n)
+
+
+def restricted_shifted_dual(phi, n):
+    """s^(-n) # Q as a module over R, for phi: R -> Q: Q acting on itself
+    is restricted along phi first, and only the restriction is dualized
+    and suspended.  Restriction commutes with both, since each rewrites
+    an entry a.x through its algebra factor alone, so the table is the
+    one that dualizing all of Q and then restricting gives."""
+    return shifted_dual(restrict_scalars(algebra_as_module(phi.target), phi), n)
 
 
 def module_mapping_cone(f):
@@ -428,16 +439,20 @@ class _FreeBuilder:
             self.d_cols.setdefault(d, []).append(out)
         return new
 
+    def d_block(self, d):
+        """The block of d out of degree d on the generators so far, as
+        `assemble` stores it: None where it is zero."""
+        m = Matrix.from_cols(self.algebra.field, self.d_cols.get(d, ()),
+                             self.dims.get(d + 1, 0))
+        return None if m.is_zero() else m
+
     def assemble(self):
         """(module, basis index table) on the generators so far; the module
         holds a copy of the action table, which later `add` calls grow."""
-        a = self.algebra
-        field = a.field
-        space = GradedVectorSpace(field, self.window, self.dims, self.labels)
-        blocks = {d: Matrix.from_cols(field, cols, space.dim(d + 1))
-                  for d, cols in self.d_cols.items()}
+        space = GradedVectorSpace(self.algebra.field, self.window, self.dims, self.labels)
+        blocks = {d: m for d in self.d_cols if (m := self.d_block(d)) is not None}
         cx = CochainComplex(space, GradedLinearMap(space, space, 1, blocks))
-        return DgModule(a, cx, dict(self.action)), self.index
+        return DgModule(self.algebra, cx, dict(self.action)), self.index
 
 
 def free_module(algebra, gens, dvals=None, window=None):
@@ -499,7 +514,6 @@ def semifree_resolution(m, window=None):
     gens = fb.gens
     dvals = {}
     rho_cols = {}   # degree -> rho's columns, by slot
-    built = None    # (generator count, P, rho, H(P)) of the last assembly
 
     def add(gen, rho_val, dval=None):
         """Append a generator; rho at its slot a x gen is a . rho(gen)."""
@@ -509,27 +523,19 @@ def semifree_resolution(m, window=None):
             rho_cols.setdefault(d, []).append(
                 m.act_vec(e, a.basis_vec(e, ib), gen.degree, rho_val))
 
-    def build():
-        """(P, rho, H(P)) for the generators so far, assembled again only
-        when generators were added since the last call."""
-        nonlocal built
-        if built is None or built[0] != len(gens):
-            P, _ = fb.assemble()
-            rho = GradedLinearMap(P.space, m.space, 0,
-                                  {d: Matrix.from_cols(field, cols, m.space.dim(d))
-                                   for d, cols in rho_cols.items()})
-            built = len(gens), P, rho, cohomology(P.complex)
-        return built[1:]
-
     coh_m = cohomology(m.complex)
     for j in range(window.lo, window.hi + 1):
         first = len(gens)
         for round_ in range(MAX_ROUNDS + 1):
             if round_ == MAX_ROUNDS or len(gens) - first > MAX_DEGREE_GENERATORS:
                 raise ModuleError("semifree resolution did not stabilize in degree %d" % j)
-            P, rho, coh_P = build()
+            # H^j(P) and rho at j on the generators so far, from the
+            # blocks of d out of degree j and into it
+            _, reps, _ = degree_cohomology(field, fb.dims.get(j, 0), fb.d_block(j),
+                                           fb.d_block(j - 1))
+            rho = Matrix.from_cols(field, rho_cols.get(j, ()), m.space.dim(j))
             # induced map on H^j
-            img_cols = [coh_m.reduce(j, rho.apply(j, z)) for z in coh_P.reps.get(j, [])]
+            img_cols = [coh_m.reduce(j, rho.apply(z)) for z in reps]
             n_img, hm_dim = len(img_cols), coh_m.dim(j)
             if not n_img and not hm_dim:
                 break
@@ -551,14 +557,18 @@ def semifree_resolution(m, window=None):
             for v in kern:
                 z = {}
                 for t, c in v.items():
-                    axpy(field, z, c, coh_P.reps[j][t])
-                w = coh_m.write_coboundary(j, rho.apply(j, z))
+                    axpy(field, z, c, reps[t])
+                w = coh_m.write_coboundary(j, rho.apply(z))
                 if w is None:
                     raise InternalError("resolution: class not exact")
                 gi = len(gens)
                 add(FreeGenerator("u%d_%d" % (j, gi), j - 1, gi), w, z)
 
-    P, rho_glm, coh_P = build()
+    P, _ = fb.assemble()
+    rho_glm = GradedLinearMap(P.space, m.space, 0,
+                              {d: Matrix.from_cols(field, cols, m.space.dim(d))
+                               for d, cols in rho_cols.items()})
+    coh_P = cohomology(P.complex)
     rho = DgModuleMorphism(P, m, rho_glm)
     rho.validate()
     bad = quasi_isomorphism_failure(rho_glm, coh_P, coh_m)

@@ -28,7 +28,8 @@ from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
 from .linalg import Matrix, axpy, dense, scaled
 from .modules import (DgModule, DgModuleMorphism, algebra_as_module,
                       direct_sum_modules, module_mapping_cone,
-                      restrict_scalars, semifree_resolution, shifted_dual)
+                      restrict_scalars, restricted_shifted_dual,
+                      semifree_resolution, shifted_dual)
 
 
 class PipelineError(ValueError):
@@ -167,14 +168,14 @@ def _require_ambient(report):
                               % report.pd_failure)
 
 
-def _require_dimension(report):
+def _require_dimension(m, n):
     """m <= n: the embedded piece has no cohomology above the ambient
     dimension.  `complement` and the squares on algebras ask for more,
-    codimension >= 2; the module pipelines need only this."""
-    if report.m > report.n:
+    codimension >= 2; the module pipelines and `gysin` need only this."""
+    if m > n:
         raise HypothesisError("m <= n fails: the embedded piece has cohomology in "
                               "degree m = %d above the ambient dimension n = %d"
-                              % (report.m, report.n))
+                              % (m, n))
 
 
 def _require(report, need_unknotting=True):
@@ -196,7 +197,7 @@ def _top_degree_map(phi, n):
     A minimal resolution starts no lower than the cohomology it
     resolves, which starts in degree n - m, m the top degree of H(Q):
     Q is nonnegatively graded and H^j(s^(-n)#Q) is dual to H^(n-j)(Q)."""
-    dq = restrict_scalars(shifted_dual(algebra_as_module(phi.target), n), phi)
+    dq = restricted_shifted_dual(phi, n)
     res = semifree_resolution(dq, window=DegreeWindow(0, n + 1))
     if (min(res.module.space.degrees(), default=n)
             < min(cohomology(dq.complex).dims, default=n)):
@@ -376,7 +377,7 @@ def dgmodule_square(problem):
     ambient algebra; no product claimed on the cones."""
     report = analyze(problem)
     _require_ambient(report)
-    _require_dimension(report)
+    _require_dimension(report.m, report.n)
     n = problem.n
     r_mod = algebra_as_module(problem.ambient)
     parts, psis = [], []
@@ -444,7 +445,7 @@ def lefschetz(problem):
     if report.pd_failure is not None:
         raise HypothesisError("ambient duality certificate failed: %s"
                               % report.pd_failure)
-    _require_dimension(report)
+    _require_dimension(report.m, report.n)
     n, m = report.n, report.m
     cone_mod, _ = module_mapping_cone(shifted_dual_morphism(problem.phi, n))
     cone_mod.validate()
@@ -628,6 +629,7 @@ def gysin(problem):
     cert_w, fail_w = check_poincare_duality(halg_r, n)
     if fail_w is not None:
         raise HypothesisError("ambient duality certificate failed: %s" % fail_w)
+    _require_dimension(m, n)
     cert_v, fail_v = check_poincare_duality(halg_q, m)
     if fail_v is not None:
         raise HypothesisError("embedded duality certificate failed: %s" % fail_v)

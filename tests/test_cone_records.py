@@ -207,6 +207,43 @@ def test_the_module_walk_visits_only_first_factors_in_s(monkeypatch):
     assert set(walked) == every
 
 
+def test_a_module_walk_indexes_only_the_products_of_s(monkeypatch, tmp_path):
+    """The module walks of `stable-square` and `dgmodule-square` on a
+    ladder rung, all over proven algebras, index the products xy of
+    their algebra with x in S alone: as many as its table holds with
+    first factor in S, and never the whole table.  A module that fails
+    indexes them all, for the exhaustive walk, and names its witness."""
+    walks = []
+    init = checks._Walk.__init__
+
+    def recorded(self, a, module=None, firsts=None):
+        init(self, a, module, firsts)
+        if module is not None:
+            walks.append((self, a))
+
+    monkeypatch.setattr(checks._Walk, "__init__", recorded)
+    prob = ladder.build("sphere_quotient", 1).problems["spheres3"]
+    path = tmp_path / "p.pemb"
+    path.write_text(prob.text)
+    for command in ("stable-square", "dgmodule-square"):
+        assert run_cli([command, str(path)])[0] == 0
+    assert len(walks) >= 3
+    for walk, a in walks:
+        s = set(a.proven_generators)
+        assert walk.every is None and set(walk.products) <= s
+        indexed = sum(len(rows) for rows in walk.products.values())
+        assert indexed == sum(1 for key in a.both_orders if key[:2] in s)
+        assert indexed < len(a.both_orders)
+    del walks[:]
+    cone = action_mutation()
+    x = cone.attaching.source
+    witness = check_module(x)
+    (walk, a), = walks
+    assert walk.every is not None and len(walk.every) == a.space.total_dim()
+    assert witness == checks._Walk(a, x).first_failure()
+    assert witness.axiom == "module associativity"
+
+
 def test_derived_modules_start_without_a_record():
     r = truncated_u()
     x = module_on(r, [2])

@@ -129,10 +129,11 @@ def test_every_generated_file_exits_with_a_contract_code(guarded, tmp_path, text
         assert code == 0 or err.startswith(("error: ", "hypothesis failure: ")), err
 
 
-@pytest.mark.parametrize("command", ["dgmodule-square", "lefschetz"])
+@pytest.mark.parametrize("command", ["dgmodule-square", "lefschetz", "gysin"])
 def test_an_embedded_piece_above_the_ambient_dimension_is_named(tmp_path, command):
-    """m > n is a hypothesis failure of the module pipelines, which need
-    no bound on the codimension; `complement` names codimension >= 2."""
+    """m > n is a hypothesis failure of the module pipelines and of
+    `gysin`, which need no bound on the codimension; `complement` names
+    codimension >= 2."""
     path = tmp_path / "p.pemb"
     path.write_text(M_ABOVE_N)
     code, out, err = run_cli([command, str(path)])

@@ -195,8 +195,9 @@ def test_semifree_resolution_needs_kernel_generators():
 def test_semifree_resolution_builds_each_slot_once(monkeypatch):
     """The free module grows in place: each slot of P, and rho's column
     at it, is built once, so the target's `act_vec` runs once per slot of
-    the final P.  P is assembled once at the start and once after each
-    round that added generators, and H(P) is built once per assembly."""
+    the final P.  Each round reads H(P) and rho in its own degree alone,
+    so P is assembled once, after the last round, and H(P) is built once,
+    on it."""
     assembled, acts, rounds = [], [], set()
     assemble, add, act_vec = (modules._FreeBuilder.assemble, modules._FreeBuilder.add,
                               DgModule.act_vec)
@@ -228,33 +229,20 @@ def test_semifree_resolution_builds_each_slot_once(monkeypatch):
             seen.clear()
         res = semifree_resolution(m, window=window)
         assert rounds
-        assert len(assembled) <= 1 + len(rounds)
-        assert assembled[-1] == len(res.generators)
+        assert assembled == [len(res.generators)]
         assert len(acts) == res.module.space.total_dim()
         assert all(x is m for x in acts)
-        # H(m), then H(P) per assembly
-        assert len(built) <= 1 + len(assembled)
-        assert sum(1 for cx in built if cx is not m.complex) <= len(assembled)
+        # H(m), then H(P) once
+        assert len(built) == 2
+        assert built[0] is m.complex and built[1] is res.module.complex
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "F10007"])
-def test_grown_resolutions_match_the_one_shot_free_module(monkeypatch, field):
-    """Every resolution that `complement`, `punctured-square`,
-    `dgmodule-square` and `stable-square` build on a shipped example, over
-    Q and over F_10007, is the one-shot free module on the same
-    generators, differentials and window, with rho built over all its
-    slots: same index, labels, action table, d blocks and rho blocks.  So
-    are the resolutions of the ground field over S^2, CP^2 and the
-    Sullivan model of CP^2, whose kernel-killing generators have d != 0;
-    the shipped examples' generators have d = 0."""
-    grown = {}      # id of a builder's index -> (builder, [(gen, d(gen), rho(gen))])
-    add = modules._FreeBuilder.add
-
-    def recorded_add(self, gen, dval=None):
-        rho_val = sys._getframe(1).f_locals.get("rho_val")
-        grown.setdefault(id(self.index), (self, []))[1].append((gen, dval, rho_val))
-        return add(self, gen, dval)
-
+def every_resolution(monkeypatch, field):
+    """[(m, resolution of m)] of every resolution that `complement`,
+    `punctured-square`, `dgmodule-square` and `stable-square` build on a
+    shipped example over `field`, then of the ground field over S^2,
+    CP^2 and the Sullivan model of CP^2, whose kernel-killing generators
+    have d != 0; the shipped examples' generators have d = 0."""
     resolved = []
     resolve = modules.semifree_resolution
 
@@ -263,7 +251,6 @@ def test_grown_resolutions_match_the_one_shot_free_module(monkeypatch, field):
         resolved.append((m, res))
         return res
 
-    monkeypatch.setattr(modules._FreeBuilder, "add", recorded_add)
     for namespace in (modules, pipeline):
         monkeypatch.setattr(namespace, "semifree_resolution", recorded_resolution)
     for name in sorted(cli.EXAMPLES):
@@ -282,7 +269,25 @@ def test_grown_resolutions_match_the_one_shot_free_module(monkeypatch, field):
         ground, _ = free_module(a, [FreeGenerator("g", 0, 0)], {}, DegreeWindow(0, 0))
         recorded_resolution(ground, window=a.space.window)
     assert sum(len(res.module.complex.d.blocks) for _, res in resolved[-3:]) > 10
-    for m, res in resolved:
+    return resolved
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "F10007"])
+def test_grown_resolutions_match_the_one_shot_free_module(monkeypatch, field):
+    """Every resolution of `every_resolution`, over Q and over F_10007,
+    is the one-shot free module on the same generators, differentials and
+    window, with rho built over all its slots: same index, labels,
+    action table, d blocks and rho blocks."""
+    grown = {}      # id of a builder's index -> (builder, [(gen, d(gen), rho(gen))])
+    add = modules._FreeBuilder.add
+
+    def recorded_add(self, gen, dval=None):
+        rho_val = sys._getframe(1).f_locals.get("rho_val")
+        grown.setdefault(id(self.index), (self, []))[1].append((gen, dval, rho_val))
+        return add(self, gen, dval)
+
+    monkeypatch.setattr(modules._FreeBuilder, "add", recorded_add)
+    for m, res in every_resolution(monkeypatch, field):
         builder, adds = grown[id(res.index)]
         gens = [g for g, _, _ in adds]
         assert gens == res.generators
@@ -295,6 +300,30 @@ def test_grown_resolutions_match_the_one_shot_free_module(monkeypatch, field):
         assert P.complex.d.blocks == ref.complex.d.blocks
         rho = oneshot.one_shot_rho(ref, index, gens, [r for _, _, r in adds], m)
         assert res.rho.map.blocks == rho.blocks
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "F10007"])
+def test_each_round_reads_the_cohomology_of_the_p_it_has(monkeypatch, field):
+    """Each round of every resolution of `every_resolution` computes H^j
+    of the P grown so far from the two blocks of d at j alone: its
+    cocycles, classes and decomposition are those that `cohomology` of P,
+    assembled at that round, holds in degree j."""
+    rounds = []
+    step = modules.degree_cohomology
+
+    def checked_step(*args):
+        got = step(*args)
+        loop = sys._getframe(1).f_locals
+        j, (P, _) = loop["j"], loop["fb"].assemble()
+        coh = cohomology(P.complex)
+        assert got == (coh.cocycles.get(j, []), coh.reps.get(j, []), coh._decomp.get(j))
+        rounds.append((j, len(got[1])))
+        return got
+
+    monkeypatch.setattr(modules, "degree_cohomology", checked_step)
+    every_resolution(monkeypatch, field)
+    assert len(rounds) >= 200
+    assert sum(1 for _, k in rounds if k) >= 50
 
 
 def exterior_in_s6():

@@ -343,3 +343,27 @@ def test_alexander_oracle():
     red = reduced_homology_dims(two_s7_in_s15().target)
     assert red == {0: 1, 7: 2}
     assert alexander_oracle(red, 15) == {14: 1, 7: 2}
+
+
+@pytest.mark.parametrize("workload, key", [("torus_checks", "torus3"),
+                                           ("torus_checks", "torus4"),
+                                           ("sphere_quotient", "spheres2"),
+                                           ("sphere_quotient", "spheres3")])
+def test_dgmodule_square_over_f_p_prints_the_rational_cohomology(tmp_path, workload, key):
+    """The rational rungs of the ladder at seed 1 have integral data and
+    torsion-free cohomology, so `dgmodule-square --field 10007` resolves
+    them to the same bottom cohomology as over Q: the two `H` lines of
+    both reports agree, and are the Alexander tables."""
+    prob = ladder.build(workload, 1).problems[key]
+    path = tmp_path / "p.pemb"
+    path.write_text(prob.text)
+    reports = []
+    for extra in ([], ["--field", "10007"]):
+        code, out, err = run_cli(["dgmodule-square", str(path)] + extra)
+        assert (code, err) == (0, "")
+        reports.append([line for line in out.splitlines()
+                        if line.startswith(("bottom-left H: ", "bottom-right H: "))])
+    assert len(reports[0]) == 2
+    assert reports[0] == reports[1]
+    job = ladder.Job("dgmodule-square", key)
+    assert reports[0] == ladder.expected_lines(job, prob)[:2]
