@@ -58,11 +58,6 @@ class Cdga:
 
     # -- multiplication -------------------------------------------------
 
-    def mul_basis(self, d1, i1, d2, i2):
-        """The stored product of two basis elements (not to be changed),
-        or {}."""
-        return self.both_orders.get((d1, i1, d2, i2), {})
-
     def mul_vec(self, d1, v1, d2, v2):
         out = {}
         field, table = self.field, self.both_orders
@@ -81,10 +76,6 @@ class Cdga:
 
     def is_connected(self):
         return self.space.dim(0) == 1 and bool(self.unit)
-
-    def top_degree(self):
-        degs = self.space.degrees()
-        return degs[-1] if degs else 0
 
     # -- validation ------------------------------------------------------
 
@@ -336,13 +327,12 @@ def _d_mono(field, mono, dgen, gen_degs, hi):
 
 
 class FreePresentation:
-    """An algebra materialized from a free presentation: its generators,
-    the reduced Groebner basis of its relation ideal, and its basis, the
-    standard monomials of each degree in lex order."""
+    """An algebra materialized from a free presentation: the degrees of
+    its generators, the reduced Groebner basis of its relation ideal,
+    and its basis, the standard monomials of each degree in lex order."""
 
-    def __init__(self, field, gen_names, gen_degs, basis, standard):
+    def __init__(self, field, gen_degs, basis, standard):
         self.field = field
-        self.gen_names = gen_names
         self.gen_degs = gen_degs
         self.groebner_basis = basis  # [(leading monomial, monic polynomial)]
         self.standard = standard    # degree -> standard monomials
@@ -377,7 +367,8 @@ def _poly_in_degree(field, poly, deg, gen_degs, what):
         if _mono_degree(mono, gen_degs) != deg:
             raise AlgebraError("%s is not homogeneous of degree %d" % (what, deg))
         if not _is_monomial(mono, gen_degs):
-            raise AlgebraError("%s contains a monomial outside the window" % what)
+            raise AlgebraError("%s has a term that is not a sorted monomial of the "
+                               "generators, or that repeats an odd one" % what)
         terms.append((mono, field.of(coeff)))
     return sparse_sum(field, terms)
 
@@ -423,17 +414,19 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
     ideal generated by `relations`, all within the degree window.
 
     Polynomials are dicts mapping sorted generator-index tuples to
-    coefficients.  The quotient basis in each degree is the set of
-    standard monomials of a reduced Groebner basis of the ideal in lex
-    order with generator 0 largest, and a class is written through its
-    normal form.  These are the basis and the coordinates that reducing
-    the span of all multiples of the relations by `Matrix.rref` gives, in
-    monomial coordinates indexed in lex order of sorted tuples: that
-    rule pivots on a row's smallest column, its leading monomial, so the
-    pivots are the leading monomials of the ideal, the kept columns the
-    standard monomials, and the remainder of a reduction the normal
-    form.  Bases, labels, signs and tables follow from the ideal alone.
-    The parser, not this function, checks the result.
+    coefficients; a term of d or of a relation that is not such a
+    monomial, or that repeats an odd generator, is refused.  The
+    quotient basis in each degree is the set of standard monomials of a
+    reduced Groebner basis of the ideal in lex order with generator 0
+    largest, and a class is written through its normal form.  These are
+    the basis and the coordinates that reducing the span of all
+    multiples of the relations by `Matrix.rref` gives, in monomial
+    coordinates indexed in lex order of sorted tuples: that rule pivots
+    on a row's smallest column, its leading monomial, so the pivots are
+    the leading monomials of the ideal, the kept columns the standard
+    monomials, and the remainder of a reduction the normal form.  Bases,
+    labels, signs and tables follow from the ideal alone.  The parser,
+    not this function, checks the result.
 
     The product table lists both orders of every nonzero product, keys
     in the order of the loops over (d1, d2, i1, i2).  Each unordered pair
@@ -472,8 +465,7 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
         (e,) = rel_deg
         if e > hi:
             continue
-        # sorted, with a term that repeats an odd generator dropped
-        r = _times(field, (), {rm: field.of(c) for rm, c in poly.items()}, gen_degs)
+        r = _poly_in_degree(field, poly, e, gen_degs, "relation %d" % rn)
         if r:
             rels.append((e, r))
     basis = _groebner_basis(field, [r for _, r in rels], gen_degs, hi)
@@ -488,7 +480,7 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
                                "in degree %d" % (e + 1))
 
     standard = _standard_monomials(basis, gen_degs, hi)
-    pres = FreePresentation(field, gen_names, gen_degs, basis, standard)
+    pres = FreePresentation(field, gen_degs, basis, standard)
     space = GradedVectorSpace(field, window, {d: len(ms) for d, ms in standard.items()},
                               {d: [_mono_label(m, gen_names) for m in ms]
                                for d, ms in standard.items()})
@@ -554,25 +546,23 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
 
 def renamed_presentation(a, gen_names):
     """The algebra `a`, materialized from a free presentation, under the
-    generator names `gen_names`: its own `FreePresentation`, basis labels
-    and complex, sharing a's product table, differential blocks, unit,
-    Groebner basis, standard monomials and proof record.
+    generator names `gen_names`: its own basis labels and complex,
+    sharing a's product table, differential blocks, unit, presentation
+    and proof record.
 
     Nothing is materialized or checked again.  `check_cdga` reads only
     the field, the dimensions, the tables and the unit, which are a's;
     the names only label the basis and name a witness; and no table is
     changed after construction."""
-    pres = copy.copy(a.presentation)
-    pres.gen_names = gen_names
     space = GradedVectorSpace(a.field, a.space.window, a.space.dims,
                               {d: [_mono_label(m, gen_names) for m in ms]
-                               for d, ms in pres.standard.items()})
+                               for d, ms in a.presentation.standard.items()})
     d = copy.copy(a.complex.d)
     d.source = d.target = space
     complex_ = copy.copy(a.complex)
     complex_.space, complex_.d, complex_._cohomology = space, d, None
     b = copy.copy(a)
-    b.complex, b.space, b.presentation = complex_, space, pres
+    b.complex, b.space = complex_, space
     return b
 
 

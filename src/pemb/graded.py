@@ -125,10 +125,6 @@ class GradedLinearMap:
                 blocks[d] = a @ b
         return GradedLinearMap(other.source, self.target, self.shift + other.shift, blocks)
 
-    def add(self, other):
-        blocks = {d: self.block(d) + other.block(d) for d in self.source.degrees()}
-        return GradedLinearMap(self.source, self.target, self.shift, blocks)
-
     def sub(self, other):
         blocks = {d: self.block(d) - other.block(d) for d in self.source.degrees()}
         return GradedLinearMap(self.source, self.target, self.shift, blocks)
@@ -176,7 +172,7 @@ class CochainComplex:
 
 
 class CohomologyData:
-    """Cocycle bases and chosen representatives per degree.
+    """Chosen representatives per degree.
 
     Representatives are the pivot-rule cocycles: list the nonzero image
     columns first, then the cocycle basis, row-reduce, and keep the
@@ -201,14 +197,13 @@ class CohomologyData:
         field = complex_.field
         self.field = field
         self.dims = {}
-        self.cocycles = {}
         self.reps = {}
         self._decomp = {}
         blocks = complex_.d.blocks
         for deg in complex_.space.degrees():
-            z, reps, decomp = degree_cohomology(field, complex_.space.dim(deg),
+            _, reps, decomp = degree_cohomology(field, complex_.space.dim(deg),
                                                 blocks.get(deg), blocks.get(deg - 1))
-            self.cocycles[deg], self.reps[deg], self._decomp[deg] = z, reps, decomp
+            self.reps[deg], self._decomp[deg] = reps, decomp
             if reps:
                 self.dims[deg] = len(reps)
 
@@ -357,13 +352,11 @@ def dualize(complex_):
 
 @dataclass
 class ConeSplit:
-    """Mapping cone Y + sX with the canonical inclusion and projection."""
+    """Mapping cone Y + sX with the canonical inclusion."""
 
     complex: CochainComplex
     inclusion: GradedLinearMap      # Y -> cone
-    projection: GradedLinearMap     # cone -> sX
     y_space: GradedVectorSpace
-    sx_complex: CochainComplex
 
     def y_dim(self, d):
         return self.y_space.dim(d)
@@ -408,18 +401,14 @@ def mapping_cone(f, source, target):
                 + [shifted(r, ny) for r in rows_of(dsx, sx.space.dim(d + 1))])
         blocks[d] = Matrix.sparse(field, rows, ny + nx)
     cone = CochainComplex(cone_sp, GradedLinearMap(cone_sp, cone_sp, 1, blocks))
-    incl_blocks, proj_blocks = {}, {}
+    incl_blocks = {}
     for d in cone_sp.degrees():
         ny, nx = y_sp.dim(d), sx.space.dim(d)
         if ny:
             incl_blocks[d] = Matrix.sparse(field, [{i: field.one} for i in range(ny)]
                                            + [{} for _ in range(nx)], ny)
-        if nx:
-            proj_blocks[d] = Matrix.sparse(field, [{ny + i: field.one} for i in range(nx)],
-                                           ny + nx)
     incl = GradedLinearMap(y_sp, cone_sp, 0, incl_blocks)
-    proj = GradedLinearMap(cone_sp, sx.space, 0, proj_blocks)
-    return ConeSplit(cone, incl, proj, y_sp, sx)
+    return ConeSplit(cone, incl, y_sp)
 
 
 def direct_sum(complexes):

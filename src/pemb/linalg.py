@@ -13,11 +13,12 @@ for zero.  The characteristic is 0 over Q, where nothing is reduced;
 each kernel picks its loop once per call.
 
 Matrices are immutable and field-tagged, stored as sparse rows, each a
-vector over the columns.  `entries`, `row` and `col` are dense views
-built on demand.  `Matrix.rref` is the one Gaussian elimination:
-`kernel_basis`, `solve` and the cohomology bases all read its output.
-It returns the unique reduced echelon form, so every basis this module
-produces is deterministic; golden-file tests upstream rely on that.
+vector over the columns, and the library builds them with
+`Matrix.sparse`.  `entries`, the one dense view, is built on demand.
+`Matrix.rref` is the one Gaussian elimination: `kernel_basis`, `solve`
+and the cohomology bases all read its output.  It returns the unique
+reduced echelon form, so every basis this module produces is
+deterministic; golden-file tests upstream rely on that.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ class Matrix:
 
     def __init__(self, field, entries, ncols=None):
         """From dense rows; every entry is coerced into the field (an int
-        need not be a residue mod p)."""
+        need not be a residue mod p).  Only the tests, and the
+        benchmark's own, build a matrix this way."""
         of = field.of
         rows = []
         for row in entries:
@@ -81,26 +83,12 @@ class Matrix:
                 rows[i][j] = x
         return Matrix.sparse(field, rows, len(cols))
 
-    # -- dense views ----------------------------------------------------
+    # -- dense view -----------------------------------------------------
 
     @property
     def entries(self):
-        return tuple(self.row(i) for i in range(self.nrows))
-
-    def row(self, i):
-        r, z = self.rows[i], self.field.zero
-        return tuple(r.get(c, z) for c in range(self.ncols))
-
-    def col(self, j):
         z = self.field.zero
-        return tuple(r.get(j, z) for r in self.rows)
-
-    def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i].get(j, self.field.zero)
+        return tuple(tuple(r.get(c, z) for c in range(self.ncols)) for r in self.rows)
 
     def __repr__(self):
         return "Matrix(%s, %s)" % (self.field, [list(map(str, r)) for r in self.entries])
@@ -110,10 +98,6 @@ class Matrix:
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.nrows, self.ncols,
-                     tuple(tuple(sorted(r.items())) for r in self.rows)))
 
     def transpose(self):
         out = [{} for _ in range(self.ncols)]
@@ -140,9 +124,6 @@ class Matrix:
             axpy(self.field, row, f, r2)
             out.append(row)
         return Matrix.sparse(self.field, out, self.ncols)
-
-    def __neg__(self):
-        return self.scale(self.field.minus_one)
 
     def scale(self, c):
         field = self.field
@@ -199,15 +180,6 @@ class Matrix:
         if p:
             return {i: s for i in sorted(sums) if (s := sums[i] % p)}
         return {i: s for i in sorted(sums) if (s := sums[i])}
-
-    def hstack(self, other):
-        if self.nrows != other.nrows:
-            raise ValueError("row mismatch in hstack")
-        n = self.ncols
-        return Matrix.sparse(self.field,
-                             [{**r1, **{c + n: x for c, x in r2.items()}}
-                              for r1, r2 in zip(self.rows, other.rows)],
-                             n + other.ncols)
 
     # -- elimination ----------------------------------------------------
 

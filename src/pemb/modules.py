@@ -65,12 +65,6 @@ class DgModule:
                     axpy(field, out, c1 * c2, w)
         return out
 
-    def basis_vec(self, d, i):
-        return {i: self.field.one}
-
-    def d_vec(self, d, v):
-        return self.complex.d.apply(d, v)
-
     def validate(self):
         witness = check_module(self)
         if witness is not None:
@@ -116,11 +110,15 @@ class DgModuleMorphism:
 def restrict_scalars(m, phi):
     """View a module over the target of phi as a module over its source:
     a.x = phi(a).x, combining the action entries along the columns of phi;
-    entries that cancel are dropped.  Not re-checked: phi is a morphism,
+    entries that cancel are dropped.  Only the entries on the elements
+    that phi's rows name are read.  Not re-checked: phi is a morphism,
     so the axioms of m carry over."""
+    named = {(db, ib) for db, block in phi.map.blocks.items()
+             for ib, row in enumerate(block.rows) if row}
     by_element = {}
     for (db, ib, dm, jm), v in m.action.items():
-        by_element.setdefault((db, ib), []).append((dm, jm, v))
+        if (db, ib) in named:
+            by_element.setdefault((db, ib), []).append((dm, jm, v))
     action = {}
     for da, block in phi.map.blocks.items():
         for ib, row in enumerate(block.rows):
@@ -380,13 +378,14 @@ def homotopy_between(f, g):
 class FreeGenerator:
     label: str
     degree: int
-    stage: int
 
 
 class _FreeBuilder:
     """A free module A x V grown one generator at a time, as the module
     docstring says: `add` appends, `assemble` builds the module on the
-    generators so far from what is stored."""
+    generators so far from what is stored.  Not re-checked:
+    a.(b x g) = (ab) x g inherits the algebra's axioms, d is defined by
+    Leibniz, and `CochainComplex` checks d*d = 0."""
 
     def __init__(self, algebra, window):
         self.algebra = algebra
@@ -455,23 +454,6 @@ class _FreeBuilder:
         return DgModule(self.algebra, cx, dict(self.action)), self.index
 
 
-def free_module(algebra, gens, dvals=None, window=None):
-    """Free module on generators, with an optional differential given by
-    vectors dvals[g] (in module coordinates, degree deg(g)+1, on the
-    generators before g).
-
-    Basis per degree: (generator, algebra basis element) pairs in
-    generator order, so each generator's pairs come after those of the
-    generators before it.  Returns (module, basis index table).  Not
-    re-checked: a.(b x g) = (ab) x g inherits the algebra's axioms, d is
-    defined by Leibniz, and `CochainComplex` checks d*d = 0."""
-    fb = _FreeBuilder(algebra, algebra.space.window if window is None else window)
-    dvals = dvals or {}
-    for gi, g in enumerate(gens):
-        fb.add(g, dvals.get(gi))
-    return fb.assemble()
-
-
 @dataclass
 class SemifreeModule:
     module: DgModule
@@ -529,6 +511,8 @@ def semifree_resolution(m, window=None):
         for round_ in range(MAX_ROUNDS + 1):
             if round_ == MAX_ROUNDS or len(gens) - first > MAX_DEGREE_GENERATORS:
                 raise ModuleError("semifree resolution did not stabilize in degree %d" % j)
+            if not fb.dims.get(j) and not coh_m.dim(j):
+                break   # P^j = 0 and H^j(m) = 0: nothing to read or to hit
             # H^j(P) and rho at j on the generators so far, from the
             # blocks of d out of degree j and into it
             _, reps, _ = degree_cohomology(field, fb.dims.get(j, 0), fb.d_block(j),
@@ -548,7 +532,7 @@ def semifree_resolution(m, window=None):
             if missing:
                 for t in missing:
                     gi = len(gens)
-                    add(FreeGenerator("v%d_%d" % (j, gi), j, gi), coh_m.reps[j][t])
+                    add(FreeGenerator("v%d_%d" % (j, gi), j), coh_m.reps[j][t])
                 continue
             # kernel of the induced map, from the first n_img columns of red
             kern = reduced_kernel(red, pivots, n_img)
@@ -562,7 +546,7 @@ def semifree_resolution(m, window=None):
                 if w is None:
                     raise InternalError("resolution: class not exact")
                 gi = len(gens)
-                add(FreeGenerator("u%d_%d" % (j, gi), j - 1, gi), w, z)
+                add(FreeGenerator("u%d_%d" % (j, gi), j - 1), w, z)
 
     P, _ = fb.assemble()
     rho_glm = GradedLinearMap(P.space, m.space, 0,

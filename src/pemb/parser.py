@@ -186,9 +186,8 @@ def _terms_to_mono_poly(terms, gen_index, gen_degs, lineno, what, hi):
 
 
 class ParsedAlgebra:
-    def __init__(self, name, cdga, kind, gen_names=None, gen_degs=None,
+    def __init__(self, cdga, kind, gen_names=None, gen_degs=None,
                  basis_index=None):
-        self.name = name
         self.cdga = cdga
         self.kind = kind                       # "free" or "explicit"
         self.gen_names = gen_names or []
@@ -224,7 +223,7 @@ def _expect(toks, lineno, *pattern):
             raise ParseError(lineno, "expected %r, found %r" % (p, toks[i]))
 
 
-def _parse_free_cdga(name, lines, pf):
+def _parse_free_cdga(lines, pf):
     gens, diffs, relations = [], {}, []
     body = []
     while True:
@@ -282,7 +281,7 @@ def _parse_free_cdga(name, lines, pf):
                                      pf.window)
         cdga.validate()
         pf.presentations[key] = cdga
-    return ParsedAlgebra(name, cdga, "free", gen_names=gen_names,
+    return ParsedAlgebra(cdga, "free", gen_names=gen_names,
                          gen_degs=gen_degs)
 
 
@@ -317,7 +316,7 @@ def _lincomb_to_vec(terms, basis_index, field, lineno, expect_deg=None):
     return deg, vec
 
 
-def _parse_explicit_cdga(name, lines, pf):
+def _parse_explicit_cdga(lines, pf):
     basis, products, diffs = [], [], []
     while True:
         lineno, toks = lines.take()
@@ -374,14 +373,14 @@ def _parse_explicit_cdga(name, lines, pf):
                                  expect_deg=d1 + d2)
         if vec:
             product[(d1, i1, d2, i2)] = vec
-    unit = _solve_unit(field, space, product, dims)
+    unit = _solve_unit(field, space, product)
     # every index was read off the basis labels, and `validate` checks them
     cdga = Cdga(field, cx, product, unit)
     cdga.validate()
-    return ParsedAlgebra(name, cdga, "explicit", basis_index=index)
+    return ParsedAlgebra(cdga, "explicit", basis_index=index)
 
 
-def _solve_unit(field, space, product, dims):
+def _solve_unit(field, space, product):
     """The two-sided identity of the degree-0 part, from the table."""
     n0 = space.dim(0)
     if n0 == 0:
@@ -421,7 +420,7 @@ def _poly_to_target_vec(terms, target, lineno):
         {mono: field.of(coeff) for mono, coeff in poly.items()})
 
 
-def _parse_morphism(name, src, tgt, lines, pf):
+def _parse_morphism(src, tgt, lines, pf):
     entries = []
     while True:
         lineno, toks = lines.take()
@@ -569,7 +568,7 @@ def parse(text, field_override=None):
             if name in pf.algebras:
                 raise ParseError(lineno, "duplicate algebra name %r" % name)
             try:
-                pf.algebras[name] = builder(name, lines, pf)
+                pf.algebras[name] = builder(lines, pf)
             except (AlgebraError, FieldError) as e:
                 raise ParseError(lineno, str(e))
         elif head == "morphism":
@@ -581,7 +580,7 @@ def parse(text, field_override=None):
             if mname in pf.morphisms:
                 raise ParseError(lineno, "duplicate morphism name %r" % mname)
             try:
-                pf.morphisms[mname] = _parse_morphism(mname, src, tgt, lines, pf)
+                pf.morphisms[mname] = _parse_morphism(src, tgt, lines, pf)
             except (AlgebraError, FieldError) as e:
                 raise ParseError(lineno, str(e))
         elif head == "problem":

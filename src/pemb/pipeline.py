@@ -91,7 +91,6 @@ class AnalysisReport:
     unknotting_bound: int
     stable: bool
     stable_plain: bool             # n >= 2m+4
-    h1_injective: bool
     codimension_ok: bool
     ambient_connected: bool
 
@@ -147,15 +146,13 @@ def analyze(problem):
         break
     if r is None:
         r = hi + 1
-    h1_injective = injective.get(1, True)
     bound = 2 * m - n + 2
     return AnalysisReport(
         n=n, m=m, r=r, codimension=n - m,
         pd_failure=fail,
         unknotting=r >= bound, unknotting_bound=bound,
-        stable=(n >= 2 * m + 4) or (n >= 2 * m + 3 and h1_injective),
+        stable=(n >= 2 * m + 4) or (n >= 2 * m + 3 and injective.get(1, True)),
         stable_plain=n >= 2 * m + 4,
-        h1_injective=h1_injective,
         codimension_ok=n - m >= 2,
         ambient_connected=r_alg.is_connected())
 
@@ -220,9 +217,7 @@ class ComplementModelResult:
     h_algebra: Cdga
     h_dims: dict
     resolution: object
-    psi: object
     cone: object
-    ideal: dict                    # degree -> basis indices of the truncation ideal
     analysis: AnalysisReport
 
 
@@ -243,8 +238,7 @@ def complement_model(problem):
     halg, coh = cohomology_algebra(tc.algebra)
     return ComplementModelResult(
         quotient=tc.algebra, h_algebra=halg,
-        h_dims=dict(coh.dims), resolution=res, psi=psi, cone=cone,
-        ideal=ideal, analysis=report)
+        h_dims=dict(coh.dims), resolution=res, cone=cone, analysis=report)
 
 
 # -- squares ------------------------------------------------------------

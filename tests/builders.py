@@ -1,5 +1,9 @@
 """Shared constructions of small standard algebras, modules and
-complexes for the test suite, `run_cli` and `tables_match`."""
+complexes for the test suite, `run_cli` and `tables_match`.
+
+`free_module`, the free module on a list of generators, lives here: the
+library grows its free modules one generator at a time, in
+`modules._FreeBuilder`, and only the tests build one on a given list."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,9 +11,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from pemb import cli, graded
 from pemb.algebra import materialize_free_cdga
 from pemb.fields import QQ
-from pemb.graded import DegreeWindow, cohomology
+from pemb.graded import DegreeWindow
 from pemb.linalg import axpy
-from pemb.modules import FreeGenerator, free_module
+from pemb.modules import FreeGenerator, _FreeBuilder
 from pemb.pipeline import all_positive_products_zero
 
 
@@ -96,6 +100,19 @@ problem {
 """
 
 
+def free_module(algebra, gens, dvals=None, window=None):
+    """(module, basis index table) of the free module on gens, with
+    d(g) = dvals[g] in module coordinates (degree deg(g)+1, on the
+    generators before g), grown by `_FreeBuilder` one generator at a
+    time.  Basis per degree: (generator, algebra basis element) pairs in
+    generator order."""
+    fb = _FreeBuilder(algebra, algebra.space.window if window is None else window)
+    dvals = dvals or {}
+    for gi, g in enumerate(gens):
+        fb.add(g, dvals.get(gi))
+    return fb.assemble()
+
+
 def euler_characteristic(space):
     return sum((-1) ** d * n for d, n in space.dims.items())
 
@@ -110,11 +127,11 @@ def random_semifree(a, rng, n_gens, max_degree, window=None):
     for gd in degrees:
         if gens:
             P, _ = free_module(a, gens, dvals, window)
-            cands = cohomology(P.complex).cocycles.get(gd + 1, [])
+            cands = P.complex.d.block(gd + 1).kernel_basis()
         else:
             cands = []
         gi = len(gens)
-        gens.append(FreeGenerator("g%d_%d" % (gd, gi), gd, gi))
+        gens.append(FreeGenerator("g%d_%d" % (gd, gi), gd))
         if cands and rng.random() < 0.7:
             z = {}
             for v in cands:

@@ -11,6 +11,7 @@ functions below are those loops as they were; the tests compare the
 library's tables with them.
 """
 
+from dense import mul_basis
 from pemb.duality import shifted_dual_morphism
 from pemb.graded import cohomology
 from pemb.linalg import Matrix, axpy, scaled
@@ -92,5 +93,5 @@ def gysin_pairing(hw, cert_w, j):
 
     out_dim = hw.space.dim(j)
     return Matrix.sparse(field, [
-        {c: x for c in range(out_dim) if (x := top(hw.mul_basis(j, c, n - j, t)))}
+        {c: x for c in range(out_dim) if (x := top(mul_basis(hw, j, c, n - j, t)))}
         for t in range(hw.space.dim(n - j))], out_dim)

@@ -10,6 +10,10 @@ are that dense API, with its arithmetic, read off the sparse objects: a
 of a `Cdga`, a `DenseModule` the dense `action` and `act_vec` of a
 `DgModule`.
 
+The dense views of a `Matrix` that only the tests read, `row`, `col`,
+`cols` and `entry`, live here, with `mul_basis` and `top_degree` of a
+`Cdga` and `add_maps`, the sum of two graded maps.
+
 Over F_p the library holds a scalar as an int in [0, p) and reduces in
 its kernels only, so plain arithmetic on its scalars leaves that range.
 The references compute instead in `reference(field)`: over F_p the
@@ -22,6 +26,7 @@ compares with `==` against the library's.
 from fractions import Fraction
 
 from pemb.fields import FieldError, PrimeField
+from pemb.graded import GradedLinearMap
 from pemb.linalg import Matrix, dense
 
 
@@ -197,6 +202,44 @@ def add_scaled(out, c, v):
     for k, x in enumerate(v):
         if x != 0:
             out[k] += c * x
+
+
+def row(m, i):
+    """Row i of a matrix as a dense tuple."""
+    r, z = m.rows[i], m.field.zero
+    return tuple(r.get(c, z) for c in range(m.ncols))
+
+
+def col(m, j):
+    """Column j of a matrix as a dense tuple."""
+    z = m.field.zero
+    return tuple(r.get(j, z) for r in m.rows)
+
+
+def cols(m):
+    return [col(m, j) for j in range(m.ncols)]
+
+
+def entry(m, i, j):
+    return m.rows[i].get(j, m.field.zero)
+
+
+def mul_basis(a, d1, i1, d2, i2):
+    """The stored product of two basis elements of a `Cdga` (not to be
+    changed), or {}; a `DenseCdga` has its dense `mul_basis`."""
+    return a.both_orders.get((d1, i1, d2, i2), {})
+
+
+def top_degree(a):
+    """The highest degree with a basis element, 0 for none."""
+    degs = a.space.degrees()
+    return degs[-1] if degs else 0
+
+
+def add_maps(f, g):
+    """The sum of two graded maps with one source, target and shift."""
+    return GradedLinearMap(f.source, f.target, f.shift,
+                           {d: f.block(d) + g.block(d) for d in f.source.degrees()})
 
 
 def dense_apply(m, v):

@@ -11,6 +11,7 @@ the tests read it; the pipelines find their maps with
 
 from dataclasses import dataclass
 
+from dense import add_maps
 from pemb.graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                          GradedVectorSpace, cohomology)
 from pemb.linalg import Matrix
@@ -94,7 +95,7 @@ class HomComplex:
     def element(self, i, coords):
         out = GradedLinearMap.zero_map(self.P.space, self.N.space, i)
         for t, c in coords.items():
-            out = out.add(self.basis[i][t].scale(c))
+            out = add_maps(out, self.basis[i][t].scale(c))
         return out
 
 

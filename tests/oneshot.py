@@ -5,9 +5,11 @@
 degree of the window over all generators for the basis, every product
 of the algebra over all generators for the action, then every column of
 d.  The resolutions rebuilt it that way after each round.  The library
-now appends one generator at a time; `free_module` below is the earlier
-builder as it was, and `one_shot_rho` builds rho's columns the way each
-rebuild did, so the tests compare a grown resolution with both.
+now appends one generator at a time, in `modules._FreeBuilder`, and
+builds no free module on a given list of generators: the tests do, with
+`builders.free_module` on that builder.  `free_module` below is the
+earlier builder as it was, and `one_shot_rho` builds rho's columns the
+way each rebuild did, so the tests compare a grown resolution with both.
 """
 
 from pemb.graded import CochainComplex, GradedLinearMap, GradedVectorSpace

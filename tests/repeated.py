@@ -9,11 +9,16 @@ the earlier loop, run on a materialized algebra's presentation.
 `shifted_dual_morphism` and the top-degree map once dualized all of Q
 acting on itself and then restricted the dual along phi; they now
 restrict first.  `dualize_then_restrict` is the earlier order.
+
+`restrict_scalars` once grouped every entry of the module's action by
+its algebra element; it now groups only the entries on the elements
+that phi's rows name.  `restrict_grouping_every_element` is the earlier
+form.
 """
 
 from pemb.algebra import _merge_sign
-from pemb.linalg import scaled
-from pemb.modules import algebra_as_module, restrict_scalars, shifted_dual
+from pemb.linalg import axpy, scaled
+from pemb.modules import DgModule, algebra_as_module, restrict_scalars, shifted_dual
 
 
 def every_pair_product(a):
@@ -49,3 +54,18 @@ def dualize_then_restrict(phi, n):
     """s^(-n) # Q over R for phi: R -> Q, dualizing all of Q acting on
     itself before restricting along phi."""
     return restrict_scalars(shifted_dual(algebra_as_module(phi.target), n), phi)
+
+
+def restrict_grouping_every_element(m, phi):
+    """`restrict_scalars(m, phi)` with every entry of m's action grouped
+    by its algebra element first."""
+    by_element = {}
+    for (db, ib, dm, jm), v in m.action.items():
+        by_element.setdefault((db, ib), []).append((dm, jm, v))
+    action = {}
+    for da, block in phi.map.blocks.items():
+        for ib, row in enumerate(block.rows):
+            for ia, c in row.items():
+                for dm, jm, v in by_element.get((da, ib), ()):
+                    axpy(m.field, action.setdefault((da, ia, dm, jm), {}), c, v)
+    return DgModule(phi.source, m.complex, {k: v for k, v in action.items() if v})

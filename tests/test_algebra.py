@@ -24,8 +24,8 @@ from pemb.graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                          GradedVectorSpace, cohomology, truncation_spans)
 from pemb.linalg import Matrix, dense
 from pemb.parser import parse
-from dense import (add_vec, dense_from_cols, is_zero_vec, reference, scale_vec,
-                   unit_vec)
+from dense import (add_vec, dense_from_cols, is_zero_vec, mul_basis,
+                   reference, scale_vec, unit_vec)
 from test_linalg import DenseQuotienter
 
 
@@ -33,8 +33,8 @@ def test_cp2_truncated_polynomial():
     a = complex_projective(2, hi=8)
     assert a.space.dims == {0: 1, 2: 1, 4: 1}
     # x * x = x^2
-    assert a.mul_basis(2, 0, 2, 0) == {0: QQ.one}
-    assert a.mul_basis(2, 0, 4, 0) == {}  # x^3 = 0, degree 6 empty
+    assert mul_basis(a, 2, 0, 2, 0) == {0: QQ.one}
+    assert mul_basis(a, 2, 0, 4, 0) == {}  # x^3 = 0, degree 6 empty
 
 
 def test_sphere_six():
@@ -47,14 +47,14 @@ def test_odd_sphere_exterior():
     a = sphere(3)
     assert a.space.dims == {0: 1, 3: 1}
     # odd generator squares to zero automatically
-    assert a.mul_basis(3, 0, 3, 0) == {}
+    assert mul_basis(a, 3, 0, 3, 0) == {}
 
 
 def test_torus_s1_s7_signs():
     a = torus_s1_s7()
     assert a.space.dims == {0: 1, 1: 1, 7: 1, 8: 1}
-    ab = a.mul_basis(1, 0, 7, 0)
-    ba = a.mul_basis(7, 0, 1, 0)
+    ab = mul_basis(a, 1, 0, 7, 0)
+    ba = mul_basis(a, 7, 0, 1, 0)
     assert ab == {0: QQ.one}
     assert ba == {0: QQ.of(-1)}
     a.validate()
@@ -67,14 +67,14 @@ def test_sullivan_cp2_cohomology():
     # H must be Q[x]/x^3 with the same structure constants
     b = complex_projective(2, hi=8)
     assert h.space.dims == b.space.dims
-    assert h.mul_basis(2, 0, 2, 0) == b.mul_basis(2, 0, 2, 0)
+    assert mul_basis(h, 2, 0, 2, 0) == mul_basis(b, 2, 0, 2, 0)
 
 
 def test_cohomology_algebra_of_zero_differential_is_itself():
     a = product_s2_s4()
     h, _ = cohomology_algebra(a)
     assert h.space.dims == a.space.dims
-    assert h.mul_basis(2, 0, 4, 0) == a.mul_basis(2, 0, 4, 0)
+    assert mul_basis(h, 2, 0, 4, 0) == mul_basis(a, 2, 0, 4, 0)
 
 
 def acyclic_pair_cdga():
@@ -203,8 +203,8 @@ def test_direct_sum():
     assert a.space.dims == {0: 2, 7: 2}
     assert not a.is_connected()
     # units multiply componentwise
-    assert a.mul_basis(0, 0, 7, 1) == {}
-    assert a.mul_basis(0, 0, 7, 0) == {0: QQ.one}
+    assert mul_basis(a, 0, 0, 7, 1) == {}
+    assert mul_basis(a, 0, 0, 7, 0) == {0: QQ.one}
     assert a.unit == {0: QQ.one, 1: QQ.one}
 
 
@@ -246,6 +246,10 @@ def test_cdga_rejects_keys_and_indices_outside_the_basis():
 # the complex and the kept monomials of each degree.
 
 
+NOT_A_MONOMIAL = ("%s has a term that is not a sorted monomial of the generators, "
+                  "or that repeats an odd one")
+
+
 def dense_poly_to_vec(field, poly, mono_index, dim, deg, gen_degs, what):
     """poly: dict[index-tuple] -> scalar, all monomials of one degree."""
     v = [field.zero] * dim
@@ -253,7 +257,7 @@ def dense_poly_to_vec(field, poly, mono_index, dim, deg, gen_degs, what):
         if _mono_degree(mono, gen_degs) != deg:
             raise AlgebraError("%s is not homogeneous of degree %d" % (what, deg))
         if mono not in mono_index:
-            raise AlgebraError("%s contains a monomial outside the window" % what)
+            raise AlgebraError(NOT_A_MONOMIAL % what)
         _, i = mono_index[mono]
         v[i] = v[i] + field.of(coeff)
     return tuple(v)
@@ -343,6 +347,8 @@ def dense_materialize_free_cdga(field, generators, diffs, relations, window):
         (e,) = rel_deg
         if e > window.hi:
             continue
+        if any(rm not in mono_index for rm in poly):
+            raise AlgebraError(NOT_A_MONOMIAL % ("relation %d" % rn))
         for d in range(0, window.hi - e + 1):
             for mono in monos_by_degree.get(d, ()):
                 v = [field.zero] * dims.get(d + e, 0)
@@ -607,6 +613,23 @@ def test_materialize_rejects_a_relation_that_kills_the_unit():
     for materialize in (materialize_free_cdga, dense_materialize_free_cdga):
         with pytest.raises(AlgebraError, match="^relations kill the unit$"):
             materialize(*args)
+
+
+def test_relation_terms_are_sorted_monomials_as_terms_of_d_are():
+    """y x + x y is zero in the free algebra on odd x, y, but a merge of
+    its terms into the empty monomial, which applies no Koszul sign,
+    makes it 2 x y and kills x y.  A relation, like d, refuses a term
+    that is not a sorted monomial or that repeats an odd generator."""
+    gens, window = [("x", 1), ("y", 1)], DegreeWindow(0, 3)
+    for materialize in (materialize_free_cdga, dense_materialize_free_cdga):
+        for diffs, rels, what in (({}, [{(1, 0): 1, (0, 1): 1}], "relation 0"),
+                                  ({}, [{(0, 1): 1}, {(0, 0): 1}], "relation 1"),
+                                  ({"x": {(1, 0): 1}}, [], r"d\(x\)")):
+            with pytest.raises(AlgebraError, match="^%s has a term that is not a sorted "
+                               "monomial of the generators, or that repeats an odd one$"
+                               % what):
+                materialize(QQ, gens, diffs, rels, window)
+    assert materialize_free_cdga(QQ, gens, {}, [], window).space.dims == {0: 1, 1: 2, 2: 1}
 
 
 def test_leibniz_sign_of_an_even_generator_after_an_odd_one():

@@ -7,13 +7,14 @@ return the first failure as (message, basis, degree, dense defect), or
 """
 
 import random
+from functools import partial
 
 import pytest
 
 from builders import (complex_projective, product_s2_s4, random_semifree, sphere,
                       sullivan_cp2, torus_s1_s7, wedge_s2_s4)
 from dense import (DenseCdga, DenseModule, DenseMorphism, add_vec, is_chain_map,
-                   is_zero_vec, scale_vec, sparse, sub_vec)
+                   is_zero_vec, mul_basis, scale_vec, sparse, sub_vec)
 from pemb import checks
 from pemb.algebra import (AlgebraError, Cdga, CdgaMorphism, direct_sum_cdga,
                           materialize_free_cdga)
@@ -392,9 +393,9 @@ def partial_products(a, x, m=None):
     """The triples (y, k, n) of basis elements with e_k in x y and
     e_k.n nonzero, n in the module m or, without one, in a: the partial
     products (xy).n of a walk led by x."""
-    act, sp = (a.mul_basis, a.space) if m is None else (m.act_basis, m.space)
+    act, sp = (partial(mul_basis, a), a.space) if m is None else (m.act_basis, m.space)
     return sum(1 for dy in a.space.degrees() for y in range(a.space.dim(dy))
-               for k in a.mul_basis(*x, dy, y)
+               for k in mul_basis(a, *x, dy, y)
                for dn in sp.degrees() for n in range(sp.dim(dn))
                if act(x[0] + dy, k, dn, n))
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from builders import SULLIVAN_S2_IN_S9, run_cli
+from builders import SULLIVAN_S2_IN_S9, free_module, run_cli
 from pemb import checks, cli
 from pemb.algebra import Cdga, CdgaMorphism, materialize_free_cdga
 from pemb.checks import check_cdga, check_module, check_module_morphism
@@ -25,7 +25,7 @@ from pemb.fields import QQ, PrimeField
 from pemb.graded import DegreeWindow, GradedLinearMap
 from pemb.linalg import Matrix
 from pemb.modules import (DgModule, DgModuleMorphism, FreeGenerator, algebra_as_module,
-                          free_module, restrict_scalars)
+                          restrict_scalars)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import ladder  # noqa: E402  (the benchmark's problem generator)
@@ -41,7 +41,7 @@ def truncated_u(field=QQ):
 
 def module_on(r, degrees):
     """The free module over r on one generator per degree, unchecked."""
-    gens = [FreeGenerator("g%d" % i, d, i) for i, d in enumerate(degrees)]
+    gens = [FreeGenerator("g%d" % i, d) for i, d in enumerate(degrees)]
     return free_module(r, gens, {}, DegreeWindow(0, 8))[0]
 
 

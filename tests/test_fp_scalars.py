@@ -12,14 +12,14 @@ import random
 
 import pytest
 
-from builders import (complex_projective, product_s2_s4, random_semifree, sphere,
-                      sullivan_cp2, torus_s1_s7, wedge_s2_s4)
+from builders import (complex_projective, free_module, product_s2_s4, random_semifree,
+                      sphere, sullivan_cp2, torus_s1_s7, wedge_s2_s4)
 from dense import BoxedPrimeField
 from pemb.fields import PrimeField
 from pemb.graded import DegreeWindow, cohomology
 from pemb.linalg import Matrix
-from pemb.modules import (FreeGenerator, algebra_as_module, free_module,
-                          semifree_resolution, shifted_dual)
+from pemb.modules import (FreeGenerator, algebra_as_module, semifree_resolution,
+                          shifted_dual)
 from pemb.parser import parse
 from test_linalg import in_scalar_form
 
@@ -142,7 +142,7 @@ def modules_to_resolve(field):
     """(module, window): a free module, shifted duals, a module needing
     kernel generators, and a random semifree module."""
     s2 = sphere(2, hi=5, field=field)
-    unit_mod, _ = free_module(s2, [FreeGenerator("g", 0, 0)], {}, DegreeWindow(0, 0))
+    unit_mod, _ = free_module(s2, [FreeGenerator("g", 0)], {}, DegreeWindow(0, 0))
     return [(algebra_as_module(sullivan_cp2(field=field)), None),
             (shifted_dual(algebra_as_module(sphere(2, hi=10, field=field)), 9), None),
             (shifted_dual(algebra_as_module(product_s2_s4(field=field)), 7), None),

@@ -8,7 +8,8 @@ from pemb.graded import (CochainComplex, DegreeWindow, GradedError,
                          GradedLinearMap, GradedVectorSpace, InternalError,
                          cohomology)
 from pemb.linalg import Matrix, dense
-from dense import dense_apply, dense_from_cols, lower, reference, sparse
+from dense import (col, cols, dense_apply, dense_from_cols, entry, lower, reference,
+                   row, sparse)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5)]
 
@@ -168,9 +169,6 @@ class DenseMatrix:
         return (isinstance(other, DenseMatrix) and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.entries == other.entries)
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, self.entries))
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -201,10 +199,6 @@ class DenseMatrix:
         _dense_check_shapes(self, other)
         return DenseMatrix(self.field, [[a - b for a, b in zip(r1, r2)]
                                         for r1, r2 in zip(self.entries, other.entries)],
-                           ncols=self.ncols)
-
-    def __neg__(self):
-        return DenseMatrix(self.field, [[-a for a in row] for row in self.entries],
                            ncols=self.ncols)
 
     def scale(self, c):
@@ -357,18 +351,20 @@ def dense_kernel_basis(m):
         v = [z] * m.ncols
         v[fc] = o
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r, fc]
+            v[pc] = -entry(red, r, fc)
         basis.append(tuple(v))
     return basis
 
 
 def dense_solve(m, b):
-    red, pivots = dense_rref(m.hstack(dense_from_cols(m.field, [tuple(b)], m.nrows)))
+    aug = Matrix(reference(m.field), [r + (x,) for r, x in zip(m.entries, b)],
+                 ncols=m.ncols + 1)
+    red, pivots = dense_rref(aug)
     if m.ncols in pivots:
         return None
     x = [red.field.zero] * m.ncols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r, m.ncols]
+        x[pc] = entry(red, r, m.ncols)
     return tuple(x)
 
 
@@ -379,7 +375,7 @@ class DenseQuotienter:
         self.rows, self.pivots = [], []
         if spans:
             red, self.pivots = dense_rref(Matrix(field, [list(v) for v in spans]))
-            self.rows = [red.row(r) for r in range(len(self.pivots))]
+            self.rows = [row(red, r) for r in range(len(self.pivots))]
         self.keep = [i for i in range(dim) if i not in self.pivots]
 
     def project(self, v):
@@ -399,7 +395,7 @@ def dense_cohomology(cx, deg):
     independent image sublist first, then all cocycles."""
     field, n = cx.field, cx.space.dim(deg)
     z = dense_kernel_basis(cx.d.block(deg))
-    b = [c for c in cx.d.block(deg - 1).cols() if any(x != 0 for x in c)]
+    b = [c for c in cols(cx.d.block(deg - 1)) if any(x != 0 for x in c)]
     if b:
         b = [b[p] for p in dense_rref(dense_from_cols(field, b, n))[1]]
     if not z:
@@ -464,7 +460,7 @@ def test_cohomology_matches_dense_reference(field):
         for deg in cx.space.degrees():
             reps, reduce = dense_cohomology(cx, deg)
             assert coh.reps[deg] == [sparse(r) for r in reps]
-            image = cx.d.block(deg - 1).cols() if cx.space.dim(deg - 1) else []
+            image = cols(cx.d.block(deg - 1)) if cx.space.dim(deg - 1) else []
             # random cocycles, from the dense kernel and from the image
             rf = reference(field)
             for _ in range(6):
@@ -528,22 +524,19 @@ def test_sparse_rows_match_dense_matrix(field):
     for m in sample_matrices(field, rng):
         ref = DenseMatrix(field, m.entries, ncols=m.ncols)
         assert m == Matrix(field, [lower(field, r) for r in ref.entries], ncols=ref.ncols)
-        assert [m.row(i) for i in range(m.nrows)] == [ref.row(i) for i in range(m.nrows)]
-        assert m.cols() == ref.cols()
-        assert all(m[i, j] == ref[i, j] for i in range(m.nrows) for j in range(m.ncols))
+        assert [row(m, i) for i in range(m.nrows)] == [ref.row(i) for i in range(m.nrows)]
+        assert cols(m) == ref.cols()
+        assert [col(m, j) for j in range(m.ncols)] == [ref.col(j) for j in range(m.ncols)]
+        assert all(entry(m, i, j) == ref[i, j] for i in range(m.nrows) for j in range(m.ncols))
         assert m.is_zero() == ref.is_zero()
         other = rand_sparse(field, rng, m.nrows, m.ncols)
         ref_other = DenseMatrix(field, other.entries, ncols=other.ncols)
         assert same_matrix(m + other, ref + ref_other)
         assert same_matrix(m - other, ref - ref_other)
-        assert same_matrix(-m, -ref)
         for c in (0, 1, -1, 3, field.of(2)):
             assert same_matrix(m.scale(c), ref.scale(c))
         right = rand_sparse(field, rng, m.ncols, rng.randint(0, 4))
         assert same_matrix(m @ right, ref @ DenseMatrix(field, right.entries, right.ncols))
-        wide = rand_sparse(field, rng, m.nrows, rng.randint(0, 3))
-        assert same_matrix(m.hstack(wide), ref.hstack(DenseMatrix(field, wide.entries,
-                                                                  wide.ncols)))
         assert same_matrix(m.transpose(), ref.transpose())
         v = tuple(field.of(rng.randint(-3, 3)) for _ in range(m.ncols))
         assert m.apply(sparse(v)) == sparse(ref.apply(v))
@@ -555,11 +548,11 @@ def test_sparse_rows_match_dense_matrix(field):
         for rhs in (b, ref.apply(v)):
             x, ref_x = m.solve(sparse(lower(field, rhs))), ref.solve(rhs)
             assert x == (None if ref_x is None else sparse(ref_x))
-        # equality and hashing see the matrix, not how it was built
+        # equality sees the not how it was built
         twin = Matrix.sparse(field, [dict(reversed(r.items())) for r in m.rows], m.ncols)
-        assert twin == m and hash(twin) == hash(m)
+        assert twin == m
         assert (m == other) == (ref == ref_other)
-        assert (m + other - other) == m and hash(m + other - other) == hash(m)
+        assert (m + other - other) == m
 
 
 @pytest.mark.parametrize("field", DIFF_FIELDS)
@@ -594,14 +587,14 @@ def test_matrix_coerces_and_drops_zeros(field):
     assert all(in_scalar_form(field, x) for x in m.rows[0].values())
     assert m.rows[0][1] == field.of(Fraction(1, 2))
     sparse = Matrix.sparse(field, [{c: field.of(row[c]) for c in (0, 1, 2, 7)}], len(row))
-    assert sparse == m and hash(sparse) == hash(m)
+    assert sparse == m
 
 
 def test_prime_field_ints_are_reduced_where_stored():
     f5 = PrimeField(5)
     assert Matrix(f5, [[-1, 5, 7]]).rows == ({0: 4, 2: 2},)
     m = Matrix.sparse(f5, [{0: 4, 1: 2}], 2)
-    assert m.scale(-1).rows == (-m).rows == ({0: 1, 1: 3},)
+    assert m.scale(-1).rows == ({0: 1, 1: 3},)
     assert m.scale(-3).rows == ({0: 3, 1: 4},) and m.scale(10).is_zero()
     assert (f5.zero, f5.one, f5.minus_one) == (0, 1, 4)
     assert (f5.of(-7), f5.of(Fraction(1, 2)), f5.of("-3/4")) == (3, 3, 3)

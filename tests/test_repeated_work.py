@@ -1,11 +1,13 @@
 """The complement path without repeated work, against the earlier forms
 kept in `repeated.py`.
 
-Each unordered pair of standard monomials is merged once, and s^(-n) # Q
-is restricted along phi before it is dualized.  Both must give the
-tables the earlier forms gave, in the same order, on every presentation
-and every morphism of the shipped examples, the benchmark ladders at
-seeds 1 and 7 and the problems of `builders`.
+Each unordered pair of standard monomials is merged once, s^(-n) # Q is
+restricted along phi before it is dualized, and a restriction groups
+only the action entries on the elements that phi names.  Each must give
+the tables the earlier forms gave, in the same order, on every
+presentation and every morphism of the shipped examples, the benchmark
+ladders at seeds 1 and 7 and the problems of `builders`.  On the largest
+rung of each ladder, the work left is counted.
 """
 
 import sys
@@ -14,13 +16,15 @@ from pathlib import Path
 import pytest
 
 import builders
-from builders import S3S1_IN_S3S11, SULLIVAN_S2_IN_S9
-from pemb import cli, parser
+from builders import S3S1_IN_S3S11, SULLIVAN_S2_IN_S9, run_cli
+from pemb import cli, modules, parser
 from pemb.duality import shifted_dual_morphism
 from pemb.fields import QQ, PrimeField
-from pemb.modules import restricted_shifted_dual
+from pemb.modules import (algebra_as_module, restrict_scalars, restricted_shifted_dual,
+                          shifted_dual)
 from pemb.parser import parse
-from repeated import dualize_then_restrict, every_pair_product
+from repeated import (dualize_then_restrict, every_pair_product,
+                      restrict_grouping_every_element)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import ladder  # noqa: E402  (the benchmark's problem generator)
@@ -92,3 +96,60 @@ def test_restricting_first_gives_the_dual_of_all_of_q_restricted(field):
     # 8 examples (two_s7_in_s15 with two branches), 2 problems of
     # `builders`, 12 one-branch rungs and 2 x (4 + 8 + 16) menorah branches
     assert compared == 9 + 2 + 12 + 56
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F10007"])
+def test_restricting_reads_only_what_phi_names_for_the_same_table(field):
+    """Q acting on itself, and its shifted dual, restricted along each
+    morphism of each problem have the table, insertion order included,
+    that grouping every entry of the action first gives."""
+    compared = 0
+    for text in problem_texts():
+        problem = parse(text, field_override=field).embedding_problem()
+        for phi in problem.branches:
+            q = algebra_as_module(phi.target)
+            for m in (q, shifted_dual(q, problem.n)):
+                got = restrict_scalars(m, phi).action
+                ref = restrict_grouping_every_element(m, phi).action
+                assert list(got.items()) == list(ref.items())
+                compared += 1
+    assert compared == 2 * (9 + 2 + 12 + 56)
+
+
+def test_the_largest_rungs_skip_the_empty_rounds_and_the_unnamed_elements(
+        monkeypatch, tmp_path):
+    """On the largest rung of each workload at seed 1, the resolutions
+    build blocks of d only in the rounds of a degree where P or H^j of
+    the resolved module is nonzero, and each restriction groups only the
+    entries of its module's action on the elements that phi names:
+    (entries grouped, entries in the table), one pair per restriction."""
+    d_blocks = []
+    d_block = modules._FreeBuilder.d_block
+
+    def counted(self, d):
+        d_blocks.append(d)
+        return d_block(self, d)
+
+    grouped = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is modules.restrict_scalars.__code__:
+            names = frame.f_locals
+            grouped.append((sum(map(len, names["by_element"].values())),
+                            len(names["m"].action)))
+
+    monkeypatch.setattr(modules._FreeBuilder, "d_block", counted)
+    for workload, name, command, blocks, groups in (
+            ("torus_checks", "torus5", "complement", 30, [(32, 243)]),
+            ("menorah_fp", "menorah16", "dgmodule-square", 10, [(2, 3), (32, 48)]),
+            ("sphere_quotient", "spheres4", "stable-square", 17, [(16, 81)])):
+        path = tmp_path / (name + ".pemb")
+        path.write_text(ladder.build(workload, 1).problems[name].text)
+        d_blocks.clear()
+        grouped.clear()
+        sys.setprofile(profile)
+        try:
+            code, _, _ = run_cli([command, str(path)])
+        finally:
+            sys.setprofile(None)
+        assert (code, len(d_blocks), grouped) == (0, blocks, groups), name
