@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import count
 from operator import itemgetter
 
-from .checks import check_cdga, check_cdga_morphism
+from .checks import check_cdga, check_cdga_morphism, generating_set
 from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
                      InternalError, cohomology, direct_sum,
                      quasi_isomorphism_failure, truncation_spans)
@@ -425,8 +425,29 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
     on a row's smallest column, its leading monomial, so the pivots are
     the leading monomials of the ideal, the kept columns the standard
     monomials, and the remainder of a reduction the normal form.  Bases,
-    labels, signs and tables follow from the ideal alone.  The parser,
-    not this function, checks the result.
+    labels, signs and tables follow from the ideal alone.
+
+    The result is proven here, not walked: it keeps `generating_set` of
+    its table as its proof record, as a passing `check_cdga` would.
+    Given `_merge_sign`, `normal_form` and `_groebner_basis`, the checks
+    below make every axiom hold.  Merging sorted monomials with the
+    Koszul sign is the product of the free graded-commutative algebra
+    F(V), associative and graded commutative with unit the empty
+    monomial; generator degrees are positive, so F(V) is nonnegatively
+    graded with F(V)^0 spanned by 1.  `_d_mono` extends d from the
+    generators by the Leibniz rule, so d is a derivation, of degree +1
+    since each d(g) is checked homogeneous of degree |g| + 1.  d of each
+    relation r is checked to reduce to 0, so lies in the ideal I, and
+    then d(rm) = d(r)m + (-1)^|r| r d(m) lies in I for every multiple rm:
+    I is a differential ideal, and so is I + F(V)^(>hi), as d raises
+    degree.  The quotient is therefore a graded-commutative algebra with
+    a derivation of degree +1 and d(1) = 0, and `CochainComplex` checks
+    d*d = 0 on it.  The standard monomials are a basis of the quotient
+    and `normal_form` writes a class in it, so the tables built here (the
+    normal forms of the merged products, of d of each standard monomial
+    and of 1) are the quotient's in that basis, with indices that name
+    standard monomials.  A presentation that fails one of the checks
+    raises instead.
 
     The product table lists both orders of every nonzero product, keys
     in the order of the loops over (d1, d2, i1, i2).  Each unordered pair
@@ -541,6 +562,7 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
         raise AlgebraError("relations kill the unit")
     alg = Cdga(field, complex_, product, unit)
     alg.presentation = pres
+    alg.proven_generators = generating_set(alg)
     return alg
 
 
@@ -550,10 +572,11 @@ def renamed_presentation(a, gen_names):
     sharing a's product table, differential blocks, unit, presentation
     and proof record.
 
-    Nothing is materialized or checked again.  `check_cdga` reads only
-    the field, the dimensions, the tables and the unit, which are a's;
-    the names only label the basis and name a witness; and no table is
-    changed after construction."""
+    Nothing is materialized or proven again.  The proof of
+    `materialize_free_cdga`, like `check_cdga`, reads only the field, the
+    dimensions, the tables and the unit, which are a's; the names only
+    label the basis and name a witness; and no table is changed after
+    construction."""
     space = GradedVectorSpace(a.field, a.space.window, a.space.dims,
                               {d: [_mono_label(m, gen_names) for m in ms]
                                for d, ms in a.presentation.standard.items()})

@@ -1,14 +1,17 @@
 """Axiom checks for CDGAs, DG modules and their morphisms.
 
-Each runs once per object: the parser checks what it reads, a report
-what it certifies; constructions from checked objects are not checked.
-A free presentation that a file repeats under other generator names is
-checked once: the copies share the checked algebra's tables, unit and
-proof record, and `check_cdga` reads only the field, the dimensions,
-the tables and the unit, none of which the names change.  So is a map
-equal to an earlier one of the file between algebras sharing its ends'
-tables, since `check_cdga_morphism` reads only the map, the tables and
-the records.
+Each runs once per object: the parser checks the explicit algebras and
+the morphisms it reads, a report what it certifies; constructions from
+checked objects are not checked.  Three constructions are proven where
+they are built, each by the argument in its docstring, and carry the
+record a passing check would leave: a free presentation
+(`algebra.materialize_free_cdga`; the copies that a file repeats under
+other generator names share its tables, unit and record), the free
+module of a semifree resolution (`modules._FreeBuilder`), and its map
+rho, checked by `check_chain_map_on` on its generators alone
+(`modules.semifree_resolution`).  A map equal to an earlier one of the
+file between algebras sharing its ends' tables is checked once, since
+`check_cdga_morphism` reads only the map, the tables and the records.
 
 Each check compares the two sides of an identity on basis tuples, but
 reaches the tuples only through the nonzero entries of the product and
@@ -87,9 +90,13 @@ in each degree n > 0 the basis elements off the pivots of one `rref` of
 the stored products of two elements of positive degree.
 
 `check_cdga` leaves S on an algebra it passes, as `proven_generators`,
-its proof record; any other algebra holds None there, and so does every
-algebra built from a proven one, since the constructor starts the
-record at None and no table is changed after construction.
+its proof record.  `materialize_free_cdga` and the Leibniz report of a
+cone set the same record, `generating_set` of the table, on an algebra
+that they prove by construction, so the lemmas below read a record
+whichever way it was set.  Every other algebra holds None there, among
+them every algebra built from a proven one without such a proof: the
+constructor starts the record at None, and no table is changed after
+construction.
 
 `check_cdga_morphism` checks the degree, the chain-map rule and the unit
 on every basis element.  Where both ends carry a proof record it decides
@@ -113,10 +120,10 @@ with 0 < |u|, |v| < n:
 by associativity in A, the identity for u (at vy, as |u| + |vy| <= hi),
 for v, associativity in B, and the identity for u at v (|uv| <= hi).
 
-So the walk on S decides the parsed `phi`, since the parser checks the
-algebras it reads before its morphisms; `truncated_cone`'s `base_map`,
-into the quotient it checks; and the maps that the square pipelines
-check between parsed or checked corners, the cone products of
+So the walk on S decides the parsed `phi`, since the parser checks or
+proves the algebras it reads before its morphisms; `truncated_cone`'s
+`base_map`, into the quotient it checks; and the maps that the square
+pipelines check between parsed or checked corners, the cone products of
 `stable-square` among them, proven by their Leibniz reports.
 
 A CDGA is a module over itself, so one walk decides (xy).n = x.(y.n)
@@ -163,12 +170,15 @@ each degree the basis elements off the pivots of one `rref` of the
 stored actions x.m with |x| > 0.  Modules built from checked ones start
 without a record, as algebras do; `modules.algebra_as_module` of a
 proven algebra carries its record, S and the basis of A^0, since the
-algebra's walk on S is the module walk and A^+.A holds every element of
-positive degree.  `check_module_morphism` tests the indices of an end
-without a record (one with a record passed that test in its check),
-and decides linearity on the pairs whose algebra factor lies in S where
-both ends carry a record and share one algebra, walking every pair
-where that fails, to name its witness; elsewhere it walks every pair.
+algebra's proof is that of the module and A^+.A holds every element of
+positive degree; and a free module that `modules._FreeBuilder` builds
+over a proven algebra carries S and its slots 1 x g, by the proof in
+that docstring.  `check_module_morphism` tests the indices of an end
+without a record (one with a record passed that test in its check or
+has its indices by construction), and decides linearity on the pairs
+whose algebra factor lies in S where both ends carry a record and share
+one algebra, walking every pair where that fails, to name its witness;
+elsewhere it walks every pair.
 """
 
 from __future__ import annotations
@@ -323,12 +333,16 @@ def _unit_law(unit, sides, space):
     return min((w for w in found if w), key=lambda w: w.basis, default=None)
 
 
-def _chain_map(f, source, target, axiom):
+def _chain_map(f, source, target, axiom, firsts=None):
     """First basis element e of `source` with d f(e) != f(d e), for a
-    degree-0 map f."""
+    degree-0 map f; with `firsts`, only the e in it."""
     field, fcol = target.field, _columns(f)
-    return _first_failure(axiom, _through(field, fcol, _by(_columns(target.d), 0)),
-                          _through(field, _columns(source.d), _by(fcol, 0), raise_by=1),
+    ecol, dcol = fcol, _columns(source.d)
+    if firsts is not None:
+        ecol = {e: v for e, v in fcol.items() if e in firsts}
+        dcol = {e: v for e, v in dcol.items() if e in firsts}
+    return _first_failure(axiom, _through(field, ecol, _by(_columns(target.d), 0)),
+                          _through(field, dcol, _by(fcol, 0), raise_by=1),
                           (source.space,), target.space, raise_by=1)
 
 
@@ -609,6 +623,20 @@ def check_module_morphism(f):
             and _linearity(f, fcol, set(src.proven_generators[0])) is None):
         return None
     return _linearity(f, fcol)
+
+
+def check_chain_map_on(f, firsts):
+    """First failure of the module map `f` as a chain map at the basis
+    elements `firsts` of its source, or None; an action entry of its
+    target that names no basis element comes first, as in
+    `check_module_morphism`.  For a map linear by construction out of a
+    module that `firsts` span over the algebra, this is the chain-map
+    rule everywhere (`modules.semifree_resolution`)."""
+    tgt = f.target
+    witness = (tgt.proven_generators is None
+               and outside_basis(tgt.algebra.space, tgt.space, tgt.action))
+    return witness or _chain_map(f.map, f.source.complex, tgt.complex, "module chain map",
+                                 set(firsts))
 
 
 def _linearity(f, fcol, firsts=None):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checks import check_module, check_module_morphism
+from .checks import check_chain_map_on, check_module, check_module_morphism
 from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
                      InternalError, cohomology, degree_cohomology, direct_sum,
                      dualize, mapping_cone, quasi_isomorphism_failure, suspend)
@@ -383,9 +383,27 @@ class FreeGenerator:
 class _FreeBuilder:
     """A free module A x V grown one generator at a time, as the module
     docstring says: `add` appends, `assemble` builds the module on the
-    generators so far from what is stored.  Not re-checked:
-    a.(b x g) = (ab) x g inherits the algebra's axioms, d is defined by
-    Leibniz, and `CochainComplex` checks d*d = 0."""
+    generators so far from what is stored.
+
+    Proven here, not walked.  Let A be a CDGA.  The action
+    x.(b x g) = (xb) x g is associative and unital since A's product is.
+    d(b x g) = d(b) x g + (-1)^|b| b.d(g), with d(g) on the generators
+    before g, satisfies the module Leibniz rule, by A's and the action's
+    associativity:
+
+        d(x.(b x g)) = d(xb) x g + (-1)^|xb| (xb).d(g)
+                     = (dx b) x g + (-1)^|x| (x db) x g + (-1)^|xb| x.(b.d(g))
+                     = dx.(b x g) + (-1)^|x| x.d(b x g),
+
+    and `CochainComplex` checks d*d = 0.  The slots above the window are
+    cut off, a quotient by the submodule they span.  Every slot b x g is
+    b.(e x g) summed over the unit's components e in A^0, so the slots
+    of A^0 x g (G, `spanning_slots`) span the module over A when every
+    generator lies in the window; and A^+ . P is spanned by the slots
+    b x g with |b| > 0, so G is `checks.module_generating_set` of the
+    table.  Over an algebra with a proof record S, `assemble` therefore
+    gives the module the record (S, G) that a passing `check_module`
+    would leave, and its indices are slots it numbered itself."""
 
     def __init__(self, algebra, window):
         self.algebra = algebra
@@ -445,13 +463,27 @@ class _FreeBuilder:
                              self.dims.get(d + 1, 0))
         return None if m.is_zero() else m
 
+    def spanning_slots(self):
+        """G of the class docstring: the slots e x g, e in A^0, of every
+        generator g so far, in degree-major order; None where some
+        generator lies outside the window, its slots 1 x g cut off."""
+        if not all(self.window.contains(g.degree) for g in self.gens):
+            return None
+        return sorted(pos for (_, e, _), pos in self.index.items() if e == 0)
+
     def assemble(self):
         """(module, basis index table) on the generators so far; the module
-        holds a copy of the action table, which later `add` calls grow."""
+        holds a copy of the action table, which later `add` calls grow.
+        Over an algebra with a proof record the module carries (S, G), as
+        the class docstring proves."""
         space = GradedVectorSpace(self.algebra.field, self.window, self.dims, self.labels)
         blocks = {d: m for d in self.d_cols if (m := self.d_block(d)) is not None}
         cx = CochainComplex(space, GradedLinearMap(space, space, 1, blocks))
-        return DgModule(self.algebra, cx, dict(self.action)), self.index
+        module = DgModule(self.algebra, cx, dict(self.action))
+        s, g = self.algebra.proven_generators, self.spanning_slots()
+        if s is not None and g is not None:
+            module.proven_generators = s, g
+        return module, self.index
 
 
 @dataclass
@@ -482,9 +514,22 @@ def semifree_resolution(m, window=None):
     the result, and a differential that breaks it raises.  A degree that
     takes more than MAX_ROUNDS rounds, or adds more than
     MAX_DEGREE_GENERATORS generators, raises.  The window bounds the
-    resolution itself and defaults to the target's.  rho is
-    checked, and is a quasi-isomorphism: that test reads rho on cocycles
-    only, and would pass a wrong rho(u) for a u that kills a class.
+    resolution itself and defaults to the target's.
+
+    rho is checked as a chain map on the generators alone
+    (`checks.check_chain_map_on`), after the index test of m, and is
+    checked a quasi-isomorphism; the latter test reads rho on cocycles
+    only, and would pass a wrong rho(u) for a u that kills a class.  The
+    rest holds by construction.  rho(a x g) = a.rho(g), so rho is
+    A-linear by the associativity of m's action, where m vanishes above
+    the window as P does.  Then on every slot
+
+        d rho(a x g) = da.rho(g) + (-1)^|a| a.d rho(g),
+        rho d(a x g) = da.rho(g) + (-1)^|a| a.rho(d g),
+
+    by m's Leibniz rule and by the linearity of rho, so rho commutes
+    with d wherever it does on the generators.  Where m reaches above
+    the window, or a generator lies outside it, rho is walked whole.
     """
     a = m.algebra
     if not a.is_connected():
@@ -554,7 +599,13 @@ def semifree_resolution(m, window=None):
                                for d, cols in rho_cols.items()})
     coh_P = cohomology(P.complex)
     rho = DgModuleMorphism(P, m, rho_glm)
-    rho.validate()
+    slots = fb.spanning_slots()
+    if slots is None or max(m.space.degrees(), default=0) > window.hi:
+        rho.validate()
+    else:
+        witness = check_chain_map_on(rho, slots)
+        if witness is not None:
+            raise ModuleError(str(witness))
     bad = quasi_isomorphism_failure(rho_glm, coh_P, coh_m)
     if bad is not None:
         raise ModuleError("resolution is not a quasi-isomorphism (degree %d)" % bad)

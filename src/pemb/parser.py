@@ -2,18 +2,19 @@
 
 A file declares a field, a degree window, some algebras (free
 presentations or explicit basis tables), morphisms between them, and
-one problem block.  This is the trust boundary: every algebra and every
-morphism is checked against the axioms as it is read, so a file that
-parses is a file whose objects passed the library checks.  The
-constructions of the other modules keep the axioms and do not check
-their inputs again.
+one problem block.  This is the trust boundary: every explicit algebra
+and every morphism is checked against the axioms as it is read, and
+every free presentation is materialized by `algebra.materialize_free_cdga`,
+which proves its axioms where it builds it and is not walked again.  So a
+file that parses is a file whose objects passed the library checks or
+hold by construction.  The constructions of the other modules keep the
+axioms and do not check their inputs again.
 
 A free presentation equal to an earlier one of the same file up to its
-generator names is neither materialized nor checked again: it gets the
-earlier algebra under its own names (`algebra.renamed_presentation`).
-`check_cdga` reads only the field, the dimensions, the tables and the
-unit, none of which the names change.  The memo lives on the
-`ProblemFile`, so no two parses share it.
+generator names is not materialized again: it gets the earlier algebra
+under its own names (`algebra.renamed_presentation`), whose proof reads
+none of the names.  The memo lives on the `ProblemFile`, so no two
+parses share it.
 """
 
 from __future__ import annotations
@@ -279,7 +280,6 @@ def _parse_free_cdga(lines, pf):
     else:
         cdga = materialize_free_cdga(pf.field, gens, diff_polys, rel_polys,
                                      pf.window)
-        cdga.validate()
         pf.presentations[key] = cdga
     return ParsedAlgebra(cdga, "free", gen_names=gen_names,
                          gen_degs=gen_degs)

@@ -1,10 +1,12 @@
 """Checks run once: at the trust boundary and where a report rests on them.
 
-The parser checks every algebra and morphism it reads.  A report checks
-what it certifies, prints or emits: the Leibniz report of a cone, the
-truncated cone and its base map, the corners and maps that the square
-pipelines build, the cone modules of `dgmodule-square` and `lefschetz`,
-the H-algebras of `lefschetz` and `cohomology --object`, and the umkehr
+The parser checks every explicit algebra and every morphism it reads; a
+free presentation, the free module of a semifree resolution and its
+map rho are proven where they are built.  A report checks what it
+certifies, prints or emits: the Leibniz report of a cone, the truncated
+cone and its base map, the corners and maps that the square pipelines
+build, the cone modules of `dgmodule-square` and `lefschetz`, the
+H-algebras of `lefschetz` and `cohomology --object`, and the umkehr
 map.  Every construction in between keeps the axioms, by the argument
 in its docstring, and is not checked again.
 
@@ -16,37 +18,46 @@ constructors of algebras and modules take their tables as they are, and
 the index checks are in the algebra and module checks; a builder that
 hands over an index outside the basis is rejected by name too.  The
 full-check harness wraps the four constructors so that every object
-built is checked, runs every shipped example and the smallest rung of each benchmark
-ladder under it, and finds no witness.  Where the stable square's
-normalizations are the identity, it builds and checks nothing for them.
-Each truncation is built and certified once, and a parsed algebra has
-its indices checked once.  Every algebra morphism that parsing and the
-stable square check joins two algebras that `check_cdga` passed, so it
-is checked multiplicative on the generating set alone.  A free
-presentation that a file repeats under other names is materialized and
-checked once per parse, never once per process, and `dgmodule-square`
-resolves the equal branches of a menorah once.
+built is walked exhaustively, runs every shipped example, every rung of
+each benchmark ladder at two seeds and four resolutions of the ground
+field under it, finds no witness, and finds every proof record equal to
+the one read off its object's table.  What is proven by construction
+is walked at run time no more, so a fault there is named by the harness
+alone: each fault row injects one and shows the harness naming it.
+Where the stable square's normalizations are the identity, it builds
+and checks nothing for them.  Each truncation is built and certified
+once, and a parsed algebra has its indices checked once.  Every algebra
+morphism that parsing and the stable square check joins two proven
+algebras, so it is checked multiplicative on the generating set alone.
+A free presentation that a file repeats under other names is
+materialized once per parse, never once per process, and
+`dgmodule-square` resolves the equal branches of a menorah once.
 """
 
+import inspect
+import json
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from pemb import algebra, checks, cli, cones, duality, graded, modules, pipeline
-from pemb.algebra import Cdga, CdgaMorphism
+from pemb.algebra import Cdga, CdgaMorphism, materialize_free_cdga
 from pemb.checks import (check_cdga, check_cdga_morphism, check_module,
                          check_module_morphism)
 from pemb.fields import QQ
 from pemb.graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                          GradedVectorSpace)
 from pemb.linalg import Matrix
-from pemb.modules import (DgModule, DgModuleMorphism, ModuleError,
+from pemb.modules import (DgModule, DgModuleMorphism, FreeGenerator, ModuleError,
                           semifree_resolution)
 from pemb.parser import parse
 
-from builders import SULLIVAN_S2_IN_S9, record_cohomology_constructions, run_cli, sphere
+from builders import (SULLIVAN_S2_IN_S9, complex_projective, free_module,
+                      record_cohomology_constructions, run_cli, sphere, sullivan_cp2)
+from test_golden import GOLDEN, digest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import ladder  # noqa: E402  (the benchmark's problem generator)
@@ -236,12 +247,6 @@ BROKEN = [
     ("module_mapping_cone",
      _patch(modules, "module_mapping_cone", _cone_with_broken_unit_on_sx),
      "cp2_in_s8", ["complement"], 1, r"truncation ideal rejected: unit law fails on sv4_0"),
-    # free modules are grown in place; the builder's assembly hands them over
-    ("free_module",
-     lambda monkeypatch: monkeypatch.setattr(
-         modules._FreeBuilder, "assemble", on_result(broken_module(unit_action), first=True)(
-             modules._FreeBuilder.assemble)),
-     "cp2_in_s8", ["dgmodule-square"], 2, r"morphism not linear over \(1\) at v4_0"),
     ("solve_chain_maps",
      _patch(modules, "solve_chain_maps", on_result(lambda sol: sol and (
          DgModuleMorphism(sol[0].source, sol[0].target,
@@ -379,39 +384,75 @@ def test_semifree_resolution_keeps_its_check_of_rho(monkeypatch):
 
 # -- the full-check harness ------------------------------------------------
 
-def check_cdga_as_exhaustively(a):
-    """`check_cdga`'s witness, which must be that of the exhaustive walk:
-    commutativity, associativity and Leibniz in turn, each on every first
-    factor (the checks before them are exhaustive themselves)."""
-    witness = check_cdga(a)
-    if witness is None or witness.axiom in ("commutativity", "associativity", "Leibniz"):
-        assert witness == checks._Walk(a).first_failure()
-    return witness
+def as_exhaustively(check, walk, axioms):
+    """`check`, whose witness, where it is None or names one of `axioms`,
+    must be that of `walk`, the exhaustive walk (the checks before those
+    axioms are exhaustive themselves); a disagreement is returned as the
+    witness, so that the harness names it."""
+    def checked(obj):
+        witness = check(obj)
+        if witness is None or witness.axiom in axioms:
+            full = walk(obj)
+            if full != witness:
+                return "%s, where the exhaustive walk finds %s" % (witness, full)
+        return witness
+    return checked
 
 
-CHECKS = ((Cdga, check_cdga_as_exhaustively), (CdgaMorphism, check_cdga_morphism),
-          (DgModule, check_module), (DgModuleMorphism, check_module_morphism))
+# Algebras and modules are walked on every first factor, module maps on
+# every pair (x, n), whatever records their ends carry.
+CHECKS = (
+    (Cdga, as_exhaustively(check_cdga, lambda a: checks._Walk(a).first_failure(),
+                           ("commutativity", "associativity", "Leibniz"))),
+    (CdgaMorphism, check_cdga_morphism),
+    (DgModule, as_exhaustively(check_module,
+                               lambda m: checks._Walk(m.algebra, m).first_failure(),
+                               ("module associativity", "module Leibniz"))),
+    (DgModuleMorphism, as_exhaustively(
+        check_module_morphism, lambda f: checks._linearity(f, checks._columns(f.map)),
+        ("linearity",))))
 
 
 def check_every_object(monkeypatch):
     """Wrap the four constructors so that each object built is checked
-    (an algebra also by the exhaustive walk, which must agree); returns
-    the list the witnesses go to, as (class, witness, the function that
-    built the object)."""
-    found = []
+    exhaustively; returns the list the witnesses go to, as (class,
+    witness, the function that built the object), and the list of
+    (object, that function) of every algebra and module built.  The
+    checks leave no record: an object's record is the one its builder
+    or a check of the program sets."""
+    found, built = [], []
 
     def record(obj, check):
         witness = check(obj)
+        builder = sys._getframe(2).f_code.co_name
+        if hasattr(obj, "proven_generators"):
+            obj.proven_generators = None
+            built.append((obj, builder))
         if witness is not None:
-            found.append((type(obj).__name__, str(witness),
-                          sys._getframe(2).f_code.co_name))
+            found.append((type(obj).__name__, str(witness), builder))
 
     for cls, check in CHECKS:
         def checked(self, *args, _init=cls.__init__, _check=check, **kwargs):
             _init(self, *args, **kwargs)
             record(self, _check)
         monkeypatch.setattr(cls, "__init__", checked)
-    return found
+    return found, built
+
+
+def wrong_records(built):
+    """(builder, record, the record read off the table) of each object of
+    `built` whose proof record is not read off its table: an algebra's
+    must be `generating_set`, a module's (S of its algebra,
+    `module_generating_set`)."""
+    out = []
+    for obj, builder in built:
+        record = obj.proven_generators
+        if record is not None:
+            want = (checks.generating_set(obj) if isinstance(obj, Cdga) else
+                    (checks.generating_set(obj.algebra), checks.module_generating_set(obj)))
+            if record != want:
+                out.append((builder, record, want))
+    return out
 
 
 SUBCOMMANDS = ("validate", "analyze", "complement", "stable-square",
@@ -432,22 +473,179 @@ def shipped_runs():
             yield ["cohomology", path, "--object", obj]
 
 
+def ladder_runs(directory):
+    """(argv, job, problem) of every job of every benchmark ladder at
+    seeds 1 and 2, the problems written to `directory`."""
+    for seed in (1, 2):
+        for workload in ladder.WORKLOADS:
+            wl = ladder.build(workload, seed)
+            for job in wl.jobs:
+                path = directory / ("%d-%s.pemb" % (seed, job.problem))
+                path.write_text(wl.problems[job.problem].text)
+                yield [job.command, str(path)], job, wl.problems[job.problem]
+
+
+def resolve_the_ground_field(a):
+    """The semifree resolution of the ground field, in degree 0, over `a`."""
+    ground, _ = free_module(a, [FreeGenerator("g", 0)], {}, DegreeWindow(0, 0))
+    return semifree_resolution(ground, window=a.space.window)
+
+
+def exterior_s3_s3():
+    """H^*(S^3 x S^3): two odd generators, whose product acts on the
+    differentials of the resolution of the ground field."""
+    return materialize_free_cdga(QQ, [("a", 3), ("b", 3)], {}, [], DegreeWindow(0, 8))
+
+
+# Algebras over which the resolution of the ground field has kernel-killing
+# generators with d != 0; the shipped examples' and the ladders' have
+# d = 0, or no element of odd degree acting on it.
+GROUND = (lambda: sphere(2, hi=7), lambda: complex_projective(2, hi=9), sullivan_cp2,
+          exterior_s3_s3)
+
+
 def test_full_check_harness_finds_no_witness(monkeypatch, tmp_path):
-    found = check_every_object(monkeypatch)
+    """Every object that the shipped examples, every rung of the ladders
+    at two seeds and the resolutions of the ground field over `GROUND`
+    build is walked exhaustively, and passes; every proof record, whether
+    its builder set it by construction or a check of the program did, is
+    the one read off its table.  The presentations, the free modules of
+    the resolutions and their maps rho are among them."""
+    found, built = check_every_object(monkeypatch)
+    recorded = set()
+
+    def records_read_off_the_tables(run):
+        assert wrong_records(built) == [], run
+        recorded.update(b for obj, b in built if obj.proven_generators is not None)
+        del built[:]
+
     codes = {}
     for argv in shipped_runs():
         codes[tuple(argv)] = run_cli(argv)[0]
+        records_read_off_the_tables(argv)
     assert set(codes.values()) == {0, 1}
-    for workload in ladder.WORKLOADS:
-        wl = ladder.build(workload, 1)
-        key = next(iter(wl.problems))
-        path = tmp_path / (key + ".pemb")
-        path.write_text(wl.problems[key].text)
-        for job in wl.jobs:
-            if job.problem == key:
-                code, out, err = run_cli([job.command, str(path)])
-                assert ladder.check(job, wl.problems[key], code, out, err) == []
+    for argv, job, problem in ladder_runs(tmp_path):
+        code, out, err = run_cli(argv)
+        assert ladder.check(job, problem, code, out, err) == []
+        records_read_off_the_tables(job.name)
+    for build in GROUND:
+        resolve_the_ground_field(build())
+        records_read_off_the_tables(build)
     assert found == []
+    assert {"materialize_free_cdga", "assemble"} <= recorded
+
+
+# -- faults that only the harness names -------------------------------------
+
+
+def mutated(monkeypatch, module, owner, name, old, new):
+    """Replace the function `name` of `owner` (`module` itself, or a class
+    of it) by one compiled from its source with the text `old`, which
+    must occur once, replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), namespace)
+    if owner is module:
+        patch_everywhere(monkeypatch, module, name, lambda f: namespace[name])
+    else:
+        monkeypatch.setattr(owner, name, namespace[name])
+
+
+def koszul_sign_dropped(merge):
+    """_merge_sign with the sign of an odd number of swaps flipped to +1."""
+    def flipped(field, m1, m2, gen_degs):
+        s, out = merge(field, m1, m2, gen_degs)
+        return (s if s is None else field.one), out
+    return flipped
+
+
+def negated_products(form):
+    """FreePresentation.monomial_form with the class of each basis
+    monomial of two or more factors negated."""
+    def wrong(self, t):
+        v = form(self, t)
+        return {i: -x for i, x in v.items()} if len(t) > 1 and t in self._position else v
+    return wrong
+
+
+def last_element_dropped(basis):
+    return lambda *args: basis(*args)[:-1]
+
+
+def rung(workload, command, problem):
+    """A run of `command` on a ladder problem at seed 1."""
+    def run(directory):
+        path = directory / (problem + ".pemb")
+        path.write_text(ladder.build(workload, 1).problems[problem].text)
+        run_cli([command, str(path)])
+    return run
+
+
+def shipped(example, command):
+    """A run of `command` on a shipped example; returns whether the
+    report differs from its golden digest."""
+    def run(directory):
+        argv = [command, str(cli.example_path(example)), "--format", "table"]
+        golden = json.loads(GOLDEN.read_text())
+        return digest(argv) != golden["%s %s table" % (example, command)]
+    return run
+
+
+# (fault, patch, run, (builder, message) of a witness that the harness
+# must name, or None where the fault builds another valid algebra and the
+# run's golden digest names it).  Each run but the last lets its fault
+# pass; the last is refused by a later check, as its wrapped module
+# carries no record.
+FAULTS = [
+    ("_merge_sign",
+     _patch(algebra, "_merge_sign", koszul_sign_dropped),
+     rung("torus_checks", "complement", "torus3"),
+     ("materialize_free_cdga", r"^associativity fails on \(")),
+    ("monomial_form",
+     lambda monkeypatch: monkeypatch.setattr(
+         algebra.FreePresentation, "monomial_form",
+         negated_products(algebra.FreePresentation.monomial_form)),
+     rung("sphere_quotient", "complement", "spheres2"),
+     ("materialize_free_cdga", r"^unit law fails on \w+\*\w+$")),
+    ("_groebner_basis",
+     _patch(algebra, "_groebner_basis", last_element_dropped),
+     shipped("cp2_in_s8", "dgmodule-square"), None),
+    ("_FreeBuilder.add",
+     lambda monkeypatch: mutated(monkeypatch, modules, modules._FreeBuilder, "add",
+                                 "field.sign(e) * c", "c"),
+     lambda directory: resolve_the_ground_field(exterior_s3_s3()),
+     ("assemble", r"^action Leibniz fails on \(a, u3_2\)$")),
+    ("rho",
+     lambda monkeypatch: mutated(
+         monkeypatch, modules, modules, "semifree_resolution",
+         "m.act_vec(e, a.basis_vec(e, ib), gen.degree, rho_val))",
+         "scaled(field, 2 if e else 1, m.act_vec(e, a.basis_vec(e, ib), gen.degree, rho_val)))"),
+     rung("torus_checks", "stable-square", "torus3"),
+     ("semifree_resolution", r"^morphism not linear over \(\w+\) at v7_0$")),
+    # free modules are grown in place; the builder's assembly hands them over
+    ("free_module",
+     lambda monkeypatch: monkeypatch.setattr(
+         modules._FreeBuilder, "assemble", on_result(broken_module(unit_action), first=True)(
+             modules._FreeBuilder.assemble)),
+     shipped("cp2_in_s8", "dgmodule-square"),
+     ("semifree_resolution", r"^morphism not linear over \(1\) at v4_0$")),
+]
+
+
+@pytest.mark.parametrize("patch, run, named", [f[1:] for f in FAULTS],
+                         ids=[f[0] for f in FAULTS])
+def test_the_harness_names_each_injected_fault(monkeypatch, tmp_path, patch, run, named):
+    """A fault in what is proven by construction, not walked at run time,
+    is named by the harness's exhaustive walks of what the run builds."""
+    found, _ = check_every_object(monkeypatch)
+    patch(monkeypatch)
+    changed = run(tmp_path)
+    if named is None:
+        assert changed and found == []
+    else:
+        builder, message = named
+        assert any(b == builder and re.search(message, w) for _, w, b in found), found
 
 
 # -- the identity normalization ---------------------------------------------
@@ -526,9 +724,9 @@ def test_identity_normalization_builds_and_checks_nothing(monkeypatch, tmp_path)
 
 def test_stable_square_checks_each_morphism_on_s(monkeypatch, tmp_path):
     """Every algebra morphism checked in parsing the shipped examples and
-    ladder rungs, and in their stable squares, joins two algebras that
-    `check_cdga` passed: each check decides multiplicativity on S of its
-    source, passes there and walks no pair beyond it."""
+    ladder rungs, and in their stable squares, joins two proven algebras:
+    each check decides multiplicativity on S of its source, passes there
+    and walks no pair beyond it."""
     calls = []
     counted_calls(monkeypatch, checks, "check_cdga_morphism", calls)
     walk = checks._multiplicativity
@@ -647,24 +845,28 @@ def menorah16(directory):
 
 
 def counting(monkeypatch):
-    """Calls of the materialization, the algebra check and the semifree
-    resolution, in order."""
+    """Calls of the materialization, the algebra check, the reading of a
+    proof record and the semifree resolution, in order."""
     calls = []
     counted_calls(monkeypatch, algebra, "materialize_free_cdga", calls)
     counted_calls(monkeypatch, checks, "check_cdga", calls)
+    counted_calls(monkeypatch, checks, "generating_set", calls)
     counted_calls(monkeypatch, modules, "semifree_resolution", calls)
     return calls
 
 
 def test_each_distinct_presentation_is_materialized_and_checked_once(
         monkeypatch, tmp_path):
-    """Parsing a 16-branch menorah materializes and checks the ambient
-    and one branch; the other 15 branches share that branch's algebra.
-    `dgmodule-square` resolves the one map they share once, not 16 times."""
+    """Parsing a 16-branch menorah materializes the ambient and one
+    branch, each proven where it is built: its record read off its table
+    once, and no `check_cdga` walk.  The other 15 branches share that
+    branch's algebra.  `dgmodule-square` resolves the one map they share
+    once, not 16 times."""
     path = menorah16(tmp_path)
     calls = counting(monkeypatch)
     pf = cli.parse_file(path)
-    assert (calls.count("materialize_free_cdga"), calls.count("check_cdga")) == (2, 2)
+    assert [calls.count(c) for c in ("materialize_free_cdga", "check_cdga",
+                                     "generating_set")] == [2, 0, 2]
     _, _, branches = pf.problem
     targets = [pf.algebras[q].cdga for q, _ in branches]
     assert all(t.product is targets[0].product for t in targets)
@@ -700,7 +902,7 @@ def test_a_repeated_morphism_is_checked_once(monkeypatch, tmp_path):
 
 def test_nothing_is_shared_between_two_runs(monkeypatch, tmp_path):
     """The shared presentations live on one parsed file: a second run in
-    the same process materializes and checks again, as the first did."""
+    the same process materializes and proves again, as the first did."""
     path = menorah16(tmp_path)
     calls = counting(monkeypatch)
     runs = []
@@ -710,4 +912,4 @@ def test_nothing_is_shared_between_two_runs(monkeypatch, tmp_path):
         runs.append(list(calls))
     assert runs[0] == runs[1]
     assert [runs[0].count(c) for c in ("materialize_free_cdga", "check_cdga",
-                                       "semifree_resolution")] == [2, 2, 1]
+                                       "generating_set", "semifree_resolution")] == [2, 0, 2, 1]

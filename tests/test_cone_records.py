@@ -32,15 +32,19 @@ import ladder  # noqa: E402  (the benchmark's problem generator)
 
 
 def truncated_u(field=QQ):
-    """Q[u]/u^3, |u| = 2, in degrees 0..8, proven."""
-    r = materialize_free_cdga(field, [("u", 2)], {}, [{(0, 0, 0): 1}],
-                              DegreeWindow(0, 8))
-    r.validate()
-    return r
+    """Q[u]/u^3, |u| = 2, in degrees 0..8, proven where it is built."""
+    return materialize_free_cdga(field, [("u", 2)], {}, [{(0, 0, 0): 1}],
+                                 DegreeWindow(0, 8))
+
+
+def unproven(a):
+    """a's tables as a new algebra, with no proof record."""
+    return Cdga(a.field, a.complex, a.product, a.unit)
 
 
 def module_on(r, degrees):
-    """The free module over r on one generator per degree, unchecked."""
+    """The free module over r on one generator per degree, unchecked:
+    proven where it is built when r is."""
     gens = [FreeGenerator("g%d" % i, d) for i, d in enumerate(degrees)]
     return free_module(r, gens, {}, DegreeWindow(0, 8))[0]
 
@@ -59,8 +63,7 @@ def map_by_columns(x, r, cols):
 
 def cone_table(cone):
     """The cone's product as a new algebra, with no proof record."""
-    a = cone.algebra
-    return Cdga(a.field, a.complex, a.product, a.unit)
+    return unproven(cone.algebra)
 
 
 def report(cone):
@@ -169,8 +172,9 @@ def test_the_beta_row_is_the_frozen_witness():
 
 
 def test_a_cone_over_an_unproven_base_is_checked_exhaustively():
-    r = materialize_free_cdga(QQ, [("u", 2)], {}, [{(0, 0, 0): 1}], DegreeWindow(0, 8))
+    r = unproven(truncated_u())
     x = module_on(r, [2])
+    assert x.proven_generators is None
     cone = MappingConeAlgebra(map_by_columns(x, r, {}))
     assert not proven_from_inputs(cone)
     assert cone.leibniz is None
@@ -199,11 +203,10 @@ def test_the_module_walk_visits_only_first_factors_in_s(monkeypatch):
     assert walked and set(walked) <= set(s)
     assert x.proven_generators == (s, [(2, 0), (3, 0)])
     del walked[:]
-    unproven = materialize_free_cdga(QQ, [("u", 2)], {}, [{(0, 0, 0): 1}],
-                                     DegreeWindow(0, 8))
-    y = module_on(unproven, [2])
+    bare = unproven(r)
+    y = module_on(bare, [2])
     assert check_module(y) is None and y.proven_generators is None
-    every = {(d, i) for d in unproven.space.degrees() for i in range(unproven.space.dim(d))}
+    every = {(d, i) for d in bare.space.degrees() for i in range(bare.space.dim(d))}
     assert set(walked) == every
 
 
@@ -245,11 +248,16 @@ def test_a_module_walk_indexes_only_the_products_of_s(monkeypatch, tmp_path):
 
 
 def test_derived_modules_start_without_a_record():
+    """A free module over a proven algebra is proven where it is built;
+    a module built from a recorded one starts without a record, and a
+    passing check leaves the same record."""
     r = truncated_u()
     x = module_on(r, [2])
-    assert x.proven_generators is None
-    x.validate()
-    assert x.proven_generators is not None
+    assert x.proven_generators == (r.proven_generators, [(2, 0)])
+    y = DgModule(r, x.complex, x.action)
+    assert y.proven_generators is None
+    y.validate()
+    assert y.proven_generators == x.proven_generators
     assert restrict_scalars(x, CdgaMorphism.identity(r)).proven_generators is None
     assert algebra_as_module(r).proven_generators == (r.proven_generators, [(0, 0)])
 

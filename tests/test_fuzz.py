@@ -11,6 +11,11 @@ target generator of its degree, and one or two embedded branches.
 One token of a drawn file may be replaced by a word of the grammar, so
 that parse errors are reached too.  The examples are derandomized, so
 every run draws the same files.
+
+The parser does not walk a free presentation, which its construction
+proves; so that hostile but valid ones (Sullivan-style d, cubes) are
+still walked, each presentation of a drawn file that parses passes
+`check_cdga`, and carries the record read off its table.
 """
 
 import signal
@@ -19,6 +24,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from builders import run_cli
+from pemb import cli
+from pemb.checks import check_cdga, generating_set
 from test_modules import point_in_torus
 
 COMMANDS = [["validate"], ["analyze"], ["complement"], ["stable-square"],
@@ -127,6 +134,12 @@ def test_every_generated_file_exits_with_a_contract_code(guarded, tmp_path, text
         assert code in (0, 1, 2), (command, code, err)
         assert "Traceback" not in out + err
         assert code == 0 or err.startswith(("error: ", "hypothesis failure: ")), err
+        if command == ["validate"] and code == 0:
+            for parsed in cli.parse_file(str(path)).algebras.values():
+                if parsed.kind == "free":
+                    record = parsed.cdga.proven_generators
+                    assert check_cdga(parsed.cdga) is None
+                    assert record == generating_set(parsed.cdga)
 
 
 @pytest.mark.parametrize("command", ["dgmodule-square", "lefschetz", "gysin"])
