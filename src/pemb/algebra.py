@@ -9,7 +9,6 @@ algebra axioms survive it.
 
 from __future__ import annotations
 
-import copy
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
@@ -580,13 +579,17 @@ def renamed_presentation(a, gen_names):
     space = GradedVectorSpace(a.field, a.space.window, a.space.dims,
                               {d: [_mono_label(m, gen_names) for m in ms]
                                for d, ms in a.presentation.standard.items()})
-    d = copy.copy(a.complex.d)
-    d.source = d.target = space
-    complex_ = copy.copy(a.complex)
-    complex_.space, complex_.d, complex_._cohomology = space, d, None
-    b = copy.copy(a)
-    b.complex, b.space = complex_, space
-    return b
+    d = _like(a.complex.d, source=space, target=space)
+    complex_ = _like(a.complex, space=space, d=d, _cohomology=None)
+    return _like(a, complex=complex_, space=space)
+
+
+def _like(obj, **fields):
+    """A new object of obj's class holding obj's attributes, `fields`
+    replaced; its constructor, and so every check in it, is not run."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(obj.__dict__, **fields)
+    return new
 
 
 def same_tables(a, b):

@@ -48,6 +48,46 @@ each axiom in turn, one degree of the first factor at a time.  The
 products of a chunk's first factors are built once, and commutativity
 writes out the two sides only at the pairs that differ.
 
+Where A^0 is a line <e> and the unit is 1 = c e, one direct pass over
+the entries (0, 0, d, i) and (d, i, 0, 0) decides the unit laws, each
+entry being e_i / c; `_unit_law` walks them only to name a witness, and
+wherever A^0 is not a line (a direct sum of k algebras has dim A^0 = k).
+The walks that follow then read the tables without the tuples that have
+a factor of degree 0 in A, and so do the indexes they build.
+
+Unit lemma.  Let A be graded in degrees >= 0, A^0 = <e> a line and
+1 = c e a unit of A: 1x = x1 = x for every x, and d(1) = 0.  Then the
+tuples with a factor of degree 0 in A satisfy commutativity,
+associativity and Leibniz; for a graded space M with a differential
+and an action of A on which 1 acts as the identity, module
+associativity and module Leibniz; and for f: A -> B linear of degree 0
+with f(1) = 1, into an algebra B whose unit is a two-sided unit,
+f(xy) = f(x)f(y) where |x| = 0 or |y| = 0.
+
+Proof.  Each identity is linear in each factor, and a factor of degree
+0 is a multiple of e, so of 1; take it to be 1.  With d(1) = 0:
+
+    1y = y = y1,  (1y)z = yz = 1(yz),  (x1)z = xz = x(1z),
+    (xy)1 = xy = x(y1),  d(1y) = dy = d(1)y + 1 dy,
+    d(x1) = dx = dx 1 + (-1)^|x| x d(1),  (1y).n = y.n = 1.(y.n),
+    (x1).n = x.n = x.(1.n),  d(1.n) = dn = d(1).n + 1.dn,
+    f(1y) = f(y) = f(1)f(y),  f(x1) = f(x) = f(x)f(1),
+
+and the sign of commutativity is (-1)^(0|y|) = 1.  On a tuple whose
+factors in A all have positive degree, each side reads only products
+whose factors in A have positive degree (xy, dx and d(xy) among them,
+of degree at least 2), so a walk of the tables without the entries that
+have a factor of degree 0 in A computes both sides exactly.  Its verdict
+and its first failing tuple are therefore the exhaustive walk's.
+
+`check_module` reads those tables where its algebra carries a proof
+record, whose unit laws and d(1) = 0 were decided with it, and walks
+every tuple elsewhere; the module unit law is decided by the direct
+pass first, on the entries (0, 0, d, i) of the action.  The walk of
+`check_cdga_morphism` on S (below) leaves out the pairs with |y| = 0
+where the source's A^0 is a line, once f(1) = 1 is checked and the
+target carries a record; S then has no element of degree 0.
+
 Lemma.  Let A be graded in degrees 0..hi, with a bilinear product of
 degree 0 (zero into degrees above hi), a map d of degree +1 and a
 1 in A^0 with d(1) = 0 and 1x = x1 = x for every x.  Let S be a set of
@@ -322,15 +362,46 @@ def _first_failure(axiom, lhs, rhs, spaces, target, raise_by=0,
                    sum(key[0::2]) + raise_by, diff)
 
 
-def _unit_law(unit, sides, space):
-    """First basis element of `space` that the unit fails to fix; sides
-    are (axiom, index of the products with degree-0 elements), tried in
-    turn on each element."""
+def _line_unit(a):
+    """c where A^0 is a line <e> and the unit of `a` is c e, else None."""
+    return a.unit.get(0) if a.space.dim(0) == 1 and len(a.unit) == 1 else None
+
+
+def _unit_fixes(a, table, sides, space):
+    """Whether A^0 of `a` is a line <e>, its unit is c e, and every entry
+    of `table` with e at the slot of one of `sides`, (axiom, slot), and a
+    basis element x = (d, i) of `space` at the other is e_i / c: one
+    direct pass that decides the unit laws, which `_unit_law` decides by
+    a walk."""
+    c = _line_unit(a)
+    if c is None:
+        return False
+    want = space.field.div(space.field.one, c)
+    for d, n in space.dims.items():
+        for i in range(n):
+            for _, slot in sides:
+                v = table.get((d, i, 0, 0) if slot else (0, 0, d, i))
+                if v is None or len(v) != 1 or v.get(i) != want:
+                    return False
+    return True
+
+
+def _unit_law(unit, table, sides, space):
+    """First basis element of `space` that the unit fails to fix through
+    `table`; sides are (axiom, slot of the degree-0 factor in a key),
+    tried in turn on each element."""
     one = space.field.one
     ident = {(d, i): {i: one} for d in space.degrees() for i in range(space.dim(d))}
-    found = [_first_failure(axiom, _through(space.field, {(): unit}, index), ident,
-                            (space,), space) for axiom, index in sides]
+    found = [_first_failure(axiom, _through(space.field, {(): unit}, _by(
+        {k: v for k, v in table.items() if not k[2 * slot]}, slot)), ident, (space,), space)
+        for axiom, slot in sides]
     return min((w for w in found if w), key=lambda w: w.basis, default=None)
+
+
+def _unit_failure(a, table, sides, space):
+    """The witness of `_unit_law` for the unit of `a`, walked only where
+    the direct pass of `_unit_fixes` does not decide that it holds."""
+    return None if _unit_fixes(a, table, sides, space) else _unit_law(a.unit, table, sides, space)
 
 
 def _chain_map(f, source, target, axiom, firsts=None):
@@ -351,7 +422,9 @@ def _chain_map(f, source, target, axiom, firsts=None):
 
 def check_cdga(a):
     """First failure of the CDGA axioms on `a`, or None; first of all, a
-    product entry that names no basis element."""
+    product entry that names no basis element.  Where A^0 is a line, the
+    unit laws are decided by one direct pass and the walk reads the
+    table without the products that have a factor of degree 0."""
     sp = a.space
     witness = outside_basis(sp, sp, a.product, "algebra basis")
     if witness:
@@ -363,11 +436,10 @@ def check_cdga(a):
     du = a.d_vec(0, a.unit)
     if du:
         return Witness("unit cocycle", (), (), 1, du)
-    walk = _Walk(a)
-    right = _by({k: v for k, v in a.both_orders.items() if not k[2]}, 1)
-    witness = _unit_law(a.unit, (("unit", walk.left), ("right unit", right)), sp)
+    witness = _unit_failure(a, a.both_orders, (("unit", 0), ("right unit", 1)), sp)
     if witness:
         return witness
+    walk = _Walk(a, unit_free=_line_unit(a) is not None)
     s = generating_set(a)
     if walk.holds_on(s):
         a.proven_generators = s
@@ -389,19 +461,27 @@ class _Walk:
     once, so that a walk reaches only the tuples with a nonzero partial
     product.  Given the first factors `firsts` it will walk, a module
     walk indexes the products xy of `a` for those x alone, and indexes
-    every x only for the exhaustive walk of `first_failure`."""
+    every x only for the exhaustive walk of `first_failure`.  With
+    `unit_free`, the tables and their indexes leave out every tuple with
+    a factor of degree 0 in `a`, which the unit lemma proves; so do the
+    walks, `first_failure` included."""
 
-    def __init__(self, a, module=None, firsts=None):
+    def __init__(self, a, module=None, firsts=None, unit_free=False):
         self.axioms = (("commutativity", "associativity", "Leibniz") if module is None
                        else ("module associativity", "module Leibniz"))
-        self.algebra, self.field, self.table = a.space, a.field, a.both_orders
+        self.a, self.unit_free = a, unit_free
+        self.algebra, self.field = a.space, a.field
         partial = module is not None and firsts is not None
-        self.every = None if partial else _by(a.both_orders, 0)
-        self.products = self.left = _rows(a, firsts) if partial else self.every
+        self.table = None if partial else _products(a, unit_free)
+        self.every = None if partial else _by(self.table, 0)
+        self.products = self.left = (_by(_products(a, unit_free, firsts), 0) if partial
+                                     else self.every)
         self.d_algebra = d = _columns(a.complex.d)
-        self.space, action = a.space, a.both_orders
+        self.space, action = a.space, self.table
         if module is not None:
-            self.space, action, d = module.space, module.action, _columns(module.complex.d)
+            action = ({k: v for k, v in module.action.items() if k[0]} if unit_free
+                      else module.action)
+            self.space, d = module.space, _columns(module.complex.d)
             self.left = _by(action, 0)
         self.acting_with = _coefficients(action)
         self.d_index, self.d_with = _by(d, 0), _coefficients(d, raise_by=1)
@@ -470,7 +550,7 @@ class _Walk:
         first degree that fails."""
         alg = self.algebra
         if self.every is None:
-            self.products = self.every = _by(self.table, 0)
+            self.products = self.every = _by(_products(self.a, self.unit_free), 0)
         for axiom in self.axioms:
             for deg in alg.degrees():
                 witness, = self.failures([(deg, i) for i in range(alg.dim(deg))], (axiom,))
@@ -479,10 +559,14 @@ class _Walk:
         return None
 
 
-def _rows(a, firsts):
-    """`_by(a.both_orders, 0)` on the first factors x in `firsts` alone."""
-    wanted = set(firsts)
-    return _by({k: v for k, v in a.both_orders.items() if k[:2] in wanted}, 0)
+def _products(a, unit_free, firsts=None):
+    """The entries of `a.both_orders`: with `firsts`, those whose first
+    factor lies in it; with `unit_free`, those with no factor of degree 0."""
+    table = a.both_orders
+    if firsts is not None:
+        wanted = set(firsts)
+        table = {k: v for k, v in table.items() if k[:2] in wanted}
+    return {k: v for k, v in table.items() if k[0] and k[2]} if unit_free else table
 
 
 def generating_set(a):
@@ -550,15 +634,17 @@ def _multiplicativity(f, fcol, hi, firsts=None):
     """First pair (x, y), |x| + |y| <= hi, with f(xy) != f(x)f(y), or
     None; with `firsts`, only the pairs whose x lies in it, reached
     through the source products with first factor x and the target
-    products with first factor in the support of f(x)."""
+    products with first factor in the support of f(x), and where the
+    source's A^0 is a line, only those with |y| > 0."""
     src, tgt = f.source, f.target
     field = tgt.field
     products, xcols, tproducts = src.both_orders, fcol, tgt.both_orders
     if firsts is not None:
         xcols = {x: v for x, v in fcol.items() if x in firsts}
         support = {(x[0], k) for x, v in xcols.items() for k in v}
-        products = {k: v for k, v in products.items() if k[:2] in firsts}
-        tproducts = {k: v for k, v in tproducts.items() if k[:2] in support}
+        lo = 0 if _line_unit(src) is None else 1
+        products = {k: v for k, v in products.items() if k[:2] in firsts and k[2] >= lo}
+        tproducts = {k: v for k, v in tproducts.items() if k[:2] in support and k[2] >= lo}
     # f(xy) and f(x)f(y), through the products t f(y) of target elements t
     t_fy = _prepended(field, _by(tproducts, 1), _coefficients(fcol))
     return _first_failure("multiplicativity", _through(field, products, _by(fcol, 0)),
@@ -584,16 +670,18 @@ def outside_basis(left, right, table, axiom="module basis"):
 def check_module(m):
     """First failure of the DG-module axioms on `m`, or None; first of
     all, an action entry that names no basis element.  A module over a
-    proven algebra that passes keeps (S, G) as `proven_generators`."""
+    proven algebra that passes keeps (S, G) as `proven_generators`; over
+    a proven algebra whose A^0 is a line, the walk reads the tables
+    without the entries that have an algebra factor of degree 0."""
     a, alg = m.algebra, m.algebra.space
     witness = outside_basis(alg, m.space, m.action)
     if witness:
         return witness
-    s = a.proven_generators
-    walk = _Walk(a, m, s)
-    witness = _unit_law(a.unit, (("module unit", walk.left),), m.space)
+    witness = _unit_failure(a, m.action, (("module unit", 0),), m.space)
     if witness:
         return witness
+    s = a.proven_generators
+    walk = _Walk(a, m, s, unit_free=s is not None and _line_unit(a) is not None)
     if walk.holds_on(s if s is not None else
                      [(d, i) for d in alg.degrees() for i in range(alg.dim(d))]):
         if s is not None:

@@ -35,6 +35,7 @@ EXAMPLES = {
     "s2_in_s9_stable": "stable-square",
     "point_in_sn": "complement",
     "hopf_torus": "complement",
+    "s3s1_in_s3s11": "lefschetz",
 }
 
 _INPUT_ERRORS = (ParseError, AlgebraError, GradedError, ModuleError,

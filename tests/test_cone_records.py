@@ -212,15 +212,16 @@ def test_the_module_walk_visits_only_first_factors_in_s(monkeypatch):
 
 def test_a_module_walk_indexes_only_the_products_of_s(monkeypatch, tmp_path):
     """The module walks of `stable-square` and `dgmodule-square` on a
-    ladder rung, all over proven algebras, index the products xy of
-    their algebra with x in S alone: as many as its table holds with
-    first factor in S, and never the whole table.  A module that fails
-    indexes them all, for the exhaustive walk, and names its witness."""
+    ladder rung, all over proven algebras whose A^0 is a line, index the
+    products xy of their algebra with x in S and |y| > 0 alone: as many
+    as its table holds, and never the whole table.  A module that fails
+    indexes the products xy with |x|, |y| > 0, for the exhaustive walk,
+    and names its witness."""
     walks = []
     init = checks._Walk.__init__
 
-    def recorded(self, a, module=None, firsts=None):
-        init(self, a, module, firsts)
+    def recorded(self, a, module=None, firsts=None, unit_free=False):
+        init(self, a, module, firsts, unit_free)
         if module is not None:
             walks.append((self, a))
 
@@ -235,14 +236,16 @@ def test_a_module_walk_indexes_only_the_products_of_s(monkeypatch, tmp_path):
         s = set(a.proven_generators)
         assert walk.every is None and set(walk.products) <= s
         indexed = sum(len(rows) for rows in walk.products.values())
-        assert indexed == sum(1 for key in a.both_orders if key[:2] in s)
+        assert indexed == sum(1 for key in a.both_orders if key[:2] in s and key[2] > 0)
         assert indexed < len(a.both_orders)
     del walks[:]
     cone = action_mutation()
     x = cone.attaching.source
     witness = check_module(x)
     (walk, a), = walks
-    assert walk.every is not None and len(walk.every) == a.space.total_dim()
+    assert walk.every is not None
+    assert set(walk.every) == {key[:2] for key in a.both_orders if key[0] and key[2]}
+    assert len(walk.every) < a.space.total_dim() - a.space.dim(0)
     assert witness == checks._Walk(a, x).first_failure()
     assert witness.axiom == "module associativity"
 

@@ -221,7 +221,7 @@ def test_truncation_matches_the_solved_sections_on_the_examples(monkeypatch):
             assert_same_truncation(cone.complex, cut, spans)
             reached.append(name)
     assert reached == ["cp1_in_cp2_gysin", "cp2_in_s8", "point_in_sn", "s2_in_s6",
-                       "s2_in_s9_stable", "wedge_in_s8"]
+                       "s2_in_s9_stable", "s3s1_in_s3s11", "wedge_in_s8"]
 
 
 def test_truncation_matches_the_solved_sections_on_random_cones():

@@ -11,10 +11,10 @@ import pytest
 from builders import run_cli
 from dense import entry
 from pemb import algebra, cli, parser, pipeline
-from pemb.algebra import (MAX_PRODUCT_ENTRIES, MAX_STANDARD_MONOMIALS,
-                          materialize_free_cdga)
+from pemb.algebra import (MAX_PRODUCT_ENTRIES, MAX_STANDARD_MONOMIALS, Cdga,
+                          materialize_free_cdga, renamed_presentation)
 from pemb.fields import MAX_PRIME, QQ, is_prime
-from pemb.graded import DegreeWindow
+from pemb.graded import DegreeWindow, cohomology
 from pemb.linalg import Matrix
 from pemb.parser import ParseError, emit_explicit, parse, parse_file
 
@@ -470,7 +470,8 @@ DIFFERENT = [RENAMED.replace("w deg 4", "w deg 6"),
 
 def test_a_renamed_presentation_shares_the_checked_algebra(tmp_path):
     """A block equal to an earlier one up to its generator names gets the
-    earlier algebra's tables and proof record, under its own names."""
+    earlier algebra's tables and proof record, under its own names, and a
+    complex of its own whose cohomology starts unset."""
     pf = parse(SHARED + RENAMED)
     a, b = pf.algebras["A"].cdga, pf.algebras["B"].cdga
     assert a.proven_generators is not None
@@ -478,6 +479,13 @@ def test_a_renamed_presentation_shares_the_checked_algebra(tmp_path):
         assert getattr(b, attr) is getattr(a, attr), attr
     assert b.complex.d.blocks is a.complex.d.blocks
     assert b.presentation is a.presentation
+    # a copy made after the original's cohomology is known starts without it
+    assert cohomology(a.complex) is a.complex._cohomology
+    c = renamed_presentation(a, ["p", "q", "r"])
+    assert c.complex is not a.complex and c.complex._cohomology is None
+    assert c.proven_generators is a.proven_generators
+    assert c.space.labels[5] == ("p*q",) and c.complex.d.target is c.space
+    assert type(c) is Cdga and type(c.complex.d) is type(a.complex.d)
     assert (pf.algebras["A"].gen_names, pf.algebras["B"].gen_names) == (
         ["x", "y", "z"], ["u", "v", "w"])
     assert a.space.labels[5] == ("x*y",) and b.space.labels[5] == ("u*v",)

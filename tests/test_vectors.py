@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from builders import (S3S1_IN_S3S11, SULLIVAN_S2_IN_S9, complex_projective,
+from builders import (SULLIVAN_S2_IN_S9, complex_projective,
                       product_s2_s4, sphere, sullivan_cp2, torus_s1_s7, wedge_s2_s4)
 from dense import (DenseCdga, col, cols, dense_apply, dense_table, is_zero_vec,
                    lift as lift_vec, top_degree, unit_vec)
@@ -244,7 +244,7 @@ def pipeline_problem_files(directory):
     """Paths of the shipped examples, the problems of the test suite and
     every rung of the benchmark ladders at seed 1."""
     paths = [str(cli.example_path(name)) for name in sorted(cli.EXAMPLES)]
-    texts = {"sullivan_s2_in_s9": SULLIVAN_S2_IN_S9, "s3s1_in_s3s11": S3S1_IN_S3S11}
+    texts = {"sullivan_s2_in_s9": SULLIVAN_S2_IN_S9}
     for workload in ladder.WORKLOADS:
         texts.update((key, prob.text) for key, prob in ladder.build(workload, 1).problems.items())
     for key, text in texts.items():
