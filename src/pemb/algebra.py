@@ -428,10 +428,11 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
 
     The result is proven here, not walked: it keeps `generating_set` of
     its table as its proof record, as a passing `check_cdga` would.
-    Given `_merge_sign`, `normal_form` and `_groebner_basis`, the checks
-    below make every axiom hold.  Merging sorted monomials with the
-    Koszul sign is the product of the free graded-commutative algebra
-    F(V), associative and graded commutative with unit the empty
+    Given `_merge_sign` (the sign of d and of the Groebner basis), the
+    mask sign of the product loop, `normal_form` and `_groebner_basis`,
+    the checks below make every axiom hold.  Merging sorted monomials
+    with the Koszul sign is the product of the free graded-commutative
+    algebra F(V), associative and graded commutative with unit the empty
     monomial; generator degrees are positive, so F(V) is nonnegatively
     graded with F(V)^0 spanned by 1.  `_d_mono` extends d from the
     generators by the Leibniz rule, so d is a derivation, of degree +1
@@ -449,11 +450,16 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
     raises instead.
 
     The product table lists both orders of every nonzero product, keys
-    in the order of the loops over (d1, d2, i1, i2).  Each unordered pair
-    of standard monomials is merged once, at the first of its two keys;
+    in the order of the loops over (d1, d2, i1, i2), i2 only where m2
+    shares with m1 no generator of zero square.  Each unordered pair of
+    standard monomials is merged once, at the first of its two keys;
     the second key is written as the Koszul sign (-1)^(d1 d2) times the
     vector stored at the first, since m2 m1 = (-1)^(|m1||m2|) m1 m2 in
-    the free algebra and both merge into one monomial.
+    the free algebra and both merge into one monomial.  The mask sign of
+    a merge is `_merge_sign`'s, (-1)^k, k the number of odd generators
+    a of m1 and b of m2 with a > b: the parity of the bits of
+    above(m1) & odd(m2), odd(m) the bitmask of m's odd generators and
+    above(m) the XOR of 2^a - 1 over them.
     """
     if window.lo != 0:
         raise AlgebraError("algebra window must start at 0")
@@ -508,18 +514,23 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
     dblocks = {}
     for d in space.degrees():
         cols = [pres.normal_form(_d_mono(field, m, dgen, gen_degs, hi))
-                for m in standard[d]]
+                if not dgen.keys().isdisjoint(m) else {} for m in standard[d]]
         dblocks[d] = Matrix.from_cols(field, cols, space.dim(d + 1))
     complex_ = CochainComplex(space, GradedLinearMap(space, space, 1, dblocks))
 
-    # the generators of each standard monomial whose square is zero, as a
-    # bitmask: the odd ones, and those g with (g, g) a one-term element of
-    # the Groebner basis.  A standard monomial holds such a g at most
-    # once, and two that share one multiply into the ideal, so the pair
-    # is skipped before its merge.
+    # The generators whose square is zero: the odd ones, and those g with
+    # (g, g) a one-term element of the Groebner basis.  A standard
+    # monomial holds such a g at most once, and two that share one
+    # multiply into the ideal, so the positions of degree d2 live for m1
+    # are those outside held[d2][g], the bitset of positions whose
+    # monomial holds g, for each such g of m1.  odds[d][i] is odd(m) of
+    # the mask sign, for m the i-th standard monomial of degree d.
     squared = {lm[0] for lm, p in basis if len(p) == 1 and len(lm) == 2 and lm[0] == lm[1]}
-    nil = {d: [sum(1 << g for g in m if gen_degs[g] % 2 or g in squared) for m in ms]
-           for d, ms in standard.items()}
+    nil = [g for g, e in enumerate(gen_degs) if e % 2 or g in squared]
+    held = {d: {g: sum(1 << i for i, m in enumerate(ms) if g in m) for g in nil}
+            for d, ms in standard.items()}
+    odds = {d: [sum(1 << g for g in m if gen_degs[g] % 2) for m in ms]
+            for d, ms in standard.items()}
     product = {}
 
     def store(key, v, d):
@@ -535,11 +546,18 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
             if d > hi or space.dim(d) == 0:
                 continue
             odd = (d1 * d2) % 2
+            ms2, held2, odds2 = standard[d2], held[d2], odds[d2]
             for i1, m1 in enumerate(standard[d1]):
-                nil1 = nil[d1][i1]
+                live, above1 = (1 << len(ms2)) - 1, 0
+                for g in m1:
+                    live &= ~held2.get(g, 0)
+                    if gen_degs[g] % 2:
+                        above1 ^= (1 << g) - 1
                 # the keys (d2, i2) before (d1, i1), whose pairs are merged
-                merged = len(standard[d2]) if d2 < d1 else i1 if d2 == d1 else 0
-                for i2, m2 in enumerate(standard[d2]):
+                merged = len(ms2) if d2 < d1 else i1 if d2 == d1 else 0
+                while live:
+                    i2 = (live & -live).bit_length() - 1
+                    live &= live - 1
                     if i2 < merged:
                         # merged at the reversed key: m1 m2 = +-m2 m1
                         v = product.get((d2, i2, d1, i1))
@@ -547,11 +565,9 @@ def materialize_free_cdga(field, generators, diffs, relations, window):
                             store((d1, i1, d2, i2),
                                   scaled(field, field.minus_one, v) if odd else v, d)
                         continue
-                    if nil1 & nil[d2][i2]:
-                        continue
-                    s, prod = _merge_sign(field, m1, m2, gen_degs)
-                    w = pres.monomial_form(prod)
+                    w = pres.monomial_form(tuple(sorted(m1 + ms2[i2])))
                     if w:
+                        s = field.sign((above1 & odds2[i2]).bit_count())
                         # a read-only vector may be shared, not copied
                         store((d1, i1, d2, i2), w if s == field.one
                               else scaled(field, s, w), d)

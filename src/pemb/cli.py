@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from importlib import resources
 
 from .algebra import AlgebraError, cohomology_algebra
 from .cones import ConeError
@@ -220,6 +219,8 @@ COMMANDS = {
 
 
 def example_path(name):
+    # imported here: it costs a run that names no example about 15 ms
+    from importlib import resources
     ref = resources.files("pemb").joinpath("data", name + ".pemb")
     if not ref.is_file():
         raise ParseError(0, "no example named %r" % name)

@@ -13,6 +13,16 @@ computes rho at each slot once.  Each round in degree j reads H^j(P)
 and rho in degree j alone, from the stored columns of d out of degrees
 j - 1 and j and of rho at j; P and H(P) are assembled once, after the
 last round.
+
+The closing-round lemma.  Over a connected A, a round in degree j that
+finds H^j(P) -> H^j(M) injective and adds generators v_t with d = 0 and
+rho(v_t) = z_t, for the classes [z_t] missing from its image, closes
+degree j.  The new slots of degree j are the e x v_t, e the basis
+element of A^0, cocycles as d(e) = 0; none lies in degree j - 1, and no
+d of an old slot has a term on them.  So H^j(P) gains exactly their
+classes, which rho sends to nonzero multiples of the [z_t]: the induced
+map becomes onto and stays injective, and a next round would add
+nothing.
 """
 
 from __future__ import annotations
@@ -510,11 +520,14 @@ def semifree_resolution(m, window=None):
 
     Generators are added in degree order: first cokernel generators
     (d = 0) hitting missed classes, then kernel-killing generators one
-    degree below.  Minimality, no d(g) with a term 1 x g', is checked on
+    degree below; adding cokernel generators to an injective induced map
+    closes the degree, by the closing-round lemma of the module
+    docstring.  Minimality, no d(g) with a term 1 x g', is checked on
     the result, and a differential that breaks it raises.  A degree that
     takes more than MAX_ROUNDS rounds, or adds more than
-    MAX_DEGREE_GENERATORS generators, raises.  The window bounds the
-    resolution itself and defaults to the target's.
+    MAX_DEGREE_GENERATORS generators, raises; the round after a closing
+    one tests these bounds before it ends the degree.  The window bounds
+    the resolution itself and defaults to the target's.
 
     rho is checked as a chain map on the generators alone
     (`checks.check_chain_map_on`), after the index test of m, and is
@@ -552,12 +565,12 @@ def semifree_resolution(m, window=None):
 
     coh_m = cohomology(m.complex)
     for j in range(window.lo, window.hi + 1):
-        first = len(gens)
+        first, closed = len(gens), False
         for round_ in range(MAX_ROUNDS + 1):
             if round_ == MAX_ROUNDS or len(gens) - first > MAX_DEGREE_GENERATORS:
                 raise ModuleError("semifree resolution did not stabilize in degree %d" % j)
-            if not fb.dims.get(j) and not coh_m.dim(j):
-                break   # P^j = 0 and H^j(m) = 0: nothing to read or to hit
+            if closed or (not fb.dims.get(j) and not coh_m.dim(j)):
+                break   # the degree is done, or P^j = 0 and H^j(m) = 0
             # H^j(P) and rho at j on the generators so far, from the
             # blocks of d out of degree j and into it
             _, reps, _ = degree_cohomology(field, fb.dims.get(j, 0), fb.d_block(j),
@@ -578,6 +591,8 @@ def semifree_resolution(m, window=None):
                 for t in missing:
                     gi = len(gens)
                     add(FreeGenerator("v%d_%d" % (j, gi), j), coh_m.reps[j][t])
+                # closing-round lemma: each image column a pivot, H^j(rho) injective
+                closed = len(pivots) - len(missing) == n_img
                 continue
             # kernel of the induced map, from the first n_img columns of red
             kern = reduced_kernel(red, pivots, n_img)

@@ -10,6 +10,11 @@ the earlier loop, run on a materialized algebra's presentation.
 acting on itself and then restricted the dual along phi; they now
 restrict first.  `dualize_then_restrict` is the earlier order.
 
+`semifree_resolution` once took, after each round that added cokernel
+generators, one more round in the same degree, which found nothing to
+add where the induced map had been injective; a round now closes its
+degree there.  `resolution_with_confirming_rounds` is the earlier loop.
+
 `restrict_scalars` once grouped every entry of the module's action by
 its algebra element; it now groups only the entries on the elements
 that phi's rows name.  `restrict_grouping_every_element` is the earlier
@@ -17,8 +22,10 @@ form.
 """
 
 from pemb.algebra import _merge_sign
-from pemb.linalg import axpy, scaled
-from pemb.modules import DgModule, algebra_as_module, restrict_scalars, shifted_dual
+from pemb.graded import GradedLinearMap, cohomology, degree_cohomology
+from pemb.linalg import Matrix, axpy, reduced_kernel, scaled
+from pemb.modules import (DgModule, FreeGenerator, _FreeBuilder, algebra_as_module,
+                          restrict_scalars, shifted_dual)
 
 
 def every_pair_product(a):
@@ -48,6 +55,51 @@ def every_pair_product(a):
                         product[(d1, i1, d2, i2)] = (w if s == field.one
                                                      else scaled(field, s, w))
     return product
+
+
+def resolution_with_confirming_rounds(m, window):
+    """(generators, index, P, rho) of the semifree resolution of `m` on
+    `window`, each degree ending only at a round that adds nothing: the
+    earlier round loop of `semifree_resolution`, without its bounds and
+    its checks."""
+    a, field = m.algebra, m.field
+    fb = _FreeBuilder(a, window)
+    rho_cols = {}
+
+    def add(gen, rho_val, dval=None):
+        for d, e, ib in fb.add(gen, dval):
+            rho_cols.setdefault(d, []).append(
+                m.act_vec(e, a.basis_vec(e, ib), gen.degree, rho_val))
+
+    coh_m = cohomology(m.complex)
+    for j in range(window.lo, window.hi + 1):
+        while fb.dims.get(j) or coh_m.dim(j):
+            _, reps, _ = degree_cohomology(field, fb.dims.get(j, 0), fb.d_block(j),
+                                           fb.d_block(j - 1))
+            rho = Matrix.from_cols(field, rho_cols.get(j, ()), m.space.dim(j))
+            img_cols = [coh_m.reduce(j, rho.apply(z)) for z in reps]
+            n_img, hm_dim = len(img_cols), coh_m.dim(j)
+            eye = [{t: field.one} for t in range(hm_dim)]
+            red, pivots = Matrix.from_cols(field, img_cols + eye, hm_dim).rref()
+            missing = [p - n_img for p in pivots if p >= n_img]
+            for t in missing:
+                add(FreeGenerator("v%d_%d" % (j, len(fb.gens)), j), coh_m.reps[j][t])
+            if missing:
+                continue
+            kern = reduced_kernel(red, pivots, n_img)
+            if not kern:
+                break
+            for v in kern:
+                z = {}
+                for t, c in v.items():
+                    axpy(field, z, c, reps[t])
+                add(FreeGenerator("u%d_%d" % (j, len(fb.gens)), j - 1),
+                    coh_m.write_coboundary(j, rho.apply(z)), z)
+    P, index = fb.assemble()
+    rho = GradedLinearMap(P.space, m.space, 0,
+                          {d: Matrix.from_cols(field, cols, m.space.dim(d))
+                           for d, cols in rho_cols.items()})
+    return fb.gens, index, P, rho
 
 
 def dualize_then_restrict(phi, n):

@@ -496,22 +496,26 @@ def test_pairs_skipped_on_squares_match_dense_reference(field):
 
 def test_merges_on_sphere_products_follow_the_stored_products(monkeypatch):
     """(S^2)^k, k = 2..6: the pairs that share a generator x_i, with x_i^2
-    a relation, are skipped before they are merged, so the merges number
-    the 3^k stored products and at most 3k more."""
+    a relation, are never visited, and the second key of a pair is
+    written from the first, so the product loop forms one class per
+    unordered pair of disjoint standard monomials, (3^k + 1) / 2 for the
+    3^k stored products."""
     calls = []
+    form = algebra.FreePresentation.monomial_form
 
-    def counted(*args):
-        calls.append(args)
-        return _merge_sign(*args)
+    def counted(pres, t):
+        if sys._getframe(1).f_code.co_name == "materialize_free_cdga":
+            calls.append(t)
+        return form(pres, t)
 
-    monkeypatch.setattr(algebra, "_merge_sign", counted)
+    monkeypatch.setattr(algebra.FreePresentation, "monomial_form", counted)
     for k in range(2, 7):
         del calls[:]
         gens = [("x%d" % i, 2) for i in range(k)]
         a = materialize_free_cdga(QQ, gens, {}, [{(i, i): 1} for i in range(k)],
                                   DegreeWindow(0, 4 * k + 5))
         assert len(a.product) == 3 ** k
-        assert len(calls) <= len(a.product) + 3 * k, k
+        assert len(calls) == (3 ** k + 1) // 2, k
 
 
 def test_materialize_rejects_an_ideal_d_does_not_preserve():
@@ -663,6 +667,9 @@ def load_ladder():
 
 
 def test_d_runs_once_per_standard_monomial_and_relation_term(monkeypatch):
+    """d runs once per term of each relation, and once per standard
+    monomial that holds a generator with a differential: on the others
+    it is zero."""
     calls = []
     d_mono = algebra._d_mono
 
@@ -673,12 +680,15 @@ def test_d_runs_once_per_standard_monomial_and_relation_term(monkeypatch):
     monkeypatch.setattr(algebra, "_d_mono", counted)
     gens, diffs, rels, hi = PRESENTATIONS[0]
     a = materialize_free_cdga(QQ, gens, diffs, rels, DegreeWindow(0, hi))
-    assert len(calls) == a.space.total_dim() + sum(len(r) for r in rels)
-    # (S^2)^4 in S^20: the ambient's 2 standard monomials, the target's 16
-    # and its 4 one-term relations x_i^2
+    # of the standard monomials 1, x, y, x^2 only y holds y, d(y) = x^2
+    assert a.space.labels == {0: ("1",), 2: ("x",), 3: ("y",), 4: ("x^2",)}
+    assert calls[-1:] == [(1,)]
+    assert len(calls) == 1 + sum(len(r) for r in rels)
+    # (S^2)^4 in S^20: no generator has a differential, so d runs on the
+    # 4 one-term relations x_i^2 alone
     del calls[:]
     parse(load_ladder().build("sphere_quotient", 1).problems["spheres4"].text)
-    assert len(calls) == 2 + 16 + 4
+    assert len(calls) == 4
 
 
 CP12_IN_S48 = """field rational

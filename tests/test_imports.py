@@ -12,9 +12,14 @@ What only the tests read lives under `tests/`.  Every function, class
 and method defined under `src/pemb` must be named by some module under
 `src/pemb` or `bench/`, but for the few in `READ_BY_TESTS_ONLY`, each
 with its reason.
+
+A run that names no shipped example does not import `importlib.resources`:
+under `python3 -S -X importtime` it costs about 15 ms, and only
+`cli.example_path` reads it.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -151,3 +156,13 @@ def test_the_package_defines_only_what_it_or_the_benchmark_reads():
     found = {name for path in sorted(SRC.glob("*.py"))
              for _, name in unnamed_definitions(ast.parse(path.read_text()), readers)}
     assert found == set(READ_BY_TESTS_ONLY)
+
+
+def test_importing_the_cli_leaves_importlib_resources_unloaded():
+    """A fresh interpreter without site packages imports `pemb.cli` and
+    finds no `importlib.resources` among its modules."""
+    code = ("import sys; sys.path.insert(0, %r); import pemb.cli; "
+            "print('importlib.resources' in sys.modules)" % str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"

@@ -19,6 +19,7 @@ from pemb.graded import (DegreeWindow, GradedLinearMap, cohomology, dualize,
 from pemb.linalg import Matrix
 from pemb.parser import parse
 from homotopy import HomComplex, homotopy_classes
+from repeated import resolution_with_confirming_rounds
 from pemb.modules import (DgModule, DgModuleMorphism, FreeGenerator, ModuleError,
                           algebra_as_module, direct_sum_modules, dual_module,
                           homotopy_between, module_mapping_cone,
@@ -242,7 +243,10 @@ def every_resolution(monkeypatch, field):
     `punctured-square`, `dgmodule-square` and `stable-square` build on a
     shipped example over `field`, then of the ground field over S^2,
     CP^2 and the Sullivan model of CP^2, whose kernel-killing generators
-    have d != 0; the shipped examples' generators have d = 0."""
+    have d != 0; the shipped examples' generators have d = 0.  Last, of
+    k + k[-2] over S^2, x acting as 0: its round in degree 2 adds the
+    missing class [1] of k[-2] while x.v0 spans the kernel, so the
+    degree goes on."""
     resolved = []
     resolve = modules.semifree_resolution
 
@@ -269,6 +273,12 @@ def every_resolution(monkeypatch, field):
         ground, _ = free_module(a, [FreeGenerator("g", 0)], {}, DegreeWindow(0, 0))
         recorded_resolution(ground, window=a.space.window)
     assert sum(len(res.module.complex.d.blocks) for _, res in resolved[-3:]) > 10
+    a = sphere(2, hi=7, field=field)
+    ground, _ = free_module(a, [FreeGenerator("g", 0)], {}, DegreeWindow(0, 0))
+    split, _ = direct_sum_modules([ground, suspend_module(ground, -2)])
+    res = recorded_resolution(split, window=a.space.window)
+    assert [(g.label, g.degree) for g in res.generators[:3]] == [
+        ("v0_0", 0), ("v2_1", 2), ("u2_2", 1)]
     return resolved
 
 
@@ -303,13 +313,30 @@ def test_grown_resolutions_match_the_one_shot_free_module(monkeypatch, field):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "F10007"])
+def test_closing_rounds_give_the_resolution_of_the_confirming_rounds(monkeypatch, field):
+    """Every resolution of `every_resolution`, over Q and over F_10007,
+    has the generators, index, tables of P and rho that the earlier loop
+    builds, which ends a degree only at a round that adds nothing."""
+    for m, res in every_resolution(monkeypatch, field):
+        gens, index, P, rho = resolution_with_confirming_rounds(
+            m, res.module.space.window)
+        assert gens == res.generators
+        assert index == res.index
+        assert res.module.space.labels == P.space.labels
+        assert res.module.action == P.action
+        assert res.module.complex.d.blocks == P.complex.d.blocks
+        assert res.rho.map.blocks == rho.blocks
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(10007)], ids=["Q", "F10007"])
 def test_each_round_reads_the_cohomology_of_the_p_it_has(monkeypatch, field):
     """Each round of every resolution of `every_resolution` computes H^j
     of the P grown so far from the two blocks of d at j alone: its
     cocycles are the kernel of P's block out of degree j, and its classes
     and decomposition are those that `cohomology` of P, assembled at that
     round, holds in degree j.  A round where P^j and H^j(m) are both zero
-    stops before it, so 151 rounds read H^j."""
+    stops before it, and so does the round after one that closed its
+    degree, so 113 rounds read H^j."""
     rounds = []
     step = modules.degree_cohomology
 
@@ -325,8 +352,8 @@ def test_each_round_reads_the_cohomology_of_the_p_it_has(monkeypatch, field):
 
     monkeypatch.setattr(modules, "degree_cohomology", checked_step)
     every_resolution(monkeypatch, field)
-    assert len(rounds) == 151
-    assert sum(1 for _, k in rounds if k) >= 50
+    assert len(rounds) == 113
+    assert sum(1 for _, k in rounds if k) == 34
 
 
 def exterior_in_s6():
@@ -355,9 +382,11 @@ def test_semifree_cokernel_step_eliminates_once_per_round(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(Matrix, name, counted(name, getattr(Matrix, name)))
-    # rref calls when the cokernel step compared two ranks per class
-    for m, window, rank_pairs_rrefs in ((algebra_as_module(sullivan_cp2()), None, 38),
-                                        (exterior_in_s6(), DegreeWindow(0, 7), 40)):
+    # rref calls, 38 and 40 when the cokernel step compared two ranks per
+    # class, 19 and 9 before a round that adds the missing classes to an
+    # injective induced map closed its degree
+    for m, window, rrefs in ((algebra_as_module(sullivan_cp2()), None, 18),
+                             (exterior_in_s6(), DegreeWindow(0, 7), 6)):
         calls.update(dict.fromkeys(calls, 0))
         per_round.clear()
         res = semifree_resolution(m, window=window)
@@ -369,7 +398,7 @@ def test_semifree_cokernel_step_eliminates_once_per_round(monkeypatch):
         # degree of H(P) or H(m)
         degrees = set(cohomology(res.module.complex).dims) | set(cohomology(m.complex).dims)
         assert seen["rank"] == len(degrees)
-        assert seen["rref"] < rank_pairs_rrefs
+        assert seen["rref"] == rrefs
 
 
 def test_semifree_resolution_generators_and_rho_are_unchanged():
@@ -438,6 +467,17 @@ def test_a_resolution_stops_after_its_rounds(monkeypatch, tmp_path):
     path.write_text(point_in_torus(2))
     assert run_cli(["complement", str(path)])[:2] == (2, "")
     assert len(added) == 15
+
+
+@pytest.mark.parametrize("bound, value", [("MAX_ROUNDS", 1), ("MAX_DEGREE_GENERATORS", 0)])
+def test_a_closing_round_still_meets_the_bounds(monkeypatch, bound, value):
+    """The round after a closing one meets the bounds before it ends the
+    degree: the ground field over S^2, whose round in degree 0 adds v0
+    and closes it, raises there as when that round ran whole."""
+    monkeypatch.setattr(modules, bound, value)
+    ground, _ = free_module(s2(), [FreeGenerator("g", 0)], {}, DegreeWindow(0, 0))
+    with pytest.raises(ModuleError, match="did not stabilize in degree 0$"):
+        semifree_resolution(ground, window=DegreeWindow(0, 7))
 
 
 def test_module_mapping_cone():

@@ -120,7 +120,8 @@ def test_the_largest_rungs_skip_the_empty_rounds_and_the_unnamed_elements(
         monkeypatch, tmp_path):
     """On the largest rung of each workload at seed 1, the resolutions
     build blocks of d only in the rounds of a degree where P or H^j of
-    the resolved module is nonzero, and each restriction groups only the
+    the resolved module is nonzero, and not in the round after one that
+    closed its degree; each restriction groups only the
     entries of its module's action on the elements that phi names:
     (entries grouped, entries in the table), one pair per restriction."""
     d_blocks = []
@@ -140,9 +141,9 @@ def test_the_largest_rungs_skip_the_empty_rounds_and_the_unnamed_elements(
 
     monkeypatch.setattr(modules._FreeBuilder, "d_block", counted)
     for workload, name, command, blocks, groups in (
-            ("torus_checks", "torus5", "complement", 30, [(32, 243)]),
-            ("menorah_fp", "menorah16", "dgmodule-square", 10, [(2, 3), (32, 48)]),
-            ("sphere_quotient", "spheres4", "stable-square", 17, [(16, 81)])):
+            ("torus_checks", "torus5", "complement", 18, [(32, 243)]),
+            ("menorah_fp", "menorah16", "dgmodule-square", 6, [(2, 3), (32, 48)]),
+            ("sphere_quotient", "spheres4", "stable-square", 15, [(16, 81)])):
         path = tmp_path / (name + ".pemb")
         path.write_text(ladder.build(workload, 1).problems[name].text)
         d_blocks.clear()
