@@ -20,6 +20,7 @@ from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
                      InternalError, cohomology, direct_sum,
                      quasi_isomorphism_failure, truncation_spans)
 from .linalg import Matrix, axpy, scaled, sparse_sum
+from .tables import bilinear, swapped
 
 
 class AlgebraError(ValueError):
@@ -47,10 +48,8 @@ class Cdga:
         self.product = product
         # every nonzero product of two basis elements, in both orders; a
         # table that lists both already is shared, not copied
-        missing = {(d2, i2, d1, i1): v if (d1 * d2) % 2 == 0
-                   else scaled(field, field.minus_one, v)
-                   for (d1, i1, d2, i2), v in self.product.items()
-                   if (d2, i2, d1, i1) not in self.product}
+        missing = swapped(field, {(d1, i1, d2, i2): v for (d1, i1, d2, i2), v in product.items()
+                                  if (d2, i2, d1, i1) not in product})
         self.both_orders = {**self.product, **missing} if missing else self.product
         # the generating set S of a passing `check_cdga`, its proof record
         self.proven_generators = None
@@ -58,14 +57,7 @@ class Cdga:
     # -- multiplication -------------------------------------------------
 
     def mul_vec(self, d1, v1, d2, v2):
-        out = {}
-        field, table = self.field, self.both_orders
-        for i1, c1 in v1.items():
-            for i2, c2 in v2.items():
-                w = table.get((d1, i1, d2, i2))
-                if w is not None:
-                    axpy(field, out, c1 * c2, w)
-        return out
+        return bilinear(self.field, self.both_orders, d1, v1, d2, v2)
 
     def basis_vec(self, d, i):
         return {i: self.field.one}

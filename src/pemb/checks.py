@@ -46,7 +46,7 @@ first factor lies in a generating set S, a chunk of S at a time, and
 walks the rest only for an algebra that fails, to name its witness:
 each axiom in turn, one degree of the first factor at a time.  The
 products of a chunk's first factors are built once, and commutativity
-writes out the two sides only at the pairs that differ.
+compares them with their Koszul transposes (`tables.swapped`).
 
 Where A^0 is a line <e> and the unit is 1 = c e, one direct pass over
 the entries (0, 0, d, i) and (d, i, 0, 0) decides the unit laws, each
@@ -225,7 +225,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, axpy, scaled
+from .linalg import Matrix, axpy
+from .tables import (by, by_degree, coefficients, columns, on_firsts, substituted, swapped,
+                     through)
 
 _MESSAGES = {
     "grading": "algebra must be nonnegatively graded",
@@ -266,69 +268,6 @@ class Witness:
     def __str__(self):
         text = _MESSAGES[self.axiom]
         return text % self.labels if "%s" in text else text
-
-
-# A table maps a key, the flat tuple (d1, i1, d2, i2, ...) of a sequence
-# of basis elements (degree, index), to a vector: the tables of `Cdga`
-# and `DgModule` as they are stored.
-
-
-def _columns(glm):
-    """{(d, j): image of basis element (d, j)} over the nonzero columns of
-    a map."""
-    cols = {}
-    for d, m in glm.blocks.items():
-        for r, row in enumerate(m.rows):
-            for j, x in row.items():
-                cols.setdefault((d, j), {})[r] = x
-    return cols
-
-
-def _by(table, side):
-    """{basis element at position `side` of a key: [(rest of the key, vector)]}."""
-    out = {}
-    at = 2 * side
-    for key, v in table.items():
-        out.setdefault(key[at:at + 2], []).append((key[:at] + key[at + 2:], v))
-    return out
-
-
-def _through(field, table, index, raise_by=0):
-    """{key + rest: sum of c * w} over each entry key -> v of `table`,
-    each coefficient c of v at basis element b = (degree of key +
-    raise_by, k) and each (rest, w) that `index` lists under b."""
-    out = {}
-    for key, v in table.items():
-        deg = sum(key[0::2]) + raise_by
-        for k, c in v.items():
-            for rest, w in index.get((deg, k), ()):
-                axpy(field, out.setdefault(key + rest, {}), c, w)
-    return out
-
-
-def _coefficients(table, raise_by=0):
-    """{basis element b: [(key, c)]}: each entry key -> v of `table` under
-    each b = (degree of key + raise_by, k) with v[k] = c."""
-    out = {}
-    for key, v in table.items():
-        deg = sum(key[0::2]) + raise_by
-        for k, c in v.items():
-            out.setdefault((deg, k), []).append((key, c))
-    return out
-
-
-def _prepended(field, index, coefficients, out=None, sign=None):
-    """Add c * w to out[rest + key] for each (rest, w) that `index` lists
-    under a basis element b and each (key, c) that the `_coefficients` of
-    a table list under b; with `sign`, c also picks up sign(degree of
-    the first element of rest)."""
-    out = {} if out is None else out
-    for b, pairs in index.items():
-        for key, c in coefficients.get(b, ()):
-            for rest, w in pairs:
-                axpy(field, out.setdefault(rest + key, {}),
-                     c * sign(rest[0]) if sign else c, w)
-    return out
 
 
 def _degree_major(key):
@@ -392,7 +331,7 @@ def _unit_law(unit, table, sides, space):
     tried in turn on each element."""
     one = space.field.one
     ident = {(d, i): {i: one} for d in space.degrees() for i in range(space.dim(d))}
-    found = [_first_failure(axiom, _through(space.field, {(): unit}, _by(
+    found = [_first_failure(axiom, through(space.field, {(): unit}, by(
         {k: v for k, v in table.items() if not k[2 * slot]}, slot)), ident, (space,), space)
         for axiom, slot in sides]
     return min((w for w in found if w), key=lambda w: w.basis, default=None)
@@ -407,13 +346,12 @@ def _unit_failure(a, table, sides, space):
 def _chain_map(f, source, target, axiom, firsts=None):
     """First basis element e of `source` with d f(e) != f(d e), for a
     degree-0 map f; with `firsts`, only the e in it."""
-    field, fcol = target.field, _columns(f)
-    ecol, dcol = fcol, _columns(source.d)
+    field, fcol = target.field, columns(f)
+    ecol, dcol = fcol, columns(source.d)
     if firsts is not None:
-        ecol = {e: v for e, v in fcol.items() if e in firsts}
-        dcol = {e: v for e, v in dcol.items() if e in firsts}
-    return _first_failure(axiom, _through(field, ecol, _by(_columns(target.d), 0)),
-                          _through(field, dcol, _by(fcol, 0), raise_by=1),
+        ecol, dcol = on_firsts(fcol, firsts), on_firsts(dcol, firsts)
+    return _first_failure(axiom, through(field, ecol, by(columns(target.d), 0)),
+                          through(field, dcol, by(fcol, 0), raise_by=1),
                           (source.space,), target.space, raise_by=1)
 
 
@@ -473,18 +411,18 @@ class _Walk:
         self.algebra, self.field = a.space, a.field
         partial = module is not None and firsts is not None
         self.table = None if partial else _products(a, unit_free)
-        self.every = None if partial else _by(self.table, 0)
-        self.products = self.left = (_by(_products(a, unit_free, firsts), 0) if partial
+        self.every = None if partial else by(self.table, 0)
+        self.products = self.left = (by(_products(a, unit_free, firsts), 0) if partial
                                      else self.every)
-        self.d_algebra = d = _columns(a.complex.d)
+        self.d_algebra = d = columns(a.complex.d)
         self.space, action = a.space, self.table
         if module is not None:
             action = ({k: v for k, v in module.action.items() if k[0]} if unit_free
                       else module.action)
-            self.space, d = module.space, _columns(module.complex.d)
-            self.left = _by(action, 0)
-        self.acting_with = _coefficients(action)
-        self.d_index, self.d_with = _by(d, 0), _coefficients(d, raise_by=1)
+            self.space, d = module.space, columns(module.complex.d)
+            self.left = by(action, 0)
+        self.acting_with = coefficients(action)
+        self.d_index, self.d_with = by(d, 0), coefficients(d, raise_by=1)
 
     def failures(self, firsts, axioms):
         """The first failure of each of `axioms` in turn, or None where it
@@ -492,34 +430,29 @@ class _Walk:
         lazily, from the products xy and x.n of the first factors built
         once."""
         field, alg, sp, table = self.field, self.algebra, self.space, self.table
-        rows = {x + rest: v for x in firsts for rest, v in self.products.get(x, ())}
+        rows = {x + rest: v for x in firsts for _, rest, v in self.products.get(x, ())}
         # the actions x.n: with no module given, the products xy
         acts = rows if self.left is self.products else {
-            x + rest: v for x in firsts for rest, v in self.left.get(x, ())}
+            x + rest: v for x in firsts for _, rest, v in self.left.get(x, ())}
         # the actions x.k, indexed by k
-        right = _by(acts, 1)
+        right = by(acts, 1)
         for axiom in axioms:
             if axiom == "commutativity":
-                # xy and (-1)^(|x||y|) yx, written out only where they differ
-                bad = [k for k, v in rows.items()
-                       if v != (table[k[2:] + k[:2]] if (k[0] * k[2]) % 2 == 0
-                                else scaled(field, field.minus_one, table[k[2:] + k[:2]]))]
-                yield _first_failure(
-                    axiom, {k: rows[k] for k in bad},
-                    {k: scaled(field, field.sign(k[0] * k[2]), table[k[2:] + k[:2]])
-                     for k in bad}, (sp, sp), sp) if bad else None
+                # xy and (-1)^(|x||y|) yx
+                yx = swapped(field, {k[2:] + k[:2]: table[k[2:] + k[:2]] for k in rows})
+                yield _first_failure(axiom, rows, yx, (sp, sp), sp)
             elif axiom.endswith("associativity"):
                 # (xy).n and x.(y.n); a module's defect is x.(y.n) - (xy).n
-                xy_n = _through(field, rows, self.left)
-                x_yn = _prepended(field, right, self.acting_with)
+                xy_n = through(field, rows, self.left)
+                x_yn = substituted(field, right, self.acting_with)
                 yield _first_failure(axiom, *((xy_n, x_yn) if axiom == "associativity"
                                               else (x_yn, xy_n)), (alg, alg, sp), sp)
             else:
                 # d(x.n) and d(x).n + (-1)^|x| x.d(n)
                 d = self.d_algebra
-                rhs = _through(field, {x: d[x] for x in firsts if x in d}, self.left, raise_by=1)
-                _prepended(field, right, self.d_with, rhs, sign=field.sign)
-                yield _first_failure(axiom, _through(field, acts, self.d_index), rhs,
+                rhs = through(field, {x: d[x] for x in firsts if x in d}, self.left, raise_by=1)
+                substituted(field, right, self.d_with, rhs, sign=field.sign)
+                yield _first_failure(axiom, through(field, acts, self.d_index), rhs,
                                      (alg, sp), sp, raise_by=1)
 
     def holds_on(self, firsts):
@@ -532,7 +465,7 @@ class _Walk:
         chunk, total = [], 0
         for x in firsts:
             n = sum(len(self.left.get((x[0] + rest[0], k), ()))
-                    for rest, v in self.products.get(x, ()) for k in v)
+                    for _, rest, v in self.products.get(x, ()) for k in v)
             if chunk and total + n > _CHUNK:
                 if not self._holds(chunk):
                     return False
@@ -550,7 +483,7 @@ class _Walk:
         first degree that fails."""
         alg = self.algebra
         if self.every is None:
-            self.products = self.every = _by(_products(self.a, self.unit_free), 0)
+            self.products = self.every = by(_products(self.a, self.unit_free), 0)
         for axiom in self.axioms:
             for deg in alg.degrees():
                 witness, = self.failures([(deg, i) for i in range(alg.dim(deg))], (axiom,))
@@ -562,10 +495,7 @@ class _Walk:
 def _products(a, unit_free, firsts=None):
     """The entries of `a.both_orders`: with `firsts`, those whose first
     factor lies in it; with `unit_free`, those with no factor of degree 0."""
-    table = a.both_orders
-    if firsts is not None:
-        wanted = set(firsts)
-        table = {k: v for k, v in table.items() if k[:2] in wanted}
+    table = a.both_orders if firsts is None else on_firsts(a.both_orders, set(firsts))
     return {k: v for k, v in table.items() if k[0] and k[2]} if unit_free else table
 
 
@@ -576,10 +506,8 @@ def generating_set(a):
     stored products uv, 0 < |u|, |v| < n, one per unordered pair."""
     sp = a.space
     first = min(a.unit)
-    products = {}
-    for (d1, i1, d2, i2), v in a.both_orders.items():
-        if d1 and d2 and (d1, i1) <= (d2, i2):
-            products.setdefault(d1 + d2, []).append(v)
+    products = by_degree({(d1, i1, d2, i2): v for (d1, i1, d2, i2), v in a.both_orders.items()
+                          if d1 and d2 and (d1, i1) <= (d2, i2)})
     return ([(0, i) for i in range(sp.dim(0)) if i != first]
             + _off_pivots(a.field, sp, products, [d for d in sp.degrees() if d]))
 
@@ -587,10 +515,7 @@ def generating_set(a):
 def module_generating_set(m):
     """G of the module docstring: in each degree the basis elements off
     the pivots of one `rref` of the stored actions x.n with |x| > 0."""
-    actions = {}
-    for (d1, _, d2, _), v in m.action.items():
-        if d1:
-            actions.setdefault(d1 + d2, []).append(v)
+    actions = by_degree({k: v for k, v in m.action.items() if k[0]})
     return _off_pivots(m.field, m.space, actions, m.space.degrees())
 
 
@@ -621,7 +546,7 @@ def check_cdga_morphism(f):
     if fu != tgt.unit:
         axpy(field, fu, field.minus_one, tgt.unit)
         return Witness("unit preservation", (), (), 0, fu)
-    fcol = _columns(f.map)
+    fcol = columns(f.map)
     hi = min(src.space.window.hi, tgt.space.window.hi)
     s = src.proven_generators
     if (s is not None and tgt.proven_generators is not None
@@ -640,15 +565,15 @@ def _multiplicativity(f, fcol, hi, firsts=None):
     field = tgt.field
     products, xcols, tproducts = src.both_orders, fcol, tgt.both_orders
     if firsts is not None:
-        xcols = {x: v for x, v in fcol.items() if x in firsts}
+        xcols = on_firsts(fcol, firsts)
         support = {(x[0], k) for x, v in xcols.items() for k in v}
         lo = 0 if _line_unit(src) is None else 1
-        products = {k: v for k, v in products.items() if k[:2] in firsts and k[2] >= lo}
-        tproducts = {k: v for k, v in tproducts.items() if k[:2] in support and k[2] >= lo}
+        products = {k: v for k, v in on_firsts(products, firsts).items() if k[2] >= lo}
+        tproducts = {k: v for k, v in on_firsts(tproducts, support).items() if k[2] >= lo}
     # f(xy) and f(x)f(y), through the products t f(y) of target elements t
-    t_fy = _prepended(field, _by(tproducts, 1), _coefficients(fcol))
-    return _first_failure("multiplicativity", _through(field, products, _by(fcol, 0)),
-                          _through(field, xcols, _by(t_fy, 0)), (src.space, src.space),
+    t_fy = substituted(field, by(tproducts, 1), coefficients(fcol))
+    return _first_failure("multiplicativity", through(field, products, by(fcol, 0)),
+                          through(field, xcols, by(t_fy, 0)), (src.space, src.space),
                           tgt.space, keep=lambda key: key[0] + key[2] <= hi)
 
 
@@ -705,7 +630,7 @@ def check_module_morphism(f):
                or _chain_map(f.map, src.complex, tgt.complex, "module chain map"))
     if witness:
         return witness
-    fcol = _columns(f.map)
+    fcol = columns(f.map)
     if (src.proven_generators is not None and tgt.proven_generators is not None
             and src.algebra is tgt.algebra
             and _linearity(f, fcol, set(src.proven_generators[0])) is None):
@@ -734,9 +659,9 @@ def _linearity(f, fcol, firsts=None):
     src, tgt = f.source, f.target
     field, source_action, target_action = tgt.field, src.action, tgt.action
     if firsts is not None:
-        source_action = {k: v for k, v in source_action.items() if k[:2] in firsts}
-        target_action = {k: v for k, v in target_action.items() if k[:2] in firsts}
+        source_action = on_firsts(source_action, firsts)
+        target_action = on_firsts(target_action, firsts)
     return _first_failure(
-        "linearity", _through(field, source_action, _by(fcol, 0)),
-        _prepended(field, _by(target_action, 1), _coefficients(fcol)),
+        "linearity", through(field, source_action, by(fcol, 0)),
+        substituted(field, by(target_action, 1), coefficients(fcol)),
         (src.algebra.space, src.space), tgt.space, order=lambda key: key)

@@ -50,14 +50,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .algebra import AlgebraError, Cdga, CdgaMorphism, quotient_cdga
 from .checks import (check_cdga, check_module, check_module_morphism, generating_set,
                      outside_basis)
 from .graded import (GradedLinearMap, cohomology, quasi_isomorphism_failure,
                      rewindow, truncation_spans)
-from .linalg import axpy, scaled
+from .linalg import axpy
 from .modules import DgModule, module_mapping_cone
+from .tables import swapped
 
 
 class ConeError(ValueError):
@@ -117,15 +119,12 @@ class MappingConeAlgebra:
     def _build_product(self):
         """R's products in both orders, and its unit, where they are: R
         sits at the start of each degree; r.sx' as the cone module's
-        action on the sX columns, and sx.r' = (-1)^(|sx||r'|) r'.sx by
-        graded commutativity; sx.sx' = 0."""
-        product = dict(self.base.both_orders)
-        for (da, ia, dm, jm), v in self.cone_module.action.items():
-            if jm >= self.split.y_dim(dm):
-                product[(da, ia, dm, jm)] = v
-                product[(dm, jm, da, ia)] = (v if (da * dm) % 2 == 0 else
-                                             scaled(self.field, self.field.minus_one, v))
-        return product, self.base.unit
+        action on the sX columns, each followed by sx'.r =
+        (-1)^(|sx'||r|) r.sx' by graded commutativity; sx.sx' = 0."""
+        y_dim = self.split.y_dim
+        on_sx = {k: v for k, v in self.cone_module.action.items() if k[3] >= y_dim(k[2])}
+        pairs = zip(on_sx.items(), swapped(self.field, on_sx).items())
+        return {**self.base.both_orders, **dict(chain.from_iterable(pairs))}, self.base.unit
 
     def sx_degrees(self):
         return [d for d in self.space.degrees()

@@ -34,6 +34,7 @@ from .graded import (CochainComplex, GradedLinearMap, GradedVectorSpace,
                      InternalError, cohomology, degree_cohomology, direct_sum,
                      dualize, mapping_cone, quasi_isomorphism_failure, suspend)
 from .linalg import Matrix, axpy, reduced_kernel, scaled, sparse_sum
+from .tables import bilinear, by, coefficients, on_firsts, row_coefficients, substituted
 
 
 class ModuleError(ValueError):
@@ -66,14 +67,7 @@ class DgModule:
         return self.action.get((da, ia, dm, jm), {})
 
     def act_vec(self, da, av, dm, mv):
-        out = {}
-        field, table = self.field, self.action
-        for ia, c1 in av.items():
-            for jm, c2 in mv.items():
-                w = table.get((da, ia, dm, jm))
-                if w is not None:
-                    axpy(field, out, c1 * c2, w)
-        return out
+        return bilinear(self.field, self.action, da, av, dm, mv)
 
     def validate(self):
         witness = check_module(self)
@@ -119,22 +113,12 @@ class DgModuleMorphism:
 
 def restrict_scalars(m, phi):
     """View a module over the target of phi as a module over its source:
-    a.x = phi(a).x, combining the action entries along the columns of phi;
-    entries that cancel are dropped.  Only the entries on the elements
-    that phi's rows name are read.  Not re-checked: phi is a morphism,
-    so the axioms of m carry over."""
-    named = {(db, ib) for db, block in phi.map.blocks.items()
-             for ib, row in enumerate(block.rows) if row}
-    by_element = {}
-    for (db, ib, dm, jm), v in m.action.items():
-        if (db, ib) in named:
-            by_element.setdefault((db, ib), []).append((dm, jm, v))
-    action = {}
-    for da, block in phi.map.blocks.items():
-        for ib, row in enumerate(block.rows):
-            for ia, c in row.items():
-                for dm, jm, v in by_element.get((da, ib), ()):
-                    axpy(m.field, action.setdefault((da, ia, dm, jm), {}), c, v)
+    a.x = phi(a).x, contracted along phi's rows, in their order, indexing
+    only the entries on the elements they name; entries that cancel are
+    dropped.  Not re-checked: phi is a morphism, so m's axioms carry over."""
+    rows = row_coefficients(phi.map.blocks)
+    index = by(on_firsts(m.action, rows), 0)
+    action = substituted(m.field, {b: index[b] for b in rows if b in index}, rows)
     return DgModule(phi.source, m.complex, {k: v for k, v in action.items() if v})
 
 
@@ -240,11 +224,9 @@ def _linearity_rows(P, N, i, slots):
                 out_deg = am_deg + i
                 if N.space.dim(out_deg) == 0 and N.space.dim(dm + i) == 0:
                     continue
-                # (a . e_l)_t for the basis elements e_l of N^(dm+i), by t
-                us = {}
-                for l in range(N.space.dim(dm + i)):
-                    for t, x in N.act_basis(da, ia, dm + i, l).items():
-                        us.setdefault(t, []).append((l, x))
+                # (a . e_l)_t for the basis elements e_l of N^(dm+i), by (out_deg, t)
+                us = coefficients({(dm + i, l): N.act_basis(da, ia, dm + i, l)
+                                   for l in range(N.space.dim(dm + i))}, da)
                 for jm in range(P.space.dim(dm)):
                     w = P.act_basis(da, ia, dm, jm)
                     if not w and not us:
@@ -253,8 +235,8 @@ def _linearity_rows(P, N, i, slots):
                         terms = [(idx[(am_deg, t, j)], c) for j, c in w.items()
                                  if (am_deg, t, j) in idx]
                         # minus (-1)^(i da) (a . f(m))_t
-                        terms += [(idx[(dm, l, jm)], -sgn * x) for l, x in us.get(t, ())
-                                  if (dm, l, jm) in idx]
+                        terms += [(idx[(dm, l, jm)], -sgn * x)
+                                  for (_, l), x in us.get((out_deg, t), ()) if (dm, l, jm) in idx]
                         row = sparse_sum(field, terms)
                         if row:
                             rows.append(row)
@@ -425,9 +407,7 @@ class _FreeBuilder:
         self.action = {}
         self.d_cols = {}    # deg -> columns of d out of deg, by pos
         # the products a.b by the right factor b
-        self.by_right = {}
-        for (da, ia, e, ib), v in algebra.both_orders.items():
-            self.by_right.setdefault((e, ib), []).append((da, ia, v))
+        self.by_right = by(algebra.both_orders, 1)
 
     def add(self, gen, dval=None):
         """Append a generator with d(gen) = dval, a vector on the
@@ -449,7 +429,7 @@ class _FreeBuilder:
         for d, e, ib in new:
             jm = index[(gi, e, ib)][1]
             # a . (b x g) = (a b) x g, over the nonzero products in both orders
-            for da, ia, v in self.by_right.get((e, ib), ()):
+            for (da, ia), _, v in self.by_right.get((e, ib), ()):
                 if da + d <= hi:
                     self.action[(da, ia, d, jm)] = {index[(gi, da + e, ic)][1]: c
                                                     for ic, c in v.items()}

@@ -224,6 +224,16 @@ def _expect(toks, lineno, *pattern):
             raise ParseError(lineno, "expected %r, found %r" % (p, toks[i]))
 
 
+def _count(toks, lineno, what):
+    """The nonnegative integer toks[3], the `what` of a declaration."""
+    if toks[3] == "-":
+        raise ParseError(lineno, "%s must be a nonnegative integer, found %s"
+                         % (what, "".join(toks[3:])))
+    if not re.fullmatch(r"\d+", toks[3]):
+        raise ParseError(lineno, "%s must be an integer" % what)
+    return int(toks[3])
+
+
 def _parse_free_cdga(lines, pf):
     gens, diffs, relations = [], {}, []
     body = []
@@ -235,11 +245,12 @@ def _parse_free_cdga(lines, pf):
     for lineno, toks in body:
         if toks[0] == "generator":
             _expect(toks, lineno, "generator", None, "deg", None)
-            if not re.fullmatch(r"\d+", toks[3]):
-                raise ParseError(lineno, "degree must be an integer")
+            if toks[3] == "-":
+                raise ParseError(lineno, "generator %s must have positive degree" % toks[1])
+            degree = _count(toks, lineno, "degree")
             if any(g == toks[1] for g, _ in gens):
                 raise ParseError(lineno, "duplicate generator name %r" % toks[1])
-            gens.append((toks[1], int(toks[3])))
+            gens.append((toks[1], degree))
         elif toks[0] == "d":
             _expect(toks, lineno, "d", None, "=")
             diffs[toks[1]] = (lineno, _parse_terms(toks[3:], lineno))
@@ -324,9 +335,7 @@ def _parse_explicit_cdga(lines, pf):
             break
         if toks[0] == "basis":
             _expect(toks, lineno, "basis", None, "deg", None)
-            if not re.fullmatch(r"\d+", toks[3]):
-                raise ParseError(lineno, "degree must be an integer")
-            basis.append((lineno, toks[1], int(toks[3])))
+            basis.append((lineno, toks[1], _count(toks, lineno, "degree")))
         elif toks[0] == "product":
             _expect(toks, lineno, "product", None, None, "=")
             products.append((lineno, toks[1], toks[2],
@@ -594,9 +603,7 @@ def parse(text, field_override=None):
                     _expect(t2, ln2, "ambient", None, "dim", None)
                     if t2[1] not in pf.algebras:
                         raise ParseError(ln2, "unknown algebra %r" % t2[1])
-                    if not re.fullmatch(r"\d+", t2[3]):
-                        raise ParseError(ln2, "dimension must be an integer")
-                    ambient, n = t2[1], int(t2[3])
+                    ambient, n = t2[1], _count(t2, ln2, "dimension")
                 elif t2[0] == "embedded":
                     _expect(t2, ln2, "embedded", None, "via", None)
                     if t2[1] not in pf.algebras:

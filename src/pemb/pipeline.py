@@ -25,11 +25,12 @@ from .graded import (CochainComplex, DegreeWindow, GradedLinearMap,
                      GradedVectorSpace, InternalError, cohomology,
                      induced_on_cohomology, quasi_isomorphism_failure,
                      truncation_spans)
-from .linalg import Matrix, axpy, dense, scaled
+from .linalg import Matrix, dense
 from .modules import (DgModule, DgModuleMorphism, algebra_as_module,
                       direct_sum_modules, module_mapping_cone,
                       restrict_scalars, restricted_shifted_dual,
                       semifree_resolution, shifted_dual)
+from .tables import by, coefficients, substituted, swapped
 
 
 class PipelineError(ValueError):
@@ -455,8 +456,8 @@ def lefschetz(problem):
         raise HypothesisError("H^0 of the duality cone is not a line")
     field = problem.field
     # below the bound, w -> w.[1] (the action entries (d, k, 0, 0)) is an
-    # isomorphism H^d(W) -> H^d(C); row k of its inverse holds the
-    # coefficients x_k of w_k in c = sum x_k w_k.[1], for each class c
+    # isomorphism H^d(W) -> H^d(C); its inverse maps each class c to the
+    # coefficients x_k of w_k in c = sum x_k w_k.[1]
     inverse = {}
     for d in sorted(set(coh_r.dims) | set(coh_c.dims)):
         if d >= bound:
@@ -467,24 +468,17 @@ def lefschetz(problem):
         if comparison.ncols != k or comparison.rank() != k:
             raise InternalError("low-degree comparison with the ambient algebra "
                                 "is not an isomorphism (degree %d)" % d)
-        inverse[d] = Matrix.from_cols(field, [comparison.solve({i: field.one})
-                                              for i in range(k)], k)
+        inverse.update({(d, i): comparison.solve({i: field.one}) for i in range(k)})
     space = GradedVectorSpace(field,
                               DegreeWindow(0, max(coh_c.dims) if coh_c.dims else 0),
                               dict(coh_c.dims),
                               {d: ["c%d_%d" % (d, i) for i in range(k)]
                                for d, k in coh_c.dims.items()})
-    # c.c' = sum x_k (w_k.c') for |c| below the bound
-    product = {}
-    for (d1, k, d2, i2), w in action.items():
-        if d1 in inverse:
-            for i1, x in inverse[d1].rows[k].items():
-                axpy(field, product.setdefault((d1, i1, d2, i2), {}), x, w)
-    product = {key: w for key, w in product.items() if w}
-    # a right factor below the bound: graded commutativity
-    for (d1, i1, d2, i2), w in list(product.items()):
-        if d2 >= bound:
-            product[(d2, i2, d1, i1)] = scaled(field, field.sign(d1 * d2), w)
+    # c.c' = sum x_k (w_k.c') for |c| below the bound; a right factor
+    # below the bound: graded commutativity
+    product = substituted(field, by(action, 0), coefficients(inverse))
+    product = {k: w for k, w in product.items() if w}
+    product.update(swapped(field, {k: w for k, w in product.items() if k[2] >= bound}))
     unit = coh_c.reduce(0, coh_c.reps[0][0])
     halg = Cdga(field, CochainComplex.zero_differential(space), product, unit)
     halg.validate()

@@ -46,7 +46,7 @@ from pathlib import Path
 
 import pytest
 
-from pemb import algebra, checks, cli, cones, duality, graded, modules, pipeline
+from pemb import algebra, checks, cli, cones, duality, graded, modules, pipeline, tables
 from pemb.algebra import Cdga, CdgaMorphism, materialize_free_cdga
 from pemb.checks import (check_cdga, check_cdga_morphism, check_module,
                          check_module_morphism)
@@ -436,7 +436,7 @@ CHECKS = (
                                lambda m: checks._Walk(m.algebra, m).first_failure(),
                                ("module associativity", "module Leibniz"))),
     (DgModuleMorphism, as_exhaustively(
-        check_module_morphism, lambda f: checks._linearity(f, checks._columns(f.map)),
+        check_module_morphism, lambda f: checks._linearity(f, tables.columns(f.map)),
         ("linearity",))))
 
 

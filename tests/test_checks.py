@@ -15,7 +15,7 @@ from builders import (complex_projective, product_s2_s4, random_semifree, sphere
                       sullivan_cp2, torus_s1_s7, wedge_s2_s4)
 from dense import (DenseCdga, DenseModule, DenseMorphism, add_vec, is_chain_map,
                    is_zero_vec, mul_basis, scale_vec, sparse, sub_vec)
-from pemb import checks
+from pemb import checks, tables
 from pemb.algebra import (AlgebraError, Cdga, CdgaMorphism, direct_sum_cdga,
                           materialize_free_cdga)
 from pemb.checks import (check_cdga, check_cdga_morphism, check_module,
@@ -617,7 +617,7 @@ def test_valid_samples_pass():
 def multiplicativity_verdicts(f):
     """Whether f(xy) = f(x)f(y) holds with x in the source's proof
     record S, and with x any basis element."""
-    fcol = checks._columns(f.map)
+    fcol = tables.columns(f.map)
     hi = min(f.source.space.window.hi, f.target.space.window.hi)
     firsts = set(f.source.proven_generators)
     return (checks._multiplicativity(f, fcol, hi, firsts) is None,
@@ -678,7 +678,7 @@ def test_a_failure_on_s_is_named_by_the_walk_on_every_pair():
     blocks = {d: Matrix.identity(QQ, a.space.dim(d)) for d in a.space.degrees()}
     blocks[0] = Matrix.sparse(QQ, [{1: QQ.one}, {0: QQ.one}], 2)
     f = CdgaMorphism(a, a, GradedLinearMap(a.space, a.space, 0, blocks))
-    on_s = checks._multiplicativity(f, checks._columns(f.map), 3, set(a.proven_generators))
+    on_s = checks._multiplicativity(f, tables.columns(f.map), 3, set(a.proven_generators))
     assert on_s.labels == ("c1.1", "c0.e2")
     reference = dense_cdga_morphism(f)
     assert reference[0] == "morphism not multiplicative on (c0.1, c0.e2)"

@@ -13,6 +13,11 @@ and method defined under `src/pemb` must be named by some module under
 `src/pemb` or `bench/`, but for the few in `READ_BY_TESTS_ONLY`, each
 with its reason.
 
+`pemb.tables` is the one module that indexes, contracts and transposes
+the sparse tables, so that a change to how tables are stored is made in
+one file: it imports no module of the package but `pemb.linalg`, and no
+other module defines a function under one of its names.
+
 A run that names no shipped example does not import `importlib.resources`:
 under `python3 -S -X importtime` it costs about 15 ms, and only
 `cli.example_path` reads it.
@@ -156,6 +161,50 @@ def test_the_package_defines_only_what_it_or_the_benchmark_reads():
     found = {name for path in sorted(SRC.glob("*.py"))
              for _, name in unnamed_definitions(ast.parse(path.read_text()), readers)}
     assert found == set(READ_BY_TESTS_ONLY)
+
+
+def package_imports(tree):
+    """The modules of the package that `tree` imports, by their names
+    inside it."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pemb."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("pemb.")}
+    return found
+
+
+def defined_functions(tree):
+    """The names of the functions and methods that `tree` defines."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_package_imports_and_definitions_are_found():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os, pemb.fields\n"
+                     "from . import graded\n"
+                     "from .linalg import axpy\n"
+                     "from pemb.checks import Witness\n"
+                     "class A:\n"
+                     "    def by(self): pass\n"
+                     "def f():\n"
+                     "    def g(): pass\n")
+    assert package_imports(tree) == {"fields", "graded", "linalg", "checks"}
+    assert defined_functions(tree) == {"by", "f", "g"}
+
+
+def test_tables_imports_only_linalg_and_owns_its_names():
+    tables = ast.parse((SRC / "tables.py").read_text())
+    assert package_imports(tables) <= {"linalg"}
+    vocabulary = {node.name for node in tables.body if isinstance(node, ast.FunctionDef)}
+    assert {"by", "columns", "through", "substituted", "swapped"} <= vocabulary
+    elsewhere = {(path.name, name) for path in sorted(SRC.glob("*.py")) if path.name != "tables.py"
+                 for name in defined_functions(ast.parse(path.read_text())) & vocabulary}
+    assert elsewhere == set()
 
 
 def test_importing_the_cli_leaves_importlib_resources_unloaded():

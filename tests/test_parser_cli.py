@@ -555,6 +555,7 @@ PARSE_ERRORS = [
      "relation is not homogeneous"),
     (HEAD + "cdga A { generator x deg }\n", 3, "incomplete statement"),
     (HEAD + "cdga A { generator x degree 2 }\n", 3, "expected 'deg', found 'degree'"),
+    (HEAD + "cdga A { generator a deg -2 }\n", 3, "generator a must have positive degree"),
     (HEAD + "cdga A { generator x deg two }\n", 3, "degree must be an integer"),
     (HEAD + "cdga A { generator x deg 2 ; generator x deg 3 }\n", 3,
      "duplicate generator name 'x'"),
@@ -566,6 +567,7 @@ PARSE_ERRORS = [
     (EXPLICIT + "  d a = w\n}\n", 7, "unknown basis label 'w'"),
     (EXPLICIT + "  d a = b + c\n}\n", 7, "combination mixes degrees 2 and 3"),
     (EXPLICIT + "  d a = c\n}\n", 7, "combination has degree 3, expected 2"),
+    (EXPLICIT + "  basis t deg -2\n}\n", 7, "degree must be a nonnegative integer, found -2"),
     (EXPLICIT + "  basis e deg five\n}\n", 7, "degree must be an integer"),
     (EXPLICIT + "  generator e deg 5\n}\n", 7,
      "unknown declaration 'generator' in explicit cdga block"),
@@ -610,6 +612,8 @@ PARSE_ERRORS = [
      "cdga Q { generator x deg 1 ; generator y deg 2 }\n"
      "morphism f : R -> Q { a -> x ; b -> y }\n", 5, "morphism is not a chain map"),
     (PROBLEM + "  ambient P dim 6\n}\n", 7, "unknown algebra 'P'"),
+    (PROBLEM + "  ambient R dim -3\n}\n", 7,
+     "dimension must be a nonnegative integer, found -3"),
     (PROBLEM + "  ambient R dim six\n}\n", 7, "dimension must be an integer"),
     (PROBLEM + "  embedded P via f\n}\n", 7, "unknown algebra 'P'"),
     (PROBLEM + "  embedded Q via g\n}\n", 7, "unknown morphism 'g'"),

@@ -17,7 +17,7 @@ import pytest
 
 import builders
 from builders import SULLIVAN_S2_IN_S9, run_cli
-from pemb import cli, modules, parser
+from pemb import cli, modules, parser, tables
 from pemb.duality import shifted_dual_morphism
 from pemb.fields import QQ, PrimeField
 from pemb.modules import (algebra_as_module, restrict_scalars, restricted_shifted_dual,
@@ -134,10 +134,11 @@ def test_the_largest_rungs_skip_the_empty_rounds_and_the_unnamed_elements(
     grouped = []
 
     def profile(frame, event, arg):
-        if event == "return" and frame.f_code is modules.restrict_scalars.__code__:
-            names = frame.f_locals
-            grouped.append((sum(map(len, names["by_element"].values())),
-                            len(names["m"].action)))
+        # the index a restriction builds, returned by `tables.by` to it
+        caller = frame.f_back
+        if (event == "return" and frame.f_code is tables.by.__code__
+                and caller.f_code is modules.restrict_scalars.__code__):
+            grouped.append((sum(map(len, arg.values())), len(caller.f_locals["m"].action)))
 
     monkeypatch.setattr(modules._FreeBuilder, "d_block", counted)
     for workload, name, command, blocks, groups in (
